@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qudit import PureState, RngStream, check_dense_dim, encode_basis, haar_unitary
+from .qudit import PureState, RngStream, check_dense_dim, decode_basis, encode_basis, haar_unitary
 from .young import (
     Partition,
     digit_tuples_of_weight,
@@ -294,7 +295,7 @@ def schur_basis_completion(
             if unit is None:
                 stall += 1
                 if early_stop and stall >= n * max(1, len(span_cols)):
-                    stopped_early = scanned < _factorial(n)
+                    stopped_early = scanned < math.factorial(n)
                     break
             else:
                 span_cols.append(unit)
@@ -303,7 +304,7 @@ def schur_basis_completion(
                 stall = 0
         dim_p = len(span_cols)
         if stopped_early:
-            logger.info("early stop for %s after %d of %d permutations", lam, scanned, _factorial(n))
+            logger.info("early stop for %s after %d of %d permutations", lam, scanned, math.factorial(n))
 
         # Coefficients alpha with |(lam,0,j)> = sum_t alpha[t, j] P_{pi_t} |(lam,0,0)>.
         mat = np.stack(selected_cols, axis=1)
@@ -348,13 +349,6 @@ def schur_basis_completion(
     return basis
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def build_basis(d: int, n: int, **kwargs) -> SchurBasis:
     """Convenience wrapper: stage 1 then stage 2."""
     return schur_basis_completion(d, n, build_q_bases(d, n), **kwargs)
@@ -384,7 +378,7 @@ def verify_nice_basis(basis: SchurBasis, rng: RngStream, trials: int = 20) -> di
         for (i, _j), vec in block.vectors.items():
             want = block.weight_of_i[i]
             for ix in vec.indices:
-                got = weight_of(_decode(ix, basis.d, basis.n), basis.d)
+                got = weight_of(decode_basis(int(ix), basis.d, basis.n), basis.d)
                 if got != want:
                     purity_dev = max(purity_dev, float(np.max(np.abs(vec.amplitudes))))
 
@@ -423,14 +417,6 @@ def verify_nice_basis(basis: SchurBasis, rng: RngStream, trials: int = 20) -> di
 def _span_residual(cols: np.ndarray, vec: np.ndarray) -> float:
     coeff = cols.conj().T @ vec
     return float(np.linalg.norm(vec - cols @ coeff))
-
-
-def _decode(value: int, d: int, n: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(n):
-        digits.append(value % d)
-        value //= d
-    return tuple(reversed(digits))
 
 
 # ---------------------------------------------------------------------------

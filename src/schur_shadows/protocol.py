@@ -7,6 +7,25 @@ projective measurement, the block change of basis, and the row-symmetric
 POVM; the per-segment record (Psi - k I) / n' averages into an unbiased
 estimate of the population average state, hence of the mixed state when the
 symbols are drawn from its spectrum.
+
+Two front ends run the segments:
+
+* :func:`population_shadow` takes a general joint state and measures it
+  densely, segment by segment (:func:`_process_segment`). It is the
+  reference implementation of the measurement.
+* :func:`shadow_from_population` takes a product input U^{x n}|e> and never
+  forms a segment state. The protocol is U-covariant (Haar proposals make
+  the POVM outcome for U tau equal to U times the outcome for tau), so it
+  simulates at U = I and returns U (.) U^dag. At U = I a segment |e> of
+  weight w has, with f^lam = ``dim_p`` and K_{lam,w} the number of weight-w
+  vectors in the (lam, 0) block,
+
+      P(lam | e) = f^lam K_{lam,w} / multinom(n'; w),
+
+  and the j-averaged state after the change of basis is the maximally mixed
+  state on those K_{lam,w} vectors. Since the POVM is linear in that state,
+  the segment's outcome has the law of the POVM on one of those vectors,
+  picked uniformly.
 """
 
 from __future__ import annotations
@@ -14,18 +33,19 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .basis import SchurBasis, change_of_basis, schur_projective_measure
 from .qudit import (
+    DEFAULT_ATOL,
     OperatorGrid,
     PureState,
     RngStream,
     apply_local_unitary,
     haar_pure_state_batch,
     hermiticity_deviation,
+    unitarity_deviation,
 )
 from .young import Partition, kappa_product
 
@@ -146,12 +166,6 @@ def sample_population_input(chi: MixedState, n: int, rng: RngStream) -> tuple[Op
     return chi.eigenvectors, digits
 
 
-def product_basis_state(unitary: OperatorGrid, digits, d: int) -> PureState:
-    """U^{tensor n}|e> built column-by-column (no d^n matrix)."""
-    cols = [unitary.entries[:, dig] for dig in digits]
-    return PureState(d, len(digits), reduce(np.kron, cols))
-
-
 # ---------------------------------------------------------------------------
 # Pre-processing
 # ---------------------------------------------------------------------------
@@ -203,14 +217,18 @@ def _rejection_sample(
     k = lam.k
     kappa = kappa_product(lam, d)
     gen = rng.gen
-    accepted_psis = []
-    accepted_rests = []
-    proposals = 0
-    # Expected trials per accept is kappa; oversample modestly per batch.
-    batch = max(8, int(2.2 * kappa * max(1, min(count, 64))))
     rest_dim = tau_matrix.shape[1]
+    # Fancy-indexed copies, so no accepted row keeps its whole batch alive.
+    accepted_psis = [np.empty((0, k, d), dtype=np.complex128)]
+    accepted_rests = [np.empty((0, rest_dim), dtype=np.complex128)]
+    got = 0
+    proposals = 0
+    # Expected trials per accept is kappa; oversample modestly per batch. A
+    # batch is sized for at most eight accepts, so a large count takes several
+    # small batches instead of one that grows with it.
+    batch = max(8, int(2.2 * kappa * max(1, min(count, 8))))
     batch = max(8, min(batch, max(1, 50_000_000 // max(1, rest_dim))))
-    while len(accepted_psis) < count:
+    while got < count:
         if proposals > max_iters:
             raise RejectionBudgetError(
                 f"no acceptance within {max_iters} proposals for {lam} "
@@ -219,14 +237,12 @@ def _rejection_sample(
         psis = haar_pure_state_batch(d, batch * k, gen).reshape(batch, k, d)
         rests = _batch_amplitudes(lam, d, tau_matrix, psis)
         accept_prob = np.sum(np.abs(rests) ** 2, axis=1)
-        hits = np.nonzero(gen.random(batch) < accept_prob)[0]
+        hits = np.nonzero(gen.random(batch) < accept_prob)[0][: count - got]
         proposals += batch
-        for b in hits:
-            accepted_psis.append(psis[b])
-            accepted_rests.append(rests[b])
-            if len(accepted_psis) >= count:
-                break
-    return np.array(accepted_psis), np.array(accepted_rests), proposals
+        accepted_psis.append(psis[hits])
+        accepted_rests.append(rests[hits])
+        got += hits.size
+    return np.concatenate(accepted_psis), np.concatenate(accepted_rests), proposals
 
 
 def row_symmetric_sample(
@@ -376,34 +392,85 @@ def shadow_from_population(
     rng: RngStream,
     max_iters: int = DEFAULT_MAX_REJECTION_ITERS,
 ) -> ShadowEstimate:
-    """Run the segment pipeline on a product population input (U, e).
+    """Shadow estimate for a product population input U^{x n}|e>.
 
-    Streams one dense segment at a time, so the total qudit count
-    ``t_segments * basis.n`` is not limited by the dense-state cap.
+    Equal in law to :func:`population_shadow` on the dense product state,
+    which is the reference this sampler is tested against, but it never
+    forms a segment state or the dense basis matrix; the total qudit count
+    ``t_segments * basis.n`` is not limited by the dense-state cap. By
+    U-covariance the segments are simulated at U = I (see the module
+    docstring for the two identities used):
+
+    1. one bincount gives the weight w of every segment's digits;
+    2. per distinct w, lam is drawn for all its segments from
+       f^lam K_{lam,w} / multinom(n'; w);
+    3. i is drawn uniformly among the block's weight-w vectors;
+    4. the POVM runs once per (lam, i) group on |(lam, i, 0)>, with the
+       group size as its sample count;
+    5. the records (Psi - k I) / n' are summed and U (.) U^dag / T returned.
+
+    ``segment_partitions`` lists the partitions in segment order;
+    ``povm_proposals`` counts every proposal drawn.
     """
     d = basis.d
     seg_size = basis.n
+    if t_segments < 1:
+        raise ValueError("t_segments must be >= 1")
     if len(digits) < t_segments * seg_size:
         raise ValueError(f"need {t_segments * seg_size} symbols, got {len(digits)}")
+    u = unitary.entries
+    if u.shape != (d, d) or unitarity_deviation(u) > DEFAULT_ATOL:
+        raise ValueError(f"population unitary must be a {d} x {d} unitary")
+    seg_digits = np.asarray(digits[: t_segments * seg_size], dtype=np.int64).reshape(t_segments, seg_size)
+    if np.any((seg_digits < 0) | (seg_digits >= d)):
+        raise ValueError(f"symbols must lie in 0..{d - 1}")
+
+    offsets = d * np.arange(t_segments)[:, None]
+    weights = np.bincount((offsets + seg_digits).ravel(), minlength=d * t_segments)
+    segs_of_weight: dict[tuple[int, ...], list[int]] = {}
+    for t, row in enumerate(weights.reshape(t_segments, d).tolist()):
+        segs_of_weight.setdefault(tuple(row), []).append(t)
+
+    draws = rng.child(0).gen
+    blocks = list(basis.blocks.values())
+    lam_of_seg = np.empty(t_segments, dtype=np.int64)
+    i_of_seg = np.empty(t_segments, dtype=np.int64)
+    for weight, segs in segs_of_weight.items():
+        slots = [
+            np.array([i for i, w in enumerate(block.weight_of_i) if w == weight], dtype=np.int64)
+            for block in blocks
+        ]
+        kostka = np.array([slot.size for slot in slots])
+        mass = kostka * np.array([block.dim_p for block in blocks])
+        multinom = math.factorial(seg_size) // math.prod(math.factorial(x) for x in weight)
+        if mass.sum() != multinom:
+            raise ValueError(
+                f"basis gives sum_lam f K = {mass.sum()} for weight {weight}, expected {multinom}"
+            )
+        picks = draws.choice(len(blocks), size=len(segs), p=mass / multinom)
+        lam_of_seg[segs] = picks
+        # A uniform offset into the picked block's run of the concatenated slots.
+        starts = np.cumsum(kostka) - kostka
+        i_of_seg[segs] = np.concatenate(slots)[starts[picks] + draws.integers(kostka[picks])]
+
     acc = np.zeros((d, d), dtype=np.complex128)
-    partitions = []
     proposals = 0
-    for t in range(t_segments):
-        seg_digits = digits[t * seg_size : (t + 1) * seg_size]
-        seg_state = product_basis_state(unitary, seg_digits, d)
-        lam, psis, _, trials = _process_segment(
-            basis, seg_state.amplitudes.reshape(-1, 1), rng.child(t), max_iters
-        )
-        record = shadow_matrix(lam, psis, d)
-        acc += (record.matrix - lam.k * np.eye(d)) / seg_size
-        partitions.append(lam.parts)
+    keys, sizes = np.unique(lam_of_seg * basis.dim + i_of_seg, return_counts=True)
+    for g, (key, count) in enumerate(zip(keys.tolist(), sizes.tolist())):
+        b, i = divmod(key, basis.dim)
+        lam = blocks[b].lam
+        tau = basis.vector(lam, i, 0).to_dense(basis.dim).reshape(-1, 1)
+        psis, _, trials = _rejection_sample(lam, d, tau, count, rng.child(1 + g), max_iters * count)
+        # Rows sqrt(d + lam_r) psi_r: their Gram sum is the group's sum of Psi.
+        scaled = (psis * np.sqrt(d + np.array(lam.parts))[None, :, None]).reshape(-1, d)
+        acc += scaled.T @ scaled.conj() - count * lam.k * np.eye(d)
         proposals += trials
     return ShadowEstimate(
-        matrix=acc / t_segments,
+        matrix=u @ acc @ u.conj().T / (t_segments * seg_size),
         t_segments=t_segments,
         segment_size=seg_size,
         master_seed=rng.master_seed,
-        segment_partitions=partitions,
+        segment_partitions=[blocks[b].lam.parts for b in lam_of_seg.tolist()],
         povm_proposals=proposals,
     )
 

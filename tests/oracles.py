@@ -2,16 +2,22 @@
 
 Everything here is computed by a route disjoint from the package code:
 exact Beta integrals for single-row POVM moments at d = 2, brute-force
-enumeration for combinatorics, and backtracking counts for standard
-tableaux.
+enumeration for combinatorics, backtracking counts for standard and
+semistandard tableaux, the Schur-Weyl distribution of the partition label,
+and a chi-square tail. ``product_basis_state`` builds the dense input that
+the reference measurement path takes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from functools import reduce
 from math import comb, factorial
 
 import numpy as np
+
+from schur_shadows.qudit import OperatorGrid, PureState
 
 
 def beta_int(a: int, b: int) -> float:
@@ -96,3 +102,105 @@ def brute_force_partitions(n: int, d: int) -> list[tuple[int, ...]]:
         if sum(cuts) == n and all(a >= b for a, b in zip(cuts, cuts[1:])):
             found.add(tuple(p for p in cuts if p))
     return sorted(found, reverse=True)
+
+
+def product_basis_state(unitary: OperatorGrid, digits, d: int) -> PureState:
+    """U^{tensor n}|e> built column-by-column (no d^n matrix)."""
+    cols = [unitary.entries[:, dig] for dig in digits]
+    return PureState(d, len(digits), reduce(np.kron, cols))
+
+
+def _semistandard_fillings(parts: tuple[int, ...], d: int):
+    """Yield the content (symbol counts) of every semistandard tableau of the
+    shape with entries 0..d-1: rows weakly increase, columns strictly."""
+    boxes = [(r, c) for r, p in enumerate(parts) for c in range(p)]
+    filling: dict[tuple[int, int], int] = {}
+
+    def place(pos: int):
+        if pos == len(boxes):
+            content = [0] * d
+            for val in filling.values():
+                content[val] += 1
+            yield tuple(content)
+            return
+        r, c = boxes[pos]
+        low = filling[(r, c - 1)] if c else 0
+        if r:
+            low = max(low, filling[(r - 1, c)] + 1)
+        for val in range(low, d):
+            filling[(r, c)] = val
+            yield from place(pos + 1)
+        filling.pop((r, c), None)
+
+    yield from place(0)
+
+
+def semistandard_tableaux_count(parts: tuple[int, ...], weight) -> int:
+    """Kostka number K_{lam,w}: semistandard tableaux of shape lam, content w."""
+    weight = tuple(int(x) for x in weight)
+    return sum(1 for content in _semistandard_fillings(tuple(parts), len(weight)) if content == weight)
+
+
+def schur_polynomial(parts: tuple[int, ...], x) -> float:
+    """s_lam(x) as the sum over semistandard tableaux of x^content."""
+    x = np.asarray(x, dtype=np.float64)
+    return float(sum(np.prod(x ** np.array(c)) for c in _semistandard_fillings(tuple(parts), x.size)))
+
+
+def schur_weyl_distribution(n: int, spectrum) -> dict[tuple[int, ...], float]:
+    """Law of the partition label on n i.i.d. copies: f^lam s_lam(spectrum)."""
+    d = len(spectrum)
+    return {
+        parts: standard_tableaux_count(parts) * schur_polynomial(parts, spectrum)
+        for parts in brute_force_partitions(n, d)
+    }
+
+
+def lambda_given_weight(weight) -> dict[tuple[int, ...], float]:
+    """P(lam | e) = f^lam K_{lam,w} / multinom(n; w) for a basis state of weight w."""
+    n = sum(weight)
+    multinom = factorial(n) // math.prod(factorial(x) for x in weight)
+    out = {}
+    for parts in brute_force_partitions(n, len(weight)):
+        mass = standard_tableaux_count(parts) * semistandard_tableaux_count(parts, weight)
+        if mass:
+            out[parts] = mass / multinom
+    return out
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """Upper tail P(X >= x) of the chi-square law with integer df >= 1.
+
+    Built from the closed forms at df = 1 (erfc) and df = 2 (exp) and the
+    recurrence Q(s + 1, y) = Q(s, y) + y^s e^{-y} / s! in s = df / 2.
+    """
+    y = x / 2.0
+    s, q = (0.5, math.erfc(math.sqrt(y))) if df % 2 else (1.0, math.exp(-y))
+    while s < df / 2.0:
+        if y > 0:
+            q += math.exp(s * math.log(y) - y - math.lgamma(s + 1))
+        s += 1.0
+    return min(1.0, q)
+
+
+def chi_square(counts: dict, probs: dict) -> tuple[float, int]:
+    """Pearson statistic and degrees of freedom of counts against probs.
+
+    Categories expecting fewer than five counts are pooled into one bin.
+    Categories outside ``probs`` must be checked by the caller.
+    """
+    total = sum(counts.values())
+    stat, bins = 0.0, 0
+    pooled_obs, pooled_exp = 0, 0.0
+    for key, p in probs.items():
+        exp = total * p
+        if exp < 5:
+            pooled_obs += counts.get(key, 0)
+            pooled_exp += exp
+            continue
+        stat += (counts.get(key, 0) - exp) ** 2 / exp
+        bins += 1
+    if pooled_exp > 0:
+        stat += (pooled_obs - pooled_exp) ** 2 / pooled_exp
+        bins += 1
+    return stat, bins - 1

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import dicke_amplitudes, single_row_variance_quadrature
+from oracles import dicke_amplitudes, product_basis_state, single_row_variance_quadrature
 from schur_shadows.basis import verify_nice_basis
 from schur_shadows.moments import (
     _Register,
@@ -38,7 +38,6 @@ from schur_shadows.protocol import (
     generic_preprocess,
     mixed_state_shadow,
     predict,
-    product_basis_state,
     sample_population_input,
     shadow_from_population,
 )

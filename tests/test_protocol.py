@@ -1,7 +1,22 @@
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from oracles import dicke_amplitudes
+from oracles import (
+    chi2_sf,
+    chi_square,
+    dicke_amplitudes,
+    lambda_given_weight,
+    product_basis_state,
+    schur_weyl_distribution,
+    semistandard_tableaux_count,
+    standard_tableaux_count,
+)
+from schur_shadows.basis import schur_block_probabilities
+from schur_shadows.moments import _EntrywiseStats, expected_shadow_exact, second_moment_exact
 from schur_shadows.protocol import (
     MixedState,
     Observable,
@@ -12,7 +27,6 @@ from schur_shadows.protocol import (
     mixed_state_shadow,
     population_shadow,
     predict,
-    product_basis_state,
     row_symmetric_sample,
     row_symmetric_sample_batch,
     sample_population_input,
@@ -23,6 +37,7 @@ from schur_shadows.protocol import (
 )
 from schur_shadows.qudit import OperatorGrid, PureState, RngStream, haar_unitary
 from schur_shadows.young import Partition, kappa_product, weight_of
+from test_moments import z_threshold
 
 
 def make_observable(matrix, bound=None):
@@ -158,11 +173,48 @@ class TestRowSymmetricSampling:
         with pytest.raises(RejectionBudgetError):
             row_symmetric_sample(Partition((3,)), tau, RngStream(75), max_iters=1)
 
+    def test_batch_owns_its_data(self):
+        # accepted rows are copied out, so no proposal batch stays alive
+        tau = PureState.from_digits((0,) * 3, 2)
+        psis, _ = row_symmetric_sample_batch(Partition((3,)), tau, 50, RngStream(300))
+        assert psis.shape == (50, 1, 2)
+        assert psis.base is None
+
     def test_sampled_states_are_unit(self):
         tau = PureState.from_digits((0,) * 3, 2)
         psis = row_symmetric_sample(Partition((3,)), tau, RngStream(76))
         assert len(psis) == 1
         assert np.linalg.norm(psis[0]) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestWeightClassIdentities:
+    """The two facts the product sampler relies on, checked on the dense basis
+    for every computational-basis state; f^lam and K_{lam,w} come from
+    tableau counts, not from the basis."""
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (3, 3), (3, 4), (4, 3)])
+    def test_lambda_law_and_averaged_state(self, basis_for, d, n):
+        basis = basis_for(d, n)
+        dense = basis.dense_matrix()
+        f = {lam: standard_tableaux_count(lam.parts) for lam in basis.blocks}
+        for e in itertools.product(range(d), repeat=n):
+            w = weight_of(e, d)
+            multinom = math.factorial(n) // math.prod(math.factorial(x) for x in w)
+            state = PureState.from_digits(e, d)
+            probs = schur_block_probabilities(basis, state)
+            coeffs = dense.conj().T @ state.amplitudes
+            for lam, block in basis.blocks.items():
+                kostka = semistandard_tableaux_count(lam.parts, w)
+                assert block.dim_p == f[lam]
+                assert sum(wi == w for wi in block.weight_of_i) == kostka
+                got = sum(probs[(lam, j)] for j in range(block.dim_p))
+                assert abs(got - f[lam] * kostka / multinom) < 1e-12
+                averaged = np.zeros((block.dim_q, block.dim_q), dtype=complex)
+                for j in range(block.dim_p):
+                    c = coeffs[basis.block_slice(lam, j)]
+                    averaged += np.outer(c, c.conj())
+                slice_w = np.diag([1.0 if wi == w else 0.0 for wi in block.weight_of_i])
+                assert np.max(np.abs(averaged - f[lam] / multinom * slice_w)) < 1e-12
 
 
 class TestShadowMatrix:
@@ -225,15 +277,102 @@ class TestPopulationShadow:
         assert np.max(np.abs(acc - np.diag([1.0, 0.0]))) < 0.12
 
     def test_matches_streamed_product_run(self, basis_for):
-        # dense joint processing and segment streaming agree draw-for-draw
-        basis = basis_for(2, 2)
-        u = haar_unitary(2, RngStream(82))
-        digits = (0, 1, 0, 0, 1, 0, 0, 0)
-        state = product_basis_state(u, digits, 2)
-        a = population_shadow(basis, state, 1.7, RngStream(83))
-        b = shadow_from_population(basis, u, digits, 4, RngStream(83))
-        assert np.allclose(a.matrix, b.matrix, atol=1e-9)
+        # The dense joint path and the weight-class product sampler agree in
+        # law, not draw for draw. Each is gated on its own against the exact
+        # P(lam | w) of every segment and against the population average state.
+        d, seg, t_segments, runs = 2, 3, 4, 1000
+        basis = basis_for(d, seg)
+        u = haar_unitary(d, RngStream(82))
+        digits = (0, 1, 0, 1, 1, 1, 0, 0, 1, 1, 0, 1)
+        state = product_basis_state(u, digits, d)
+        laws = [lambda_given_weight(weight_of(digits[t * seg : (t + 1) * seg], d)) for t in range(t_segments)]
+        cols = u.entries[:, list(digits)]
+        truth = cols @ cols.conj().T / len(digits)
+        root = RngStream(83)
+        fronts = {
+            "population_shadow": lambda r: population_shadow(basis, state, 1.7, root.child(r)),
+            "shadow_from_population": lambda r: shadow_from_population(
+                basis, u, digits, t_segments, root.child(runs + r)
+            ),
+        }
+        z_max = z_threshold(len(fronts) * 2 * d * d, 4.0)
+        for name, run in fronts.items():
+            tallies = [Counter() for _ in range(t_segments)]
+            stats = _EntrywiseStats((d, d))
+            for r in range(runs):
+                est = run(r)
+                assert est.t_segments == t_segments and est.segment_size == seg
+                stats.add_batch(est.matrix[None])
+                for tally, parts in zip(tallies, est.segment_partitions):
+                    tally[parts] += 1
+            stat = df = 0
+            for tally, law in zip(tallies, laws):
+                assert set(tally) <= set(law), f"{name}: impossible partition in {dict(tally)}"
+                seg_stat, seg_df = chi_square(tally, law)
+                stat += seg_stat
+                df += seg_df
+            assert chi2_sf(stat, df) >= 1e-4, f"{name}: chi2 {stat:.2f} on {df} df"
+            assert np.max(stats.z_scores(truth)) <= z_max, name
+
+    def test_product_sampler_is_u_covariant(self, basis_for):
+        basis = basis_for(3, 3)
+        u = haar_unitary(3, RngStream(301))
+        digits = (0, 1, 2, 2, 2, 1, 0, 0, 1, 1, 1, 1, 2, 0, 2)
+        a = shadow_from_population(basis, u, digits, 5, RngStream(302))
+        b = shadow_from_population(basis, OperatorGrid.identity(3), digits, 5, RngStream(302))
+        assert np.max(np.abs(a.matrix - u.entries @ b.matrix @ u.entries.conj().T)) < 1e-12
         assert a.segment_partitions == b.segment_partitions
+
+    def test_product_sampler_deterministic(self, basis_for):
+        basis = basis_for(3, 3)
+        u = haar_unitary(3, RngStream(303))
+        digits = (0, 1, 2, 2, 2, 1, 0, 0, 1, 1, 1, 1, 2, 0, 2)
+        a = shadow_from_population(basis, u, digits, 5, RngStream(304))
+        b = shadow_from_population(basis, u, digits, 5, RngStream(304))
+        assert np.array_equal(a.matrix, b.matrix)
+        assert a.segment_partitions == b.segment_partitions
+        assert a.povm_proposals == b.povm_proposals
+
+    def test_product_sampler_second_moment(self, basis_for):
+        # The i draw leaves the lam law and the mean unchanged, so gate
+        # E[X (x) X], X = (Psi - k I) / n', of one-segment runs at U = I against
+        # the moment oracle averaged over the dense path's (lam, j) outcomes.
+        d, digits, runs = 3, (0, 1, 2), 1500
+        n = len(digits)
+        basis = basis_for(d, n)
+        dense = basis.dense_matrix()
+        coeffs = dense.conj().T @ PureState.from_digits(digits, d).amplitudes
+        eye = np.eye(d)
+        want = np.zeros((d * d, d * d), dtype=complex)
+        for lam, block in basis.blocks.items():
+            for j in range(block.dim_p):
+                c = coeffs[basis.block_slice(lam, j)]
+                p = float(np.vdot(c, c).real)
+                if p < 1e-12:
+                    continue
+                tau = PureState(d, n, dense[:, basis.block_slice(lam, 0)] @ c / np.sqrt(p))
+                first = expected_shadow_exact(lam, tau)
+                second = second_moment_exact(lam, tau)
+                k = lam.k
+                want += p * (second - k * np.kron(first, eye) - k * np.kron(eye, first) + k * k * np.eye(d * d)) / n**2
+        root = RngStream(309)
+        ident = OperatorGrid.identity(d)
+        xs = np.array([shadow_from_population(basis, ident, digits, 1, root.child(r)).matrix for r in range(runs)])
+        stats = _EntrywiseStats((d * d, d * d))
+        stats.add_batch(np.einsum("rab,rce->racbe", xs, xs).reshape(runs, d * d, d * d))
+        assert np.max(stats.z_scores(want)) <= z_threshold(2 * d**4, 4.0)
+
+    def test_product_sampler_rejects_bad_input(self, basis_for):
+        basis = basis_for(2, 2)
+        u = haar_unitary(2, RngStream(305))
+        with pytest.raises(ValueError, match="symbols"):
+            shadow_from_population(basis, u, (0, 2, 0, 1), 2, RngStream(306))
+        with pytest.raises(ValueError, match="symbols"):
+            shadow_from_population(basis, u, (0, -1, 0, 1), 2, RngStream(306))
+        with pytest.raises(ValueError, match="unitary"):
+            shadow_from_population(basis, OperatorGrid(2 * u.entries), (0, 1, 0, 1), 2, RngStream(306))
+        with pytest.raises(ValueError, match="need 6 symbols"):
+            shadow_from_population(basis, u, (0, 1, 0, 1), 3, RngStream(306))
 
     def test_deterministic(self, basis_for):
         basis = basis_for(2, 2)
@@ -258,6 +397,25 @@ class TestMixedStateShadow:
             acc += mixed_state_shadow(chi, 40, 2.1, RngStream(88).child(t), basis=basis).matrix
         acc /= runs
         assert np.max(np.abs(acc - chi.density())) < 0.1
+
+    @pytest.mark.parametrize(
+        "d,seg,spectrum,epsilon,runs",
+        [(4, 3, (0.7, 0.3, 0.0, 0.0), 0.35, 15), (3, 4, (0.5, 0.3, 0.2), 0.5, 30)],
+    )
+    def test_lambda_marginal_is_schur_weyl(self, basis_for, d, seg, spectrum, epsilon, runs):
+        # lam over i.i.d. symbols is weak Schur sampling: f^lam s_lam(spectrum)
+        law = schur_weyl_distribution(seg, spectrum)
+        rank = sum(p > 0 for p in spectrum)
+        chi = MixedState(d, np.array(spectrum), haar_unitary(d, RngStream(307)), rank)
+        basis = basis_for(d, seg)
+        n = segment_count(epsilon / 2.0) * seg
+        root = RngStream(308)
+        counts = Counter()
+        for r in range(runs):
+            counts.update(mixed_state_shadow(chi, n, epsilon, root.child(r), basis=basis).segment_partitions)
+        assert all(law.get(parts, 0.0) > 0 for parts in counts), dict(counts)
+        stat, df = chi_square(counts, {parts: p for parts, p in law.items() if p > 0})
+        assert chi2_sf(stat, df) >= 1e-4, f"chi2 {stat:.2f} on {df} df, counts {dict(counts)}"
 
     def test_needs_enough_copies(self):
         chi = MixedState.random(2, 1, RngStream(89))

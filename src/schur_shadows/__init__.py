@@ -7,9 +7,11 @@ Layers:
 * :mod:`schur_shadows.young`: partitions, row/column groups, Young
   symmetrizers, weights, majorization.
 * :mod:`schur_shadows.basis`: nice Schur basis construction, verification,
-  persistence, projective measurement, block change of basis.
-* :mod:`schur_shadows.protocol`: population sampling, pre-processing, the
-  row-symmetric POVM, shadow estimates, median-of-means, baseline.
+  persistence, and :func:`schur_measure`, the dense Schur measurement with
+  its block change of basis.
+* :mod:`schur_shadows.protocol`: population sampling, the row-symmetric
+  POVM, the shadow record :func:`shadow_matrix`, the joint-state and
+  product-input shadow front ends, median-of-means, baseline.
 * :mod:`schur_shadows.moments`: exact first/second shadow moments and the
   closed-form single-row variance; Monte Carlo cross-checks.
 * :mod:`schur_shadows.observables` / :mod:`schur_shadows.cli`: observable
@@ -20,10 +22,9 @@ from .basis import (
     SchurBasis,
     build_basis,
     build_or_load,
-    change_of_basis,
     load_basis,
     save_basis,
-    schur_projective_measure,
+    schur_measure,
     verify_nice_basis,
 )
 from .moments import (
@@ -39,7 +40,6 @@ from .protocol import (
     Observable,
     ShadowEstimate,
     baseline_single_copy_shadow,
-    generic_preprocess,
     median_of_means,
     mixed_state_shadow,
     population_shadow,
@@ -60,6 +60,6 @@ from .qudit import (
     haar_unitary,
     partial_trace_keep,
 )
-from .young import Partition, majorizes, partitions_of, weight_of, young_symmetrizer_apply
+from .young import Partition, majorizes, partitions_of, weight_of
 
 __version__ = "0.1.0"

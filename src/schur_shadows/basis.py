@@ -13,6 +13,12 @@ The basis {|(lam, i, j)>} is built in two stages:
 
 Every vector is supported on a single weight subspace, so the whole basis is
 stored sparsely (computational-basis index / amplitude pairs).
+
+:func:`schur_measure` is the one dense implementation of the protocol's first
+step: the projective measurement of (lam, j) followed by the change of basis
+that moves the measured block onto (lam, 0). It works on the measured rows
+of a (d^n, rest) matrix, so a segment of a larger joint state is measured
+without reshaping the rest away.
 """
 
 from __future__ import annotations
@@ -420,60 +426,42 @@ def _span_residual(cols: np.ndarray, vec: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Measurement and change of basis
+# Measurement
 # ---------------------------------------------------------------------------
 
 
-def schur_block_probabilities(basis: SchurBasis, state: PureState) -> dict[tuple[Partition, int], float]:
-    """Outcome probabilities ||Pi_{lam,j} s||^2 of the projective measurement."""
-    coeffs = basis.dense_matrix().conj().T @ state.amplitudes
-    probs = {}
-    for lam, block in basis.blocks.items():
-        for j in range(block.dim_p):
-            sl = basis.block_slice(lam, j)
-            probs[(lam, j)] = float(np.sum(np.abs(coeffs[sl]) ** 2))
-    return probs
+def schur_measure(
+    basis: SchurBasis, amplitudes: np.ndarray, rng: RngStream
+) -> tuple[Partition, int, np.ndarray]:
+    """Schur projective measurement followed by the block change of basis.
 
-
-def schur_projective_measure(
-    basis: SchurBasis, state: PureState, rng: RngStream
-) -> tuple[Partition, int, PureState]:
-    """Sample a (lam, j) block and return the renormalized projected state."""
-    if state.d != basis.d or state.n != basis.n:
-        raise ValueError("state does not match basis dimensions")
-    coeffs = basis.dense_matrix().conj().T @ state.amplitudes
+    ``amplitudes`` is a (d^n, rest) matrix whose rows are the measured qudits
+    (a single state vector of length d^n works the same way). The outcome
+    (lam, j) is drawn with probability ||Pi_{lam,j} s||^2 in the dense column
+    order; the returned ``tau`` is the projected state with its (lam, j)
+    coefficients moved onto the (lam, 0) block, renormalized, in the shape
+    of ``amplitudes``.
+    """
+    if amplitudes.shape[0] != basis.dim:
+        raise ValueError(f"state has {amplitudes.shape[0]} rows, basis needs {basis.dim}")
+    dense = basis.dense_matrix()
+    coeffs = dense.conj().T @ amplitudes
     keys = []
     probs = []
     for lam, block in basis.blocks.items():
         for j in range(block.dim_p):
             sl = basis.block_slice(lam, j)
             keys.append((lam, j, sl))
-            probs.append(np.sum(np.abs(coeffs[sl]) ** 2))
+            probs.append(float(np.sum(np.abs(coeffs[sl]) ** 2)))
     probs = np.array(probs)
     total = probs.sum()
-    if total < 1e-12:
-        raise ValueError("all block probabilities vanish; basis or state is corrupted")
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"block probabilities sum to {total}, expected 1")
     pick = rng.gen.choice(len(keys), p=probs / total)
     lam, j, sl = keys[pick]
-    post = basis.dense_matrix()[:, sl] @ coeffs[sl]
-    post /= np.linalg.norm(post)
-    return lam, j, PureState(basis.d, basis.n, post)
-
-
-def change_of_basis(
-    basis: SchurBasis, lam: Partition, j: int, post: PureState, atol: float = 1e-8
-) -> PureState:
-    """Swap the measured (lam, j) block onto the canonical (lam, 0) block."""
-    sl_j = basis.block_slice(lam, j)
-    cols_j = basis.dense_matrix()[:, sl_j]
-    coeffs = cols_j.conj().T @ post.amplitudes
-    residual = np.linalg.norm(post.amplitudes - cols_j @ coeffs)
-    if residual > atol:
-        raise ValueError(f"state lies outside the (lam={lam}, j={j}) block (residual {residual:.3e})")
-    cols_0 = basis.dense_matrix()[:, basis.block_slice(lam, 0)]
-    return PureState(basis.d, basis.n, cols_0 @ coeffs)
+    tau = dense[:, basis.block_slice(lam, 0)] @ coeffs[sl]
+    tau /= np.linalg.norm(tau)
+    return lam, j, tau
 
 
 # ---------------------------------------------------------------------------

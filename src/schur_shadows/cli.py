@@ -33,7 +33,7 @@ from .protocol import (
     segment_count,
     shadow_from_population,
 )
-from .qudit import CapExceededError, PureState, RngStream, haar_unitary
+from .qudit import CapExceededError, RngStream, haar_unitary
 from .young import Partition
 
 logger = logging.getLogger("schur_shadows")
@@ -279,7 +279,8 @@ def cmd_oracle(args) -> int:
     if lam.n != args.n:
         raise ConfigError(f"partition {lam} does not sum to n={args.n}")
     rng = RngStream(args.seed)
-    tau, weight = _random_protocol_state(lam, args.d, rng.child(0))
+    weights, vectors = basis_mod.build_q_bases(args.d, lam.n)[lam]
+    tau, weight = moments_mod.random_protocol_state(lam, weights, vectors, args.d, rng.child(0).gen)
     unitary = haar_unitary(args.d, rng.child(1))
     observable = make_observable(args.obs, args.d, rng.child(2))
 
@@ -309,22 +310,6 @@ def cmd_oracle(args) -> int:
         and mc["second_moment_max_z"] <= 4.0
     )
     return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _random_protocol_state(lam: Partition, d: int, rng: RngStream):
-    """Random unit combination of one weight's symmetrizer-image basis."""
-    seeds = basis_mod.build_q_bases(d, lam.n)[lam]
-    weights, vectors = seeds
-    gen = rng.gen
-    pick = gen.choice(len(weights))
-    weight = weights[pick]
-    idx = [i for i, w in enumerate(weights) if w == weight]
-    coeff = gen.standard_normal(len(idx)) + 1j * gen.standard_normal(len(idx))
-    coeff /= np.linalg.norm(coeff)
-    dense = np.zeros(d**lam.n, dtype=np.complex128)
-    for c, i in zip(coeff, idx):
-        dense += c * vectors[i].to_dense(d**lam.n)
-    return PureState(d, lam.n, dense).normalized(), weight
 
 
 # ---------------------------------------------------------------------------

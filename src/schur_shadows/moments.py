@@ -139,6 +139,26 @@ def _check_protocol_state(lam: Partition, tau: PureState) -> None:
         )
 
 
+def random_protocol_state(
+    lam: Partition, weights, vectors, d: int, gen: np.random.Generator
+) -> tuple[PureState, tuple[int, ...]]:
+    """Random unit combination of the (lam, i, 0) vectors of one weight.
+
+    ``weights[i]`` and ``vectors[i]`` (a sparse vector) describe the (lam, i, 0)
+    layer. The weight is that of a uniformly drawn i; returns (state, weight).
+    """
+    pick = gen.choice(len(weights))
+    weight = weights[pick]
+    idx = [i for i, w in enumerate(weights) if w == weight]
+    coeff = gen.standard_normal(len(idx)) + 1j * gen.standard_normal(len(idx))
+    coeff /= np.linalg.norm(coeff)
+    dim = d**lam.n
+    dense = np.zeros(dim, dtype=np.complex128)
+    for c, i in zip(coeff, idx):
+        dense += c * vectors[i].to_dense(dim)
+    return PureState(d, lam.n, dense).normalized(), weight
+
+
 def _rotated_density(tau: PureState, unitary: OperatorGrid | None) -> np.ndarray:
     state = tau if unitary is None else apply_local_unitary(unitary, tau)
     return np.outer(state.amplitudes, state.amplitudes.conj())
@@ -226,11 +246,12 @@ def second_moment_exact(
     """
     if rows not in ("all", "cross", "diagonal"):
         raise ValueError(f"rows must be 'all', 'cross', or 'diagonal', not {rows!r}")
-    if validate:
-        _check_protocol_state(lam, tau)
     d, n = tau.d, tau.n
+    # Refuse by size first: validation builds a d^n x d^n row projector.
     if d ** (n + 2) > dim_cap:
         raise CapExceededError(f"d^(n+2) = {d ** (n + 2)} exceeds oracle cap {dim_cap}")
+    if validate:
+        _check_protocol_state(lam, tau)
     rho = _rotated_density(tau, unitary)
     reg = _Register(d, n + 2)
     layout = BoxLayout(lam)
@@ -383,37 +404,24 @@ def mc_povm_completeness(lam: Partition, d: int, samples: int, rng: RngStream, b
     """
     dim = d**lam.n
     kappa = float(kappa_product(lam, d))
-    sum1 = np.zeros((dim, dim), dtype=np.complex128)
-    sq_re = np.zeros((dim, dim))
-    sq_im = np.zeros((dim, dim))
+    stats = _EntrywiseStats((dim, dim))
     gen = rng.gen
-    done = 0
-    while done < samples:
-        b = min(batch, samples - done)
+    while stats.count < samples:
+        b = min(batch, samples - stats.count)
         full = _product_state_batch(lam, d, b, gen) * np.sqrt(kappa)
         re, im = np.ascontiguousarray(full.real), np.ascontiguousarray(full.imag)
-        sum1 += full.T @ full.conj()
+        stats.sum += full.T @ full.conj()
         re2, im2, reim = re**2, im**2, re * im
         # x_uw = F_u conj(F_w): Re x = R_u R_w + I_u I_w, Im x = I_u R_w - R_u I_w.
-        sq_re += re2.T @ re2 + 2.0 * (reim.T @ reim) + im2.T @ im2
-        sq_im += im2.T @ re2 + re2.T @ im2 - 2.0 * (reim.T @ reim)
-        done += b
+        stats.sum_sq_re += re2.T @ re2 + 2.0 * (reim.T @ reim) + im2.T @ im2
+        stats.sum_sq_im += im2.T @ re2 + re2.T @ im2 - 2.0 * (reim.T @ reim)
+        stats.count += b
     target = row_symmetric_projector(lam, d).astype(np.complex128)
-    mean = sum1 / samples
-    var_re = np.maximum(sq_re / samples - mean.real**2, 0.0)
-    var_im = np.maximum(sq_im / samples - mean.imag**2, 0.0)
-    se_re = np.sqrt(var_re / samples)
-    se_im = np.sqrt(var_im / samples)
-    dev_re = np.abs(mean.real - target.real)
-    dev_im = np.abs(mean.imag - target.imag)
-    z_re = np.where(se_re > 1e-12, dev_re / np.maximum(se_re, 1e-300), np.where(dev_re < 1e-9, 0.0, np.inf))
-    z_im = np.where(se_im > 1e-12, dev_im / np.maximum(se_im, 1e-300), np.where(dev_im < 1e-9, 0.0, np.inf))
-    z = np.maximum(z_re, z_im)
     return {
         "samples": samples,
         "entries": int(2 * dim * dim),
-        "max_abs_z": float(np.max(z)),
-        "max_abs_dev": float(np.max(np.abs(mean - target))),
+        "max_abs_z": float(np.max(stats.z_scores(target))),
+        "max_abs_dev": float(np.max(np.abs(stats.mean - target))),
     }
 
 

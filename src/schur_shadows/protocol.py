@@ -6,13 +6,15 @@ qudits (trailing remainder discarded). Each segment goes through the Schur
 projective measurement, the block change of basis, and the row-symmetric
 POVM; the per-segment record (Psi - k I) / n' averages into an unbiased
 estimate of the population average state, hence of the mixed state when the
-symbols are drawn from its spectrum.
+symbols are drawn from its spectrum. Both front ends sum the records with
+:func:`shadow_matrix` and divide once by T n'.
 
 Two front ends run the segments:
 
 * :func:`population_shadow` takes a general joint state and measures it
-  densely, segment by segment (:func:`_process_segment`). It is the
-  reference implementation of the measurement.
+  densely, segment by segment: :func:`schur_measure` on the segment's rows,
+  then the POVM, whose partial contraction leaves the state of the later
+  segments. It is the reference for the product path below.
 * :func:`shadow_from_population` takes a product input U^{x n}|e> and never
   forms a segment state. The protocol is U-covariant (Haar proposals make
   the POVM outcome for U tau equal to U times the outcome for tau), so it
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import SchurBasis, change_of_basis, schur_projective_measure
+from .basis import SchurBasis, schur_measure
 from .qudit import (
     DEFAULT_ATOL,
     OperatorGrid,
@@ -132,15 +134,6 @@ class Observable:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class ShadowMatrix:
-    """POVM outcome folded into the d x d estimator Psi."""
-
-    matrix: np.ndarray
-    lam: Partition
-    k: int
-
-
 @dataclass
 class ShadowEstimate:
     """Averaged per-segment estimates; Hermitian but not necessarily PSD."""
@@ -164,17 +157,6 @@ def sample_population_input(chi: MixedState, n: int, rng: RngStream) -> tuple[Op
         raise ValueError("n must be >= 1")
     digits = tuple(int(x) for x in rng.gen.choice(chi.d, size=n, p=chi.eigenvalues))
     return chi.eigenvectors, digits
-
-
-# ---------------------------------------------------------------------------
-# Pre-processing
-# ---------------------------------------------------------------------------
-
-
-def generic_preprocess(basis: SchurBasis, state: PureState, rng: RngStream) -> tuple[Partition, PureState]:
-    """Schur projective measurement followed by the block change of basis."""
-    lam, j, post = schur_projective_measure(basis, state, rng)
-    return lam, change_of_basis(basis, lam, j, post)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +220,11 @@ def _rejection_sample(
         rests = _batch_amplitudes(lam, d, tau_matrix, psis)
         accept_prob = np.sum(np.abs(rests) ** 2, axis=1)
         hits = np.nonzero(gen.random(batch) < accept_prob)[0][: count - got]
-        proposals += batch
         accepted_psis.append(psis[hits])
         accepted_rests.append(rests[hits])
         got += hits.size
+        # The last batch counts only the proposals up to its final accept.
+        proposals += int(hits[-1]) + 1 if got == count else batch
     return np.concatenate(accepted_psis), np.concatenate(accepted_rests), proposals
 
 
@@ -250,17 +233,15 @@ def row_symmetric_sample(
     tau_state: PureState,
     rng: RngStream,
     max_iters: int = DEFAULT_MAX_REJECTION_ITERS,
-    validate: bool = True,
 ) -> list[np.ndarray]:
     """Sample one POVM outcome (psi_1, ..., psi_k) for a row-symmetric state."""
-    if validate:
-        from .moments import row_symmetry_residual
+    from .moments import row_symmetry_residual
 
-        residual = row_symmetry_residual(lam, tau_state)
-        if residual > 1e-8:
-            raise ValueError(
-                f"state outside the row-symmetric subspace of {lam} (residual {residual:.3e})"
-            )
+    residual = row_symmetry_residual(lam, tau_state)
+    if residual > 1e-8:
+        raise ValueError(
+            f"state outside the row-symmetric subspace of {lam} (residual {residual:.3e})"
+        )
     psis, _, _ = _rejection_sample(
         lam, tau_state.d, tau_state.amplitudes.reshape(-1, 1), 1, rng, max_iters
     )
@@ -281,52 +262,22 @@ def row_symmetric_sample_batch(
     return psis, proposals
 
 
-def shadow_matrix(lam: Partition, psis, d: int) -> ShadowMatrix:
-    """Psi = sum_i (d + lam_i) |psi_i><psi_i|."""
-    if len(psis) != lam.k:
-        raise ValueError(f"need {lam.k} states for partition {lam}, got {len(psis)}")
-    mat = np.zeros((d, d), dtype=np.complex128)
-    for part, psi in zip(lam.parts, psis):
-        mat += (d + part) * np.outer(psi, psi.conj())
-    return ShadowMatrix(mat, lam, lam.k)
+def shadow_matrix(lam: Partition, psis: np.ndarray, d: int) -> np.ndarray:
+    """Sum over samples s of Psi_s = sum_r (d + lam_r) |psi_{s,r}><psi_{s,r}|.
 
-
-# ---------------------------------------------------------------------------
-# Segment pipeline and the two shadow front ends
-# ---------------------------------------------------------------------------
-
-
-def _process_segment(
-    basis: SchurBasis, seg_matrix: np.ndarray, rng: RngStream, max_iters: int
-) -> tuple[Partition, np.ndarray, np.ndarray, int]:
-    """One segment of the joint measurement.
-
-    ``seg_matrix`` holds the joint state as (d^{n'}, rest) with the segment
-    qudits as rows; returns the measured partition, the POVM outcome states,
-    the renormalized post-measurement rest vector, and the proposal count.
+    ``psis`` has shape (count, k, d): one POVM outcome per sample.
     """
-    dense = basis.dense_matrix()
-    coeffs = dense.conj().T @ seg_matrix
-    keys = []
-    probs = []
-    for lam, block in basis.blocks.items():
-        for j in range(block.dim_p):
-            sl = basis.block_slice(lam, j)
-            keys.append((lam, j, sl))
-            probs.append(float(np.sum(np.abs(coeffs[sl, :]) ** 2)))
-    probs = np.array(probs)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"segment block probabilities sum to {total}")
-    pick = rng.gen.choice(len(keys), p=probs / total)
-    lam, j, sl = keys[pick]
-    # Projection plus the j -> 0 block swap, applied to the joint state.
-    tau_matrix = dense[:, basis.block_slice(lam, 0)] @ coeffs[sl, :]
-    tau_matrix = tau_matrix / np.linalg.norm(tau_matrix)
-    psis, rests, proposals = _rejection_sample(lam, basis.d, tau_matrix, 1, rng, max_iters)
-    rest = rests[0]
-    rest = rest / np.linalg.norm(rest)
-    return lam, psis[0], rest, proposals
+    psis = np.asarray(psis)
+    if psis.ndim != 3 or psis.shape[1:] != (lam.k, d):
+        raise ValueError(f"need outcomes of shape (count, {lam.k}, {d}) for {lam}, got {psis.shape}")
+    # Rows sqrt(d + lam_r) psi_r: their Gram sum is the sum of Psi.
+    scaled = (psis * np.sqrt(d + np.array(lam.parts))[None, :, None]).reshape(-1, d)
+    return scaled.T @ scaled.conj()
+
+
+# ---------------------------------------------------------------------------
+# The two shadow front ends
+# ---------------------------------------------------------------------------
 
 
 def segment_count(epsilon: float) -> int:
@@ -362,20 +313,22 @@ def population_shadow(
         logger.info("discarding %d remainder qudits of %d", discarded, state.n)
     d = state.d
     seg_dim = d**seg_size
-    rest = state.amplitudes.copy()
+    rest = state.amplitudes
     acc = np.zeros((d, d), dtype=np.complex128)
     partitions = []
     proposals = 0
     for t in range(t_segments):
-        lam, psis, rest, trials = _process_segment(
-            basis, rest.reshape(seg_dim, -1), rng.child(t), max_iters
-        )
-        record = shadow_matrix(lam, psis, d)
-        acc += (record.matrix - lam.k * np.eye(d)) / seg_size
+        sub = rng.child(t)
+        # The segment qudits are the rows; the POVM's partial contraction
+        # leaves the state of the qudits after them.
+        lam, _j, tau = schur_measure(basis, rest.reshape(seg_dim, -1), sub)
+        psis, rests, trials = _rejection_sample(lam, d, tau, 1, sub, max_iters)
+        rest = rests[0] / np.linalg.norm(rests[0])
+        acc += shadow_matrix(lam, psis, d) - lam.k * np.eye(d)
         partitions.append(lam.parts)
         proposals += trials
     return ShadowEstimate(
-        matrix=acc / t_segments,
+        matrix=acc / (t_segments * seg_size),
         t_segments=t_segments,
         segment_size=seg_size,
         master_seed=rng.master_seed,
@@ -410,7 +363,8 @@ def shadow_from_population(
     5. the records (Psi - k I) / n' are summed and U (.) U^dag / T returned.
 
     ``segment_partitions`` lists the partitions in segment order;
-    ``povm_proposals`` counts every proposal drawn.
+    ``povm_proposals`` counts the proposals the sampler needed, up to each
+    group's last accept.
     """
     d = basis.d
     seg_size = basis.n
@@ -461,9 +415,7 @@ def shadow_from_population(
         lam = blocks[b].lam
         tau = basis.vector(lam, i, 0).to_dense(basis.dim).reshape(-1, 1)
         psis, _, trials = _rejection_sample(lam, d, tau, count, rng.child(1 + g), max_iters * count)
-        # Rows sqrt(d + lam_r) psi_r: their Gram sum is the group's sum of Psi.
-        scaled = (psis * np.sqrt(d + np.array(lam.parts))[None, :, None]).reshape(-1, d)
-        acc += scaled.T @ scaled.conj() - count * lam.k * np.eye(d)
+        acc += shadow_matrix(lam, psis, d) - count * lam.k * np.eye(d)
         proposals += trials
     return ShadowEstimate(
         matrix=u @ acc @ u.conj().T / (t_segments * seg_size),

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-import numpy as np
-
-from .qudit import Permutation, PureState
+from .qudit import Permutation
 
 
 @dataclass(frozen=True)
@@ -159,17 +157,6 @@ def young_symmetrizer_apply_digits(lam: Partition, digits) -> dict[tuple[int, ..
         key = tuple(out)
         acc[key] = acc.get(key, 0.0) + sign
     return {key: val for key, val in acc.items() if val != 0.0}
-
-def young_symmetrizer_apply(lam: Partition, state: PureState) -> PureState:
-    """Apply the Young symmetrizer to a dense state (output unnormalized)."""
-    if lam.n != state.n:
-        raise ValueError(f"partition of {lam.n} applied to {state.n} qudits")
-    tensor = state.tensor_view()
-    out = np.zeros_like(tensor)
-    for mapping, sign in young_symmetrizer_terms(lam):
-        inv = Permutation(mapping).inverse().mapping
-        out += sign * tensor.transpose(inv)
-    return PureState(state.d, state.n, np.ascontiguousarray(out.reshape(-1)))
 
 
 def weight_of(digits, d: int) -> tuple[int, ...]:

@@ -1,12 +1,12 @@
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from schur_shadows.basis import SchurBasis, build_basis
+from schur_shadows.moments import random_protocol_state
 from schur_shadows.qudit import PureState, RngStream
 from schur_shadows.young import Partition
 
@@ -35,17 +35,8 @@ def protocol_state_for(basis_for):
     """
 
     def factory(lam: Partition, d: int, seed: int) -> tuple[PureState, tuple[int, ...]]:
-        basis = basis_for(d, lam.n)
-        block = basis.blocks[lam]
-        gen = RngStream(seed).gen
-        pick = gen.choice(block.dim_q)
-        weight = block.weight_of_i[pick]
-        idx = [i for i, w in enumerate(block.weight_of_i) if w == weight]
-        coeff = gen.standard_normal(len(idx)) + 1j * gen.standard_normal(len(idx))
-        coeff /= np.linalg.norm(coeff)
-        dense = np.zeros(d**lam.n, dtype=np.complex128)
-        for c, i in zip(coeff, idx):
-            dense += c * block.vectors[(i, 0)].to_dense(d**lam.n)
-        return PureState(d, lam.n, dense).normalized(), weight
+        block = basis_for(d, lam.n).blocks[lam]
+        vectors = [block.vectors[(i, 0)] for i in range(block.dim_q)]
+        return random_protocol_state(lam, block.weight_of_i, vectors, d, RngStream(seed).gen)
 
     return factory

@@ -4,8 +4,11 @@ Everything here is computed by a route disjoint from the package code:
 exact Beta integrals for single-row POVM moments at d = 2, brute-force
 enumeration for combinatorics, backtracking counts for standard and
 semistandard tableaux, the Schur-Weyl distribution of the partition label,
-and a chi-square tail. ``product_basis_state`` builds the dense input that
-the reference measurement path takes.
+Schur measurement probabilities summed over the sparse basis vectors (no
+dense basis matrix), and a chi-square tail. ``product_basis_state`` builds
+the dense input that the reference measurement path takes, and
+``young_symmetrizer_apply`` the dense symmetrizer image that the
+symmetrizer tests inspect.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from schur_shadows.qudit import OperatorGrid, PureState
+from schur_shadows.qudit import OperatorGrid, Permutation, PureState
+from schur_shadows.young import Partition, young_symmetrizer_terms
 
 
 def beta_int(a: int, b: int) -> float:
@@ -108,6 +112,29 @@ def product_basis_state(unitary: OperatorGrid, digits, d: int) -> PureState:
     """U^{tensor n}|e> built column-by-column (no d^n matrix)."""
     cols = [unitary.entries[:, dig] for dig in digits]
     return PureState(d, len(digits), reduce(np.kron, cols))
+
+
+def young_symmetrizer_apply(lam: Partition, state: PureState) -> PureState:
+    """Apply the Young symmetrizer to a dense state (output unnormalized)."""
+    if lam.n != state.n:
+        raise ValueError(f"partition of {lam.n} applied to {state.n} qudits")
+    tensor = state.tensor_view()
+    out = np.zeros_like(tensor)
+    for mapping, sign in young_symmetrizer_terms(lam):
+        inv = Permutation(mapping).inverse().mapping
+        out += sign * tensor.transpose(inv)
+    return PureState(state.d, state.n, np.ascontiguousarray(out.reshape(-1)))
+
+
+def block_probabilities(basis, state: PureState) -> dict:
+    """||Pi_{lam,j} s||^2 for every (lam, j), from the sparse basis vectors."""
+    amps = state.amplitudes
+    probs = {}
+    for lam, block in basis.blocks.items():
+        for j in range(block.dim_p):
+            vectors = [block.vectors[(i, j)] for i in range(block.dim_q)]
+            probs[(lam, j)] = sum(abs(np.vdot(v.amplitudes, amps[v.indices])) ** 2 for v in vectors)
+    return probs
 
 
 def _semistandard_fillings(parts: tuple[int, ...], d: int):

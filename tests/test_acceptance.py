@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import dicke_amplitudes, product_basis_state, single_row_variance_quadrature
-from schur_shadows.basis import verify_nice_basis
+from schur_shadows.basis import schur_measure, verify_nice_basis
 from schur_shadows.moments import (
     _Register,
     expected_shadow_exact,
@@ -35,7 +35,6 @@ from schur_shadows.observables import (
 )
 from schur_shadows.protocol import (
     MixedState,
-    generic_preprocess,
     mixed_state_shadow,
     predict,
     sample_population_input,
@@ -51,21 +50,6 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 ORACLE_LAMBDAS = [(2, lam) for lam in partitions_of(6, 2)] + [(3, lam) for lam in partitions_of(4, 3)]
-
-
-def protocol_state(lam: Partition, d: int, seed: int, basis_for):
-    basis = basis_for(d, lam.n)
-    block = basis.blocks[lam]
-    gen = RngStream(seed).gen
-    pick = gen.choice(block.dim_q)
-    weight = block.weight_of_i[pick]
-    idx = [i for i, w in enumerate(block.weight_of_i) if w == weight]
-    coeff = gen.standard_normal(len(idx)) + 1j * gen.standard_normal(len(idx))
-    coeff /= np.linalg.norm(coeff)
-    dense = np.zeros(d**lam.n, dtype=np.complex128)
-    for c, i in zip(coeff, idx):
-        dense += c * block.vectors[(i, 0)].to_dense(d**lam.n)
-    return PureState(d, lam.n, dense).normalized(), weight
 
 
 def test_criterion_1_nice_basis_suite(basis_for):
@@ -97,7 +81,8 @@ def test_criterion_1_nice_basis_suite(basis_for):
 
 
 def test_criterion_2_young_symmetrizer_properties():
-    from schur_shadows.young import majorizes, weight_of, young_symmetrizer_apply
+    from oracles import young_symmetrizer_apply
+    from schur_shadows.young import majorizes, weight_of
     from test_young import dense_symmetrizer
 
     start = time.perf_counter()
@@ -183,18 +168,18 @@ def test_criterion_3_povm_completeness():
     assert ok
 
 
-def test_criterion_4_unbiasedness(basis_for):
+def test_criterion_4_unbiasedness(protocol_state_for):
     start = time.perf_counter()
     max_gap = 0.0
     max_z = 0.0
     for d, lam in ORACLE_LAMBDAS:
         for rep in range(10):
-            tau, weight = protocol_state(lam, d, 4_000 + 97 * rep, basis_for)
+            tau, weight = protocol_state_for(lam, d, 4_000 + 97 * rep)
             unitary = haar_unitary(d, RngStream(4_500 + rep))
             exact = expected_shadow_exact(lam, tau, unitary)
             formula = expected_shadow_formula(lam, weight, unitary, d)
             max_gap = max(max_gap, float(np.max(np.abs(exact - formula))))
-        tau, weight = protocol_state(lam, d, 4_999, basis_for)
+        tau, weight = protocol_state_for(lam, d, 4_999)
         unitary = haar_unitary(d, RngStream(4_600))
         mc = mc_shadow_moments(lam, tau, unitary, 10_000, RngStream(4_700), second=False)
         max_z = max(max_z, mc["first_moment_max_z"])
@@ -208,7 +193,7 @@ def test_criterion_4_unbiasedness(basis_for):
     assert ok
 
 
-def test_criterion_5a_variance_matches_monte_carlo(basis_for):
+def test_criterion_5a_variance_matches_monte_carlo(protocol_state_for):
     start = time.perf_counter()
     worst = 0.0
     cases = [
@@ -220,7 +205,7 @@ def test_criterion_5a_variance_matches_monte_carlo(basis_for):
         if obs is None:
             obs = np.zeros((d, d), dtype=complex)
             obs[0, 0], obs[1, 1] = 1.0, -1.0
-        tau, _ = protocol_state(lam, d, 5_100 + lam.n, basis_for)
+        tau, _ = protocol_state_for(lam, d, 5_100 + lam.n)
         mc = mc_shadow_moments(
             lam, tau, None, samples, RngStream(5_200 + lam.n), second=False, observable=obs
         )
@@ -314,12 +299,12 @@ def test_criterion_5d_cross_term_lower_bound():
     assert ok
 
 
-def test_criterion_6_variance_upper_bound(basis_for):
+def test_criterion_6_variance_upper_bound(protocol_state_for):
     start = time.perf_counter()
     fitted = 0.0
     count = 0
     for d, lam in ORACLE_LAMBDAS:
-        tau, _ = protocol_state(lam, d, 6_000 + lam.n, basis_for)
+        tau, _ = protocol_state_for(lam, d, 6_000 + lam.n)
         second = second_moment_exact(lam, tau, None)
         first = expected_shadow_exact(lam, tau, None, validate=False)
         observables = [
@@ -365,7 +350,7 @@ def test_criterion_7_partition_rank_guarantee(basis_for):
                 digits = tuple(symbols + [int(gen.choice(symbols)) for _ in range(n - r)])
             unitary = haar_unitary(d, RngStream(7_100 + r).child(t))
             state = product_basis_state(unitary, digits, d)
-            lam, _tau = generic_preprocess(basis, state, RngStream(7_200 + r).child(t))
+            lam, _j, _tau = schur_measure(basis, state.amplitudes, RngStream(7_200 + r).child(t))
             ok &= lam.k <= r
     report("7 (partition rank)", ok, f"3000 runs, d=3, r in 1..3, {time.perf_counter() - start:.1f}s")
     assert ok

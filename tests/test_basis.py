@@ -4,16 +4,14 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import standard_tableaux_count
+from oracles import block_probabilities, standard_tableaux_count
 from schur_shadows.basis import (
     BasisCacheError,
     SchurBasis,
     build_q_bases,
-    change_of_basis,
     load_basis,
     save_basis,
-    schur_block_probabilities,
-    schur_projective_measure,
+    schur_measure,
     verify_nice_basis,
 )
 from schur_shadows.qudit import (
@@ -140,64 +138,77 @@ class TestCompletion:
                     assert np.linalg.norm(vec - cols @ (cols.conj().T @ vec)) < 1e-12
 
 
+def _random_state(d: int, n: int, seed: int) -> PureState:
+    gen = RngStream(seed).gen
+    amps = gen.standard_normal(d**n) + 1j * gen.standard_normal(d**n)
+    return PureState(d, n, amps / np.linalg.norm(amps))
+
+
 class TestSchurMeasurement:
     def test_all_zeros_is_symmetric(self, basis_for):
         basis = basis_for(2, 2)
-        probs = schur_block_probabilities(basis, PureState.from_digits((0, 0), 2))
+        state = PureState.from_digits((0, 0), 2)
+        probs = block_probabilities(basis, state)
         assert probs[(Partition((2,)), 0)] == pytest.approx(1.0, abs=1e-12)
-        lam, j, post = schur_projective_measure(basis, PureState.from_digits((0, 0), 2), RngStream(1))
+        lam, j, tau = schur_measure(basis, state.amplitudes, RngStream(1))
         assert lam.parts == (2,) and j == 0
-        assert np.allclose(post.amplitudes, PureState.from_digits((0, 0), 2).amplitudes)
+        assert np.allclose(tau, state.amplitudes)
 
     def test_singlet(self, basis_for):
         basis = basis_for(2, 2)
         amps = np.zeros(4, dtype=complex)
         amps[1] = 1 / np.sqrt(2)
         amps[2] = -1 / np.sqrt(2)
-        probs = schur_block_probabilities(basis, PureState(2, 2, amps))
+        probs = block_probabilities(basis, PureState(2, 2, amps))
         assert probs[(Partition((1, 1)), 0)] == pytest.approx(1.0, abs=1e-12)
+        lam, j, tau = schur_measure(basis, amps, RngStream(2))
+        assert lam.parts == (1, 1) and j == 0
+        assert np.allclose(tau, amps)
 
     def test_01_splits_evenly(self, basis_for):
         basis = basis_for(2, 2)
-        probs = schur_block_probabilities(basis, PureState.from_digits((0, 1), 2))
+        probs = block_probabilities(basis, PureState.from_digits((0, 1), 2))
         assert probs[(Partition((2,)), 0)] == pytest.approx(0.5, abs=1e-12)
         assert probs[(Partition((1, 1)), 0)] == pytest.approx(0.5, abs=1e-12)
 
     def test_probabilities_sum_to_one(self, basis_for):
         basis = basis_for(3, 3)
-        gen = RngStream(32).gen
-        amps = gen.standard_normal(27) + 1j * gen.standard_normal(27)
-        state = PureState(3, 3, amps / np.linalg.norm(amps))
-        probs = schur_block_probabilities(basis, state)
+        state = _random_state(3, 3, 32)
+        probs = block_probabilities(basis, state)
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
+        # schur_measure refuses a state whose probabilities do not sum to 1
+        lam, j, tau = schur_measure(basis, state.amplitudes, RngStream(31))
+        assert probs[(lam, j)] > 0
+        assert np.linalg.norm(tau) == pytest.approx(1.0, abs=1e-12)
 
     def test_measurement_statistics(self, basis_for):
         # empirical (lam, j) frequencies over 1e5 repeats within 4 sigma
         basis = basis_for(2, 3)
-        gen = RngStream(33).gen
-        amps = gen.standard_normal(8) + 1j * gen.standard_normal(8)
-        state = PureState(2, 3, amps / np.linalg.norm(amps))
-        probs = schur_block_probabilities(basis, state)
+        state = _random_state(2, 3, 33)
+        probs = block_probabilities(basis, state)
         rng = RngStream(34)
         counts = {key: 0 for key in probs}
         repeats = 100_000
         for _ in range(repeats):
-            lam, j, _post = schur_projective_measure(basis, state, rng)
+            lam, j, _tau = schur_measure(basis, state.amplitudes, rng)
             counts[(lam, j)] += 1
         for key, p in probs.items():
             se = np.sqrt(p * (1 - p) / repeats)
             assert abs(counts[key] / repeats - p) <= 4 * se + 1e-12
 
     def test_post_state_in_block(self, basis_for):
+        # tau lies in the (lam, 0) block and carries the state's (lam, j)
+        # coefficients, renormalized
         basis = basis_for(2, 3)
-        gen = RngStream(35).gen
-        amps = gen.standard_normal(8) + 1j * gen.standard_normal(8)
-        state = PureState(2, 3, amps / np.linalg.norm(amps))
-        lam, j, post = schur_projective_measure(basis, state, RngStream(36))
-        cols = basis.dense_matrix()[:, basis.block_slice(lam, j)]
-        coeff = cols.conj().T @ post.amplitudes
-        assert np.linalg.norm(post.amplitudes - cols @ coeff) < 1e-10
-        assert abs(post.norm - 1) < 1e-10
+        state = _random_state(2, 3, 35)
+        lam, j, tau = schur_measure(basis, state.amplitudes, RngStream(36))
+        cols_0 = basis.dense_matrix()[:, basis.block_slice(lam, 0)]
+        assert np.linalg.norm(tau - cols_0 @ (cols_0.conj().T @ tau)) < 1e-10
+        assert abs(np.linalg.norm(tau) - 1) < 1e-10
+        block = basis.blocks[lam]
+        want = np.array([np.vdot(block.vectors[(i, j)].to_dense(8), state.amplitudes) for i in range(block.dim_q)])
+        got = np.array([np.vdot(block.vectors[(i, 0)].to_dense(8), tau) for i in range(block.dim_q)])
+        assert np.max(np.abs(got - want / np.linalg.norm(want))) < 1e-10
 
 
 class TestChangeOfBasis:
@@ -205,15 +216,17 @@ class TestChangeOfBasis:
         basis = basis_for(2, 3)
         lam = Partition((2, 1))
         vec = basis.vector(lam, 1, 0).to_dense(8)
-        out = change_of_basis(basis, lam, 0, PureState(2, 3, vec))
-        assert np.allclose(out.amplitudes, vec)
+        got_lam, j, tau = schur_measure(basis, vec, RngStream(40))
+        assert (got_lam, j) == (lam, 0)
+        assert np.allclose(tau, vec)
 
     def test_maps_j_block_to_base_block(self, basis_for):
         basis = basis_for(2, 3)
         lam = Partition((2, 1))
         vec = basis.vector(lam, 0, 1).to_dense(8)
-        out = change_of_basis(basis, lam, 1, PureState(2, 3, vec))
-        assert np.allclose(out.amplitudes, basis.vector(lam, 0, 0).to_dense(8))
+        got_lam, j, tau = schur_measure(basis, vec, RngStream(41))
+        assert (got_lam, j) == (lam, 1)
+        assert np.allclose(tau, basis.vector(lam, 0, 0).to_dense(8))
 
     def test_preserves_coefficients(self, basis_for):
         basis = basis_for(2, 3)
@@ -224,37 +237,38 @@ class TestChangeOfBasis:
         state = coeff[0] * basis.vector(lam, 0, 1).to_dense(8) + coeff[1] * basis.vector(
             lam, 1, 1
         ).to_dense(8)
-        out = change_of_basis(basis, lam, 1, PureState(2, 3, state))
+        got_lam, j, tau = schur_measure(basis, state, RngStream(42))
+        assert (got_lam, j) == (lam, 1)
         expect = coeff[0] * basis.vector(lam, 0, 0).to_dense(8) + coeff[1] * basis.vector(
             lam, 1, 0
         ).to_dense(8)
-        assert np.max(np.abs(out.amplitudes - expect)) < 1e-10
-        assert abs(out.norm - 1) < 1e-10
+        assert np.max(np.abs(tau - expect)) < 1e-10
+        assert abs(np.linalg.norm(tau) - 1) < 1e-10
 
     def test_rejects_state_outside_block(self, basis_for):
+        # the measurement refuses a state of the wrong shape or norm
         basis = basis_for(2, 3)
-        with pytest.raises(ValueError):
-            change_of_basis(basis, Partition((2, 1)), 1, PureState.from_digits((0, 0, 0), 2))
+        with pytest.raises(ValueError, match="rows"):
+            schur_measure(basis, PureState.from_digits((0, 0), 2).amplitudes, RngStream(43))
+        with pytest.raises(ValueError, match="rows"):
+            schur_measure(basis, PureState.from_digits((0, 0, 0), 2).amplitudes.reshape(1, 8), RngStream(43))
+        with pytest.raises(ValueError, match="sum to"):
+            schur_measure(basis, 2 * PureState.from_digits((0, 0, 0), 2).amplitudes, RngStream(43))
 
     def test_commutes_with_collective_unitaries(self, basis_for):
-        # U^{x n} then swap equals swap then U^{x n} on the measured block
+        # measuring U^{x n} s gives U^{x n} times the outcome for s, seed for seed
         basis = basis_for(2, 3)
-        lam = Partition((2, 1))
         gen = RngStream(38).gen
         rng = RngStream(39)
         for trial in range(20):
-            coeff = gen.standard_normal(2) + 1j * gen.standard_normal(2)
-            coeff /= np.linalg.norm(coeff)
-            state = PureState(
-                2,
-                3,
-                coeff[0] * basis.vector(lam, 0, 1).to_dense(8)
-                + coeff[1] * basis.vector(lam, 1, 1).to_dense(8),
-            )
+            amps = gen.standard_normal(8) + 1j * gen.standard_normal(8)
+            state = PureState(2, 3, amps / np.linalg.norm(amps))
             u = haar_unitary(2, rng.child(trial))
-            a = change_of_basis(basis, lam, 1, apply_local_unitary(u, state))
-            b = apply_local_unitary(u, change_of_basis(basis, lam, 1, state))
-            assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-8
+            lam_a, j_a, a = schur_measure(basis, apply_local_unitary(u, state).amplitudes, RngStream(44).child(trial))
+            lam_b, j_b, b = schur_measure(basis, state.amplitudes, RngStream(44).child(trial))
+            assert (lam_a, j_a) == (lam_b, j_b)
+            moved = apply_local_unitary(u, PureState(2, 3, b)).amplitudes
+            assert np.max(np.abs(a - moved)) < 1e-8
 
 
 class TestPersistence:

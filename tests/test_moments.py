@@ -133,6 +133,13 @@ class TestSecondMoment:
         with pytest.raises(CapExceededError):
             second_moment_exact(Partition((8,)), tau, dim_cap=ORACLE_DIM_CAP)
 
+    def test_dim_cap_checked_before_row_symmetry(self):
+        # an over-cap state outside the row-symmetric subspace is refused for
+        # its size; the row projector that validation builds is never made
+        tau = PureState.from_digits((0, 1) + (0,) * 6, 3)
+        with pytest.raises(CapExceededError):
+            second_moment_exact(Partition((8,)), tau, dim_cap=ORACLE_DIM_CAP)
+
 
 class TestVariance:
     def test_zero_observable(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    block_probabilities,
     chi2_sf,
     chi_square,
     dicke_amplitudes,
@@ -15,14 +16,13 @@ from oracles import (
     semistandard_tableaux_count,
     standard_tableaux_count,
 )
-from schur_shadows.basis import schur_block_probabilities
+from schur_shadows.basis import schur_measure
 from schur_shadows.moments import _EntrywiseStats, expected_shadow_exact, second_moment_exact
 from schur_shadows.protocol import (
     MixedState,
     Observable,
     RejectionBudgetError,
     baseline_single_copy_shadow,
-    generic_preprocess,
     median_of_means,
     mixed_state_shadow,
     population_shadow,
@@ -102,16 +102,16 @@ class TestPopulationInput:
 class TestPreprocess:
     def test_all_zeros_input(self, basis_for):
         basis = basis_for(2, 4)
-        lam, tau = generic_preprocess(basis, PureState.from_digits((0,) * 4, 2), RngStream(66))
+        lam, _j, tau = schur_measure(basis, PureState.from_digits((0,) * 4, 2).amplitudes, RngStream(66))
         assert lam.parts == (4,)
-        assert np.allclose(tau.amplitudes, PureState.from_digits((0,) * 4, 2).amplitudes)
+        assert np.allclose(tau, PureState.from_digits((0,) * 4, 2).amplitudes)
 
     def test_two_symbol_input_gives_at_most_two_parts(self, basis_for):
         basis = basis_for(2, 4)
         u = haar_unitary(2, RngStream(67))
         state = product_basis_state(u, (0, 1, 0, 0), 2)
         for trial in range(200):
-            lam, _tau = generic_preprocess(basis, state, RngStream(68).child(trial))
+            lam, _j, _tau = schur_measure(basis, state.amplitudes, RngStream(68).child(trial))
             assert lam.k <= 2
 
     def test_weight_preserved_at_identity(self, basis_for):
@@ -120,8 +120,8 @@ class TestPreprocess:
         state = PureState.from_digits(digits, 2)
         w = weight_of(digits, 2)
         for trial in range(10):
-            lam, tau = generic_preprocess(basis, state, RngStream(69).child(trial))
-            support = np.nonzero(np.abs(tau.amplitudes) > 1e-12)[0]
+            lam, _j, tau = schur_measure(basis, state.amplitudes, RngStream(69).child(trial))
+            support = np.nonzero(np.abs(tau) > 1e-12)[0]
             for idx in support:
                 bits = tuple(int(b) for b in np.binary_repr(int(idx), width=4))
                 assert weight_of(bits, 2) == w
@@ -133,8 +133,8 @@ class TestPreprocess:
         u = haar_unitary(2, RngStream(70))
         state = product_basis_state(u, (1, 0, 1, 1), 2)
         for trial in range(10):
-            lam, tau = generic_preprocess(basis, state, RngStream(71).child(trial))
-            assert row_symmetry_residual(lam, tau) < 1e-8
+            lam, _j, tau = schur_measure(basis, state.amplitudes, RngStream(71).child(trial))
+            assert row_symmetry_residual(lam, PureState(2, 4, tau)) < 1e-8
 
 
 class TestRowSymmetricSampling:
@@ -173,6 +173,17 @@ class TestRowSymmetricSampling:
         with pytest.raises(RejectionBudgetError):
             row_symmetric_sample(Partition((3,)), tau, RngStream(75), max_iters=1)
 
+    def test_proposals_count_the_sampler(self):
+        # One accept takes a geometric number of proposals: mean kappa = 4 and
+        # variance kappa (kappa - 1). The batch of 8 proposals must not show.
+        lam = Partition((3,))
+        tau = PureState.from_digits((0,) * 3, 2)
+        kappa, calls = kappa_product(lam, 2), 2000
+        root = RngStream(310)
+        counts = np.array([row_symmetric_sample_batch(lam, tau, 1, root.child(r))[1] for r in range(calls)])
+        z = abs(counts.mean() - kappa) / np.sqrt(kappa * (kappa - 1) / calls)
+        assert z <= z_threshold(1, 4.0), (counts.mean(), z)
+
     def test_batch_owns_its_data(self):
         # accepted rows are copied out, so no proposal batch stays alive
         tau = PureState.from_digits((0,) * 3, 2)
@@ -201,7 +212,7 @@ class TestWeightClassIdentities:
             w = weight_of(e, d)
             multinom = math.factorial(n) // math.prod(math.factorial(x) for x in w)
             state = PureState.from_digits(e, d)
-            probs = schur_block_probabilities(basis, state)
+            probs = block_probabilities(basis, state)
             coeffs = dense.conj().T @ state.amplitudes
             for lam, block in basis.blocks.items():
                 kostka = semistandard_tableaux_count(lam.parts, w)
@@ -220,25 +231,30 @@ class TestWeightClassIdentities:
 class TestShadowMatrix:
     def test_diagonal_example(self):
         lam = Partition((2, 1))
-        psis = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        psis = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         out = shadow_matrix(lam, psis, 2)
-        assert np.allclose(out.matrix, np.diag([4.0, 3.0]))
+        assert np.allclose(out, np.diag([4.0, 3.0]))
 
     def test_single_row_example(self):
         n = 5
-        out = shadow_matrix(Partition((n,)), [np.array([1.0, 0.0])], 2)
-        assert np.allclose(out.matrix, np.diag([n + 2.0, 0.0]))
+        out = shadow_matrix(Partition((n,)), np.array([[[1.0, 0.0]]]), 2)
+        assert np.allclose(out, np.diag([n + 2.0, 0.0]))
 
     def test_trace_identity(self):
         gen = RngStream(77).gen
         lam = Partition((3, 2, 1))
         psis = [v / np.linalg.norm(v) for v in (gen.standard_normal((3,)) + 1j * gen.standard_normal((3,)) for _ in range(3))]
-        out = shadow_matrix(lam, psis, 3)
-        assert np.trace(out.matrix).real == pytest.approx(sum(3 + p for p in lam.parts), abs=1e-10)
+        out = shadow_matrix(lam, np.array([psis]), 3)
+        assert np.trace(out).real == pytest.approx(sum(3 + p for p in lam.parts), abs=1e-10)
+        # the record of several samples is the sum of their records
+        twice = shadow_matrix(lam, np.array([psis, psis[::-1]]), 3)
+        assert np.max(np.abs(twice - out - shadow_matrix(lam, np.array([psis[::-1]]), 3))) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            shadow_matrix(Partition((2, 1)), [np.array([1.0, 0.0])], 2)
+            shadow_matrix(Partition((2, 1)), np.array([[[1.0, 0.0]]]), 2)
+        with pytest.raises(ValueError):
+            shadow_matrix(Partition((2, 1)), np.array([[1.0, 0.0], [0.0, 1.0]]), 2)
 
 
 class TestPopulationShadow:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_partitions
+from oracles import brute_force_partitions, young_symmetrizer_apply
 from schur_shadows.qudit import PureState, RngStream, encode_basis
 from schur_shadows.young import (
     BoxLayout,
@@ -15,7 +15,6 @@ from schur_shadows.young import (
     symmetric_dim,
     weight_of,
     weights_reverse_lex,
-    young_symmetrizer_apply,
     young_symmetrizer_terms,
 )
 

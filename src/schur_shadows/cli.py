@@ -278,6 +278,8 @@ def cmd_oracle(args) -> int:
 
     if lam.n != args.n:
         raise ConfigError(f"partition {lam} does not sum to n={args.n}")
+    # Refuse by size before the basis build and the first-moment checks.
+    moments_mod.check_oracle_cap(args.d, lam.n)
     rng = RngStream(args.seed)
     weights, vectors = basis_mod.build_q_bases(args.d, lam.n)[lam]
     tau, weight = moments_mod.random_protocol_state(lam, weights, vectors, args.d, rng.child(0).gen)

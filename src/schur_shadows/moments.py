@@ -5,13 +5,15 @@ state tau, the POVM outcome moments reduce to permutation averages: the Haar
 expectation of psi^{tensor s} times the symmetric-subspace dimension kappa_s
 equals the s-slot symmetrizer. Attaching one (or two) output qudits to a row
 and symmetrizing the enlarged slot set therefore gives E[Psi] and
-E[Psi tensor Psi] exactly, as partial traces of explicitly built operators on
-n+1 (resp. n+2) qudits.
+E[Psi tensor Psi] exactly. E[Psi] is a sum of one-qudit reduced states of
+tau. For E[Psi tensor Psi] each symmetrizer acts on the d^2 vectors
+|b> (tensor) tau of the (n+2)-qudit register as a mean over the classes of
+indices that agree outside its slots and carry the same digit multiset on
+them, so no operator on n+1 or n+2 qudits is built.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,24 +93,31 @@ class _Register:
             new_digits[:, dst] = self.digits[:, k]
         return new_digits @ self.powers
 
-    def symmetrizer(self, slots) -> np.ndarray:
-        """Dense average of permutation operators over the given slots."""
-        slots = list(slots)
-        mat = np.zeros((self.dim, self.dim))
-        cols = np.arange(self.dim)
-        count = 0
-        for image in itertools.permutations(slots):
-            mapping = list(range(self.m))
-            for src, dst in zip(slots, image):
-                mapping[src] = dst
-            mat[self.perm_index_map(mapping), cols] += 1.0
-            count += 1
-        return mat / count
 
-    def transposition_rows(self, a: int, b: int) -> np.ndarray:
-        mapping = list(range(self.m))
-        mapping[a], mapping[b] = b, a
-        return self.perm_index_map(mapping)
+class _SlotClasses:
+    """Orbits of the register's indices under the permutations of some slots.
+
+    Two indices share a class when they agree outside the slots and carry the
+    same multiset of digits on them, so a class has multinom(s; counts)
+    members. The slot symmetrizer, the average of the s! slot permutation
+    operators, maps a vector to its class means.
+    """
+
+    def __init__(self, reg: _Register, slots):
+        slots = list(slots)
+        canonical = reg.digits.copy()
+        canonical[:, slots] = np.sort(reg.digits[:, slots], axis=1)
+        _, self.inverse, self.counts = np.unique(
+            canonical @ reg.powers, return_inverse=True, return_counts=True
+        )
+        self.order = np.argsort(self.inverse, kind="stable")
+        self.starts = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
+
+    def mean(self, vecs: np.ndarray) -> np.ndarray:
+        """The slot symmetrizer applied along axis 0 of ``vecs``."""
+        sums = np.add.reduceat(vecs[self.order], self.starts, axis=0)
+        sums /= self.counts.reshape((-1,) + (1,) * (vecs.ndim - 1))
+        return sums[self.inverse]
 
 
 def row_symmetric_projector(lam: Partition, d: int) -> np.ndarray:
@@ -123,9 +132,21 @@ def row_symmetric_projector(lam: Partition, d: int) -> np.ndarray:
     return mat / count
 
 
+def _apply_row_symmetrizers(lam: Partition, d: int, vecs: np.ndarray) -> np.ndarray:
+    """prod_r S_r applied along axis 0 of ``vecs`` on the n-qudit register."""
+    reg = _Register(d, lam.n)
+    for block in reversed(BoxLayout(lam).row_blocks()):
+        if len(block) > 1:
+            vecs = _SlotClasses(reg, block).mean(vecs)
+    return vecs
+
+
 def row_symmetry_residual(lam: Partition, tau: PureState) -> float:
-    proj = row_symmetric_projector(lam, tau.d)
-    return float(np.linalg.norm(proj @ tau.amplitudes - tau.amplitudes))
+    """||prod_r S_r tau - tau||: zero exactly on the row-symmetric subspace."""
+    if lam.n != tau.n:
+        raise ValueError(f"partition of {lam.n} does not match {tau.n}-qudit state")
+    amps = tau.amplitudes
+    return float(np.linalg.norm(_apply_row_symmetrizers(lam, tau.d, amps) - amps))
 
 
 def _check_protocol_state(lam: Partition, tau: PureState) -> None:
@@ -159,9 +180,9 @@ def random_protocol_state(
     return PureState(d, lam.n, dense).normalized(), weight
 
 
-def _rotated_density(tau: PureState, unitary: OperatorGrid | None) -> np.ndarray:
+def _rotated_amplitudes(tau: PureState, unitary: OperatorGrid | None) -> np.ndarray:
     state = tau if unitary is None else apply_local_unitary(unitary, tau)
-    return np.outer(state.amplitudes, state.amplitudes.conj())
+    return state.amplitudes
 
 
 # ---------------------------------------------------------------------------
@@ -172,32 +193,23 @@ def _rotated_density(tau: PureState, unitary: OperatorGrid | None) -> np.ndarray
 def expected_shadow_exact(
     lam: Partition, tau: PureState, unitary: OperatorGrid | None = None, validate: bool = True
 ) -> np.ndarray:
-    """Exact E[Psi]: sum over rows and in-row swap positions of partial traces.
+    """Exact E[Psi]: sum over rows and in-row swap positions of reduced states.
 
-    The output qudit occupies slot 0 of an (n+1)-qudit register; for each row
-    j and position p <= lam_j the swap pulls that qudit's reduced state onto
-    the output, and the identity overload p = lam_j + 1 contributes I.
+    For each row j and position p <= lam_j the swap pulls the reduced state
+    of box (j, p) onto the output qudit, and the identity overload
+    p = lam_j + 1 contributes tr(rho) I. The rows tile the diagram, so
+    E[Psi] = k tr(rho) I + sum over all n qudits of their one-qudit reduced
+    states, each a Gram matrix of the tensor with that qudit's axis in front.
     """
     if validate:
         _check_protocol_state(lam, tau)
     d, n = tau.d, tau.n
-    rho = _rotated_density(tau, unitary)
-    reg = _Register(d, n + 1)
-    layout = BoxLayout(lam)
-    big = np.kron(np.eye(d, dtype=np.complex128), rho)
-    out = np.zeros((d, d), dtype=np.complex128)
-    for row in range(lam.k):
-        for pos in range(1, lam.parts[row] + 2):
-            spec = SwapSpec("single-output", ((row, pos),))
-            spec.validate(lam)
-            if pos == lam.parts[row] + 1:
-                out += np.eye(d) * np.trace(rho)
-                continue
-            slot = 1 + layout.box_position(row, pos - 1)
-            rows_map = reg.transposition_rows(0, slot)
-            swapped = np.empty_like(big)
-            swapped[rows_map, :] = big
-            out += _trace_keep_leading(swapped, d, n + 1, 1)
+    amps = _rotated_amplitudes(tau, unitary)
+    tensor = amps.reshape((d,) * n)
+    out = lam.k * float(np.vdot(amps, amps).real) * np.eye(d, dtype=np.complex128)
+    for qudit in range(n):
+        rows = np.moveaxis(tensor, qudit, 0).reshape(d, -1)
+        out += rows @ rows.conj().T
     return out
 
 
@@ -212,17 +224,15 @@ def expected_shadow_formula(lam: Partition, weight, unitary: OperatorGrid | None
     return mat
 
 
-def _trace_keep_leading(matrix: np.ndarray, d: int, m: int, keep: int) -> np.ndarray:
-    """Partial trace keeping the first ``keep`` qudits of an m-qudit operator."""
-    dk = d**keep
-    dr = d ** (m - keep)
-    tensor = matrix.reshape(dk, dr, dk, dr)
-    return np.einsum("arbr->ab", tensor)
-
-
 # ---------------------------------------------------------------------------
 # Second moment
 # ---------------------------------------------------------------------------
+
+
+def check_oracle_cap(d: int, n: int, dim_cap: int = ORACLE_DIM_CAP) -> None:
+    """Refuse an n-qudit second moment whose (n+2)-qudit register exceeds the cap."""
+    if d ** (n + 2) > dim_cap:
+        raise CapExceededError(f"d^(n+2) = {d ** (n + 2)} exceeds oracle cap {dim_cap}")
 
 
 def second_moment_exact(
@@ -241,30 +251,34 @@ def second_moment_exact(
     slot sets, with coefficient (lam_j + d)(lam_j' + d) times the ratio of
     symmetric-subspace dimensions before and after enlargement.
 
+    With X the (d^(n+2), d^2) matrix whose column b is |b> (tensor) tau,
+    I (tensor) rho = X X^dag, so the pair's term is coeff * X^dag W X for the
+    symmetrizer product W. Each symmetrizer acts on the columns of X as a
+    class mean, and no d^(n+2)-square operator is formed.
+
     ``rows`` selects which ordered pairs contribute: "all", "cross"
     (j != j' only), or "diagonal" (j == j' only).
     """
     if rows not in ("all", "cross", "diagonal"):
         raise ValueError(f"rows must be 'all', 'cross', or 'diagonal', not {rows!r}")
     d, n = tau.d, tau.n
-    # Refuse by size first: validation builds a d^n x d^n row projector.
-    if d ** (n + 2) > dim_cap:
-        raise CapExceededError(f"d^(n+2) = {d ** (n + 2)} exceeds oracle cap {dim_cap}")
+    # Refuse by size first, before any validation work.
+    check_oracle_cap(d, n, dim_cap)
     if validate:
         _check_protocol_state(lam, tau)
-    rho = _rotated_density(tau, unitary)
+    amps = _rotated_amplitudes(tau, unitary)
     reg = _Register(d, n + 2)
     layout = BoxLayout(lam)
-    big = np.kron(np.eye(d * d, dtype=np.complex128), rho)
+    columns = np.kron(np.eye(d * d, dtype=np.complex128), amps.reshape(-1, 1))
 
     row_slots = [[2 + layout.box_position(r, c) for c in range(lam.parts[r])] for r in range(lam.k)]
-    sym_cache: dict[frozenset, np.ndarray] = {}
+    class_cache: dict[frozenset, _SlotClasses] = {}
 
-    def symmetrizer(slots) -> np.ndarray:
+    def classes(slots) -> _SlotClasses:
         key = frozenset(slots)
-        if key not in sym_cache:
-            sym_cache[key] = reg.symmetrizer(slots)
-        return sym_cache[key]
+        if key not in class_cache:
+            class_cache[key] = _SlotClasses(reg, slots)
+        return class_cache[key]
 
     total = np.zeros((d * d, d * d), dtype=np.complex128)
     for j in range(lam.k):
@@ -274,7 +288,7 @@ def second_moment_exact(
             if rows == "diagonal" and j != jp:
                 continue
             coeff = float((lam.parts[j] + d) * (lam.parts[jp] + d))
-            weight_op = None
+            factors = []
             for r in range(lam.k):
                 slots = list(row_slots[r])
                 extra = (1 if r == j else 0) + (1 if r == jp else 0)
@@ -285,10 +299,12 @@ def second_moment_exact(
                 if not extra and lam.parts[r] == 1:
                     continue  # single-box row without outputs: identity factor
                 coeff *= symmetric_dim(lam.parts[r], d) / symmetric_dim(lam.parts[r] + extra, d)
-                block = symmetrizer(slots)
-                weight_op = block if weight_op is None else weight_op @ block
-            term = big if weight_op is None else weight_op @ big
-            total += coeff * _trace_keep_leading(term, d, n + 2, 2)
+                factors.append(classes(slots))
+            image = columns
+            for factor in reversed(factors):
+                image = factor.mean(image)
+            # (X^dag W X)[a, b] = sum_r conj(tau_r) (W X)[(a, r), b]
+            total += coeff * (amps.conj() @ image.reshape(d * d, -1, d * d))
     return total
 
 
@@ -345,13 +361,11 @@ def single_row_variance_closed_form(observable: np.ndarray, p: int, q: int, d: i
 
 def povm_completeness_residual(lam: Partition, d: int) -> float:
     """Max-abs gap between the product of per-row symmetrizers and the
-    row-group average; both equal the POVM elements' Haar integral."""
-    reg = _Register(d, lam.n)
-    layout = BoxLayout(lam)
-    product = None
-    for block in layout.row_blocks():
-        sym = reg.symmetrizer(block)
-        product = sym if product is None else product @ sym
+    row-group average; both equal the POVM elements' Haar integral.
+
+    The product is read off the slot classes by applying it to the identity;
+    the average is built from the row group's permutations."""
+    product = _apply_row_symmetrizers(lam, d, np.eye(d**lam.n))
     direct = row_symmetric_projector(lam, d)
     return float(np.max(np.abs(product - direct)))
 

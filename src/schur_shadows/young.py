@@ -58,22 +58,23 @@ def kappa_product(lam: "Partition", d: int) -> int:
     return out
 
 
+def _bounded_partitions(remaining: int, max_part: int, slots: int):
+    """Parts <= max_part, at most ``slots`` of them, summing to ``remaining``."""
+    if remaining == 0:
+        yield ()
+        return
+    if slots == 0:
+        return
+    for head in range(min(max_part, remaining), 0, -1):
+        for tail in _bounded_partitions(remaining - head, head, slots - 1):
+            yield (head,) + tail
+
+
 def partitions_of(n: int, d: int) -> list[Partition]:
     """All partitions of n into at most d parts, in decreasing lex order."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-
-    def gen(remaining, max_part, slots):
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        for head in range(min(max_part, remaining), 0, -1):
-            for tail in gen(remaining - head, head, slots - 1):
-                yield (head,) + tail
-
-    return [Partition(p) for p in gen(n, n, d)]
+    return [Partition(p) for p in _bounded_partitions(n, n, d)]
 
 
 @dataclass(frozen=True)
@@ -183,39 +184,41 @@ def majorizes(lam: Partition, weight) -> bool:
     return True
 
 
+def _compositions(remaining: int, slots: int):
+    """Compositions of ``remaining`` into ``slots`` parts, largest first."""
+    if slots == 1:
+        yield (remaining,)
+        return
+    for head in range(remaining, -1, -1):
+        for tail in _compositions(remaining - head, slots - 1):
+            yield (head,) + tail
+
+
 def weights_reverse_lex(n: int, d: int):
     """All compositions of n into d parts, lexicographically largest first."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-
-    def gen(remaining, slots):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for head in range(remaining, -1, -1):
-            for tail in gen(remaining - head, slots - 1):
-                yield (head,) + tail
-
-    yield from gen(n, d)
+    yield from _compositions(n, d)
 
 
 def digit_tuples_of_weight(weight) -> list[tuple[int, ...]]:
-    """All digit tuples with the given symbol counts, in increasing index order."""
-    counts = list(weight)
-    n = sum(counts)
-    out: list[tuple[int, ...]] = []
+    """All digit tuples with the given symbol counts, in increasing index order.
 
-    def backtrack(prefix):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for sym, left in enumerate(counts):
-            if left:
-                counts[sym] -= 1
-                prefix.append(sym)
-                backtrack(prefix)
-                prefix.pop()
-                counts[sym] += 1
-
-    backtrack([])
-    return out
+    Steps through the distinct permutations of the sorted tuple in
+    lexicographic order, which for digit tuples is index order.
+    """
+    digits = [sym for sym, count in enumerate(weight) for _ in range(count)]
+    out = [tuple(digits)]
+    while True:
+        # Rightmost ascent, then swap in the smallest larger digit after it.
+        pivot = len(digits) - 2
+        while pivot >= 0 and digits[pivot] >= digits[pivot + 1]:
+            pivot -= 1
+        if pivot < 0:
+            return out
+        swap = len(digits) - 1
+        while digits[swap] <= digits[pivot]:
+            swap -= 1
+        digits[pivot], digits[swap] = digits[swap], digits[pivot]
+        digits[pivot + 1 :] = reversed(digits[pivot + 1 :])
+        out.append(tuple(digits))

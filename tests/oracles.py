@@ -8,7 +8,10 @@ Schur measurement probabilities summed over the sparse basis vectors (no
 dense basis matrix), and a chi-square tail. ``product_basis_state`` builds
 the dense input that the reference measurement path takes, and
 ``young_symmetrizer_apply`` the dense symmetrizer image that the
-symmetrizer tests inspect.
+symmetrizer tests inspect. ``permutation_symmetrizer`` averages the s! slot
+permutation operators, and ``second_moment_dense`` is the exact second moment
+built from those d^(n+2)-square matrices, the reference for the class-mean
+computation in ``moments``.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from math import comb, factorial
 
 import numpy as np
 
-from schur_shadows.qudit import OperatorGrid, Permutation, PureState
-from schur_shadows.young import Partition, young_symmetrizer_terms
+from schur_shadows.qudit import OperatorGrid, Permutation, PureState, apply_local_unitary
+from schur_shadows.young import BoxLayout, Partition, symmetric_dim, young_symmetrizer_terms
 
 
 def beta_int(a: int, b: int) -> float:
@@ -124,6 +127,73 @@ def young_symmetrizer_apply(lam: Partition, state: PureState) -> PureState:
         inv = Permutation(mapping).inverse().mapping
         out += sign * tensor.transpose(inv)
     return PureState(state.d, state.n, np.ascontiguousarray(out.reshape(-1)))
+
+
+def permutation_symmetrizer(d: int, m: int, slots) -> np.ndarray:
+    """Dense average of the permutation operators of the given slots of m qudits."""
+    slots = list(slots)
+    dim = d**m
+    digits = np.array(list(itertools.product(range(d), repeat=m)), dtype=np.int64).reshape(dim, m)
+    powers = d ** np.arange(m - 1, -1, -1)
+    cols = np.arange(dim)
+    mat = np.zeros((dim, dim))
+    images = list(itertools.permutations(slots))
+    for image in images:
+        moved = digits.copy()
+        moved[:, list(image)] = digits[:, slots]
+        mat[moved @ powers, cols] += 1.0
+    return mat / len(images)
+
+
+def second_moment_dense(lam: Partition, tau: PureState, unitary: OperatorGrid | None, rows: str) -> np.ndarray:
+    """E[Psi tensor Psi] from dense per-row symmetrizers on n+2 qudits.
+
+    Output qudits occupy slots 0 and 1. For every ordered row pair (j, j')
+    allowed by ``rows`` ("all", "cross" or "diagonal") the symmetrizers of the
+    enlarged row slot sets are multiplied, applied to I (tensor) rho, and the
+    last n qudits are traced out.
+    """
+    if rows not in ("all", "cross", "diagonal"):
+        raise ValueError(f"rows must be 'all', 'cross', or 'diagonal', not {rows!r}")
+    d, n = tau.d, tau.n
+    state = tau if unitary is None else apply_local_unitary(unitary, tau)
+    rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    layout = BoxLayout(lam)
+    big = np.kron(np.eye(d * d, dtype=np.complex128), rho)
+
+    row_slots = [[2 + layout.box_position(r, c) for c in range(lam.parts[r])] for r in range(lam.k)]
+    sym_cache: dict[frozenset, np.ndarray] = {}
+
+    def symmetrizer(slots) -> np.ndarray:
+        key = frozenset(slots)
+        if key not in sym_cache:
+            sym_cache[key] = permutation_symmetrizer(d, n + 2, slots)
+        return sym_cache[key]
+
+    total = np.zeros((d * d, d * d), dtype=np.complex128)
+    for j in range(lam.k):
+        for jp in range(lam.k):
+            if rows == "cross" and j == jp:
+                continue
+            if rows == "diagonal" and j != jp:
+                continue
+            coeff = float((lam.parts[j] + d) * (lam.parts[jp] + d))
+            weight_op = None
+            for r in range(lam.k):
+                slots = list(row_slots[r])
+                extra = (1 if r == j else 0) + (1 if r == jp else 0)
+                if r == j:
+                    slots.append(0)
+                if r == jp:
+                    slots.append(1)
+                if not extra and lam.parts[r] == 1:
+                    continue  # single-box row without outputs: identity factor
+                coeff *= symmetric_dim(lam.parts[r], d) / symmetric_dim(lam.parts[r] + extra, d)
+                block = symmetrizer(slots)
+                weight_op = block if weight_op is None else weight_op @ block
+            term = big if weight_op is None else weight_op @ big
+            total += coeff * np.einsum("arbr->ab", term.reshape(d * d, d**n, d * d, d**n))
+    return total
 
 
 def block_probabilities(basis, state: PureState) -> dict:

@@ -15,10 +15,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import dicke_amplitudes, product_basis_state, single_row_variance_quadrature
+from oracles import (
+    dicke_amplitudes,
+    permutation_symmetrizer,
+    product_basis_state,
+    single_row_variance_quadrature,
+)
 from schur_shadows.basis import schur_measure, verify_nice_basis
 from schur_shadows.moments import (
-    _Register,
     expected_shadow_exact,
     expected_shadow_formula,
     mc_povm_completeness,
@@ -422,9 +426,8 @@ def test_criterion_9_scaling_sanity(basis_for):
     lam = Partition((n,))
     first = expected_shadow_exact(lam, tau)
     second = second_moment_exact(lam, tau)
-    reg = _Register(2, n + 2)
     big = np.kron(np.eye(4, dtype=complex), np.outer(tau.amplitudes, tau.amplitudes.conj()))
-    global_sym = reg.symmetrizer(range(n + 2))
+    global_sym = permutation_symmetrizer(2, n + 2, range(n + 2))
     coeff = (n + 2) ** 2 * symmetric_dim(n, 2) / symmetric_dim(n + 2, 2)
     direct_second = coeff * np.einsum(
         "arbr->ab",

@@ -192,6 +192,13 @@ class TestOracleCommand:
     def test_cap_exceeded(self):
         assert main(["oracle", "--d", "3", "--n", "6", "--lambda", "6", "--samples", "10"]) == 3
 
+    def test_cap_checked_before_basis_build(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("basis built for an over-cap oracle request")
+
+        monkeypatch.setattr("schur_shadows.basis.build_q_bases", refuse)
+        assert main(["oracle", "--d", "3", "--n", "6", "--lambda", "6", "--samples", "10"]) == 3
+
 
 class TestBenchCommand:
     def test_scaling_csv(self, tmp_path):

@@ -3,6 +3,8 @@ import pytest
 
 from oracles import (
     dicke_amplitudes,
+    permutation_symmetrizer,
+    second_moment_dense,
     single_row_first_moment_quadrature,
     single_row_second_moment_quadrature,
     single_row_variance_quadrature,
@@ -11,6 +13,8 @@ from schur_shadows.moments import (
     ORACLE_DIM_CAP,
     MomentReport,
     SwapSpec,
+    _Register,
+    _SlotClasses,
     single_row_variance_closed_form,
     expected_shadow_exact,
     expected_shadow_formula,
@@ -135,10 +139,27 @@ class TestSecondMoment:
 
     def test_dim_cap_checked_before_row_symmetry(self):
         # an over-cap state outside the row-symmetric subspace is refused for
-        # its size; the row projector that validation builds is never made
+        # its size, before any validation work starts
         tau = PureState.from_digits((0, 1) + (0,) * 6, 3)
         with pytest.raises(CapExceededError):
             second_moment_exact(Partition((8,)), tau, dim_cap=ORACLE_DIM_CAP)
+
+    @pytest.mark.parametrize(
+        "d,n", [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)] + [(4, n) for n in range(1, 4)]
+    )
+    def test_matches_dense_reference(self, d, n, protocol_state_for):
+        # The dense reference multiplies d^(n+2)-square symmetrizers built
+        # from slot permutations. Its "all" sum is the "cross" sum plus the
+        # "diagonal" sum term by term, so it is computed once per mode.
+        haar = haar_unitary(d, RngStream(930 + d))
+        for lam in partitions_of(n, d):
+            tau, _ = protocol_state_for(lam, d, 931)
+            for unitary in (None, haar):
+                cross = second_moment_dense(lam, tau, unitary, "cross")
+                diagonal = second_moment_dense(lam, tau, unitary, "diagonal")
+                for rows, want in (("cross", cross), ("diagonal", diagonal), ("all", cross + diagonal)):
+                    got = second_moment_exact(lam, tau, unitary, rows=rows)
+                    assert np.max(np.abs(got - want)) < 1e-12, (lam, rows, unitary is None)
 
 
 class TestVariance:
@@ -254,6 +275,13 @@ class TestPovmCompleteness:
     def test_exact_residual(self, parts, d):
         assert povm_completeness_residual(Partition(parts), d) < 1e-12
 
+    @pytest.mark.parametrize(
+        "d,m,slots", [(2, 4, (0, 1, 2, 3)), (2, 5, (1, 3, 4)), (3, 4, (0, 2)), (3, 3, (2,)), (4, 3, (0, 1, 2))]
+    )
+    def test_slot_class_mean_is_permutation_average(self, d, m, slots):
+        got = _SlotClasses(_Register(d, m), slots).mean(np.eye(d**m))
+        assert np.max(np.abs(got - permutation_symmetrizer(d, m, slots))) < 1e-14
+
     def test_trivial_rows_give_identity(self):
         proj = row_symmetric_projector(Partition((1, 1, 1)), 3)
         assert np.allclose(proj, np.eye(27))
@@ -277,6 +305,23 @@ class TestMcShadowMoments:
         assert row_symmetry_residual(Partition((2,)), PureState.from_digits((0, 0), 2)) < 1e-14
         bad = PureState.from_digits((0, 1), 2)
         assert row_symmetry_residual(Partition((2,)), bad) > 0.5
+
+    @pytest.mark.parametrize("parts,d", [((2, 1), 2), ((3, 2), 2), ((2, 2), 3), ((2, 1, 1), 3)])
+    def test_row_symmetry_residual_matches_projector(self, parts, d):
+        lam = Partition(parts)
+        gen = RngStream(932).gen
+        proj = row_symmetric_projector(lam, d)
+        for _ in range(3):
+            amps = gen.standard_normal(d**lam.n) + 1j * gen.standard_normal(d**lam.n)
+            tau = PureState(d, lam.n, amps / np.linalg.norm(amps))
+            want = np.linalg.norm(proj @ tau.amplitudes - tau.amplitudes)
+            assert row_symmetry_residual(lam, tau) == pytest.approx(want, abs=1e-12)
+            inside = PureState(d, lam.n, proj @ tau.amplitudes).normalized()
+            assert row_symmetry_residual(lam, inside) < 1e-12
+
+    def test_row_symmetry_residual_rejects_size_mismatch(self):
+        with pytest.raises(ValueError):
+            row_symmetry_residual(Partition((2, 1)), PureState.from_digits((0, 0), 2))
 
 
 class TestMomentReport:

@@ -1,3 +1,6 @@
+import gc
+import itertools
+
 import numpy as np
 import pytest
 
@@ -233,6 +236,25 @@ class TestWeights:
         assert len(got) == len(set(got)) == 15
         assert got == sorted(got, reverse=True)
         assert all(sum(w) == 4 for w in got)
+
+    @pytest.mark.parametrize("weight", [(2, 1), (1, 2, 1), (0, 3), (2, 0, 2), (1, 1, 1, 1), (0, 0)])
+    def test_digit_tuples_in_index_order(self, weight):
+        d, n = len(weight), sum(weight)
+        want = [e for e in itertools.product(range(d), repeat=n) if weight_of(e, d) == tuple(weight)]
+        assert digit_tuples_of_weight(weight) == want
+
+    def test_enumerators_leave_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            partitions_of(6, 3)
+            list(weights_reverse_lex(5, 3))
+            for w in weights_reverse_lex(4, 3):
+                digit_tuples_of_weight(w)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
 
     def test_symmetric_dims(self):
         assert symmetric_dim(2, 2) == 3

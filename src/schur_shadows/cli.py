@@ -202,6 +202,7 @@ def cmd_shadow_run(args) -> int:
         "passed": fraction > 2.0 / 3.0,
         "mean_abs_error": float(np.mean([r["abs_error"] for r in records])),
         "max_abs_error": float(np.max([r["abs_error"] for r in records])),
+        # One proposal is one row draw of the POVM, so a segment takes at least k.
         "mean_povm_proposals_per_accept": total_proposals / (args.trials * t_pop),
     }
 

@@ -34,38 +34,6 @@ ORACLE_DIM_CAP = 2200
 ROW_SYMMETRY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SwapSpec:
-    """Placement of output qudits swapped into rows of the diagram.
-
-    ``targets`` holds (row, position) pairs with 0-based rows and 1-based
-    positions; position ``lam_row + 1`` (or ``lam_row + 2`` for the ordered
-    kind) denotes the identity overload where the output qudit stays put.
-    """
-
-    kind: str
-    targets: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.kind not in ("single-output", "double-output", "ordered-double"):
-            raise ValueError(f"unknown swap kind {self.kind!r}")
-        want = 1 if self.kind == "single-output" else 2
-        if len(self.targets) != want:
-            raise ValueError(f"{self.kind} swap needs {want} targets")
-
-    def validate(self, lam: Partition) -> None:
-        extra = 2 if self.kind == "ordered-double" else 1
-        for row, pos in self.targets:
-            if not 0 <= row < lam.k:
-                raise ValueError(f"row {row} outside partition {lam}")
-            if not 1 <= pos <= lam.parts[row] + extra:
-                raise ValueError(f"position {pos} outside row {row} of {lam} (+{extra})")
-        if self.kind == "ordered-double":
-            (r1, p1), (r2, p2) = self.targets
-            if r1 != r2 or not p1 < p2:
-                raise ValueError("ordered-double swap needs one row and p < p'")
-
-
 # ---------------------------------------------------------------------------
 # Permutation operators on the extended register
 # ---------------------------------------------------------------------------

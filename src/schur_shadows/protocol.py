@@ -16,9 +16,9 @@ Two front ends run the segments:
   then the POVM, whose partial contraction leaves the state of the later
   segments. It is the reference for the product path below.
 * :func:`shadow_from_population` takes a product input U^{x n}|e> and never
-  forms a segment state. The protocol is U-covariant (Haar proposals make
-  the POVM outcome for U tau equal to U times the outcome for tau), so it
-  simulates at U = I and returns U (.) U^dag. At U = I a segment |e> of
+  forms a segment state. The protocol is U-covariant (the POVM outcome for
+  U tau has the law of U times the outcome for tau), so it simulates at
+  U = I and returns U (.) U^dag. At U = I a segment |e> of
   weight w has, with f^lam = ``dim_p`` and K_{lam,w} the number of weight-w
   vectors in the (lam, 0) block,
 
@@ -28,6 +28,22 @@ Two front ends run the segments:
   state on those K_{lam,w} vectors. Since the POVM is linear in that state,
   the segment's outcome has the law of the POVM on one of those vectors,
   picked uniformly.
+
+Both front ends draw the POVM with one sampler, :func:`_povm_sample`. Row r
+has lam_r boxes on the next lam_r qudits, and its outcome psi_r has density
+kappa(lam_r) <psi^{x lam_r}|rho_r|psi^{x lam_r}> relative to Haar, where
+rho_r is the reduced state of the row given the rows drawn before it. The
+sampler goes row by row in Dicke coordinates (occupation numbers v of the
+row's d symbols): a proposal draws v from D = diag rho_r, then the moduli
+|psi_a|^2 from Dirichlet(v + 1), and is accepted with probability
+phi^dag rho_r phi / (M phi^dag D phi) for phi_v = <D_v|psi^{x lam_r}> and
+M = lambda_max(D^{-1/2} rho_r D^{-1/2}). A row takes M proposals per
+outcome on average, and M is at most the number of nonzero Dicke weights,
+so never more than kappa(lam_r). M = 1 when rho_r is diagonal, which holds
+for the first row of any weight vector, so the product path draws that row
+exactly. A one-box row is drawn exactly from its state's columns. The
+accepted contraction <psi_r^{x lam_r}|T> is the next row's state; no array
+of proposals times the unmeasured qudits is formed.
 """
 
 from __future__ import annotations
@@ -35,6 +51,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,12 +61,10 @@ from .qudit import (
     OperatorGrid,
     PureState,
     RngStream,
-    apply_local_unitary,
-    haar_pure_state_batch,
     hermiticity_deviation,
     unitarity_deviation,
 )
-from .young import Partition, kappa_product
+from .young import Partition, symmetric_dim, weights_reverse_lex
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +72,7 @@ DEFAULT_MAX_REJECTION_ITERS = 10_000_000
 
 
 class RejectionBudgetError(RuntimeError):
-    """Rejection sampling exceeded its iteration budget."""
+    """The POVM sampler used up its budget of row draws."""
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +151,11 @@ class Observable:
 
 @dataclass
 class ShadowEstimate:
-    """Averaged per-segment estimates; Hermitian but not necessarily PSD."""
+    """Averaged per-segment estimates; Hermitian but not necessarily PSD.
+
+    ``povm_proposals`` counts the POVM's proposals, one per row draw: a
+    segment with k rows takes at least k.
+    """
 
     matrix: np.ndarray
     t_segments: int
@@ -155,77 +174,243 @@ def sample_population_input(chi: MixedState, n: int, rng: RngStream) -> tuple[Op
     """Draw (U, e) with e_i i.i.d. from the spectrum of chi."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    digits = tuple(int(x) for x in rng.gen.choice(chi.d, size=n, p=chi.eigenvalues))
-    return chi.eigenvectors, digits
+    return chi.eigenvectors, tuple(rng.gen.choice(chi.d, size=n, p=chi.eigenvalues).tolist())
 
 
 # ---------------------------------------------------------------------------
 # Row-symmetric POVM sampling
 # ---------------------------------------------------------------------------
 
+#: Complex entries that the intermediates of one chunk of samples may hold.
+_CHUNK_ENTRIES = 1 << 16
 
-def _batch_amplitudes(lam: Partition, d: int, tau_matrix: np.ndarray, psis: np.ndarray) -> np.ndarray:
-    """Contract <psi_1^{x lam_1} x ... | tau> for a batch of proposals.
+#: Largest loss of mass, relative to the state's, when a row is projected
+#: onto its Dicke states.
+_DICKE_MASS_TOL = 1e-9
 
-    tau_matrix has shape (d^n, rest); the return value has shape
-    (batch, rest): partial inner products over the n measured qudits.
+#: Dicke weights below this fraction of their row's total are rounding noise
+#: of exact zeros; they stay out of the proposal's support.
+_SUPPORT_CUT = 1e-16
+
+
+@lru_cache(maxsize=64)
+def _dicke_map(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compositions v of m into d parts, sqrt(multinom(m; v)), and P_m.
+
+    The compositions come largest first, so the unit composition e_a has
+    index a and P_1 is the identity. P_m is the (kappa_m, d^m) map onto the
+    normalised Dicke states |D_v>, the uniform superpositions of the digit
+    tuples of weight v. The arrays are shared by the cache, so read-only.
     """
-    batch = psis.shape[0]
-    row_of_pos = [row for row, part in enumerate(lam.parts) for _ in range(part)]
-    state = np.einsum(
-        "bd,dr->br", psis[:, row_of_pos[0], :].conj(), tau_matrix.reshape(d, -1)
+    comps = np.array(list(weights_reverse_lex(m, d)), dtype=np.int64)
+    sqrt_multinom = np.sqrt(
+        [math.factorial(m) / math.prod(math.factorial(x) for x in v) for v in comps.tolist()]
     )
-    for pos in range(1, lam.n):
-        state = np.einsum(
-            "bd,bdr->br", psis[:, row_of_pos[pos], :].conj(), state.reshape(batch, d, -1)
-        )
-    return state
+    tuples = np.arange(d**m)
+    digits = tuples[:, None] // d ** np.arange(m - 1, -1, -1) % d
+    radix = (m + 1) ** np.arange(d)
+    keys = comps @ radix
+    order = np.argsort(keys)
+    row = order[np.searchsorted(keys[order], (digits[:, :, None] == np.arange(d)).sum(axis=1) @ radix)]
+    proj = np.zeros((len(comps), d**m))
+    proj[row, tuples] = 1.0 / sqrt_multinom[row]
+    for arr in (comps, sqrt_multinom, proj):
+        arr.setflags(write=False)
+    return comps, sqrt_multinom, proj
 
 
-def _rejection_sample(
-    lam: Partition,
-    d: int,
-    tau_matrix: np.ndarray,
-    count: int,
-    rng: RngStream,
-    max_iters: int,
-):
-    """Accept ``count`` POVM outcomes; returns (psis, rests, proposals).
+def _dicke_tensor(lam: Partition, d: int, tau: np.ndarray) -> np.ndarray:
+    """``tau`` of shape (d^n, rest) in Dicke coordinates on every row.
 
-    Proposals are product-Haar tuples accepted with probability
-    |<x psi_i^{x lam_i}|tau>|^2, which is bounded by 1 and averages to one
-    over kappa_product for states inside the row-symmetric subspace.
+    Returns the (kappa(lam_1), prod_{r>1} kappa(lam_r) * rest) matrix. Raises
+    ``ValueError`` when a row's Dicke states miss more than
+    ``_DICKE_MASS_TOL`` of the state's mass, before any proposal is drawn.
     """
-    k = lam.k
-    kappa = kappa_product(lam, d)
-    gen = rng.gen
-    rest_dim = tau_matrix.shape[1]
-    # Fancy-indexed copies, so no accepted row keeps its whole batch alive.
-    accepted_psis = [np.empty((0, k, d), dtype=np.complex128)]
-    accepted_rests = [np.empty((0, rest_dim), dtype=np.complex128)]
-    got = 0
-    proposals = 0
-    # Expected trials per accept is kappa; oversample modestly per batch. A
-    # batch is sized for at most eight accepts, so a large count takes several
-    # small batches instead of one that grows with it.
-    batch = max(8, int(2.2 * kappa * max(1, min(count, 8))))
-    batch = max(8, min(batch, max(1, 50_000_000 // max(1, rest_dim))))
-    while got < count:
-        if proposals > max_iters:
-            raise RejectionBudgetError(
-                f"no acceptance within {max_iters} proposals for {lam} "
-                "(state may violate the row-symmetric precondition)"
-            )
-        psis = haar_pure_state_batch(d, batch * k, gen).reshape(batch, k, d)
-        rests = _batch_amplitudes(lam, d, tau_matrix, psis)
-        accept_prob = np.sum(np.abs(rests) ** 2, axis=1)
-        hits = np.nonzero(gen.random(batch) < accept_prob)[0][: count - got]
-        accepted_psis.append(psis[hits])
-        accepted_rests.append(rests[hits])
-        got += hits.size
-        # The last batch counts only the proposals up to its final accept.
-        proposals += int(hits[-1]) + 1 if got == count else batch
-    return np.concatenate(accepted_psis), np.concatenate(accepted_rests), proposals
+    if tau.shape[0] != d**lam.n:
+        raise ValueError(f"state has {tau.shape[0]} rows, {lam} at d={d} needs {d**lam.n}")
+    total = float(np.vdot(tau, tau).real)
+    if not total > 0.0:
+        raise ValueError("the POVM needs a nonzero state")
+    out = tau
+    prefix = 1
+    for r, m in enumerate(lam.parts):
+        if m > 1:
+            out = _dicke_map(d, m)[2] @ out.reshape(prefix, d**m, -1)
+            mass = float(np.vdot(out, out).real)
+            if total - mass > _DICKE_MASS_TOL * total:
+                raise ValueError(
+                    f"state outside the row-symmetric subspace of {lam}: row {r + 1} keeps "
+                    f"{mass / total:.9f} of the mass in Dicke coordinates"
+                )
+        prefix *= symmetric_dim(m, d)
+    return out.reshape(symmetric_dim(lam.parts[0], d), -1)
+
+
+@dataclass
+class _RowLaw:
+    """Proposal laws of one row of m boxes for L states in Dicke coordinates.
+
+    ``states`` is (L, kappa, X), and rho = states states^dag per law. A
+    proposal starts with an index drawn in proportion to ``weights``:
+
+    * m > 1: a composition v, with D_v = rho_vv on the support of diag rho,
+      and ``bound`` M = lambda_max(D^{-1/2} rho D^{-1/2}), which is N, the
+      support size, when rho = a a^dag has rank 1;
+    * m = 1: a column x of the state, with weight ||a_x||^2, and M = 1.
+    """
+
+    m: int
+    states: np.ndarray
+    weights: np.ndarray
+    bound: np.ndarray
+    rho: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, states: np.ndarray, m: int) -> "_RowLaw":
+        if m == 1:
+            return cls(m, states, np.sum(np.abs(states) ** 2, axis=1), np.ones(len(states)))
+        rho = states @ states.conj().swapaxes(1, 2)
+        diag = np.real(np.diagonal(rho, axis1=1, axis2=2))
+        weights = np.where(diag > _SUPPORT_CUT * diag.sum(axis=1, keepdims=True), diag, 0.0)
+        if states.shape[2] == 1:
+            # D^{-1/2} a a^dag D^{-1/2} = u u^dag with |u_v| = 1 on the support.
+            bound = np.count_nonzero(weights, axis=1).astype(np.float64)
+        else:
+            scale = np.divide(1.0, np.sqrt(weights), out=np.zeros_like(weights), where=weights > 0.0)
+            bound = np.linalg.eigvalsh(rho * scale[:, :, None] * scale[:, None, :])[:, -1]
+        return cls(m, states, weights, np.maximum(bound, 1.0), rho)
+
+
+def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator, spent: int, max_iters: int):
+    """Accept ``need[l]`` outcomes of law l; returns (psis, rests, spent).
+
+    The outcomes of law l fill ``need[l]`` consecutive slots, law after law;
+    ``rests`` holds c = phi^* A, the unnormalised state of the later rows.
+    ``spent`` counts one proposal per row draw, up to each law's last
+    needed accept, and may not exceed ``max_iters``.
+
+    For m > 1 a proposal draws v with probability D_v / tr D, then |psi_a|^2
+    from Dirichlet(v + 1) with uniform phases. Relative to Haar its density
+    is kappa phi^dag D phi / tr D, with phi_v = <D_v|psi^{x m}>, and the
+    target's is kappa phi^dag rho phi / tr rho, so it is accepted with
+    probability phi^dag rho phi / (M phi^dag D phi) <= 1.
+
+    A one-box row has rho = sum_x a_x a_x^dag over the columns of its state,
+    so the target d <psi|rho|psi> / tr rho is the mixture, with weights
+    ||a_x||^2 / tr rho, of the densities d |<a_x|psi>|^2 / ||a_x||^2. Given
+    x, |<a_x|psi>|^2 / ||a_x||^2 ~ Beta(2, d - 1) and the rest of psi is
+    Haar, so every proposal is accepted.
+    """
+    comps, sqrt_multinom, _ = _dicke_map(d, law.m)
+    shared = len(law.states) == 1
+    cum = np.cumsum(law.weights, axis=1)
+    width = cum.shape[1]
+    # Law l's normalised cumulative weights, shifted into [l, l + 1].
+    cum = (cum / cum[:, -1:] + np.arange(len(cum))[:, None]).ravel()
+    first_slot = np.cumsum(need) - need
+    psis = np.empty((int(need.sum()), d), dtype=np.complex128)
+    rests = np.empty((len(psis), law.states.shape[2]), dtype=np.complex128)
+    got = np.zeros_like(need)
+    # c = phi^* A costs kappa X per proposal and phi^dag rho phi costs kappa^2:
+    # a narrow state is contracted for every proposal, a wide one on accepts.
+    # One-box proposals are all accepted.
+    narrow = law.states.shape[2] <= len(comps)
+
+    def contract(coeffs, owners):
+        return coeffs @ law.states[0] if shared else (coeffs[:, None, :] @ law.states[owners])[:, 0]
+
+    live = np.arange(len(need))
+    while live.size:
+        pending = need[live] - got[live]
+        # M proposals per needed accept; exactly one when M = 1.
+        reps = np.ceil(pending * law.bound[live] - 1e-6).astype(np.int64)
+        owner = np.repeat(live, reps)
+        size = owner.size
+        pick = np.searchsorted(cum, owner + gen.random(size), side="right") - owner * width
+        contracted = None
+        if law.m == 1:
+            col = law.states[owner, :, pick]
+            col /= np.linalg.norm(col, axis=1, keepdims=True)
+            gauss = gen.standard_normal((size, d)) + 1j * gen.standard_normal((size, d))
+            perp = gauss - col * np.einsum("pa,pa->p", col.conj(), gauss)[:, None]
+            perp /= np.maximum(np.linalg.norm(perp, axis=1, keepdims=True), 1e-300)
+            overlap = gen.beta(2.0, d - 1.0, size)[:, None] if d > 1 else 1.0
+            phase = np.exp(2j * np.pi * gen.random((size, 1)))
+            psi = phi = np.sqrt(overlap) * phase * col + np.sqrt(1.0 - overlap) * perp
+            accept = np.ones(size, dtype=bool)
+            contracted = contract(phi.conj(), owner)
+        else:
+            gamma = gen.standard_gamma(comps[pick] + 1.0)
+            phases = np.exp(2j * np.pi * gen.random((size, d)))
+            psi = np.sqrt(gamma / gamma.sum(axis=1, keepdims=True)) * phases
+            # phi_v = sqrt(multinom) prod_a psi_a^{v_a}, from a table of powers.
+            powers = np.ones((size, d, law.m + 1), dtype=np.complex128)
+            np.cumprod(np.broadcast_to(psi[:, :, None], (size, d, law.m)), axis=2, out=powers[:, :, 1:])
+            phi = sqrt_multinom * powers[:, np.arange(d), comps].prod(axis=2)
+            if narrow:
+                contracted = contract(phi.conj(), owner)
+                target = np.sum(np.abs(contracted) ** 2, axis=1)
+            else:
+                rho_phi = phi @ law.rho[0].T if shared else np.einsum("pvw,pw->pv", law.rho[owner], phi)
+                target = np.einsum("pv,pv->p", phi.conj(), rho_phi).real
+            proposal = law.bound[owner] * np.einsum("pv,pv->p", law.weights[owner], np.abs(phi) ** 2)
+            accept = gen.random(size) * proposal < target
+        # Rank of each proposal among the accepts of its law in this round.
+        accepted = np.cumsum(accept)
+        group_start = np.cumsum(reps) - reps
+        rank = accepted - np.repeat(np.concatenate(([0], accepted))[group_start], reps)
+        counted = rank - accept < np.repeat(pending, reps)
+        spent += int(np.count_nonzero(counted))
+        if spent > max_iters:
+            raise RejectionBudgetError(f"no POVM outcome within {max_iters} row draws (row of {law.m} boxes)")
+        taken = np.nonzero(accept & counted)[0]
+        own = owner[taken]
+        slots = first_slot[own] + got[own] + rank[taken] - 1
+        psis[slots] = psi[taken]
+        rests[slots] = contract(phi[taken].conj(), own) if contracted is None else contracted[taken]
+        got += np.bincount(own, minlength=len(need))
+        live = np.nonzero(got < need)[0]
+    return psis, rests, spent
+
+
+def _povm_sample(
+    lam: Partition, d: int, tau: np.ndarray, count: int, gen: np.random.Generator, max_iters: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Draw ``count`` outcomes of the row-symmetric POVM on one state.
+
+    ``tau`` is (d^n, rest); row r occupies the next lam_r qudits and the rest
+    axis is carried along. Rows are drawn one at a time by the chain rule:
+    psi_r has the law of the one-row POVM on the reduced state of row r, and
+    the accepted c = <psi_r^{x lam_r}|T> is the next row's state. Row 1's law
+    is shared by all samples and computed once; samples go through the rows
+    in chunks bounded by ``_CHUNK_ENTRIES``.
+
+    Returns the outcomes (count, k, d), the unnormalised post-measurement
+    states <x_r psi_r^{x lam_r}|tau> (count, rest), and the number of row
+    draws. ``RejectionBudgetError`` is raised past ``max_iters`` draws.
+    """
+    dicke = _dicke_tensor(lam, d, tau)
+    kappas = [symmetric_dim(m, d) for m in lam.parts]
+    first = _RowLaw.of(dicke[None], lam.parts[0])
+    # Per sample: its later-row state, its share of row 1's proposals (about
+    # M of them, each a (kappa_1, d) power gather), and on later rows up to
+    # kappa_r proposals with their reduced states.
+    row_one = math.ceil(first.bound[0]) * kappas[0] * d
+    per_sample = dicke.shape[1] + max([row_one] + [kap**2 * (kap + d) for kap in kappas[1:]])
+    chunk = max(1, _CHUNK_ENTRIES // per_sample)
+    psis = np.empty((count, lam.k, d), dtype=np.complex128)
+    rests = np.empty((count, tau.shape[1]), dtype=np.complex128)
+    spent = 0
+    for start in range(0, count, chunk):
+        size = min(chunk, count - start)
+        out, state, spent = _sample_row(first, np.array([size]), d, gen, spent, max_iters)
+        psis[start : start + size, 0] = out
+        for r in range(1, lam.k):
+            law = _RowLaw.of(state.reshape(size, kappas[r], -1), lam.parts[r])
+            out, state, spent = _sample_row(law, np.ones(size, dtype=np.int64), d, gen, spent, max_iters)
+            psis[start : start + size, r] = out
+        rests[start : start + size] = state
+    return psis, rests, spent
 
 
 def row_symmetric_sample(
@@ -235,16 +420,7 @@ def row_symmetric_sample(
     max_iters: int = DEFAULT_MAX_REJECTION_ITERS,
 ) -> list[np.ndarray]:
     """Sample one POVM outcome (psi_1, ..., psi_k) for a row-symmetric state."""
-    from .moments import row_symmetry_residual
-
-    residual = row_symmetry_residual(lam, tau_state)
-    if residual > 1e-8:
-        raise ValueError(
-            f"state outside the row-symmetric subspace of {lam} (residual {residual:.3e})"
-        )
-    psis, _, _ = _rejection_sample(
-        lam, tau_state.d, tau_state.amplitudes.reshape(-1, 1), 1, rng, max_iters
-    )
+    psis, _, _ = _povm_sample(lam, tau_state.d, tau_state.amplitudes.reshape(-1, 1), 1, rng.gen, max_iters)
     return [psis[0, i].copy() for i in range(lam.k)]
 
 
@@ -255,9 +431,9 @@ def row_symmetric_sample_batch(
     rng: RngStream,
     max_iters: int = DEFAULT_MAX_REJECTION_ITERS,
 ) -> tuple[np.ndarray, int]:
-    """Vectorized multi-sample variant for Monte Carlo studies."""
-    psis, _, proposals = _rejection_sample(
-        lam, tau_state.d, tau_state.amplitudes.reshape(-1, 1), count, rng, max_iters * max(1, count)
+    """``count`` independent outcomes (count, k, d) and the row draws they took."""
+    psis, _, proposals = _povm_sample(
+        lam, tau_state.d, tau_state.amplitudes.reshape(-1, 1), count, rng.gen, max_iters * max(1, count)
     )
     return psis, proposals
 
@@ -322,7 +498,7 @@ def population_shadow(
         # The segment qudits are the rows; the POVM's partial contraction
         # leaves the state of the qudits after them.
         lam, _j, tau = schur_measure(basis, rest.reshape(seg_dim, -1), sub)
-        psis, rests, trials = _rejection_sample(lam, d, tau, 1, sub, max_iters)
+        psis, rests, trials = _povm_sample(lam, d, tau, 1, sub.gen, max_iters)
         rest = rests[0] / np.linalg.norm(rests[0])
         acc += shadow_matrix(lam, psis, d) - lam.k * np.eye(d)
         partitions.append(lam.parts)
@@ -354,17 +530,19 @@ def shadow_from_population(
     U-covariance the segments are simulated at U = I (see the module
     docstring for the two identities used):
 
-    1. one bincount gives the weight w of every segment's digits;
+    1. one bincount gives the weight w of every segment's digits, and one
+       ``np.unique`` over the encoded weights groups the segments by w;
     2. per distinct w, lam is drawn for all its segments from
        f^lam K_{lam,w} / multinom(n'; w);
     3. i is drawn uniformly among the block's weight-w vectors;
     4. the POVM runs once per (lam, i) group on |(lam, i, 0)>, with the
-       group size as its sample count;
+       group size as its sample count. |(lam, i, 0)> is a weight vector, so
+       its first row is drawn exactly (M = 1);
     5. the records (Psi - k I) / n' are summed and U (.) U^dag / T returned.
 
+    Every draw comes from the one generator of ``rng.child(0)``.
     ``segment_partitions`` lists the partitions in segment order;
-    ``povm_proposals`` counts the proposals the sampler needed, up to each
-    group's last accept.
+    ``povm_proposals`` counts the POVM's row draws.
     """
     d = basis.d
     seg_size = basis.n
@@ -380,16 +558,16 @@ def shadow_from_population(
         raise ValueError(f"symbols must lie in 0..{d - 1}")
 
     offsets = d * np.arange(t_segments)[:, None]
-    weights = np.bincount((offsets + seg_digits).ravel(), minlength=d * t_segments)
-    segs_of_weight: dict[tuple[int, ...], list[int]] = {}
-    for t, row in enumerate(weights.reshape(t_segments, d).tolist()):
-        segs_of_weight.setdefault(tuple(row), []).append(t)
+    weights = np.bincount((offsets + seg_digits).ravel(), minlength=d * t_segments).reshape(t_segments, d)
+    codes = weights @ (seg_size + 1) ** np.arange(d)
+    _, first, inverse, sizes = np.unique(codes, return_index=True, return_inverse=True, return_counts=True)
+    segs_of_weight = np.split(np.argsort(inverse, kind="stable"), np.cumsum(sizes)[:-1])
 
     draws = rng.child(0).gen
     blocks = list(basis.blocks.values())
     lam_of_seg = np.empty(t_segments, dtype=np.int64)
     i_of_seg = np.empty(t_segments, dtype=np.int64)
-    for weight, segs in segs_of_weight.items():
+    for weight, segs in zip(map(tuple, weights[first].tolist()), segs_of_weight):
         slots = [
             np.array([i for i, w in enumerate(block.weight_of_i) if w == weight], dtype=np.int64)
             for block in blocks
@@ -410,11 +588,11 @@ def shadow_from_population(
     acc = np.zeros((d, d), dtype=np.complex128)
     proposals = 0
     keys, sizes = np.unique(lam_of_seg * basis.dim + i_of_seg, return_counts=True)
-    for g, (key, count) in enumerate(zip(keys.tolist(), sizes.tolist())):
+    for key, count in zip(keys.tolist(), sizes.tolist()):
         b, i = divmod(key, basis.dim)
         lam = blocks[b].lam
         tau = basis.vector(lam, i, 0).to_dense(basis.dim).reshape(-1, 1)
-        psis, _, trials = _rejection_sample(lam, d, tau, count, rng.child(1 + g), max_iters * count)
+        psis, _, trials = _povm_sample(lam, d, tau, count, draws, max_iters * count)
         acc += shadow_matrix(lam, psis, d) - count * lam.k * np.eye(d)
         proposals += trials
     return ShadowEstimate(

@@ -50,8 +50,8 @@ def symmetric_dim(s: int, d: int) -> int:
 
 
 def kappa_product(lam: "Partition", d: int) -> int:
-    """Product of per-row symmetric-subspace dimensions; the POVM's
-    expected rejection-trial count for in-subspace states."""
+    """Product of per-row symmetric-subspace dimensions: the normalisation
+    of the row-symmetric POVM's product of per-row Haar densities."""
     out = 1
     for part in lam.parts:
         out *= symmetric_dim(part, d)

@@ -12,7 +12,6 @@ from oracles import (
 from schur_shadows.moments import (
     ORACLE_DIM_CAP,
     MomentReport,
-    SwapSpec,
     _Register,
     _SlotClasses,
     single_row_variance_closed_form,
@@ -41,23 +40,6 @@ def z_threshold(num_stats: int, sigma: float) -> float:
     dist = NormalDist()
     tail = 2 * (1 - dist.cdf(sigma))
     return dist.inv_cdf(1 - tail / (2 * num_stats))
-
-
-class TestSwapSpec:
-    def test_kind_checked(self):
-        with pytest.raises(ValueError):
-            SwapSpec("diagonal", ((0, 1),))
-        with pytest.raises(ValueError):
-            SwapSpec("single-output", ((0, 1), (0, 2)))
-
-    def test_target_bounds(self):
-        lam = Partition((3, 1))
-        SwapSpec("single-output", ((0, 4),)).validate(lam)
-        with pytest.raises(ValueError):
-            SwapSpec("single-output", ((0, 5),)).validate(lam)
-        SwapSpec("ordered-double", ((1, 1), (1, 3))).validate(lam)
-        with pytest.raises(ValueError):
-            SwapSpec("ordered-double", ((1, 3), (1, 1))).validate(lam)
 
 
 class TestFirstMoment:

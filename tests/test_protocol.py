@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,19 +10,27 @@ from oracles import (
     block_probabilities,
     chi2_sf,
     chi_square,
-    dicke_amplitudes,
     lambda_given_weight,
     product_basis_state,
     schur_weyl_distribution,
     semistandard_tableaux_count,
     standard_tableaux_count,
 )
-from schur_shadows.basis import schur_measure
-from schur_shadows.moments import _EntrywiseStats, expected_shadow_exact, second_moment_exact
+from schur_shadows.basis import build_q_bases, schur_measure
+from schur_shadows.moments import (
+    _EntrywiseStats,
+    expected_shadow_exact,
+    mc_povm_completeness,
+    mc_shadow_moments,
+    random_protocol_state,
+    second_moment_exact,
+)
 from schur_shadows.protocol import (
     MixedState,
     Observable,
     RejectionBudgetError,
+    _dicke_tensor,
+    _RowLaw,
     baseline_single_copy_shadow,
     median_of_means,
     mixed_state_shadow,
@@ -36,8 +45,14 @@ from schur_shadows.protocol import (
     ShadowEstimate,
 )
 from schur_shadows.qudit import OperatorGrid, PureState, RngStream, haar_unitary
-from schur_shadows.young import Partition, kappa_product, weight_of
+from schur_shadows.young import Partition, kappa_product, partitions_of, symmetric_dim, weight_of
 from test_moments import z_threshold
+
+#: The sampler's moment-oracle gate: every lam of n <= 5 with at most d rows
+#: at d = 2 and 3, and every lam of 3 at d = 4.
+SAMPLER_GATE = [(d, lam) for d in (2, 3) for n in range(1, 6) for lam in partitions_of(n, d)] + [
+    (4, lam) for lam in partitions_of(3, 4)
+]
 
 
 def make_observable(matrix, bound=None):
@@ -45,6 +60,37 @@ def make_observable(matrix, bound=None):
     if bound is None:
         bound = float(np.trace(mat @ mat).real)
     return Observable(mat, bound)
+
+
+def weight_vector(lam, d, i):
+    """The (lam, i, 0) vector of the nice basis: a weight vector."""
+    _, vectors = build_q_bases(d, lam.n)[lam]
+    return PureState(d, lam.n, vectors[i].to_dense(d**lam.n))
+
+
+def rank_one_row(m, rng):
+    """(U|0>)^{x m} at d = 2 for a Haar U: a row of rank 1 with all Dicke weights nonzero."""
+    psi = haar_unitary(2, rng).entries[:, 0]
+    amps = np.ones(1, dtype=complex)
+    for _ in range(m):
+        amps = np.kron(amps, psi)
+    return PureState(2, m, amps)
+
+
+def first_row_bound(lam, tau):
+    """The proposal bound M of the sampler's first row on tau."""
+    dicke = _dicke_tensor(lam, tau.d, tau.amplitudes.reshape(-1, 1))
+    return _RowLaw.of(dicke[None], lam.parts[0]).bound[0]
+
+
+def traced_peak(call):
+    """Peak bytes that ``call()`` allocates through numpy and Python."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMixedState:
@@ -149,40 +195,47 @@ class TestRowSymmetricSampling:
         assert abs(overlap.mean() - want) <= 4 * se
 
     def test_acceptance_rate(self):
+        # On a weight vector the first row's reduced state is diagonal in Dicke
+        # coordinates (M = 1), and a one-box row is drawn exactly from the
+        # columns of its state (M = 1), so every row draw is accepted.
         lam = Partition((2, 1))
-        tau = PureState(2, 3, dicke_amplitudes(2, 1))
-        # project onto the symmetrizer image? the Dicke state is (3)-row
-        # symmetric, not (2,1)-symmetric; use a proper protocol state instead
-        from schur_shadows.basis import build_q_bases
-
-        _, vectors = build_q_bases(2, 3)[lam]
-        tau = PureState(2, 3, vectors[0].to_dense(8))
+        tau = weight_vector(lam, 2, 0)
         count = 2_000
         psis, proposals = row_symmetric_sample_batch(lam, tau, count, RngStream(73))
-        rate = count / proposals
-        kappa = kappa_product(lam, 2)  # = 6
-        se = np.sqrt((1 / kappa) * (1 - 1 / kappa) / proposals)
-        assert abs(rate - 1 / kappa) <= 4 * se + 0.02
+        assert psis.shape == (count, lam.k, 2)
+        assert proposals == lam.k * count
 
     def test_rejects_non_symmetric_state(self):
         with pytest.raises(ValueError, match="row-symmetric"):
             row_symmetric_sample(Partition((2,)), PureState.from_digits((0, 1), 2), RngStream(74))
 
     def test_budget_error(self):
-        tau = PureState.from_digits((0,) * 3, 2)
+        # Every sample takes at least one draw per row, so a budget below
+        # k * count draws runs out whatever the outcomes: here 1 * 5 < 2 * 5.
+        lam = Partition((2, 1))
+        tau = weight_vector(lam, 2, 0)
         with pytest.raises(RejectionBudgetError):
-            row_symmetric_sample(Partition((3,)), tau, RngStream(75), max_iters=1)
+            row_symmetric_sample_batch(lam, tau, 5, RngStream(75), max_iters=1)
+        with pytest.raises(RejectionBudgetError):
+            row_symmetric_sample(lam, tau, RngStream(75), max_iters=1)
+        # An M = 4 state with no budget at all.
+        with pytest.raises(RejectionBudgetError):
+            row_symmetric_sample(Partition((3,)), rank_one_row(3, RngStream(311)), RngStream(75), max_iters=0)
 
     def test_proposals_count_the_sampler(self):
-        # One accept takes a geometric number of proposals: mean kappa = 4 and
-        # variance kappa (kappa - 1). The batch of 8 proposals must not show.
+        # On tau = (U|0>)^{x3} the row state has rank 1 and all 4 Dicke weights
+        # are nonzero, so M = N = kappa = 4: one accept takes a geometric number
+        # of row draws with mean 4 and variance kappa (kappa - 1).
         lam = Partition((3,))
-        tau = PureState.from_digits((0,) * 3, 2)
+        tau = rank_one_row(3, RngStream(311))
         kappa, calls = kappa_product(lam, 2), 2000
+        assert first_row_bound(lam, tau) == pytest.approx(kappa, abs=1e-9)
         root = RngStream(310)
         counts = np.array([row_symmetric_sample_batch(lam, tau, 1, root.child(r))[1] for r in range(calls)])
         z = abs(counts.mean() - kappa) / np.sqrt(kappa * (kappa - 1) / calls)
         assert z <= z_threshold(1, 4.0), (counts.mean(), z)
+        # |000> is a weight vector: exactly one draw.
+        assert row_symmetric_sample_batch(lam, PureState.from_digits((0,) * 3, 2), 1, RngStream(312))[1] == 1
 
     def test_batch_owns_its_data(self):
         # accepted rows are copied out, so no proposal batch stays alive
@@ -196,6 +249,111 @@ class TestRowSymmetricSampling:
         psis = row_symmetric_sample(Partition((3,)), tau, RngStream(76))
         assert len(psis) == 1
         assert np.linalg.norm(psis[0]) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestDickeSampler:
+    """The row sampler's bound M, its laws and its memory, against closed
+    forms and the moment oracle."""
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 3)])
+    def test_bound_is_one_on_weight_pure_rows(self, basis_for, d, n):
+        # Row-1 Dicke states of different weight pair with complements of
+        # different weight, so rho is diagonal and D = rho.
+        basis = basis_for(d, n)
+        gen = RngStream(313).gen
+        for lam, block in basis.blocks.items():
+            vectors = [block.vectors[(i, 0)] for i in range(block.dim_q)]
+            for vec in vectors:
+                assert abs(first_row_bound(lam, PureState(d, n, vec.to_dense(d**n))) - 1.0) < 1e-9
+            tau, _ = random_protocol_state(lam, block.weight_of_i, vectors, d, gen)
+            assert abs(first_row_bound(lam, tau) - 1.0) < 1e-9
+
+    def test_bound_is_one_on_one_box_rows(self):
+        # A one-box row draws a column of its state, then psi exactly: M = 1,
+        # with column weights that add up to tr rho.
+        gen = RngStream(314).gen
+        states = gen.standard_normal((6, 3, 5)) + 1j * gen.standard_normal((6, 3, 5))
+        law = _RowLaw.of(states, 1)
+        assert np.all(law.bound == 1.0)
+        assert np.allclose(law.weights.sum(axis=1), np.sum(np.abs(states) ** 2, axis=(1, 2)))
+
+    @pytest.mark.parametrize("d,m,support", [(2, 3, 4), (3, 2, 4), (3, 3, 10), (4, 3, 7)])
+    def test_bound_on_rank_one_rows_is_support_size(self, d, m, support):
+        # rho = a a^dag gives D^{-1/2} rho D^{-1/2} = u u^dag with |u_v| = 1 on
+        # the N = |support| nonzero entries of a; its top eigenvalue is N.
+        gen = RngStream(315 + 10 * d + m).gen
+        kappa = symmetric_dim(m, d)
+        values = gen.standard_normal(support) + 1j * gen.standard_normal(support)
+        a = np.zeros(kappa, dtype=complex)
+        a[gen.choice(kappa, size=support, replace=False)] = values
+        assert _RowLaw.of(a.reshape(1, kappa, 1), m).bound[0] == pytest.approx(support, abs=1e-9)
+
+    def test_one_box_rows_average_to_reduced_state(self):
+        # psi_r has density d <psi|rho_r|psi> relative to Haar, so
+        # E|psi_r><psi_r| = (rho_r + I) / (d + 1) with rho_r the reduced state of
+        # qudit r. Every state is row-symmetric for lam = (1, 1, 1).
+        d, samples = 3, 20_000
+        lam = Partition((1, 1, 1))
+        gen = RngStream(316).gen
+        amps = gen.standard_normal(d**3) + 1j * gen.standard_normal(d**3)
+        tau = PureState(d, 3, amps / np.linalg.norm(amps))
+        psis, proposals = row_symmetric_sample_batch(lam, tau, samples, RngStream(317))
+        assert proposals == lam.k * samples
+        tensor = tau.amplitudes.reshape(d, d, d)
+        z_max = z_threshold(lam.k * 2 * d * d, 4.0)
+        for r in range(lam.k):
+            rows = np.moveaxis(tensor, r, 0).reshape(d, -1)
+            stats = _EntrywiseStats((d, d))
+            stats.add_batch(np.einsum("sa,sb->sab", psis[:, r], psis[:, r].conj()))
+            assert np.max(stats.z_scores((rows @ rows.conj().T + np.eye(d)) / (d + 1))) <= z_max, r
+
+    @pytest.mark.parametrize("parts,digits", [((2, 1), (0, 1, 0)), ((2, 2), (0, 0, 0, 1))])
+    def test_non_symmetric_input_refused_before_any_draw(self, parts, digits):
+        # The second case is symmetric on row 1 and not on row 2.
+        rng = RngStream(318)
+        before = rng.gen.bit_generator.state
+        with pytest.raises(ValueError, match="row-symmetric"):
+            row_symmetric_sample_batch(Partition(parts), PureState.from_digits(digits, 2), 10, rng)
+        assert rng.gen.bit_generator.state == before
+
+    def test_memory_stays_within_state_size(self, basis_for):
+        # Nothing of shape proposals x rest is formed. A joint run holds a few
+        # state-sized arrays at once: the Schur coefficients, the measured
+        # state and its Dicke form. A Monte Carlo batch holds its outcomes and
+        # the intermediates of one chunk of samples, a few hundred of 4000.
+        n, epsilon = 14, 1.2  # T = 7 segments of 2 qubits
+        basis = basis_for(2, n // segment_count(epsilon))
+        gen = RngStream(319).gen
+        amps = gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n)
+        state = PureState(2, n, amps / np.linalg.norm(amps))
+        peak = traced_peak(lambda: population_shadow(basis, state, epsilon, RngStream(320)))
+        assert peak < 4 * state.amplitudes.nbytes, peak
+
+        lam, d, count = Partition((1, 1, 1)), 4, 4000
+        amps = gen.standard_normal(d**3) + 1j * gen.standard_normal(d**3)
+        tau = PureState(d, 3, amps / np.linalg.norm(amps))
+        outcome_bytes = count * lam.k * d * 16
+        peak = traced_peak(lambda: row_symmetric_sample_batch(lam, tau, count, RngStream(321)))
+        assert peak < 3 * outcome_bytes, peak
+
+    def test_moment_oracle_gate(self, protocol_state_for):
+        # At U = I the first row of a weight-pure state is drawn exactly
+        # (M = 1); a Haar U makes every row's reduced state non-diagonal (M > 1).
+        cases = []
+        for k, (d, lam) in enumerate(SAMPLER_GATE):
+            tau, _ = protocol_state_for(lam, d, 330 + k)
+            cases.append((d, lam, tau, None, 100_000, 400 + k))
+            cases.append((d, lam, tau, haar_unitary(d, RngStream(396 + d)), 20_000, 500 + k))
+        z_max = z_threshold(sum(2 * d**2 + 2 * d**4 + 1 for d, *_ in cases), 4.0)
+        for d, lam, tau, unitary, samples, seed in cases:
+            obs = np.zeros((d, d), dtype=complex)
+            obs[0, 0], obs[1, 1] = 1.0, -1.0
+            mc = mc_shadow_moments(lam, tau, unitary, samples, RngStream(seed), observable=obs)
+            z = max(mc["first_moment_max_z"], mc["second_moment_max_z"], mc["variance_z"])
+            assert z <= z_max, (d, lam.parts, unitary is None, z)
+        completeness = [mc_povm_completeness(lam, d, 10_000, RngStream(600 + k)) for k, (d, lam) in enumerate(SAMPLER_GATE)]
+        z_complete = z_threshold(sum(c["entries"] for c in completeness), 4.0)
+        assert max(c["max_abs_z"] for c in completeness) <= z_complete
 
 
 class TestWeightClassIdentities:

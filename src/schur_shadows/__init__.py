@@ -4,8 +4,9 @@ Layers:
 
 * :mod:`schur_shadows.qudit`: dense n-qudit states, permutation and local
   unitary actions, partial traces, Haar sampling, seeded streams.
-* :mod:`schur_shadows.young`: partitions, row/column groups, Young
-  symmetrizers, weights, majorization.
+* :mod:`schur_shadows.young`: partitions, row/column groups, standard
+  tableaux, slot classes (symmetrizers as class means), weights,
+  majorization.
 * :mod:`schur_shadows.basis`: nice Schur basis construction, verification,
   persistence, and :func:`schur_measure`, the dense Schur measurement with
   its block change of basis.

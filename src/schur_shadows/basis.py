@@ -1,55 +1,52 @@
 """Construction, verification, persistence, and use of the nice Schur basis.
 
-The basis {|(lam, i, j)>} is built in two stages:
+The basis {|(lam, i, j)>} is built in two stages, each computed from a
+definition with no search:
 
-1. :func:`build_q_bases`: for each partition, Gram-Schmidt the Young
-   symmetrizer images of the weight subspaces, visiting weights in reverse
-   lexicographic order. This yields the ``j = 0`` layer: an orthonormal,
-   weight-pure basis of the symmetrizer's image.
-2. :func:`schur_basis_completion`: for each partition, span the permutation
-   orbit of the first ``j = 0`` vector, pick an orthonormal basis of that
-   span, express it in permutation coefficients, and reuse those coefficients
-   to interpolate the remaining ``(i, j)`` layers.
+1. :func:`build_q_bases`: the ``j = 0`` layer of each partition, an
+   orthonormal weight-pure basis of its Young symmetrizer's image.
+2. :func:`schur_basis_completion`: the other ``j`` layers, from Young's
+   natural basis of the Specht module.
 
 Every vector is supported on a single weight subspace, so the whole basis is
-stored sparsely (computational-basis index / amplitude pairs).
+stored sparsely (computational-basis index / amplitude pairs) and checked
+one weight slice or one block at a time.
 
 :func:`schur_measure` is the one dense implementation of the protocol's first
 step: the projective measurement of (lam, j) followed by the change of basis
 that moves the measured block onto (lam, 0). It works on the measured rows
 of a (d^n, rest) matrix, so a segment of a larger joint state is measured
-without reshaping the rest away.
+without reshaping the rest away. It alone uses the d^n x d^n matrix.
 """
 
 from __future__ import annotations
 
-import itertools
-import logging
-import math
 import struct
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qudit import PureState, RngStream, check_dense_dim, decode_basis, encode_basis, haar_unitary
+from .qudit import RngStream, check_dense_dim, haar_unitary, local_unitary_action
 from .young import (
+    BoxLayout,
     Partition,
+    SlotClasses,
+    column_group,
     digit_tuples_of_weight,
     majorizes,
     partitions_of,
+    standard_tableaux,
     weights_reverse_lex,
-    young_symmetrizer_apply_digits,
 )
 
-logger = logging.getLogger(__name__)
+#: Singular values (stage 1) and QR diagonals (stage 2) below this absolute
+#: cut count as zero. A cut relative to the largest value would keep images
+#: that cancel exactly, such as the lowered singlet.
+RANK_CUT = 1e-9
 
-#: Gram-Schmidt acceptance: residuals below this fraction of the original
-#: norm are treated as linearly dependent and discarded.
-GS_CUTOFF = 1e-9
-
-#: Maximum residual allowed when solving for permutation coefficients.
-COEFF_RESIDUAL_TOL = 1e-8
+#: Amplitudes below this are not stored.
+PRUNE = 1e-14
 
 #: Cache file format version.
 FORMAT_VERSION = 1
@@ -62,14 +59,7 @@ class BasisCacheError(RuntimeError):
 
 
 class SpanExtractionError(RuntimeError):
-    """Raised when permutation-coefficient extraction fails numerically."""
-
-
-@dataclass(frozen=True)
-class SchurLabel:
-    lam: Partition
-    i: int
-    j: int
+    """Raised when a construction stage fails its rank, count or Gram check."""
 
 
 @dataclass(frozen=True)
@@ -84,27 +74,21 @@ class SparseVector:
         amp = np.asarray(self.amplitudes, dtype=np.complex128)
         if idx.shape != amp.shape or idx.ndim != 1:
             raise ValueError("indices and amplitudes must be 1-d arrays of equal length")
-        if idx.size and np.any(np.diff(idx) <= 0):
+        if np.any(idx[1:] <= idx[:-1]):
             raise ValueError("indices must be strictly increasing")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "amplitudes", amp)
 
     @classmethod
-    def from_pairs(cls, pairs, prune: float = 1e-14) -> "SparseVector":
-        kept = [(i, a) for i, a in pairs if abs(a) >= prune]
-        kept.sort(key=lambda t: t[0])
-        idx = np.array([i for i, _ in kept], dtype=np.int64)
-        amp = np.array([a for _, a in kept], dtype=np.complex128)
-        return cls(idx, amp)
+    def pruned(cls, indices: np.ndarray, amplitudes: np.ndarray) -> "SparseVector":
+        """The entries of magnitude at least :data:`PRUNE`; indices increase."""
+        keep = np.abs(amplitudes) >= PRUNE
+        return cls(indices[keep], amplitudes[keep])
 
     def to_dense(self, dim: int) -> np.ndarray:
         dense = np.zeros(dim, dtype=np.complex128)
         dense[self.indices] = self.amplitudes
         return dense
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass
@@ -116,7 +100,6 @@ class SchurBlock:
     dim_p: int
     weight_of_i: list[tuple[int, ...]]
     vectors: dict[tuple[int, int], SparseVector]
-    early_stopped: bool = False
 
 
 @dataclass
@@ -131,18 +114,17 @@ class SchurBasis:
     def dim(self) -> int:
         return self.d**self.n
 
-    def labels(self):
-        for lam, block in self.blocks.items():
-            for j in range(block.dim_p):
-                for i in range(block.dim_q):
-                    yield SchurLabel(lam, i, j)
-
     def vector(self, lam: Partition, i: int, j: int) -> SparseVector:
         return self.blocks[lam].vectors[(i, j)]
 
     def dense_matrix(self) -> np.ndarray:
-        """Columns are basis vectors grouped block-contiguously by (lam, j)."""
+        """Columns are basis vectors grouped block-contiguously by (lam, j).
+
+        Refused with :class:`CapExceededError`, before any allocation, beyond
+        d^(2n) = ``MAX_DENSE_DIM`` entries.
+        """
         if self._dense is None:
+            check_dense_dim(self.d, 2 * self.n)
             dim = self.dim
             mat = np.zeros((dim, dim), dtype=np.complex128)
             slices: dict[tuple[Partition, int], slice] = {}
@@ -166,183 +148,171 @@ class SchurBasis:
         return self._slices[(lam, j)]
 
     def gram_deviation(self) -> float:
-        mat = self.dense_matrix()
-        gram = mat.conj().T @ mat
-        return float(np.max(np.abs(gram - np.eye(self.dim))))
+        """Max |<u|v> - delta_uv| over pairs of vectors of the same weight.
+
+        Weight-pure vectors of different weights have disjoint supports, so
+        this is the whole Gram deviation when the basis is weight-pure, which
+        :func:`verify_nice_basis` reports separately.
+        """
+        by_weight: dict[tuple[int, ...], list[SparseVector]] = {}
+        for block in self.blocks.values():
+            for (i, _j), vec in block.vectors.items():
+                by_weight.setdefault(tuple(block.weight_of_i[i]), []).append(vec)
+        worst = 0.0
+        for vectors in by_weight.values():
+            mat = _columns(vectors, np.unique(np.concatenate([vec.indices for vec in vectors])))
+            gram = mat.conj().T @ mat
+            worst = max(worst, float(np.max(np.abs(gram - np.eye(len(vectors))))))
+        return worst
+
+
+def _columns(vectors: list[SparseVector], rows: np.ndarray) -> np.ndarray:
+    """The vectors as dense columns over the sorted indices ``rows``."""
+    mat = np.zeros((rows.size, len(vectors)), dtype=np.complex128)
+    for col, vec in enumerate(vectors):
+        mat[np.searchsorted(rows, vec.indices), col] = vec.amplitudes
+    return mat
+
+
+def _powers(d: int, n: int) -> np.ndarray:
+    return d ** np.arange(n - 1, -1, -1)
+
+
+def _permuted_indices(digits: np.ndarray, d: int, mappings: np.ndarray) -> np.ndarray:
+    """out[g, r]: the index that digit tuple ``digits[r]`` moves to when
+    qudit k goes to position ``mappings[g, k]``."""
+    moved = digits[:, np.argsort(mappings, axis=1)]
+    return (moved @ _powers(d, digits.shape[1])).T
+
+
+def _weight_slice(d: int, weight) -> tuple[np.ndarray, np.ndarray]:
+    """Digit tuples of one weight, one per row in increasing index order, and their indices."""
+    digits = np.array(digit_tuples_of_weight(weight), dtype=np.int64)
+    return digits, digits @ _powers(d, digits.shape[1])
 
 
 # ---------------------------------------------------------------------------
-# Stage 1: per-weight Gram-Schmidt on the symmetrizer image
+# Stage 1: Young symmetrizer images, one weight slice at a time
 # ---------------------------------------------------------------------------
-
-
-def _orthonormalize_into(basis_cols: list[np.ndarray], candidate: np.ndarray, cutoff: float) -> np.ndarray | None:
-    """Modified Gram-Schmidt with one re-orthogonalization pass."""
-    orig = np.linalg.norm(candidate)
-    if orig < 1e-14:
-        return None
-    vec = candidate.astype(np.complex128, copy=True)
-    for _ in range(2):
-        for col in basis_cols:
-            vec -= np.vdot(col, vec) * col
-    residual = np.linalg.norm(vec)
-    if residual < cutoff * orig:
-        return None
-    return vec / residual
 
 
 def build_q_bases(d: int, n: int) -> dict[Partition, tuple[list[tuple[int, ...]], list[SparseVector]]]:
     """Orthonormal weight-pure bases of the Young symmetrizer images.
 
-    Returns, per partition, the per-vector weight list and the sparse
-    vectors; vector 0 lies in the lexicographically largest admissible
-    weight subspace.
+    The symmetrizer is the row symmetrizer after the column antisymmetrizer.
+    The latter is applied to the column-strict fillings of a weight only:
+    any other filling maps to 0 or to +- the image of one of them. The row
+    symmetrizer acts as class means over each row's digit multiset, and an
+    SVD with an absolute rank cut gives the slice's orthonormal basis. This
+    is done for decreasing weights; relabelling the digits commutes with the
+    symmetrizer and carries it to their rearrangements.
+
+    Returns, per partition, the per-vector weight list and the sparse real
+    vectors, each signed so that its first nonzero amplitude is positive.
+    Weights come in reverse lexicographic order with the vectors of each
+    weight next to each other, so vector 0 is the only one of the
+    lexicographically largest admissible weight.
     """
     check_dense_dim(d, n)
     out: dict[Partition, tuple[list[tuple[int, ...]], list[SparseVector]]] = {}
     for lam in partitions_of(n, d):
+        layout = BoxLayout(lam)
+        # Boxes adjacent in a column: above[t] sits right over below[t].
+        above = [box for col in layout.column_blocks() for box in col[:-1]]
+        below = [box for col in layout.column_blocks() for box in col[1:]]
+        group = list(column_group(lam))
+        mappings = np.array([perm.mapping for perm, _ in group], dtype=np.int64)
+        signs = np.array([sign for _, sign in group], dtype=np.float64)
+        decreasing: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         weights: list[tuple[int, ...]] = []
         vectors: list[SparseVector] = []
         for w in weights_reverse_lex(n, d):
             # Non-majorized weights are annihilated by the symmetrizer.
             if not majorizes(lam, w):
                 continue
-            tuples = digit_tuples_of_weight(w)
-            coord = {t: r for r, t in enumerate(tuples)}
-            accepted: list[np.ndarray] = []
-            for e in tuples:
-                image = young_symmetrizer_apply_digits(lam, e)
-                if not image:
-                    continue
-                col = np.zeros(len(tuples), dtype=np.complex128)
-                for t, val in image.items():
-                    col[coord[t]] = val
-                unit = _orthonormalize_into(accepted, col, GS_CUTOFF)
-                if unit is not None:
-                    accepted.append(unit)
-            indices = np.array([encode_basis(t, d) for t in tuples], dtype=np.int64)
-            for unit in accepted:
-                vectors.append(SparseVector.from_pairs(zip(indices.tolist(), unit.tolist())))
+            # Digit k of the decreasing rearrangement, which comes earlier in
+            # reverse lexicographic order, is renamed order[k].
+            order = sorted(range(d), key=lambda sym: -w[sym])
+            top = tuple(w[sym] for sym in order)
+            if top not in decreasing:
+                digits, indices = _weight_slice(d, top)
+                strict = np.all(digits[:, below] > digits[:, above], axis=1)
+                # Column permutations of a column-strict filling land on distinct rows.
+                rows = np.searchsorted(indices, _permuted_indices(digits[strict], d, mappings))
+                images = np.zeros((len(digits), rows.shape[1]))
+                images[rows, np.arange(rows.shape[1])] = signs[:, None]
+                images = SlotClasses(digits, d, layout.row_blocks()).mean(images)
+                left, singular, _ = np.linalg.svd(images, full_matrices=False)
+                decreasing[top] = (digits, left[:, singular > RANK_CUT])
+            digits, cols = decreasing[top]
+            indices = np.array(order)[digits] @ _powers(d, n)
+            rows = np.argsort(indices)
+            cols = cols[rows]
+            lead = cols[np.argmax(np.abs(cols) >= PRUNE, axis=0), np.arange(cols.shape[1])]
+            for vec in (cols * np.sign(lead)).T:
+                vectors.append(SparseVector.pruned(indices[rows], vec.astype(np.complex128)))
                 weights.append(w)
         out[lam] = (weights, vectors)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Stage 2: completion by permutation-span interpolation
+# Stage 2: the j layers from Young's natural basis
 # ---------------------------------------------------------------------------
-
-
-def _weight_coords(d: int, weight) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int], np.ndarray]:
-    tuples = digit_tuples_of_weight(weight)
-    coord = {t: r for r, t in enumerate(tuples)}
-    indices = np.array([encode_basis(t, d) for t in tuples], dtype=np.int64)
-    return tuples, coord, indices
-
-
-def _perm_row_map(mapping: tuple[int, ...], tuples, coord) -> np.ndarray:
-    """Row remap of a weight subspace under a tensor-factor permutation."""
-    rows = np.empty(len(tuples), dtype=np.int64)
-    for r, digits in enumerate(tuples):
-        out = [0] * len(digits)
-        for k, dig in enumerate(digits):
-            out[mapping[k]] = dig
-        rows[r] = coord[tuple(out)]
-    return rows
 
 
 def schur_basis_completion(
     d: int,
     n: int,
     q_bases: dict[Partition, tuple[list[tuple[int, ...]], list[SparseVector]]],
-    perm_budget: int = 2_000_000,
-    early_stop: bool = True,
 ) -> SchurBasis:
     """Complete per-partition image bases into a full nice Schur basis.
 
-    For each partition the permutation orbit of vector (0, 0) is scanned in
-    lexicographic order; the scan stops early once ``n * dim`` consecutive
-    permutations fail to enlarge the span. The resulting orthonormal span
-    basis is expressed in coefficients over the greedily selected independent
-    permutations, and those coefficients interpolate every other row ``i``.
+    With mapping[k] the entry of a standard tableau T at row-major box k, the
+    f^lam permutations P_T (qudit k to position mapping[k]) map |(lam, 0, 0)>
+    to independent vectors; the inverse mappings would not. If
+    [P_T |(lam, 0, 0)>]_T = QR with R's diagonal positive, then
+    |(lam, i, j)> = sum_T (R^-1)[T, j] P_T |(lam, i, 0)>. Column 0 of R^-1 is
+    (1, 0, ..., 0) up to rounding, so j = 0 keeps stage 1's vectors.
     """
     dim = check_dense_dim(d, n)
+    slices: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
     blocks: dict[Partition, SchurBlock] = {}
     total = 0
     for lam in partitions_of(n, d):
         weights, vectors = q_bases[lam]
         if not vectors:
             raise SpanExtractionError(f"empty symmetrizer image for partition {lam}")
-        dim_q = len(vectors)
-        w0 = weights[0]
-        tuples0, coord0, _ = _weight_coords(d, w0)
-        v00 = np.zeros(len(tuples0), dtype=np.complex128)
-        base = vectors[0]
-        lookup = {int(ix): amp for ix, amp in zip(base.indices, base.amplitudes)}
-        for r, t in enumerate(tuples0):
-            v00[r] = lookup.get(encode_basis(t, d), 0.0)
-
-        span_cols: list[np.ndarray] = []
-        selected: list[tuple[int, ...]] = []
-        selected_cols: list[np.ndarray] = []
-        stall = 0
-        scanned = 0
-        stopped_early = False
-        for perm in itertools.permutations(range(n)):
-            scanned += 1
-            if scanned > perm_budget:
-                raise SpanExtractionError(
-                    f"permutation budget {perm_budget} exhausted for partition {lam}"
-                )
-            rows = _perm_row_map(perm, tuples0, coord0)
-            cand = np.zeros_like(v00)
-            cand[rows] = v00
-            unit = _orthonormalize_into(span_cols, cand, GS_CUTOFF)
-            if unit is None:
-                stall += 1
-                if early_stop and stall >= n * max(1, len(span_cols)):
-                    stopped_early = scanned < math.factorial(n)
-                    break
-            else:
-                span_cols.append(unit)
-                selected.append(perm)
-                selected_cols.append(cand)
-                stall = 0
-        dim_p = len(span_cols)
-        if stopped_early:
-            logger.info("early stop for %s after %d of %d permutations", lam, scanned, math.factorial(n))
-
-        # Coefficients alpha with |(lam,0,j)> = sum_t alpha[t, j] P_{pi_t} |(lam,0,0)>.
-        mat = np.stack(selected_cols, axis=1)
-        targets = np.stack(span_cols, axis=1)
-        alpha, *_ = np.linalg.lstsq(mat, targets, rcond=None)
-        residual = float(np.max(np.abs(mat @ alpha - targets))) if mat.size else 0.0
-        if residual > COEFF_RESIDUAL_TOL:
-            raise SpanExtractionError(
-                f"coefficient solve residual {residual:.3e} exceeds {COEFF_RESIDUAL_TOL} for {lam}"
-            )
-
+        mappings = np.array(standard_tableaux(lam), dtype=np.int64)
+        dim_p = len(mappings)
+        coeffs = None
         block_vectors: dict[tuple[int, int], SparseVector] = {}
-        for i in range(dim_q):
-            w_i = weights[i]
-            tuples_i, coord_i, indices_i = _weight_coords(d, w_i)
-            vi0 = np.zeros(len(tuples_i), dtype=np.complex128)
-            lookup = {int(ix): amp for ix, amp in zip(vectors[i].indices, vectors[i].amplitudes)}
-            for r, t in enumerate(tuples_i):
-                vi0[r] = lookup.get(encode_basis(t, d), 0.0)
-            permuted = np.empty((len(tuples_i), len(selected)), dtype=np.complex128)
-            for t, perm in enumerate(selected):
-                rows = _perm_row_map(perm, tuples_i, coord_i)
-                col = np.zeros_like(vi0)
-                col[rows] = vi0
-                permuted[:, t] = col
-            images = permuted @ alpha
-            for j in range(dim_p):
-                block_vectors[(i, j)] = SparseVector.from_pairs(
-                    zip(indices_i.tolist(), images[:, j].tolist())
-                )
-        blocks[lam] = SchurBlock(lam, dim_q, dim_p, list(weights), block_vectors, stopped_early)
-        total += dim_q * dim_p
+        # The vectors of one weight are adjacent; permutations keep each weight slice.
+        starts = [i for i in range(len(weights)) if i == 0 or weights[i] != weights[i - 1]]
+        for start, stop in zip(starts, starts[1:] + [len(weights)]):
+            w = tuple(weights[start])
+            if w not in slices:
+                slices[w] = _weight_slice(d, w)
+            digits, indices = slices[w]
+            rows = np.searchsorted(indices, _permuted_indices(digits, d, mappings))
+            # moved[t, :, k] = P_T |(lam, start + k, 0)> on the slice.
+            moved = np.zeros((dim_p, len(indices), stop - start), dtype=np.complex128)
+            moved[np.arange(dim_p)[:, None], rows] = _columns(vectors[start:stop], indices)
+            if coeffs is None:
+                _, r = np.linalg.qr(moved[:, :, 0].T)
+                diag = np.diagonal(r)
+                if np.min(np.abs(diag)) < RANK_CUT:
+                    raise SpanExtractionError(
+                        f"standard tableau permutations of |({lam}, 0, 0)> have rank below f = {dim_p}"
+                    )
+                coeffs = np.linalg.inv(r) * (diag / np.abs(diag))
+            images = np.einsum("tmk,tj->kjm", moved, coeffs)
+            for k in range(stop - start):
+                block_vectors[(start + k, 0)] = vectors[start + k]
+                for j in range(1, dim_p):
+                    block_vectors[(start + k, j)] = SparseVector.pruned(indices, images[k, j])
+        blocks[lam] = SchurBlock(lam, len(vectors), dim_p, list(weights), block_vectors)
+        total += len(vectors) * dim_p
 
     if total != dim:
         raise SpanExtractionError(
@@ -355,9 +325,9 @@ def schur_basis_completion(
     return basis
 
 
-def build_basis(d: int, n: int, **kwargs) -> SchurBasis:
-    """Convenience wrapper: stage 1 then stage 2."""
-    return schur_basis_completion(d, n, build_q_bases(d, n), **kwargs)
+def build_basis(d: int, n: int) -> SchurBasis:
+    """Stage 1 then stage 2."""
+    return schur_basis_completion(d, n, build_q_bases(d, n))
 
 
 # ---------------------------------------------------------------------------
@@ -368,61 +338,57 @@ def build_basis(d: int, n: int, **kwargs) -> SchurBasis:
 def verify_nice_basis(basis: SchurBasis, rng: RngStream, trials: int = 20) -> dict:
     """Residual report: orthonormality, weight purity, and block closures.
 
-    The U-closure residual measures how far U^{tensor n} maps a basis vector
-    out of its fixed-j block; the pi-closure residual is the analogue for
-    permutations and fixed-i blocks.
+    The U-closure residual measures how far U^{tensor n} maps the vectors of
+    a fixed-(lam, j) block out of that block; the pi-closure residual is the
+    analogue for permutations and fixed-(lam, i) blocks. One block at a time
+    is made dense.
     """
-    from .qudit import Permutation, apply_local_unitary, apply_permutation
-    from .young import weight_of
-
-    mat = basis.dense_matrix()
-    gram_dev = basis.gram_deviation()
-
+    d, n, dim = basis.d, basis.n, basis.dim
+    digits = np.arange(dim)[:, None] // _powers(d, n) % d
+    weight_of_index = np.stack([np.sum(digits == sym, axis=1) for sym in range(d)], axis=1)
     purity_dev = 0.0
-    count_ok = sum(b.dim_q * b.dim_p for b in basis.blocks.values()) == basis.dim
-    for lam, block in basis.blocks.items():
+    count_ok = sum(b.dim_q * b.dim_p for b in basis.blocks.values()) == dim
+    for block in basis.blocks.values():
         for (i, _j), vec in block.vectors.items():
-            want = block.weight_of_i[i]
-            for ix in vec.indices:
-                got = weight_of(decode_basis(int(ix), basis.d, basis.n), basis.d)
-                if got != want:
-                    purity_dev = max(purity_dev, float(np.max(np.abs(vec.amplitudes))))
+            if np.any(weight_of_index[vec.indices] != np.asarray(block.weight_of_i[i])):
+                purity_dev = max(purity_dev, float(np.max(np.abs(vec.amplitudes))))
 
-    u_residual = 0.0
-    pi_residual = 0.0
+    unitaries, perms = [], []
     for trial in range(trials):
         sub = rng.child(trial)
-        u = haar_unitary(basis.d, sub)
-        perm = Permutation(tuple(sub.gen.permutation(basis.n).tolist()))
-        for lam, block in basis.blocks.items():
-            for j in range(block.dim_p):
-                cols = mat[:, basis.block_slice(lam, j)]
-                for i in range(block.dim_q):
-                    vec = block.vectors[(i, j)].to_dense(basis.dim)
-                    moved = apply_local_unitary(u, PureState(basis.d, basis.n, vec)).amplitudes
-                    u_residual = max(u_residual, _span_residual(cols, moved))
-            for i in range(block.dim_q):
-                cols = np.stack(
-                    [block.vectors[(i, j)].to_dense(basis.dim) for j in range(block.dim_p)], axis=1
-                )
-                for j in range(block.dim_p):
-                    vec = block.vectors[(i, j)].to_dense(basis.dim)
-                    moved = apply_permutation(perm, PureState(basis.d, basis.n, vec)).amplitudes
-                    pi_residual = max(pi_residual, _span_residual(cols, moved))
+        unitaries.append(haar_unitary(d, sub).entries)
+        perms.append(sub.gen.permutation(n))
+    images = _permuted_indices(digits, d, np.array(perms, dtype=np.int64).reshape(trials, n))
+    u_residual = 0.0
+    pi_residual = 0.0
+    for block in basis.blocks.values():
+        for j in range(block.dim_p):
+            cols = _columns([block.vectors[(i, j)] for i in range(block.dim_q)], np.arange(dim))
+            for u in unitaries:
+                u_residual = max(u_residual, _span_residual(cols, local_unitary_action(u, cols, n)))
+        for i in range(block.dim_q):
+            cols = _columns([block.vectors[(i, j)] for j in range(block.dim_p)], np.arange(dim))
+            for image in images:
+                moved = np.empty_like(cols)
+                moved[image] = cols
+                pi_residual = max(pi_residual, _span_residual(cols, moved))
     return {
-        "gram_deviation": gram_dev,
+        "gram_deviation": basis.gram_deviation(),
         "vector_count_ok": count_ok,
         "weight_purity_violation": purity_dev,
         "u_closure_residual": u_residual,
         "pi_closure_residual": pi_residual,
         "trials": trials,
-        "early_stopped": sorted(str(lam) for lam, b in basis.blocks.items() if b.early_stopped),
     }
 
 
-def _span_residual(cols: np.ndarray, vec: np.ndarray) -> float:
-    coeff = cols.conj().T @ vec
-    return float(np.linalg.norm(vec - cols @ coeff))
+def _span_residual(cols: np.ndarray, moved: np.ndarray) -> float:
+    """Largest norm of a column of ``moved`` outside the span of orthonormal ``cols``."""
+    rest = cols @ (cols.conj().T @ moved)
+    np.subtract(moved, rest, out=rest)
+    # Squared column norms, with no temporary of the block's size.
+    squares = np.einsum("ij,ij->j", rest.real, rest.real) + np.einsum("ij,ij->j", rest.imag, rest.imag)
+    return float(np.sqrt(np.max(squares, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .qudit import (
     apply_local_unitary,
     haar_pure_state_batch,
 )
-from .young import BoxLayout, Partition, kappa_product, row_group, symmetric_dim
+from .young import BoxLayout, Partition, SlotClasses, kappa_product, row_group, symmetric_dim
 
 #: Hard cap on d**(n+2) for explicit second-moment operators.
 ORACLE_DIM_CAP = 2200
@@ -62,32 +62,6 @@ class _Register:
         return new_digits @ self.powers
 
 
-class _SlotClasses:
-    """Orbits of the register's indices under the permutations of some slots.
-
-    Two indices share a class when they agree outside the slots and carry the
-    same multiset of digits on them, so a class has multinom(s; counts)
-    members. The slot symmetrizer, the average of the s! slot permutation
-    operators, maps a vector to its class means.
-    """
-
-    def __init__(self, reg: _Register, slots):
-        slots = list(slots)
-        canonical = reg.digits.copy()
-        canonical[:, slots] = np.sort(reg.digits[:, slots], axis=1)
-        _, self.inverse, self.counts = np.unique(
-            canonical @ reg.powers, return_inverse=True, return_counts=True
-        )
-        self.order = np.argsort(self.inverse, kind="stable")
-        self.starts = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
-
-    def mean(self, vecs: np.ndarray) -> np.ndarray:
-        """The slot symmetrizer applied along axis 0 of ``vecs``."""
-        sums = np.add.reduceat(vecs[self.order], self.starts, axis=0)
-        sums /= self.counts.reshape((-1,) + (1,) * (vecs.ndim - 1))
-        return sums[self.inverse]
-
-
 def row_symmetric_projector(lam: Partition, d: int) -> np.ndarray:
     """Projector onto the row-symmetric subspace: the row-group average."""
     reg = _Register(d, lam.n)
@@ -102,11 +76,7 @@ def row_symmetric_projector(lam: Partition, d: int) -> np.ndarray:
 
 def _apply_row_symmetrizers(lam: Partition, d: int, vecs: np.ndarray) -> np.ndarray:
     """prod_r S_r applied along axis 0 of ``vecs`` on the n-qudit register."""
-    reg = _Register(d, lam.n)
-    for block in reversed(BoxLayout(lam).row_blocks()):
-        if len(block) > 1:
-            vecs = _SlotClasses(reg, block).mean(vecs)
-    return vecs
+    return SlotClasses(_Register(d, lam.n).digits, d, BoxLayout(lam).row_blocks()).mean(vecs)
 
 
 def row_symmetry_residual(lam: Partition, tau: PureState) -> float:
@@ -240,12 +210,12 @@ def second_moment_exact(
     columns = np.kron(np.eye(d * d, dtype=np.complex128), amps.reshape(-1, 1))
 
     row_slots = [[2 + layout.box_position(r, c) for c in range(lam.parts[r])] for r in range(lam.k)]
-    class_cache: dict[frozenset, _SlotClasses] = {}
+    class_cache: dict[frozenset, SlotClasses] = {}
 
-    def classes(slots) -> _SlotClasses:
+    def classes(slots) -> SlotClasses:
         key = frozenset(slots)
         if key not in class_cache:
-            class_cache[key] = _SlotClasses(reg, slots)
+            class_cache[key] = SlotClasses(reg.digits, d, [slots])
         return class_cache[key]
 
     total = np.zeros((d * d, d * d), dtype=np.complex128)

@@ -1,4 +1,5 @@
-"""Partitions, tableaux box layouts, row/column groups, and Young symmetrizers.
+"""Partitions, tableau box layouts, standard tableaux, row/column groups, weights,
+and the slot classes through which symmetrizers act as class means.
 
 The canonical tableau is always filled row-major: boxes are numbered left to
 right within a row, rows top to bottom. Box positions are 0-based.
@@ -8,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
+
+import numpy as np
 
 from .qudit import Permutation
 
@@ -111,7 +113,10 @@ def _block_permutations(n: int, blocks: list[list[int]]):
 
     Yields (Permutation, sign) pairs; the sign is the parity of the element.
     """
-    per_block = [list(itertools.permutations(block)) for block in blocks]
+    # The orderings of a block of m positions: the digit tuples of weight (1, ..., 1).
+    per_block = [
+        [tuple(block[t] for t in order) for order in digit_tuples_of_weight((1,) * len(block))] for block in blocks
+    ]
     for choice in itertools.product(*per_block):
         mapping = list(range(n))
         for block, image in zip(blocks, choice):
@@ -132,32 +137,48 @@ def column_group(lam: Partition):
     yield from _block_permutations(lam.n, BoxLayout(lam).column_blocks())
 
 
-@lru_cache(maxsize=None)
-def young_symmetrizer_terms(lam: Partition) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Composed (row o column) permutation terms of the Young symmetrizer.
+def standard_tableaux(lam: Partition) -> list[tuple[int, ...]]:
+    """Standard Young tableaux of shape ``lam`` with entries 0..n-1.
 
-    Each entry is (mapping, sign): the symmetrizer is the signed sum of the
-    corresponding permutation operators, column pass first.
+    Each is given by its entries at the row-major boxes, so ``mapping[k]`` is
+    the entry of box k. Entries are placed in increasing order, trying the
+    upper rows first, so the first tableau is the row-major filling: the
+    identity.
     """
-    rows = list(row_group(lam))
-    cols = list(column_group(lam))
-    terms = []
-    for a in rows:
-        for b, sign in cols:
-            terms.append((a.compose(b).mapping, sign))
-    return tuple(terms)
+    tableaux = [[[] for _ in lam.parts]]
+    for entry in range(lam.n):
+        tableaux = [
+            [row + [entry] if r == pick else row for r, row in enumerate(rows)]
+            for rows in tableaux
+            for pick, part in enumerate(lam.parts)
+            if len(rows[pick]) < part and (pick == 0 or len(rows[pick]) < len(rows[pick - 1]))
+        ]
+    return [tuple(entry for row in rows for entry in row) for rows in tableaux]
 
 
-def young_symmetrizer_apply_digits(lam: Partition, digits) -> dict[tuple[int, ...], float]:
-    """Young symmetrizer image of a basis state, as digit-tuple -> coefficient."""
-    acc: dict[tuple[int, ...], float] = {}
-    for mapping, sign in young_symmetrizer_terms(lam):
-        out = [0] * len(digits)
-        for k, dig in enumerate(digits):
-            out[mapping[k]] = dig
-        key = tuple(out)
-        acc[key] = acc.get(key, 0.0) + sign
-    return {key: val for key, val in acc.items() if val != 0.0}
+class SlotClasses:
+    """Orbits of digit tuples, one per row of ``digits``, under the
+    permutations within each block of slots: rows that agree outside the
+    blocks and carry the same digit multiset on each. When the rows hold
+    whole orbits, the product of the blocks' symmetrizers maps a vector
+    indexed by the rows to its class means.
+    """
+
+    def __init__(self, digits: np.ndarray, d: int, blocks):
+        canonical = digits.copy()
+        for block in blocks:
+            block = list(block)
+            canonical[:, block] = np.sort(digits[:, block], axis=1)
+        keys = canonical @ d ** np.arange(digits.shape[1] - 1, -1, -1)
+        _, self.inverse, self.counts = np.unique(keys, return_inverse=True, return_counts=True)
+        self.order = np.argsort(self.inverse, kind="stable")
+        self.starts = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
+
+    def mean(self, vecs: np.ndarray) -> np.ndarray:
+        """The block symmetrizers applied along axis 0 of ``vecs``."""
+        sums = np.add.reduceat(vecs[self.order], self.starts, axis=0)
+        sums /= self.counts.reshape((-1,) + (1,) * (vecs.ndim - 1))
+        return sums[self.inverse]
 
 
 def weight_of(digits, d: int) -> tuple[int, ...]:

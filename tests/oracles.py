@@ -6,9 +6,11 @@ enumeration for combinatorics, backtracking counts for standard and
 semistandard tableaux, the Schur-Weyl distribution of the partition label,
 Schur measurement probabilities summed over the sparse basis vectors (no
 dense basis matrix), and a chi-square tail. ``product_basis_state`` builds
-the dense input that the reference measurement path takes, and
-``young_symmetrizer_apply`` the dense symmetrizer image that the
-symmetrizer tests inspect. ``permutation_symmetrizer`` averages the s! slot
+the dense input that the reference measurement path takes.
+``young_symmetrizer_terms`` lists the Young symmetrizer's (row o column)
+permutation terms, from which ``young_symmetrizer_apply_digits`` and
+``young_symmetrizer_apply`` compute the symmetrizer images that the
+symmetrizer and basis tests inspect. ``permutation_symmetrizer`` averages the s! slot
 permutation operators, and ``second_moment_dense`` is the exact second moment
 built from those d^(n+2)-square matrices, the reference for the class-mean
 computation in ``moments``.
@@ -18,13 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb, factorial
 
 import numpy as np
 
 from schur_shadows.qudit import OperatorGrid, Permutation, PureState, apply_local_unitary
-from schur_shadows.young import BoxLayout, Partition, symmetric_dim, young_symmetrizer_terms
+from schur_shadows.young import BoxLayout, Partition, column_group, row_group, symmetric_dim
 
 
 def beta_int(a: int, b: int) -> float:
@@ -115,6 +117,34 @@ def product_basis_state(unitary: OperatorGrid, digits, d: int) -> PureState:
     """U^{tensor n}|e> built column-by-column (no d^n matrix)."""
     cols = [unitary.entries[:, dig] for dig in digits]
     return PureState(d, len(digits), reduce(np.kron, cols))
+
+
+@lru_cache(maxsize=None)
+def young_symmetrizer_terms(lam: Partition) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Composed (row o column) permutation terms of the Young symmetrizer.
+
+    Each entry is (mapping, sign): the symmetrizer is the signed sum of the
+    corresponding permutation operators, column pass first.
+    """
+    rows = list(row_group(lam))
+    cols = list(column_group(lam))
+    terms = []
+    for a in rows:
+        for b, sign in cols:
+            terms.append((a.compose(b).mapping, sign))
+    return tuple(terms)
+
+
+def young_symmetrizer_apply_digits(lam: Partition, digits) -> dict[tuple[int, ...], float]:
+    """Young symmetrizer image of a basis state, as digit-tuple -> coefficient."""
+    acc: dict[tuple[int, ...], float] = {}
+    for mapping, sign in young_symmetrizer_terms(lam):
+        out = [0] * len(digits)
+        for k, dig in enumerate(digits):
+            out[mapping[k]] = dig
+        key = tuple(out)
+        acc[key] = acc.get(key, 0.0) + sign
+    return {key: val for key, val in acc.items() if val != 0.0}
 
 
 def young_symmetrizer_apply(lam: Partition, state: PureState) -> PureState:

@@ -1,13 +1,15 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from oracles import block_probabilities, standard_tableaux_count
+from oracles import block_probabilities, semistandard_tableaux_count, standard_tableaux_count
 from schur_shadows.basis import (
     BasisCacheError,
     SchurBasis,
+    build_basis,
     build_q_bases,
     load_basis,
     save_basis,
@@ -15,13 +17,14 @@ from schur_shadows.basis import (
     verify_nice_basis,
 )
 from schur_shadows.qudit import (
+    CapExceededError,
     PureState,
     RngStream,
     apply_local_unitary,
     encode_basis,
     haar_unitary,
 )
-from schur_shadows.young import Partition, partitions_of
+from schur_shadows.young import Partition, partitions_of, weights_reverse_lex
 from test_young import dense_symmetrizer
 
 
@@ -50,7 +53,7 @@ class TestQBases:
         expect[encode_basis((1, 0, 0), 2)] = -1
         assert np.allclose(first, expect / np.sqrt(6))
 
-    @pytest.mark.parametrize("d,n", [(2, 3), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("d,n", [(2, 3), (2, 4), (3, 3), (3, 4), (4, 3)])
     def test_dim_q_matches_symmetrizer_rank(self, d, n):
         seeds = build_q_bases(d, n)
         for lam in partitions_of(n, d):
@@ -59,8 +62,8 @@ class TestQBases:
             rank = int(np.sum(svals > 1e-9 * svals[0]))
             assert len(seeds[lam][1]) == rank
 
-    def test_vectors_lie_in_symmetrizer_image(self):
-        d, n = 2, 4
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 4), (4, 3)])
+    def test_vectors_lie_in_symmetrizer_image(self, d, n):
         seeds = build_q_bases(d, n)
         for lam in partitions_of(n, d):
             mat = dense_symmetrizer(lam, d)
@@ -85,11 +88,18 @@ class TestCompletion:
         assert got == expect
         assert sum(q * p for q, p in got.values()) == d**n
 
-    @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (3, 4)])
+    @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (3, 4), (2, 7), (2, 8), (4, 5)])
     def test_dim_p_matches_tableau_count(self, basis_for, d, n):
         basis = basis_for(d, n)
         for lam, block in basis.blocks.items():
             assert block.dim_p == standard_tableaux_count(lam.parts)
+
+    @pytest.mark.parametrize("d,n", [(2, 7), (4, 5)])
+    def test_dim_q_per_weight_is_kostka_number(self, basis_for, d, n):
+        basis = basis_for(d, n)
+        for lam, block in basis.blocks.items():
+            for w in weights_reverse_lex(n, d):
+                assert block.weight_of_i.count(w) == semistandard_tableaux_count(lam.parts, w)
 
     @pytest.mark.parametrize("d,n", [(2, 3), (2, 4), (3, 3), (3, 4)])
     def test_orthonormal_and_weight_pure(self, basis_for, d, n):
@@ -116,15 +126,35 @@ class TestCompletion:
                 w0 = block.weight_of_i[0]
                 assert all(w != w0 for w in block.weight_of_i[1:])
 
-    def test_verify_report_clean(self, basis_for):
-        report = verify_nice_basis(basis_for(2, 3), RngStream(31), trials=20)
+    @pytest.mark.parametrize("d,n", [(2, 3), (2, 7), (4, 5)])
+    def test_verify_report_clean(self, basis_for, d, n):
+        report = verify_nice_basis(basis_for(d, n), RngStream(31), trials=20)
         assert report["gram_deviation"] < 1e-9
         assert report["vector_count_ok"]
         assert report["weight_purity_violation"] == 0.0
         assert report["u_closure_residual"] < 1e-9
         assert report["pi_closure_residual"] < 1e-9
-        # the scan legitimately stops early on permutation-invariant blocks
-        assert isinstance(report["early_stopped"], list)
+
+    def test_build_and_verify_memory_is_blockwise(self):
+        # Build and verify hold a few (d^n, largest block) arrays at a time. The
+        # d^n x d^n matrix alone would take d^n / largest = 5.95 such units here.
+        d, n = 5, 4
+        # Lazy imports and first-call set-up stay outside the measurement.
+        verify_nice_basis(build_basis(2, 3), RngStream(32), trials=1)
+        tracemalloc.start()
+        try:
+            basis = build_basis(d, n)
+            verify_nice_basis(basis, RngStream(32), trials=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = max(max(b.dim_q, b.dim_p) for b in basis.blocks.values())
+        assert peak < 5 * d**n * largest * 16
+
+    def test_dense_matrix_refuses_beyond_cap(self):
+        # d^(2n) = 2^26 entries exceed the cap: refused before any allocation
+        with pytest.raises(CapExceededError):
+            SchurBasis(2, 13, {}).dense_matrix()
 
     def test_identity_maps_give_zero_residual(self, basis_for):
         # identity U and identity permutation leave every block fixed

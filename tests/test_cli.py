@@ -114,6 +114,13 @@ class TestShadowRun:
         summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
         assert summary["mean_povm_proposals_per_accept"] == pytest.approx(rows.mean(), abs=1e-12)
 
+    def test_segment_size_seven(self, tmp_path):
+        # epsilon = 1.2 at n = 200 gives segments of n' = 7 qudits
+        args = ["shadow", "run", "--d", "2", "--n", "200", "--rank", "1", "--epsilon", "1.2", "--trials", "10"]
+        assert main(args + ["--out", str(tmp_path / "run.csv")]) == 0
+        summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
+        assert summary["config"]["segment_size"] == 7
+
     def test_reproducible_outputs(self, tmp_path):
         assert main(self.run_args(tmp_path, "a.csv")) == 0
         assert main(self.run_args(tmp_path, "b.csv")) == 0

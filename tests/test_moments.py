@@ -13,7 +13,6 @@ from schur_shadows.moments import (
     ORACLE_DIM_CAP,
     MomentReport,
     _Register,
-    _SlotClasses,
     single_row_variance_closed_form,
     expected_shadow_exact,
     expected_shadow_formula,
@@ -26,7 +25,7 @@ from schur_shadows.moments import (
     variance_exact,
 )
 from schur_shadows.qudit import CapExceededError, PureState, RngStream, haar_unitary
-from schur_shadows.young import Partition, partitions_of
+from schur_shadows.young import Partition, SlotClasses, partitions_of
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -261,7 +260,7 @@ class TestPovmCompleteness:
         "d,m,slots", [(2, 4, (0, 1, 2, 3)), (2, 5, (1, 3, 4)), (3, 4, (0, 2)), (3, 3, (2,)), (4, 3, (0, 1, 2))]
     )
     def test_slot_class_mean_is_permutation_average(self, d, m, slots):
-        got = _SlotClasses(_Register(d, m), slots).mean(np.eye(d**m))
+        got = SlotClasses(_Register(d, m).digits, d, [slots]).mean(np.eye(d**m))
         assert np.max(np.abs(got - permutation_symmetrizer(d, m, slots))) < 1e-14
 
     def test_trivial_rows_give_identity(self):

@@ -4,8 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import brute_force_partitions, young_symmetrizer_apply
-from schur_shadows.qudit import PureState, RngStream, encode_basis
+from oracles import brute_force_partitions, young_symmetrizer_apply, young_symmetrizer_apply_digits
+from schur_shadows.qudit import PureState, RngStream, all_digit_tuples, encode_basis
 from schur_shadows.young import (
     BoxLayout,
     Partition,
@@ -18,26 +18,15 @@ from schur_shadows.young import (
     symmetric_dim,
     weight_of,
     weights_reverse_lex,
-    young_symmetrizer_terms,
 )
 
 
 def dense_symmetrizer(lam: Partition, d: int) -> np.ndarray:
     """Young symmetrizer as a dense matrix (test-side reference)."""
-    dim = d**lam.n
-    mat = np.zeros((dim, dim))
-    for mapping, sign in young_symmetrizer_terms(lam):
-        for idx in range(dim):
-            digits = []
-            v = idx
-            for _ in range(lam.n):
-                digits.append(v % d)
-                v //= d
-            digits = digits[::-1]
-            out = [0] * lam.n
-            for k, dig in enumerate(digits):
-                out[mapping[k]] = dig
-            mat[encode_basis(out, d), idx] += sign
+    mat = np.zeros((d**lam.n, d**lam.n))
+    for idx, digits in enumerate(all_digit_tuples(d, lam.n)):
+        for out, val in young_symmetrizer_apply_digits(lam, digits).items():
+            mat[encode_basis(out, d), idx] = val
     return mat
 
 

@@ -53,6 +53,9 @@ FORMAT_VERSION = 1
 
 _MAGIC = b"SCHB"
 
+#: One stored amplitude: its index, then its real and imaginary parts.
+_RECORD = np.dtype([("index", "<u8"), ("re", "<f8"), ("im", "<f8")])
+
 
 class BasisCacheError(RuntimeError):
     """Raised when a basis cache file is unreadable or inconsistent."""
@@ -447,9 +450,12 @@ def save_basis(basis: SchurBasis, path) -> None:
         for i in range(block.dim_q):
             for j in range(block.dim_p):
                 vec = block.vectors[(i, j)]
-                body += struct.pack("<Q", vec.indices.size)
-                for ix, amp in zip(vec.indices, vec.amplitudes):
-                    body += struct.pack("<Qdd", int(ix), float(amp.real), float(amp.imag))
+                records = np.empty(vec.indices.size, dtype=_RECORD)
+                records["index"] = vec.indices
+                records["re"] = vec.amplitudes.real
+                records["im"] = vec.amplitudes.imag
+                body += struct.pack("<Q", records.size)
+                body += records.tobytes()
     header = _MAGIC + struct.pack(
         "<IIIII", FORMAT_VERSION, basis.d, basis.n, len(basis.blocks), zlib.crc32(bytes(body))
     )
@@ -484,6 +490,7 @@ def load_basis(path) -> SchurBasis:
 
     blocks: dict[Partition, SchurBlock] = {}
     total = 0
+    top = 0
     for _ in range(lam_count):
         (k,) = take("<I")
         parts = take(f"<{k}I")
@@ -497,24 +504,27 @@ def load_basis(path) -> SchurBasis:
         for i in range(dim_q):
             for j in range(dim_p):
                 (count,) = take("<Q")
-                idx = np.empty(count, dtype=np.int64)
+                if offset + count * _RECORD.itemsize > len(body):
+                    raise BasisCacheError("malformed file: unexpected end of body")
+                records = np.frombuffer(body, dtype=_RECORD, count=count, offset=offset)
+                offset += count * _RECORD.itemsize
+                top = max(top, int(records["index"].max(initial=0)))
                 amp = np.empty(count, dtype=np.complex128)
-                for t in range(count):
-                    ix, re, im = take("<Qdd")
-                    idx[t] = ix
-                    amp[t] = complex(re, im)
+                amp.real = records["re"]
+                amp.imag = records["im"]
                 try:
-                    vectors[(i, j)] = SparseVector(idx, amp)
+                    vectors[(i, j)] = SparseVector(records["index"].astype(np.int64), amp)
                 except ValueError as exc:
                     raise BasisCacheError(f"malformed file: {exc}") from exc
         blocks[lam] = SchurBlock(lam, dim_q, dim_p, weights, vectors)
         total += dim_q * dim_p
     if offset != len(body):
         raise BasisCacheError("malformed file: trailing bytes after last block")
-    if total != d**n:
-        raise BasisCacheError(
-            f"count mismatch: file holds {total} vectors, but d^n = {d**n}"
-        )
+    dim = d**n
+    if top >= dim:
+        raise BasisCacheError(f"malformed file: amplitude index {top} is not below d^n = {dim}")
+    if total != dim:
+        raise BasisCacheError(f"count mismatch: file holds {total} vectors, but d^n = {dim}")
     return SchurBasis(d, n, blocks)
 
 

@@ -12,9 +12,14 @@ symbols are drawn from its spectrum. Both front ends sum the records with
 Two front ends run the segments:
 
 * :func:`population_shadow` takes a general joint state and measures it
-  densely, segment by segment: :func:`schur_measure` on the segment's rows,
-  then the POVM, whose partial contraction leaves the state of the later
-  segments. It is the reference for the product path below.
+  segment by segment. With A the (d^n', rest) view of the state, the law of
+  (lam, j) and of the POVM outcome depends on A only through A A^dag, so
+  :func:`schur_measure` and the POVM run on a factor F = U Lam^{1/2} of the
+  Gram A A^dag = U Lam U^dag, with at most d^n' columns. The state of the
+  later segments is the POVM's contraction r_F on F's columns, carried back
+  by (r_F F^+) A: range F = range A, so F F^+ A = A. The wide A is read
+  twice per segment, once for the Gram and once for the back-map. It is the
+  reference for the product path below.
 * :func:`shadow_from_population` takes a product input U^{x n}|e> and never
   forms a segment state. The protocol is U-covariant (the POVM outcome for
   U tau has the law of U times the outcome for tau), so it simulates at
@@ -181,8 +186,13 @@ def sample_population_input(chi: MixedState, n: int, rng: RngStream) -> tuple[Op
 # Row-symmetric POVM sampling
 # ---------------------------------------------------------------------------
 
-#: Complex entries that the intermediates of one chunk of samples may hold.
+#: Complex entries that the intermediates of one chunk of samples, or of one
+#: column chunk of a segment's Gram, may hold.
 _CHUNK_ENTRIES = 1 << 16
+
+#: Eigenvalues of a segment's Gram below this fraction of the largest are
+#: rounding noise of exact zeros; the factor drops their eigenvectors.
+_FACTOR_CUT = 1e-14
 
 #: Largest loss of mass, relative to the state's, when a row is projected
 #: onto its Dicke states.
@@ -463,6 +473,30 @@ def segment_count(epsilon: float) -> int:
     return math.ceil(10.0 / epsilon**2)
 
 
+def _segment_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """F with F F^dag = A A^dag and at most ``len(a)`` columns, and F^+.
+
+    A matrix no wider than it is tall is its own factor, returned as is with
+    F^+ = None. Otherwise the Gram is summed over column chunks of A, so the
+    only conjugate copy is one chunk's, and F = U Lam^{1/2} with
+    F^+ = Lam^{-1/2} U^dag keeps the eigenvalues above ``_FACTOR_CUT`` of the
+    largest. F^+ A = V^dag has orthonormal rows, the right singular vectors
+    of A, and F F^+ A = A.
+    """
+    rows, width = a.shape
+    if width <= rows:
+        return a, None
+    gram = np.zeros((rows, rows), dtype=np.complex128)
+    step = max(1, _CHUNK_ENTRIES // rows)
+    for start in range(0, width, step):
+        block = a[:, start : start + step]
+        gram += block @ block.conj().T
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > _FACTOR_CUT * vals[-1]
+    root = np.sqrt(vals[keep])
+    return vecs[:, keep] * root, vecs[:, keep].conj().T / root[:, None]
+
+
 def population_shadow(
     basis: SchurBasis,
     state: PureState,
@@ -475,6 +509,18 @@ def population_shadow(
     Splits the qudits into T = ceil(10/eps^2) contiguous segments of
     n' = n // T (remainder discarded), processes each segment, and averages
     (Psi - k I) / n'. The basis must be built for segment size n'.
+
+    A segment's rows are its qudits and its columns the later ones: A is
+    (d^n', R). The Schur measurement draws (lam, j) with probability
+    tr(Pi A A^dag) and the POVM's outcome density is a function of
+    Pi A A^dag Pi, so both keep their law on any F with F F^dag = A A^dag.
+    When R > d^n', they run on the factor of :func:`_segment_factor`, which
+    has at most d^n' columns. With Pi the measured projection followed by
+    the change of basis and c the POVM's contraction of the segment's rows,
+    the POVM leaves r_F = c Pi F / ||Pi F|| on F's columns, and
+    (r_F F^+) A = c Pi A / ||Pi A|| is the state it would leave on A itself.
+    A is read once for its Gram and once for that back-map; a segment with
+    R <= d^n' runs on A directly.
     """
     t_segments = segment_count(epsilon)
     if state.n < t_segments:
@@ -495,11 +541,12 @@ def population_shadow(
     proposals = 0
     for t in range(t_segments):
         sub = rng.child(t)
-        # The segment qudits are the rows; the POVM's partial contraction
-        # leaves the state of the qudits after them.
-        lam, _j, tau = schur_measure(basis, rest.reshape(seg_dim, -1), sub)
+        segment = rest.reshape(seg_dim, -1)
+        factor, pinv = _segment_factor(segment)
+        lam, _j, tau = schur_measure(basis, factor, sub)
         psis, rests, trials = _povm_sample(lam, d, tau, 1, sub.gen, max_iters)
-        rest = rests[0] / np.linalg.norm(rests[0])
+        rest = rests[0] if pinv is None else (rests[0] @ pinv) @ segment
+        rest /= np.linalg.norm(rest)
         acc += shadow_matrix(lam, psis, d) - lam.k * np.eye(d)
         partitions.append(lam.parts)
         proposals += trials

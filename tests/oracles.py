@@ -13,18 +13,32 @@ permutation terms, from which ``young_symmetrizer_apply_digits`` and
 symmetrizer and basis tests inspect. ``permutation_symmetrizer`` averages the s! slot
 permutation operators, and ``second_moment_dense`` is the exact second moment
 built from those d^(n+2)-square matrices, the reference for the class-mean
-computation in ``moments``.
+computation in ``moments``. ``population_shadow_dense`` runs the joint
+protocol's segments on the whole (d^n', rest) matrix, the reference for the
+factored segments of ``protocol.population_shadow``, and
+``save_basis_records`` writes a basis file one ``struct`` record per
+amplitude, the reference for the file layout of ``basis.save_basis``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
+import zlib
 from functools import lru_cache, reduce
 from math import comb, factorial
 
 import numpy as np
 
+from schur_shadows.basis import FORMAT_VERSION, schur_measure
+from schur_shadows.protocol import (
+    DEFAULT_MAX_REJECTION_ITERS,
+    ShadowEstimate,
+    _povm_sample,
+    segment_count,
+    shadow_matrix,
+)
 from schur_shadows.qudit import OperatorGrid, Permutation, PureState, apply_local_unitary
 from schur_shadows.young import BoxLayout, Partition, column_group, row_group, symmetric_dim
 
@@ -331,3 +345,52 @@ def chi_square(counts: dict, probs: dict) -> tuple[float, int]:
         stat += (pooled_obs - pooled_exp) ** 2 / pooled_exp
         bins += 1
     return stat, bins - 1
+
+
+def population_shadow_dense(basis, state: PureState, epsilon: float, rng, max_iters: int = DEFAULT_MAX_REJECTION_ITERS):
+    """``protocol.population_shadow`` with every segment measured on its whole
+    (d^n', rest) matrix: no Gram factor and no back-map, so each segment's
+    Schur coefficients, measured state and Dicke form are state-sized."""
+    t_segments = segment_count(epsilon)
+    seg_size = state.n // t_segments
+    d = state.d
+    rest = state.amplitudes
+    acc = np.zeros((d, d), dtype=np.complex128)
+    partitions = []
+    proposals = 0
+    for t in range(t_segments):
+        sub = rng.child(t)
+        lam, _j, tau = schur_measure(basis, rest.reshape(d**seg_size, -1), sub)
+        psis, rests, trials = _povm_sample(lam, d, tau, 1, sub.gen, max_iters)
+        rest = rests[0] / np.linalg.norm(rests[0])
+        acc += shadow_matrix(lam, psis, d) - lam.k * np.eye(d)
+        partitions.append(lam.parts)
+        proposals += trials
+    return ShadowEstimate(
+        matrix=acc / (t_segments * seg_size),
+        t_segments=t_segments,
+        segment_size=seg_size,
+        master_seed=rng.master_seed,
+        segment_partitions=partitions,
+        povm_proposals=proposals,
+    )
+
+
+def save_basis_records(basis, path) -> None:
+    """A basis file written one ``struct`` record per amplitude."""
+    body = bytearray()
+    for lam, block in basis.blocks.items():
+        body += struct.pack("<I", len(lam.parts))
+        body += struct.pack(f"<{len(lam.parts)}I", *lam.parts)
+        body += struct.pack("<II", block.dim_q, block.dim_p)
+        for w in block.weight_of_i:
+            body += struct.pack(f"<{basis.d}I", *w)
+        for i in range(block.dim_q):
+            for j in range(block.dim_p):
+                vec = block.vectors[(i, j)]
+                body += struct.pack("<Q", vec.indices.size)
+                for ix, amp in zip(vec.indices, vec.amplitudes):
+                    body += struct.pack("<Qdd", int(ix), float(amp.real), float(amp.imag))
+    header = b"SCHB" + struct.pack("<IIIII", FORMAT_VERSION, basis.d, basis.n, len(basis.blocks), zlib.crc32(bytes(body)))
+    with open(path, "wb") as fh:
+        fh.write(header + bytes(body))

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import block_probabilities, semistandard_tableaux_count, standard_tableaux_count
+from oracles import block_probabilities, save_basis_records, semistandard_tableaux_count, standard_tableaux_count
 from schur_shadows.basis import (
     BasisCacheError,
     SchurBasis,
@@ -168,6 +168,16 @@ class TestCompletion:
                     assert np.linalg.norm(vec - cols @ (cols.conj().T @ vec)) < 1e-12
 
 
+def write_out_of_range_file(path) -> None:
+    """A d = 2, n = 1 basis file whose second vector's index is 7, re-checksummed."""
+    save_basis(build_basis(2, 1), path)
+    raw = bytearray(path.read_bytes())
+    # The last record is the second vector's only amplitude: index, re, im.
+    raw[-24:-16] = struct.pack("<Q", 7)
+    raw[20:24] = struct.pack("<I", zlib.crc32(bytes(raw[24:])))
+    path.write_bytes(bytes(raw))
+
+
 def _random_state(d: int, n: int, seed: int) -> PureState:
     gen = RngStream(seed).gen
     amps = gen.standard_normal(d**n) + 1j * gen.standard_normal(d**n)
@@ -315,6 +325,19 @@ class TestPersistence:
             for key, vec in block.vectors.items():
                 assert np.array_equal(other.vectors[key].indices, vec.indices)
                 assert np.array_equal(other.vectors[key].amplitudes, vec.amplitudes)
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 3)])
+    def test_bytes_match_per_amplitude_records(self, basis_for, tmp_path, d, n):
+        basis = basis_for(d, n)
+        save_basis(basis, tmp_path / "a.schb")
+        save_basis_records(basis, tmp_path / "b.schb")
+        assert (tmp_path / "a.schb").read_bytes() == (tmp_path / "b.schb").read_bytes()
+
+    def test_index_beyond_dimension(self, tmp_path):
+        path = tmp_path / "bad.schb"
+        write_out_of_range_file(path)
+        with pytest.raises(BasisCacheError, match="malformed file: amplitude index 7"):
+            load_basis(path)
 
     def test_truncated_file_fails_checksum(self, basis_for, tmp_path):
         path = tmp_path / "b.schb"

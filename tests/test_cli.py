@@ -7,6 +7,7 @@ import pytest
 from schur_shadows.basis import load_basis, save_basis
 from schur_shadows.cli import main
 from schur_shadows.young import Partition
+from test_basis import write_out_of_range_file
 
 
 @pytest.fixture(autouse=True)
@@ -46,6 +47,13 @@ class TestBasisCommands:
         raw = out.read_bytes()
         out.write_bytes(raw[:-4])
         assert main(["basis", "verify", "--path", str(out)]) == 1
+
+    def test_verify_refuses_index_beyond_dimension(self, tmp_path, capsys):
+        out = tmp_path / "bad.schb"
+        write_out_of_range_file(out)
+        assert main(["basis", "verify", "--path", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "check failed" in err and "Traceback" not in err
 
     def test_verify_flags_perturbed_amplitude(self, tmp_path, capsys):
         out = tmp_path / "b.schb"

@@ -11,6 +11,7 @@ from oracles import (
     chi2_sf,
     chi_square,
     lambda_given_weight,
+    population_shadow_dense,
     product_basis_state,
     schur_weyl_distribution,
     semistandard_tableaux_count,
@@ -31,6 +32,7 @@ from schur_shadows.protocol import (
     RejectionBudgetError,
     _dicke_tensor,
     _RowLaw,
+    _segment_factor,
     baseline_single_copy_shadow,
     median_of_means,
     mixed_state_shadow,
@@ -44,7 +46,7 @@ from schur_shadows.protocol import (
     shadow_matrix,
     ShadowEstimate,
 )
-from schur_shadows.qudit import OperatorGrid, PureState, RngStream, haar_unitary
+from schur_shadows.qudit import OperatorGrid, PureState, RngStream, apply_local_unitary, haar_unitary
 from schur_shadows.young import Partition, kappa_product, partitions_of, symmetric_dim, weight_of
 from test_moments import z_threshold
 
@@ -317,17 +319,19 @@ class TestDickeSampler:
         assert rng.gen.bit_generator.state == before
 
     def test_memory_stays_within_state_size(self, basis_for):
-        # Nothing of shape proposals x rest is formed. A joint run holds a few
-        # state-sized arrays at once: the Schur coefficients, the measured
-        # state and its Dicke form. A Monte Carlo batch holds its outcomes and
-        # the intermediates of one chunk of samples, a few hundred of 4000.
+        # Nothing of shape proposals x rest is formed. A joint run measures
+        # each segment on a factor of at most d^n' columns; what it holds of
+        # the state's size is one chunk of the Gram's conjugate, at most the
+        # state itself, then the later segments' state. A Monte Carlo batch
+        # holds its outcomes and the intermediates of one chunk of samples, a
+        # few hundred of 4000.
         n, epsilon = 14, 1.2  # T = 7 segments of 2 qubits
         basis = basis_for(2, n // segment_count(epsilon))
         gen = RngStream(319).gen
         amps = gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n)
         state = PureState(2, n, amps / np.linalg.norm(amps))
         peak = traced_peak(lambda: population_shadow(basis, state, epsilon, RngStream(320)))
-        assert peak < 4 * state.amplitudes.nbytes, peak
+        assert peak < 1.5 * state.amplitudes.nbytes, peak
 
         lam, d, count = Partition((1, 1, 1)), 4, 4000
         amps = gen.standard_normal(d**3) + 1j * gen.standard_normal(d**3)
@@ -554,6 +558,88 @@ class TestPopulationShadow:
         a = population_shadow(basis, state, 2.0, RngStream(84))
         b = population_shadow(basis, state, 2.0, RngStream(84))
         assert np.array_equal(a.matrix, b.matrix)
+
+
+class TestSegmentFactor:
+    """The joint path measures a segment on a factor F of its Gram and maps
+    the POVM's contraction back through F^+, against the dense segment step."""
+
+    @pytest.mark.parametrize("rank", [8, 1, 3])
+    def test_wide_matrix_is_factored(self, rank):
+        gen = RngStream(700 + rank).gen
+        left = gen.standard_normal((8, rank)) + 1j * gen.standard_normal((8, rank))
+        a = left @ (gen.standard_normal((rank, 512)) + 1j * gen.standard_normal((rank, 512)))
+        factor, pinv = _segment_factor(a)
+        gram = a @ a.conj().T
+        assert factor.shape == (8, rank)
+        assert np.max(np.abs(factor @ factor.conj().T - gram)) <= 1e-12 * np.max(np.abs(gram))
+        assert np.max(np.abs(factor @ (pinv @ a) - a)) <= 1e-12 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("width", [8, 3])
+    def test_narrow_matrix_is_passed_through(self, width):
+        gen = RngStream(710 + width).gen
+        a = gen.standard_normal((8, width)) + 1j * gen.standard_normal((8, width))
+        factor, pinv = _segment_factor(a)
+        assert factor is a and pinv is None
+
+    @pytest.mark.parametrize("seg", [2, 3])
+    def test_draw_for_draw_on_one_row_outcomes(self, basis_for, seg):
+        # U^{x n} of (|0...0> + |1...1>) / sqrt 2 keeps every segment in the
+        # symmetric subspace, so every row has n' > 1 boxes and its draws
+        # do not depend on the columns of the state, only on its Gram.
+        d, t_segments = 2, 3
+        n = seg * t_segments
+        basis = basis_for(d, seg)
+        amps = np.zeros(d**n, dtype=complex)
+        amps[0] = amps[-1] = 1 / np.sqrt(2)
+        for r in range(20):
+            state = apply_local_unitary(haar_unitary(d, RngStream(720 + r)), PureState(d, n, amps))
+            a = population_shadow(basis, state, 2.0, RngStream(740).child(r))
+            b = population_shadow_dense(basis, state, 2.0, RngStream(740).child(r))
+            assert a.segment_partitions == b.segment_partitions == [(seg,)] * t_segments
+            assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-12, r
+
+    def test_law_on_entangled_input(self, basis_for):
+        # A Haar state has one-box rows, whose draws pick columns of the
+        # state, so only the law is shared with the dense step. The partitions
+        # of the first w segments have the law
+        # ||(Pi_lam1 (x) ... (x) Pi_lamw (x) I) s||^2, gated at w = 2 and 3, and
+        # the mean estimate is the average one-qudit marginal.
+        d, seg, t_segments, runs = 2, 3, 3, 2000
+        n = seg * t_segments
+        basis = basis_for(d, seg)
+        gen = RngStream(750).gen
+        amps = gen.standard_normal(d**n) + 1j * gen.standard_normal(d**n)
+        state = PureState(d, n, amps / np.linalg.norm(amps))
+        dense = basis.dense_matrix()
+        projectors = {}
+        for lam, block in basis.blocks.items():
+            cols = np.concatenate([dense[:, basis.block_slice(lam, j)] for j in range(block.dim_p)], axis=1)
+            projectors[lam.parts] = cols @ cols.conj().T
+        laws = {}
+        for width in (2, 3):
+            for key in itertools.product(projectors, repeat=width):
+                t = state.amplitudes.reshape((d**seg,) * t_segments)
+                for axis, parts in enumerate(key):
+                    t = np.moveaxis(np.tensordot(projectors[parts], t, axes=(1, axis)), 0, axis)
+                laws.setdefault(width, {})[key] = float(np.vdot(t, t).real)
+        marginal = np.zeros((d, d), dtype=complex)
+        for q in range(n):
+            t = state.amplitudes.reshape(d**q, d, -1)
+            marginal += np.einsum("aib,ajb->ij", t, t.conj()) / n
+        tallies = {width: Counter() for width in laws}
+        stats = _EntrywiseStats((d, d))
+        root = RngStream(751)
+        for r in range(runs):
+            est = population_shadow(basis, state, 2.0, root.child(r))
+            for width, tally in tallies.items():
+                tally[tuple(est.segment_partitions[:width])] += 1
+            stats.add_batch(est.matrix[None])
+        for width, tally in tallies.items():
+            assert set(tally) <= set(laws[width])
+            stat, df = chi_square(tally, laws[width])
+            assert chi2_sf(stat, df) >= 1e-4, (width, stat, df)
+        assert np.max(stats.z_scores(marginal)) <= z_threshold(2 * d * d, 4.0)
 
 
 class TestMixedStateShadow:

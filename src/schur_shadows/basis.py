@@ -27,7 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qudit import RngStream, check_dense_dim, haar_unitary, local_unitary_action
+from .qudit import (
+    RngStream,
+    check_dense_dim,
+    digit_table,
+    haar_unitary,
+    local_unitary_action,
+    permuted_indices,
+    place_values,
+)
 from .young import (
     BoxLayout,
     Partition,
@@ -177,21 +185,10 @@ def _columns(vectors: list[SparseVector], rows: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _powers(d: int, n: int) -> np.ndarray:
-    return d ** np.arange(n - 1, -1, -1)
-
-
-def _permuted_indices(digits: np.ndarray, d: int, mappings: np.ndarray) -> np.ndarray:
-    """out[g, r]: the index that digit tuple ``digits[r]`` moves to when
-    qudit k goes to position ``mappings[g, k]``."""
-    moved = digits[:, np.argsort(mappings, axis=1)]
-    return (moved @ _powers(d, digits.shape[1])).T
-
-
 def _weight_slice(d: int, weight) -> tuple[np.ndarray, np.ndarray]:
     """Digit tuples of one weight, one per row in increasing index order, and their indices."""
     digits = np.array(digit_tuples_of_weight(weight), dtype=np.int64)
-    return digits, digits @ _powers(d, digits.shape[1])
+    return digits, digits @ place_values(d, digits.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +238,14 @@ def build_q_bases(d: int, n: int) -> dict[Partition, tuple[list[tuple[int, ...]]
                 digits, indices = _weight_slice(d, top)
                 strict = np.all(digits[:, below] > digits[:, above], axis=1)
                 # Column permutations of a column-strict filling land on distinct rows.
-                rows = np.searchsorted(indices, _permuted_indices(digits[strict], d, mappings))
+                rows = np.searchsorted(indices, permuted_indices(digits[strict], d, mappings))
                 images = np.zeros((len(digits), rows.shape[1]))
                 images[rows, np.arange(rows.shape[1])] = signs[:, None]
                 images = SlotClasses(digits, d, layout.row_blocks()).mean(images)
                 left, singular, _ = np.linalg.svd(images, full_matrices=False)
                 decreasing[top] = (digits, left[:, singular > RANK_CUT])
             digits, cols = decreasing[top]
-            indices = np.array(order)[digits] @ _powers(d, n)
+            indices = np.array(order)[digits] @ place_values(d, n)
             rows = np.argsort(indices)
             cols = cols[rows]
             lead = cols[np.argmax(np.abs(cols) >= PRUNE, axis=0), np.arange(cols.shape[1])]
@@ -297,7 +294,7 @@ def schur_basis_completion(
             if w not in slices:
                 slices[w] = _weight_slice(d, w)
             digits, indices = slices[w]
-            rows = np.searchsorted(indices, _permuted_indices(digits, d, mappings))
+            rows = np.searchsorted(indices, permuted_indices(digits, d, mappings))
             # moved[t, :, k] = P_T |(lam, start + k, 0)> on the slice.
             moved = np.zeros((dim_p, len(indices), stop - start), dtype=np.complex128)
             moved[np.arange(dim_p)[:, None], rows] = _columns(vectors[start:stop], indices)
@@ -344,10 +341,13 @@ def verify_nice_basis(basis: SchurBasis, rng: RngStream, trials: int = 20) -> di
     The U-closure residual measures how far U^{tensor n} maps the vectors of
     a fixed-(lam, j) block out of that block; the pi-closure residual is the
     analogue for permutations and fixed-(lam, i) blocks. One block at a time
-    is made dense.
+    is made dense. At least one trial is required: with none, no closure is
+    checked.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     d, n, dim = basis.d, basis.n, basis.dim
-    digits = np.arange(dim)[:, None] // _powers(d, n) % d
+    digits = digit_table(d, n)
     weight_of_index = np.stack([np.sum(digits == sym, axis=1) for sym in range(d)], axis=1)
     purity_dev = 0.0
     count_ok = sum(b.dim_q * b.dim_p for b in basis.blocks.values()) == dim
@@ -361,7 +361,7 @@ def verify_nice_basis(basis: SchurBasis, rng: RngStream, trials: int = 20) -> di
         sub = rng.child(trial)
         unitaries.append(haar_unitary(d, sub).entries)
         perms.append(sub.gen.permutation(n))
-    images = _permuted_indices(digits, d, np.array(perms, dtype=np.int64).reshape(trials, n))
+    images = permuted_indices(digits, d, np.array(perms, dtype=np.int64))
     u_residual = 0.0
     pi_residual = 0.0
     for block in basis.blocks.values():

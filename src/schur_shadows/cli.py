@@ -108,6 +108,8 @@ def cmd_basis_build(args) -> int:
 def cmd_basis_verify(args) -> int:
     if not os.path.exists(args.path):
         raise ConfigError(f"no such file: {args.path}")
+    if args.trials < 1:
+        raise ConfigError("trials must be >= 1")
     loaded = basis_mod.load_basis(args.path)
     report = basis_mod.verify_nice_basis(loaded, RngStream(args.seed), trials=args.trials)
     for key in ("gram_deviation", "weight_purity_violation", "u_closure_residual", "pi_closure_residual"):
@@ -137,8 +139,6 @@ def cmd_shadow_run(args) -> int:
         raise ConfigError("epsilon must be positive")
     if args.trials < 1:
         raise ConfigError("trials must be >= 1")
-    if args.n < segment_count(args.epsilon):
-        raise ConfigError(f"n must be >= ceil(10/eps^2) = {segment_count(args.epsilon)}")
     t_pop = segment_count(args.epsilon / 2.0)
     if args.n < t_pop:
         raise ConfigError(f"n must be >= T = {t_pop} for the epsilon/2 population run")
@@ -227,6 +227,8 @@ def cmd_shadow_run(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.d < 2:
+        raise ConfigError("d must be >= 2")
     if args.closed_form:
         if args.p is None or args.q is None:
             raise ConfigError("--closed-form needs --p and --q")
@@ -256,6 +258,9 @@ def cmd_oracle(args) -> int:
     lam = _parse_partition(args.lam)
     if lam.k > args.d:
         raise ConfigError(f"partition {lam} has more than d={args.d} parts")
+    least = 0 if args.povm else 1
+    if args.samples < least:
+        raise ConfigError(f"samples must be >= {least}")
 
     if args.povm:
         residual = moments_mod.povm_completeness_residual(lam, args.d)
@@ -321,11 +326,22 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench_scaling(args) -> int:
-    t_values = [int(t) for t in args.t_grid.split(",") if t.strip()]
+    try:
+        t_values = [int(t) for t in args.t_grid.split(",") if t.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad T grid {args.t_grid!r}: {exc}") from exc
     if not t_values:
         raise ConfigError("empty T grid")
+    if min(t_values) < 1:
+        raise ConfigError("every T must be >= 1")
+    if args.d < 2:
+        raise ConfigError("d must be >= 2")
     if args.rank < 1 or args.rank > args.d:
         raise ConfigError(f"rank must be in 1..{args.d}")
+    if args.segment_size < 1:
+        raise ConfigError("segment size must be >= 1")
+    if args.trials < 1:
+        raise ConfigError("trials must be >= 1")
     rng = RngStream(args.seed)
     chi = MixedState.random(args.d, args.rank, rng.child(-2))
     observable = make_observable(args.observable, args.d, rng.child(-3))

@@ -14,6 +14,7 @@ them, so no operator on n+1 or n+2 qudits is built.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,9 @@ from .qudit import (
     PureState,
     RngStream,
     apply_local_unitary,
+    digit_table,
     haar_pure_state_batch,
+    permuted_indices,
 )
 from .young import BoxLayout, Partition, SlotClasses, kappa_product, row_group, symmetric_dim
 
@@ -33,50 +36,30 @@ ORACLE_DIM_CAP = 2200
 
 ROW_SYMMETRY_TOL = 1e-8
 
+#: Digit entries that one chunk of permuted digit tables may hold.
+_PERM_CHUNK = 1 << 18
+
 
 # ---------------------------------------------------------------------------
-# Permutation operators on the extended register
+# Row symmetrizers on the n-qudit register
 # ---------------------------------------------------------------------------
-
-
-class _Register:
-    """Digit bookkeeping for a d^m index space."""
-
-    def __init__(self, d: int, m: int):
-        self.d = d
-        self.m = m
-        self.dim = d**m
-        idx = np.arange(self.dim)
-        digits = np.empty((self.dim, m), dtype=np.int64)
-        for pos in range(m - 1, -1, -1):
-            digits[:, pos] = idx % d
-            idx = idx // d
-        self.digits = digits
-        self.powers = d ** np.arange(m - 1, -1, -1)
-
-    def perm_index_map(self, mapping) -> np.ndarray:
-        """new_index[v] for the operator moving slot k to slot mapping[k]."""
-        new_digits = np.empty_like(self.digits)
-        for k, dst in enumerate(mapping):
-            new_digits[:, dst] = self.digits[:, k]
-        return new_digits @ self.powers
 
 
 def row_symmetric_projector(lam: Partition, d: int) -> np.ndarray:
-    """Projector onto the row-symmetric subspace: the row-group average."""
-    reg = _Register(d, lam.n)
-    mat = np.zeros((reg.dim, reg.dim))
-    cols = np.arange(reg.dim)
-    count = 0
-    for perm in row_group(lam):
-        mat[reg.perm_index_map(perm.mapping), cols] += 1.0
-        count += 1
+    """Projector onto the row-symmetric subspace: the row-group average, taken
+    over chunks of the group so that no (|group|, d^n, n) array is formed."""
+    digits = digit_table(d, lam.n)
+    mat = np.zeros((len(digits), len(digits)))
+    perms, count = row_group(lam), 0
+    while chunk := [perm.mapping for perm in itertools.islice(perms, max(1, _PERM_CHUNK // digits.size))]:
+        np.add.at(mat, (permuted_indices(digits, d, np.array(chunk)), np.arange(len(digits))), 1.0)
+        count += len(chunk)
     return mat / count
 
 
 def _apply_row_symmetrizers(lam: Partition, d: int, vecs: np.ndarray) -> np.ndarray:
     """prod_r S_r applied along axis 0 of ``vecs`` on the n-qudit register."""
-    return SlotClasses(_Register(d, lam.n).digits, d, BoxLayout(lam).row_blocks()).mean(vecs)
+    return SlotClasses(digit_table(d, lam.n), d, BoxLayout(lam).row_blocks()).mean(vecs)
 
 
 def row_symmetry_residual(lam: Partition, tau: PureState) -> float:
@@ -167,10 +150,10 @@ def expected_shadow_formula(lam: Partition, weight, unitary: OperatorGrid | None
 # ---------------------------------------------------------------------------
 
 
-def check_oracle_cap(d: int, n: int, dim_cap: int = ORACLE_DIM_CAP) -> None:
+def check_oracle_cap(d: int, n: int) -> None:
     """Refuse an n-qudit second moment whose (n+2)-qudit register exceeds the cap."""
-    if d ** (n + 2) > dim_cap:
-        raise CapExceededError(f"d^(n+2) = {d ** (n + 2)} exceeds oracle cap {dim_cap}")
+    if d ** (n + 2) > ORACLE_DIM_CAP:
+        raise CapExceededError(f"d^(n+2) = {d ** (n + 2)} exceeds oracle cap {ORACLE_DIM_CAP}")
 
 
 def second_moment_exact(
@@ -178,7 +161,6 @@ def second_moment_exact(
     tau: PureState,
     unitary: OperatorGrid | None = None,
     validate: bool = True,
-    dim_cap: int = ORACLE_DIM_CAP,
     rows: str = "all",
 ) -> np.ndarray:
     """Exact E[Psi tensor Psi] as a d^2 x d^2 matrix.
@@ -201,11 +183,11 @@ def second_moment_exact(
         raise ValueError(f"rows must be 'all', 'cross', or 'diagonal', not {rows!r}")
     d, n = tau.d, tau.n
     # Refuse by size first, before any validation work.
-    check_oracle_cap(d, n, dim_cap)
+    check_oracle_cap(d, n)
     if validate:
         _check_protocol_state(lam, tau)
     amps = _rotated_amplitudes(tau, unitary)
-    reg = _Register(d, n + 2)
+    digits = digit_table(d, n + 2)
     layout = BoxLayout(lam)
     columns = np.kron(np.eye(d * d, dtype=np.complex128), amps.reshape(-1, 1))
 
@@ -215,7 +197,7 @@ def second_moment_exact(
     def classes(slots) -> SlotClasses:
         key = frozenset(slots)
         if key not in class_cache:
-            class_cache[key] = SlotClasses(reg.digits, d, [slots])
+            class_cache[key] = SlotClasses(digits, d, [slots])
         return class_cache[key]
 
     total = np.zeros((d * d, d * d), dtype=np.complex128)

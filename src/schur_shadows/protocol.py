@@ -60,16 +60,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import SchurBasis, schur_measure
+from .basis import SchurBasis, build_basis, schur_measure
 from .qudit import (
     DEFAULT_ATOL,
     OperatorGrid,
     PureState,
     RngStream,
+    digit_table,
+    haar_unitary,
+    haar_unitary_batch,
     hermiticity_deviation,
     unitarity_deviation,
 )
-from .young import Partition, symmetric_dim, weights_reverse_lex
+from .young import Partition, SlotClasses, symmetric_dim
 
 logger = logging.getLogger(__name__)
 
@@ -112,8 +115,6 @@ class MixedState:
 
     @classmethod
     def random(cls, d: int, rank: int, rng: RngStream) -> "MixedState":
-        from .qudit import haar_unitary
-
         if not 1 <= rank <= d:
             raise ValueError(f"rank must be in 1..{d}")
         raw = rng.gen.dirichlet(np.ones(rank))
@@ -207,23 +208,22 @@ _SUPPORT_CUT = 1e-16
 def _dicke_map(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compositions v of m into d parts, sqrt(multinom(m; v)), and P_m.
 
-    The compositions come largest first, so the unit composition e_a has
-    index a and P_1 is the identity. P_m is the (kappa_m, d^m) map onto the
-    normalised Dicke states |D_v>, the uniform superpositions of the digit
-    tuples of weight v. The arrays are shared by the cache, so read-only.
+    The compositions are the weights of the digit-multiset classes of the
+    m-digit tuples. The classes come in increasing index order of their
+    sorted tuples 0^{v_0} 1^{v_1} ..., and a tuple with more leading zeros,
+    then more ones after them, and so on, is smaller: the compositions come
+    largest first (reverse lexicographic order). So the unit composition e_a
+    has index a and P_1 is the identity. The class sizes are the multinomials.
+    P_m is the (kappa_m, d^m) map onto the normalised Dicke states |D_v>, the
+    uniform superpositions of the digit tuples of weight v. The arrays are
+    shared by the cache, so read-only.
     """
-    comps = np.array(list(weights_reverse_lex(m, d)), dtype=np.int64)
-    sqrt_multinom = np.sqrt(
-        [math.factorial(m) / math.prod(math.factorial(x) for x in v) for v in comps.tolist()]
-    )
-    tuples = np.arange(d**m)
-    digits = tuples[:, None] // d ** np.arange(m - 1, -1, -1) % d
-    radix = (m + 1) ** np.arange(d)
-    keys = comps @ radix
-    order = np.argsort(keys)
-    row = order[np.searchsorted(keys[order], (digits[:, :, None] == np.arange(d)).sum(axis=1) @ radix)]
-    proj = np.zeros((len(comps), d**m))
-    proj[row, tuples] = 1.0 / sqrt_multinom[row]
+    digits = digit_table(d, m)
+    classes = SlotClasses(digits, d, [range(m)])
+    comps = (digits[classes.order[classes.starts], :, None] == np.arange(d)).sum(axis=1)
+    sqrt_multinom = np.sqrt(classes.counts)
+    proj = np.zeros((len(comps), len(digits)))
+    proj[classes.inverse, np.arange(len(digits))] = 1.0 / sqrt_multinom[classes.inverse]
     for arr in (comps, sqrt_multinom, proj):
         arr.setflags(write=False)
     return comps, sqrt_multinom, proj
@@ -658,7 +658,6 @@ def mixed_state_shadow(
     epsilon: float,
     rng: RngStream,
     basis: SchurBasis | None = None,
-    cache_dir=None,
     max_iters: int = DEFAULT_MAX_REJECTION_ITERS,
 ) -> ShadowEstimate:
     """Shadow estimate from n copies of a mixed state.
@@ -671,9 +670,7 @@ def mixed_state_shadow(
         raise ValueError(f"need n >= T = {t_segments} copies, got {n}")
     seg_size = n // t_segments
     if basis is None:
-        from .basis import build_or_load
-
-        basis = build_or_load(chi.d, seg_size, cache_dir)
+        basis = build_basis(chi.d, seg_size)
     if basis.n != seg_size or basis.d != chi.d:
         raise ValueError(
             f"basis is for (d={basis.d}, n={basis.n}), segments need (d={chi.d}, n={seg_size})"
@@ -716,10 +713,7 @@ def baseline_single_copy_shadow(chi: MixedState, n: int, rng: RngStream) -> Shad
         raise ValueError("n must be >= 1")
     d = chi.d
     gen = rng.gen
-    ginibre = gen.standard_normal((n, d, d)) + 1j * gen.standard_normal((n, d, d))
-    q, r = np.linalg.qr(ginibre)
-    phases = np.einsum("cii->ci", r)
-    v = q * (phases / np.abs(phases))[:, None, :]
+    v = haar_unitary_batch(d, n, gen)
     eigen_idx = gen.choice(d, size=n, p=chi.eigenvalues)
     rotated = np.einsum("cba,bi->cai", v.conj(), chi.eigenvectors.entries)  # V^dag U per copy
     probs = np.abs(rotated[np.arange(n), :, eigen_idx]) ** 2

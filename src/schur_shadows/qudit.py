@@ -10,6 +10,11 @@ Conventions used throughout the package:
   digit at position pi(k) is e_k.
 * States and operators are plain dense numpy arrays wrapped in thin value
   types; all functions are pure.
+
+This module owns the index <-> digits codec (:func:`place_values`,
+:func:`digit_table`), the index map of qudit permutations
+(:func:`permuted_indices`) and the Haar draws; the other modules call these
+rather than rebuilding them.
 """
 
 from __future__ import annotations
@@ -72,6 +77,23 @@ def all_digit_tuples(d: int, n: int):
     return itertools.product(range(d), repeat=n)
 
 
+def place_values(d: int, n: int) -> np.ndarray:
+    """Big-endian place values d^(n-1), ..., d, 1: ``digits @ place_values(d, n)`` is the index."""
+    return d ** np.arange(n - 1, -1, -1)
+
+
+def digit_table(d: int, n: int) -> np.ndarray:
+    """The (d^n, n) digit tuples, one per row in increasing index order."""
+    return np.arange(d**n)[:, None] // place_values(d, n) % d
+
+
+def permuted_indices(digits: np.ndarray, d: int, mappings: np.ndarray) -> np.ndarray:
+    """out[g, r]: the index that digit tuple ``digits[r]`` moves to when
+    qudit k goes to position ``mappings[g, k]``."""
+    moved = digits[:, np.argsort(mappings, axis=1)]
+    return (moved @ place_values(d, digits.shape[1])).T
+
+
 # ---------------------------------------------------------------------------
 # Permutations
 # ---------------------------------------------------------------------------
@@ -127,13 +149,6 @@ class Permutation:
                 if m[i] > m[j]:
                     inversions += 1
         return 1 if inversions % 2 == 0 else -1
-
-    def apply_to_digits(self, digits) -> tuple[int, ...]:
-        """Move digit at position k to position mapping[k]."""
-        out = [0] * self.size
-        for k, dig in enumerate(digits):
-            out[self.mapping[k]] = dig
-        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +216,6 @@ class OperatorGrid:
             dev = hermiticity_deviation(ent)
             if dev > DEFAULT_ATOL:
                 raise ValueError(f"matrix declared Hermitian deviates by {dev}")
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
 
     @classmethod
     def identity(cls, dim: int) -> "OperatorGrid":
@@ -352,13 +359,17 @@ def haar_pure_state_batch(d: int, count: int, gen: np.random.Generator) -> np.nd
     return vecs
 
 
+def haar_unitary_batch(d: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` Haar-random d x d unitaries (QR of Ginibre matrices) as a (count, d, d) array."""
+    ginibre = gen.standard_normal((count, d, d)) + 1j * gen.standard_normal((count, d, d))
+    q, r = np.linalg.qr(ginibre)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    # Phase correction makes the distribution exactly Haar.
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
 def haar_unitary(d: int, rng: RngStream) -> OperatorGrid:
-    """Draw a Haar-random d x d unitary (QR of a Ginibre matrix)."""
+    """Draw a Haar-random d x d unitary: the one-draw batch."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    ginibre = rng.gen.standard_normal((d, d)) + 1j * rng.gen.standard_normal((d, d))
-    q, r = np.linalg.qr(ginibre)
-    diag = np.diagonal(r)
-    # Phase correction makes the distribution exactly Haar.
-    q = q * (diag / np.abs(diag))
-    return OperatorGrid(q)
+    return OperatorGrid(haar_unitary_batch(d, 1, rng.gen)[0])

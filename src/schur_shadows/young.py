@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .qudit import Permutation
+from .qudit import Permutation, place_values
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class SlotClasses:
         for block in blocks:
             block = list(block)
             canonical[:, block] = np.sort(digits[:, block], axis=1)
-        keys = canonical @ d ** np.arange(digits.shape[1] - 1, -1, -1)
+        keys = canonical @ place_values(d, digits.shape[1])
         _, self.inverse, self.counts = np.unique(keys, return_inverse=True, return_counts=True)
         self.order = np.argsort(self.inverse, kind="stable")
         self.starts = np.concatenate(([0], np.cumsum(self.counts)[:-1]))

@@ -10,7 +10,8 @@ the dense input that the reference measurement path takes.
 ``young_symmetrizer_terms`` lists the Young symmetrizer's (row o column)
 permutation terms, from which ``young_symmetrizer_apply_digits`` and
 ``young_symmetrizer_apply`` compute the symmetrizer images that the
-symmetrizer and basis tests inspect. ``permutation_symmetrizer`` averages the s! slot
+symmetrizer and basis tests inspect. ``dicke_map_brute_force`` builds the
+POVM's Dicke coordinates from an enumeration of the digit tuples. ``permutation_symmetrizer`` averages the s! slot
 permutation operators, and ``second_moment_dense`` is the exact second moment
 built from those d^(n+2)-square matrices, the reference for the class-mean
 computation in ``moments``. ``population_shadow_dense`` runs the joint
@@ -56,6 +57,21 @@ def dicke_amplitudes(p: int, q: int) -> np.ndarray:
         if sum(bits) == q:
             amps[int("".join(map(str, bits)), 2)] = 1.0
     return amps / np.linalg.norm(amps)
+
+
+def dicke_map_brute_force(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compositions of m into d parts, largest first, sqrt(multinom(m; v)), and
+    the (kappa_m, d^m) map onto the normalised Dicke states, by enumerating the
+    digit tuples in index order."""
+    tuples = list(itertools.product(range(d), repeat=m))
+    weights = [tuple(digits.count(sym) for sym in range(d)) for digits in tuples]
+    comps = sorted(set(weights), reverse=True)
+    row = {v: k for k, v in enumerate(comps)}
+    sqrt_multinom = np.array([math.sqrt(factorial(m) / math.prod(factorial(x) for x in v)) for v in comps])
+    proj = np.zeros((len(comps), d**m))
+    for idx, v in enumerate(weights):
+        proj[row[v], idx] = 1.0 / sqrt_multinom[row[v]]
+    return np.array(comps), sqrt_multinom, proj
 
 
 def single_row_first_moment_quadrature(obs: np.ndarray, p: int, q: int) -> float:

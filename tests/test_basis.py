@@ -135,6 +135,12 @@ class TestCompletion:
         assert report["u_closure_residual"] < 1e-9
         assert report["pi_closure_residual"] < 1e-9
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_verify_needs_a_trial(self, basis_for, trials):
+        # With no trial no closure would be checked, and a broken basis would pass.
+        with pytest.raises(ValueError, match="trials"):
+            verify_nice_basis(basis_for(2, 3), RngStream(31), trials=trials)
+
     def test_build_and_verify_memory_is_blockwise(self):
         # Build and verify hold a few (d^n, largest block) arrays at a time. The
         # d^n x d^n matrix alone would take d^n / largest = 5.95 such units here.

@@ -4,10 +4,23 @@ import json
 import numpy as np
 import pytest
 
-from schur_shadows.basis import load_basis, save_basis
+from schur_shadows.basis import SparseVector, build_basis, load_basis, save_basis
 from schur_shadows.cli import main
 from schur_shadows.young import Partition
 from test_basis import write_out_of_range_file
+
+
+def write_rotated_file(path) -> None:
+    """A (2, 4) basis whose vectors (lam=(3,1), i=1, j=0) and (j=1) are rotated
+    into each other by 0.3 rad: still orthonormal, but the j blocks are no
+    longer closed under U."""
+    basis = build_basis(2, 4)
+    vectors = basis.blocks[Partition((3, 1))].vectors
+    first, second = vectors[(1, 0)].to_dense(16), vectors[(1, 1)].to_dense(16)
+    c, s = np.cos(0.3), np.sin(0.3)
+    vectors[(1, 0)] = SparseVector.pruned(np.arange(16), c * first + s * second)
+    vectors[(1, 1)] = SparseVector.pruned(np.arange(16), c * second - s * first)
+    save_basis(basis, path)
 
 
 @pytest.fixture(autouse=True)
@@ -67,6 +80,16 @@ class TestBasisCommands:
         save_basis(basis, out)  # valid checksum, perturbed content
         assert main(["basis", "verify", "--path", str(out)]) == 1
         assert "gram_deviation" in capsys.readouterr().out
+
+    def test_verify_needs_a_trial(self, tmp_path, capsys):
+        out = tmp_path / "rotated.schb"
+        write_rotated_file(out)
+        assert main(["basis", "verify", "--path", str(out), "--trials", "20"]) == 1
+        assert "u_closure_residual: 2.9" in capsys.readouterr().out
+        for trials in ("0", "-1"):
+            assert main(["basis", "verify", "--path", str(out), "--trials", trials]) == 2
+            err = capsys.readouterr().err
+            assert "config error:" in err and "Traceback" not in err
 
 
 class TestShadowRun:
@@ -242,3 +265,29 @@ class TestBenchCommand:
 
     def test_empty_grid(self, tmp_path):
         assert main(["bench", "scaling", "--t-grid", "", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bench", "scaling", "--t-grid", "4", "--trials", "0"],
+        ["bench", "scaling", "--t-grid", "4", "--d", "1", "--rank", "1"],
+        ["bench", "scaling", "--t-grid", "4", "--segment-size", "0"],
+        ["bench", "scaling", "--t-grid", "0"],
+        ["bench", "scaling", "--t-grid", "4,x"],
+        ["oracle", "--d", "1", "--n", "2", "--lambda", "2"],
+        ["oracle", "--d", "2", "--n", "3", "--lambda", "2,1", "--samples", "0"],
+        ["oracle", "--povm", "--lambda", "2,1", "--samples", "-3"],
+    ],
+)
+def test_bad_arguments_fail_before_any_work(args, tmp_path, monkeypatch, capsys):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("work started on a bad configuration")
+
+    for name in ("basis.build_or_load", "basis.build_q_bases", "moments.povm_completeness_residual"):
+        monkeypatch.setattr(f"schur_shadows.{name}", refuse)
+    if args[0] == "bench":
+        args = args + ["--out", str(tmp_path / "x.csv")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err

@@ -10,9 +10,7 @@ from oracles import (
     single_row_variance_quadrature,
 )
 from schur_shadows.moments import (
-    ORACLE_DIM_CAP,
     MomentReport,
-    _Register,
     single_row_variance_closed_form,
     expected_shadow_exact,
     expected_shadow_formula,
@@ -24,7 +22,7 @@ from schur_shadows.moments import (
     second_moment_exact,
     variance_exact,
 )
-from schur_shadows.qudit import CapExceededError, PureState, RngStream, haar_unitary
+from schur_shadows.qudit import CapExceededError, PureState, RngStream, digit_table, haar_unitary
 from schur_shadows.young import Partition, SlotClasses, partitions_of
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -116,14 +114,14 @@ class TestSecondMoment:
     def test_dim_cap(self):
         tau = PureState.from_digits((0,) * 8, 3)
         with pytest.raises(CapExceededError):
-            second_moment_exact(Partition((8,)), tau, dim_cap=ORACLE_DIM_CAP)
+            second_moment_exact(Partition((8,)), tau)
 
     def test_dim_cap_checked_before_row_symmetry(self):
         # an over-cap state outside the row-symmetric subspace is refused for
         # its size, before any validation work starts
         tau = PureState.from_digits((0, 1) + (0,) * 6, 3)
         with pytest.raises(CapExceededError):
-            second_moment_exact(Partition((8,)), tau, dim_cap=ORACLE_DIM_CAP)
+            second_moment_exact(Partition((8,)), tau)
 
     @pytest.mark.parametrize(
         "d,n", [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)] + [(4, n) for n in range(1, 4)]
@@ -260,7 +258,7 @@ class TestPovmCompleteness:
         "d,m,slots", [(2, 4, (0, 1, 2, 3)), (2, 5, (1, 3, 4)), (3, 4, (0, 2)), (3, 3, (2,)), (4, 3, (0, 1, 2))]
     )
     def test_slot_class_mean_is_permutation_average(self, d, m, slots):
-        got = SlotClasses(_Register(d, m).digits, d, [slots]).mean(np.eye(d**m))
+        got = SlotClasses(digit_table(d, m), d, [slots]).mean(np.eye(d**m))
         assert np.max(np.abs(got - permutation_symmetrizer(d, m, slots))) < 1e-14
 
     def test_trivial_rows_give_identity(self):

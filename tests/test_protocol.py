@@ -10,6 +10,7 @@ from oracles import (
     block_probabilities,
     chi2_sf,
     chi_square,
+    dicke_map_brute_force,
     lambda_given_weight,
     population_shadow_dense,
     product_basis_state,
@@ -30,6 +31,7 @@ from schur_shadows.protocol import (
     MixedState,
     Observable,
     RejectionBudgetError,
+    _dicke_map,
     _dicke_tensor,
     _RowLaw,
     _segment_factor,
@@ -251,6 +253,20 @@ class TestRowSymmetricSampling:
         psis = row_symmetric_sample(Partition((3,)), tau, RngStream(76))
         assert len(psis) == 1
         assert np.linalg.norm(psis[0]) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestDickeMap:
+    @pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 5) for m in range(1, 5)])
+    def test_matches_brute_force(self, d, m):
+        comps, sqrt_multinom, proj = _dicke_map(d, m)
+        want_comps, want_sqrt, want_proj = dicke_map_brute_force(d, m)
+        assert np.array_equal(comps, want_comps)
+        np.testing.assert_allclose(sqrt_multinom, want_sqrt, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(proj, want_proj, rtol=1e-15, atol=0)
+        if m == 1:
+            # The unit composition e_a sits at index a, so P_1 is the identity.
+            assert np.array_equal(comps, np.eye(d, dtype=np.int64))
+            assert np.array_equal(proj, np.eye(d))
 
 
 class TestDickeSampler:

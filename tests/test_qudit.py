@@ -9,10 +9,13 @@ from schur_shadows.qudit import (
     apply_local_unitary,
     apply_permutation,
     decode_basis,
+    digit_table,
     encode_basis,
     haar_pure_state,
     haar_unitary,
+    haar_unitary_batch,
     partial_trace_keep,
+    permuted_indices,
 )
 
 
@@ -35,6 +38,26 @@ class TestBasisIndex:
     def test_digit_out_of_range(self):
         with pytest.raises(ValueError):
             encode_basis((0, 2), 2)
+
+
+class TestCodec:
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 3), (4, 2)])
+    def test_digit_table_matches_decode_basis(self, d, n):
+        table = digit_table(d, n)
+        assert table.shape == (d**n, n)
+        assert [tuple(row) for row in table.tolist()] == [decode_basis(v, d, n) for v in range(d**n)]
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 3)])
+    def test_permuted_indices_match_tensor_transpose(self, d, n):
+        gen = RngStream(12 + d).gen
+        perms = [Permutation.identity(n)] + [Permutation(tuple(gen.permutation(n).tolist())) for _ in range(6)]
+        images = permuted_indices(digit_table(d, n), d, np.array([perm.mapping for perm in perms]))
+        amps = gen.standard_normal(d**n) + 1j * gen.standard_normal(d**n)
+        for perm, image in zip(perms, images):
+            moved = np.empty_like(amps)
+            moved[image] = amps
+            assert np.array_equal(moved, apply_permutation(perm, PureState(d, n, amps)).amplitudes)
+        assert np.array_equal(images[0], np.arange(d**n))
 
 
 class TestPermutation:
@@ -194,6 +217,14 @@ class TestHaarSampling:
                 swap[encode_basis((j, i), 2), encode_basis((i, j), 2)] = 1.0
         target = (np.eye(4) + swap) / 2
         assert np.max(np.abs(mean - target)) < 3 * 3e-3
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_unitary_is_the_one_draw_batch(self, d):
+        for seed in range(10):
+            one = haar_unitary(d, RngStream(seed)).entries
+            batch = haar_unitary_batch(d, 1, RngStream(seed).gen)
+            assert batch.shape == (1, d, d)
+            assert one.tobytes() == batch[0].tobytes()
 
     def test_unitary_first_moment(self):
         # E[U |0><0| U^dag] = I/3 over 1e5 draws

@@ -220,9 +220,7 @@ def build_q_bases(d: int, n: int) -> dict[Partition, tuple[list[tuple[int, ...]]
         # Boxes adjacent in a column: above[t] sits right over below[t].
         above = [box for col in layout.column_blocks() for box in col[:-1]]
         below = [box for col in layout.column_blocks() for box in col[1:]]
-        group = list(column_group(lam))
-        mappings = np.array([perm.mapping for perm, _ in group], dtype=np.int64)
-        signs = np.array([sign for _, sign in group], dtype=np.float64)
+        mappings, signs = map(np.array, zip(*column_group(lam)))
         decreasing: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         weights: list[tuple[int, ...]] = []
         vectors: list[SparseVector] = []

@@ -80,6 +80,13 @@ def _parse_partition(text: str) -> Partition:
         raise ConfigError(f"bad partition {text!r}: {exc}") from exc
 
 
+def _observable(spec: str, d: int, rng: RngStream, bound: float | None = None):
+    try:
+        return make_observable(spec, d, rng, bound)
+    except (ValueError, OSError, KeyError) as exc:
+        raise ConfigError(f"bad observable spec: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # basis build / verify
 # ---------------------------------------------------------------------------
@@ -145,10 +152,7 @@ def cmd_shadow_run(args) -> int:
 
     rng = RngStream(args.seed)
     chi = MixedState.random(args.d, args.rank, rng.child(-2))
-    try:
-        observable = make_observable(args.observable, args.d, rng.child(-3), args.bound)
-    except (ValueError, OSError, KeyError) as exc:
-        raise ConfigError(f"bad observable spec: {exc}") from exc
+    observable = _observable(args.observable, args.d, rng.child(-3), args.bound)
 
     seg_size = args.n // t_pop
     logger.info("building/loading basis for d=%d, n'=%d", args.d, seg_size)
@@ -232,11 +236,11 @@ def cmd_oracle(args) -> int:
     if args.closed_form:
         if args.p is None or args.q is None:
             raise ConfigError("--closed-form needs --p and --q")
-        rng = RngStream(args.seed)
-        observable = make_observable(args.obs, args.d, rng)
-        value = float(
-            moments_mod.single_row_variance_closed_form(observable.matrix, args.p, args.q, args.d)
-        )
+        observable = _observable(args.obs, args.d, RngStream(args.seed))
+        try:
+            value = float(moments_mod.single_row_variance_closed_form(observable.matrix, args.p, args.q, args.d))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         print(f"closed-form variance at p={args.p}, q={args.q}, d={args.d}: {value!r}")
         if args.out:
             _write_json(
@@ -282,15 +286,13 @@ def cmd_oracle(args) -> int:
             _write_json(args.out, payload)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
-    if lam.n != args.n:
-        raise ConfigError(f"partition {lam} does not sum to n={args.n}")
     # Refuse by size before the basis build and the first-moment checks.
     moments_mod.check_oracle_cap(args.d, lam.n)
     rng = RngStream(args.seed)
+    observable = _observable(args.obs, args.d, rng.child(2))
     weights, vectors = basis_mod.build_q_bases(args.d, lam.n)[lam]
     tau, weight = moments_mod.random_protocol_state(lam, weights, vectors, args.d, rng.child(0).gen)
     unitary = haar_unitary(args.d, rng.child(1))
-    observable = make_observable(args.obs, args.d, rng.child(2))
 
     first = moments_mod.expected_shadow_exact(lam, tau, unitary)
     formula = moments_mod.expected_shadow_formula(lam, weight, unitary, args.d)
@@ -427,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exact moments vs Monte Carlo")
     p_oracle.add_argument("--d", type=int, default=2)
-    p_oracle.add_argument("--n", type=int, default=4)
     p_oracle.add_argument("--lambda", dest="lam", default=None, help="partition, e.g. 3,1")
     p_oracle.add_argument("--samples", type=int, default=10_000)
     p_oracle.add_argument("--obs", default="pauli-z")

@@ -51,7 +51,7 @@ def row_symmetric_projector(lam: Partition, d: int) -> np.ndarray:
     digits = digit_table(d, lam.n)
     mat = np.zeros((len(digits), len(digits)))
     perms, count = row_group(lam), 0
-    while chunk := [perm.mapping for perm in itertools.islice(perms, max(1, _PERM_CHUNK // digits.size))]:
+    while chunk := list(itertools.islice(perms, max(1, _PERM_CHUNK // digits.size))):
         np.add.at(mat, (permuted_indices(digits, d, np.array(chunk)), np.arange(len(digits))), 1.0)
         count += len(chunk)
     return mat / count

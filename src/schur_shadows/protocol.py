@@ -23,16 +23,14 @@ Two front ends run the segments:
 * :func:`shadow_from_population` takes a product input U^{x n}|e> and never
   forms a segment state. The protocol is U-covariant (the POVM outcome for
   U tau has the law of U times the outcome for tau), so it simulates at
-  U = I and returns U (.) U^dag. At U = I a segment |e> of
-  weight w has, with f^lam = ``dim_p`` and K_{lam,w} the number of weight-w
-  vectors in the (lam, 0) block,
-
-      P(lam | e) = f^lam K_{lam,w} / multinom(n'; w),
-
-  and the j-averaged state after the change of basis is the maximally mixed
-  state on those K_{lam,w} vectors. Since the POVM is linear in that state,
-  the segment's outcome has the law of the POVM on one of those vectors,
-  picked uniformly.
+  U = I and returns U (.) U^dag. At U = I a segment |e> of weight w lies in
+  the weight-w subspace, which the weight-pure nice basis splits into its
+  multinom(n'; w) vectors (lam, i, j) of weight w. The Schur measurement
+  followed by the j-averaged change of basis therefore leaves the segment on
+  each (lam, i, 0) of weight w with probability f^lam / multinom(n'; w),
+  f^lam = ``dim_p``: the law of a uniform draw among the weight-w basis
+  vectors, with j dropped. Since the POVM is linear in the state, the
+  segment's outcome has the law of the POVM on the drawn vector.
 
 Both front ends draw the POVM with one sampler, :func:`_povm_sample`. Row r
 has lam_r boxes on the next lam_r qudits, and its outcome psi_r has density
@@ -70,13 +68,16 @@ from .qudit import (
     haar_unitary,
     haar_unitary_batch,
     hermiticity_deviation,
+    place_values,
     unitarity_deviation,
 )
 from .young import Partition, SlotClasses, symmetric_dim
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_MAX_REJECTION_ITERS = 10_000_000
+#: Row draws the POVM sampler may take per sample before it gives up with
+#: :class:`RejectionBudgetError`.
+MAX_ROW_DRAWS = 10_000_000
 
 
 class RejectionBudgetError(RuntimeError):
@@ -291,13 +292,13 @@ class _RowLaw:
         return cls(m, states, weights, np.maximum(bound, 1.0), rho)
 
 
-def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator, spent: int, max_iters: int):
+def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator, spent: int, budget: int):
     """Accept ``need[l]`` outcomes of law l; returns (psis, rests, spent).
 
     The outcomes of law l fill ``need[l]`` consecutive slots, law after law;
     ``rests`` holds c = phi^* A, the unnormalised state of the later rows.
     ``spent`` counts one proposal per row draw, up to each law's last
-    needed accept, and may not exceed ``max_iters``.
+    needed accept, and may not exceed ``budget``.
 
     For m > 1 a proposal draws v with probability D_v / tr D, then |psi_a|^2
     from Dirichlet(v + 1) with uniform phases. Relative to Haar its density
@@ -371,8 +372,8 @@ def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator
         rank = accepted - np.repeat(np.concatenate(([0], accepted))[group_start], reps)
         counted = rank - accept < np.repeat(pending, reps)
         spent += int(np.count_nonzero(counted))
-        if spent > max_iters:
-            raise RejectionBudgetError(f"no POVM outcome within {max_iters} row draws (row of {law.m} boxes)")
+        if spent > budget:
+            raise RejectionBudgetError(f"no POVM outcome within {budget} row draws (row of {law.m} boxes)")
         taken = np.nonzero(accept & counted)[0]
         own = owner[taken]
         slots = first_slot[own] + got[own] + rank[taken] - 1
@@ -384,7 +385,7 @@ def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator
 
 
 def _povm_sample(
-    lam: Partition, d: int, tau: np.ndarray, count: int, gen: np.random.Generator, max_iters: int
+    lam: Partition, d: int, tau: np.ndarray, count: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Draw ``count`` outcomes of the row-symmetric POVM on one state.
 
@@ -397,8 +398,10 @@ def _povm_sample(
 
     Returns the outcomes (count, k, d), the unnormalised post-measurement
     states <x_r psi_r^{x lam_r}|tau> (count, rest), and the number of row
-    draws. ``RejectionBudgetError`` is raised past ``max_iters`` draws.
+    draws. ``RejectionBudgetError`` is raised past ``MAX_ROW_DRAWS`` draws
+    per sample.
     """
+    budget = MAX_ROW_DRAWS * count
     dicke = _dicke_tensor(lam, d, tau)
     kappas = [symmetric_dim(m, d) for m in lam.parts]
     first = _RowLaw.of(dicke[None], lam.parts[0])
@@ -413,38 +416,27 @@ def _povm_sample(
     spent = 0
     for start in range(0, count, chunk):
         size = min(chunk, count - start)
-        out, state, spent = _sample_row(first, np.array([size]), d, gen, spent, max_iters)
+        out, state, spent = _sample_row(first, np.array([size]), d, gen, spent, budget)
         psis[start : start + size, 0] = out
         for r in range(1, lam.k):
             law = _RowLaw.of(state.reshape(size, kappas[r], -1), lam.parts[r])
-            out, state, spent = _sample_row(law, np.ones(size, dtype=np.int64), d, gen, spent, max_iters)
+            out, state, spent = _sample_row(law, np.ones(size, dtype=np.int64), d, gen, spent, budget)
             psis[start : start + size, r] = out
         rests[start : start + size] = state
     return psis, rests, spent
 
 
-def row_symmetric_sample(
-    lam: Partition,
-    tau_state: PureState,
-    rng: RngStream,
-    max_iters: int = DEFAULT_MAX_REJECTION_ITERS,
-) -> list[np.ndarray]:
+def row_symmetric_sample(lam: Partition, tau_state: PureState, rng: RngStream) -> list[np.ndarray]:
     """Sample one POVM outcome (psi_1, ..., psi_k) for a row-symmetric state."""
-    psis, _, _ = _povm_sample(lam, tau_state.d, tau_state.amplitudes.reshape(-1, 1), 1, rng.gen, max_iters)
+    psis, _, _ = _povm_sample(lam, tau_state.d, tau_state.amplitudes.reshape(-1, 1), 1, rng.gen)
     return [psis[0, i].copy() for i in range(lam.k)]
 
 
 def row_symmetric_sample_batch(
-    lam: Partition,
-    tau_state: PureState,
-    count: int,
-    rng: RngStream,
-    max_iters: int = DEFAULT_MAX_REJECTION_ITERS,
+    lam: Partition, tau_state: PureState, count: int, rng: RngStream
 ) -> tuple[np.ndarray, int]:
     """``count`` independent outcomes (count, k, d) and the row draws they took."""
-    psis, _, proposals = _povm_sample(
-        lam, tau_state.d, tau_state.amplitudes.reshape(-1, 1), count, rng.gen, max_iters * max(1, count)
-    )
+    psis, _, proposals = _povm_sample(lam, tau_state.d, tau_state.amplitudes.reshape(-1, 1), count, rng.gen)
     return psis, proposals
 
 
@@ -497,13 +489,7 @@ def _segment_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return vecs[:, keep] * root, vecs[:, keep].conj().T / root[:, None]
 
 
-def population_shadow(
-    basis: SchurBasis,
-    state: PureState,
-    epsilon: float,
-    rng: RngStream,
-    max_iters: int = DEFAULT_MAX_REJECTION_ITERS,
-) -> ShadowEstimate:
+def population_shadow(basis: SchurBasis, state: PureState, epsilon: float, rng: RngStream) -> ShadowEstimate:
     """Shadow estimate for a joint population input on n qudits.
 
     Splits the qudits into T = ceil(10/eps^2) contiguous segments of
@@ -544,7 +530,7 @@ def population_shadow(
         segment = rest.reshape(seg_dim, -1)
         factor, pinv = _segment_factor(segment)
         lam, _j, tau = schur_measure(basis, factor, sub)
-        psis, rests, trials = _povm_sample(lam, d, tau, 1, sub.gen, max_iters)
+        psis, rests, trials = _povm_sample(lam, d, tau, 1, sub.gen)
         rest = rests[0] if pinv is None else (rests[0] @ pinv) @ segment
         rest /= np.linalg.norm(rest)
         acc += shadow_matrix(lam, psis, d) - lam.k * np.eye(d)
@@ -560,13 +546,34 @@ def population_shadow(
     )
 
 
+def _weight_table(basis: SchurBasis) -> tuple[SlotClasses, np.ndarray]:
+    """Every basis vector (lam, i, j) as the code b d^n' + i of its block b
+    and i, grouped by the digit-multiset class of its weight w: the group of
+    class c is ``table[classes.starts[c]:][:classes.counts[c]]``, and holds
+    each (lam, i) of weight w f^lam times, once per j. Raises ``ValueError``
+    unless every group has its class's size, multinom(n'; w).
+    """
+    d, m = basis.d, basis.n
+    digits = digit_table(d, m)
+    classes = SlotClasses(digits, d, [range(m)])
+    codes, weights = [], []
+    for b, block in enumerate(basis.blocks.values()):
+        for i, _j in block.vectors:
+            codes.append(b * basis.dim + i)
+            weights.append(block.weight_of_i[i])
+    # The sorted tuple 0^{w_0} 1^{w_1} ... of each weight is in its class.
+    sorted_digits = np.repeat(np.tile(np.arange(d), len(weights)), np.ravel(weights)).reshape(-1, m)
+    group = classes.inverse[sorted_digits @ place_values(d, m)]
+    sizes = np.bincount(group, minlength=len(classes.counts))
+    if not np.array_equal(sizes, classes.counts):
+        c = np.argmax(sizes != classes.counts)
+        weight = tuple(np.bincount(digits[classes.order[classes.starts[c]]], minlength=d).tolist())
+        raise ValueError(f"basis has {sizes[c]} vectors of weight {weight}, expected multinom = {classes.counts[c]}")
+    return classes, np.array(codes)[np.argsort(group, kind="stable")]
+
+
 def shadow_from_population(
-    basis: SchurBasis,
-    unitary: OperatorGrid,
-    digits,
-    t_segments: int,
-    rng: RngStream,
-    max_iters: int = DEFAULT_MAX_REJECTION_ITERS,
+    basis: SchurBasis, unitary: OperatorGrid, digits, t_segments: int, rng: RngStream
 ) -> ShadowEstimate:
     """Shadow estimate for a product population input U^{x n}|e>.
 
@@ -575,17 +582,14 @@ def shadow_from_population(
     forms a segment state or the dense basis matrix; the total qudit count
     ``t_segments * basis.n`` is not limited by the dense-state cap. By
     U-covariance the segments are simulated at U = I (see the module
-    docstring for the two identities used):
+    docstring):
 
-    1. one bincount gives the weight w of every segment's digits, and one
-       ``np.unique`` over the encoded weights groups the segments by w;
-    2. per distinct w, lam is drawn for all its segments from
-       f^lam K_{lam,w} / multinom(n'; w);
-    3. i is drawn uniformly among the block's weight-w vectors;
-    4. the POVM runs once per (lam, i) group on |(lam, i, 0)>, with the
+    1. each segment draws one uniform entry (lam, i) of its weight's group
+       in :func:`_weight_table`, found by the index of its digits;
+    2. the POVM runs once per (lam, i) group on |(lam, i, 0)>, with the
        group size as its sample count. |(lam, i, 0)> is a weight vector, so
        its first row is drawn exactly (M = 1);
-    5. the records (Psi - k I) / n' are summed and U (.) U^dag / T returned.
+    3. the records (Psi - k I) / n' are summed and U (.) U^dag / T returned.
 
     Every draw comes from the one generator of ``rng.child(0)``.
     ``segment_partitions`` lists the partitions in segment order;
@@ -603,43 +607,20 @@ def shadow_from_population(
     seg_digits = np.asarray(digits[: t_segments * seg_size], dtype=np.int64).reshape(t_segments, seg_size)
     if np.any((seg_digits < 0) | (seg_digits >= d)):
         raise ValueError(f"symbols must lie in 0..{d - 1}")
-
-    offsets = d * np.arange(t_segments)[:, None]
-    weights = np.bincount((offsets + seg_digits).ravel(), minlength=d * t_segments).reshape(t_segments, d)
-    codes = weights @ (seg_size + 1) ** np.arange(d)
-    _, first, inverse, sizes = np.unique(codes, return_index=True, return_inverse=True, return_counts=True)
-    segs_of_weight = np.split(np.argsort(inverse, kind="stable"), np.cumsum(sizes)[:-1])
+    classes, table = _weight_table(basis)
 
     draws = rng.child(0).gen
+    seg_class = classes.inverse[seg_digits @ place_values(d, seg_size)]
+    codes = table[classes.starts[seg_class] + draws.integers(classes.counts[seg_class])]
     blocks = list(basis.blocks.values())
-    lam_of_seg = np.empty(t_segments, dtype=np.int64)
-    i_of_seg = np.empty(t_segments, dtype=np.int64)
-    for weight, segs in zip(map(tuple, weights[first].tolist()), segs_of_weight):
-        slots = [
-            np.array([i for i, w in enumerate(block.weight_of_i) if w == weight], dtype=np.int64)
-            for block in blocks
-        ]
-        kostka = np.array([slot.size for slot in slots])
-        mass = kostka * np.array([block.dim_p for block in blocks])
-        multinom = math.factorial(seg_size) // math.prod(math.factorial(x) for x in weight)
-        if mass.sum() != multinom:
-            raise ValueError(
-                f"basis gives sum_lam f K = {mass.sum()} for weight {weight}, expected {multinom}"
-            )
-        picks = draws.choice(len(blocks), size=len(segs), p=mass / multinom)
-        lam_of_seg[segs] = picks
-        # A uniform offset into the picked block's run of the concatenated slots.
-        starts = np.cumsum(kostka) - kostka
-        i_of_seg[segs] = np.concatenate(slots)[starts[picks] + draws.integers(kostka[picks])]
-
     acc = np.zeros((d, d), dtype=np.complex128)
     proposals = 0
-    keys, sizes = np.unique(lam_of_seg * basis.dim + i_of_seg, return_counts=True)
+    keys, sizes = np.unique(codes, return_counts=True)
     for key, count in zip(keys.tolist(), sizes.tolist()):
         b, i = divmod(key, basis.dim)
         lam = blocks[b].lam
         tau = basis.vector(lam, i, 0).to_dense(basis.dim).reshape(-1, 1)
-        psis, _, trials = _povm_sample(lam, d, tau, count, draws, max_iters * count)
+        psis, _, trials = _povm_sample(lam, d, tau, count, draws)
         acc += shadow_matrix(lam, psis, d) - count * lam.k * np.eye(d)
         proposals += trials
     return ShadowEstimate(
@@ -647,18 +628,13 @@ def shadow_from_population(
         t_segments=t_segments,
         segment_size=seg_size,
         master_seed=rng.master_seed,
-        segment_partitions=[blocks[b].lam.parts for b in lam_of_seg.tolist()],
+        segment_partitions=[blocks[b].lam.parts for b in (codes // basis.dim).tolist()],
         povm_proposals=proposals,
     )
 
 
 def mixed_state_shadow(
-    chi: MixedState,
-    n: int,
-    epsilon: float,
-    rng: RngStream,
-    basis: SchurBasis | None = None,
-    max_iters: int = DEFAULT_MAX_REJECTION_ITERS,
+    chi: MixedState, n: int, epsilon: float, rng: RngStream, basis: SchurBasis | None = None
 ) -> ShadowEstimate:
     """Shadow estimate from n copies of a mixed state.
 
@@ -676,7 +652,7 @@ def mixed_state_shadow(
             f"basis is for (d={basis.d}, n={basis.n}), segments need (d={chi.d}, n={seg_size})"
         )
     unitary, digits = sample_population_input(chi, n, rng.child(-1))
-    return shadow_from_population(basis, unitary, digits, t_segments, rng, max_iters)
+    return shadow_from_population(basis, unitary, digits, t_segments, rng)
 
 
 # ---------------------------------------------------------------------------

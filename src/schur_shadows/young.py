@@ -8,12 +8,12 @@ right within a row, rows top to bottom. Box positions are 0-based.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from .qudit import Permutation, place_values
+from .qudit import place_values
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class Partition:
 
 def symmetric_dim(s: int, d: int) -> int:
     """Dimension kappa_s of the symmetric subspace of s qudits."""
-    return comb(s + d - 1, d - 1)
+    return math.comb(s + d - 1, d - 1)
 
 
 def kappa_product(lam: "Partition", d: int) -> int:
@@ -108,32 +108,47 @@ class BoxLayout:
         return blocks
 
 
-def _block_permutations(n: int, blocks: list[list[int]]):
-    """Direct product of symmetric groups on the given position blocks.
+#: Group elements assembled per numpy pass in :func:`_block_permutations`.
+_GROUP_CHUNK = 1 << 12
 
-    Yields (Permutation, sign) pairs; the sign is the parity of the element.
+
+def _block_permutations(n: int, blocks: list[list[int]]):
+    """Direct product of symmetric groups on position blocks that cover 0..n-1.
+
+    Yields (mapping, sign) pairs, ``mapping[k]`` the image of k, in the
+    product order of each block's orderings taken lexicographically; the
+    sign is the product of the blocks' parities.
     """
-    # The orderings of a block of m positions: the digit tuples of weight (1, ..., 1).
-    per_block = [
-        [tuple(block[t] for t in order) for order in digit_tuples_of_weight((1,) * len(block))] for block in blocks
-    ]
-    for choice in itertools.product(*per_block):
-        mapping = list(range(n))
-        for block, image in zip(blocks, choice):
-            for src, dst in zip(block, image):
-                mapping[src] = dst
-        perm = Permutation(tuple(mapping))
-        yield perm, perm.sign
+    per_block = []
+    for block in blocks:
+        orders = np.array(list(itertools.permutations(range(len(block)))), dtype=np.int64)
+        inversions = np.zeros(len(orders), dtype=np.int64)
+        for a, b in itertools.combinations(range(len(block)), 2):
+            inversions += orders[:, a] > orders[:, b]
+        per_block.append((np.asarray(block)[orders], 1 - 2 * (inversions % 2)))
+    sizes = [len(orders) for orders, _ in per_block]
+    total = math.prod(sizes)
+    for start in range(0, total, _GROUP_CHUNK):
+        # Mixed-radix digits of the element index, the last block fastest.
+        rest = np.arange(start, min(start + _GROUP_CHUNK, total))
+        mappings = np.empty((len(rest), n), dtype=np.int64)
+        signs = np.ones(len(rest), dtype=np.int64)
+        for block, (images, parities), size in zip(blocks[::-1], per_block[::-1], sizes[::-1]):
+            rest, pick = np.divmod(rest, size)
+            mappings[:, block] = images[pick]
+            signs *= parities[pick]
+        yield from zip(map(tuple, mappings.tolist()), signs.tolist())
 
 
 def row_group(lam: Partition):
-    """Iterate the row-stabilizing permutations of the canonical tableau."""
-    for perm, _ in _block_permutations(lam.n, BoxLayout(lam).row_blocks()):
-        yield perm
+    """Iterate the mapping tuples of the row-stabilizing permutations of the
+    canonical tableau."""
+    for mapping, _ in _block_permutations(lam.n, BoxLayout(lam).row_blocks()):
+        yield mapping
 
 
 def column_group(lam: Partition):
-    """Iterate (permutation, sign) over the column-stabilizing subgroup."""
+    """Iterate (mapping, sign) over the column-stabilizing subgroup."""
     yield from _block_permutations(lam.n, BoxLayout(lam).column_blocks())
 
 

@@ -33,13 +33,7 @@ from math import comb, factorial
 import numpy as np
 
 from schur_shadows.basis import FORMAT_VERSION, schur_measure
-from schur_shadows.protocol import (
-    DEFAULT_MAX_REJECTION_ITERS,
-    ShadowEstimate,
-    _povm_sample,
-    segment_count,
-    shadow_matrix,
-)
+from schur_shadows.protocol import ShadowEstimate, _povm_sample, segment_count, shadow_matrix
 from schur_shadows.qudit import OperatorGrid, Permutation, PureState, apply_local_unitary
 from schur_shadows.young import BoxLayout, Partition, column_group, row_group, symmetric_dim
 
@@ -156,13 +150,8 @@ def young_symmetrizer_terms(lam: Partition) -> tuple[tuple[tuple[int, ...], int]
     Each entry is (mapping, sign): the symmetrizer is the signed sum of the
     corresponding permutation operators, column pass first.
     """
-    rows = list(row_group(lam))
     cols = list(column_group(lam))
-    terms = []
-    for a in rows:
-        for b, sign in cols:
-            terms.append((a.compose(b).mapping, sign))
-    return tuple(terms)
+    return tuple((tuple(a[k] for k in b), sign) for a in row_group(lam) for b, sign in cols)
 
 
 def young_symmetrizer_apply_digits(lam: Partition, digits) -> dict[tuple[int, ...], float]:
@@ -363,7 +352,7 @@ def chi_square(counts: dict, probs: dict) -> tuple[float, int]:
     return stat, bins - 1
 
 
-def population_shadow_dense(basis, state: PureState, epsilon: float, rng, max_iters: int = DEFAULT_MAX_REJECTION_ITERS):
+def population_shadow_dense(basis, state: PureState, epsilon: float, rng):
     """``protocol.population_shadow`` with every segment measured on its whole
     (d^n', rest) matrix: no Gram factor and no back-map, so each segment's
     Schur coefficients, measured state and Dicke form are state-sized."""
@@ -377,7 +366,7 @@ def population_shadow_dense(basis, state: PureState, epsilon: float, rng, max_it
     for t in range(t_segments):
         sub = rng.child(t)
         lam, _j, tau = schur_measure(basis, rest.reshape(d**seg_size, -1), sub)
-        psis, rests, trials = _povm_sample(lam, d, tau, 1, sub.gen, max_iters)
+        psis, rests, trials = _povm_sample(lam, d, tau, 1, sub.gen)
         rest = rests[0] / np.linalg.norm(rests[0])
         acc += shadow_matrix(lam, psis, d) - lam.k * np.eye(d)
         partitions.append(lam.parts)

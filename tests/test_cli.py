@@ -196,7 +196,7 @@ class TestOracleCommand:
     def test_moment_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(
-            ["oracle", "--d", "2", "--n", "4", "--lambda", "3,1", "--samples", "4000", "--out", str(out)]
+            ["oracle", "--d", "2", "--lambda", "3,1", "--samples", "4000", "--out", str(out)]
         )
         assert code == 0
         assert "first moment vs closed form" in capsys.readouterr().out
@@ -221,19 +221,19 @@ class TestOracleCommand:
         assert payload["residual"] < 1e-9
 
     def test_partition_validation(self):
-        assert main(["oracle", "--d", "2", "--n", "4", "--lambda", "1,3"]) == 2
-        assert main(["oracle", "--d", "2", "--n", "4", "--lambda", "2,1,1"]) == 2
-        assert main(["oracle", "--d", "2", "--n", "4"]) == 2
+        assert main(["oracle", "--d", "2", "--lambda", "1,3"]) == 2
+        assert main(["oracle", "--d", "2", "--lambda", "2,1,1"]) == 2
+        assert main(["oracle", "--d", "2"]) == 2
 
     def test_cap_exceeded(self):
-        assert main(["oracle", "--d", "3", "--n", "6", "--lambda", "6", "--samples", "10"]) == 3
+        assert main(["oracle", "--d", "3", "--lambda", "6", "--samples", "10"]) == 3
 
     def test_cap_checked_before_basis_build(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("basis built for an over-cap oracle request")
 
         monkeypatch.setattr("schur_shadows.basis.build_q_bases", refuse)
-        assert main(["oracle", "--d", "3", "--n", "6", "--lambda", "6", "--samples", "10"]) == 3
+        assert main(["oracle", "--d", "3", "--lambda", "6", "--samples", "10"]) == 3
 
 
 class TestBenchCommand:
@@ -275,9 +275,13 @@ class TestBenchCommand:
         ["bench", "scaling", "--t-grid", "4", "--segment-size", "0"],
         ["bench", "scaling", "--t-grid", "0"],
         ["bench", "scaling", "--t-grid", "4,x"],
-        ["oracle", "--d", "1", "--n", "2", "--lambda", "2"],
-        ["oracle", "--d", "2", "--n", "3", "--lambda", "2,1", "--samples", "0"],
+        ["oracle", "--d", "1", "--lambda", "2"],
+        ["oracle", "--d", "2", "--lambda", "2,1", "--samples", "0"],
         ["oracle", "--povm", "--lambda", "2,1", "--samples", "-3"],
+        ["oracle", "--closed-form", "--p", "-1", "--q", "2"],
+        ["oracle", "--closed-form", "--p", "0", "--q", "0"],
+        ["oracle", "--closed-form", "--p", "2", "--q", "2", "--obs", "projector"],
+        ["oracle", "--lambda", "3,1", "--obs", "nonsense"],
     ],
 )
 def test_bad_arguments_fail_before_any_work(args, tmp_path, monkeypatch, capsys):

@@ -18,7 +18,7 @@ from oracles import (
     semistandard_tableaux_count,
     standard_tableaux_count,
 )
-from schur_shadows.basis import build_q_bases, schur_measure
+from schur_shadows.basis import SchurBasis, SchurBlock, build_q_bases, schur_measure
 from schur_shadows.moments import (
     _EntrywiseStats,
     expected_shadow_exact,
@@ -35,6 +35,7 @@ from schur_shadows.protocol import (
     _dicke_tensor,
     _RowLaw,
     _segment_factor,
+    _weight_table,
     baseline_single_copy_shadow,
     median_of_means,
     mixed_state_shadow,
@@ -48,8 +49,8 @@ from schur_shadows.protocol import (
     shadow_matrix,
     ShadowEstimate,
 )
-from schur_shadows.qudit import OperatorGrid, PureState, RngStream, apply_local_unitary, haar_unitary
-from schur_shadows.young import Partition, kappa_product, partitions_of, symmetric_dim, weight_of
+from schur_shadows.qudit import OperatorGrid, PureState, RngStream, apply_local_unitary, encode_basis, haar_unitary
+from schur_shadows.young import Partition, kappa_product, partitions_of, symmetric_dim, weight_of, weights_reverse_lex
 from test_moments import z_threshold
 
 #: The sampler's moment-oracle gate: every lam of n <= 5 with at most d rows
@@ -213,18 +214,20 @@ class TestRowSymmetricSampling:
         with pytest.raises(ValueError, match="row-symmetric"):
             row_symmetric_sample(Partition((2,)), PureState.from_digits((0, 1), 2), RngStream(74))
 
-    def test_budget_error(self):
-        # Every sample takes at least one draw per row, so a budget below
-        # k * count draws runs out whatever the outcomes: here 1 * 5 < 2 * 5.
+    def test_budget_error(self, monkeypatch):
+        # Every sample takes at least one draw per row, so a budget below k
+        # draws per sample runs out whatever the outcomes: here 1 < 2.
         lam = Partition((2, 1))
         tau = weight_vector(lam, 2, 0)
+        monkeypatch.setattr("schur_shadows.protocol.MAX_ROW_DRAWS", 1)
         with pytest.raises(RejectionBudgetError):
-            row_symmetric_sample_batch(lam, tau, 5, RngStream(75), max_iters=1)
+            row_symmetric_sample_batch(lam, tau, 5, RngStream(75))
         with pytest.raises(RejectionBudgetError):
-            row_symmetric_sample(lam, tau, RngStream(75), max_iters=1)
+            row_symmetric_sample(lam, tau, RngStream(75))
         # An M = 4 state with no budget at all.
+        monkeypatch.setattr("schur_shadows.protocol.MAX_ROW_DRAWS", 0)
         with pytest.raises(RejectionBudgetError):
-            row_symmetric_sample(Partition((3,)), rank_one_row(3, RngStream(311)), RngStream(75), max_iters=0)
+            row_symmetric_sample(Partition((3,)), rank_one_row(3, RngStream(311)), RngStream(75))
 
     def test_proposals_count_the_sampler(self):
         # On tau = (U|0>)^{x3} the row state has rank 1 and all 4 Dicke weights
@@ -404,6 +407,53 @@ class TestWeightClassIdentities:
                     averaged += np.outer(c, c.conj())
                 slice_w = np.diag([1.0 if wi == w else 0.0 for wi in block.weight_of_i])
                 assert np.max(np.abs(averaged - f[lam] / multinom * slice_w)) < 1e-12
+
+
+class TestWeightTable:
+    """The product path's draw table against tableau counts and the law of
+    lam given a weight, both computed by the oracles, not by the basis."""
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 3), (2, 7)])
+    def test_groups_are_exact(self, basis_for, d, n):
+        basis = basis_for(d, n)
+        blocks = list(basis.blocks.values())
+        classes, table = _weight_table(basis)
+        for w in weights_reverse_lex(n, d):
+            multinom = math.factorial(n) // math.prod(math.factorial(x) for x in w)
+            # The class of the reversed sorted tuple: its largest member.
+            c = classes.inverse[encode_basis([s for s in reversed(range(d)) for _ in range(w[s])], d)]
+            group = table[classes.starts[c] : classes.starts[c] + classes.counts[c]]
+            assert len(group) == multinom, w
+            mass = Counter()
+            for code, times in Counter(group.tolist()).items():
+                b, i = divmod(code, basis.dim)
+                assert blocks[b].weight_of_i[i] == w
+                assert times == standard_tableaux_count(blocks[b].lam.parts)
+                mass[blocks[b].lam.parts] += times
+            law = lambda_given_weight(w)
+            assert set(mass) == set(law), w
+            assert all(abs(mass[parts] / multinom - p) < 1e-12 for parts, p in law.items()), w
+
+    @pytest.mark.parametrize("fault", ["lost vector", "altered weight"])
+    def test_refuses_inconsistent_basis(self, basis_for, fault):
+        basis = basis_for(3, 3)
+        lam = Partition((2, 1))
+        block = basis.blocks[lam]
+        vectors, weights = dict(block.vectors), list(block.weight_of_i)
+        if fault == "lost vector":
+            del vectors[(0, 1)]
+        else:
+            weights[0] = next(w for w in weights if w != weights[0])
+        broken = SchurBasis(3, 3, {**basis.blocks, lam: SchurBlock(lam, block.dim_q, block.dim_p, weights, vectors)})
+
+        class NoDraws:
+            master_seed = 0
+
+            def child(self, _stream):
+                raise AssertionError("a random stream was opened before the refusal")
+
+        with pytest.raises(ValueError, match="vectors of weight"):
+            shadow_from_population(broken, OperatorGrid.identity(3), (0, 1, 2) * 4, 4, NoDraws())
 
 
 class TestShadowMatrix:

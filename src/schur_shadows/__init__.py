@@ -8,8 +8,8 @@ Layers:
   tableaux, slot classes (symmetrizers as class means), weights,
   majorization.
 * :mod:`schur_shadows.basis`: nice Schur basis construction, verification,
-  persistence, and :func:`schur_measure`, the dense Schur measurement with
-  its block change of basis.
+  persistence, and :func:`schur_measure`, the Schur measurement with its
+  block change of basis, one weight slice at a time.
 * :mod:`schur_shadows.protocol`: population sampling, the row-symmetric
   POVM, the shadow record :func:`shadow_matrix`, the joint-state and
   product-input shadow front ends, median-of-means, baseline.

@@ -579,7 +579,7 @@ def shadow_from_population(
 
     Equal in law to :func:`population_shadow` on the dense product state,
     which is the reference this sampler is tested against, but it never
-    forms a segment state or the dense basis matrix; the total qudit count
+    forms a segment state or measures one; the total qudit count
     ``t_segments * basis.n`` is not limited by the dense-state cap. By
     U-covariance the segments are simulated at U = I (see the module
     docstring):

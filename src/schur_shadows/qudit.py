@@ -284,17 +284,11 @@ def apply_local_unitary(unitary: OperatorGrid, state: PureState, atol: float = D
     dev = unitarity_deviation(mat)
     if dev > atol:
         raise ValueError(f"matrix is not unitary (deviation {dev})")
-    return PureState(state.d, state.n, local_unitary_action(mat, state.amplitudes, state.n))
-
-
-def local_unitary_action(mat: np.ndarray, amplitudes: np.ndarray, n: int) -> np.ndarray:
-    """U^{tensor n} applied along axis 0 of a (d^n, ...) array; U is not checked."""
-    d = mat.shape[0]
-    out = amplitudes
-    for axis in range(n):
+    out = state.amplitudes
+    for axis in range(state.n):
         # Axis 1 of the reshape is the digit of this qudit.
-        out = mat @ out.reshape(d**axis, d, -1)
-    return out.reshape(amplitudes.shape)
+        out = mat @ out.reshape(state.d**axis, state.d, -1)
+    return PureState(state.d, state.n, out.reshape(-1))
 
 
 def partial_trace_keep(rho: OperatorGrid, keep, d: int, m: int) -> OperatorGrid:

@@ -5,8 +5,10 @@ exact Beta integrals for single-row POVM moments at d = 2, brute-force
 enumeration for combinatorics, backtracking counts for standard and
 semistandard tableaux, the Schur-Weyl distribution of the partition label,
 Schur measurement probabilities summed over the sparse basis vectors (no
-dense basis matrix), and a chi-square tail. ``product_basis_state`` builds
-the dense input that the reference measurement path takes.
+dense basis matrix), and a chi-square tail. ``dense_basis_matrix`` lays the
+basis out as one d^n x d^n matrix, for the tests that read whole blocks.
+``product_basis_state`` builds the dense input that the reference
+measurement path takes.
 ``young_symmetrizer_terms`` lists the Young symmetrizer's (row o column)
 permutation terms, from which ``young_symmetrizer_apply_digits`` and
 ``young_symmetrizer_apply`` compute the symmetrizer images that the
@@ -243,6 +245,23 @@ def second_moment_dense(lam: Partition, tau: PureState, unitary: OperatorGrid | 
             term = big if weight_op is None else weight_op @ big
             total += coeff * np.einsum("arbr->ab", term.reshape(d * d, d**n, d * d, d**n))
     return total
+
+
+def dense_basis_matrix(basis) -> tuple[np.ndarray, dict]:
+    """The d^n x d^n matrix whose columns are the basis vectors, grouped by
+    (lam, j) in block order and then j, with i increasing inside a group,
+    and the column slice of each (lam, j)."""
+    mat = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    slices = {}
+    col = 0
+    for lam, block in basis.blocks.items():
+        for j in range(block.dim_p):
+            for i in range(block.dim_q):
+                vec = block.vectors[(i, j)]
+                mat[vec.indices, col + i] = vec.amplitudes
+            slices[(lam, j)] = slice(col, col + block.dim_q)
+            col += block.dim_q
+    return mat, slices
 
 
 def block_probabilities(basis, state: PureState) -> dict:

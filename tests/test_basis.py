@@ -5,7 +5,15 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import block_probabilities, save_basis_records, semistandard_tableaux_count, standard_tableaux_count
+from oracles import (
+    block_probabilities,
+    chi2_sf,
+    chi_square,
+    dense_basis_matrix,
+    save_basis_records,
+    semistandard_tableaux_count,
+    standard_tableaux_count,
+)
 from schur_shadows.basis import (
     BasisCacheError,
     SchurBasis,
@@ -17,7 +25,6 @@ from schur_shadows.basis import (
     verify_nice_basis,
 )
 from schur_shadows.qudit import (
-    CapExceededError,
     PureState,
     RngStream,
     apply_local_unitary,
@@ -126,52 +133,47 @@ class TestCompletion:
                 w0 = block.weight_of_i[0]
                 assert all(w != w0 for w in block.weight_of_i[1:])
 
-    @pytest.mark.parametrize("d,n", [(2, 3), (2, 7), (4, 5)])
+    @pytest.mark.parametrize("d,n", [(2, 3), (2, 7), (4, 5), (4, 6), (6, 5)])
     def test_verify_report_clean(self, basis_for, d, n):
-        report = verify_nice_basis(basis_for(d, n), RngStream(31), trials=20)
+        report = verify_nice_basis(basis_for(d, n))
         assert report["gram_deviation"] < 1e-9
         assert report["vector_count_ok"]
         assert report["weight_purity_violation"] == 0.0
-        assert report["u_closure_residual"] < 1e-9
-        assert report["pi_closure_residual"] < 1e-9
-
-    @pytest.mark.parametrize("trials", [0, -1])
-    def test_verify_needs_a_trial(self, basis_for, trials):
-        # With no trial no closure would be checked, and a broken basis would pass.
-        with pytest.raises(ValueError, match="trials"):
-            verify_nice_basis(basis_for(2, 3), RngStream(31), trials=trials)
+        assert report["u_closure_residual"] < 1e-12
+        assert report["pi_closure_residual"] < 1e-12
 
     def test_build_and_verify_memory_is_blockwise(self):
         # Build and verify hold a few (d^n, largest block) arrays at a time. The
         # d^n x d^n matrix alone would take d^n / largest = 5.95 such units here.
         d, n = 5, 4
         # Lazy imports and first-call set-up stay outside the measurement.
-        verify_nice_basis(build_basis(2, 3), RngStream(32), trials=1)
+        verify_nice_basis(build_basis(2, 3))
         tracemalloc.start()
         try:
             basis = build_basis(d, n)
-            verify_nice_basis(basis, RngStream(32), trials=2)
+            verify_nice_basis(basis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         largest = max(max(b.dim_q, b.dim_p) for b in basis.blocks.values())
         assert peak < 5 * d**n * largest * 16
 
-    def test_dense_matrix_refuses_beyond_cap(self):
-        # d^(2n) = 2^26 entries exceed the cap: refused before any allocation
-        with pytest.raises(CapExceededError):
-            SchurBasis(2, 13, {}).dense_matrix()
-
     def test_identity_maps_give_zero_residual(self, basis_for):
-        # identity U and identity permutation leave every block fixed
-        basis = basis_for(2, 3)
-        mat = basis.dense_matrix()
-        for lam, block in basis.blocks.items():
-            for j in range(block.dim_p):
-                cols = mat[:, basis.block_slice(lam, j)]
-                for i in range(block.dim_q):
-                    vec = block.vectors[(i, j)].to_dense(8)
-                    assert np.linalg.norm(vec - cols @ (cols.conj().T @ vec)) < 1e-12
+        # The weight slices put every basis vector, bit for bit, where the
+        # dense oracle matrix has it, and the identity map leaves each
+        # (lam, j) block's columns in the span of that block.
+        for d, n in [(2, 3), (3, 3), (2, 5)]:
+            basis = basis_for(d, n)
+            mat, slices = dense_basis_matrix(basis)
+            lams = list(basis.blocks)
+            rebuilt = np.zeros_like(mat)
+            for piece in basis.weight_slices().values():
+                cols = [slices[(lams[b], j)].start + i for b, i, j in piece.keys.tolist()]
+                rebuilt[np.ix_(piece.indices, cols)] = piece.matrix
+            assert np.array_equal(rebuilt, mat), (d, n)
+            for cols in slices.values():
+                block = mat[:, cols]
+                assert np.max(np.abs(block - block @ (block.conj().T @ block))) < 1e-12
 
 
 def write_out_of_range_file(path) -> None:
@@ -248,13 +250,66 @@ class TestSchurMeasurement:
         basis = basis_for(2, 3)
         state = _random_state(2, 3, 35)
         lam, j, tau = schur_measure(basis, state.amplitudes, RngStream(36))
-        cols_0 = basis.dense_matrix()[:, basis.block_slice(lam, 0)]
+        mat, slices = dense_basis_matrix(basis)
+        cols_0 = mat[:, slices[(lam, 0)]]
         assert np.linalg.norm(tau - cols_0 @ (cols_0.conj().T @ tau)) < 1e-10
         assert abs(np.linalg.norm(tau) - 1) < 1e-10
         block = basis.blocks[lam]
         want = np.array([np.vdot(block.vectors[(i, j)].to_dense(8), state.amplitudes) for i in range(block.dim_q)])
         got = np.array([np.vdot(block.vectors[(i, 0)].to_dense(8), tau) for i in range(block.dim_q)])
         assert np.max(np.abs(got - want / np.linalg.norm(want))) < 1e-10
+
+    def test_beyond_the_dense_size(self, basis_for):
+        # d^n = 7776: a d^n x d^n matrix would take 0.97 GB. On a random
+        # (d^n, 2) state the lam counts of 300 draws match the sparse-sum
+        # probabilities, and each tau is the drawn (lam, j) coefficients,
+        # renormalized, on the (lam, 0) vectors.
+        d, n, draws = 6, 5, 300
+        basis = basis_for(d, n)
+        gen = RngStream(901).gen
+        amps = gen.standard_normal((d**n, 2)) + 1j * gen.standard_normal((d**n, 2))
+        amps /= np.linalg.norm(amps)
+        want = {}
+        for col in amps.T:
+            weight = np.linalg.norm(col) ** 2
+            for (lam, _j), p in block_probabilities(basis, PureState(d, n, col / np.sqrt(weight))).items():
+                want[lam.parts] = want.get(lam.parts, 0.0) + weight * p
+        counts = {}
+        rng = RngStream(902)
+        for _ in range(draws):
+            lam, j, tau = schur_measure(basis, amps, rng)
+            counts[lam.parts] = counts.get(lam.parts, 0) + 1
+            block = basis.blocks[lam]
+            coeffs = _SparseColumns([block.vectors[(i, j)] for i in range(block.dim_q)]).adjoint(amps)
+            base = _SparseColumns([block.vectors[(i, 0)] for i in range(block.dim_q)])
+            got = base.adjoint(tau)
+            assert np.max(np.abs(got - coeffs / np.linalg.norm(coeffs))) < 1e-10
+            assert np.linalg.norm(tau - base.combine(got, d**n)) < 1e-10
+        assert set(counts) <= set(want)
+        stat, df = chi_square(counts, want)
+        assert chi2_sf(stat, df) >= 1e-4, (stat, df)
+
+
+class _SparseColumns:
+    """Sparse vectors as stored entries, each tagged with its vector's position."""
+
+    def __init__(self, vectors):
+        self.count = len(vectors)
+        self.indices = np.concatenate([vec.indices for vec in vectors])
+        self.amplitudes = np.concatenate([vec.amplitudes for vec in vectors])
+        self.owner = np.repeat(np.arange(len(vectors)), [vec.indices.size for vec in vectors])
+
+    def adjoint(self, amps: np.ndarray) -> np.ndarray:
+        """Row k is <vectors[k]| amps."""
+        out = np.zeros((self.count, amps.shape[1]), dtype=np.complex128)
+        np.add.at(out, self.owner, self.amplitudes.conj()[:, None] * amps[self.indices])
+        return out
+
+    def combine(self, coeffs: np.ndarray, dim: int) -> np.ndarray:
+        """sum_k vectors[k] coeffs[k], as a (dim, columns) array."""
+        out = np.zeros((dim, coeffs.shape[1]), dtype=np.complex128)
+        np.add.at(out, self.indices, self.amplitudes[:, None] * coeffs[self.owner])
+        return out
 
 
 class TestChangeOfBasis:
@@ -399,5 +454,5 @@ class TestPersistence:
         hacked = SchurBasis(2, 2, blocks)
         path = tmp_path / "tampered.schb"
         save_basis(hacked, path)
-        report = verify_nice_basis(load_basis(path), RngStream(40), trials=2)
+        report = verify_nice_basis(load_basis(path))
         assert report["gram_deviation"] > 1e-4

@@ -23,6 +23,44 @@ def write_rotated_file(path) -> None:
     save_basis(basis, path)
 
 
+def write_rotated_i_file(path) -> None:
+    """A (3, 3) basis whose two (lam=(2,1), i, 0) vectors of weight (1,1,1) are
+    rotated into each other by 0.3 rad: the (lam, 0) block is unchanged, but
+    its two (lam, i) blocks are no longer closed under permutations."""
+    basis = build_basis(3, 3)
+    block = basis.blocks[Partition((2, 1))]
+    first, second = [i for i, w in enumerate(block.weight_of_i) if tuple(w) == (1, 1, 1)]
+    a, b = block.vectors[(first, 0)].to_dense(27), block.vectors[(second, 0)].to_dense(27)
+    c, s = np.cos(0.3), np.sin(0.3)
+    block.vectors[(first, 0)] = SparseVector.pruned(np.arange(27), c * a + s * b)
+    block.vectors[(second, 0)] = SparseVector.pruned(np.arange(27), c * b - s * a)
+    save_basis(basis, path)
+
+
+def dense_u_residual(basis) -> float:
+    """max ||(1 - P_{lam,j}) E v|| over the (lam, j) blocks, their vectors v and
+    E = E_{a,a+1}, E_{a+1,a}, with E and P as d^n x d^n matrices."""
+    d, n = basis.d, basis.n
+    generators = []
+    for a in range(d - 1):
+        step = np.zeros((d, d))
+        step[a, a + 1] = 1.0
+        for e in (step, step.T):
+            generators.append(sum(np.kron(np.kron(np.eye(d**k), e), np.eye(d ** (n - k - 1))) for k in range(n)))
+    worst = 0.0
+    for block in basis.blocks.values():
+        for j in range(block.dim_p):
+            cols = np.stack([block.vectors[(i, j)].to_dense(d**n) for i in range(block.dim_q)], axis=1)
+            outside = np.eye(d**n) - cols @ cols.conj().T
+            for e in generators:
+                worst = max(worst, float(np.max(np.linalg.norm(outside @ e @ cols, axis=0))))
+    return worst
+
+
+def printed_report(text: str) -> dict[str, str]:
+    return dict(line.split(": ", 1) for line in text.splitlines() if ": " in line)
+
+
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
@@ -81,15 +119,26 @@ class TestBasisCommands:
         assert main(["basis", "verify", "--path", str(out)]) == 1
         assert "gram_deviation" in capsys.readouterr().out
 
-    def test_verify_needs_a_trial(self, tmp_path, capsys):
+    def test_verify_flags_rotated_j_blocks(self, tmp_path, capsys):
+        # The U-closure residual printed is the one computed densely here.
         out = tmp_path / "rotated.schb"
         write_rotated_file(out)
-        assert main(["basis", "verify", "--path", str(out), "--trials", "20"]) == 1
-        assert "u_closure_residual: 2.9" in capsys.readouterr().out
-        for trials in ("0", "-1"):
-            assert main(["basis", "verify", "--path", str(out), "--trials", trials]) == 2
-            err = capsys.readouterr().err
-            assert "config error:" in err and "Traceback" not in err
+        assert main(["basis", "verify", "--path", str(out)]) == 1
+        report = printed_report(capsys.readouterr().out)
+        want = dense_u_residual(load_basis(out))
+        assert want > 0.1
+        assert float(report["u_closure_residual"]) == pytest.approx(want, rel=1e-3)
+        assert float(report["pi_closure_residual"]) < 1e-8
+        assert float(report["gram_deviation"]) < 1e-9
+
+    def test_verify_flags_rotated_i_blocks(self, tmp_path, capsys):
+        out = tmp_path / "rotated_i.schb"
+        write_rotated_i_file(out)
+        assert main(["basis", "verify", "--path", str(out)]) == 1
+        report = printed_report(capsys.readouterr().out)
+        assert float(report["pi_closure_residual"]) > 0.1
+        assert float(report["u_closure_residual"]) < 1e-8
+        assert float(report["gram_deviation"]) < 1e-9
 
 
 class TestShadowRun:

@@ -10,6 +10,7 @@ from oracles import (
     block_probabilities,
     chi2_sf,
     chi_square,
+    dense_basis_matrix,
     dicke_map_brute_force,
     lambda_given_weight,
     population_shadow_dense,
@@ -18,7 +19,7 @@ from oracles import (
     semistandard_tableaux_count,
     standard_tableaux_count,
 )
-from schur_shadows.basis import SchurBasis, SchurBlock, build_q_bases, schur_measure
+from schur_shadows.basis import SchurBasis, SchurBlock, build_q_bases, schur_measure, verify_nice_basis
 from schur_shadows.moments import (
     _EntrywiseStats,
     expected_shadow_exact,
@@ -387,7 +388,7 @@ class TestWeightClassIdentities:
     @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (3, 3), (3, 4), (4, 3)])
     def test_lambda_law_and_averaged_state(self, basis_for, d, n):
         basis = basis_for(d, n)
-        dense = basis.dense_matrix()
+        dense, slices = dense_basis_matrix(basis)
         f = {lam: standard_tableaux_count(lam.parts) for lam in basis.blocks}
         for e in itertools.product(range(d), repeat=n):
             w = weight_of(e, d)
@@ -403,7 +404,7 @@ class TestWeightClassIdentities:
                 assert abs(got - f[lam] * kostka / multinom) < 1e-12
                 averaged = np.zeros((block.dim_q, block.dim_q), dtype=complex)
                 for j in range(block.dim_p):
-                    c = coeffs[basis.block_slice(lam, j)]
+                    c = coeffs[slices[(lam, j)]]
                     averaged += np.outer(c, c.conj())
                 slice_w = np.diag([1.0 if wi == w else 0.0 for wi in block.weight_of_i])
                 assert np.max(np.abs(averaged - f[lam] / multinom * slice_w)) < 1e-12
@@ -452,8 +453,21 @@ class TestWeightTable:
             def child(self, _stream):
                 raise AssertionError("a random stream was opened before the refusal")
 
+            @property
+            def gen(self):
+                raise AssertionError("a draw was made before the refusal")
+
         with pytest.raises(ValueError, match="vectors of weight"):
             shadow_from_population(broken, OperatorGrid.identity(3), (0, 1, 2) * 4, 4, NoDraws())
+        with pytest.raises(ValueError, match="weight"):
+            schur_measure(broken, PureState.from_digits((0, 1, 2), 3).amplitudes, NoDraws())
+        # verify reports the same basis as failing, and does not raise
+        report = verify_nice_basis(broken)
+        assert report["u_closure_residual"] == report["pi_closure_residual"] == np.inf
+        if fault == "lost vector":
+            assert not report["vector_count_ok"]
+        else:
+            assert report["weight_purity_violation"] > 0.1
 
 
 class TestShadowMatrix:
@@ -584,17 +598,17 @@ class TestPopulationShadow:
         d, digits, runs = 3, (0, 1, 2), 1500
         n = len(digits)
         basis = basis_for(d, n)
-        dense = basis.dense_matrix()
+        dense, slices = dense_basis_matrix(basis)
         coeffs = dense.conj().T @ PureState.from_digits(digits, d).amplitudes
         eye = np.eye(d)
         want = np.zeros((d * d, d * d), dtype=complex)
         for lam, block in basis.blocks.items():
             for j in range(block.dim_p):
-                c = coeffs[basis.block_slice(lam, j)]
+                c = coeffs[slices[(lam, j)]]
                 p = float(np.vdot(c, c).real)
                 if p < 1e-12:
                     continue
-                tau = PureState(d, n, dense[:, basis.block_slice(lam, 0)] @ c / np.sqrt(p))
+                tau = PureState(d, n, dense[:, slices[(lam, 0)]] @ c / np.sqrt(p))
                 first = expected_shadow_exact(lam, tau)
                 second = second_moment_exact(lam, tau)
                 k = lam.k
@@ -677,10 +691,10 @@ class TestSegmentFactor:
         gen = RngStream(750).gen
         amps = gen.standard_normal(d**n) + 1j * gen.standard_normal(d**n)
         state = PureState(d, n, amps / np.linalg.norm(amps))
-        dense = basis.dense_matrix()
+        dense, slices = dense_basis_matrix(basis)
         projectors = {}
         for lam, block in basis.blocks.items():
-            cols = np.concatenate([dense[:, basis.block_slice(lam, j)] for j in range(block.dim_p)], axis=1)
+            cols = np.concatenate([dense[:, slices[(lam, j)]] for j in range(block.dim_p)], axis=1)
             projectors[lam.parts] = cols @ cols.conj().T
         laws = {}
         for width in (2, 3):

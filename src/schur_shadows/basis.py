@@ -132,6 +132,8 @@ class SchurBasis:
     n: int
     blocks: dict[Partition, SchurBlock]
     _view: dict[tuple[int, ...], WeightSlice] | None = field(default=None, repr=False)
+    #: The product path's draw table, ``protocol._draw_table``, built on first use.
+    _draws: object | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:

@@ -30,10 +30,15 @@ Two front ends run the segments:
   each (lam, i, 0) of weight w with probability f^lam / multinom(n'; w),
   f^lam = ``dim_p``: the law of a uniform draw among the weight-w basis
   vectors, with j dropped. Since the POVM is linear in the state, the
-  segment's outcome has the law of the POVM on the drawn vector.
+  segment's outcome has the law of the POVM on the drawn vector. What this
+  reads off the basis, the draw table and the row-1 laws of the (lam, i, 0)
+  vectors in Dicke coordinates, is built once per basis and cached on it;
+  an estimate then draws all segments of one partition in one POVM pass, so
+  it does no d^n'-sized work.
 
-Both front ends draw the POVM with one sampler, :func:`_povm_sample`. Row r
-has lam_r boxes on the next lam_r qudits, and its outcome psi_r has density
+Both front ends draw the POVM with one sampler, :func:`_povm_sample`, which
+takes L states and a sample count for each. Row r has lam_r boxes on the
+next lam_r qudits, and its outcome psi_r has density
 kappa(lam_r) <psi^{x lam_r}|rho_r|psi^{x lam_r}> relative to Haar, where
 rho_r is the reduced state of the row given the rows drawn before it. The
 sampler goes row by row in Dicke coordinates (occupation numbers v of the
@@ -230,31 +235,35 @@ def _dicke_map(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return comps, sqrt_multinom, proj
 
 
-def _dicke_tensor(lam: Partition, d: int, tau: np.ndarray) -> np.ndarray:
-    """``tau`` of shape (d^n, rest) in Dicke coordinates on every row.
+def _dicke_tensor(lam: Partition, d: int, taus: np.ndarray) -> np.ndarray:
+    """L states ``taus`` of shape (L, d^n, rest) in Dicke coordinates on every row.
 
-    Returns the (kappa(lam_1), prod_{r>1} kappa(lam_r) * rest) matrix. Raises
-    ``ValueError`` when a row's Dicke states miss more than
-    ``_DICKE_MASS_TOL`` of the state's mass, before any proposal is drawn.
+    Returns the (L, kappa(lam_1), prod_{r>1} kappa(lam_r) * rest) array.
+    Each state is checked on its own: ``ValueError`` is raised when one is
+    zero, or when a row's Dicke states miss more than ``_DICKE_MASS_TOL`` of
+    its mass, before any proposal is drawn.
     """
-    if tau.shape[0] != d**lam.n:
-        raise ValueError(f"state has {tau.shape[0]} rows, {lam} at d={d} needs {d**lam.n}")
-    total = float(np.vdot(tau, tau).real)
-    if not total > 0.0:
+    count, rows = taus.shape[:2]
+    if rows != d**lam.n:
+        raise ValueError(f"state has {rows} rows, {lam} at d={d} needs {d**lam.n}")
+    total = np.sum(np.abs(taus) ** 2, axis=(1, 2))
+    if not np.all(total > 0.0):
         raise ValueError("the POVM needs a nonzero state")
-    out = tau
+    out = taus
     prefix = 1
     for r, m in enumerate(lam.parts):
         if m > 1:
-            out = _dicke_map(d, m)[2] @ out.reshape(prefix, d**m, -1)
-            mass = float(np.vdot(out, out).real)
-            if total - mass > _DICKE_MASS_TOL * total:
+            out = _dicke_map(d, m)[2] @ out.reshape(count, prefix, d**m, -1)
+            mass = np.sum(np.abs(out) ** 2, axis=(1, 2, 3))
+            lost = total - mass > _DICKE_MASS_TOL * total
+            if np.any(lost):
+                l = int(np.argmax(lost))
                 raise ValueError(
-                    f"state outside the row-symmetric subspace of {lam}: row {r + 1} keeps "
-                    f"{mass / total:.9f} of the mass in Dicke coordinates"
+                    f"state {l} is outside the row-symmetric subspace of {lam}: row {r + 1} keeps "
+                    f"{mass[l] / total[l]:.9f} of its mass in Dicke coordinates"
                 )
         prefix *= symmetric_dim(m, d)
-    return out.reshape(symmetric_dim(lam.parts[0], d), -1)
+    return out.reshape(count, symmetric_dim(lam.parts[0], d), -1)
 
 
 @dataclass
@@ -290,6 +299,12 @@ class _RowLaw:
             scale = np.divide(1.0, np.sqrt(weights), out=np.zeros_like(weights), where=weights > 0.0)
             bound = np.linalg.eigvalsh(rho * scale[:, :, None] * scale[:, None, :])[:, -1]
         return cls(m, states, weights, np.maximum(bound, 1.0), rho)
+
+    @classmethod
+    def row_one(cls, lam: Partition, d: int, taus: np.ndarray) -> "_RowLaw":
+        """Row 1's law over L states ``taus`` of shape (L, d^n, rest), which
+        :func:`_dicke_tensor` checks and maps to Dicke coordinates."""
+        return cls.of(_dicke_tensor(lam, d, taus), lam.parts[0])
 
 
 def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator, spent: int, budget: int):
@@ -385,38 +400,48 @@ def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator
 
 
 def _povm_sample(
-    lam: Partition, d: int, tau: np.ndarray, count: int, gen: np.random.Generator
+    lam: Partition, d: int, first: _RowLaw, counts, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Draw ``count`` outcomes of the row-symmetric POVM on one state.
+    """Draw ``counts[l]`` outcomes of the row-symmetric POVM on each of L states.
 
-    ``tau`` is (d^n, rest); row r occupies the next lam_r qudits and the rest
-    axis is carried along. Rows are drawn one at a time by the chain rule:
-    psi_r has the law of the one-row POVM on the reduced state of row r, and
-    the accepted c = <psi_r^{x lam_r}|T> is the next row's state. Row 1's law
-    is shared by all samples and computed once; samples go through the rows
-    in chunks bounded by ``_CHUNK_ENTRIES``.
+    ``first`` is row 1's law over the L states, each (d^n, rest) before
+    :meth:`_RowLaw.row_one` maps it to Dicke coordinates; row r occupies the
+    next lam_r qudits and the rest axis is carried along. Rows are drawn one at a time by the chain
+    rule: psi_r has the law of the one-row POVM on the reduced state of row
+    r, and the accepted c = <psi_r^{x lam_r}|T> is the next row's state. The
+    outcomes of state l fill slots ``cumsum(counts)[l-1]:cumsum(counts)[l]``.
+    Samples go through the rows in chunks bounded by ``_CHUNK_ENTRIES``, split
+    across states where a chunk spans several; row 1 of a chunk is one
+    :func:`_sample_row` call over all its states.
 
-    Returns the outcomes (count, k, d), the unnormalised post-measurement
-    states <x_r psi_r^{x lam_r}|tau> (count, rest), and the number of row
-    draws. ``RejectionBudgetError`` is raised past ``MAX_ROW_DRAWS`` draws
-    per sample.
+    Returns the outcomes (sum(counts), k, d), the unnormalised
+    post-measurement states <x_r psi_r^{x lam_r}|tau_l> (sum(counts), rest),
+    and the number of row draws. ``RejectionBudgetError`` is raised past
+    ``MAX_ROW_DRAWS`` draws per sample.
     """
-    budget = MAX_ROW_DRAWS * count
-    dicke = _dicke_tensor(lam, d, tau)
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    budget = MAX_ROW_DRAWS * total
     kappas = [symmetric_dim(m, d) for m in lam.parts]
-    first = _RowLaw.of(dicke[None], lam.parts[0])
+    width = first.states.shape[2]
     # Per sample: its later-row state, its share of row 1's proposals (about
-    # M of them, each a (kappa_1, d) power gather), and on later rows up to
-    # kappa_r proposals with their reduced states.
-    row_one = math.ceil(first.bound[0]) * kappas[0] * d
-    per_sample = dicke.shape[1] + max([row_one] + [kap**2 * (kap + d) for kap in kappas[1:]])
+    # M of them, each a (kappa_1, d) power gather, plus its own state's
+    # (kappa_1, width) or reduced state when several states share the call),
+    # and on later rows up to kappa_r proposals with their reduced states.
+    gather = 0 if len(counts) == 1 else min(width, kappas[0])
+    row_one = math.ceil(first.bound.max()) * kappas[0] * (d + gather)
+    per_sample = width + max([row_one] + [kap**2 * (kap + d) for kap in kappas[1:]])
     chunk = max(1, _CHUNK_ENTRIES // per_sample)
-    psis = np.empty((count, lam.k, d), dtype=np.complex128)
-    rests = np.empty((count, tau.shape[1]), dtype=np.complex128)
+    psis = np.empty((total, lam.k, d), dtype=np.complex128)
+    rests = np.empty((total, width // math.prod(kappas[1:])), dtype=np.complex128)
+    ends = np.cumsum(counts)
+    firsts = ends - counts
     spent = 0
-    for start in range(0, count, chunk):
-        size = min(chunk, count - start)
-        out, state, spent = _sample_row(first, np.array([size]), d, gen, spent, budget)
+    for start in range(0, total, chunk):
+        size = min(chunk, total - start)
+        # Each state's share of slots start .. start + size - 1.
+        need = np.maximum(np.minimum(ends, start + size) - np.maximum(firsts, start), 0)
+        out, state, spent = _sample_row(first, need, d, gen, spent, budget)
         psis[start : start + size, 0] = out
         for r in range(1, lam.k):
             law = _RowLaw.of(state.reshape(size, kappas[r], -1), lam.parts[r])
@@ -428,7 +453,7 @@ def _povm_sample(
 
 def row_symmetric_sample(lam: Partition, tau_state: PureState, rng: RngStream) -> list[np.ndarray]:
     """Sample one POVM outcome (psi_1, ..., psi_k) for a row-symmetric state."""
-    psis, _, _ = _povm_sample(lam, tau_state.d, tau_state.amplitudes.reshape(-1, 1), 1, rng.gen)
+    psis, _ = row_symmetric_sample_batch(lam, tau_state, 1, rng)
     return [psis[0, i].copy() for i in range(lam.k)]
 
 
@@ -436,7 +461,8 @@ def row_symmetric_sample_batch(
     lam: Partition, tau_state: PureState, count: int, rng: RngStream
 ) -> tuple[np.ndarray, int]:
     """``count`` independent outcomes (count, k, d) and the row draws they took."""
-    psis, _, proposals = _povm_sample(lam, tau_state.d, tau_state.amplitudes.reshape(-1, 1), count, rng.gen)
+    first = _RowLaw.row_one(lam, tau_state.d, tau_state.amplitudes.reshape(1, -1, 1))
+    psis, _, proposals = _povm_sample(lam, tau_state.d, first, np.array([count]), rng.gen)
     return psis, proposals
 
 
@@ -530,7 +556,7 @@ def population_shadow(basis: SchurBasis, state: PureState, epsilon: float, rng: 
         segment = rest.reshape(seg_dim, -1)
         factor, pinv = _segment_factor(segment)
         lam, _j, tau = schur_measure(basis, factor, sub)
-        psis, rests, trials = _povm_sample(lam, d, tau, 1, sub.gen)
+        psis, rests, trials = _povm_sample(lam, d, _RowLaw.row_one(lam, d, tau[None]), [1], sub.gen)
         rest = rests[0] if pinv is None else (rests[0] @ pinv) @ segment
         rest /= np.linalg.norm(rest)
         acc += shadow_matrix(lam, psis, d) - lam.k * np.eye(d)
@@ -546,13 +572,31 @@ def population_shadow(basis: SchurBasis, state: PureState, epsilon: float, rng: 
     )
 
 
-def _weight_table(basis: SchurBasis) -> tuple[SlotClasses, np.ndarray]:
-    """Every basis vector (lam, i, j) as the code b d^n' + i of its block b
-    and i, grouped by the digit-multiset class of its weight w: the group of
-    class c is ``table[classes.starts[c]:][:classes.counts[c]]``, and holds
-    each (lam, i) of weight w f^lam times, once per j. Raises ``ValueError``
-    unless every group has its class's size, multinom(n'; w).
+@dataclass(frozen=True)
+class _DrawTable:
+    """What the product path reads off a basis, built once by :func:`_draw_table`.
+
+    Every basis vector (lam, i, j) is the code b d^n' + i of its block b and
+    i, grouped by the digit-multiset class of its weight w: the group of
+    class c is ``codes[classes.starts[c]:][:classes.counts[c]]``, and holds
+    each (lam, i) of weight w f^lam times, once per j. ``first_rows[b]`` is
+    row 1's law over block b's (lam, i, 0) vectors in Dicke coordinates, law
+    i for vector i.
     """
+
+    classes: SlotClasses
+    codes: np.ndarray
+    first_rows: tuple[_RowLaw, ...]
+
+
+def _draw_table(basis: SchurBasis) -> _DrawTable:
+    """The basis's :class:`_DrawTable`, built on first use and cached on it.
+
+    Raises ``ValueError`` unless every group has its class's size,
+    multinom(n'; w), and nothing is cached then.
+    """
+    if basis._draws is not None:
+        return basis._draws
     d, m = basis.d, basis.n
     digits = digit_table(d, m)
     classes = SlotClasses(digits, d, [range(m)])
@@ -569,7 +613,12 @@ def _weight_table(basis: SchurBasis) -> tuple[SlotClasses, np.ndarray]:
         c = np.argmax(sizes != classes.counts)
         weight = tuple(np.bincount(digits[classes.order[classes.starts[c]]], minlength=d).tolist())
         raise ValueError(f"basis has {sizes[c]} vectors of weight {weight}, expected multinom = {classes.counts[c]}")
-    return classes, np.array(codes)[np.argsort(group, kind="stable")]
+    first_rows = []
+    for block in basis.blocks.values():
+        taus = np.stack([block.vectors[(i, 0)].to_dense(basis.dim) for i in range(block.dim_q)])
+        first_rows.append(_RowLaw.row_one(block.lam, d, taus[:, :, None]))
+    basis._draws = _DrawTable(classes, np.array(codes)[np.argsort(group, kind="stable")], tuple(first_rows))
+    return basis._draws
 
 
 def shadow_from_population(
@@ -585,10 +634,11 @@ def shadow_from_population(
     docstring):
 
     1. each segment draws one uniform entry (lam, i) of its weight's group
-       in :func:`_weight_table`, found by the index of its digits;
-    2. the POVM runs once per (lam, i) group on |(lam, i, 0)>, with the
-       group size as its sample count. |(lam, i, 0)> is a weight vector, so
-       its first row is drawn exactly (M = 1);
+       in the basis's :func:`_draw_table`, found by the index of its digits;
+    2. the POVM runs once per partition lam, on all its |(lam, i, 0)> at
+       once, with the number of segments that drew (lam, i) as the sample
+       count of state i. |(lam, i, 0)> is a weight vector, so its first row
+       is drawn exactly (M = 1);
     3. the records (Psi - k I) / n' are summed and U (.) U^dag / T returned.
 
     Every draw comes from the one generator of ``rng.child(0)``.
@@ -607,28 +657,28 @@ def shadow_from_population(
     seg_digits = np.asarray(digits[: t_segments * seg_size], dtype=np.int64).reshape(t_segments, seg_size)
     if np.any((seg_digits < 0) | (seg_digits >= d)):
         raise ValueError(f"symbols must lie in 0..{d - 1}")
-    classes, table = _weight_table(basis)
+    table = _draw_table(basis)
 
     draws = rng.child(0).gen
-    seg_class = classes.inverse[seg_digits @ place_values(d, seg_size)]
-    codes = table[classes.starts[seg_class] + draws.integers(classes.counts[seg_class])]
+    seg_class = table.classes.inverse[seg_digits @ place_values(d, seg_size)]
+    codes = table.codes[table.classes.starts[seg_class] + draws.integers(table.classes.counts[seg_class])]
+    block_of, vector_of = np.divmod(codes, basis.dim)
     blocks = list(basis.blocks.values())
     acc = np.zeros((d, d), dtype=np.complex128)
     proposals = 0
-    keys, sizes = np.unique(codes, return_counts=True)
-    for key, count in zip(keys.tolist(), sizes.tolist()):
-        b, i = divmod(key, basis.dim)
+    for b in np.flatnonzero(np.bincount(block_of)).tolist():
         lam = blocks[b].lam
-        tau = basis.vector(lam, i, 0).to_dense(basis.dim).reshape(-1, 1)
-        psis, _, trials = _povm_sample(lam, d, tau, count, draws)
-        acc += shadow_matrix(lam, psis, d) - count * lam.k * np.eye(d)
+        first = table.first_rows[b]
+        counts = np.bincount(vector_of[block_of == b], minlength=len(first.states))
+        psis, _, trials = _povm_sample(lam, d, first, counts, draws)
+        acc += shadow_matrix(lam, psis, d) - len(psis) * lam.k * np.eye(d)
         proposals += trials
     return ShadowEstimate(
         matrix=u @ acc @ u.conj().T / (t_segments * seg_size),
         t_segments=t_segments,
         segment_size=seg_size,
         master_seed=rng.master_seed,
-        segment_partitions=[blocks[b].lam.parts for b in (codes // basis.dim).tolist()],
+        segment_partitions=[blocks[b].lam.parts for b in block_of.tolist()],
         povm_proposals=proposals,
     )
 

@@ -35,7 +35,7 @@ from math import comb, factorial
 import numpy as np
 
 from schur_shadows.basis import FORMAT_VERSION, schur_measure
-from schur_shadows.protocol import ShadowEstimate, _povm_sample, segment_count, shadow_matrix
+from schur_shadows.protocol import ShadowEstimate, _povm_sample, _RowLaw, segment_count, shadow_matrix
 from schur_shadows.qudit import OperatorGrid, Permutation, PureState, apply_local_unitary
 from schur_shadows.young import BoxLayout, Partition, column_group, row_group, symmetric_dim
 
@@ -385,7 +385,7 @@ def population_shadow_dense(basis, state: PureState, epsilon: float, rng):
     for t in range(t_segments):
         sub = rng.child(t)
         lam, _j, tau = schur_measure(basis, rest.reshape(d**seg_size, -1), sub)
-        psis, rests, trials = _povm_sample(lam, d, tau, 1, sub.gen)
+        psis, rests, trials = _povm_sample(lam, d, _RowLaw.row_one(lam, d, tau[None]), [1], sub.gen)
         rest = rests[0] / np.linalg.norm(rests[0])
         acc += shadow_matrix(lam, psis, d) - lam.k * np.eye(d)
         partitions.append(lam.parts)

@@ -28,15 +28,17 @@ from schur_shadows.moments import (
     random_protocol_state,
     second_moment_exact,
 )
+from schur_shadows import protocol
 from schur_shadows.protocol import (
+    _CHUNK_ENTRIES,
     MixedState,
     Observable,
     RejectionBudgetError,
     _dicke_map,
-    _dicke_tensor,
+    _draw_table,
+    _povm_sample,
     _RowLaw,
     _segment_factor,
-    _weight_table,
     baseline_single_copy_shadow,
     median_of_means,
     mixed_state_shadow,
@@ -85,8 +87,7 @@ def rank_one_row(m, rng):
 
 def first_row_bound(lam, tau):
     """The proposal bound M of the sampler's first row on tau."""
-    dicke = _dicke_tensor(lam, tau.d, tau.amplitudes.reshape(-1, 1))
-    return _RowLaw.of(dicke[None], lam.parts[0]).bound[0]
+    return _RowLaw.row_one(lam, tau.d, tau.amplitudes.reshape(1, -1, 1)).bound[0]
 
 
 def traced_peak(call):
@@ -338,6 +339,68 @@ class TestDickeSampler:
             row_symmetric_sample_batch(Partition(parts), PureState.from_digits(digits, 2), 10, rng)
         assert rng.gen.bit_generator.state == before
 
+    def test_each_state_is_checked_on_its_own(self):
+        # The middle state is not symmetric on row 1. Next to two good states
+        # 1e5 times heavier it loses under 1e-10 of the stack's mass, so only a
+        # per-state check refuses it.
+        lam, d = Partition((2, 1)), 2
+        _, vectors = build_q_bases(d, lam.n)[lam]
+        good = [1e5 * vec.to_dense(d**lam.n) for vec in vectors[:2]]
+        bad = PureState.from_digits((0, 1, 0), d).amplitudes
+        assert np.isfinite(_RowLaw.row_one(lam, d, np.stack(good)[:, :, None]).bound).all()
+        with pytest.raises(ValueError, match="state 1 is outside the row-symmetric"):
+            _RowLaw.row_one(lam, d, np.stack([good[0], bad, good[1]])[:, :, None])
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_several_states_in_one_pass(self, protocol_state_for, d):
+        # One call draws 20000, 5000 and 1 outcomes of three weight-pure states
+        # of (2, 1), as they are (row 1 exact) and rotated by a Haar U^{x 3}
+        # (M > 1, a different M per state). Each state's slots hold its own
+        # outcomes: the post-measurement scalar <psi_1^{x 2} psi_2|tau_l> of
+        # every slot is recomputed from its outcome and must match state l's.
+        # The first moment of Psi on the two larger ranges is gated on the
+        # exact E[Psi]; a single outcome has no spread, so the third is
+        # checked by its slot alone.
+        lam, counts = Partition((2, 1)), np.array([20_000, 5_000, 1])
+        taus = [protocol_state_for(lam, d, 1000 + 10 * d + l)[0] for l in range(3)]
+        unitary = haar_unitary(d, RngStream(1100 + d))
+        ends = np.cumsum(counts)
+        coeffs = d + np.array(lam.parts)
+        z_max = z_threshold(2 * 2 * 2 * d * d, 4.0)  # 2 rotations x 2 states x 2 d^2 real entries
+        for rotation, seed in ((None, 1200 + d), (unitary, 1300 + d)):
+            states = [t if rotation is None else apply_local_unitary(rotation, t) for t in taus]
+            amps = np.stack([s.amplitudes for s in states])
+            first = _RowLaw.row_one(lam, d, amps[:, :, None])
+            assert (np.max(first.bound) > 1.0 + 1e-9) == (rotation is not None)
+            psis, rests, proposals = _povm_sample(lam, d, first, counts, RngStream(seed).gen)
+            assert psis.shape == (ends[-1], lam.k, d) and rests.shape == (ends[-1], 1)
+            assert proposals >= lam.k * ends[-1]
+            products = np.einsum("sa,sb,sc->sabc", psis[:, 0], psis[:, 0], psis[:, 1]).reshape(ends[-1], -1)
+            scalars = products.conj() @ amps.T
+            for l, (start, stop) in enumerate(zip(ends - counts, ends)):
+                assert np.max(np.abs(rests[start:stop, 0] - scalars[start:stop, l])) < 1e-12, (l, rotation)
+                others = np.delete(scalars[start:stop], l, axis=1) - rests[start:stop]
+                assert np.min(np.abs(others)) > 1e-9, (l, rotation)
+                if counts[l] > 1:
+                    stats = _EntrywiseStats((d, d))
+                    block = psis[start:stop]
+                    stats.add_batch(np.einsum("r,sra,srb->sab", coeffs, block, block.conj()))
+                    exact = expected_shadow_exact(lam, taus[l], rotation)
+                    assert np.max(stats.z_scores(exact)) <= z_max, (l, rotation)
+
+    def test_chunks_use_the_largest_bound(self):
+        # |000> has M = 1 and (V|0>)^{x 3} has M = kappa = 20 at d = 4. Chunks
+        # sized by the first state's bound would hold 20 times the proposals
+        # (about 26 MB here); the sampler holds its outcomes and the
+        # intermediates of one chunk (1.7 MB).
+        lam, d, count = Partition((3,)), 4, 4000
+        psi = haar_unitary(d, RngStream(322)).entries[:, 0]
+        taus = np.stack([PureState.from_digits((0, 0, 0), d).amplitudes, np.einsum("a,b,c->abc", psi, psi, psi).ravel()])
+        first = _RowLaw.row_one(lam, d, taus[:, :, None])
+        assert first.bound[0] == pytest.approx(1.0) and first.bound[1] == pytest.approx(20.0)
+        peak = traced_peak(lambda: _povm_sample(lam, d, first, np.array([1, count]), RngStream(323).gen))
+        assert peak < 2 * (count + 1) * lam.k * d * 16 + 4 * _CHUNK_ENTRIES * 16, peak
+
     def test_memory_stays_within_state_size(self, basis_for):
         # Nothing of shape proposals x rest is formed. A joint run measures
         # each segment on a factor of at most d^n' columns; what it holds of
@@ -411,14 +474,17 @@ class TestWeightClassIdentities:
 
 
 class TestWeightTable:
-    """The product path's draw table against tableau counts and the law of
-    lam given a weight, both computed by the oracles, not by the basis."""
+    """The product path's draw table, cached on the basis, against tableau
+    counts and the law of lam given a weight, both computed by the oracles,
+    not by the basis."""
 
     @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 3), (2, 7)])
     def test_groups_are_exact(self, basis_for, d, n):
         basis = basis_for(d, n)
         blocks = list(basis.blocks.values())
-        classes, table = _weight_table(basis)
+        draws = _draw_table(basis)
+        assert _draw_table(basis) is basis._draws is draws
+        classes, table = draws.classes, draws.codes
         for w in weights_reverse_lex(n, d):
             multinom = math.factorial(n) // math.prod(math.factorial(x) for x in w)
             # The class of the reversed sorted tuple: its largest member.
@@ -457,8 +523,10 @@ class TestWeightTable:
             def gen(self):
                 raise AssertionError("a draw was made before the refusal")
 
-        with pytest.raises(ValueError, match="vectors of weight"):
-            shadow_from_population(broken, OperatorGrid.identity(3), (0, 1, 2) * 4, 4, NoDraws())
+        for _ in range(2):
+            with pytest.raises(ValueError, match="vectors of weight"):
+                shadow_from_population(broken, OperatorGrid.identity(3), (0, 1, 2) * 4, 4, NoDraws())
+            assert broken._draws is None
         with pytest.raises(ValueError, match="weight"):
             schur_measure(broken, PureState.from_digits((0, 1, 2), 3).amplitudes, NoDraws())
         # verify reports the same basis as failing, and does not raise
@@ -619,6 +687,46 @@ class TestPopulationShadow:
         stats = _EntrywiseStats((d * d, d * d))
         stats.add_batch(np.einsum("rab,rce->racbe", xs, xs).reshape(runs, d * d, d * d))
         assert np.max(stats.z_scores(want)) <= z_threshold(2 * d**4, 4.0)
+
+    def test_one_pass_per_partition(self, basis_for, monkeypatch):
+        # A flat spectrum at (4, 3) with T = 500 reaches all 44 (lam, i)
+        # groups, and each partition's groups fit one chunk. So row 1 takes
+        # one _sample_row call per partition over all its groups, each later
+        # row one more: sum of k(lam) over the partitions that occur.
+        basis = basis_for(4, 3)
+        table = _draw_table(basis)
+        real = protocol._sample_row
+        rows, groups = [], []
+
+        def counting(law, need, *args):
+            rows.append(law.m)
+            if any(law is first for first in table.first_rows):
+                groups.append(np.count_nonzero(need))
+            return real(law, need, *args)
+
+        monkeypatch.setattr(protocol, "_sample_row", counting)
+        chi = MixedState(4, np.full(4, 0.25), haar_unitary(4, RngStream(330)), 4)
+        est = mixed_state_shadow(chi, 1500, 0.2829, RngStream(331), basis=basis)
+        assert est.t_segments == 500
+        occurring = set(est.segment_partitions)
+        assert len(rows) == sum(len(parts) for parts in occurring)
+        assert len(groups) == len(occurring)
+        assert sum(groups) == sum(len(first.states) for first in table.first_rows) == 44
+
+    def test_product_memory_is_chunked(self, basis_for):
+        # T = 20000 segments at (4, 3): the run holds one partition's outcomes,
+        # the scaled copies shadow_matrix sums them from, and one chunk of
+        # intermediates, under 3.5 times the bytes of all outcomes. Without
+        # chunks it holds about 10 times.
+        basis = basis_for(4, 3)
+        _draw_table(basis)  # built once per basis, outside the trace
+        t_segments = 20_000
+        digits = tuple(RngStream(332).gen.choice(4, size=3 * t_segments, p=[0.4, 0.3, 0.2, 0.1]).tolist())
+        u = haar_unitary(4, RngStream(333))
+        runs = []
+        peak = traced_peak(lambda: runs.append(shadow_from_population(basis, u, digits, t_segments, RngStream(334))))
+        outcome_bytes = sum(len(parts) for parts in runs[0].segment_partitions) * 4 * 16
+        assert peak < 3.5 * outcome_bytes, (peak, outcome_bytes)
 
     def test_product_sampler_rejects_bad_input(self, basis_for):
         basis = basis_for(2, 2)

@@ -2,11 +2,13 @@
 
 Layers:
 
-* :mod:`schur_shadows.qudit`: dense n-qudit states, permutation and local
-  unitary actions, partial traces, Haar sampling, seeded streams.
+* :mod:`schur_shadows.qudit`: dense n-qudit states, the index <-> digits
+  codec, the index map of qudit permutations, the local unitary action,
+  Haar sampling, seeded streams.
 * :mod:`schur_shadows.young`: partitions, row/column groups, standard
-  tableaux, slot classes (symmetrizers as class means), weights,
-  majorization.
+  tableaux, slot classes (symmetrizers as class means), majorization, and
+  the weight classes of digit tuples, which the basis, its verification and
+  the POVM's Dicke coordinates all read.
 * :mod:`schur_shadows.basis`: nice Schur basis construction, verification,
   persistence, and :func:`schur_measure`, the Schur measurement with its
   block change of basis, one weight slice at a time.
@@ -45,22 +47,10 @@ from .protocol import (
     mixed_state_shadow,
     population_shadow,
     predict,
-    row_symmetric_sample,
     sample_population_input,
     shadow_matrix,
 )
-from .qudit import (
-    OperatorGrid,
-    Permutation,
-    PureState,
-    RngStream,
-    apply_local_unitary,
-    apply_permutation,
-    encode_basis,
-    haar_pure_state,
-    haar_unitary,
-    partial_trace_keep,
-)
-from .young import Partition, majorizes, partitions_of, weight_of
+from .qudit import OperatorGrid, PureState, RngStream, apply_local_unitary, haar_unitary
+from .young import Partition, majorizes, partitions_of
 
 __version__ = "0.1.0"

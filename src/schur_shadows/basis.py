@@ -39,11 +39,10 @@ from .young import (
     Partition,
     SlotClasses,
     column_group,
-    digit_tuples_of_weight,
     majorizes,
     partitions_of,
     standard_tableaux,
-    weights_reverse_lex,
+    weight_classes,
 )
 
 #: Singular values (stage 1) and QR diagonals (stage 2) below this absolute
@@ -139,9 +138,6 @@ class SchurBasis:
     def dim(self) -> int:
         return self.d**self.n
 
-    def vector(self, lam: Partition, i: int, j: int) -> SparseVector:
-        return self.blocks[lam].vectors[(i, j)]
-
     def weight_slices(self) -> dict[tuple[int, ...], WeightSlice]:
         """The :class:`WeightSlice` of each weight, built on first use and cached.
 
@@ -161,7 +157,7 @@ class SchurBasis:
 
 
 def _weight_slices(basis: SchurBasis):
-    """Yield the :class:`WeightSlice` of every weight, in reverse lexicographic order."""
+    """Yield the :class:`WeightSlice` of every weight, in the order of :func:`weight_classes`."""
     by_weight: dict[tuple[int, ...], list] = {}
     first = 0
     for b, block in enumerate(basis.blocks.values()):
@@ -169,17 +165,26 @@ def _weight_slices(basis: SchurBasis):
             # Keyed (outcome, i, block position, j), so sorting orders columns by outcome, then i.
             by_weight.setdefault(tuple(block.weight_of_i[i]), []).append(((first + j, i, b, j), vec))
         first += block.dim_p
-    for w in weights_reverse_lex(basis.n, basis.d):
-        _, indices = _weight_slice(basis.d, w)
+    classes, weights = weight_classes(basis.d, basis.n)
+    for c, w in enumerate(map(tuple, weights.tolist())):
+        indices = classes.order[classes.starts[c] :][: classes.counts[c]]
         entries = sorted(by_weight.get(w, []), key=lambda entry: entry[0])
         if len(entries) != len(indices):
             raise ValueError(f"basis has {len(entries)} vectors of weight {w}, expected multinom = {len(indices)}")
         vectors = [vec for _, vec in entries]
-        support = np.concatenate([vec.indices for vec in vectors])
-        if not np.array_equal(indices[np.minimum(np.searchsorted(indices, support), len(indices) - 1)], support):
+        if not np.all(classes.inverse[np.concatenate([vec.indices for vec in vectors])] == c):
             raise ValueError(f"a basis vector of weight {w} has amplitudes outside the weight-{w} slice")
         labels = np.array([key for key, _ in entries], dtype=np.int64)
         yield WeightSlice(w, indices, _columns(vectors, indices), labels[:, [2, 1, 3]], labels[:, 0])
+
+
+def _slices(d: int, n: int) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
+    """Per weight, in the order of :func:`weight_classes`, the digit tuples of
+    its class, one per row in increasing index order, and their indices."""
+    classes, weights = weight_classes(d, n)
+    digits = digit_table(d, n)
+    members = np.split(classes.order, classes.starts[1:])
+    return {tuple(w): (digits[indices], indices) for w, indices in zip(weights.tolist(), members)}
 
 
 def _columns(vectors: list[SparseVector], rows: np.ndarray) -> np.ndarray:
@@ -188,12 +193,6 @@ def _columns(vectors: list[SparseVector], rows: np.ndarray) -> np.ndarray:
     for col, vec in enumerate(vectors):
         mat[np.searchsorted(rows, vec.indices), col] = vec.amplitudes
     return mat
-
-
-def _weight_slice(d: int, weight) -> tuple[np.ndarray, np.ndarray]:
-    """Digit tuples of one weight, one per row in increasing index order, and their indices."""
-    digits = np.array(digit_tuples_of_weight(weight), dtype=np.int64)
-    return digits, digits @ place_values(d, digits.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +218,7 @@ def build_q_bases(d: int, n: int) -> dict[Partition, tuple[list[tuple[int, ...]]
     lexicographically largest admissible weight.
     """
     check_dense_dim(d, n)
+    slices = _slices(d, n)
     out: dict[Partition, tuple[list[tuple[int, ...]], list[SparseVector]]] = {}
     for lam in partitions_of(n, d):
         layout = BoxLayout(lam)
@@ -229,7 +229,7 @@ def build_q_bases(d: int, n: int) -> dict[Partition, tuple[list[tuple[int, ...]]
         decreasing: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         weights: list[tuple[int, ...]] = []
         vectors: list[SparseVector] = []
-        for w in weights_reverse_lex(n, d):
+        for w in slices:
             # Non-majorized weights are annihilated by the symmetrizer.
             if not majorizes(lam, w):
                 continue
@@ -238,7 +238,7 @@ def build_q_bases(d: int, n: int) -> dict[Partition, tuple[list[tuple[int, ...]]
             order = sorted(range(d), key=lambda sym: -w[sym])
             top = tuple(w[sym] for sym in order)
             if top not in decreasing:
-                digits, indices = _weight_slice(d, top)
+                digits, indices = slices[top]
                 strict = np.all(digits[:, below] > digits[:, above], axis=1)
                 # Column permutations of a column-strict filling land on distinct rows.
                 rows = np.searchsorted(indices, permuted_indices(digits[strict], d, mappings))
@@ -279,7 +279,7 @@ def schur_basis_completion(
     (1, 0, ..., 0) up to rounding, so j = 0 keeps stage 1's vectors.
     """
     dim = check_dense_dim(d, n)
-    slices: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    slices = _slices(d, n)
     blocks: dict[Partition, SchurBlock] = {}
     total = 0
     for lam in partitions_of(n, d):
@@ -293,10 +293,7 @@ def schur_basis_completion(
         # The vectors of one weight are adjacent; permutations keep each weight slice.
         starts = [i for i in range(len(weights)) if i == 0 or weights[i] != weights[i - 1]]
         for start, stop in zip(starts, starts[1:] + [len(weights)]):
-            w = tuple(weights[start])
-            if w not in slices:
-                slices[w] = _weight_slice(d, w)
-            digits, indices = slices[w]
+            digits, indices = slices[tuple(weights[start])]
             rows = np.searchsorted(indices, permuted_indices(digits, d, mappings))
             # moved[t, :, k] = P_T |(lam, start + k, 0)> on the slice.
             moved = np.zeros((dim_p, len(indices), stop - start), dtype=np.complex128)
@@ -351,12 +348,11 @@ def verify_nice_basis(basis: SchurBasis, rng=None, trials=None) -> dict:
     the ``basis-cold`` workload in ``perfbench/workloads.py`` passes them.
     """
     d, n, blocks = basis.d, basis.n, basis.blocks.values()
-    digits = digit_table(d, n)
-    weight_of_index = np.stack([np.sum(digits == sym, axis=1) for sym in range(d)], axis=1)
+    classes, weights = weight_classes(d, n)
     purity_dev = 0.0
     for block in blocks:
         for (i, _j), vec in block.vectors.items():
-            if np.any(weight_of_index[vec.indices] != np.asarray(block.weight_of_i[i])):
+            if np.any(weights[classes.inverse[vec.indices]] != np.asarray(block.weight_of_i[i])):
                 purity_dev = max(purity_dev, float(np.max(np.abs(vec.amplitudes))))
     counts = [len(b.vectors) for b in blocks]
     report = {

@@ -292,15 +292,14 @@ def cmd_oracle(args) -> int:
     tau, weight = moments_mod.random_protocol_state(lam, weights, vectors, args.d, rng.child(0).gen)
     unitary = haar_unitary(args.d, rng.child(1))
 
-    first = moments_mod.expected_shadow_exact(lam, tau, unitary)
-    formula = moments_mod.expected_shadow_formula(lam, weight, unitary, args.d)
-    first_gap = float(np.max(np.abs(first - formula)))
-    second = moments_mod.second_moment_exact(lam, tau, unitary)
-    variance = moments_mod.variance_exact(lam, tau, unitary, observable.matrix, validate=False)
+    # The Monte Carlo check computes each exact moment once; the report reads them there.
     mc = moments_mod.mc_shadow_moments(
         lam, tau, unitary, args.samples, rng.child(3), second=True, observable=observable.matrix
     )
-    report = moments_mod.MomentReport(lam, args.d, first, second, variance, mc)
+    first = mc["first_moment_exact"]
+    formula = moments_mod.expected_shadow_formula(lam, weight, unitary, args.d)
+    first_gap = float(np.max(np.abs(first - formula)))
+    report = moments_mod.MomentReport(lam, args.d, first, mc["second_moment_exact"], mc["variance_exact"], mc)
     print(f"first moment vs closed form: max gap {first_gap:.3e}")
     print(
         f"monte carlo z: first {mc['first_moment_max_z']:.2f}, "
@@ -344,7 +343,7 @@ def cmd_bench_scaling(args) -> int:
         raise ConfigError("trials must be >= 1")
     rng = RngStream(args.seed)
     chi = MixedState.random(args.d, args.rank, rng.child(-2))
-    observable = make_observable(args.observable, args.d, rng.child(-3))
+    observable = _observable(args.observable, args.d, rng.child(-3))
     truth = float(np.trace(observable.matrix @ chi.density()).real)
     shared_basis = basis_mod.build_or_load(args.d, args.segment_size, args.cache_dir)
 
@@ -463,7 +462,8 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # An unreadable or unwritable path is a configuration error too.
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:

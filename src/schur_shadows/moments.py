@@ -39,6 +39,9 @@ ROW_SYMMETRY_TOL = 1e-8
 #: Digit entries that one chunk of permuted digit tables may hold.
 _PERM_CHUNK = 1 << 18
 
+#: POVM elements drawn per pass of :func:`mc_povm_completeness`.
+_MC_BATCH = 2000
+
 
 # ---------------------------------------------------------------------------
 # Row symmetrizers on the n-qudit register
@@ -236,9 +239,13 @@ def variance_exact(
     validate: bool = True,
 ) -> float:
     """Var[tr(O Psi)] = tr((O tensor O) E[Psi x Psi]) - tr(O E[Psi])^2."""
-    obs = np.asarray(observable, dtype=np.complex128)
     second = second_moment_exact(lam, tau, unitary, validate=validate)
-    first = expected_shadow_exact(lam, tau, unitary, validate=False)
+    return _variance(observable, expected_shadow_exact(lam, tau, unitary, validate=False), second)
+
+
+def _variance(observable: np.ndarray, first: np.ndarray, second: np.ndarray) -> float:
+    """tr((O tensor O) second) - tr(O first)^2 for the exact moments."""
+    obs = np.asarray(observable, dtype=np.complex128)
     raw = np.trace(np.kron(obs, obs) @ second) - np.trace(obs @ first) ** 2
     if abs(raw.imag) > 1e-8:
         raise ValueError(f"variance has non-negligible imaginary part {raw.imag}")
@@ -329,7 +336,7 @@ class _EntrywiseStats:
         return np.maximum(z_re, z_im)
 
 
-def mc_povm_completeness(lam: Partition, d: int, samples: int, rng: RngStream, batch: int = 2000) -> dict:
+def mc_povm_completeness(lam: Partition, d: int, samples: int, rng: RngStream) -> dict:
     """Monte Carlo average of kappa-weighted POVM elements vs the projector.
 
     The sampled operator is kappa * |v><v| with v the product of per-row
@@ -341,7 +348,7 @@ def mc_povm_completeness(lam: Partition, d: int, samples: int, rng: RngStream, b
     stats = _EntrywiseStats((dim, dim))
     gen = rng.gen
     while stats.count < samples:
-        b = min(batch, samples - stats.count)
+        b = min(_MC_BATCH, samples - stats.count)
         full = _product_state_batch(lam, d, b, gen) * np.sqrt(kappa)
         re, im = np.ascontiguousarray(full.real), np.ascontiguousarray(full.imag)
         stats.sum += full.T @ full.conj()
@@ -383,11 +390,18 @@ def mc_shadow_moments(
     """Sample the production POVM path and compare moments to the oracle.
 
     Returns entrywise max |z| for E[Psi] (and E[Psi x Psi] when ``second``),
-    plus a variance z statistic for ``observable`` when given.
+    plus a variance z statistic for ``observable`` when given, and the exact
+    moments it compared against: ``first_moment_exact``, and
+    ``second_moment_exact`` when ``second`` or ``observable`` asks for it.
+    The state is checked once, and each exact moment is computed once.
     """
     from .protocol import row_symmetric_sample_batch
 
     d = tau.d
+    # The exact moments come first, so a bad state is refused before any draw.
+    report = {"samples": samples, "first_moment_exact": expected_shadow_exact(lam, tau, unitary)}
+    if second or observable is not None:
+        report["second_moment_exact"] = second_moment_exact(lam, tau, unitary, validate=False)
     state = tau if unitary is None else apply_local_unitary(unitary, tau)
     psis, _trials = row_symmetric_sample_batch(lam, state, samples, rng)
     coeffs = np.array([part + d for part in lam.parts], dtype=np.float64)
@@ -409,22 +423,17 @@ def mc_shadow_moments(
         if values is not None:
             values[start : start + block.shape[0]] = np.real(np.einsum("ab,sba->s", obs, shadows))
 
-    exact_first = expected_shadow_exact(lam, tau, unitary)
-    report = {
-        "samples": samples,
-        "first_moment_max_z": float(np.max(first_stats.z_scores(exact_first))),
-        "first_moment_mean": first_stats.mean,
-    }
+    report["first_moment_max_z"] = float(np.max(first_stats.z_scores(report["first_moment_exact"])))
+    report["first_moment_mean"] = first_stats.mean
     if second_stats is not None:
-        exact_second = second_moment_exact(lam, tau, unitary)
-        report["second_moment_max_z"] = float(np.max(second_stats.z_scores(exact_second)))
+        report["second_moment_max_z"] = float(np.max(second_stats.z_scores(report["second_moment_exact"])))
     if values is not None:
         sample_var = float(np.var(values))
         centred = values - values.mean()
         m2 = float(np.mean(centred**2))
         m4 = float(np.mean(centred**4))
         se_var = np.sqrt(max(m4 - m2**2, 0.0) / samples)
-        exact_var = variance_exact(lam, tau, unitary, obs, validate=False)
+        exact_var = _variance(obs, report["first_moment_exact"], report["second_moment_exact"])
         report["variance_mc"] = sample_var
         report["variance_exact"] = exact_var
         report["variance_z"] = float(abs(sample_var - exact_var) / max(se_var, 1e-300))

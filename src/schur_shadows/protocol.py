@@ -69,14 +69,13 @@ from .qudit import (
     OperatorGrid,
     PureState,
     RngStream,
-    digit_table,
     haar_unitary,
     haar_unitary_batch,
     hermiticity_deviation,
     place_values,
     unitarity_deviation,
 )
-from .young import Partition, SlotClasses, symmetric_dim
+from .young import Partition, SlotClasses, symmetric_dim, weight_classes
 
 logger = logging.getLogger(__name__)
 
@@ -211,37 +210,29 @@ _SUPPORT_CUT = 1e-16
 
 
 @lru_cache(maxsize=64)
-def _dicke_map(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Compositions v of m into d parts, sqrt(multinom(m; v)), and P_m.
-
-    The compositions are the weights of the digit-multiset classes of the
-    m-digit tuples. The classes come in increasing index order of their
-    sorted tuples 0^{v_0} 1^{v_1} ..., and a tuple with more leading zeros,
-    then more ones after them, and so on, is smaller: the compositions come
-    largest first (reverse lexicographic order). So the unit composition e_a
-    has index a and P_1 is the identity. The class sizes are the multinomials.
-    P_m is the (kappa_m, d^m) map onto the normalised Dicke states |D_v>, the
-    uniform superpositions of the digit tuples of weight v. The arrays are
-    shared by the cache, so read-only.
+def _dicke_map(d: int, m: int) -> tuple[SlotClasses, np.ndarray, np.ndarray]:
+    """The weight classes of the m-digit tuples, their weights v (the Dicke
+    compositions, largest first, so the unit composition e_a has index a),
+    and sqrt(multinom(m; v)), the square roots of the class sizes. The
+    normalised Dicke state |D_v> is the uniform superposition of the digit
+    tuples of class v. The arrays are shared by the cache, so read-only.
     """
-    digits = digit_table(d, m)
-    classes = SlotClasses(digits, d, [range(m)])
-    comps = (digits[classes.order[classes.starts], :, None] == np.arange(d)).sum(axis=1)
+    classes, comps = weight_classes(d, m)
     sqrt_multinom = np.sqrt(classes.counts)
-    proj = np.zeros((len(comps), len(digits)))
-    proj[classes.inverse, np.arange(len(digits))] = 1.0 / sqrt_multinom[classes.inverse]
-    for arr in (comps, sqrt_multinom, proj):
-        arr.setflags(write=False)
-    return comps, sqrt_multinom, proj
+    sqrt_multinom.setflags(write=False)
+    return classes, comps, sqrt_multinom
 
 
 def _dicke_tensor(lam: Partition, d: int, taus: np.ndarray) -> np.ndarray:
     """L states ``taus`` of shape (L, d^n, rest) in Dicke coordinates on every row.
 
     Returns the (L, kappa(lam_1), prod_{r>1} kappa(lam_r) * rest) array.
-    Each state is checked on its own: ``ValueError`` is raised when one is
-    zero, or when a row's Dicke states miss more than ``_DICKE_MASS_TOL`` of
-    its mass, before any proposal is drawn.
+    Row r's coordinate on |D_v> is the sum of the row's amplitudes over the
+    digit tuples of class v, divided by sqrt(multinom(lam_r; v)); no
+    (kappa, d^m) map is formed. Each state is checked on its own:
+    ``ValueError`` is raised when one is zero, or when a row's Dicke states
+    miss more than ``_DICKE_MASS_TOL`` of its mass, before any proposal is
+    drawn.
     """
     count, rows = taus.shape[:2]
     if rows != d**lam.n:
@@ -253,7 +244,9 @@ def _dicke_tensor(lam: Partition, d: int, taus: np.ndarray) -> np.ndarray:
     prefix = 1
     for r, m in enumerate(lam.parts):
         if m > 1:
-            out = _dicke_map(d, m)[2] @ out.reshape(count, prefix, d**m, -1)
+            classes, _, sqrt_multinom = _dicke_map(d, m)
+            out = np.add.reduceat(out.reshape(count, prefix, d**m, -1)[:, :, classes.order], classes.starts, axis=2)
+            out /= sqrt_multinom[:, None]
             mass = np.sum(np.abs(out) ** 2, axis=(1, 2, 3))
             lost = total - mass > _DICKE_MASS_TOL * total
             if np.any(lost):
@@ -327,7 +320,7 @@ def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator
     x, |<a_x|psi>|^2 / ||a_x||^2 ~ Beta(2, d - 1) and the rest of psi is
     Haar, so every proposal is accepted.
     """
-    comps, sqrt_multinom, _ = _dicke_map(d, law.m)
+    _, comps, sqrt_multinom = _dicke_map(d, law.m)
     shared = len(law.states) == 1
     cum = np.cumsum(law.weights, axis=1)
     width = cum.shape[1]
@@ -451,12 +444,6 @@ def _povm_sample(
     return psis, rests, spent
 
 
-def row_symmetric_sample(lam: Partition, tau_state: PureState, rng: RngStream) -> list[np.ndarray]:
-    """Sample one POVM outcome (psi_1, ..., psi_k) for a row-symmetric state."""
-    psis, _ = row_symmetric_sample_batch(lam, tau_state, 1, rng)
-    return [psis[0, i].copy() for i in range(lam.k)]
-
-
 def row_symmetric_sample_batch(
     lam: Partition, tau_state: PureState, count: int, rng: RngStream
 ) -> tuple[np.ndarray, int]:
@@ -474,9 +461,12 @@ def shadow_matrix(lam: Partition, psis: np.ndarray, d: int) -> np.ndarray:
     psis = np.asarray(psis)
     if psis.ndim != 3 or psis.shape[1:] != (lam.k, d):
         raise ValueError(f"need outcomes of shape (count, {lam.k}, {d}) for {lam}, got {psis.shape}")
-    # Rows sqrt(d + lam_r) psi_r: their Gram sum is the sum of Psi.
-    scaled = (psis * np.sqrt(d + np.array(lam.parts))[None, :, None]).reshape(-1, d)
-    return scaled.T @ scaled.conj()
+    out = np.zeros((d, d), dtype=np.complex128)
+    # One row at a time, so only that row's conjugate is held.
+    for r, part in enumerate(lam.parts):
+        rows = psis[:, r]
+        out += (d + part) * (rows.T @ rows.conj())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -597,21 +587,18 @@ def _draw_table(basis: SchurBasis) -> _DrawTable:
     """
     if basis._draws is not None:
         return basis._draws
-    d, m = basis.d, basis.n
-    digits = digit_table(d, m)
-    classes = SlotClasses(digits, d, [range(m)])
-    codes, weights = [], []
+    d = basis.d
+    classes, weights = weight_classes(d, basis.n)
+    class_of = {w: c for c, w in enumerate(map(tuple, weights.tolist()))}
+    codes, group = [], []
     for b, block in enumerate(basis.blocks.values()):
         for i, _j in block.vectors:
             codes.append(b * basis.dim + i)
-            weights.append(block.weight_of_i[i])
-    # The sorted tuple 0^{w_0} 1^{w_1} ... of each weight is in its class.
-    sorted_digits = np.repeat(np.tile(np.arange(d), len(weights)), np.ravel(weights)).reshape(-1, m)
-    group = classes.inverse[sorted_digits @ place_values(d, m)]
+            group.append(class_of[tuple(block.weight_of_i[i])])
     sizes = np.bincount(group, minlength=len(classes.counts))
     if not np.array_equal(sizes, classes.counts):
         c = np.argmax(sizes != classes.counts)
-        weight = tuple(np.bincount(digits[classes.order[classes.starts[c]]], minlength=d).tolist())
+        weight = tuple(weights[c].tolist())
         raise ValueError(f"basis has {sizes[c]} vectors of weight {weight}, expected multinom = {classes.counts[c]}")
     first_rows = []
     for block in basis.blocks.values():

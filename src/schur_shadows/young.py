@@ -1,5 +1,7 @@
-"""Partitions, tableau box layouts, standard tableaux, row/column groups, weights,
-and the slot classes through which symmetrizers act as class means.
+"""Partitions, tableau box layouts, standard tableaux, row/column groups, the
+slot classes through which symmetrizers act as class means, and the weight
+classes of digit tuples (:func:`weight_classes`), which every grouping by
+weight in the package reads.
 
 The canonical tableau is always filled row-major: boxes are numbered left to
 right within a row, rows top to bottom. Box positions are 0-based.
@@ -10,10 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .qudit import place_values
+from .qudit import digit_table, place_values
 
 
 @dataclass(frozen=True)
@@ -196,14 +199,6 @@ class SlotClasses:
         return sums[self.inverse]
 
 
-def weight_of(digits, d: int) -> tuple[int, ...]:
-    """Occurrence count of each symbol 0..d-1 in a digit sequence."""
-    counts = [0] * d
-    for dig in digits:
-        counts[dig] += 1
-    return tuple(counts)
-
-
 def majorizes(lam: Partition, weight) -> bool:
     """True when every prefix sum of the sorted weight is <= that of lam."""
     weight = tuple(int(w) for w in weight)
@@ -220,41 +215,22 @@ def majorizes(lam: Partition, weight) -> bool:
     return True
 
 
-def _compositions(remaining: int, slots: int):
-    """Compositions of ``remaining`` into ``slots`` parts, largest first."""
-    if slots == 1:
-        yield (remaining,)
-        return
-    for head in range(remaining, -1, -1):
-        for tail in _compositions(remaining - head, slots - 1):
-            yield (head,) + tail
+@lru_cache(maxsize=64)
+def weight_classes(d: int, n: int) -> tuple[SlotClasses, np.ndarray]:
+    """The :class:`SlotClasses` of the n-digit tuples under all slot
+    permutations, and the (C, d) weight (symbol counts) of each class.
 
-
-def weights_reverse_lex(n: int, d: int):
-    """All compositions of n into d parts, lexicographically largest first."""
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
-    yield from _compositions(n, d)
-
-
-def digit_tuples_of_weight(weight) -> list[tuple[int, ...]]:
-    """All digit tuples with the given symbol counts, in increasing index order.
-
-    Steps through the distinct permutations of the sorted tuple in
-    lexicographic order, which for digit tuples is index order.
+    Classes come in increasing index order of their sorted tuples
+    0^{w_0} 1^{w_1} ..., and a tuple with more leading zeros, then more ones
+    after them, and so on, is smaller: the weights come lexicographically
+    largest first, so the unit weight e_a is class a. Class c holds the
+    indices ``order[starts[c]:][:counts[c]]``, increasing, and its size
+    ``counts[c]`` is multinom(n; w). The arrays are shared by the cache, so
+    read-only.
     """
-    digits = [sym for sym, count in enumerate(weight) for _ in range(count)]
-    out = [tuple(digits)]
-    while True:
-        # Rightmost ascent, then swap in the smallest larger digit after it.
-        pivot = len(digits) - 2
-        while pivot >= 0 and digits[pivot] >= digits[pivot + 1]:
-            pivot -= 1
-        if pivot < 0:
-            return out
-        swap = len(digits) - 1
-        while digits[swap] <= digits[pivot]:
-            swap -= 1
-        digits[pivot], digits[swap] = digits[swap], digits[pivot]
-        digits[pivot + 1 :] = reversed(digits[pivot + 1 :])
-        out.append(tuple(digits))
+    digits = digit_table(d, n)
+    classes = SlotClasses(digits, d, [range(n)])
+    weights = (digits[classes.order[classes.starts], :, None] == np.arange(d)).sum(axis=1)
+    for arr in (classes.inverse, classes.counts, classes.order, classes.starts, weights):
+        arr.setflags(write=False)
+    return classes, weights

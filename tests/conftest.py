@@ -1,9 +1,4 @@
-import sys
-from pathlib import Path
-
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from schur_shadows.basis import SchurBasis, build_basis
 from schur_shadows.moments import random_protocol_state

@@ -1,7 +1,12 @@
 """Independent oracles used by the tests.
 
 Everything here is computed by a route disjoint from the package code:
-exact Beta integrals for single-row POVM moments at d = 2, brute-force
+Python loops for the index <-> digits codec (``encode_basis``,
+``decode_basis``) and for weights (``weight_of``), ``itertools``
+enumerations of the weights and of the digit tuples of one weight
+(``weights_brute_force``, ``digit_tuples_brute_force``), a tensor transpose
+for qudit permutations (``apply_permutation``), exact Beta integrals for
+single-row POVM moments at d = 2, brute-force
 enumeration for combinatorics, backtracking counts for standard and
 semistandard tableaux, the Schur-Weyl distribution of the partition label,
 Schur measurement probabilities summed over the sparse basis vectors (no
@@ -36,8 +41,54 @@ import numpy as np
 
 from schur_shadows.basis import FORMAT_VERSION, schur_measure
 from schur_shadows.protocol import ShadowEstimate, _povm_sample, _RowLaw, segment_count, shadow_matrix
-from schur_shadows.qudit import OperatorGrid, Permutation, PureState, apply_local_unitary
+from schur_shadows.qudit import OperatorGrid, PureState, apply_local_unitary
 from schur_shadows.young import BoxLayout, Partition, column_group, row_group, symmetric_dim
+
+
+def encode_basis(digits, d: int) -> int:
+    """A digit sequence as a big-endian base-d integer: qudit 0 is the most
+    significant digit, so ``encode_basis((1, 1, 0), 2) == 6``."""
+    value = 0
+    for dig in digits:
+        if not 0 <= dig < d:
+            raise ValueError(f"digit {dig} out of range for d={d}")
+        value = value * d + int(dig)
+    return value
+
+
+def decode_basis(value: int, d: int, n: int) -> tuple[int, ...]:
+    """Inverse of :func:`encode_basis` for a length-n sequence."""
+    digits = []
+    for _ in range(n):
+        digits.append(value % d)
+        value //= d
+    return tuple(reversed(digits))
+
+
+def weight_of(digits, d: int) -> tuple[int, ...]:
+    """Occurrence count of each symbol 0..d-1 in a digit sequence."""
+    counts = [0] * d
+    for dig in digits:
+        counts[dig] += 1
+    return tuple(counts)
+
+
+def weights_brute_force(n: int, d: int) -> list[tuple[int, ...]]:
+    """The weights of the n-digit tuples, lexicographically largest first."""
+    return sorted({weight_of(e, d) for e in itertools.product(range(d), repeat=n)}, reverse=True)
+
+
+def digit_tuples_brute_force(weight) -> list[tuple[int, ...]]:
+    """The digit tuples of one weight, in increasing index order."""
+    d, n = len(weight), sum(weight)
+    return [e for e in itertools.product(range(d), repeat=n) if weight_of(e, d) == tuple(weight)]
+
+
+def apply_permutation(mapping, state: PureState) -> PureState:
+    """The qudit permutation moving qudit k to position ``mapping[k]``, as a
+    transpose of the state's (d,) * n tensor."""
+    out = state.amplitudes.reshape((state.d,) * state.n).transpose(np.argsort(mapping))
+    return PureState(state.d, state.n, np.ascontiguousarray(out).reshape(-1))
 
 
 def beta_int(a: int, b: int) -> float:
@@ -172,11 +223,10 @@ def young_symmetrizer_apply(lam: Partition, state: PureState) -> PureState:
     """Apply the Young symmetrizer to a dense state (output unnormalized)."""
     if lam.n != state.n:
         raise ValueError(f"partition of {lam.n} applied to {state.n} qudits")
-    tensor = state.tensor_view()
+    tensor = state.amplitudes.reshape((state.d,) * state.n)
     out = np.zeros_like(tensor)
     for mapping, sign in young_symmetrizer_terms(lam):
-        inv = Permutation(mapping).inverse().mapping
-        out += sign * tensor.transpose(inv)
+        out += sign * tensor.transpose(np.argsort(mapping))
     return PureState(state.d, state.n, np.ascontiguousarray(out.reshape(-1)))
 
 

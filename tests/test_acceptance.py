@@ -86,7 +86,8 @@ def test_criterion_1_nice_basis_suite(basis_for):
 
 def test_criterion_2_young_symmetrizer_properties():
     from oracles import young_symmetrizer_apply
-    from schur_shadows.young import majorizes, weight_of
+    from oracles import weight_of
+    from schur_shadows.young import majorizes
     from test_young import dense_symmetrizer
 
     start = time.perf_counter()
@@ -122,15 +123,15 @@ def test_criterion_2_young_symmetrizer_properties():
 
     # lexicographically largest admissible weight space has rank exactly 1
     rank_ok = True
-    from schur_shadows.young import digit_tuples_of_weight, weights_reverse_lex
+    from oracles import digit_tuples_brute_force, weights_brute_force
 
     for d, n in [(2, 5), (3, 4)]:
         for lam in partitions_of(n, d):
             target = lam.padded(d)
-            for w in weights_reverse_lex(n, d):
+            for w in weights_brute_force(n, d):
                 cols = [
                     young_symmetrizer_apply(lam, PureState.from_digits(e, d)).amplitudes
-                    for e in digit_tuples_of_weight(w)
+                    for e in digit_tuples_brute_force(w)
                 ]
                 svals = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
                 rank = int(np.sum(svals > 1e-9 * max(svals[0], 1e-30)))

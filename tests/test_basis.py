@@ -10,9 +10,12 @@ from oracles import (
     chi2_sf,
     chi_square,
     dense_basis_matrix,
+    encode_basis,
     save_basis_records,
     semistandard_tableaux_count,
     standard_tableaux_count,
+    weight_of,
+    weights_brute_force,
 )
 from schur_shadows.basis import (
     BasisCacheError,
@@ -28,10 +31,9 @@ from schur_shadows.qudit import (
     PureState,
     RngStream,
     apply_local_unitary,
-    encode_basis,
     haar_unitary,
 )
-from schur_shadows.young import Partition, partitions_of, weights_reverse_lex
+from schur_shadows.young import Partition, partitions_of
 from test_young import dense_symmetrizer
 
 
@@ -105,15 +107,13 @@ class TestCompletion:
     def test_dim_q_per_weight_is_kostka_number(self, basis_for, d, n):
         basis = basis_for(d, n)
         for lam, block in basis.blocks.items():
-            for w in weights_reverse_lex(n, d):
+            for w in weights_brute_force(n, d):
                 assert block.weight_of_i.count(w) == semistandard_tableaux_count(lam.parts, w)
 
     @pytest.mark.parametrize("d,n", [(2, 3), (2, 4), (3, 3), (3, 4)])
     def test_orthonormal_and_weight_pure(self, basis_for, d, n):
         basis = basis_for(d, n)
         assert basis.gram_deviation() < 1e-9
-        from schur_shadows.young import weight_of
-
         for lam, block in basis.blocks.items():
             for (i, _j), vec in block.vectors.items():
                 want = block.weight_of_i[i]
@@ -316,7 +316,7 @@ class TestChangeOfBasis:
     def test_j_zero_is_identity(self, basis_for):
         basis = basis_for(2, 3)
         lam = Partition((2, 1))
-        vec = basis.vector(lam, 1, 0).to_dense(8)
+        vec = basis.blocks[lam].vectors[(1, 0)].to_dense(8)
         got_lam, j, tau = schur_measure(basis, vec, RngStream(40))
         assert (got_lam, j) == (lam, 0)
         assert np.allclose(tau, vec)
@@ -324,25 +324,22 @@ class TestChangeOfBasis:
     def test_maps_j_block_to_base_block(self, basis_for):
         basis = basis_for(2, 3)
         lam = Partition((2, 1))
-        vec = basis.vector(lam, 0, 1).to_dense(8)
+        vec = basis.blocks[lam].vectors[(0, 1)].to_dense(8)
         got_lam, j, tau = schur_measure(basis, vec, RngStream(41))
         assert (got_lam, j) == (lam, 1)
-        assert np.allclose(tau, basis.vector(lam, 0, 0).to_dense(8))
+        assert np.allclose(tau, basis.blocks[lam].vectors[(0, 0)].to_dense(8))
 
     def test_preserves_coefficients(self, basis_for):
         basis = basis_for(2, 3)
         lam = Partition((2, 1))
+        vec = {key: v.to_dense(8) for key, v in basis.blocks[lam].vectors.items()}
         gen = RngStream(37).gen
         coeff = gen.standard_normal(2) + 1j * gen.standard_normal(2)
         coeff /= np.linalg.norm(coeff)
-        state = coeff[0] * basis.vector(lam, 0, 1).to_dense(8) + coeff[1] * basis.vector(
-            lam, 1, 1
-        ).to_dense(8)
+        state = coeff[0] * vec[(0, 1)] + coeff[1] * vec[(1, 1)]
         got_lam, j, tau = schur_measure(basis, state, RngStream(42))
         assert (got_lam, j) == (lam, 1)
-        expect = coeff[0] * basis.vector(lam, 0, 0).to_dense(8) + coeff[1] * basis.vector(
-            lam, 1, 0
-        ).to_dense(8)
+        expect = coeff[0] * vec[(0, 0)] + coeff[1] * vec[(1, 0)]
         assert np.max(np.abs(tau - expect)) < 1e-10
         assert abs(np.linalg.norm(tau) - 1) < 1e-10
 

@@ -92,6 +92,14 @@ class TestBasisCommands:
     def test_verify_missing_file(self, tmp_path):
         assert main(["basis", "verify", "--path", str(tmp_path / "nope.schb")]) == 2
 
+    def test_unusable_paths_are_config_errors(self, tmp_path, capsys):
+        # A directory given as the file to verify, and an output file in a
+        # missing directory, exit 2 with a message and no traceback.
+        assert main(["basis", "verify", "--path", str(tmp_path)]) == 2
+        assert main(["basis", "build", "--d", "2", "--n", "2", "--out", str(tmp_path / "nowhere" / "b.schb")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 2 and "Traceback" not in err
+
     def test_verify_corrupt_file(self, tmp_path):
         out = tmp_path / "b.schb"
         assert main(["basis", "build", "--d", "2", "--n", "2", "--out", str(out)]) == 0
@@ -277,6 +285,26 @@ class TestOracleCommand:
     def test_cap_exceeded(self):
         assert main(["oracle", "--d", "3", "--lambda", "6", "--samples", "10"]) == 3
 
+    def test_each_exact_moment_once(self, tmp_path, monkeypatch):
+        from schur_shadows import moments
+
+        calls = {"second": 0, "row_check": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(moments, "second_moment_exact", counted("second", moments.second_moment_exact))
+        monkeypatch.setattr(moments, "row_symmetry_residual", counted("row_check", moments.row_symmetry_residual))
+        out = tmp_path / "report.json"
+        assert main(["oracle", "--d", "2", "--lambda", "3,1", "--samples", "500", "--out", str(out)]) == 0
+        assert calls == {"second": 1, "row_check": 1}
+        payload = json.loads(out.read_text())
+        assert payload["variance"] == payload["mc"]["variance_exact"]
+
     def test_cap_checked_before_basis_build(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("basis built for an over-cap oracle request")
@@ -324,6 +352,9 @@ class TestBenchCommand:
         ["bench", "scaling", "--t-grid", "4", "--segment-size", "0"],
         ["bench", "scaling", "--t-grid", "0"],
         ["bench", "scaling", "--t-grid", "4,x"],
+        ["bench", "scaling", "--t-grid", "4", "--observable", "nonsense"],
+        ["bench", "scaling", "--t-grid", "4", "--observable", "projector:9"],
+        ["bench", "scaling", "--t-grid", "4", "--observable", "@missing.json"],
         ["oracle", "--d", "1", "--lambda", "2"],
         ["oracle", "--d", "2", "--lambda", "2,1", "--samples", "0"],
         ["oracle", "--povm", "--lambda", "2,1", "--samples", "-3"],

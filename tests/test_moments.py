@@ -235,7 +235,7 @@ class TestClosedForm:
         obs[0, 0], obs[1, 1] = 1.0, -1.0
         p, q = 2, 1
         amps = np.zeros(27, dtype=complex)
-        from schur_shadows.qudit import encode_basis
+        from oracles import encode_basis
 
         for digits in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]:
             amps[encode_basis(digits, 3)] = 1.0

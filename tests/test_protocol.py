@@ -12,12 +12,15 @@ from oracles import (
     chi_square,
     dense_basis_matrix,
     dicke_map_brute_force,
+    encode_basis,
     lambda_given_weight,
     population_shadow_dense,
     product_basis_state,
     schur_weyl_distribution,
     semistandard_tableaux_count,
     standard_tableaux_count,
+    weight_of,
+    weights_brute_force,
 )
 from schur_shadows.basis import SchurBasis, SchurBlock, build_q_bases, schur_measure, verify_nice_basis
 from schur_shadows.moments import (
@@ -35,6 +38,7 @@ from schur_shadows.protocol import (
     Observable,
     RejectionBudgetError,
     _dicke_map,
+    _dicke_tensor,
     _draw_table,
     _povm_sample,
     _RowLaw,
@@ -44,7 +48,6 @@ from schur_shadows.protocol import (
     mixed_state_shadow,
     population_shadow,
     predict,
-    row_symmetric_sample,
     row_symmetric_sample_batch,
     sample_population_input,
     segment_count,
@@ -52,8 +55,8 @@ from schur_shadows.protocol import (
     shadow_matrix,
     ShadowEstimate,
 )
-from schur_shadows.qudit import OperatorGrid, PureState, RngStream, apply_local_unitary, encode_basis, haar_unitary
-from schur_shadows.young import Partition, kappa_product, partitions_of, symmetric_dim, weight_of, weights_reverse_lex
+from schur_shadows.qudit import OperatorGrid, PureState, RngStream, apply_local_unitary, haar_unitary
+from schur_shadows.young import Partition, kappa_product, partitions_of, symmetric_dim, weight_classes
 from test_moments import z_threshold
 
 #: The sampler's moment-oracle gate: every lam of n <= 5 with at most d rows
@@ -112,11 +115,11 @@ class TestMixedState:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MixedState(2, np.array([0.4, 0.6]), OperatorGrid.identity(2), 2)  # not sorted
+            MixedState(2, np.array([0.4, 0.6]), OperatorGrid(np.eye(2)), 2)  # not sorted
         with pytest.raises(ValueError):
-            MixedState(2, np.array([0.9, 0.2]), OperatorGrid.identity(2), 2)  # sum != 1
+            MixedState(2, np.array([0.9, 0.2]), OperatorGrid(np.eye(2)), 2)  # sum != 1
         with pytest.raises(ValueError):
-            MixedState(2, np.array([0.6, 0.4]), OperatorGrid.identity(2), 1)  # rank lie
+            MixedState(2, np.array([0.6, 0.4]), OperatorGrid(np.eye(2)), 1)  # rank lie
 
 
 class TestObservable:
@@ -140,7 +143,7 @@ class TestPopulationInput:
         assert digits == (0,) * 20
 
     def test_symbol_frequencies(self):
-        chi = MixedState(2, np.array([0.5, 0.5]), OperatorGrid.identity(2), 2)
+        chi = MixedState(2, np.array([0.5, 0.5]), OperatorGrid(np.eye(2)), 2)
         _, digits = sample_population_input(chi, 100_000, RngStream(63))
         freq = sum(digits) / len(digits)
         assert abs(freq - 0.5) <= 4 * np.sqrt(0.25 / 100_000)
@@ -214,7 +217,7 @@ class TestRowSymmetricSampling:
 
     def test_rejects_non_symmetric_state(self):
         with pytest.raises(ValueError, match="row-symmetric"):
-            row_symmetric_sample(Partition((2,)), PureState.from_digits((0, 1), 2), RngStream(74))
+            row_symmetric_sample_batch(Partition((2,)), PureState.from_digits((0, 1), 2), 1, RngStream(74))
 
     def test_budget_error(self, monkeypatch):
         # Every sample takes at least one draw per row, so a budget below k
@@ -225,11 +228,11 @@ class TestRowSymmetricSampling:
         with pytest.raises(RejectionBudgetError):
             row_symmetric_sample_batch(lam, tau, 5, RngStream(75))
         with pytest.raises(RejectionBudgetError):
-            row_symmetric_sample(lam, tau, RngStream(75))
+            row_symmetric_sample_batch(lam, tau, 1, RngStream(75))
         # An M = 4 state with no budget at all.
         monkeypatch.setattr("schur_shadows.protocol.MAX_ROW_DRAWS", 0)
         with pytest.raises(RejectionBudgetError):
-            row_symmetric_sample(Partition((3,)), rank_one_row(3, RngStream(311)), RngStream(75))
+            row_symmetric_sample_batch(Partition((3,)), rank_one_row(3, RngStream(311)), 1, RngStream(75))
 
     def test_proposals_count_the_sampler(self):
         # On tau = (U|0>)^{x3} the row state has rank 1 and all 4 Dicke weights
@@ -255,23 +258,30 @@ class TestRowSymmetricSampling:
 
     def test_sampled_states_are_unit(self):
         tau = PureState.from_digits((0,) * 3, 2)
-        psis = row_symmetric_sample(Partition((3,)), tau, RngStream(76))
-        assert len(psis) == 1
-        assert np.linalg.norm(psis[0]) == pytest.approx(1.0, abs=1e-12)
+        psis, _ = row_symmetric_sample_batch(Partition((3,)), tau, 1, RngStream(76))
+        assert psis.shape == (1, 1, 2)
+        assert np.linalg.norm(psis[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDickeMap:
     @pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 5) for m in range(1, 5)])
     def test_matches_brute_force(self, d, m):
-        comps, sqrt_multinom, proj = _dicke_map(d, m)
+        _, comps, sqrt_multinom = _dicke_map(d, m)
         want_comps, want_sqrt, want_proj = dicke_map_brute_force(d, m)
         assert np.array_equal(comps, want_comps)
         np.testing.assert_allclose(sqrt_multinom, want_sqrt, rtol=1e-15, atol=0)
-        np.testing.assert_allclose(proj, want_proj, rtol=1e-15, atol=0)
+        # Class sums give the coordinates of the brute-force map on symmetric
+        # states, here two of them with three columns each.
+        gen = RngStream(315 + 4 * d + m).gen
+        coeffs = gen.standard_normal((2, len(comps), 3)) + 1j * gen.standard_normal((2, len(comps), 3))
+        taus = want_proj.T @ coeffs
+        got = _dicke_tensor(Partition((m,)), d, taus)
+        np.testing.assert_allclose(got, want_proj @ taus, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got, coeffs, rtol=0, atol=1e-13)
         if m == 1:
-            # The unit composition e_a sits at index a, so P_1 is the identity.
+            # The unit composition e_a sits at index a, so row coordinates are the state's.
             assert np.array_equal(comps, np.eye(d, dtype=np.int64))
-            assert np.array_equal(proj, np.eye(d))
+            assert np.array_equal(got, taus)
 
 
 class TestDickeSampler:
@@ -388,6 +398,27 @@ class TestDickeSampler:
                     exact = expected_shadow_exact(lam, taus[l], rotation)
                     assert np.max(stats.z_scores(exact)) <= z_max, (l, rotation)
 
+    def test_dicke_coordinates_are_class_sums(self):
+        # lam = (6) at d = 6 on (V|0>)^{x 6}, a 0.75 MB state. A dense
+        # (kappa, d^6) map onto the Dicke states would alone hold 172 MB.
+        # Class sums hold a copy of the state and the weight-class table,
+        # built here from a cold cache (9 MB measured).
+        lam, d = Partition((6,)), 6
+        psi = haar_unitary(d, RngStream(324)).entries[:, 0]
+        amps = np.ones(1, dtype=complex)
+        for _ in range(6):
+            amps = np.kron(amps, psi)
+        weight_classes.cache_clear()
+        _dicke_map.cache_clear()
+        laws = []
+        peak = traced_peak(lambda: laws.append(_RowLaw.row_one(lam, d, amps.reshape(1, -1, 1))))
+        assert peak < 20e6, peak
+        # <D_v|psi^{x 6}> = sqrt(multinom(6; v)) prod_a psi_a^{v_a}, from the oracle's compositions.
+        comps, sqrt_multinom, _ = dicke_map_brute_force(d, 6)
+        want = sqrt_multinom * np.prod(psi ** comps, axis=1)
+        np.testing.assert_allclose(laws[0].states[0, :, 0], want, rtol=0, atol=1e-14)
+        assert laws[0].bound[0] == pytest.approx(symmetric_dim(6, d))
+
     def test_chunks_use_the_largest_bound(self):
         # |000> has M = 1 and (V|0>)^{x 3} has M = kappa = 20 at d = 4. Chunks
         # sized by the first state's bound would hold 20 times the proposals
@@ -485,7 +516,7 @@ class TestWeightTable:
         draws = _draw_table(basis)
         assert _draw_table(basis) is basis._draws is draws
         classes, table = draws.classes, draws.codes
-        for w in weights_reverse_lex(n, d):
+        for w in weights_brute_force(n, d):
             multinom = math.factorial(n) // math.prod(math.factorial(x) for x in w)
             # The class of the reversed sorted tuple: its largest member.
             c = classes.inverse[encode_basis([s for s in reversed(range(d)) for _ in range(w[s])], d)]
@@ -525,7 +556,7 @@ class TestWeightTable:
 
         for _ in range(2):
             with pytest.raises(ValueError, match="vectors of weight"):
-                shadow_from_population(broken, OperatorGrid.identity(3), (0, 1, 2) * 4, 4, NoDraws())
+                shadow_from_population(broken, OperatorGrid(np.eye(3)), (0, 1, 2) * 4, 4, NoDraws())
             assert broken._draws is None
         with pytest.raises(ValueError, match="weight"):
             schur_measure(broken, PureState.from_digits((0, 1, 2), 3).amplitudes, NoDraws())
@@ -645,7 +676,7 @@ class TestPopulationShadow:
         u = haar_unitary(3, RngStream(301))
         digits = (0, 1, 2, 2, 2, 1, 0, 0, 1, 1, 1, 1, 2, 0, 2)
         a = shadow_from_population(basis, u, digits, 5, RngStream(302))
-        b = shadow_from_population(basis, OperatorGrid.identity(3), digits, 5, RngStream(302))
+        b = shadow_from_population(basis, OperatorGrid(np.eye(3)), digits, 5, RngStream(302))
         assert np.max(np.abs(a.matrix - u.entries @ b.matrix @ u.entries.conj().T)) < 1e-12
         assert a.segment_partitions == b.segment_partitions
 
@@ -682,7 +713,7 @@ class TestPopulationShadow:
                 k = lam.k
                 want += p * (second - k * np.kron(first, eye) - k * np.kron(eye, first) + k * k * np.eye(d * d)) / n**2
         root = RngStream(309)
-        ident = OperatorGrid.identity(d)
+        ident = OperatorGrid(np.eye(d))
         xs = np.array([shadow_from_population(basis, ident, digits, 1, root.child(r)).matrix for r in range(runs)])
         stats = _EntrywiseStats((d * d, d * d))
         stats.add_batch(np.einsum("rab,rce->racbe", xs, xs).reshape(runs, d * d, d * d))
@@ -715,9 +746,10 @@ class TestPopulationShadow:
 
     def test_product_memory_is_chunked(self, basis_for):
         # T = 20000 segments at (4, 3): the run holds one partition's outcomes,
-        # the scaled copies shadow_matrix sums them from, and one chunk of
-        # intermediates, under 3.5 times the bytes of all outcomes. Without
-        # chunks it holds about 10 times.
+        # the per-segment draw indices, one chunk of intermediates, and in
+        # shadow_matrix one row's conjugate at a time: under 2 times the bytes
+        # of all outcomes (1.97 measured). A scaled copy of all outcomes with
+        # its conjugate reads 2.73, and no chunks about 10.
         basis = basis_for(4, 3)
         _draw_table(basis)  # built once per basis, outside the trace
         t_segments = 20_000
@@ -726,7 +758,7 @@ class TestPopulationShadow:
         runs = []
         peak = traced_peak(lambda: runs.append(shadow_from_population(basis, u, digits, t_segments, RngStream(334))))
         outcome_bytes = sum(len(parts) for parts in runs[0].segment_partitions) * 4 * 16
-        assert peak < 3.5 * outcome_bytes, (peak, outcome_bytes)
+        assert peak < 2.0 * outcome_bytes, (peak, outcome_bytes)
 
     def test_product_sampler_rejects_bad_input(self, basis_for):
         basis = basis_for(2, 2)
@@ -916,12 +948,12 @@ class TestBaseline:
         assert np.trace(est.matrix).real == pytest.approx(1.0, abs=1e-10)
 
     def test_unbiased_for_pure_state(self):
-        chi = MixedState(2, np.array([1.0, 0.0]), OperatorGrid.identity(2), 1)
+        chi = MixedState(2, np.array([1.0, 0.0]), OperatorGrid(np.eye(2)), 1)
         est = baseline_single_copy_shadow(chi, 100_000, RngStream(95))
         # each entry has O(1/sqrt(N)) fluctuation with constant < 3
         assert np.max(np.abs(est.matrix - np.diag([1.0, 0.0]))) < 4 * 3 / np.sqrt(100_000)
 
     def test_maximally_mixed(self):
-        chi = MixedState(2, np.array([0.5, 0.5]), OperatorGrid.identity(2), 2)
+        chi = MixedState(2, np.array([0.5, 0.5]), OperatorGrid(np.eye(2)), 2)
         est = baseline_single_copy_shadow(chi, 100_000, RngStream(96))
         assert np.max(np.abs(est.matrix - np.eye(2) / 2)) < 4 * 3 / np.sqrt(100_000)

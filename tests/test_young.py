@@ -4,27 +4,34 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import brute_force_partitions, young_symmetrizer_apply, young_symmetrizer_apply_digits
-from schur_shadows.qudit import PureState, RngStream, all_digit_tuples, encode_basis
+from oracles import (
+    apply_permutation,
+    brute_force_partitions,
+    digit_tuples_brute_force,
+    encode_basis,
+    weight_of,
+    weights_brute_force,
+    young_symmetrizer_apply,
+    young_symmetrizer_apply_digits,
+)
+from schur_shadows.qudit import PureState, RngStream, digit_table
 from schur_shadows.young import (
     BoxLayout,
     Partition,
     column_group,
-    digit_tuples_of_weight,
     kappa_product,
     majorizes,
     partitions_of,
     row_group,
     symmetric_dim,
-    weight_of,
-    weights_reverse_lex,
+    weight_classes,
 )
 
 
 def dense_symmetrizer(lam: Partition, d: int) -> np.ndarray:
     """Young symmetrizer as a dense matrix (test-side reference)."""
     mat = np.zeros((d**lam.n, d**lam.n))
-    for idx, digits in enumerate(all_digit_tuples(d, lam.n)):
+    for idx, digits in enumerate(itertools.product(range(d), repeat=lam.n)):
         for out, val in young_symmetrizer_apply_digits(lam, digits).items():
             mat[encode_basis(out, d), idx] = val
     return mat
@@ -145,8 +152,8 @@ class TestSymmetrizer:
             for lam in partitions_of(n, d):
                 target = lam.padded(d)
                 seen_target = False
-                for w in weights_reverse_lex(n, d):
-                    tuples = digit_tuples_of_weight(w)
+                for w in weights_brute_force(n, d):
+                    tuples = digit_tuples_brute_force(w)
                     cols = []
                     for e in tuples:
                         out = young_symmetrizer_apply(lam, PureState.from_digits(e, d))
@@ -160,15 +167,13 @@ class TestSymmetrizer:
                 assert seen_target
 
     def test_row_invariance_of_image(self):
-        from schur_shadows.qudit import Permutation, apply_permutation
-
         gen = RngStream(22).gen
         for lam in partitions_of(4, 3):
             amps = gen.standard_normal(81) + 1j * gen.standard_normal(81)
             state = PureState(3, 4, amps / np.linalg.norm(amps))
             image = young_symmetrizer_apply(lam, state)
             for mapping in row_group(lam):
-                moved = apply_permutation(Permutation(mapping), image)
+                moved = apply_permutation(mapping, image)
                 assert np.max(np.abs(moved.amplitudes - image.amplitudes)) < 1e-10
 
     def test_weight_preservation(self):
@@ -191,7 +196,9 @@ class TestWeights:
         [((0, 0, 1), 2, (2, 1)), ((2,), 3, (0, 0, 1)), ((0, 1, 0, 1), 2, (2, 2))],
     )
     def test_weight_of(self, digits, d, expect):
-        assert weight_of(digits, d) == expect
+        # The weight of a digit tuple's class in the weight-class table.
+        classes, weights = weight_classes(d, len(digits))
+        assert tuple(weights[classes.inverse[encode_basis(digits, d)]].tolist()) == expect
 
     def test_majorization_examples(self):
         assert not majorizes(Partition((2, 1)), (3, 0))
@@ -218,28 +225,42 @@ class TestWeights:
         ],
     )
     def test_reverse_lex_order(self, n, d, expect):
-        assert list(weights_reverse_lex(n, d)) == expect
+        assert list(map(tuple, weight_classes(d, n)[1].tolist())) == expect
 
     def test_reverse_lex_complete_and_sorted(self):
-        got = list(weights_reverse_lex(4, 3))
+        got = list(map(tuple, weight_classes(3, 4)[1].tolist()))
         assert len(got) == len(set(got)) == 15
         assert got == sorted(got, reverse=True)
         assert all(sum(w) == 4 for w in got)
 
     @pytest.mark.parametrize("weight", [(2, 1), (1, 2, 1), (0, 3), (2, 0, 2), (1, 1, 1, 1), (0, 0)])
     def test_digit_tuples_in_index_order(self, weight):
+        # The members of a weight's class, increasing, are its digit tuples in index order.
         d, n = len(weight), sum(weight)
-        want = [e for e in itertools.product(range(d), repeat=n) if weight_of(e, d) == tuple(weight)]
-        assert digit_tuples_of_weight(weight) == want
+        classes, weights = weight_classes(d, n)
+        c = list(map(tuple, weights.tolist())).index(tuple(weight))
+        members = classes.order[classes.starts[c] :][: classes.counts[c]]
+        assert list(map(tuple, digit_table(d, n)[members].tolist())) == digit_tuples_brute_force(weight)
+
+    @pytest.mark.parametrize("d,n", [(1, 3), (2, 1), (2, 6), (3, 4), (4, 3), (4, 5), (6, 3)])
+    def test_weight_classes_match_brute_force(self, d, n):
+        # Classes in reverse lexicographic order of their weights, each holding
+        # the digit tuples of its weight in index order, multinom(n; w) of them.
+        classes, weights = weight_classes(d, n)
+        assert list(map(tuple, weights.tolist())) == weights_brute_force(n, d)
+        tuples = list(itertools.product(range(d), repeat=n))
+        for c, w in enumerate(map(tuple, weights.tolist())):
+            members = classes.order[classes.starts[c] :][: classes.counts[c]]
+            assert [tuples[i] for i in members.tolist()] == digit_tuples_brute_force(w)
+            assert np.all(classes.inverse[members] == c)
 
     def test_enumerators_leave_no_reference_cycles(self):
         gc.collect()
         gc.disable()
         try:
             partitions_of(6, 3)
-            list(weights_reverse_lex(5, 3))
-            for w in weights_reverse_lex(4, 3):
-                digit_tuples_of_weight(w)
+            weight_classes.__wrapped__(3, 5)
+            weight_classes.__wrapped__(4, 4)
             found = gc.collect()
         finally:
             gc.enable()

@@ -11,7 +11,8 @@ Layers:
   the POVM's Dicke coordinates all read.
 * :mod:`schur_shadows.basis`: nice Schur basis construction, verification,
   persistence, and :func:`schur_measure`, the Schur measurement with its
-  block change of basis, one weight slice at a time.
+  block change of basis, one weight slice at a time. The product-input
+  front end reads only the basis's j = 0 layer, :func:`build_q_bases`.
 * :mod:`schur_shadows.protocol`: population sampling, the row-symmetric
   POVM, the shadow record :func:`shadow_matrix`, the joint-state and
   product-input shadow front ends, median-of-means, baseline.
@@ -24,7 +25,6 @@ Layers:
 from .basis import (
     SchurBasis,
     build_basis,
-    build_or_load,
     load_basis,
     save_basis,
     schur_measure,

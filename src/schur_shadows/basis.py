@@ -17,6 +17,11 @@ closure on the generators of U(d) and S_n, and :func:`schur_measure`, the
 protocol's first step, measures (lam, j) and moves the measured block onto
 (lam, 0). It works on the measured rows of a (d^n, rest) matrix, so a
 segment of a larger joint state is measured without reshaping the rest away.
+
+The whole basis serves the joint-state path and ``basis build``/``verify``.
+The product-input path reads stage 1 only: its law depends on the ``j = 0``
+layer through whole weight blocks, whatever orthonormal basis of each
+block stage 1 picks.
 """
 
 from __future__ import annotations
@@ -131,8 +136,6 @@ class SchurBasis:
     n: int
     blocks: dict[Partition, SchurBlock]
     _view: dict[tuple[int, ...], WeightSlice] | None = field(default=None, repr=False)
-    #: The product path's draw table, ``protocol._draw_table``, built on first use.
-    _draws: object | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -206,10 +209,14 @@ def build_q_bases(d: int, n: int) -> dict[Partition, tuple[list[tuple[int, ...]]
     The symmetrizer is the row symmetrizer after the column antisymmetrizer.
     The latter is applied to the column-strict fillings of a weight only:
     any other filling maps to 0 or to +- the image of one of them. The row
-    symmetrizer acts as class means over each row's digit multiset, and an
-    SVD with an absolute rank cut gives the slice's orthonormal basis. This
-    is done for decreasing weights; relabelling the digits commutes with the
-    symmetrizer and carries it to their rearrangements.
+    symmetrizer acts as class means over each row's digit multiset, so every
+    image lies in the span of the orthonormal class vectors 1_C / sqrt|C|.
+    An SVD with an absolute rank cut of the images in those coordinates
+    (signed class sums over sqrt|C|) gives the slice's orthonormal basis,
+    gathered back onto the slice's rows. Where K_{lam,w} > 1 the singular
+    values repeat, and the SVD picks one orthonormal basis of their span.
+    This is done for decreasing weights; relabelling the digits commutes
+    with the symmetrizer and carries it to their rearrangements.
 
     Returns, per partition, the per-vector weight list and the sparse real
     vectors, each signed so that its first nonzero amplitude is positive.
@@ -242,11 +249,16 @@ def build_q_bases(d: int, n: int) -> dict[Partition, tuple[list[tuple[int, ...]]
                 strict = np.all(digits[:, below] > digits[:, above], axis=1)
                 # Column permutations of a column-strict filling land on distinct rows.
                 rows = np.searchsorted(indices, permuted_indices(digits[strict], d, mappings))
-                images = np.zeros((len(digits), rows.shape[1]))
-                images[rows, np.arange(rows.shape[1])] = signs[:, None]
-                images = SlotClasses(digits, d, layout.row_blocks()).mean(images)
-                left, singular, _ = np.linalg.svd(images, full_matrices=False)
-                decreasing[top] = (digits, left[:, singular > RANK_CUT])
+                # Each filling's image in the orthonormal coordinates 1_C / sqrt|C|
+                # of the row classes C: its signed class sums over sqrt|C|.
+                classes = SlotClasses(digits, d, layout.row_blocks())
+                fillings = rows.shape[1]
+                flat = classes.inverse[rows] * fillings + np.arange(fillings)
+                sums = np.bincount(flat.ravel(), np.repeat(signs, fillings), len(classes.counts) * fillings)
+                root = np.sqrt(classes.counts)
+                left, singular, _ = np.linalg.svd(sums.reshape(-1, fillings) / root[:, None], full_matrices=False)
+                left = left[:, singular > RANK_CUT]
+                decreasing[top] = (digits, left[classes.inverse] / root[classes.inverse, None])
             digits, cols = decreasing[top]
             indices = np.array(order)[digits] @ place_values(d, n)
             rows = np.argsort(indices)
@@ -533,18 +545,3 @@ def load_basis(path) -> SchurBasis:
 
 def cache_file_name(d: int, n: int) -> str:
     return f"schur_basis_d{d}_n{n}_v{FORMAT_VERSION}.schb"
-
-
-def build_or_load(d: int, n: int, cache_dir=None) -> SchurBasis:
-    """Load the cached basis for (d, n), building and caching on a miss."""
-    if cache_dir is None:
-        return build_basis(d, n)
-    import os
-
-    path = os.path.join(cache_dir, cache_file_name(d, n))
-    if os.path.exists(path):
-        return load_basis(path)
-    basis = build_basis(d, n)
-    os.makedirs(cache_dir, exist_ok=True)
-    save_basis(basis, path)
-    return basis

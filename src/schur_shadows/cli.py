@@ -4,9 +4,6 @@ Subcommands: ``basis build``, ``basis verify``, ``shadow run``, ``oracle``,
 ``bench scaling``. Progress goes to stderr; data goes to files (JSON/CSV with
 a schema_version field). Exit codes: 0 all checks pass, 1 check failure,
 2 usage or config error, 3 resource cap exceeded.
-
-The basis cache directory defaults to ``$SCHUR_SHADOWS_CACHE_DIR`` or
-``~/.cache/schur-shadows``.
 """
 
 from __future__ import annotations
@@ -60,13 +57,6 @@ class ConfigError(ValueError):
     pass
 
 
-def default_cache_dir() -> str:
-    env = os.environ.get("SCHUR_SHADOWS_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "schur-shadows")
-
-
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -95,11 +85,11 @@ def _observable(spec: str, d: int, rng: RngStream, bound: float | None = None):
 def cmd_basis_build(args) -> int:
     if args.d < 1 or args.n < 1:
         raise ConfigError("d and n must be >= 1")
-    built = basis_mod.build_basis(args.d, args.n)
     out = args.out
-    if out is None:
-        os.makedirs(args.cache_dir, exist_ok=True)
-        out = os.path.join(args.cache_dir, basis_mod.cache_file_name(args.d, args.n))
+    folder = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(folder):
+        raise ConfigError(f"no such directory for --out: {folder}")
+    built = basis_mod.build_basis(args.d, args.n)
     basis_mod.save_basis(built, out)
     total = 0
     for lam, block in built.blocks.items():
@@ -153,8 +143,6 @@ def cmd_shadow_run(args) -> int:
     observable = _observable(args.observable, args.d, rng.child(-3), args.bound)
 
     seg_size = args.n // t_pop
-    logger.info("building/loading basis for d=%d, n'=%d", args.d, seg_size)
-    shared_basis = basis_mod.build_or_load(args.d, seg_size, args.cache_dir)
     truth = float(np.trace(observable.matrix @ chi.density()).real)
 
     records = []
@@ -162,7 +150,7 @@ def cmd_shadow_run(args) -> int:
     total_proposals = 0
     for trial in range(args.trials):
         start = time.perf_counter()
-        estimate = mixed_state_shadow(chi, args.n, args.epsilon, rng.child(trial), basis=shared_basis)
+        estimate = mixed_state_shadow(chi, args.n, args.epsilon, rng.child(trial))
         value = predict(estimate, observable)
         wall_ms = (time.perf_counter() - start) * 1000.0
         error = abs(value - truth)
@@ -345,7 +333,6 @@ def cmd_bench_scaling(args) -> int:
     chi = MixedState.random(args.d, args.rank, rng.child(-2))
     observable = _observable(args.observable, args.d, rng.child(-3))
     truth = float(np.trace(observable.matrix @ chi.density()).real)
-    shared_basis = basis_mod.build_or_load(args.d, args.segment_size, args.cache_dir)
 
     rows = []
     joint_errors = []
@@ -356,7 +343,7 @@ def cmd_bench_scaling(args) -> int:
         for trial in range(args.trials):
             sub = rng.child(1000 * t_idx + trial)
             unitary, digits = sample_population_input(chi, n_copies, sub.child(-1))
-            est = shadow_from_population(shared_basis, unitary, digits, t_segments, sub)
+            est = shadow_from_population(unitary, digits, t_segments, args.segment_size, sub)
             errs_joint.append(abs(predict(est, observable) - truth))
             base = baseline_single_copy_shadow(chi, n_copies, sub.child(-4))
             errs_base.append(abs(predict(base, observable) - truth))
@@ -396,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = basis_sub.add_parser("build")
     p_build.add_argument("--d", type=int, required=True)
     p_build.add_argument("--n", type=int, required=True)
-    p_build.add_argument("--out", default=None, help="output path (default: cache dir)")
-    p_build.add_argument("--cache-dir", default=default_cache_dir())
+    p_build.add_argument("--out", required=True, help="output path")
     p_build.set_defaults(func=cmd_basis_build)
 
     p_verify = basis_sub.add_parser("verify")
@@ -417,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--trials", type=int, default=10)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--cache-dir", default=default_cache_dir())
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--format", choices=("json", "csv"), default="csv")
     p_run.set_defaults(func=cmd_shadow_run)
@@ -445,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scaling.add_argument("--observable", default="off-diagonal")
     p_scaling.add_argument("--trials", type=int, default=50)
     p_scaling.add_argument("--seed", type=int, default=0)
-    p_scaling.add_argument("--cache-dir", default=default_cache_dir())
     p_scaling.add_argument("--out", required=True)
     p_scaling.set_defaults(func=cmd_bench_scaling)
 

@@ -28,12 +28,14 @@ Two front ends run the segments:
   multinom(n'; w) vectors (lam, i, j) of weight w. The Schur measurement
   followed by the j-averaged change of basis therefore leaves the segment on
   each (lam, i, 0) of weight w with probability f^lam / multinom(n'; w),
-  f^lam = ``dim_p``: the law of a uniform draw among the weight-w basis
-  vectors, with j dropped. Since the POVM is linear in the state, the
-  segment's outcome has the law of the POVM on the drawn vector. What this
-  reads off the basis, the draw table and the row-1 laws of the (lam, i, 0)
-  vectors in Dicke coordinates, is built once per basis and cached on it;
-  an estimate then draws all segments of one partition in one POVM pass, so
+  f^lam the number of standard tableaux of shape lam. The average runs over
+  a whole weight block, so the law does not depend on which orthonormal
+  basis of the block's j = 0 layer is used, and only that layer, stage 1 of
+  the basis build (:func:`build_q_bases`), is built. Since the POVM is
+  linear in the state, the segment's outcome has the law of the POVM on the
+  drawn vector. The draw table and the row-1 laws of the (lam, i, 0)
+  vectors in Dicke coordinates are built once per (d, n') and cached; an
+  estimate then draws all segments of one partition in one POVM pass, so
   it does no d^n'-sized work.
 
 Both front ends draw the POVM with one sampler, :func:`_povm_sample`, which
@@ -63,7 +65,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import SchurBasis, build_basis, schur_measure
+from .basis import SchurBasis, build_q_bases, schur_measure
 from .qudit import (
     DEFAULT_ATOL,
     OperatorGrid,
@@ -75,7 +77,7 @@ from .qudit import (
     place_values,
     unitarity_deviation,
 )
-from .young import Partition, SlotClasses, symmetric_dim, weight_classes
+from .young import Partition, SlotClasses, standard_tableaux, symmetric_dim, weight_classes
 
 logger = logging.getLogger(__name__)
 
@@ -563,109 +565,125 @@ def population_shadow(basis: SchurBasis, state: PureState, epsilon: float, rng: 
 
 
 @dataclass(frozen=True)
-class _DrawTable:
-    """What the product path reads off a basis, built once by :func:`_draw_table`.
+class _ProductTable:
+    """What the product path draws from at one (d, n'), built by :func:`_product_table`.
 
-    Every basis vector (lam, i, j) is the code b d^n' + i of its block b and
-    i, grouped by the digit-multiset class of its weight w: the group of
-    class c is ``codes[classes.starts[c]:][:classes.counts[c]]``, and holds
-    each (lam, i) of weight w f^lam times, once per j. ``first_rows[b]`` is
-    row 1's law over block b's (lam, i, 0) vectors in Dicke coordinates, law
-    i for vector i.
+    Entry e is the stage-1 vector |(lam, i, 0)> of partition ``lams[block_of[e]]``;
+    entries come in partition order, then by i. Sorted stably by the weight
+    class of their weight w, entry ``by_class[k]`` spans the f^lam draw
+    positions below ``ends[k]``, so class c spans its multinom(n'; w)
+    positions from ``classes.starts[c]`` on. ``first_rows[b]`` is row 1's law
+    over partition b's (lam, i, 0) vectors in Dicke coordinates, law i for i.
     """
 
     classes: SlotClasses
-    codes: np.ndarray
+    ends: np.ndarray
+    by_class: np.ndarray
+    block_of: np.ndarray
+    lams: tuple[Partition, ...]
     first_rows: tuple[_RowLaw, ...]
 
 
-def _draw_table(basis: SchurBasis) -> _DrawTable:
-    """The basis's :class:`_DrawTable`, built on first use and cached on it.
+@lru_cache(maxsize=16)
+def _product_table(d: int, n: int) -> _ProductTable:
+    """The :class:`_ProductTable` of segment size n, from :func:`build_q_bases` alone.
 
-    Raises ``ValueError`` unless every group has its class's size,
-    multinom(n'; w), and nothing is cached then.
+    Raises ``ValueError`` unless every weight w has sum_lam f^lam K_{lam,w} =
+    multinom(n; w), counted in exact integers; a refused table is not cached.
     """
-    if basis._draws is not None:
-        return basis._draws
-    d = basis.d
-    classes, weights = weight_classes(d, basis.n)
+    classes, weights = weight_classes(d, n)
     class_of = {w: c for c, w in enumerate(map(tuple, weights.tolist()))}
-    codes, group = [], []
-    for b, block in enumerate(basis.blocks.values()):
-        for i, _j in block.vectors:
-            codes.append(b * basis.dim + i)
-            group.append(class_of[tuple(block.weight_of_i[i])])
-    sizes = np.bincount(group, minlength=len(classes.counts))
+    stage1 = build_q_bases(d, n)
+    entries = [
+        (class_of[tuple(w)], b, len(standard_tableaux(lam)))
+        for b, (lam, (vector_weights, _)) in enumerate(stage1.items())
+        for w in vector_weights
+    ]
+    klass, block_of, f = np.array(entries, dtype=np.int64).T
+    sizes = np.zeros_like(classes.counts)
+    np.add.at(sizes, klass, f)
     if not np.array_equal(sizes, classes.counts):
-        c = np.argmax(sizes != classes.counts)
-        weight = tuple(weights[c].tolist())
-        raise ValueError(f"basis has {sizes[c]} vectors of weight {weight}, expected multinom = {classes.counts[c]}")
+        c = int(np.argmax(sizes != classes.counts))
+        weight, want = tuple(weights[c].tolist()), classes.counts[c]
+        raise ValueError(f"stage 1 has {sizes[c]} vectors of weight {weight} (f^lam each), expected {want}")
+    by_class = np.argsort(klass, kind="stable")
     first_rows = []
-    for block in basis.blocks.values():
-        taus = np.stack([block.vectors[(i, 0)].to_dense(basis.dim) for i in range(block.dim_q)])
-        first_rows.append(_RowLaw.row_one(block.lam, d, taus[:, :, None]))
-    basis._draws = _DrawTable(classes, np.array(codes)[np.argsort(group, kind="stable")], tuple(first_rows))
-    return basis._draws
+    step = max(1, _CHUNK_ENTRIES // d**n)
+    for lam, (_, vectors) in stage1.items():
+        # A few dense vectors at a time: no (dim_q, d^n) array is formed.
+        states = [
+            _dicke_tensor(lam, d, np.stack([vec.to_dense(d**n) for vec in vectors[k : k + step]])[:, :, None])
+            for k in range(0, len(vectors), step)
+        ]
+        first_rows.append(_RowLaw.of(np.concatenate(states), lam.parts[0]))
+    return _ProductTable(classes, np.cumsum(f[by_class]), by_class, block_of, tuple(stage1), tuple(first_rows))
 
 
 def shadow_from_population(
-    basis: SchurBasis, unitary: OperatorGrid, digits, t_segments: int, rng: RngStream
+    unitary: OperatorGrid, digits, t_segments: int, segment_size: int, rng: RngStream
 ) -> ShadowEstimate:
-    """Shadow estimate for a product population input U^{x n}|e>.
+    """Shadow estimate for a product population input U^{x n}|e>, in
+    ``t_segments`` segments of ``segment_size`` qudits.
 
     Equal in law to :func:`population_shadow` on the dense product state,
     which is the reference this sampler is tested against, but it never
-    forms a segment state or measures one; the total qudit count
-    ``t_segments * basis.n`` is not limited by the dense-state cap. By
-    U-covariance the segments are simulated at U = I (see the module
-    docstring):
+    forms a segment state or measures one, and of the nice basis it builds
+    only the j = 0 layer (:func:`_product_table`). By U-covariance the
+    segments are simulated at U = I (see the module docstring):
 
-    1. each segment draws one uniform entry (lam, i) of its weight's group
-       in the basis's :func:`_draw_table`, found by the index of its digits;
+    1. each segment draws one of the multinom(n'; w) positions of its
+       weight's class, found by the index of its digits, and takes the
+       (lam, i) whose f^lam positions hold it;
     2. the POVM runs once per partition lam, on all its |(lam, i, 0)> at
        once, with the number of segments that drew (lam, i) as the sample
        count of state i. |(lam, i, 0)> is a weight vector, so its first row
        is drawn exactly (M = 1);
     3. the records (Psi - k I) / n' are summed and U (.) U^dag / T returned.
 
-    Every draw comes from the one generator of ``rng.child(0)``.
-    ``segment_partitions`` lists the partitions in segment order;
-    ``povm_proposals`` counts the POVM's row draws.
+    Inputs are checked before any draw, and every draw comes from the one
+    generator of ``rng.child(0)``. ``segment_partitions`` lists the
+    partitions in segment order; ``povm_proposals`` counts the POVM's row draws.
     """
-    d = basis.d
-    seg_size = basis.n
-    if t_segments < 1:
-        raise ValueError("t_segments must be >= 1")
+    return _product_shadow(unitary, digits, t_segments, segment_size, rng)
+
+
+def _product_shadow(unitary: OperatorGrid, digits, t_segments: int, seg_size: int, rng: RngStream) -> ShadowEstimate:
+    if t_segments < 1 or seg_size < 1:
+        raise ValueError("t_segments and segment_size must be >= 1")
     if len(digits) < t_segments * seg_size:
         raise ValueError(f"need {t_segments * seg_size} symbols, got {len(digits)}")
     u = unitary.entries
+    d = u.shape[0]
     if u.shape != (d, d) or unitarity_deviation(u) > DEFAULT_ATOL:
         raise ValueError(f"population unitary must be a {d} x {d} unitary")
     seg_digits = np.asarray(digits[: t_segments * seg_size], dtype=np.int64).reshape(t_segments, seg_size)
     if np.any((seg_digits < 0) | (seg_digits >= d)):
         raise ValueError(f"symbols must lie in 0..{d - 1}")
-    table = _draw_table(basis)
+    table = _product_table(d, seg_size)
 
     draws = rng.child(0).gen
     seg_class = table.classes.inverse[seg_digits @ place_values(d, seg_size)]
-    codes = table.codes[table.classes.starts[seg_class] + draws.integers(table.classes.counts[seg_class])]
-    block_of, vector_of = np.divmod(codes, basis.dim)
-    blocks = list(basis.blocks.values())
+    position = table.classes.starts[seg_class] + draws.integers(table.classes.counts[seg_class])
+    entry = table.by_class[np.searchsorted(table.ends, position, side="right")]
+    hits = np.bincount(entry, minlength=len(table.block_of))
+    partitions = [table.lams[b].parts for b in table.block_of[entry].tolist()]
+    # Only the counts per entry and the partitions stay through the POVM passes.
+    del seg_digits, seg_class, position, entry
     acc = np.zeros((d, d), dtype=np.complex128)
-    proposals = 0
-    for b in np.flatnonzero(np.bincount(block_of)).tolist():
-        lam = blocks[b].lam
-        first = table.first_rows[b]
-        counts = np.bincount(vector_of[block_of == b], minlength=len(first.states))
-        psis, _, trials = _povm_sample(lam, d, first, counts, draws)
-        acc += shadow_matrix(lam, psis, d) - len(psis) * lam.k * np.eye(d)
-        proposals += trials
+    proposals = start = 0
+    for lam, first in zip(table.lams, table.first_rows):
+        counts = hits[start : start + len(first.states)]
+        start += len(counts)
+        if counts.any():
+            psis, _, trials = _povm_sample(lam, d, first, counts, draws)
+            acc += shadow_matrix(lam, psis, d) - len(psis) * lam.k * np.eye(d)
+            proposals += trials
     return ShadowEstimate(
         matrix=u @ acc @ u.conj().T / (t_segments * seg_size),
         t_segments=t_segments,
         segment_size=seg_size,
         master_seed=rng.master_seed,
-        segment_partitions=[blocks[b].lam.parts for b in block_of.tolist()],
+        segment_partitions=partitions,
         povm_proposals=proposals,
     )
 
@@ -676,20 +694,19 @@ def mixed_state_shadow(
     """Shadow estimate from n copies of a mixed state.
 
     Draws the population input (U, e) from the spectrum of chi and runs the
-    population protocol at accuracy epsilon / 2.
+    product path at accuracy epsilon / 2; no basis is built or read. A given
+    ``basis`` is only checked against (d, n'), because the ``shadow-d4``
+    workload in ``perfbench/workloads.py`` passes one.
     """
     t_segments = segment_count(epsilon / 2.0)
     if n < t_segments:
         raise ValueError(f"need n >= T = {t_segments} copies, got {n}")
     seg_size = n // t_segments
-    if basis is None:
-        basis = build_basis(chi.d, seg_size)
-    if basis.n != seg_size or basis.d != chi.d:
-        raise ValueError(
-            f"basis is for (d={basis.d}, n={basis.n}), segments need (d={chi.d}, n={seg_size})"
-        )
+    if basis is not None and (basis.n != seg_size or basis.d != chi.d):
+        raise ValueError(f"basis is for (d={basis.d}, n={basis.n}), segments need (d={chi.d}, n={seg_size})")
     unitary, digits = sample_population_input(chi, n, rng.child(-1))
-    return shadow_from_population(basis, unitary, digits, t_segments, rng)
+    # Not through shadow_from_population, whose perfbench/layers.py hook reads a basis first.
+    return _product_shadow(unitary, digits, t_segments, seg_size, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -361,10 +361,9 @@ def test_criterion_7_partition_rank_guarantee(basis_for):
     assert ok
 
 
-def test_criterion_8_end_to_end_shadow_task(basis_for):
+def test_criterion_8_end_to_end_shadow_task():
     start = time.perf_counter()
     d, rank, eps, seg_size, trials = 4, 2, 0.35, 3, 200
-    basis = basis_for(d, seg_size)
     rng = RngStream(8_000)
     chi = MixedState.random(d, rank, rng.child(-2))
     observables = {
@@ -377,7 +376,7 @@ def test_criterion_8_end_to_end_shadow_task(basis_for):
     t_pop = segment_count(eps / 2.0)
     n_copies = t_pop * seg_size
     estimates = [
-        mixed_state_shadow(chi, n_copies, eps, rng.child(trial), basis=basis)
+        mixed_state_shadow(chi, n_copies, eps, rng.child(trial))
         for trial in range(trials)
     ]
     rho = chi.density()
@@ -398,10 +397,9 @@ def test_criterion_8_end_to_end_shadow_task(basis_for):
     assert ok
 
 
-def test_criterion_9_scaling_sanity(basis_for):
+def test_criterion_9_scaling_sanity():
     start = time.perf_counter()
     d, rank, seg_size, trials = 2, 2, 3, 250
-    basis = basis_for(d, seg_size)
     rng = RngStream(9_000)
     chi = MixedState.random(d, rank, rng.child(-2))
     obs = off_diagonal_observable(d)
@@ -412,7 +410,7 @@ def test_criterion_9_scaling_sanity(basis_for):
         for trial in range(trials):
             sub = rng.child(1_000 * t_idx + trial)
             unitary, digits = sample_population_input(chi, t_segments * seg_size, sub.child(-1))
-            est = shadow_from_population(basis, unitary, digits, t_segments, sub)
+            est = shadow_from_population(unitary, digits, t_segments, seg_size, sub)
             errors.append(abs(predict(est, obs) - truth))
         means.append(float(np.mean(errors)))
     decreasing = means[0] > means[1] > means[2]

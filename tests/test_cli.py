@@ -61,11 +61,8 @@ def printed_report(text: str) -> dict[str, str]:
     return dict(line.split(": ", 1) for line in text.splitlines() if ": " in line)
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("SCHUR_SHADOWS_CACHE_DIR", str(cache))
-    return cache
+def refuse(*_args, **_kwargs):
+    raise AssertionError("work started that this command must not do")
 
 
 class TestBasisCommands:
@@ -78,13 +75,20 @@ class TestBasisCommands:
         assert out.exists()
         assert main(["basis", "verify", "--path", str(out)]) == 0
 
-    def test_build_uses_env_cache_dir(self, isolated_cache):
-        assert main(["basis", "build", "--d", "2", "--n", "2"]) == 0
-        files = list(isolated_cache.glob("*.schb"))
-        assert len(files) == 1
+    def test_build_needs_out(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["basis", "build", "--d", "2", "--n", "2"])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
-    def test_build_rejects_bad_dims(self):
-        assert main(["basis", "build", "--d", "0", "--n", "2"]) == 2
+    def test_missing_out_directory_refused_before_build(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("schur_shadows.basis.build_basis", refuse)
+        assert main(["basis", "build", "--d", "3", "--n", "9", "--out", str(tmp_path / "nowhere" / "b.schb")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "nowhere" in err and "Traceback" not in err
+
+    def test_build_rejects_bad_dims(self, tmp_path):
+        assert main(["basis", "build", "--d", "0", "--n", "2", "--out", str(tmp_path / "x.schb")]) == 2
 
     def test_build_cap_exceeded(self, tmp_path):
         assert main(["basis", "build", "--d", "2", "--n", "25", "--out", str(tmp_path / "x.schb")]) == 3
@@ -237,6 +241,13 @@ class TestShadowRun:
         args += ["--bound", "1.0"]  # pauli-z has tr(O^2) = 2
         assert main(args) == 2
 
+    def test_builds_no_basis(self, tmp_path, monkeypatch):
+        for name in ("schur_basis_completion", "build_basis"):
+            monkeypatch.setattr(f"schur_shadows.basis.{name}", refuse)
+        assert main(self.run_args(tmp_path)) == 0
+        summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
+        assert summary["passed"]
+
     def test_config_validation(self, tmp_path):
         bad = self.run_args(tmp_path)
         bad[bad.index("--n") + 1] = "4"  # below ceil(10/eps^2)
@@ -340,6 +351,15 @@ class TestBenchCommand:
         assert rows[0] == ["t_segments", "n_copies", "protocol", "mean_abs_error", "trials"]
         assert len(rows) == 1 + 4  # two T values x {joint, baseline}
 
+    def test_scaling_builds_no_basis(self, tmp_path, monkeypatch):
+        for name in ("schur_basis_completion", "build_basis"):
+            monkeypatch.setattr(f"schur_shadows.basis.{name}", refuse)
+        out = tmp_path / "bench.csv"
+        args = ["bench", "scaling", "--t-grid", "4,16", "--segment-size", "5", "--trials", "4", "--out", str(out)]
+        assert main(args) == 0
+        with open(out) as fh:
+            assert len(list(csv.reader(fh))) == 1 + 4
+
     def test_empty_grid(self, tmp_path):
         assert main(["bench", "scaling", "--t-grid", "", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -365,10 +385,7 @@ class TestBenchCommand:
     ],
 )
 def test_bad_arguments_fail_before_any_work(args, tmp_path, monkeypatch, capsys):
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("work started on a bad configuration")
-
-    for name in ("basis.build_or_load", "basis.build_q_bases", "moments.povm_completeness_residual"):
+    for name in ("protocol._product_table", "basis.build_q_bases", "moments.povm_completeness_residual"):
         monkeypatch.setattr(f"schur_shadows.{name}", refuse)
     if args[0] == "bench":
         args = args + ["--out", str(tmp_path / "x.csv")]

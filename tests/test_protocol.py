@@ -31,6 +31,7 @@ from schur_shadows.moments import (
     random_protocol_state,
     second_moment_exact,
 )
+from schur_shadows import basis as basis_module
 from schur_shadows import protocol
 from schur_shadows.protocol import (
     _CHUNK_ENTRIES,
@@ -39,7 +40,7 @@ from schur_shadows.protocol import (
     RejectionBudgetError,
     _dicke_map,
     _dicke_tensor,
-    _draw_table,
+    _product_table,
     _povm_sample,
     _RowLaw,
     _segment_factor,
@@ -505,44 +506,55 @@ class TestWeightClassIdentities:
 
 
 class TestWeightTable:
-    """The product path's draw table, cached on the basis, against tableau
-    counts and the law of lam given a weight, both computed by the oracles,
-    not by the basis."""
+    """The product path's draw table, built from stage 1 alone, against
+    tableau counts and the law of lam given a weight, both computed by the
+    oracles, not by the package."""
+
+    @pytest.fixture(autouse=True)
+    def cold_table(self):
+        _product_table.cache_clear()
+        yield
+        _product_table.cache_clear()
 
     @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 3), (2, 7)])
-    def test_groups_are_exact(self, basis_for, d, n):
-        basis = basis_for(d, n)
-        blocks = list(basis.blocks.values())
-        draws = _draw_table(basis)
-        assert _draw_table(basis) is basis._draws is draws
-        classes, table = draws.classes, draws.codes
+    def test_groups_are_exact(self, d, n):
+        table = _product_table(d, n)
+        assert _product_table(d, n) is table
+        # Every (lam, i) of stage 1 is one entry, in partition order, then by i.
+        owner = [(lam, w) for lam, (weights, _) in build_q_bases(d, n).items() for w in weights]
+        assert [table.lams[b] for b in table.block_of.tolist()] == [lam for lam, _ in owner]
+        assert sorted(table.by_class.tolist()) == list(range(len(owner)))
+        spans = np.diff(np.concatenate(([0], table.ends)))
+        classes = table.classes
         for w in weights_brute_force(n, d):
             multinom = math.factorial(n) // math.prod(math.factorial(x) for x in w)
             # The class of the reversed sorted tuple: its largest member.
             c = classes.inverse[encode_basis([s for s in reversed(range(d)) for _ in range(w[s])], d)]
-            group = table[classes.starts[c] : classes.starts[c] + classes.counts[c]]
-            assert len(group) == multinom, w
+            start, stop = classes.starts[c], classes.starts[c] + classes.counts[c]
+            group = np.flatnonzero((table.ends > start) & (table.ends <= stop))
+            assert table.ends[group[-1]] == stop and spans[group].sum() == multinom, w
             mass = Counter()
-            for code, times in Counter(group.tolist()).items():
-                b, i = divmod(code, basis.dim)
-                assert blocks[b].weight_of_i[i] == w
-                assert times == standard_tableaux_count(blocks[b].lam.parts)
-                mass[blocks[b].lam.parts] += times
+            for k in group.tolist():
+                lam, weight = owner[table.by_class[k]]
+                assert weight == w
+                assert spans[k] == standard_tableaux_count(lam.parts)
+                mass[lam.parts] += spans[k]
             law = lambda_given_weight(w)
             assert set(mass) == set(law), w
             assert all(abs(mass[parts] / multinom - p) < 1e-12 for parts, p in law.items()), w
 
     @pytest.mark.parametrize("fault", ["lost vector", "altered weight"])
-    def test_refuses_inconsistent_basis(self, basis_for, fault):
-        basis = basis_for(3, 3)
+    def test_refuses_inconsistent_basis(self, basis_for, monkeypatch, fault):
         lam = Partition((2, 1))
-        block = basis.blocks[lam]
-        vectors, weights = dict(block.vectors), list(block.weight_of_i)
-        if fault == "lost vector":
-            del vectors[(0, 1)]
-        else:
-            weights[0] = next(w for w in weights if w != weights[0])
-        broken = SchurBasis(3, 3, {**basis.blocks, lam: SchurBlock(lam, block.dim_q, block.dim_p, weights, vectors)})
+        real = build_q_bases(3, 3)
+
+        def broken_stage1(d, n):
+            weights, vectors = map(list, real[lam])
+            if fault == "lost vector":
+                del weights[0], vectors[0]
+            else:
+                weights[0] = next(w for w in weights if w != weights[0])
+            return {**real, lam: (weights, vectors)}
 
         class NoDraws:
             master_seed = 0
@@ -554,13 +566,23 @@ class TestWeightTable:
             def gen(self):
                 raise AssertionError("a draw was made before the refusal")
 
+        monkeypatch.setattr(protocol, "build_q_bases", broken_stage1)
         for _ in range(2):
             with pytest.raises(ValueError, match="vectors of weight"):
-                shadow_from_population(broken, OperatorGrid(np.eye(3)), (0, 1, 2) * 4, 4, NoDraws())
-            assert broken._draws is None
+                shadow_from_population(OperatorGrid(np.eye(3)), (0, 1, 2) * 4, 4, 3, NoDraws())
+
+        # The same fault in a whole basis: schur_measure refuses it, and
+        # verify reports it as failing without raising.
+        basis = basis_for(3, 3)
+        block = basis.blocks[lam]
+        vectors, weights = dict(block.vectors), list(block.weight_of_i)
+        if fault == "lost vector":
+            del vectors[(0, 1)]
+        else:
+            weights[0] = next(w for w in weights if w != weights[0])
+        broken = SchurBasis(3, 3, {**basis.blocks, lam: SchurBlock(lam, block.dim_q, block.dim_p, weights, vectors)})
         with pytest.raises(ValueError, match="weight"):
             schur_measure(broken, PureState.from_digits((0, 1, 2), 3).amplitudes, NoDraws())
-        # verify reports the same basis as failing, and does not raise
         report = verify_nice_basis(broken)
         assert report["u_closure_residual"] == report["pi_closure_residual"] == np.inf
         if fault == "lost vector":
@@ -649,7 +671,7 @@ class TestPopulationShadow:
         fronts = {
             "population_shadow": lambda r: population_shadow(basis, state, 1.7, root.child(r)),
             "shadow_from_population": lambda r: shadow_from_population(
-                basis, u, digits, t_segments, root.child(runs + r)
+                u, digits, t_segments, seg, root.child(runs + r)
             ),
         }
         z_max = z_threshold(len(fronts) * 2 * d * d, 4.0)
@@ -671,21 +693,19 @@ class TestPopulationShadow:
             assert chi2_sf(stat, df) >= 1e-4, f"{name}: chi2 {stat:.2f} on {df} df"
             assert np.max(stats.z_scores(truth)) <= z_max, name
 
-    def test_product_sampler_is_u_covariant(self, basis_for):
-        basis = basis_for(3, 3)
+    def test_product_sampler_is_u_covariant(self):
         u = haar_unitary(3, RngStream(301))
         digits = (0, 1, 2, 2, 2, 1, 0, 0, 1, 1, 1, 1, 2, 0, 2)
-        a = shadow_from_population(basis, u, digits, 5, RngStream(302))
-        b = shadow_from_population(basis, OperatorGrid(np.eye(3)), digits, 5, RngStream(302))
+        a = shadow_from_population(u, digits, 5, 3, RngStream(302))
+        b = shadow_from_population(OperatorGrid(np.eye(3)), digits, 5, 3, RngStream(302))
         assert np.max(np.abs(a.matrix - u.entries @ b.matrix @ u.entries.conj().T)) < 1e-12
         assert a.segment_partitions == b.segment_partitions
 
-    def test_product_sampler_deterministic(self, basis_for):
-        basis = basis_for(3, 3)
+    def test_product_sampler_deterministic(self):
         u = haar_unitary(3, RngStream(303))
         digits = (0, 1, 2, 2, 2, 1, 0, 0, 1, 1, 1, 1, 2, 0, 2)
-        a = shadow_from_population(basis, u, digits, 5, RngStream(304))
-        b = shadow_from_population(basis, u, digits, 5, RngStream(304))
+        a = shadow_from_population(u, digits, 5, 3, RngStream(304))
+        b = shadow_from_population(u, digits, 5, 3, RngStream(304))
         assert np.array_equal(a.matrix, b.matrix)
         assert a.segment_partitions == b.segment_partitions
         assert a.povm_proposals == b.povm_proposals
@@ -714,18 +734,17 @@ class TestPopulationShadow:
                 want += p * (second - k * np.kron(first, eye) - k * np.kron(eye, first) + k * k * np.eye(d * d)) / n**2
         root = RngStream(309)
         ident = OperatorGrid(np.eye(d))
-        xs = np.array([shadow_from_population(basis, ident, digits, 1, root.child(r)).matrix for r in range(runs)])
+        xs = np.array([shadow_from_population(ident, digits, 1, n, root.child(r)).matrix for r in range(runs)])
         stats = _EntrywiseStats((d * d, d * d))
         stats.add_batch(np.einsum("rab,rce->racbe", xs, xs).reshape(runs, d * d, d * d))
         assert np.max(stats.z_scores(want)) <= z_threshold(2 * d**4, 4.0)
 
-    def test_one_pass_per_partition(self, basis_for, monkeypatch):
+    def test_one_pass_per_partition(self, monkeypatch):
         # A flat spectrum at (4, 3) with T = 500 reaches all 44 (lam, i)
         # groups, and each partition's groups fit one chunk. So row 1 takes
         # one _sample_row call per partition over all its groups, each later
         # row one more: sum of k(lam) over the partitions that occur.
-        basis = basis_for(4, 3)
-        table = _draw_table(basis)
+        table = _product_table(4, 3)
         real = protocol._sample_row
         rows, groups = [], []
 
@@ -737,40 +756,39 @@ class TestPopulationShadow:
 
         monkeypatch.setattr(protocol, "_sample_row", counting)
         chi = MixedState(4, np.full(4, 0.25), haar_unitary(4, RngStream(330)), 4)
-        est = mixed_state_shadow(chi, 1500, 0.2829, RngStream(331), basis=basis)
+        est = mixed_state_shadow(chi, 1500, 0.2829, RngStream(331))
         assert est.t_segments == 500
         occurring = set(est.segment_partitions)
         assert len(rows) == sum(len(parts) for parts in occurring)
         assert len(groups) == len(occurring)
         assert sum(groups) == sum(len(first.states) for first in table.first_rows) == 44
 
-    def test_product_memory_is_chunked(self, basis_for):
+    def test_product_memory_is_chunked(self):
         # T = 20000 segments at (4, 3): the run holds one partition's outcomes,
-        # the per-segment draw indices, one chunk of intermediates, and in
+        # the segments' partitions, one chunk of intermediates, and in
         # shadow_matrix one row's conjugate at a time: under 2 times the bytes
-        # of all outcomes (1.97 measured). A scaled copy of all outcomes with
-        # its conjugate reads 2.73, and no chunks about 10.
-        basis = basis_for(4, 3)
-        _draw_table(basis)  # built once per basis, outside the trace
+        # of all outcomes (1.53 measured; 1.97 with the per-segment digits and
+        # draws kept through the POVM passes). A scaled copy of all outcomes
+        # with its conjugate reads 2.73, and no chunks about 10.
+        _product_table(4, 3)  # built once per (d, n'), outside the trace
         t_segments = 20_000
         digits = tuple(RngStream(332).gen.choice(4, size=3 * t_segments, p=[0.4, 0.3, 0.2, 0.1]).tolist())
         u = haar_unitary(4, RngStream(333))
         runs = []
-        peak = traced_peak(lambda: runs.append(shadow_from_population(basis, u, digits, t_segments, RngStream(334))))
+        peak = traced_peak(lambda: runs.append(shadow_from_population(u, digits, t_segments, 3, RngStream(334))))
         outcome_bytes = sum(len(parts) for parts in runs[0].segment_partitions) * 4 * 16
         assert peak < 2.0 * outcome_bytes, (peak, outcome_bytes)
 
-    def test_product_sampler_rejects_bad_input(self, basis_for):
-        basis = basis_for(2, 2)
+    def test_product_sampler_rejects_bad_input(self):
         u = haar_unitary(2, RngStream(305))
         with pytest.raises(ValueError, match="symbols"):
-            shadow_from_population(basis, u, (0, 2, 0, 1), 2, RngStream(306))
+            shadow_from_population(u, (0, 2, 0, 1), 2, 2, RngStream(306))
         with pytest.raises(ValueError, match="symbols"):
-            shadow_from_population(basis, u, (0, -1, 0, 1), 2, RngStream(306))
+            shadow_from_population(u, (0, -1, 0, 1), 2, 2, RngStream(306))
         with pytest.raises(ValueError, match="unitary"):
-            shadow_from_population(basis, OperatorGrid(2 * u.entries), (0, 1, 0, 1), 2, RngStream(306))
+            shadow_from_population(OperatorGrid(2 * u.entries), (0, 1, 0, 1), 2, 2, RngStream(306))
         with pytest.raises(ValueError, match="need 6 symbols"):
-            shadow_from_population(basis, u, (0, 1, 0, 1), 3, RngStream(306))
+            shadow_from_population(u, (0, 1, 0, 1), 3, 2, RngStream(306))
 
     def test_deterministic(self, basis_for):
         basis = basis_for(2, 2)
@@ -863,49 +881,81 @@ class TestSegmentFactor:
 
 
 class TestMixedStateShadow:
-    def test_trace_is_one_exactly(self, basis_for):
+    def test_trace_is_one_exactly(self):
         chi = MixedState.random(2, 2, RngStream(85))
-        est = mixed_state_shadow(chi, 40, 2.1, RngStream(86), basis=basis_for(2, 4))
+        est = mixed_state_shadow(chi, 40, 2.1, RngStream(86))
         assert np.trace(est.matrix).real == pytest.approx(1.0, abs=1e-12)
 
-    def test_unbiased(self, basis_for):
+    def test_unbiased(self):
         chi = MixedState.random(2, 2, RngStream(87))
-        basis = basis_for(2, 4)
         runs = 500
         acc = np.zeros((2, 2), dtype=complex)
         for t in range(runs):
-            acc += mixed_state_shadow(chi, 40, 2.1, RngStream(88).child(t), basis=basis).matrix
+            acc += mixed_state_shadow(chi, 40, 2.1, RngStream(88).child(t)).matrix
         acc /= runs
         assert np.max(np.abs(acc - chi.density())) < 0.1
+
+    def test_builds_no_basis(self, monkeypatch):
+        # The product path needs stage 1 only: stage 2 and the full build refuse here.
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the product path built the whole basis")
+
+        for name in ("schur_basis_completion", "build_basis"):
+            monkeypatch.setattr(basis_module, name, refuse)
+        _product_table.cache_clear()
+        chi = MixedState.random(3, 3, RngStream(340))
+        est = mixed_state_shadow(chi, 60, 2.1, RngStream(341))
+        assert est.segment_size == 6 and len(est.segment_partitions) == 10
+
+    def test_basis_is_only_checked(self, basis_for):
+        chi = MixedState.random(2, 2, RngStream(342))
+        with pytest.raises(ValueError, match="basis is for"):
+            mixed_state_shadow(chi, 40, 2.1, RngStream(343), basis=basis_for(2, 3))
+        given = mixed_state_shadow(chi, 40, 2.1, RngStream(343), basis=basis_for(2, 4))
+        plain = mixed_state_shadow(chi, 40, 2.1, RngStream(343))
+        assert np.array_equal(given.matrix, plain.matrix)
+        assert given.segment_partitions == plain.segment_partitions
 
     @pytest.mark.parametrize(
         "d,seg,spectrum,epsilon,runs",
         [(4, 3, (0.7, 0.3, 0.0, 0.0), 0.35, 15), (3, 4, (0.5, 0.3, 0.2), 0.5, 30)],
     )
-    def test_lambda_marginal_is_schur_weyl(self, basis_for, d, seg, spectrum, epsilon, runs):
+    def test_lambda_marginal_is_schur_weyl(self, d, seg, spectrum, epsilon, runs):
         # lam over i.i.d. symbols is weak Schur sampling: f^lam s_lam(spectrum)
         law = schur_weyl_distribution(seg, spectrum)
         rank = sum(p > 0 for p in spectrum)
         chi = MixedState(d, np.array(spectrum), haar_unitary(d, RngStream(307)), rank)
-        basis = basis_for(d, seg)
         n = segment_count(epsilon / 2.0) * seg
         root = RngStream(308)
         counts = Counter()
         for r in range(runs):
-            counts.update(mixed_state_shadow(chi, n, epsilon, root.child(r), basis=basis).segment_partitions)
+            counts.update(mixed_state_shadow(chi, n, epsilon, root.child(r)).segment_partitions)
         assert all(law.get(parts, 0.0) > 0 for parts in counts), dict(counts)
         stat, df = chi_square(counts, {parts: p for parts, p in law.items() if p > 0})
         assert chi2_sf(stat, df) >= 1e-4, f"chi2 {stat:.2f} on {df} df, counts {dict(counts)}"
+
+    def test_lambda_marginal_past_the_basis_build(self):
+        # n' = 14 at d = 2: the product path builds stage 1 only. The lam law
+        # over i.i.d. symbols is f^lam s_lam(spectrum), from the oracle.
+        d, seg, t_segments, spectrum = 2, 14, 3000, (0.6, 0.4)
+        law = schur_weyl_distribution(seg, spectrum)
+        gen = RngStream(344).gen
+        digits = tuple(gen.choice(d, size=seg * t_segments, p=spectrum).tolist())
+        est = shadow_from_population(haar_unitary(d, RngStream(345)), digits, t_segments, seg, RngStream(346))
+        counts = Counter(est.segment_partitions)
+        assert set(counts) <= set(law), dict(counts)
+        stat, df = chi_square(counts, law)
+        assert df >= 4 and chi2_sf(stat, df) >= 1e-4, f"chi2 {stat:.2f} on {df} df, counts {dict(counts)}"
 
     def test_needs_enough_copies(self):
         chi = MixedState.random(2, 1, RngStream(89))
         with pytest.raises(ValueError, match="copies"):
             mixed_state_shadow(chi, 5, 1.0, RngStream(90))
 
-    def test_pure_state_short_circuit(self, basis_for):
+    def test_pure_state_short_circuit(self):
         # rank-1 spectrum makes the symbol string deterministic
         chi = MixedState(2, np.array([1.0, 0.0]), haar_unitary(2, RngStream(91)), 1)
-        est = mixed_state_shadow(chi, 40, 2.1, RngStream(92), basis=basis_for(2, 4))
+        est = mixed_state_shadow(chi, 40, 2.1, RngStream(92))
         assert all(parts == (4,) for parts in est.segment_partitions)
 
 

@@ -29,7 +29,7 @@ from .qudit import (
     haar_pure_state_batch,
     permuted_indices,
 )
-from .young import BoxLayout, Partition, SlotClasses, kappa_product, row_group, symmetric_dim
+from .young import BoxLayout, Partition, kappa_product, register_classes, row_group, symmetric_dim
 
 #: Hard cap on d**(n+2) for explicit second-moment operators.
 ORACLE_DIM_CAP = 2200
@@ -62,7 +62,7 @@ def row_symmetric_projector(lam: Partition, d: int) -> np.ndarray:
 
 def _apply_row_symmetrizers(lam: Partition, d: int, vecs: np.ndarray) -> np.ndarray:
     """prod_r S_r applied along axis 0 of ``vecs`` on the n-qudit register."""
-    return SlotClasses(digit_table(d, lam.n), d, BoxLayout(lam).row_blocks()).mean(vecs)
+    return register_classes(d, lam.n, tuple(map(tuple, BoxLayout(lam).row_blocks()))).mean(vecs)
 
 
 def row_symmetry_residual(lam: Partition, tau: PureState) -> float:
@@ -177,7 +177,8 @@ def second_moment_exact(
     With X the (d^(n+2), d^2) matrix whose column b is |b> (tensor) tau,
     I (tensor) rho = X X^dag, so the pair's term is coeff * X^dag W X for the
     symmetrizer product W. Each symmetrizer acts on the columns of X as a
-    class mean, and no d^(n+2)-square operator is formed.
+    class mean over the :func:`register_classes` of its slot set, built once
+    per (d, n, slots) for every call, and no d^(n+2)-square operator is formed.
 
     ``rows`` selects which ordered pairs contribute: "all", "cross"
     (j != j' only), or "diagonal" (j == j' only).
@@ -190,18 +191,10 @@ def second_moment_exact(
     if validate:
         _check_protocol_state(lam, tau)
     amps = _rotated_amplitudes(tau, unitary)
-    digits = digit_table(d, n + 2)
     layout = BoxLayout(lam)
     columns = np.kron(np.eye(d * d, dtype=np.complex128), amps.reshape(-1, 1))
 
     row_slots = [[2 + layout.box_position(r, c) for c in range(lam.parts[r])] for r in range(lam.k)]
-    class_cache: dict[frozenset, SlotClasses] = {}
-
-    def classes(slots) -> SlotClasses:
-        key = frozenset(slots)
-        if key not in class_cache:
-            class_cache[key] = SlotClasses(digits, d, [slots])
-        return class_cache[key]
 
     total = np.zeros((d * d, d * d), dtype=np.complex128)
     for j in range(lam.k):
@@ -222,7 +215,7 @@ def second_moment_exact(
                 if not extra and lam.parts[r] == 1:
                     continue  # single-box row without outputs: identity factor
                 coeff *= symmetric_dim(lam.parts[r], d) / symmetric_dim(lam.parts[r] + extra, d)
-                factors.append(classes(slots))
+                factors.append(register_classes(d, n + 2, (tuple(sorted(slots)),)))
             image = columns
             for factor in reversed(factors):
                 image = factor.mean(image)

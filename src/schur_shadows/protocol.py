@@ -51,9 +51,13 @@ M = lambda_max(D^{-1/2} rho_r D^{-1/2}). A row takes M proposals per
 outcome on average, and M is at most the number of nonzero Dicke weights,
 so never more than kappa(lam_r). M = 1 when rho_r is diagonal, which holds
 for the first row of any weight vector, so the product path draws that row
-exactly. A one-box row is drawn exactly from its state's columns. The
-accepted contraction <psi_r^{x lam_r}|T> is the next row's state; no array
-of proposals times the unmeasured qudits is formed.
+exactly: every proposal is accepted, and neither the target nor the
+proposal weight is formed. A one-box row is drawn exactly from its state's
+columns. The accepted contraction <psi_r^{x lam_r}|T> is the next row's
+state; no array of proposals times the unmeasured qudits is formed, and
+rho_r itself only where the row's state is wider than it is tall. Samples
+go through the rows in chunks sized by what each row holds per sample
+(see :func:`_povm_sample`), at most ``_CHUNK_ENTRIES`` complex entries.
 """
 
 from __future__ import annotations
@@ -68,6 +72,8 @@ import numpy as np
 from .basis import SchurBasis, build_q_bases, schur_measure
 from .qudit import (
     DEFAULT_ATOL,
+    MAX_DENSE_DIM,
+    CapExceededError,
     OperatorGrid,
     PureState,
     RngStream,
@@ -77,7 +83,7 @@ from .qudit import (
     place_values,
     unitarity_deviation,
 )
-from .young import Partition, SlotClasses, standard_tableaux, symmetric_dim, weight_classes
+from .young import Partition, SlotClasses, partitions_of, standard_tableaux, symmetric_dim, weight_classes, weyl_dim
 
 logger = logging.getLogger(__name__)
 
@@ -272,6 +278,13 @@ class _RowLaw:
       and ``bound`` M = lambda_max(D^{-1/2} rho D^{-1/2}), which is N, the
       support size, when rho = a a^dag has rank 1;
     * m = 1: a column x of the state, with weight ||a_x||^2, and M = 1.
+
+    ``rho`` (L, kappa, kappa) is formed and kept only on a wide law (m > 1
+    and X > kappa), the one place :func:`_sample_row` reads it. A narrow law
+    (X <= kappa) contracts its state for every proposal instead and keeps no
+    rho: its M is the top eigenvalue of the X x X Gram B^dag B of
+    B = D^{-1/2} states, which has the nonzero eigenvalues of
+    D^{-1/2} rho D^{-1/2}, and at X = 1 it is the support size.
     """
 
     m: int
@@ -284,15 +297,21 @@ class _RowLaw:
     def of(cls, states: np.ndarray, m: int) -> "_RowLaw":
         if m == 1:
             return cls(m, states, np.sum(np.abs(states) ** 2, axis=1), np.ones(len(states)))
-        rho = states @ states.conj().swapaxes(1, 2)
-        diag = np.real(np.diagonal(rho, axis1=1, axis2=2))
+        width = states.shape[2]
+        rho = states @ states.conj().swapaxes(1, 2) if width > states.shape[1] else None
+        diag = np.sum(states.real**2 + states.imag**2, axis=2)
         weights = np.where(diag > _SUPPORT_CUT * diag.sum(axis=1, keepdims=True), diag, 0.0)
-        if states.shape[2] == 1:
+        if width == 1:
             # D^{-1/2} a a^dag D^{-1/2} = u u^dag with |u_v| = 1 on the support.
             bound = np.count_nonzero(weights, axis=1).astype(np.float64)
         else:
             scale = np.divide(1.0, np.sqrt(weights), out=np.zeros_like(weights), where=weights > 0.0)
-            bound = np.linalg.eigvalsh(rho * scale[:, :, None] * scale[:, None, :])[:, -1]
+            if rho is None:
+                scaled = states * scale[:, :, None]
+                gram = scaled.conj().swapaxes(1, 2) @ scaled
+            else:
+                gram = rho * scale[:, :, None] * scale[:, None, :]
+            bound = np.linalg.eigvalsh(gram)[:, -1]
         return cls(m, states, weights, np.maximum(bound, 1.0), rho)
 
     @classmethod
@@ -321,9 +340,15 @@ def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator
     ||a_x||^2 / tr rho, of the densities d |<a_x|psi>|^2 / ||a_x||^2. Given
     x, |<a_x|psi>|^2 / ||a_x||^2 ~ Beta(2, d - 1) and the rest of psi is
     Haar, so every proposal is accepted.
+
+    When every law of the call has M <= 1 + 1e-12, rho = D on the support
+    and a proposal is accepted with probability at least 1 - kappa 1e-12, so
+    every proposal is accepted without forming the target or the proposal
+    weight.
     """
     _, comps, sqrt_multinom = _dicke_map(d, law.m)
     shared = len(law.states) == 1
+    exact = law.m > 1 and law.bound.max() <= 1.0 + 1e-12
     cum = np.cumsum(law.weights, axis=1)
     width = cum.shape[1]
     # Law l's normalised cumulative weights, shifted into [l, l + 1].
@@ -333,12 +358,18 @@ def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator
     rests = np.empty((len(psis), law.states.shape[2]), dtype=np.complex128)
     got = np.zeros_like(need)
     # c = phi^* A costs kappa X per proposal and phi^dag rho phi costs kappa^2:
-    # a narrow state is contracted for every proposal, a wide one on accepts.
-    # One-box proposals are all accepted.
-    narrow = law.states.shape[2] <= len(comps)
+    # a narrow state (no rho kept) is contracted for every proposal, a wide
+    # one on accepts. One-box proposals are all accepted.
+    narrow = law.rho is None
 
     def contract(coeffs, owners):
-        return coeffs @ law.states[0] if shared else (coeffs[:, None, :] @ law.states[owners])[:, 0]
+        if shared:
+            return coeffs @ law.states[0]
+        if law.m == 1:
+            # einsum would round differently here and move the seeded
+            # outcomes of the rows after a one-box row.
+            return (coeffs[:, None, :] @ law.states[owners])[:, 0]
+        return np.einsum("pv,pvx->px", coeffs, law.states[owners])
 
     live = np.arange(len(need))
     while live.size:
@@ -364,18 +395,33 @@ def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator
             gamma = gen.standard_gamma(comps[pick] + 1.0)
             phases = np.exp(2j * np.pi * gen.random((size, d)))
             psi = np.sqrt(gamma / gamma.sum(axis=1, keepdims=True)) * phases
-            # phi_v = sqrt(multinom) prod_a psi_a^{v_a}, from a table of powers.
-            powers = np.ones((size, d, law.m + 1), dtype=np.complex128)
-            np.cumprod(np.broadcast_to(psi[:, :, None], (size, d, law.m)), axis=2, out=powers[:, :, 1:])
-            phi = sqrt_multinom * powers[:, np.arange(d), comps].prod(axis=2)
+            # phi_v = sqrt(multinom) prod_a psi_a^{v_a}, from a (d, m + 1,
+            # proposals) table of powers: m - 1 multiplies, one gather per symbol.
+            powers = np.empty((d, law.m + 1, size), dtype=np.complex128)
+            powers[:, 0] = 1.0
+            powers[:, 1] = psi.T
+            for e in range(2, law.m + 1):
+                np.multiply(powers[:, e - 1], powers[:, 1], out=powers[:, e])
+            phi = powers[0, comps[:, 0]]
+            for a in range(1, d):
+                phi *= powers[a, comps[:, a]]
+            phi = (sqrt_multinom[:, None] * phi).T
+            # Drawn even when every proposal is accepted, so that the
+            # generator's sequence does not move.
+            uniforms = gen.random(size)
             if narrow:
                 contracted = contract(phi.conj(), owner)
-                target = np.sum(np.abs(contracted) ** 2, axis=1)
+            if exact:
+                accept = np.ones(size, dtype=bool)
             else:
-                rho_phi = phi @ law.rho[0].T if shared else np.einsum("pvw,pw->pv", law.rho[owner], phi)
-                target = np.einsum("pv,pv->p", phi.conj(), rho_phi).real
-            proposal = law.bound[owner] * np.einsum("pv,pv->p", law.weights[owner], np.abs(phi) ** 2)
-            accept = gen.random(size) * proposal < target
+                if narrow:
+                    target = np.sum(contracted.real**2 + contracted.imag**2, axis=1)
+                else:
+                    rho_phi = phi @ law.rho[0].T if shared else np.einsum("pvw,pw->pv", law.rho[owner], phi)
+                    target = np.einsum("pv,pv->p", phi.conj(), rho_phi).real
+                density = phi.real**2 + phi.imag**2
+                weight = density @ law.weights[0] if shared else np.einsum("pv,pv->p", law.weights[owner], density)
+                accept = uniforms * (law.bound[owner] * weight) < target
         # Rank of each proposal among the accepts of its law in this round.
         accepted = np.cumsum(accept)
         group_start = np.cumsum(reps) - reps
@@ -405,9 +451,25 @@ def _povm_sample(
     rule: psi_r has the law of the one-row POVM on the reduced state of row
     r, and the accepted c = <psi_r^{x lam_r}|T> is the next row's state. The
     outcomes of state l fill slots ``cumsum(counts)[l-1]:cumsum(counts)[l]``.
-    Samples go through the rows in chunks bounded by ``_CHUNK_ENTRIES``, split
-    across states where a chunk spans several; row 1 of a chunk is one
-    :func:`_sample_row` call over all its states.
+    Samples go through the rows in chunks of at most ``_CHUNK_ENTRIES``
+    complex entries, split across states where a chunk spans several; row 1
+    of a chunk is one :func:`_sample_row` call over all its states.
+
+    A chunk is sized by what each row holds per sample, on top of the
+    sample's later-row state (the X columns of row 1's state):
+
+    * row 1: about M proposals of kappa_1 (d + g) entries each, a
+      (kappa_1, d) power gather plus g = min(X, kappa_1) of its own state
+      when several states share the call;
+    * a later row r whose state has X_r = 1 column, as on every last row of
+      a protocol state: no reduced state, and up to kappa_r proposals, each
+      with its law's (kappa_r, X_r) state gathered for the contraction, a
+      (d, lam_r + 1) power table, phi and |phi|^2, so
+      kappa_r (kappa_r X_r + (lam_r + 1) d + 2 kappa_r);
+    * a later row with X_r > 1: its reduced state and kappa_r proposals with
+      theirs, kappa_r^2 (kappa_r + d).
+
+    The largest of these sets the chunk.
 
     Returns the outcomes (sum(counts), k, d), the unnormalised
     post-measurement states <x_r psi_r^{x lam_r}|tau_l> (sum(counts), rest),
@@ -419,16 +481,15 @@ def _povm_sample(
     budget = MAX_ROW_DRAWS * total
     kappas = [symmetric_dim(m, d) for m in lam.parts]
     width = first.states.shape[2]
-    # Per sample: its later-row state, its share of row 1's proposals (about
-    # M of them, each a (kappa_1, d) power gather, plus its own state's
-    # (kappa_1, width) or reduced state when several states share the call),
-    # and on later rows up to kappa_r proposals with their reduced states.
+    cols = width // math.prod(kappas[1:])
     gather = 0 if len(counts) == 1 else min(width, kappas[0])
-    row_one = math.ceil(first.bound.max()) * kappas[0] * (d + gather)
-    per_sample = width + max([row_one] + [kap**2 * (kap + d) for kap in kappas[1:]])
-    chunk = max(1, _CHUNK_ENTRIES // per_sample)
+    held = [math.ceil(first.bound.max()) * kappas[0] * (d + gather)]
+    for r in range(1, lam.k):
+        kap, x = kappas[r], math.prod(kappas[r + 1 :]) * cols
+        held.append(kap * (kap * x + (lam.parts[r] + 1) * d + 2 * kap) if x == 1 else kap**2 * (kap + d))
+    chunk = max(1, _CHUNK_ENTRIES // (width + max(held)))
     psis = np.empty((total, lam.k, d), dtype=np.complex128)
-    rests = np.empty((total, width // math.prod(kappas[1:])), dtype=np.complex128)
+    rests = np.empty((total, cols), dtype=np.complex128)
     ends = np.cumsum(counts)
     firsts = ends - counts
     spent = 0
@@ -523,7 +584,8 @@ def population_shadow(basis: SchurBasis, state: PureState, epsilon: float, rng: 
     the change of basis and c the POVM's contraction of the segment's rows,
     the POVM leaves r_F = c Pi F / ||Pi F|| on F's columns, and
     (r_F F^+) A = c Pi A / ||Pi A|| is the state it would leave on A itself.
-    A is read once for its Gram and once for that back-map; a segment with
+    Its norm is ||r_F||, so r_F is normalised before the back-map. A is read
+    once for its Gram and once for that back-map; a segment with
     R <= d^n' runs on A directly.
     """
     t_segments = segment_count(epsilon)
@@ -549,8 +611,10 @@ def population_shadow(basis: SchurBasis, state: PureState, epsilon: float, rng: 
         factor, pinv = _segment_factor(segment)
         lam, _j, tau = schur_measure(basis, factor, sub)
         psis, rests, trials = _povm_sample(lam, d, _RowLaw.row_one(lam, d, tau[None]), [1], sub.gen)
-        rest = rests[0] if pinv is None else (rests[0] @ pinv) @ segment
-        rest /= np.linalg.norm(rest)
+        # F^+ A has orthonormal rows, so ||(r_F F^+) A|| = ||r_F||: the short
+        # row is normalised before the one pass over A.
+        row = rests[0] / np.linalg.norm(rests[0])
+        rest = row if pinv is None else (row @ pinv) @ segment
         acc += shadow_matrix(lam, psis, d) - lam.k * np.eye(d)
         partitions.append(lam.parts)
         proposals += trials
@@ -584,13 +648,34 @@ class _ProductTable:
     first_rows: tuple[_RowLaw, ...]
 
 
+def _product_table_entries(d: int, n: int) -> int:
+    """Complex entries that the row-1 laws of :func:`_product_table` hold,
+    counted from shapes alone: per lam, dim_q(lam) states of kappa(lam_1) x X
+    entries, X = prod_{r>1} kappa(lam_r), and as many kappa(lam_1)^2 reduced
+    states when the law is wide (lam_1 > 1 and X > kappa(lam_1))."""
+    total = 0
+    for lam in partitions_of(n, d):
+        kappa = symmetric_dim(lam.parts[0], d)
+        width = math.prod(symmetric_dim(m, d) for m in lam.parts[1:])
+        wide = lam.parts[0] > 1 and width > kappa
+        total += weyl_dim(lam, d) * kappa * (width + kappa * wide)
+    return total
+
+
 @lru_cache(maxsize=16)
 def _product_table(d: int, n: int) -> _ProductTable:
     """The :class:`_ProductTable` of segment size n, from :func:`build_q_bases` alone.
 
-    Raises ``ValueError`` unless every weight w has sum_lam f^lam K_{lam,w} =
+    Raises :class:`CapExceededError` before any stage-1 work when the row-1
+    laws would hold more than ``MAX_DENSE_DIM`` complex entries, and
+    ``ValueError`` unless every weight w has sum_lam f^lam K_{lam,w} =
     multinom(n; w), counted in exact integers; a refused table is not cached.
     """
+    entries = _product_table_entries(d, n)
+    if entries > MAX_DENSE_DIM:
+        raise CapExceededError(
+            f"the product table at d={d}, n'={n} would hold {entries} complex entries, over the cap {MAX_DENSE_DIM}"
+        )
     classes, weights = weight_classes(d, n)
     class_of = {w: c for c, w in enumerate(map(tuple, weights.tolist()))}
     stage1 = build_q_bases(d, n)

@@ -1,7 +1,8 @@
 """Partitions, tableau box layouts, standard tableaux, row/column groups, the
-slot classes through which symmetrizers act as class means, and the weight
-classes of digit tuples (:func:`weight_classes`), which every grouping by
-weight in the package reads.
+slot classes through which symmetrizers act as class means, built once per
+register and block set (:func:`register_classes`), and the weight classes of
+digit tuples (:func:`weight_classes`), which every grouping by weight in the
+package reads.
 
 The canonical tableau is always filled row-major: boxes are numbered left to
 right within a row, rows top to bottom. Box positions are 0-based.
@@ -61,6 +62,18 @@ def kappa_product(lam: "Partition", d: int) -> int:
     for part in lam.parts:
         out *= symmetric_dim(part, d)
     return out
+
+
+def weyl_dim(lam: "Partition", d: int) -> int:
+    """Dimension of the U(d) irrep lam: the number of semistandard tableaux of
+    shape lam with entries below d, by the hook-content formula."""
+    num = den = 1
+    cols = [sum(1 for part in lam.parts if part > c) for c in range(lam.parts[0])]
+    for r, part in enumerate(lam.parts):
+        for c in range(part):
+            num *= d + c - r
+            den *= (part - c) + (cols[c] - r) - 1
+    return num // den
 
 
 def _bounded_partitions(remaining: int, max_part: int, slots: int):
@@ -215,22 +228,37 @@ def majorizes(lam: Partition, weight) -> bool:
     return True
 
 
+@lru_cache(maxsize=256)
+def register_classes(d: int, n: int, blocks: tuple[tuple[int, ...], ...]) -> SlotClasses:
+    """The :class:`SlotClasses` of all n-digit tuples under the slot ``blocks``,
+    built once per (d, n, blocks) and shared by every caller, so read-only.
+
+    Give each block as a sorted tuple: the same blocks in another order are
+    another key and build a second copy.
+    """
+    classes = SlotClasses(digit_table(d, n), d, blocks)
+    for arr in (classes.inverse, classes.counts, classes.order, classes.starts):
+        arr.setflags(write=False)
+    return classes
+
+
 @lru_cache(maxsize=64)
 def weight_classes(d: int, n: int) -> tuple[SlotClasses, np.ndarray]:
-    """The :class:`SlotClasses` of the n-digit tuples under all slot
-    permutations, and the (C, d) weight (symbol counts) of each class.
+    """The :func:`register_classes` of the n-digit tuples under all slot
+    permutations (one block), and the (C, d) weight (symbol counts) of each
+    class.
 
     Classes come in increasing index order of their sorted tuples
     0^{w_0} 1^{w_1} ..., and a tuple with more leading zeros, then more ones
     after them, and so on, is smaller: the weights come lexicographically
     largest first, so the unit weight e_a is class a. Class c holds the
     indices ``order[starts[c]:][:counts[c]]``, increasing, and its size
-    ``counts[c]`` is multinom(n; w). The arrays are shared by the cache, so
+    ``counts[c]`` is multinom(n; w). The arrays are shared by the caches, so
     read-only.
     """
-    digits = digit_table(d, n)
-    classes = SlotClasses(digits, d, [range(n)])
-    weights = (digits[classes.order[classes.starts], :, None] == np.arange(d)).sum(axis=1)
-    for arr in (classes.inverse, classes.counts, classes.order, classes.starts, weights):
-        arr.setflags(write=False)
+    classes = register_classes(d, n, (tuple(range(n)),))
+    # The digits of each class's smallest member, decoded from its index.
+    digits = classes.order[classes.starts][:, None] // place_values(d, n) % d
+    weights = (digits[:, :, None] == np.arange(d)).sum(axis=1)
+    weights.setflags(write=False)
     return classes, weights

@@ -324,6 +324,28 @@ class TestOracleCommand:
         assert main(["oracle", "--d", "3", "--lambda", "6", "--samples", "10"]) == 3
 
 
+class TestProductTableCap:
+    """A product table too large to hold is refused with exit 3 before stage 1."""
+
+    @pytest.fixture(autouse=True)
+    def no_stage1(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("stage 1 ran before the refusal")
+
+        monkeypatch.setattr("schur_shadows.protocol.build_q_bases", refuse)
+
+    def test_shadow_run(self, tmp_path, capsys):
+        # epsilon 1.2 gives T = 28 segments, so n = 168 gives n' = 6 at d = 8.
+        args = ["shadow", "run", "--d", "8", "--n", "168", "--rank", "2", "--epsilon", "1.2", "--trials", "1"]
+        assert main(args + ["--out", str(tmp_path / "run.csv")]) == 3
+        assert "product table" in capsys.readouterr().err
+
+    def test_bench_scaling(self, tmp_path, capsys):
+        args = ["bench", "scaling", "--t-grid", "2", "--d", "8", "--segment-size", "6", "--trials", "1"]
+        assert main(args + ["--out", str(tmp_path / "bench.csv")]) == 3
+        assert "product table" in capsys.readouterr().err
+
+
 class TestBenchCommand:
     def test_scaling_csv(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -111,6 +111,26 @@ class TestSecondMoment:
                 assert scaled < prev
             prev = scaled
 
+    def test_register_classes_are_built_once(self, monkeypatch, protocol_state_for):
+        # Every slot set's classes come from one cache, shared read-only
+        # across calls.
+        from schur_shadows import moments
+
+        lam, d = Partition((2, 1)), 3
+        tau, _ = protocol_state_for(lam, d, 940)
+        seen = []
+        real = moments.register_classes
+        monkeypatch.setattr(moments, "register_classes", lambda *args: seen.append(real(*args)) or seen[-1])
+        first = second_moment_exact(lam, tau)
+        calls = len(seen)
+        second = second_moment_exact(lam, tau)
+        assert calls > 1 and len(seen) == 2 * calls
+        assert all(a is b for a, b in zip(seen[:calls], seen[calls:]))
+        for classes in seen:
+            for arr in (classes.inverse, classes.counts, classes.order, classes.starts):
+                assert not arr.flags.writeable
+        np.testing.assert_array_equal(first, second)
+
     def test_dim_cap(self):
         tau = PureState.from_digits((0,) * 8, 3)
         with pytest.raises(CapExceededError):

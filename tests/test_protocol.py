@@ -41,6 +41,7 @@ from schur_shadows.protocol import (
     _dicke_map,
     _dicke_tensor,
     _product_table,
+    _product_table_entries,
     _povm_sample,
     _RowLaw,
     _segment_factor,
@@ -56,8 +57,23 @@ from schur_shadows.protocol import (
     shadow_matrix,
     ShadowEstimate,
 )
-from schur_shadows.qudit import OperatorGrid, PureState, RngStream, apply_local_unitary, haar_unitary
-from schur_shadows.young import Partition, kappa_product, partitions_of, symmetric_dim, weight_classes
+from schur_shadows.qudit import (
+    MAX_DENSE_DIM,
+    CapExceededError,
+    OperatorGrid,
+    PureState,
+    RngStream,
+    apply_local_unitary,
+    haar_unitary,
+)
+from schur_shadows.young import (
+    Partition,
+    kappa_product,
+    partitions_of,
+    register_classes,
+    symmetric_dim,
+    weight_classes,
+)
 from test_moments import z_threshold
 
 #: The sampler's moment-oracle gate: every lam of n <= 5 with at most d rows
@@ -409,6 +425,7 @@ class TestDickeSampler:
         amps = np.ones(1, dtype=complex)
         for _ in range(6):
             amps = np.kron(amps, psi)
+        register_classes.cache_clear()
         weight_classes.cache_clear()
         _dicke_map.cache_clear()
         laws = []
@@ -432,6 +449,23 @@ class TestDickeSampler:
         assert first.bound[0] == pytest.approx(1.0) and first.bound[1] == pytest.approx(20.0)
         peak = traced_peak(lambda: _povm_sample(lam, d, first, np.array([1, count]), RngStream(323).gen))
         assert peak < 2 * (count + 1) * lam.k * d * 16 + 4 * _CHUNK_ENTRIES * 16, peak
+
+    def test_chunks_sized_by_what_rows_hold(self, monkeypatch):
+        # lam = (2, 2) at d = 3: row 2's state has one column, so it forms no
+        # reduced state and is charged kappa (kappa X + (lam_2 + 1) d + 2 kappa)
+        # = 162 entries per sample, not kappa^2 (kappa + d) = 324. 4000 samples
+        # take 11 chunks of two rows (21 when charged as reduced states), and
+        # the call peaks at a few times its outcomes (3.4x measured).
+        lam, d, count = Partition((2, 2)), 3, 4000
+        weights, vectors = build_q_bases(d, lam.n)[lam]
+        tau, _ = random_protocol_state(lam, weights, vectors, d, RngStream(340).gen)
+        row_symmetric_sample_batch(lam, tau, 10, RngStream(341))  # warm caches
+        calls = []
+        real = protocol._sample_row
+        monkeypatch.setattr(protocol, "_sample_row", lambda *args: calls.append(1) or real(*args))
+        peak = traced_peak(lambda: row_symmetric_sample_batch(lam, tau, count, RngStream(342)))
+        assert len(calls) <= 22, len(calls)
+        assert peak < 4 * count * lam.k * d * 16, peak
 
     def test_memory_stays_within_state_size(self, basis_for):
         # Nothing of shape proposals x rest is formed. A joint run measures
@@ -542,6 +576,43 @@ class TestWeightTable:
             law = lambda_given_weight(w)
             assert set(mass) == set(law), w
             assert all(abs(mass[parts] / multinom - p) < 1e-12 for parts, p in law.items()), w
+
+    def test_only_wide_laws_keep_rho(self):
+        # Row 1's law keeps its reduced state only where the kernel reads it:
+        # where its state is wider than tall, X = prod_{r>1} kappa(lam_r) >
+        # kappa(lam_1). (4, 5) has both kinds.
+        d, n = 4, 5
+        table = _product_table(d, n)
+        kinds = set()
+        for lam, law in zip(table.lams, table.first_rows):
+            kappa = symmetric_dim(lam.parts[0], d)
+            width = math.prod(symmetric_dim(m, d) for m in lam.parts[1:])
+            assert law.states.shape[1:] == (kappa, width)
+            wide = width > kappa
+            assert (law.rho is None) != wide, lam
+            if wide:
+                assert law.rho.shape == (len(law.states), kappa, kappa)
+            kinds.add(wide)
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("d,n", [(3, 5), (4, 4), (2, 10)])
+    def test_entry_count_is_what_the_table_holds(self, d, n):
+        table = _product_table(d, n)
+        held = sum(law.states.nbytes + (0 if law.rho is None else law.rho.nbytes) for law in table.first_rows)
+        assert held == 16 * _product_table_entries(d, n)
+
+    def test_refuses_a_table_it_cannot_hold(self, monkeypatch):
+        # Counted from dim_q and the kappas alone: (8, 6) would hold about
+        # 14.5 GB and (8, 5) 0.77 GB; (4, 8) would hold 62 MB, under the cap.
+        def no_stage1(d, n):
+            raise AssertionError("stage 1 ran before the refusal")
+
+        monkeypatch.setattr(protocol, "build_q_bases", no_stage1)
+        for d, n in ((8, 6), (8, 5)):
+            assert _product_table_entries(d, n) > MAX_DENSE_DIM
+            with pytest.raises(CapExceededError, match="product table"):
+                shadow_from_population(OperatorGrid(np.eye(d)), (0,) * n, 1, n, RngStream(0))
+        assert _product_table_entries(4, 8) <= MAX_DENSE_DIM
 
     @pytest.mark.parametrize("fault", ["lost vector", "altered weight"])
     def test_refuses_inconsistent_basis(self, basis_for, monkeypatch, fault):
@@ -836,6 +907,21 @@ class TestSegmentFactor:
             b = population_shadow_dense(basis, state, 2.0, RngStream(740).child(r))
             assert a.segment_partitions == b.segment_partitions == [(seg,)] * t_segments
             assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-12, r
+
+    def test_back_map_is_normalised_through_the_factor(self, basis_for, monkeypatch):
+        # ||(r_F F^+) A|| = ||r_F||, so normalising r_F leaves each later
+        # segment a unit state without a pass over it. 7 segments of 2 qubits.
+        n, epsilon = 14, 1.2
+        basis = basis_for(2, n // segment_count(epsilon))
+        gen = RngStream(344).gen
+        amps = gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n)
+        state = PureState(2, n, amps / np.linalg.norm(amps))
+        norms = []
+        real = protocol._segment_factor
+        monkeypatch.setattr(protocol, "_segment_factor", lambda a: norms.append(np.linalg.norm(a)) or real(a))
+        population_shadow(basis, state, epsilon, RngStream(345))
+        assert len(norms) == 7
+        assert np.max(np.abs(np.array(norms) - 1.0)) < 1e-12, norms
 
     def test_law_on_entangled_input(self, basis_for):
         # A Haar state has one-box rows, whose draws pick columns of the

@@ -9,10 +9,11 @@ Layers:
   tableaux, slot classes (symmetrizers as class means), majorization, and
   the weight classes of digit tuples, which the basis, its verification and
   the POVM's Dicke coordinates all read.
-* :mod:`schur_shadows.basis`: nice Schur basis construction, verification,
-  persistence, and :func:`schur_measure`, the Schur measurement with its
-  block change of basis, one weight slice at a time. The product-input
-  front end reads only the basis's j = 0 layer, :func:`build_q_bases`.
+* :mod:`schur_shadows.basis`: the nice Schur basis as one real weight
+  slice per weight: construction, verification, persistence, and
+  :func:`schur_measure`, the Schur measurement with its block change of
+  basis, one weight slice at a time. The product-input front end reads
+  only the basis's j = 0 layer, :func:`build_q_bases`.
 * :mod:`schur_shadows.protocol`: population sampling, the row-symmetric
   POVM, the shadow record :func:`shadow_matrix`, the joint-state and
   product-input shadow front ends, median-of-means, baseline.

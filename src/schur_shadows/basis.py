@@ -8,15 +8,15 @@ definition with no search:
 2. :func:`schur_basis_completion`: the other ``j`` layers, from Young's
    natural basis of the Specht module.
 
-Every vector is supported on a single weight subspace, so the basis is
-stored sparsely (computational-basis index / amplitude pairs), and the
-multinom(n; w) vectors of weight w form a unitary V_w on the weight-w slice.
-After the build the basis is read one such slice at a time
-(:meth:`SchurBasis.weight_slices`): :func:`verify_nice_basis` checks block
-closure on the generators of U(d) and S_n, and :func:`schur_measure`, the
-protocol's first step, measures (lam, j) and moves the measured block onto
-(lam, 0). It works on the measured rows of a (d^n, rest) matrix, so a
-segment of a larger joint state is measured without reshaping the rest away.
+Every vector is real and supported on a single weight subspace, so the
+multinom(n; w) vectors of weight w are the columns of one real orthogonal
+matrix V_w on the weight-w slice. The basis is these slices, one
+:class:`WeightSlice` per weight; both stages build them, and the cache file
+holds them as they are. :func:`verify_nice_basis` checks block closure on
+the generators of U(d) and S_n, and :func:`schur_measure`, the protocol's
+first step, measures (lam, j) and moves the measured block onto (lam, 0).
+It works on the measured rows of a (d^n, rest) matrix, so a segment of a
+larger joint state is measured without reshaping the rest away.
 
 The whole basis serves the joint-state path and ``basis build``/``verify``.
 The product-input path reads stage 1 only: its law depends on the ``j = 0``
@@ -29,6 +29,9 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -55,16 +58,13 @@ from .young import (
 #: that cancel exactly, such as the lowered singlet.
 RANK_CUT = 1e-9
 
-#: Amplitudes below this are not stored.
+#: Amplitudes below this are set to zero.
 PRUNE = 1e-14
 
 #: Cache file format version.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MAGIC = b"SCHB"
-
-#: One stored amplitude: its index, then its real and imaginary parts.
-_RECORD = np.dtype([("index", "<u8"), ("re", "<f8"), ("im", "<f8")])
 
 
 class BasisCacheError(RuntimeError):
@@ -76,52 +76,22 @@ class SpanExtractionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SparseVector:
-    """Sorted (index, amplitude) pairs of a vector in (C^d)^{tensor n}."""
+class ImageBlock:
+    """Stage 1's (lam, i, 0) vectors of one weight w: the real ``columns``
+    over the increasing ``indices`` of the weight-w slice."""
 
+    weight: tuple[int, ...]
     indices: np.ndarray
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        if idx.shape != amp.shape or idx.ndim != 1:
-            raise ValueError("indices and amplitudes must be 1-d arrays of equal length")
-        if np.any(idx[1:] <= idx[:-1]):
-            raise ValueError("indices must be strictly increasing")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "amplitudes", amp)
-
-    @classmethod
-    def pruned(cls, indices: np.ndarray, amplitudes: np.ndarray) -> "SparseVector":
-        """The entries of magnitude at least :data:`PRUNE`; indices increase."""
-        keep = np.abs(amplitudes) >= PRUNE
-        return cls(indices[keep], amplitudes[keep])
-
-    def to_dense(self, dim: int) -> np.ndarray:
-        dense = np.zeros(dim, dtype=np.complex128)
-        dense[self.indices] = self.amplitudes
-        return dense
-
-
-@dataclass
-class SchurBlock:
-    """Per-partition slice of the basis."""
-
-    lam: Partition
-    dim_q: int
-    dim_p: int
-    weight_of_i: list[tuple[int, ...]]
-    vectors: dict[tuple[int, int], SparseVector]
+    columns: np.ndarray
 
 
 @dataclass(frozen=True)
 class WeightSlice:
-    """The basis vectors of weight w as the columns of a unitary V_w (``matrix``)
-    on the increasing ``indices`` of weight w. Column c is vector ``keys[c]``
-    = (block position, i, j), and ``outcome[c]`` is the position of its
-    (lam, j) among the Schur outcomes (blocks in order, then j); columns are
-    ordered by outcome, then i."""
+    """The basis vectors of weight w as the columns of a real orthogonal
+    V_w (``matrix``, float64) on the increasing ``indices`` of weight w.
+    Column c is vector ``keys[c]`` = (block position, i, j), and
+    ``outcome[c]`` is the position of its (lam, j) among the Schur outcomes
+    (blocks in order, then j); columns are ordered by outcome, then i."""
 
     weight: tuple[int, ...]
     indices: np.ndarray
@@ -130,72 +100,123 @@ class WeightSlice:
     outcome: np.ndarray
 
 
+class BasisVector(NamedTuple):
+    """One vector of :attr:`SchurBlock.vectors`: its nonzero entries."""
+
+    indices: np.ndarray
+    amplitudes: np.ndarray
+
+    def to_dense(self, dim: int) -> np.ndarray:
+        dense = np.zeros(dim)
+        dense[self.indices] = self.amplitudes
+        return dense
+
+
+@dataclass
+class SchurBlock:
+    """Per-partition sizes of the basis. Its vectors are columns of the
+    weight ``slices`` of the basis that holds it, keyed by its ``position``
+    among the blocks."""
+
+    lam: Partition
+    dim_q: int
+    dim_p: int
+    weight_of_i: list[tuple[int, ...]]
+    slices: dict[tuple[int, ...], WeightSlice] = field(repr=False, compare=False)
+    position: int = field(compare=False)
+
+    @cached_property
+    def vectors(self) -> Mapping[tuple[int, int], BasisVector]:
+        """Read-only (i, j) -> vector map, gathered from the slices on first read.
+
+        For readers outside the package; the package reads the slices."""
+        found = {}
+        for piece in self.slices.values():
+            mine = np.flatnonzero(piece.keys[:, 0] == self.position)
+            for key, col in zip(piece.keys[mine, 1:].tolist(), piece.matrix.T[mine]):
+                keep = col != 0.0
+                found[tuple(key)] = BasisVector(piece.indices[keep], col[keep])
+        return MappingProxyType(dict(sorted(found.items())))
+
+
 @dataclass
 class SchurBasis:
+    """The nice Schur basis: per partition its sizes (``blocks``), and per
+    weight, in the order of :func:`weight_classes`, the slice that holds the
+    vectors of that weight (``slices``)."""
+
     d: int
     n: int
     blocks: dict[Partition, SchurBlock]
-    _view: dict[tuple[int, ...], WeightSlice] | None = field(default=None, repr=False)
+    slices: dict[tuple[int, ...], WeightSlice]
 
     @property
     def dim(self) -> int:
         return self.d**self.n
 
-    def weight_slices(self) -> dict[tuple[int, ...], WeightSlice]:
-        """The :class:`WeightSlice` of each weight, built on first use and cached.
-
-        Raises ``ValueError`` naming the weight unless each weight w has
-        multinom(n; w) vectors, all supported on the weight-w slice.
-        """
-        if self._view is None:
-            self._view = {piece.weight: piece for piece in _weight_slices(self)}
-        return self._view
-
     def gram_deviation(self) -> float:
         """Max |<u|v> - delta_uv|; vectors of different weights have disjoint
-        supports, so only same-weight pairs are compared. Without a cached
-        view the slices are made one at a time and not kept."""
-        pieces = self._view.values() if self._view is not None else _weight_slices(self)
-        return max(float(np.max(np.abs(p.matrix.conj().T @ p.matrix - np.eye(len(p.indices))))) for p in pieces)
+        supports, so only same-weight pairs are compared."""
+        return max(float(np.max(np.abs(p.matrix.T @ p.matrix - np.eye(len(p.indices))))) for p in self.slices.values())
+
+    @cached_property
+    def _plan(self):
+        """What :func:`schur_measure` reads, fixed per basis: the slices'
+        indices in slice order, each slice's span of them, their outcomes,
+        the (lam, j) of each outcome, and per outcome and slice holding it
+        the (lam, 0) columns, its coefficient rows and the slice's span."""
+        fault = _label_fault(self)
+        if fault is not None:
+            raise ValueError(fault)
+        pieces = list(self.slices.values())
+        stops = np.cumsum([len(p.indices) for p in pieces]).tolist()
+        spans = [slice(stop - len(p.indices), stop) for p, stop in zip(pieces, stops)]
+        outcomes = [(lam, j) for lam, block in self.blocks.items() for j in range(block.dim_p)]
+        moves: list[list] = [[] for _ in outcomes]
+        for piece, span in zip(pieces, spans):
+            # Columns are ordered by outcome, so each outcome's columns are one run.
+            found, first, count = np.unique(piece.outcome, return_index=True, return_counts=True)
+            runs = {o: slice(f, f + c) for o, f, c in zip(found.tolist(), first.tolist(), count.tolist())}
+            for o, run in runs.items():
+                rows = slice(span.start + run.start, span.start + run.stop)
+                moves[o].append((piece.matrix[:, runs[o - outcomes[o][1]]], rows, span))
+        rows = np.concatenate([p.indices for p in pieces])
+        return rows, list(zip(pieces, spans)), np.concatenate([p.outcome for p in pieces]), outcomes, moves
 
 
-def _weight_slices(basis: SchurBasis):
-    """Yield the :class:`WeightSlice` of every weight, in the order of :func:`weight_classes`."""
-    by_weight: dict[tuple[int, ...], list] = {}
-    first = 0
-    for b, block in enumerate(basis.blocks.values()):
-        for (i, j), vec in block.vectors.items():
-            # Keyed (outcome, i, block position, j), so sorting orders columns by outcome, then i.
-            by_weight.setdefault(tuple(block.weight_of_i[i]), []).append(((first + j, i, b, j), vec))
-        first += block.dim_p
-    classes, weights = weight_classes(basis.d, basis.n)
-    for c, w in enumerate(map(tuple, weights.tolist())):
-        indices = classes.order[classes.starts[c] :][: classes.counts[c]]
-        entries = sorted(by_weight.get(w, []), key=lambda entry: entry[0])
-        if len(entries) != len(indices):
-            raise ValueError(f"basis has {len(entries)} vectors of weight {w}, expected multinom = {len(indices)}")
-        vectors = [vec for _, vec in entries]
-        if not np.all(classes.inverse[np.concatenate([vec.indices for vec in vectors])] == c):
-            raise ValueError(f"a basis vector of weight {w} has amplitudes outside the weight-{w} slice")
-        labels = np.array([key for key, _ in entries], dtype=np.int64)
-        yield WeightSlice(w, indices, _columns(vectors, indices), labels[:, [2, 1, 3]], labels[:, 0])
-
-
-def _slices(d: int, n: int) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
-    """Per weight, in the order of :func:`weight_classes`, the digit tuples of
-    its class, one per row in increasing index order, and their indices."""
+def _weight_rows(d: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
+    """Per weight, in the order of :func:`weight_classes`, the increasing indices of its class."""
     classes, weights = weight_classes(d, n)
-    digits = digit_table(d, n)
-    members = np.split(classes.order, classes.starts[1:])
-    return {tuple(w): (digits[indices], indices) for w, indices in zip(weights.tolist(), members)}
+    return dict(zip(map(tuple, weights.tolist()), np.split(classes.order, classes.starts[1:])))
 
 
-def _columns(vectors: list[SparseVector], rows: np.ndarray) -> np.ndarray:
-    """The vectors as dense columns over the sorted indices ``rows``."""
-    mat = np.zeros((rows.size, len(vectors)), dtype=np.complex128)
-    for col, vec in enumerate(vectors):
-        mat[np.searchsorted(rows, vec.indices), col] = vec.amplitudes
-    return mat
+def _labels(blocks, weights) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
+    """Per weight of ``weights``, the (block position, i, j) keys and the
+    outcomes of the blocks' vectors of that weight, ordered by outcome, then i."""
+    found: dict[tuple[int, ...], list] = {w: [] for w in weights}
+    first = 0
+    for b, block in enumerate(blocks):
+        for j in range(block.dim_p):
+            for i, w in enumerate(block.weight_of_i):
+                found[tuple(w)].append((b, i, j, first + j))
+        first += block.dim_p
+    tables = {w: np.array(rows, dtype=np.int64).reshape(-1, 4) for w, rows in found.items()}
+    return {w: (table[:, :3], table[:, 3]) for w, table in tables.items()}
+
+
+def _label_fault(basis: SchurBasis) -> str | None:
+    """Why the slices are not the blocks' vectors, one square slice per
+    weight, naming the weight; None when they are."""
+    rows = _weight_rows(basis.d, basis.n)
+    if list(basis.slices) != list(rows):
+        return "the basis does not hold one slice per weight, in weight order"
+    for w, (keys, outcome) in _labels(basis.blocks.values(), rows).items():
+        piece, size = basis.slices[w], len(rows[w])
+        if piece.matrix.shape != (size, size) or len(keys) != size:
+            return f"basis has {piece.matrix.shape[1]} vectors of weight {w} (blocks: {len(keys)}), expected {size}"
+        if not (np.array_equal(piece.keys, keys) and np.array_equal(piece.outcome, outcome)):
+            return f"the columns of the weight-{w} slice are not the blocks' vectors of weight {w}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +224,7 @@ def _columns(vectors: list[SparseVector], rows: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def build_q_bases(d: int, n: int) -> dict[Partition, tuple[list[tuple[int, ...]], list[SparseVector]]]:
+def build_q_bases(d: int, n: int) -> dict[Partition, list[ImageBlock]]:
     """Orthonormal weight-pure bases of the Young symmetrizer images.
 
     The symmetrizer is the row symmetrizer after the column antisymmetrizer.
@@ -218,15 +239,16 @@ def build_q_bases(d: int, n: int) -> dict[Partition, tuple[list[tuple[int, ...]]
     This is done for decreasing weights; relabelling the digits commutes
     with the symmetrizer and carries it to their rearrangements.
 
-    Returns, per partition, the per-vector weight list and the sparse real
-    vectors, each signed so that its first nonzero amplitude is positive.
-    Weights come in reverse lexicographic order with the vectors of each
-    weight next to each other, so vector 0 is the only one of the
+    Returns, per partition, one :class:`ImageBlock` per admissible weight,
+    each column signed so that its first entry of magnitude at least
+    :data:`PRUNE` is positive, and entries below :data:`PRUNE` set to zero.
+    Weights come in reverse lexicographic order, so the (lam, i, 0) are
+    numbered block after block, and vector 0 is the only one of the
     lexicographically largest admissible weight.
     """
     check_dense_dim(d, n)
-    slices = _slices(d, n)
-    out: dict[Partition, tuple[list[tuple[int, ...]], list[SparseVector]]] = {}
+    slices, table = _weight_rows(d, n), digit_table(d, n)
+    out: dict[Partition, list[ImageBlock]] = {}
     for lam in partitions_of(n, d):
         layout = BoxLayout(lam)
         # Boxes adjacent in a column: above[t] sits right over below[t].
@@ -234,8 +256,7 @@ def build_q_bases(d: int, n: int) -> dict[Partition, tuple[list[tuple[int, ...]]
         below = [box for col in layout.column_blocks() for box in col[1:]]
         mappings, signs = map(np.array, zip(*column_group(lam)))
         decreasing: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        weights: list[tuple[int, ...]] = []
-        vectors: list[SparseVector] = []
+        images: list[ImageBlock] = []
         for w in slices:
             # Non-majorized weights are annihilated by the symmetrizer.
             if not majorizes(lam, w):
@@ -245,7 +266,8 @@ def build_q_bases(d: int, n: int) -> dict[Partition, tuple[list[tuple[int, ...]]
             order = sorted(range(d), key=lambda sym: -w[sym])
             top = tuple(w[sym] for sym in order)
             if top not in decreasing:
-                digits, indices = slices[top]
+                indices = slices[top]
+                digits = table[indices]
                 strict = np.all(digits[:, below] > digits[:, above], axis=1)
                 # Column permutations of a column-strict filling land on distinct rows.
                 rows = np.searchsorted(indices, permuted_indices(digits[strict], d, mappings))
@@ -260,14 +282,12 @@ def build_q_bases(d: int, n: int) -> dict[Partition, tuple[list[tuple[int, ...]]
                 left = left[:, singular > RANK_CUT]
                 decreasing[top] = (digits, left[classes.inverse] / root[classes.inverse, None])
             digits, cols = decreasing[top]
-            indices = np.array(order)[digits] @ place_values(d, n)
-            rows = np.argsort(indices)
-            cols = cols[rows]
+            cols = cols[np.argsort(np.array(order)[digits] @ place_values(d, n))]
             lead = cols[np.argmax(np.abs(cols) >= PRUNE, axis=0), np.arange(cols.shape[1])]
-            for vec in (cols * np.sign(lead)).T:
-                vectors.append(SparseVector.pruned(indices[rows], vec.astype(np.complex128)))
-                weights.append(w)
-        out[lam] = (weights, vectors)
+            cols *= np.sign(lead)
+            cols[np.abs(cols) < PRUNE] = 0.0
+            images.append(ImageBlock(w, slices[w], cols))
+        out[lam] = images
     return out
 
 
@@ -276,11 +296,7 @@ def build_q_bases(d: int, n: int) -> dict[Partition, tuple[list[tuple[int, ...]]
 # ---------------------------------------------------------------------------
 
 
-def schur_basis_completion(
-    d: int,
-    n: int,
-    q_bases: dict[Partition, tuple[list[tuple[int, ...]], list[SparseVector]]],
-) -> SchurBasis:
+def schur_basis_completion(d: int, n: int, q_bases: dict[Partition, list[ImageBlock]]) -> SchurBasis:
     """Complete per-partition image bases into a full nice Schur basis.
 
     With mapping[k] the entry of a standard tableau T at row-major box k, the
@@ -290,26 +306,24 @@ def schur_basis_completion(
     |(lam, i, j)> = sum_T (R^-1)[T, j] P_T |(lam, i, 0)>. Column 0 of R^-1 is
     (1, 0, ..., 0) up to rounding, so j = 0 keeps stage 1's vectors.
     """
-    dim = check_dense_dim(d, n)
-    slices = _slices(d, n)
+    check_dense_dim(d, n)
+    slices, table = _weight_rows(d, n), digit_table(d, n)
+    layers: dict[tuple[int, ...], list[np.ndarray]] = {w: [] for w in slices}
+    held: dict[tuple[int, ...], WeightSlice] = {}
     blocks: dict[Partition, SchurBlock] = {}
-    total = 0
-    for lam in partitions_of(n, d):
-        weights, vectors = q_bases[lam]
-        if not vectors:
+    for b, lam in enumerate(partitions_of(n, d)):
+        images = q_bases[lam]
+        if not images:
             raise SpanExtractionError(f"empty symmetrizer image for partition {lam}")
         mappings = np.array(standard_tableaux(lam), dtype=np.int64)
         dim_p = len(mappings)
         coeffs = None
-        block_vectors: dict[tuple[int, int], SparseVector] = {}
-        # The vectors of one weight are adjacent; permutations keep each weight slice.
-        starts = [i for i in range(len(weights)) if i == 0 or weights[i] != weights[i - 1]]
-        for start, stop in zip(starts, starts[1:] + [len(weights)]):
-            digits, indices = slices[tuple(weights[start])]
-            rows = np.searchsorted(indices, permuted_indices(digits, d, mappings))
-            # moved[t, :, k] = P_T |(lam, start + k, 0)> on the slice.
-            moved = np.zeros((dim_p, len(indices), stop - start), dtype=np.complex128)
-            moved[np.arange(dim_p)[:, None], rows] = _columns(vectors[start:stop], indices)
+        for image in images:
+            indices = slices[image.weight]
+            rows = np.searchsorted(indices, permuted_indices(table[indices], d, mappings))
+            # moved[t, :, k] = P_T |(lam, i_k, 0)> on the slice.
+            moved = np.zeros((dim_p,) + image.columns.shape)
+            moved[np.arange(dim_p)[:, None], rows] = image.columns
             if coeffs is None:
                 _, r = np.linalg.qr(moved[:, :, 0].T)
                 diag = np.diagonal(r)
@@ -317,20 +331,20 @@ def schur_basis_completion(
                     raise SpanExtractionError(
                         f"standard tableau permutations of |({lam}, 0, 0)> have rank below f = {dim_p}"
                     )
-                coeffs = np.linalg.inv(r) * (diag / np.abs(diag))
-            images = np.einsum("tmk,tj->kjm", moved, coeffs)
-            for k in range(stop - start):
-                block_vectors[(start + k, 0)] = vectors[start + k]
-                for j in range(1, dim_p):
-                    block_vectors[(start + k, j)] = SparseVector.pruned(indices, images[k, j])
-        blocks[lam] = SchurBlock(lam, len(vectors), dim_p, list(weights), block_vectors)
-        total += len(vectors) * dim_p
+                coeffs = np.linalg.inv(r) * np.sign(diag)
+            # Column (j, k) of the layer is |(lam, i_k, j)>.
+            layer = np.tensordot(moved, coeffs, axes=(0, 0)).transpose(0, 2, 1)
+            layer[:, 0] = image.columns
+            layer[np.abs(layer) < PRUNE] = 0.0
+            layers[image.weight].append(layer.reshape(len(indices), -1))
+        weights = [image.weight for image in images for _ in range(image.columns.shape[1])]
+        blocks[lam] = SchurBlock(lam, len(weights), dim_p, weights, held, b)
 
-    if total != dim:
-        raise SpanExtractionError(
-            f"dimension bookkeeping failed: sum dim_q*dim_p = {total}, expected {dim}"
-        )
-    basis = SchurBasis(d, n, blocks)
+    for w, (keys, outcome) in _labels(blocks.values(), slices).items():
+        if len(keys) != len(slices[w]):
+            raise SpanExtractionError(f"basis has {len(keys)} vectors of weight {w}, expected {len(slices[w])}")
+        held[w] = WeightSlice(w, slices[w], np.concatenate(layers[w], axis=1), keys, outcome)
+    basis = SchurBasis(d, n, blocks, held)
     dev = basis.gram_deviation()
     if dev > 1e-9:
         raise SpanExtractionError(f"completed basis Gram deviation {dev:.3e} exceeds 1e-9")
@@ -350,33 +364,33 @@ def build_basis(d: int, n: int) -> SchurBasis:
 def verify_nice_basis(basis: SchurBasis, rng=None, trials=None) -> dict:
     """Residual report: orthonormality, vector counts, weight purity, and block closures.
 
-    Closure is checked exactly on generators, one weight slice at a time:
-    E_{a,a+1} and E_{a+1,a} on each (lam, j) block (E_ab = sum_k (|a><b|)_k
-    maps slice w to w + e_a - e_b; weight purity covers the diagonal), the
-    adjacent transpositions on each (lam, i) block. A residual is the largest
-    norm of a moved vector outside its block's columns in the target slice.
-    Gram and closure entries are ``inf`` when the slices cannot be formed.
-    ``rng`` and ``trials`` are unused (no draw is made); they stay because
-    the ``basis-cold`` workload in ``perfbench/workloads.py`` passes them.
+    A vector in a slice other than its (lam, i)'s weight breaks purity by its
+    largest amplitude. Closure is checked exactly on generators, one weight
+    slice at a time: E_{a,a+1} and E_{a+1,a} on each (lam, j) block (E_ab =
+    sum_k (|a><b|)_k maps slice w to w + e_a - e_b; weight purity covers the
+    diagonal), the adjacent transpositions on each (lam, i) block. A
+    residual is the largest norm of a moved vector outside its block's
+    columns in the target slice. Gram and closure entries are ``inf`` when
+    the slices are not the blocks' vectors. ``rng`` and ``trials`` are
+    unused; the ``basis-cold`` workload in ``perfbench/workloads.py`` passes them.
     """
-    d, n, blocks = basis.d, basis.n, basis.blocks.values()
-    classes, weights = weight_classes(d, n)
-    purity_dev = 0.0
-    for block in blocks:
-        for (i, _j), vec in block.vectors.items():
-            if np.any(weights[classes.inverse[vec.indices]] != np.asarray(block.weight_of_i[i])):
-                purity_dev = max(purity_dev, float(np.max(np.abs(vec.amplitudes))))
-    counts = [len(b.vectors) for b in blocks]
+    d, n, blocks = basis.d, basis.n, list(basis.blocks.values())
+    view = basis.slices
+    counts = np.bincount(np.concatenate([p.keys[:, 0] for p in view.values()]), minlength=len(blocks))
+    impure = [
+        np.abs(p.matrix[:, c]).max()
+        for p in view.values()
+        for c, (b, i, _) in enumerate(p.keys.tolist())
+        if tuple(blocks[b].weight_of_i[i]) != p.weight
+    ]
     report = {
         "gram_deviation": np.inf,
-        "vector_count_ok": sum(counts) == basis.dim and counts == [b.dim_q * b.dim_p for b in blocks],
-        "weight_purity_violation": purity_dev,
+        "vector_count_ok": int(counts.sum()) == basis.dim and counts.tolist() == [b.dim_q * b.dim_p for b in blocks],
+        "weight_purity_violation": float(max(impure, default=0.0)),
         "u_closure_residual": np.inf,
         "pi_closure_residual": np.inf,
     }
-    try:
-        view = basis.weight_slices()
-    except ValueError:
+    if _label_fault(basis) is not None:
         return report
     place = place_values(d, n)
     u_residual = pi_residual = 0.0
@@ -402,8 +416,8 @@ def verify_nice_basis(basis: SchurBasis, rng=None, trials=None) -> dict:
 
 
 def _outside(target: WeightSlice, moved: np.ndarray, keep: np.ndarray) -> float:
-    """Max over columns x of ``moved`` of ||x - V (keep[:, x] * V^dag x)||, V = ``target.matrix``."""
-    rest = moved - target.matrix @ (keep * (target.matrix.conj().T @ moved))
+    """Max over columns x of ``moved`` of ||x - V (keep[:, x] * V^T x)||, V = ``target.matrix``."""
+    rest = moved - target.matrix @ (keep * (target.matrix.T @ moved))
     return float(np.max(np.linalg.norm(rest, axis=0), initial=0.0))
 
 
@@ -419,31 +433,33 @@ def schur_measure(
 
     ``amplitudes`` is a (d^n, rest) matrix whose rows are the measured qudits
     (a single state vector of length d^n works the same way). Its
-    coefficients on slice w are V_w^dag A[slice], and (lam, j) is drawn with
+    coefficients on slice w are V_w^T A[slice], taken on the real and
+    imaginary parts of A side by side, and (lam, j) is drawn with
     probability ||Pi_{lam,j} s||^2, the sum of its squared coefficients.
     ``tau`` = sum_w V_w[:, (lam, 0)] (the (lam, j) coefficients on slice w),
-    renormalized, in the shape of ``amplitudes``. A basis whose slices cannot
-    be formed is refused with ``ValueError`` before any draw.
+    renormalized, in the shape of ``amplitudes``. A basis whose slices are
+    not its blocks' vectors is refused with ``ValueError`` before any draw.
     """
     if amplitudes.shape[0] != basis.dim:
         raise ValueError(f"state has {amplitudes.shape[0]} rows, basis needs {basis.dim}")
-    pieces = list(basis.weight_slices().values())
-    outcomes = [(lam, j) for lam, block in basis.blocks.items() for j in range(block.dim_p)]
+    rows, pieces, outcome, outcomes, moves = basis._plan
     a = amplitudes.reshape(basis.dim, -1)
-    coeffs = [piece.matrix.conj().T @ a[piece.indices] for piece in pieces]
-    flat = np.concatenate(coeffs)
-    squares = np.einsum("ij,ij->i", flat.real, flat.real) + np.einsum("ij,ij->i", flat.imag, flat.imag)
-    probs = np.bincount(np.concatenate([piece.outcome for piece in pieces]), squares, len(outcomes))
+    # Real and imaginary parts side by side: (d^n, 2 rest) float64.
+    gathered = np.ascontiguousarray(a[rows], dtype=np.complex128).view(np.float64)
+    coeffs = np.empty_like(gathered)
+    for piece, span in pieces:
+        np.matmul(piece.matrix.T, gathered[span], out=coeffs[span])
+    probs = np.bincount(outcome, np.einsum("ij,ij->i", coeffs, coeffs), len(outcomes))
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"block probabilities sum to {total}, expected 1")
     pick = rng.gen.choice(len(outcomes), p=probs / total)
     lam, j = outcomes[pick]
-    tau = np.zeros(a.shape, dtype=np.complex128)
-    for piece, c in zip(pieces, coeffs):
-        rows = piece.outcome == pick
-        if rows.any():
-            tau[piece.indices] = piece.matrix[:, piece.outcome == pick - j] @ c[rows]
+    moved = np.zeros_like(gathered)
+    for base, held, span in moves[pick]:
+        moved[span] = base @ coeffs[held]
+    tau = np.empty(a.shape, dtype=np.complex128)
+    tau[rows] = moved.view(np.complex128)
     tau /= np.linalg.norm(tau)
     return lam, j, tau.reshape(amplitudes.shape)
 
@@ -454,7 +470,8 @@ def schur_measure(
 
 
 def save_basis(basis: SchurBasis, path) -> None:
-    """Write the cache file (little-endian, CRC32 over the body)."""
+    """Write the cache file (little-endian, CRC32 over the body): the block
+    headers, then each weight slice's real matrix as it is."""
     body = bytearray()
     for lam, block in basis.blocks.items():
         body += struct.pack("<I", len(lam.parts))
@@ -462,21 +479,12 @@ def save_basis(basis: SchurBasis, path) -> None:
         body += struct.pack("<II", block.dim_q, block.dim_p)
         for w in block.weight_of_i:
             body += struct.pack(f"<{basis.d}I", *w)
-        for i in range(block.dim_q):
-            for j in range(block.dim_p):
-                vec = block.vectors[(i, j)]
-                records = np.empty(vec.indices.size, dtype=_RECORD)
-                records["index"] = vec.indices
-                records["re"] = vec.amplitudes.real
-                records["im"] = vec.amplitudes.imag
-                body += struct.pack("<Q", records.size)
-                body += records.tobytes()
-    header = _MAGIC + struct.pack(
-        "<IIIII", FORMAT_VERSION, basis.d, basis.n, len(basis.blocks), zlib.crc32(bytes(body))
-    )
+    for piece in basis.slices.values():
+        body += struct.pack("<II", *piece.matrix.shape)
+        body += piece.matrix.astype("<f8", copy=False).tobytes()
+    header = _MAGIC + struct.pack("<IIIII", FORMAT_VERSION, basis.d, basis.n, len(basis.blocks), zlib.crc32(body))
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(bytes(body))
+        fh.write(header + body)
 
 
 def load_basis(path) -> SchurBasis:
@@ -487,60 +495,45 @@ def load_basis(path) -> SchurBasis:
         raise BasisCacheError("malformed file: bad magic or truncated header")
     version, d, n, lam_count, checksum = struct.unpack("<IIIII", raw[4:24])
     if version != FORMAT_VERSION:
-        raise BasisCacheError(f"version mismatch: file has {version}, expected {FORMAT_VERSION}")
+        raise BasisCacheError(f"version mismatch: file has format version {version}, expected {FORMAT_VERSION}")
     body = raw[24:]
     if zlib.crc32(body) != checksum:
         raise BasisCacheError("checksum failure: file is corrupt or truncated")
 
     offset = 0
 
-    def take(fmt):
+    def take(count, dtype="<u4"):
         nonlocal offset
-        size = struct.calcsize(fmt)
+        size = np.dtype(dtype).itemsize * count
         if offset + size > len(body):
             raise BasisCacheError("malformed file: unexpected end of body")
-        vals = struct.unpack_from(fmt, body, offset)
         offset += size
-        return vals
+        return np.frombuffer(body, dtype, count, offset - size)
 
     blocks: dict[Partition, SchurBlock] = {}
-    total = 0
-    top = 0
-    for _ in range(lam_count):
-        (k,) = take("<I")
-        parts = take(f"<{k}I")
-        lam = Partition(parts)
-        dim_q, dim_p = take("<II")
-        weights = [tuple(take(f"<{d}I")) for _ in range(dim_q)]
-        for w in weights:
-            if sum(w) != n:
-                raise BasisCacheError(f"malformed file: weight {w} does not sum to n={n}")
-        vectors: dict[tuple[int, int], SparseVector] = {}
-        for i in range(dim_q):
-            for j in range(dim_p):
-                (count,) = take("<Q")
-                if offset + count * _RECORD.itemsize > len(body):
-                    raise BasisCacheError("malformed file: unexpected end of body")
-                records = np.frombuffer(body, dtype=_RECORD, count=count, offset=offset)
-                offset += count * _RECORD.itemsize
-                top = max(top, int(records["index"].max(initial=0)))
-                amp = np.empty(count, dtype=np.complex128)
-                amp.real = records["re"]
-                amp.imag = records["im"]
-                try:
-                    vectors[(i, j)] = SparseVector(records["index"].astype(np.int64), amp)
-                except ValueError as exc:
-                    raise BasisCacheError(f"malformed file: {exc}") from exc
-        blocks[lam] = SchurBlock(lam, dim_q, dim_p, weights, vectors)
-        total += dim_q * dim_p
+    held: dict[tuple[int, ...], WeightSlice] = {}
+    for b in range(lam_count):
+        lam = Partition(tuple(take(int(take(1)[0])).tolist()))
+        dim_q, dim_p = take(2).tolist()
+        weights = list(map(tuple, take(dim_q * d).reshape(dim_q, d).tolist()))
+        if any(sum(w) != n for w in weights):
+            raise BasisCacheError(f"malformed file: a weight of {lam} does not sum to n={n}")
+        blocks[lam] = SchurBlock(lam, dim_q, dim_p, weights, held, b)
+    total = sum(block.dim_q * block.dim_p for block in blocks.values())
+    if total != d**n:
+        raise BasisCacheError(f"count mismatch: file holds {total} vectors, but d^n = {d**n}")
+    rows = _weight_rows(d, n)
+    for w, (keys, outcome) in _labels(blocks.values(), rows).items():
+        size = len(rows[w])
+        shape = tuple(take(2).tolist())
+        if shape != (size, size):
+            raise BasisCacheError(
+                f"malformed file: the slice of weight {w} is {shape[0]} x {shape[1]}, but multinom(n; w) = {size}"
+            )
+        held[w] = WeightSlice(w, rows[w], take(size * size, "<f8").reshape(size, size), keys, outcome)
     if offset != len(body):
-        raise BasisCacheError("malformed file: trailing bytes after last block")
-    dim = d**n
-    if top >= dim:
-        raise BasisCacheError(f"malformed file: amplitude index {top} is not below d^n = {dim}")
-    if total != dim:
-        raise BasisCacheError(f"count mismatch: file holds {total} vectors, but d^n = {dim}")
-    return SchurBasis(d, n, blocks)
+        raise BasisCacheError("malformed file: trailing bytes after the last slice")
+    return SchurBasis(d, n, blocks, held)
 
 
 def cache_file_name(d: int, n: int) -> str:

@@ -276,8 +276,8 @@ def cmd_oracle(args) -> int:
     moments_mod.check_oracle_cap(args.d, lam.n)
     rng = RngStream(args.seed)
     observable = _observable(args.obs, args.d, rng.child(2))
-    weights, vectors = basis_mod.build_q_bases(args.d, lam.n)[lam]
-    tau, weight = moments_mod.random_protocol_state(lam, weights, vectors, args.d, rng.child(0).gen)
+    images = basis_mod.build_q_bases(args.d, lam.n)[lam]
+    tau, weight = moments_mod.random_protocol_state(lam, images, args.d, rng.child(0).gen)
     unitary = haar_unitary(args.d, rng.child(1))
 
     # The Monte Carlo check computes each exact moment once; the report reads them there.

@@ -85,23 +85,23 @@ def _check_protocol_state(lam: Partition, tau: PureState) -> None:
 
 
 def random_protocol_state(
-    lam: Partition, weights, vectors, d: int, gen: np.random.Generator
+    lam: Partition, images, d: int, gen: np.random.Generator
 ) -> tuple[PureState, tuple[int, ...]]:
     """Random unit combination of the (lam, i, 0) vectors of one weight.
 
-    ``weights[i]`` and ``vectors[i]`` (a sparse vector) describe the (lam, i, 0)
-    layer. The weight is that of a uniformly drawn i; returns (state, weight).
+    ``images`` is stage 1's list for lam (``build_q_bases(d, n)[lam]``), the
+    (lam, i, 0) of each weight as real columns. The weight is that of a
+    uniformly drawn i; returns (state, weight).
     """
-    pick = gen.choice(len(weights))
-    weight = weights[pick]
-    idx = [i for i, w in enumerate(weights) if w == weight]
-    coeff = gen.standard_normal(len(idx)) + 1j * gen.standard_normal(len(idx))
+    ends = np.cumsum([image.columns.shape[1] for image in images])
+    image = images[int(np.searchsorted(ends, gen.choice(ends[-1]), side="right"))]
+    count = image.columns.shape[1]
+    coeff = gen.standard_normal(count) + 1j * gen.standard_normal(count)
     coeff /= np.linalg.norm(coeff)
-    dim = d**lam.n
-    dense = np.zeros(dim, dtype=np.complex128)
-    for c, i in zip(coeff, idx):
-        dense += c * vectors[i].to_dense(dim)
-    return PureState(d, lam.n, dense).normalized(), weight
+    dense = np.zeros(d**lam.n, dtype=np.complex128)
+    for c, col in zip(coeff, image.columns.T):
+        dense[image.indices] += c * col
+    return PureState(d, lam.n, dense).normalized(), image.weight
 
 
 def _rotated_amplitudes(tau: PureState, unitary: OperatorGrid | None) -> np.ndarray:

@@ -680,9 +680,10 @@ def _product_table(d: int, n: int) -> _ProductTable:
     class_of = {w: c for c, w in enumerate(map(tuple, weights.tolist()))}
     stage1 = build_q_bases(d, n)
     entries = [
-        (class_of[tuple(w)], b, len(standard_tableaux(lam)))
-        for b, (lam, (vector_weights, _)) in enumerate(stage1.items())
-        for w in vector_weights
+        (class_of[image.weight], b, len(standard_tableaux(lam)))
+        for b, (lam, images) in enumerate(stage1.items())
+        for image in images
+        for _ in range(image.columns.shape[1])
     ]
     klass, block_of, f = np.array(entries, dtype=np.int64).T
     sizes = np.zeros_like(classes.counts)
@@ -694,12 +695,15 @@ def _product_table(d: int, n: int) -> _ProductTable:
     by_class = np.argsort(klass, kind="stable")
     first_rows = []
     step = max(1, _CHUNK_ENTRIES // d**n)
-    for lam, (_, vectors) in stage1.items():
+    for lam, images in stage1.items():
+        vectors = [(image.indices, col) for image in images for col in image.columns.T]
+        states = []
         # A few dense vectors at a time: no (dim_q, d^n) array is formed.
-        states = [
-            _dicke_tensor(lam, d, np.stack([vec.to_dense(d**n) for vec in vectors[k : k + step]])[:, :, None])
-            for k in range(0, len(vectors), step)
-        ]
+        for k in range(0, len(vectors), step):
+            dense = np.zeros((len(vectors[k : k + step]), d**n, 1), dtype=np.complex128)
+            for row, (indices, col) in zip(dense, vectors[k : k + step]):
+                row[indices, 0] = col
+            states.append(_dicke_tensor(lam, d, dense))
         first_rows.append(_RowLaw.of(np.concatenate(states), lam.parts[0]))
     return _ProductTable(classes, np.cumsum(f[by_class]), by_class, block_of, tuple(stage1), tuple(first_rows))
 

@@ -1,6 +1,8 @@
+from functools import lru_cache
+
 import pytest
 
-from schur_shadows.basis import SchurBasis, build_basis
+from schur_shadows.basis import SchurBasis, build_basis, build_q_bases
 from schur_shadows.moments import random_protocol_state
 from schur_shadows.qudit import PureState, RngStream
 from schur_shadows.young import Partition
@@ -23,15 +25,18 @@ def basis_for():
 
 
 @pytest.fixture(scope="session")
-def protocol_state_for(basis_for):
+def protocol_state_for():
     """Random weight-pure state in the symmetrizer image of a partition.
 
     Returns (state, weight); deterministic in (lam, d, seed).
     """
 
     def factory(lam: Partition, d: int, seed: int) -> tuple[PureState, tuple[int, ...]]:
-        block = basis_for(d, lam.n).blocks[lam]
-        vectors = [block.vectors[(i, 0)] for i in range(block.dim_q)]
-        return random_protocol_state(lam, block.weight_of_i, vectors, d, RngStream(seed).gen)
+        return random_protocol_state(lam, _stage1(d, lam.n)[lam], d, RngStream(seed).gen)
 
     return factory
+
+
+@lru_cache(maxsize=None)
+def _stage1(d: int, n: int):
+    return build_q_bases(d, n)

@@ -9,9 +9,15 @@ for qudit permutations (``apply_permutation``), exact Beta integrals for
 single-row POVM moments at d = 2, brute-force
 enumeration for combinatorics, backtracking counts for standard and
 semistandard tableaux, the Schur-Weyl distribution of the partition label,
-Schur measurement probabilities summed over the sparse basis vectors (no
-dense basis matrix), and a chi-square tail. ``dense_basis_matrix`` lays the
-basis out as one d^n x d^n matrix, for the tests that read whole blocks.
+and a chi-square tail. ``block_frames`` builds each (lam, j) block of the
+nice basis from its definition (the Young symmetrizer image, and the
+standard-tableau permutations of a lattice-word enumeration), without the
+package's basis; ``block_probabilities`` measures a state on those frames,
+and ``isotypic_probabilities`` gives the partition law from the S_n
+characters (Murnaghan-Nakayama) where a dense frame would not fit.
+``dense_basis_matrix`` lays the basis's weight slices out as one d^n x d^n
+matrix, for the tests that read whole blocks, ``dense_stage1`` lays out
+stage 1's blocks, and ``edited_basis`` copies a basis with one slice edited.
 ``product_basis_state`` builds the dense input that the reference
 measurement path takes.
 ``young_symmetrizer_terms`` lists the Young symmetrizer's (row o column)
@@ -23,13 +29,15 @@ permutation operators, and ``second_moment_dense`` is the exact second moment
 built from those d^(n+2)-square matrices, the reference for the class-mean
 computation in ``moments``. ``population_shadow_dense`` runs the joint
 protocol's segments on the whole (d^n', rest) matrix, the reference for the
-factored segments of ``protocol.population_shadow``, and
-``save_basis_records`` writes a basis file one ``struct`` record per
-amplitude, the reference for the file layout of ``basis.save_basis``.
+factored segments of ``protocol.population_shadow``,
+``save_basis_records`` writes a basis file one ``struct`` record at a time,
+the reference for the file layout of ``basis.save_basis``, and
+``write_v1_file`` writes a file of the retired format version 1.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import struct
@@ -300,29 +308,143 @@ def second_moment_dense(lam: Partition, tau: PureState, unitary: OperatorGrid | 
 def dense_basis_matrix(basis) -> tuple[np.ndarray, dict]:
     """The d^n x d^n matrix whose columns are the basis vectors, grouped by
     (lam, j) in block order and then j, with i increasing inside a group,
-    and the column slice of each (lam, j)."""
-    mat = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    slices = {}
-    col = 0
+    and the column slice of each (lam, j); laid out from the weight slices
+    by their (block, i, j) keys."""
+    slices, col = {}, 0
     for lam, block in basis.blocks.items():
         for j in range(block.dim_p):
-            for i in range(block.dim_q):
-                vec = block.vectors[(i, j)]
-                mat[vec.indices, col + i] = vec.amplitudes
             slices[(lam, j)] = slice(col, col + block.dim_q)
             col += block.dim_q
+    lams = list(basis.blocks)
+    mat = np.zeros((basis.dim, basis.dim))
+    for piece in basis.slices.values():
+        for c, (b, i, j) in enumerate(piece.keys.tolist()):
+            mat[piece.indices, slices[(lams[b], j)].start + i] = piece.matrix[:, c]
     return mat, slices
 
 
-def block_probabilities(basis, state: PureState) -> dict:
-    """||Pi_{lam,j} s||^2 for every (lam, j), from the sparse basis vectors."""
-    amps = state.amplitudes
-    probs = {}
-    for lam, block in basis.blocks.items():
-        for j in range(block.dim_p):
-            vectors = [block.vectors[(i, j)] for i in range(block.dim_q)]
-            probs[(lam, j)] = sum(abs(np.vdot(v.amplitudes, amps[v.indices])) ** 2 for v in vectors)
-    return probs
+def dense_stage1(images, dim: int) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
+    """Stage 1's blocks of one partition as its (lam, i, 0) weights and dense vectors, i in order."""
+    weights, vectors = [], []
+    for image in images:
+        for col in image.columns.T:
+            dense = np.zeros(dim)
+            dense[image.indices] = col
+            weights.append(image.weight)
+            vectors.append(dense)
+    return weights, vectors
+
+
+def edited_basis(basis, lam: Partition, i: int, edit):
+    """A copy of ``basis`` whose slice holding the vectors (lam, i, j) is
+    edited: ``edit(matrix, column)`` changes a copy of the slice's matrix in
+    place, where ``column[(i', j)]`` is the column of (lam, i', j)."""
+    b = list(basis.blocks).index(lam)
+    w = tuple(basis.blocks[lam].weight_of_i[i])
+    piece = basis.slices[w]
+    column = {(k, j): c for c, (owner, k, j) in enumerate(piece.keys.tolist()) if owner == b}
+    matrix = piece.matrix.copy()
+    edit(matrix, column)
+    slices = {**basis.slices, w: dataclasses.replace(piece, matrix=matrix)}
+    blocks = {key: dataclasses.replace(block, slices=slices) for key, block in basis.blocks.items()}
+    return type(basis)(basis.d, basis.n, blocks, slices)
+
+
+def standard_tableaux_brute_force(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Standard tableaux as the entries of the row-major boxes, from the
+    lattice words of an ``itertools.product`` enumeration: entry e sits in
+    row word[e]. Ordered by the row of entry 0, then of entry 1, and so on."""
+    found = []
+    for word in itertools.product(range(len(parts)), repeat=sum(parts)):
+        counts = [0] * len(parts)
+        for r in word:
+            counts[r] += 1
+            if counts[r] > parts[r] or (r and counts[r] > counts[r - 1]):
+                break
+        else:
+            rows = [[e for e, r in enumerate(word) if r == row] for row in range(len(parts))]
+            found.append(tuple(e for row in rows for e in row))
+    return found
+
+
+@lru_cache(maxsize=None)
+def block_frames(d: int, n: int) -> dict:
+    """An orthonormal frame (columns) of each (lam, j) block of the nice
+    basis, from its definition and without the package's basis.
+
+    The (lam, 0) block is the image of ``young_symmetrizer_apply``. Its one
+    vector of weight lam is |(lam, 0, 0)> up to sign; with P_T the permutation
+    of ``apply_permutation`` for the standard tableaux T of
+    ``standard_tableaux_brute_force`` and [P_T |(lam, 0, 0)>]_T = QR, R with
+    a positive diagonal, block (lam, j) is sum_T (R^-1)[T, j] P_T applied to
+    the (lam, 0) block.
+    """
+    dim = d**n
+    frames = {}
+    for parts in brute_force_partitions(n, d):
+        lam = Partition(parts)
+        image = np.stack([young_symmetrizer_apply(lam, PureState(d, n, e)).amplitudes for e in np.eye(dim)], axis=1)
+        left, singular, _ = np.linalg.svd(image)
+        base = left[:, singular > 1e-9 * singular[0]]
+        top = np.array([weight_of(decode_basis(x, d, n), d) == parts + (0,) * (d - len(parts)) for x in range(dim)])
+        head = np.linalg.svd(base * top[:, None])[0][:, 0]
+        tableaux = standard_tableaux_brute_force(parts)
+        _, r = np.linalg.qr(np.stack([apply_permutation(t, PureState(d, n, head)).amplitudes for t in tableaux], axis=1))
+        coeffs = np.linalg.inv(r) * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        for j in range(len(tableaux)):
+            block = sum(
+                c * np.stack([apply_permutation(t, PureState(d, n, v)).amplitudes for v in base.T], axis=1)
+                for c, t in zip(coeffs[:, j], tableaux)
+            )
+            frames[(lam, j)] = np.linalg.qr(block)[0]
+    return frames
+
+
+def block_probabilities(state: PureState) -> dict:
+    """||Pi_{lam,j} s||^2 for every (lam, j), on the frames of :func:`block_frames`."""
+    return {key: float(np.linalg.norm(frame.conj().T @ state.amplitudes) ** 2) for key, frame in block_frames(state.d, state.n).items()}
+
+
+def character(parts: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """chi^lam at a permutation of cycle lengths ``cycles``, by the
+    Murnaghan-Nakayama rule on beta numbers: removing a rim hook of length r
+    moves one bead b to b - r, signed by the beads it passes."""
+    if not cycles:
+        return 1
+    k = len(parts)
+    beads = [p + k - 1 - t for t, p in enumerate(parts)]
+    total = 0
+    for t, b in enumerate(beads):
+        if b - cycles[0] >= 0 and b - cycles[0] not in beads:
+            sign = (-1) ** sum(b - cycles[0] < x < b for x in beads)
+            moved = sorted(beads[:t] + [b - cycles[0]] + beads[t + 1 :], reverse=True)
+            rest = tuple(x - (k - 1 - s) for s, x in enumerate(moved))
+            total += sign * character(tuple(p for p in rest if p), cycles[1:])
+    return total
+
+
+def isotypic_probabilities(amps: np.ndarray, d: int, n: int) -> dict[tuple[int, ...], float]:
+    """||Pi_lam A||^2 for every partition lam of a (d^n, rest) matrix A, with
+    Pi_lam = (f^lam / n!) sum_sigma chi^lam(sigma) P_sigma the isotypic
+    projector of S_n: no basis is read."""
+    cols = amps.reshape(d**n, -1)
+    overlaps = {}
+    for perm in itertools.permutations(range(n)):
+        seen, cycles = set(), []
+        for start in range(n):
+            length = 0
+            while start not in seen:
+                seen.add(start)
+                start, length = perm[start], length + 1
+            if length:
+                cycles.append(length)
+        moved = np.stack([apply_permutation(perm, PureState(d, n, col)).amplitudes for col in cols.T], axis=1)
+        key = tuple(sorted(cycles, reverse=True))
+        overlaps[key] = overlaps.get(key, 0.0) + float(np.vdot(cols, moved).real)
+    return {
+        parts: standard_tableaux_count(parts) / factorial(n) * sum(character(parts, c) * v for c, v in overlaps.items())
+        for parts in brute_force_partitions(n, d)
+    }
 
 
 def _semistandard_fillings(parts: tuple[int, ...], d: int):
@@ -451,7 +573,8 @@ def population_shadow_dense(basis, state: PureState, epsilon: float, rng):
 
 
 def save_basis_records(basis, path) -> None:
-    """A basis file written one ``struct`` record per amplitude."""
+    """A basis file written one ``struct`` record at a time: the block
+    headers, then each weight slice's matrix entry by entry, row-major."""
     body = bytearray()
     for lam, block in basis.blocks.items():
         body += struct.pack("<I", len(lam.parts))
@@ -459,12 +582,22 @@ def save_basis_records(basis, path) -> None:
         body += struct.pack("<II", block.dim_q, block.dim_p)
         for w in block.weight_of_i:
             body += struct.pack(f"<{basis.d}I", *w)
-        for i in range(block.dim_q):
-            for j in range(block.dim_p):
-                vec = block.vectors[(i, j)]
-                body += struct.pack("<Q", vec.indices.size)
-                for ix, amp in zip(vec.indices, vec.amplitudes):
-                    body += struct.pack("<Qdd", int(ix), float(amp.real), float(amp.imag))
+    for piece in basis.slices.values():
+        rows, cols = piece.matrix.shape
+        body += struct.pack("<II", rows, cols)
+        for r in range(rows):
+            for c in range(cols):
+                body += struct.pack("<d", float(piece.matrix[r, c]))
     header = b"SCHB" + struct.pack("<IIIII", FORMAT_VERSION, basis.d, basis.n, len(basis.blocks), zlib.crc32(bytes(body)))
     with open(path, "wb") as fh:
         fh.write(header + bytes(body))
+
+
+def write_v1_file(path) -> None:
+    """The d = 2, n = 1 basis in the retired format version 1: per vector a
+    u64 count, then (u64 index, f64 re, f64 im) records."""
+    body = struct.pack("<I", 1) + struct.pack("<I", 1) + struct.pack("<II", 2, 1) + struct.pack("<4I", 1, 0, 0, 1)
+    for index in (0, 1):
+        body += struct.pack("<Q", 1) + struct.pack("<Qdd", index, 1.0, 0.0)
+    with open(path, "wb") as fh:
+        fh.write(b"SCHB" + struct.pack("<IIIII", 1, 2, 1, 1, zlib.crc32(body)) + body)

@@ -6,20 +6,25 @@ import numpy as np
 import pytest
 
 from oracles import (
+    block_frames,
     block_probabilities,
     chi2_sf,
     chi_square,
+    decode_basis,
     dense_basis_matrix,
+    dense_stage1,
+    edited_basis,
     encode_basis,
+    isotypic_probabilities,
     save_basis_records,
     semistandard_tableaux_count,
     standard_tableaux_count,
     weight_of,
     weights_brute_force,
+    write_v1_file,
 )
 from schur_shadows.basis import (
     BasisCacheError,
-    SchurBasis,
     build_basis,
     build_q_bases,
     load_basis,
@@ -39,23 +44,21 @@ from test_young import dense_symmetrizer
 
 class TestQBases:
     def test_symmetric_block_d2_n2(self):
-        weights, vectors = build_q_bases(2, 2)[Partition((2,))]
+        weights, dense = dense_stage1(build_q_bases(2, 2)[Partition((2,))], 4)
         assert weights == [(2, 0), (1, 1), (0, 2)]
-        dense = [v.to_dense(4) for v in vectors]
         assert np.allclose(dense[0], [1, 0, 0, 0])
         assert np.allclose(dense[1], [0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0])
         assert np.allclose(dense[2], [0, 0, 0, 1])
 
     def test_singlet_block_d2_n2(self):
-        weights, vectors = build_q_bases(2, 2)[Partition((1, 1))]
+        weights, dense = dense_stage1(build_q_bases(2, 2)[Partition((1, 1))], 4)
         assert weights == [(1, 1)]
-        dense = vectors[0].to_dense(4)
-        assert np.allclose(dense, [0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0])
+        assert np.allclose(dense[0], [0, 1 / np.sqrt(2), -1 / np.sqrt(2), 0])
 
     def test_hook_block_d2_n3(self):
-        weights, vectors = build_q_bases(2, 3)[Partition((2, 1))]
+        _, vectors = dense_stage1(build_q_bases(2, 3)[Partition((2, 1))], 8)
         assert len(vectors) == 2
-        first = vectors[0].to_dense(8)
+        first = vectors[0]
         expect = np.zeros(8)
         expect[encode_basis((0, 0, 1), 2)] = 2
         expect[encode_basis((0, 1, 0), 2)] = -1
@@ -69,7 +72,8 @@ class TestQBases:
             mat = dense_symmetrizer(lam, d)
             svals = np.linalg.svd(mat, compute_uv=False)
             rank = int(np.sum(svals > 1e-9 * svals[0]))
-            assert len(seeds[lam][1]) == rank
+            assert sum(image.columns.shape[1] for image in seeds[lam]) == rank
+            assert all(image.columns.dtype == np.float64 for image in seeds[lam])
 
     @pytest.mark.parametrize("d,n", [(2, 4), (3, 4), (4, 3)])
     def test_vectors_lie_in_symmetrizer_image(self, d, n):
@@ -77,8 +81,7 @@ class TestQBases:
         for lam in partitions_of(n, d):
             mat = dense_symmetrizer(lam, d)
             proj = mat @ np.linalg.pinv(mat)  # projector onto the column space
-            for vec in seeds[lam][1]:
-                dense = vec.to_dense(d**n)
+            for dense in dense_stage1(seeds[lam], d**n)[1]:
                 assert np.linalg.norm(proj @ dense - dense) < 1e-9
 
 
@@ -114,16 +117,14 @@ class TestCompletion:
     def test_orthonormal_and_weight_pure(self, basis_for, d, n):
         basis = basis_for(d, n)
         assert basis.gram_deviation() < 1e-9
-        for lam, block in basis.blocks.items():
-            for (i, _j), vec in block.vectors.items():
-                want = block.weight_of_i[i]
-                for idx in vec.indices:
-                    digits = []
-                    v = int(idx)
-                    for _ in range(n):
-                        digits.append(v % d)
-                        v //= d
-                    assert weight_of(tuple(digits[::-1]), d) == want
+        blocks = list(basis.blocks.values())
+        assert list(basis.slices) == weights_brute_force(n, d)
+        for w, piece in basis.slices.items():
+            assert piece.matrix.dtype == np.float64
+            # The slice's rows are the indices of weight w, and each column
+            # is a vector (lam, i, j) whose i has weight w.
+            assert [weight_of(decode_basis(int(x), d, n), d) for x in piece.indices] == [w] * len(piece.indices)
+            assert all(blocks[b].weight_of_i[i] == w for b, i, _j in piece.keys.tolist())
 
     def test_base_case_weights_differ(self, basis_for):
         # vector (0, 0) owns its weight: no other i shares it
@@ -159,29 +160,30 @@ class TestCompletion:
         assert peak < 5 * d**n * largest * 16
 
     def test_identity_maps_give_zero_residual(self, basis_for):
-        # The weight slices put every basis vector, bit for bit, where the
-        # dense oracle matrix has it, and the identity map leaves each
-        # (lam, j) block's columns in the span of that block.
+        # Against references that read no basis: the slices, laid out as one
+        # d^n x d^n matrix, form an orthogonal matrix, and each (lam, j)
+        # block spans the oracle's frame of it, so the (lam, i, 0) columns
+        # span the oracle's Young symmetrizer image.
         for d, n in [(2, 3), (3, 3), (2, 5)]:
             basis = basis_for(d, n)
             mat, slices = dense_basis_matrix(basis)
-            lams = list(basis.blocks)
-            rebuilt = np.zeros_like(mat)
-            for piece in basis.weight_slices().values():
-                cols = [slices[(lams[b], j)].start + i for b, i, j in piece.keys.tolist()]
-                rebuilt[np.ix_(piece.indices, cols)] = piece.matrix
-            assert np.array_equal(rebuilt, mat), (d, n)
-            for cols in slices.values():
-                block = mat[:, cols]
-                assert np.max(np.abs(block - block @ (block.conj().T @ block))) < 1e-12
+            assert np.max(np.abs(mat.T @ mat - np.eye(d**n))) < 1e-12, (d, n)
+            frames = block_frames(d, n)
+            assert set(frames) == set(slices)
+            for key, cols in slices.items():
+                block, frame = mat[:, cols], frames[key]
+                assert np.max(np.abs(block @ block.T - frame @ frame.conj().T)) < 1e-12, (d, n, key)
 
 
-def write_out_of_range_file(path) -> None:
-    """A d = 2, n = 1 basis file whose second vector's index is 7, re-checksummed."""
-    save_basis(build_basis(2, 1), path)
+def write_bad_shape_file(path) -> None:
+    """A d = 2, n = 2 basis file whose weight-(1, 1) slice claims to be 1 x 4
+    (the same 32 bytes as 2 x 2), re-checksummed."""
+    save_basis(build_basis(2, 2), path)
     raw = bytearray(path.read_bytes())
-    # The last record is the second vector's only amplitude: index, re, im.
-    raw[-24:-16] = struct.pack("<Q", 7)
+    # The last two slices: weight (1, 1), 2 x 2 and 4 entries; weight (0, 2), 1 x 1 and 1 entry.
+    shape = len(raw) - (8 + 8) - 4 * 8 - 8
+    assert struct.unpack("<II", raw[shape : shape + 8]) == (2, 2)
+    raw[shape : shape + 8] = struct.pack("<II", 1, 4)
     raw[20:24] = struct.pack("<I", zlib.crc32(bytes(raw[24:])))
     path.write_bytes(bytes(raw))
 
@@ -196,7 +198,7 @@ class TestSchurMeasurement:
     def test_all_zeros_is_symmetric(self, basis_for):
         basis = basis_for(2, 2)
         state = PureState.from_digits((0, 0), 2)
-        probs = block_probabilities(basis, state)
+        probs = block_probabilities(state)
         assert probs[(Partition((2,)), 0)] == pytest.approx(1.0, abs=1e-12)
         lam, j, tau = schur_measure(basis, state.amplitudes, RngStream(1))
         assert lam.parts == (2,) and j == 0
@@ -207,22 +209,21 @@ class TestSchurMeasurement:
         amps = np.zeros(4, dtype=complex)
         amps[1] = 1 / np.sqrt(2)
         amps[2] = -1 / np.sqrt(2)
-        probs = block_probabilities(basis, PureState(2, 2, amps))
+        probs = block_probabilities(PureState(2, 2, amps))
         assert probs[(Partition((1, 1)), 0)] == pytest.approx(1.0, abs=1e-12)
         lam, j, tau = schur_measure(basis, amps, RngStream(2))
         assert lam.parts == (1, 1) and j == 0
         assert np.allclose(tau, amps)
 
     def test_01_splits_evenly(self, basis_for):
-        basis = basis_for(2, 2)
-        probs = block_probabilities(basis, PureState.from_digits((0, 1), 2))
+        probs = block_probabilities(PureState.from_digits((0, 1), 2))
         assert probs[(Partition((2,)), 0)] == pytest.approx(0.5, abs=1e-12)
         assert probs[(Partition((1, 1)), 0)] == pytest.approx(0.5, abs=1e-12)
 
     def test_probabilities_sum_to_one(self, basis_for):
         basis = basis_for(3, 3)
         state = _random_state(3, 3, 32)
-        probs = block_probabilities(basis, state)
+        probs = block_probabilities(state)
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
         # schur_measure refuses a state whose probabilities do not sum to 1
         lam, j, tau = schur_measure(basis, state.amplitudes, RngStream(31))
@@ -233,7 +234,7 @@ class TestSchurMeasurement:
         # empirical (lam, j) frequencies over 1e5 repeats within 4 sigma
         basis = basis_for(2, 3)
         state = _random_state(2, 3, 33)
-        probs = block_probabilities(basis, state)
+        probs = block_probabilities(state)
         rng = RngStream(34)
         counts = {key: 0 for key in probs}
         repeats = 100_000
@@ -261,19 +262,16 @@ class TestSchurMeasurement:
 
     def test_beyond_the_dense_size(self, basis_for):
         # d^n = 7776: a d^n x d^n matrix would take 0.97 GB. On a random
-        # (d^n, 2) state the lam counts of 300 draws match the sparse-sum
-        # probabilities, and each tau is the drawn (lam, j) coefficients,
-        # renormalized, on the (lam, 0) vectors.
+        # (d^n, 2) state the lam counts of 300 draws match the isotypic
+        # probabilities of the S_n characters, and each tau is the drawn
+        # (lam, j) coefficients, renormalized, on the (lam, 0) vectors.
         d, n, draws = 6, 5, 300
         basis = basis_for(d, n)
         gen = RngStream(901).gen
         amps = gen.standard_normal((d**n, 2)) + 1j * gen.standard_normal((d**n, 2))
         amps /= np.linalg.norm(amps)
-        want = {}
-        for col in amps.T:
-            weight = np.linalg.norm(col) ** 2
-            for (lam, _j), p in block_probabilities(basis, PureState(d, n, col / np.sqrt(weight))).items():
-                want[lam.parts] = want.get(lam.parts, 0.0) + weight * p
+        want = isotypic_probabilities(amps, d, n)
+        assert sum(want.values()) == pytest.approx(1.0, abs=1e-12)
         counts = {}
         rng = RngStream(902)
         for _ in range(draws):
@@ -376,6 +374,13 @@ class TestPersistence:
         save_basis(basis, path)
         loaded = load_basis(path)
         assert loaded.d == 2 and loaded.n == 3
+        assert list(loaded.slices) == list(basis.slices)
+        for w, piece in basis.slices.items():
+            other = loaded.slices[w]
+            assert other.matrix.dtype == np.float64 and other.matrix.tobytes() == piece.matrix.tobytes()
+            assert np.array_equal(other.indices, piece.indices)
+            assert np.array_equal(other.keys, piece.keys) and np.array_equal(other.outcome, piece.outcome)
+        # The read-only (i, j) view agrees too.
         for lam, block in basis.blocks.items():
             other = loaded.blocks[lam]
             assert other.dim_q == block.dim_q and other.dim_p == block.dim_p
@@ -391,11 +396,26 @@ class TestPersistence:
         save_basis_records(basis, tmp_path / "b.schb")
         assert (tmp_path / "a.schb").read_bytes() == (tmp_path / "b.schb").read_bytes()
 
-    def test_index_beyond_dimension(self, tmp_path):
+    def test_slice_shape_disagrees_with_multinom(self, tmp_path):
         path = tmp_path / "bad.schb"
-        write_out_of_range_file(path)
-        with pytest.raises(BasisCacheError, match="malformed file: amplitude index 7"):
+        write_bad_shape_file(path)
+        with pytest.raises(BasisCacheError, match=r"malformed file: the slice of weight \(1, 1\) is 1 x 4, but multinom\(n; w\) = 2"):
             load_basis(path)
+
+    def test_v1_file_is_refused(self, tmp_path):
+        path = tmp_path / "old.schb"
+        write_v1_file(path)
+        with pytest.raises(BasisCacheError, match="format version 1"):
+            load_basis(path)
+
+    def test_v2_file_is_at_most_half_of_v1(self, basis_for, tmp_path):
+        # Version 1 stored a u64 index and a complex amplitude per nonzero
+        # entry; version 2 stores each slice's real entries, zeros included.
+        basis = basis_for(4, 5)
+        save_basis(basis, tmp_path / "b.schb")
+        v1 = sum(8 + 24 * vec.indices.size for block in basis.blocks.values() for vec in block.vectors.values())
+        v2 = (tmp_path / "b.schb").stat().st_size
+        assert v2 <= v1 / 2 and v2 >= 8 * sum(p.matrix.size for p in basis.slices.values())
 
     def test_truncated_file_fails_checksum(self, basis_for, tmp_path):
         path = tmp_path / "b.schb"
@@ -421,17 +441,18 @@ class TestPersistence:
             load_basis(path)
 
     def test_vector_count_mismatch(self, tmp_path):
-        # d=2, n=2 header, but the single block claims 5 basis vectors
+        # d=2, n=2 header, but the single block claims 5 basis vectors;
+        # the slices that follow have the right shapes.
         body = bytearray()
         body += struct.pack("<I", 1)  # partition (2)
         body += struct.pack("<I", 2)
         body += struct.pack("<II", 5, 1)  # dim_q = 5, dim_p = 1
         for _ in range(5):
             body += struct.pack("<II", 1, 1)  # weights (1, 1)
-        for i in range(5):
-            body += struct.pack("<Q", 1)
-            body += struct.pack("<Qdd", i % 4, 1.0, 0.0)
-        header = b"SCHB" + struct.pack("<IIIII", 1, 2, 2, 1, zlib.crc32(bytes(body)))
+        for size in (1, 2, 1):  # the slices of weights (2, 0), (1, 1) and (0, 2)
+            body += struct.pack("<II", size, size)
+            body += np.eye(size).astype("<f8").tobytes()
+        header = b"SCHB" + struct.pack("<IIIII", 2, 2, 2, 1, zlib.crc32(bytes(body)))
         path = tmp_path / "bad.schb"
         path.write_bytes(header + bytes(body))
         with pytest.raises(BasisCacheError, match="count mismatch"):
@@ -440,15 +461,11 @@ class TestPersistence:
     def test_perturbed_amplitude_detected_by_verify(self, basis_for, tmp_path):
         # a re-checksummed perturbation loads fine but fails verification
         basis = basis_for(2, 2)
-        lam = Partition((2,))
-        block = basis.blocks[lam]
-        vec = block.vectors[(1, 0)]
-        tampered = type(vec)(vec.indices, vec.amplitudes + np.array([1e-3, 0]))
-        block_vectors = dict(block.vectors)
-        block_vectors[(1, 0)] = tampered
-        blocks = dict(basis.blocks)
-        blocks[lam] = type(block)(lam, block.dim_q, block.dim_p, block.weight_of_i, block_vectors)
-        hacked = SchurBasis(2, 2, blocks)
+
+        def nudge(matrix, column):
+            matrix[0, column[(1, 0)]] += 1e-3
+
+        hacked = edited_basis(basis, Partition((2,)), 1, nudge)
         path = tmp_path / "tampered.schb"
         save_basis(hacked, path)
         report = verify_nice_basis(load_basis(path))

@@ -4,23 +4,30 @@ import json
 import numpy as np
 import pytest
 
-from schur_shadows.basis import SparseVector, build_basis, load_basis, save_basis
+from oracles import dense_basis_matrix, edited_basis, write_v1_file
+from schur_shadows.basis import build_basis, load_basis, save_basis
 from schur_shadows.cli import main
 from schur_shadows.young import Partition
-from test_basis import write_out_of_range_file
+from test_basis import write_bad_shape_file
+
+
+def rotate(first, second, angle=0.3):
+    """An edit for :func:`oracles.edited_basis` that rotates the columns of
+    vectors ``first`` and ``second`` (each an (i, j)) into each other."""
+
+    def edit(matrix, column):
+        a, b = matrix[:, column[first]].copy(), matrix[:, column[second]].copy()
+        matrix[:, column[first]] = np.cos(angle) * a + np.sin(angle) * b
+        matrix[:, column[second]] = np.cos(angle) * b - np.sin(angle) * a
+
+    return edit
 
 
 def write_rotated_file(path) -> None:
     """A (2, 4) basis whose vectors (lam=(3,1), i=1, j=0) and (j=1) are rotated
     into each other by 0.3 rad: still orthonormal, but the j blocks are no
     longer closed under U."""
-    basis = build_basis(2, 4)
-    vectors = basis.blocks[Partition((3, 1))].vectors
-    first, second = vectors[(1, 0)].to_dense(16), vectors[(1, 1)].to_dense(16)
-    c, s = np.cos(0.3), np.sin(0.3)
-    vectors[(1, 0)] = SparseVector.pruned(np.arange(16), c * first + s * second)
-    vectors[(1, 1)] = SparseVector.pruned(np.arange(16), c * second - s * first)
-    save_basis(basis, path)
+    save_basis(edited_basis(build_basis(2, 4), Partition((3, 1)), 1, rotate((1, 0), (1, 1))), path)
 
 
 def write_rotated_i_file(path) -> None:
@@ -28,13 +35,9 @@ def write_rotated_i_file(path) -> None:
     rotated into each other by 0.3 rad: the (lam, 0) block is unchanged, but
     its two (lam, i) blocks are no longer closed under permutations."""
     basis = build_basis(3, 3)
-    block = basis.blocks[Partition((2, 1))]
-    first, second = [i for i, w in enumerate(block.weight_of_i) if tuple(w) == (1, 1, 1)]
-    a, b = block.vectors[(first, 0)].to_dense(27), block.vectors[(second, 0)].to_dense(27)
-    c, s = np.cos(0.3), np.sin(0.3)
-    block.vectors[(first, 0)] = SparseVector.pruned(np.arange(27), c * a + s * b)
-    block.vectors[(second, 0)] = SparseVector.pruned(np.arange(27), c * b - s * a)
-    save_basis(basis, path)
+    lam = Partition((2, 1))
+    first, second = [i for i, w in enumerate(basis.blocks[lam].weight_of_i) if tuple(w) == (1, 1, 1)]
+    save_basis(edited_basis(basis, lam, first, rotate((first, 0), (second, 0))), path)
 
 
 def dense_u_residual(basis) -> float:
@@ -48,12 +51,12 @@ def dense_u_residual(basis) -> float:
         for e in (step, step.T):
             generators.append(sum(np.kron(np.kron(np.eye(d**k), e), np.eye(d ** (n - k - 1))) for k in range(n)))
     worst = 0.0
-    for block in basis.blocks.values():
-        for j in range(block.dim_p):
-            cols = np.stack([block.vectors[(i, j)].to_dense(d**n) for i in range(block.dim_q)], axis=1)
-            outside = np.eye(d**n) - cols @ cols.conj().T
-            for e in generators:
-                worst = max(worst, float(np.max(np.linalg.norm(outside @ e @ cols, axis=0))))
+    mat, slices = dense_basis_matrix(basis)
+    for block_cols in slices.values():
+        cols = mat[:, block_cols]
+        outside = np.eye(d**n) - cols @ cols.T
+        for e in generators:
+            worst = max(worst, float(np.max(np.linalg.norm(outside @ e @ cols, axis=0))))
     return worst
 
 
@@ -111,23 +114,27 @@ class TestBasisCommands:
         out.write_bytes(raw[:-4])
         assert main(["basis", "verify", "--path", str(out)]) == 1
 
-    def test_verify_refuses_index_beyond_dimension(self, tmp_path, capsys):
+    def test_verify_refuses_bad_slice_shape(self, tmp_path, capsys):
         out = tmp_path / "bad.schb"
-        write_out_of_range_file(out)
+        write_bad_shape_file(out)
         assert main(["basis", "verify", "--path", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "check failed" in err and "Traceback" not in err
+        assert "check failed" in err and "multinom" in err and "Traceback" not in err
+
+    def test_verify_refuses_v1_file(self, tmp_path, capsys):
+        out = tmp_path / "old.schb"
+        write_v1_file(out)
+        assert main(["basis", "verify", "--path", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "format version 1" in err and "Traceback" not in err
 
     def test_verify_flags_perturbed_amplitude(self, tmp_path, capsys):
         out = tmp_path / "b.schb"
         assert main(["basis", "build", "--d", "2", "--n", "2", "--out", str(out)]) == 0
-        basis = load_basis(out)
-        from schur_shadows.young import Partition
+        def nudge(matrix, column):
+            matrix[0, column[(1, 0)]] += 1e-3
 
-        block = basis.blocks[Partition((2,))]
-        vec = block.vectors[(1, 0)]
-        block.vectors[(1, 0)] = type(vec)(vec.indices, vec.amplitudes + np.array([1e-3, 0.0]))
-        save_basis(basis, out)  # valid checksum, perturbed content
+        save_basis(edited_basis(load_basis(out), Partition((2,)), 1, nudge), out)  # valid checksum, perturbed content
         assert main(["basis", "verify", "--path", str(out)]) == 1
         assert "gram_deviation" in capsys.readouterr().out
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ from oracles import (
     chi2_sf,
     chi_square,
     dense_basis_matrix,
+    dense_stage1,
     dicke_map_brute_force,
     encode_basis,
     lambda_given_weight,
@@ -22,7 +24,7 @@ from oracles import (
     weight_of,
     weights_brute_force,
 )
-from schur_shadows.basis import SchurBasis, SchurBlock, build_q_bases, schur_measure, verify_nice_basis
+from schur_shadows.basis import ImageBlock, SchurBasis, build_q_bases, schur_measure, verify_nice_basis
 from schur_shadows.moments import (
     _EntrywiseStats,
     expected_shadow_exact,
@@ -92,8 +94,8 @@ def make_observable(matrix, bound=None):
 
 def weight_vector(lam, d, i):
     """The (lam, i, 0) vector of the nice basis: a weight vector."""
-    _, vectors = build_q_bases(d, lam.n)[lam]
-    return PureState(d, lam.n, vectors[i].to_dense(d**lam.n))
+    _, vectors = dense_stage1(build_q_bases(d, lam.n)[lam], d**lam.n)
+    return PureState(d, lam.n, vectors[i])
 
 
 def rank_one_row(m, rng):
@@ -306,16 +308,14 @@ class TestDickeSampler:
     forms and the moment oracle."""
 
     @pytest.mark.parametrize("d,n", [(2, 4), (3, 3), (4, 3)])
-    def test_bound_is_one_on_weight_pure_rows(self, basis_for, d, n):
+    def test_bound_is_one_on_weight_pure_rows(self, d, n):
         # Row-1 Dicke states of different weight pair with complements of
         # different weight, so rho is diagonal and D = rho.
-        basis = basis_for(d, n)
         gen = RngStream(313).gen
-        for lam, block in basis.blocks.items():
-            vectors = [block.vectors[(i, 0)] for i in range(block.dim_q)]
-            for vec in vectors:
-                assert abs(first_row_bound(lam, PureState(d, n, vec.to_dense(d**n))) - 1.0) < 1e-9
-            tau, _ = random_protocol_state(lam, block.weight_of_i, vectors, d, gen)
+        for lam, images in build_q_bases(d, n).items():
+            for vec in dense_stage1(images, d**n)[1]:
+                assert abs(first_row_bound(lam, PureState(d, n, vec)) - 1.0) < 1e-9
+            tau, _ = random_protocol_state(lam, images, d, gen)
             assert abs(first_row_bound(lam, tau) - 1.0) < 1e-9
 
     def test_bound_is_one_on_one_box_rows(self):
@@ -371,8 +371,8 @@ class TestDickeSampler:
         # 1e5 times heavier it loses under 1e-10 of the stack's mass, so only a
         # per-state check refuses it.
         lam, d = Partition((2, 1)), 2
-        _, vectors = build_q_bases(d, lam.n)[lam]
-        good = [1e5 * vec.to_dense(d**lam.n) for vec in vectors[:2]]
+        _, vectors = dense_stage1(build_q_bases(d, lam.n)[lam], d**lam.n)
+        good = [1e5 * vec for vec in vectors[:2]]
         bad = PureState.from_digits((0, 1, 0), d).amplitudes
         assert np.isfinite(_RowLaw.row_one(lam, d, np.stack(good)[:, :, None]).bound).all()
         with pytest.raises(ValueError, match="state 1 is outside the row-symmetric"):
@@ -457,8 +457,7 @@ class TestDickeSampler:
         # take 11 chunks of two rows (21 when charged as reduced states), and
         # the call peaks at a few times its outcomes (3.4x measured).
         lam, d, count = Partition((2, 2)), 3, 4000
-        weights, vectors = build_q_bases(d, lam.n)[lam]
-        tau, _ = random_protocol_state(lam, weights, vectors, d, RngStream(340).gen)
+        tau, _ = random_protocol_state(lam, build_q_bases(d, lam.n)[lam], d, RngStream(340).gen)
         row_symmetric_sample_batch(lam, tau, 10, RngStream(341))  # warm caches
         calls = []
         real = protocol._sample_row
@@ -523,7 +522,7 @@ class TestWeightClassIdentities:
             w = weight_of(e, d)
             multinom = math.factorial(n) // math.prod(math.factorial(x) for x in w)
             state = PureState.from_digits(e, d)
-            probs = block_probabilities(basis, state)
+            probs = block_probabilities(state)
             coeffs = dense.conj().T @ state.amplitudes
             for lam, block in basis.blocks.items():
                 kostka = semistandard_tableaux_count(lam.parts, w)
@@ -555,7 +554,12 @@ class TestWeightTable:
         table = _product_table(d, n)
         assert _product_table(d, n) is table
         # Every (lam, i) of stage 1 is one entry, in partition order, then by i.
-        owner = [(lam, w) for lam, (weights, _) in build_q_bases(d, n).items() for w in weights]
+        owner = [
+            (lam, image.weight)
+            for lam, images in build_q_bases(d, n).items()
+            for image in images
+            for _ in range(image.columns.shape[1])
+        ]
         assert [table.lams[b] for b in table.block_of.tolist()] == [lam for lam, _ in owner]
         assert sorted(table.by_class.tolist()) == list(range(len(owner)))
         spans = np.diff(np.concatenate(([0], table.ends)))
@@ -620,12 +624,12 @@ class TestWeightTable:
         real = build_q_bases(3, 3)
 
         def broken_stage1(d, n):
-            weights, vectors = map(list, real[lam])
+            images = list(real[lam])
             if fault == "lost vector":
-                del weights[0], vectors[0]
+                del images[0]  # the one vector of the largest weight
             else:
-                weights[0] = next(w for w in weights if w != weights[0])
-            return {**real, lam: (weights, vectors)}
+                images[0] = ImageBlock(images[1].weight, images[0].indices, images[0].columns)
+            return {**real, lam: images}
 
         class NoDraws:
             master_seed = 0
@@ -646,12 +650,17 @@ class TestWeightTable:
         # verify reports it as failing without raising.
         basis = basis_for(3, 3)
         block = basis.blocks[lam]
-        vectors, weights = dict(block.vectors), list(block.weight_of_i)
+        slices, weights = dict(basis.slices), list(block.weight_of_i)
         if fault == "lost vector":
-            del vectors[(0, 1)]
+            # Drop the column of (lam, 0, 1) from its slice.
+            piece = slices[weights[0]]
+            keep = ~np.all(piece.keys == (list(basis.blocks).index(lam), 0, 1), axis=1)
+            slices[weights[0]] = dataclasses.replace(
+                piece, matrix=piece.matrix[:, keep], keys=piece.keys[keep], outcome=piece.outcome[keep]
+            )
         else:
             weights[0] = next(w for w in weights if w != weights[0])
-        broken = SchurBasis(3, 3, {**basis.blocks, lam: SchurBlock(lam, block.dim_q, block.dim_p, weights, vectors)})
+        broken = SchurBasis(3, 3, {**basis.blocks, lam: dataclasses.replace(block, weight_of_i=weights)}, slices)
         with pytest.raises(ValueError, match="weight"):
             schur_measure(broken, PureState.from_digits((0, 1, 2), 3).amplitudes, NoDraws())
         report = verify_nice_basis(broken)

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -130,8 +131,8 @@ def cmd_shadow_run(args) -> int:
         raise ConfigError("d must be >= 2")
     if not 1 <= args.rank <= args.d:
         raise ConfigError(f"rank must be in 1..{args.d}")
-    if args.epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        raise ConfigError(f"epsilon must be finite and positive, got {args.epsilon}")
     if args.trials < 1:
         raise ConfigError("trials must be >= 1")
     t_pop = segment_count(args.epsilon / 2.0)

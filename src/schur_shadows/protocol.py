@@ -58,6 +58,14 @@ state; no array of proposals times the unmeasured qudits is formed, and
 rho_r itself only where the row's state is wider than it is tall. Samples
 go through the rows in chunks sized by what each row holds per sample
 (see :func:`_povm_sample`), at most ``_CHUNK_ENTRIES`` complex entries.
+
+phi and the contraction are formed only where they are read. phi is read
+by a rejection row's target and by the contraction, and the contraction by
+the next row. Only the joint front end reads the last row's contraction,
+the state of the later segments. The product path and
+:func:`row_symmetric_sample_batch` read outcomes alone, so there an exact
+last row forms neither phi nor a contraction, and a one-box last row forms
+no contraction. The draws are the same either way.
 """
 
 from __future__ import annotations
@@ -321,13 +329,16 @@ class _RowLaw:
         return cls.of(_dicke_tensor(lam, d, taus), lam.parts[0])
 
 
-def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator, spent: int, budget: int):
+def _sample_row(
+    law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator, spent: int, budget: int, want_rests: bool = True
+):
     """Accept ``need[l]`` outcomes of law l; returns (psis, rests, spent).
 
     The outcomes of law l fill ``need[l]`` consecutive slots, law after law;
-    ``rests`` holds c = phi^* A, the unnormalised state of the later rows.
-    ``spent`` counts one proposal per row draw, up to each law's last
-    needed accept, and may not exceed ``budget``.
+    ``rests`` holds c = phi^* A, the unnormalised state of the later rows,
+    or is ``None`` when ``want_rests`` is false. ``spent`` counts one
+    proposal per row draw, up to each law's last needed accept, and may not
+    exceed ``budget``.
 
     For m > 1 a proposal draws v with probability D_v / tr D, then |psi_a|^2
     from Dirichlet(v + 1) with uniform phases. Relative to Haar its density
@@ -344,18 +355,26 @@ def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator
     When every law of the call has M <= 1 + 1e-12, rho = D on the support
     and a proposal is accepted with probability at least 1 - kappa 1e-12, so
     every proposal is accepted without forming the target or the proposal
-    weight.
+    weight. A call whose proposals are all accepted (one-box or exact) takes
+    one proposal per slot, in slot order, so it fills its slots directly.
+
+    phi is formed only where it is read: by a rejection row's target, or for
+    the contraction c when ``want_rests`` is true. So an exact row without
+    rests forms neither phi nor c, and a one-box row without rests forms no
+    c. Every uniform is drawn either way, so the generator's sequence, and
+    with it every outcome, does not depend on ``want_rests``.
     """
     _, comps, sqrt_multinom = _dicke_map(d, law.m)
     shared = len(law.states) == 1
     exact = law.m > 1 and law.bound.max() <= 1.0 + 1e-12
+    every = law.m == 1 or exact  # every proposal is accepted
     cum = np.cumsum(law.weights, axis=1)
     width = cum.shape[1]
     # Law l's normalised cumulative weights, shifted into [l, l + 1].
     cum = (cum / cum[:, -1:] + np.arange(len(cum))[:, None]).ravel()
     first_slot = np.cumsum(need) - need
     psis = np.empty((int(need.sum()), d), dtype=np.complex128)
-    rests = np.empty((len(psis), law.states.shape[2]), dtype=np.complex128)
+    rests = np.empty((len(psis), law.states.shape[2]), dtype=np.complex128) if want_rests else None
     got = np.zeros_like(need)
     # c = phi^* A costs kappa X per proposal and phi^dag rho phi costs kappa^2:
     # a narrow state (no rho kept) is contracted for every proposal, a wide
@@ -389,31 +408,32 @@ def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator
             overlap = gen.beta(2.0, d - 1.0, size)[:, None] if d > 1 else 1.0
             phase = np.exp(2j * np.pi * gen.random((size, 1)))
             psi = phi = np.sqrt(overlap) * phase * col + np.sqrt(1.0 - overlap) * perp
-            accept = np.ones(size, dtype=bool)
-            contracted = contract(phi.conj(), owner)
+            if want_rests:
+                contracted = contract(phi.conj(), owner)
         else:
             gamma = gen.standard_gamma(comps[pick] + 1.0)
             phases = np.exp(2j * np.pi * gen.random((size, d)))
             psi = np.sqrt(gamma / gamma.sum(axis=1, keepdims=True)) * phases
-            # phi_v = sqrt(multinom) prod_a psi_a^{v_a}, from a (d, m + 1,
-            # proposals) table of powers: m - 1 multiplies, one gather per symbol.
-            powers = np.empty((d, law.m + 1, size), dtype=np.complex128)
-            powers[:, 0] = 1.0
-            powers[:, 1] = psi.T
-            for e in range(2, law.m + 1):
-                np.multiply(powers[:, e - 1], powers[:, 1], out=powers[:, e])
-            phi = powers[0, comps[:, 0]]
-            for a in range(1, d):
-                phi *= powers[a, comps[:, a]]
-            phi = (sqrt_multinom[:, None] * phi).T
+            # Read by the target of a rejection row and by the contraction.
+            form_phi = want_rests or not exact
+            if form_phi:
+                # phi_v = sqrt(multinom) prod_a psi_a^{v_a}, from a (d, m + 1,
+                # proposals) table of powers: m - 1 multiplies, one gather per symbol.
+                powers = np.empty((d, law.m + 1, size), dtype=np.complex128)
+                powers[:, 0] = 1.0
+                powers[:, 1] = psi.T
+                for e in range(2, law.m + 1):
+                    np.multiply(powers[:, e - 1], powers[:, 1], out=powers[:, e])
+                phi = powers[0, comps[:, 0]]
+                for a in range(1, d):
+                    phi *= powers[a, comps[:, a]]
+                phi = (sqrt_multinom[:, None] * phi).T
             # Drawn even when every proposal is accepted, so that the
             # generator's sequence does not move.
             uniforms = gen.random(size)
-            if narrow:
+            if narrow and form_phi:
                 contracted = contract(phi.conj(), owner)
-            if exact:
-                accept = np.ones(size, dtype=bool)
-            else:
+            if not exact:
                 if narrow:
                     target = np.sum(contracted.real**2 + contracted.imag**2, axis=1)
                 else:
@@ -422,6 +442,19 @@ def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator
                 density = phi.real**2 + phi.imag**2
                 weight = density @ law.weights[0] if shared else np.einsum("pv,pv->p", law.weights[owner], density)
                 accept = uniforms * (law.bound[owner] * weight) < target
+        if every:
+            if size == len(psis):
+                # Each law takes exactly its need, so proposal p fills slot p.
+                spent += size
+                if spent > budget:
+                    raise RejectionBudgetError(f"no POVM outcome within {budget} row draws (row of {law.m} boxes)")
+                psis[:] = psi
+                if want_rests:
+                    # A C-ordered phi, as the gather below makes, so that the
+                    # contraction rounds as it does there.
+                    rests[:] = contract(np.ascontiguousarray(phi).conj(), owner) if contracted is None else contracted
+                return psis, rests, spent
+            accept = np.ones(size, dtype=bool)
         # Rank of each proposal among the accepts of its law in this round.
         accepted = np.cumsum(accept)
         group_start = np.cumsum(reps) - reps
@@ -434,15 +467,16 @@ def _sample_row(law: _RowLaw, need: np.ndarray, d: int, gen: np.random.Generator
         own = owner[taken]
         slots = first_slot[own] + got[own] + rank[taken] - 1
         psis[slots] = psi[taken]
-        rests[slots] = contract(phi[taken].conj(), own) if contracted is None else contracted[taken]
+        if want_rests:
+            rests[slots] = contract(phi[taken].conj(), own) if contracted is None else contracted[taken]
         got += np.bincount(own, minlength=len(need))
         live = np.nonzero(got < need)[0]
     return psis, rests, spent
 
 
 def _povm_sample(
-    lam: Partition, d: int, first: _RowLaw, counts, gen: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, int]:
+    lam: Partition, d: int, first: _RowLaw, counts, gen: np.random.Generator, want_rests: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, int]:
     """Draw ``counts[l]`` outcomes of the row-symmetric POVM on each of L states.
 
     ``first`` is row 1's law over the L states, each (d^n, rest) before
@@ -475,6 +509,13 @@ def _povm_sample(
     post-measurement states <x_r psi_r^{x lam_r}|tau_l> (sum(counts), rest),
     and the number of row draws. ``RejectionBudgetError`` is raised past
     ``MAX_ROW_DRAWS`` draws per sample.
+
+    Every row but the last forms phi and its contraction, the next row's
+    state. The last row forms them only when ``want_rests`` is true; when it
+    is false, the post-measurement states are returned as ``None``, an exact
+    last row forms neither phi nor its contraction, and a one-box last row
+    forms no contraction. The outcomes and the draw count are the same
+    either way.
     """
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
@@ -489,7 +530,7 @@ def _povm_sample(
         held.append(kap * (kap * x + (lam.parts[r] + 1) * d + 2 * kap) if x == 1 else kap**2 * (kap + d))
     chunk = max(1, _CHUNK_ENTRIES // (width + max(held)))
     psis = np.empty((total, lam.k, d), dtype=np.complex128)
-    rests = np.empty((total, cols), dtype=np.complex128)
+    rests = np.empty((total, cols), dtype=np.complex128) if want_rests else None
     ends = np.cumsum(counts)
     firsts = ends - counts
     spent = 0
@@ -497,13 +538,15 @@ def _povm_sample(
         size = min(chunk, total - start)
         # Each state's share of slots start .. start + size - 1.
         need = np.maximum(np.minimum(ends, start + size) - np.maximum(firsts, start), 0)
-        out, state, spent = _sample_row(first, need, d, gen, spent, budget)
+        out, state, spent = _sample_row(first, need, d, gen, spent, budget, want_rests or lam.k > 1)
         psis[start : start + size, 0] = out
         for r in range(1, lam.k):
             law = _RowLaw.of(state.reshape(size, kappas[r], -1), lam.parts[r])
-            out, state, spent = _sample_row(law, np.ones(size, dtype=np.int64), d, gen, spent, budget)
+            ones = np.ones(size, dtype=np.int64)
+            out, state, spent = _sample_row(law, ones, d, gen, spent, budget, want_rests or r < lam.k - 1)
             psis[start : start + size, r] = out
-        rests[start : start + size] = state
+        if want_rests:
+            rests[start : start + size] = state
     return psis, rests, spent
 
 
@@ -512,7 +555,7 @@ def row_symmetric_sample_batch(
 ) -> tuple[np.ndarray, int]:
     """``count`` independent outcomes (count, k, d) and the row draws they took."""
     first = _RowLaw.row_one(lam, tau_state.d, tau_state.amplitudes.reshape(1, -1, 1))
-    psis, _, proposals = _povm_sample(lam, tau_state.d, first, np.array([count]), rng.gen)
+    psis, _, proposals = _povm_sample(lam, tau_state.d, first, np.array([count]), rng.gen, False)
     return psis, proposals
 
 
@@ -538,10 +581,14 @@ def shadow_matrix(lam: Partition, psis: np.ndarray, d: int) -> np.ndarray:
 
 
 def segment_count(epsilon: float) -> int:
-    """T = ceil(10 / epsilon^2)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return math.ceil(10.0 / epsilon**2)
+    """T = ceil(10 / epsilon^2), at least 1; epsilon must be finite and positive.
+
+    Divided twice rather than squared, so that a huge epsilon gives T = 1
+    instead of overflowing.
+    """
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    return max(1, math.ceil(10.0 / epsilon / epsilon))
 
 
 def _segment_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -764,7 +811,7 @@ def _product_shadow(unitary: OperatorGrid, digits, t_segments: int, seg_size: in
         counts = hits[start : start + len(first.states)]
         start += len(counts)
         if counts.any():
-            psis, _, trials = _povm_sample(lam, d, first, counts, draws)
+            psis, _, trials = _povm_sample(lam, d, first, counts, draws, False)
             acc += shadow_matrix(lam, psis, d) - len(psis) * lam.k * np.eye(d)
             proposals += trials
     return ShadowEstimate(

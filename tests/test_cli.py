@@ -266,6 +266,24 @@ class TestShadowRun:
         bad[bad.index("--epsilon") + 1] = "-1"
         assert main(bad) == 2
 
+    @pytest.mark.parametrize("epsilon", ["inf", "-inf", "nan"])
+    def test_non_finite_epsilon_is_a_config_error(self, tmp_path, capsys, epsilon):
+        args = self.run_args(tmp_path)
+        at = args.index("--epsilon")
+        args[at : at + 2] = [f"--epsilon={epsilon}"]
+        assert main(args) == 2
+        assert "finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["1e155", "1e200"])
+    def test_huge_epsilon_runs_one_segment(self, tmp_path, epsilon):
+        # epsilon^2 would overflow; T = ceil(10 / epsilon^2) is 1.
+        args = self.run_args(tmp_path)
+        args[args.index("--epsilon") + 1] = epsilon
+        args[args.index("--n") + 1] = "3"
+        assert main(args) == 0
+        summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
+        assert summary["config"]["t_segments"] == 1 and summary["config"]["segment_size"] == 3
+
 
 class TestOracleCommand:
     def test_moment_report(self, tmp_path, capsys):

@@ -253,6 +253,22 @@ class TestRowSymmetricSampling:
         with pytest.raises(RejectionBudgetError):
             row_symmetric_sample_batch(Partition((3,)), rank_one_row(3, RngStream(311)), 1, RngStream(75))
 
+    def test_exact_row_checks_the_budget(self, monkeypatch):
+        # A weight vector's first row is exact, so one round fills all its
+        # slots; the draws are still counted against the budget before any
+        # slot is returned.
+        lam, d, count = Partition((3,)), 2, 5
+        tau = weight_vector(lam, d, 1)
+        first = _RowLaw.row_one(lam, d, tau.amplitudes.reshape(1, -1, 1))
+        assert first.bound[0] == 1.0
+        gen = RngStream(76).gen
+        with pytest.raises(RejectionBudgetError):
+            protocol._sample_row(first, np.array([count]), d, gen, 0, count - 1)
+        assert protocol._sample_row(first, np.array([count]), d, gen, 0, count)[2] == count
+        monkeypatch.setattr("schur_shadows.protocol.MAX_ROW_DRAWS", 0)
+        with pytest.raises(RejectionBudgetError):
+            row_symmetric_sample_batch(lam, tau, count, RngStream(77))
+
     def test_proposals_count_the_sampler(self):
         # On tau = (U|0>)^{x3} the row state has rank 1 and all 4 Dicke weights
         # are nonzero, so M = N = kappa = 4: one accept takes a geometric number
@@ -414,6 +430,37 @@ class TestDickeSampler:
                     stats.add_batch(np.einsum("r,sra,srb->sab", coeffs, block, block.conj()))
                     exact = expected_shadow_exact(lam, taus[l], rotation)
                     assert np.max(stats.z_scores(exact)) <= z_max, (l, rotation)
+
+    @pytest.mark.parametrize(
+        "parts,d,rotate,rejects",
+        [
+            ((3,), 4, False, False),  # an exact single row
+            ((2, 1), 3, False, False),  # an exact first row, then a one-box last row
+            ((3, 3), 2, False, True),  # a rejection last row
+            ((2, 2), 3, True, True),  # rejection on both rows
+        ],
+    )
+    @pytest.mark.parametrize("counts", [[300], [120, 1, 60]])
+    def test_skipped_work_moves_no_draw(self, protocol_state_for, parts, d, rotate, rejects, counts):
+        # Without rests the last row forms less (neither phi nor a contraction
+        # on an exact row, no contraction on a one-box row) but draws every
+        # uniform, so outcomes, draw count and the generator's state after the
+        # call are bit for bit those with rests.
+        lam = Partition(parts)
+        taus = [protocol_state_for(lam, d, 1400 + l)[0] for l in range(len(counts))]
+        if rotate:
+            unitary = haar_unitary(d, RngStream(1410 + d))
+            taus = [apply_local_unitary(unitary, tau) for tau in taus]
+        first = _RowLaw.row_one(lam, d, np.stack([tau.amplitudes for tau in taus])[:, :, None])
+        assert (first.bound.max() > 1.0 + 1e-12) == rotate
+        gens = RngStream(1420).gen, RngStream(1420).gen
+        psis, rests, proposals = _povm_sample(lam, d, first, counts, gens[0], True)
+        lean = _povm_sample(lam, d, first, counts, gens[1], False)
+        assert rests.shape == (sum(counts), 1) and lean[1] is None
+        assert psis.tobytes() == lean[0].tobytes()
+        assert proposals == lean[2]
+        assert gens[0].bit_generator.state == gens[1].bit_generator.state
+        assert (proposals > lam.k * sum(counts)) == rejects
 
     def test_dicke_coordinates_are_class_sums(self):
         # lam = (6) at d = 6 on (V|0>)^{x 6}, a 0.75 MB state. A dense
@@ -704,6 +751,12 @@ class TestPopulationShadow:
     def test_segment_count(self):
         assert segment_count(1.0) == 10
         assert segment_count(0.35) == 82
+        # epsilon^2 would overflow here; T never falls below 1.
+        assert segment_count(1e200) == 1
+        assert segment_count(1e155) == 1
+        for bad in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="finite and positive"):
+                segment_count(bad)
 
     def test_needs_enough_qudits(self, basis_for):
         basis = basis_for(2, 2)

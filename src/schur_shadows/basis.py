@@ -8,6 +8,11 @@ definition with no search:
 2. :func:`schur_basis_completion`: the other ``j`` layers, from Young's
    natural basis of the Specht module.
 
+Both stages form decreasing weights only: relabelling the digits commutes
+with the Young symmetrizer and with qudit permutations, so every other
+weight's vectors are its decreasing rearrangement's, with rows permuted and
+columns signed.
+
 Every vector is real and supported on a single weight subspace, so the
 multinom(n; w) vectors of weight w are the columns of one real orthogonal
 matrix V_w on the weight-w slice. The basis is these slices, one
@@ -29,16 +34,16 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .qudit import (
+    MAX_DENSE_DIM,
     RngStream,
     check_dense_dim,
-    digit_table,
     permuted_indices,
     place_values,
 )
@@ -49,6 +54,7 @@ from .young import (
     column_group,
     majorizes,
     partitions_of,
+    specht_dim,
     standard_tableaux,
     weight_classes,
 )
@@ -60,6 +66,12 @@ RANK_CUT = 1e-9
 
 #: Amplitudes below this are set to zero.
 PRUNE = 1e-14
+
+#: Float64 entries (64 KiB) of one stacked operand of
+#: :func:`verify_nice_basis`'s batched products. Same-shape items share a
+#: batch up to this size, which one 90 x 90 slice fills; a larger item is
+#: read alone, in place.
+_BATCH_ENTRIES = 1 << 13
 
 #: Cache file format version.
 FORMAT_VERSION = 2
@@ -156,8 +168,10 @@ class SchurBasis:
 
     def gram_deviation(self) -> float:
         """Max |<u|v> - delta_uv|; vectors of different weights have disjoint
-        supports, so only same-weight pairs are compared."""
-        return max(float(np.max(np.abs(p.matrix.T @ p.matrix - np.eye(len(p.indices))))) for p in self.slices.values())
+        supports, so only same-weight pairs are compared, slices of one size
+        in batches (see :data:`_BATCH_ENTRIES`)."""
+        jobs = [(p.matrix.shape, p) for p in self.slices.values()]
+        return max(_gram_deviation(chunk) for chunk in _batches(jobs))
 
     @cached_property
     def _plan(self):
@@ -184,24 +198,77 @@ class SchurBasis:
         return rows, list(zip(pieces, spans)), np.concatenate([p.outcome for p in pieces]), outcomes, moves
 
 
+@lru_cache(maxsize=64)
 def _weight_rows(d: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Per weight, in the order of :func:`weight_classes`, the increasing indices of its class."""
+    """Per weight, in the order of :func:`weight_classes`, the increasing
+    indices of its class: views of that cached table, so read-only."""
     classes, weights = weight_classes(d, n)
     return dict(zip(map(tuple, weights.tolist()), np.split(classes.order, classes.starts[1:])))
+
+
+@lru_cache(maxsize=1)
+def _relabellings(d: int, n: int) -> dict[tuple[int, ...], tuple[list[tuple[int, ...]], np.ndarray]]:
+    """Per decreasing weight w↓, in the order of :func:`weight_classes`: the
+    weights that rearrange it, w↓ first, in that order, and per such weight w
+    the row permutation ``perm`` of w↓'s slice that gives w's slice, stacked.
+    Renaming the digits of row ``perm[r]`` of w↓'s slice gives row r of w's:
+    digit k of w↓ becomes the k-th symbol of w by decreasing count, ties in
+    symbol order, so w↓'s own ``perm`` is the identity.
+
+    Relabelling commutes with the Young symmetrizer and with qudit
+    permutations, so both stages build decreasing weights only and relabel
+    the rest. Kept for the last (d, n) only: the two stages of a build share
+    it, and the arrays are read-only."""
+    rows, place = _weight_rows(d, n), place_values(d, n)
+    orders: dict[tuple[int, ...], tuple[list, list]] = {}
+    for w in rows:
+        order = sorted(range(d), key=lambda sym: -w[sym])
+        weights, renames = orders.setdefault(tuple(w[sym] for sym in order), ([], []))
+        weights.append(w)
+        renames.append(order)
+    found = {}
+    for top, (weights, renames) in orders.items():
+        perms = np.argsort(np.array(renames)[:, rows[top][:, None] // place % d] @ place, axis=1)
+        perms.setflags(write=False)
+        found[top] = (weights, perms)
+    return found
+
+
+def _class_of_i(blocks, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The position in ``weights`` of each block's (lam, i) weight, -1 for a
+    weight not among them, all blocks end to end; and where each block starts."""
+    position = {w: c for c, w in enumerate(weights)}
+    found = np.array([position.get(tuple(w), -1) for block in blocks for w in block.weight_of_i], dtype=np.int64)
+    return found, np.cumsum([0] + [len(block.weight_of_i) for block in blocks])[:-1]
+
+
+def _label_table(blocks, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The (block position, i, j, outcome) of the blocks' vectors, grouped by
+    the weight of their (lam, i) in the order of ``weights``, each group
+    ordered by outcome, then i; and the size of each group. A vector whose
+    (lam, i) weight is not among ``weights`` is left out."""
+    klass, starts = _class_of_i(blocks, weights)
+    dim_q = np.array([len(block.weight_of_i) for block in blocks], dtype=np.int64)
+    dim_p = np.array([block.dim_p for block in blocks], dtype=np.int64)
+    # One run of vectors per outcome (b, j), outcomes in order, i increasing in a run.
+    owner = np.repeat(np.arange(len(blocks)), dim_p)
+    j = np.arange(len(owner)) - np.repeat(np.cumsum(dim_p) - dim_p, dim_p)
+    outcome = np.repeat(np.arange(len(owner)), dim_q[owner])
+    i = np.arange(len(outcome)) - np.repeat(np.cumsum(dim_q[owner]) - dim_q[owner], dim_q[owner])
+    b = owner[outcome]
+    table = np.stack([b, i, j[outcome], outcome, klass[starts[b] + i]], axis=1)
+    table = table[np.argsort(table[:, 4], kind="stable")]
+    table = table[table[:, 4] >= 0]
+    return table[:, :4], np.bincount(table[:, 4], minlength=len(weights))
 
 
 def _labels(blocks, weights) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
     """Per weight of ``weights``, the (block position, i, j) keys and the
     outcomes of the blocks' vectors of that weight, ordered by outcome, then i."""
-    found: dict[tuple[int, ...], list] = {w: [] for w in weights}
-    first = 0
-    for b, block in enumerate(blocks):
-        for j in range(block.dim_p):
-            for i, w in enumerate(block.weight_of_i):
-                found[tuple(w)].append((b, i, j, first + j))
-        first += block.dim_p
-    tables = {w: np.array(rows, dtype=np.int64).reshape(-1, 4) for w, rows in found.items()}
-    return {w: (table[:, :3], table[:, 3]) for w, table in tables.items()}
+    weights = list(weights)
+    table, sizes = _label_table(blocks, weights)
+    groups = np.split(table, np.cumsum(sizes)[:-1])
+    return {w: (group[:, :3], group[:, 3]) for w, group in zip(weights, groups)}
 
 
 def _label_fault(basis: SchurBasis) -> str | None:
@@ -210,12 +277,20 @@ def _label_fault(basis: SchurBasis) -> str | None:
     rows = _weight_rows(basis.d, basis.n)
     if list(basis.slices) != list(rows):
         return "the basis does not hold one slice per weight, in weight order"
-    for w, (keys, outcome) in _labels(basis.blocks.values(), rows).items():
-        piece, size = basis.slices[w], len(rows[w])
-        if piece.matrix.shape != (size, size) or len(keys) != size:
-            return f"basis has {piece.matrix.shape[1]} vectors of weight {w} (blocks: {len(keys)}), expected {size}"
-        if not (np.array_equal(piece.keys, keys) and np.array_equal(piece.outcome, outcome)):
+    table, counts = _label_table(basis.blocks.values(), list(rows))
+    pieces = list(basis.slices.values())
+    for (w, indices), piece, count in zip(rows.items(), pieces, counts.tolist()):
+        size = len(indices)
+        if piece.matrix.shape != (size, size) or count != size:
+            return f"basis has {piece.matrix.shape[1]} vectors of weight {w} (blocks: {count}), expected {size}"
+        if piece.keys.shape != (size, 3) or piece.outcome.shape != (size,):
             return f"the columns of the weight-{w} slice are not the blocks' vectors of weight {w}"
+    keys = np.concatenate([p.keys for p in pieces])
+    outcome = np.concatenate([p.outcome for p in pieces])
+    wrong = np.flatnonzero(np.any(keys != table[:, :3], axis=1) | (outcome != table[:, 3]))
+    if wrong.size:
+        w = list(rows)[int(np.searchsorted(np.cumsum(counts), wrong[0], side="right"))]
+        return f"the columns of the weight-{w} slice are not the blocks' vectors of weight {w}"
     return None
 
 
@@ -236,8 +311,10 @@ def build_q_bases(d: int, n: int) -> dict[Partition, list[ImageBlock]]:
     (signed class sums over sqrt|C|) gives the slice's orthonormal basis,
     gathered back onto the slice's rows. Where K_{lam,w} > 1 the singular
     values repeat, and the SVD picks one orthonormal basis of their span.
-    This is done for decreasing weights; relabelling the digits commutes
-    with the symmetrizer and carries it to their rearrangements.
+    This is done for decreasing weights w↓ only; relabelling the digits
+    commutes with the symmetrizer, so every other weight's columns are rows
+    of its w↓'s, permuted by the relabelling that :func:`_relabellings`
+    computes once per (d, n) for both stages.
 
     Returns, per partition, one :class:`ImageBlock` per admissible weight,
     each column signed so that its first entry of magnitude at least
@@ -247,7 +324,7 @@ def build_q_bases(d: int, n: int) -> dict[Partition, list[ImageBlock]]:
     lexicographically largest admissible weight.
     """
     check_dense_dim(d, n)
-    slices, table = _weight_rows(d, n), digit_table(d, n)
+    slices, moves, place = _weight_rows(d, n), _relabellings(d, n), place_values(d, n)
     out: dict[Partition, list[ImageBlock]] = {}
     for lam in partitions_of(n, d):
         layout = BoxLayout(lam)
@@ -255,39 +332,33 @@ def build_q_bases(d: int, n: int) -> dict[Partition, list[ImageBlock]]:
         above = [box for col in layout.column_blocks() for box in col[:-1]]
         below = [box for col in layout.column_blocks() for box in col[1:]]
         mappings, signs = map(np.array, zip(*column_group(lam)))
-        decreasing: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-        images: list[ImageBlock] = []
-        for w in slices:
+        found: dict[tuple[int, ...], np.ndarray] = {}
+        for top, (weights, perms) in moves.items():
             # Non-majorized weights are annihilated by the symmetrizer.
-            if not majorizes(lam, w):
+            if not majorizes(lam, top):
                 continue
-            # Digit k of the decreasing rearrangement, which comes earlier in
-            # reverse lexicographic order, is renamed order[k].
-            order = sorted(range(d), key=lambda sym: -w[sym])
-            top = tuple(w[sym] for sym in order)
-            if top not in decreasing:
-                indices = slices[top]
-                digits = table[indices]
-                strict = np.all(digits[:, below] > digits[:, above], axis=1)
-                # Column permutations of a column-strict filling land on distinct rows.
-                rows = np.searchsorted(indices, permuted_indices(digits[strict], d, mappings))
-                # Each filling's image in the orthonormal coordinates 1_C / sqrt|C|
-                # of the row classes C: its signed class sums over sqrt|C|.
-                classes = SlotClasses(digits, d, layout.row_blocks())
-                fillings = rows.shape[1]
-                flat = classes.inverse[rows] * fillings + np.arange(fillings)
-                sums = np.bincount(flat.ravel(), np.repeat(signs, fillings), len(classes.counts) * fillings)
-                root = np.sqrt(classes.counts)
-                left, singular, _ = np.linalg.svd(sums.reshape(-1, fillings) / root[:, None], full_matrices=False)
-                left = left[:, singular > RANK_CUT]
-                decreasing[top] = (digits, left[classes.inverse] / root[classes.inverse, None])
-            digits, cols = decreasing[top]
-            cols = cols[np.argsort(np.array(order)[digits] @ place_values(d, n))]
-            lead = cols[np.argmax(np.abs(cols) >= PRUNE, axis=0), np.arange(cols.shape[1])]
-            cols *= np.sign(lead)
-            cols[np.abs(cols) < PRUNE] = 0.0
-            images.append(ImageBlock(w, slices[w], cols))
-        out[lam] = images
+            indices = slices[top]
+            digits = indices[:, None] // place % d
+            strict = np.all(digits[:, below] > digits[:, above], axis=1)
+            # Column permutations of a column-strict filling land on distinct rows.
+            rows = np.searchsorted(indices, permuted_indices(digits[strict], d, mappings))
+            # Each filling's image in the orthonormal coordinates 1_C / sqrt|C|
+            # of the row classes C: its signed class sums over sqrt|C|.
+            classes = SlotClasses(digits, d, layout.row_blocks())
+            fillings = rows.shape[1]
+            flat = classes.inverse[rows] * fillings + np.arange(fillings)
+            sums = np.bincount(flat.ravel(), np.repeat(signs, fillings), len(classes.counts) * fillings)
+            root = np.sqrt(classes.counts)
+            left, singular, _ = np.linalg.svd(sums.reshape(-1, fillings) / root[:, None], full_matrices=False)
+            left = left[:, singular > RANK_CUT]
+            cols = left[classes.inverse] / root[classes.inverse, None]
+            # Every rearrangement at once: pruned, relabelled, then signed.
+            cols = np.where(np.abs(cols) < PRUNE, 0.0, cols)[perms]
+            cols *= np.sign(np.take_along_axis(cols, np.argmax(cols != 0.0, axis=1)[:, None], axis=1))
+            # A negated zero is -0.0; adding +0.0 makes it +0.0.
+            cols += 0.0
+            found.update(zip(weights, cols))
+        out[lam] = [ImageBlock(w, slices[w], found[w]) for w in slices if w in found]
     return out
 
 
@@ -305,9 +376,16 @@ def schur_basis_completion(d: int, n: int, q_bases: dict[Partition, list[ImageBl
     [P_T |(lam, 0, 0)>]_T = QR with R's diagonal positive, then
     |(lam, i, j)> = sum_T (R^-1)[T, j] P_T |(lam, i, 0)>. Column 0 of R^-1 is
     (1, 0, ..., 0) up to rounding, so j = 0 keeps stage 1's vectors.
+
+    The layers are formed this way for decreasing weights w↓. Qudit
+    permutations commute with relabelling the digits, so where a weight's
+    columns are its w↓'s columns relabelled (:func:`_relabellings`) and
+    signed column by column, as stage 1 gives them, its layer is its w↓'s
+    layer relabelled and signed the same way. Columns that are not, as from
+    a stage 1 that picked another basis of a block, are formed directly.
     """
     check_dense_dim(d, n)
-    slices, table = _weight_rows(d, n), digit_table(d, n)
+    slices, moves, place = _weight_rows(d, n), _relabellings(d, n), place_values(d, n)
     layers: dict[tuple[int, ...], list[np.ndarray]] = {w: [] for w in slices}
     held: dict[tuple[int, ...], WeightSlice] = {}
     blocks: dict[Partition, SchurBlock] = {}
@@ -318,9 +396,13 @@ def schur_basis_completion(d: int, n: int, q_bases: dict[Partition, list[ImageBl
         mappings = np.array(standard_tableaux(lam), dtype=np.int64)
         dim_p = len(mappings)
         coeffs = None
+        by_weight = {image.weight: image for image in images}
+        done: dict[tuple[int, ...], np.ndarray] = {}
         for image in images:
+            if image.weight in done:
+                continue
             indices = slices[image.weight]
-            rows = np.searchsorted(indices, permuted_indices(table[indices], d, mappings))
+            rows = np.searchsorted(indices, permuted_indices(indices[:, None] // place % d, d, mappings))
             # moved[t, :, k] = P_T |(lam, i_k, 0)> on the slice.
             moved = np.zeros((dim_p,) + image.columns.shape)
             moved[np.arange(dim_p)[:, None], rows] = image.columns
@@ -336,7 +418,13 @@ def schur_basis_completion(d: int, n: int, q_bases: dict[Partition, list[ImageBl
             layer = np.tensordot(moved, coeffs, axes=(0, 0)).transpose(0, 2, 1)
             layer[:, 0] = image.columns
             layer[np.abs(layer) < PRUNE] = 0.0
-            layers[image.weight].append(layer.reshape(len(indices), -1))
+            done[image.weight] = layer = layer.reshape(len(indices), -1)
+            if image.weight in moves:
+                group, perms = moves[image.weight]
+                pick = [g for g, w in enumerate(group) if w in by_weight and w not in done]
+                done.update(_relabelled_layers(image.columns, layer, [by_weight[group[g]] for g in pick], perms[pick]))
+        for image in images:
+            layers[image.weight].append(done[image.weight])
         weights = [image.weight for image in images for _ in range(image.columns.shape[1])]
         blocks[lam] = SchurBlock(lam, len(weights), dim_p, weights, held, b)
 
@@ -349,6 +437,26 @@ def schur_basis_completion(d: int, n: int, q_bases: dict[Partition, list[ImageBl
     if dev > 1e-9:
         raise SpanExtractionError(f"completed basis Gram deviation {dev:.3e} exceeds 1e-9")
     return basis
+
+
+def _relabelled_layers(columns: np.ndarray, layer: np.ndarray, images: list[ImageBlock], perms: np.ndarray) -> dict:
+    """Per image of ``images`` whose columns are ``columns`` relabelled by
+    its row of ``perms`` and signed column by column, its layer: ``layer``
+    relabelled the same way, with column k of every j signed as column k."""
+    images = [(image, perm) for image, perm in zip(images, perms) if image.columns.shape == columns.shape]
+    if not images:
+        return {}
+    perms = np.array([perm for _, perm in images])
+    wanted = np.stack([image.columns for image, _ in images])
+    moved = columns[perms]
+    flips = np.sign(np.einsum("gij,gij->gj", moved, wanted))[:, None]
+    fits = np.all(moved * flips == wanted, axis=(1, 2))
+    layers = layer[perms[fits]]
+    signed = layers.reshape(layers.shape[:2] + (-1, columns.shape[1]))
+    signed *= flips[fits, None]
+    # A negated zero is -0.0; adding +0.0 makes it +0.0, as pruning leaves zeros.
+    signed += 0.0
+    return dict(zip([image.weight for (image, _), fit in zip(images, fits) if fit], layers))
 
 
 def build_basis(d: int, n: int) -> SchurBasis:
@@ -365,60 +473,124 @@ def verify_nice_basis(basis: SchurBasis, rng=None, trials=None) -> dict:
     """Residual report: orthonormality, vector counts, weight purity, and block closures.
 
     A vector in a slice other than its (lam, i)'s weight breaks purity by its
-    largest amplitude. Closure is checked exactly on generators, one weight
-    slice at a time: E_{a,a+1} and E_{a+1,a} on each (lam, j) block (E_ab =
-    sum_k (|a><b|)_k maps slice w to w + e_a - e_b; weight purity covers the
-    diagonal), the adjacent transpositions on each (lam, i) block. A
-    residual is the largest norm of a moved vector outside its block's
-    columns in the target slice. Gram and closure entries are ``inf`` when
-    the slices are not the blocks' vectors. ``rng`` and ``trials`` are
-    unused; the ``basis-cold`` workload in ``perfbench/workloads.py`` passes them.
+    largest amplitude. Closure is checked exactly on generators:
+    E_{a,a+1} and E_{a+1,a} on each (lam, j) block (E_ab = sum_k (|a><b|)_k
+    maps slice w to w + e_a - e_b; weight purity covers the diagonal), the
+    adjacent transpositions on each (lam, i) block. A residual is the largest
+    norm of a moved vector outside its block's columns in the target slice.
+    The products run in batches: the (source, target) slice pairs of one
+    shape together, and the n - 1 transpositions of the slices of one size
+    together, each stacked operand at most :data:`_BATCH_ENTRIES` entries;
+    an item larger than that is read alone and in place. Gram and closure
+    entries are ``inf`` when the slices are not the blocks' vectors. ``rng``
+    and ``trials`` are unused; the ``basis-cold`` workload in
+    ``perfbench/workloads.py`` passes them.
     """
     d, n, blocks = basis.d, basis.n, list(basis.blocks.values())
     view = basis.slices
     counts = np.bincount(np.concatenate([p.keys[:, 0] for p in view.values()]), minlength=len(blocks))
-    impure = [
-        np.abs(p.matrix[:, c]).max()
-        for p in view.values()
-        for c, (b, i, _) in enumerate(p.keys.tolist())
-        if tuple(blocks[b].weight_of_i[i]) != p.weight
-    ]
+    klass, starts = _class_of_i(blocks, view)
+    impure = 0.0
+    for c, piece in enumerate(view.values()):
+        stray = klass[starts[piece.keys[:, 0]] + piece.keys[:, 1]] != c
+        if stray.any():
+            impure = max(impure, float(np.abs(piece.matrix[:, stray]).max()))
     report = {
         "gram_deviation": np.inf,
         "vector_count_ok": int(counts.sum()) == basis.dim and counts.tolist() == [b.dim_q * b.dim_p for b in blocks],
-        "weight_purity_violation": float(max(impure, default=0.0)),
+        "weight_purity_violation": impure,
         "u_closure_residual": np.inf,
         "pi_closure_residual": np.inf,
     }
     if _label_fault(basis) is not None:
         return report
     place = place_values(d, n)
-    u_residual = pi_residual = 0.0
+    steps = [step for a in range(d - 1) for step in ((a + 1, a), (a, a + 1))]
+    u_jobs, pi_jobs = [], []
     for w, piece in view.items():
-        slice_digits = piece.indices[:, None] // place % d
-        for src, dst in [step for a in range(d - 1) for step in ((a + 1, a), (a, a + 1))]:
+        size = piece.indices.size
+        for src, dst in steps:
             # E_{dst,src}: each digit src, in turn, becomes dst.
-            rows, pos = np.nonzero(slice_digits == src)
-            if rows.size:
+            if w[src]:
                 target = view[tuple(w[s] - (s == src) + (s == dst) for s in range(d))]
-                lift = np.zeros((target.indices.size, piece.indices.size))
-                lift[np.searchsorted(target.indices, piece.indices[rows] + (dst - src) * place[pos]), rows] = 1.0
-                same_lam_j = target.outcome[:, None] == piece.outcome
-                u_residual = max(u_residual, _outside(target, lift @ piece.matrix, same_lam_j))
-        same_lam_i = np.all(piece.keys[:, None, :2] == piece.keys[:, :2], axis=2)
-        for k in range(n - 1):
-            swapped = slice_digits.copy()
-            swapped[:, [k, k + 1]] = slice_digits[:, [k + 1, k]]
-            moved = piece.matrix[np.searchsorted(piece.indices, swapped @ place)]
-            pi_residual = max(pi_residual, _outside(piece, moved, same_lam_i))
+                u_jobs.append(((target.indices.size, size), (piece, target, src, dst)))
+        pi_jobs.extend(((size, size), (piece, k)) for k in range(n - 1))
+    u_residual = max((_u_closure(chunk, d, place) for chunk in _batches(u_jobs)), default=0.0)
+    pi_residual = max((_pi_closure(chunk, d, place) for chunk in _batches(pi_jobs)), default=0.0)
     report.update(gram_deviation=basis.gram_deviation(), u_closure_residual=u_residual, pi_closure_residual=pi_residual)
     return report
 
 
-def _outside(target: WeightSlice, moved: np.ndarray, keep: np.ndarray) -> float:
-    """Max over columns x of ``moved`` of ||x - V (keep[:, x] * V^T x)||, V = ``target.matrix``."""
-    rest = moved - target.matrix @ (keep * (target.matrix.T @ moved))
-    return float(np.max(np.linalg.norm(rest, axis=0), initial=0.0))
+def _batches(jobs):
+    """The (shape, job) pairs ``jobs`` grouped by shape, in chunks of jobs
+    whose stacked (rows, cols) operands hold at most :data:`_BATCH_ENTRIES`
+    entries, and one job at least."""
+    groups: dict[tuple[int, int], list] = {}
+    for shape, job in jobs:
+        groups.setdefault(shape, []).append(job)
+    for shape, group in groups.items():
+        step = max(1, _BATCH_ENTRIES // max(shape) ** 2)
+        for start in range(0, len(group), step):
+            yield group[start : start + step]
+
+
+def _stacked(pieces: list[WeightSlice], name: str) -> np.ndarray:
+    """Attribute ``name`` of each slice, stacked along a new axis 0; of one
+    slice, however often it is listed, as it is, read in place to broadcast."""
+    if all(piece is pieces[0] for piece in pieces):
+        return getattr(pieces[0], name)
+    return np.stack([getattr(piece, name) for piece in pieces])
+
+
+def _gram_deviation(pieces: list[WeightSlice]) -> float:
+    """Max |V^T V - 1| over the stacked square slices ``pieces``, of one size."""
+    matrices = _stacked(pieces, "matrix")
+    return float(np.max(np.abs(np.swapaxes(matrices, -1, -2) @ matrices - np.eye(matrices.shape[-1]))))
+
+
+def _u_closure(chunk, d: int, place: np.ndarray) -> float:
+    """The U-closure residual of (source, target, src, dst) jobs of one shape:
+    E_{dst,src} of the source slice's columns against the target's (lam, j)."""
+    sources, targets = [job[0] for job in chunk], [job[1] for job in chunk]
+    src, dst = np.array([job[2:] for job in chunk]).T
+    indices = np.stack([piece.indices for piece in sources])
+    owner, rows, pos = np.nonzero(indices[:, :, None] // place % d == src[:, None, None])
+    moved_to = indices[owner, rows] + (dst - src)[owner] * place[pos]
+    lift = np.zeros((len(chunk), targets[0].indices.size, indices.shape[1]))
+    lift[owner, _find(np.stack([t.indices for t in targets]), moved_to, owner, d ** len(place)), rows] = 1.0
+    same_lam_j = _stacked(targets, "outcome")[..., :, None] == _stacked(sources, "outcome")[..., None, :]
+    return _outside(_stacked(targets, "matrix"), lift @ _stacked(sources, "matrix"), same_lam_j)
+
+
+def _pi_closure(chunk, d: int, place: np.ndarray) -> float:
+    """The pi-closure residual of (slice, k) jobs of one slice size: the
+    transposition of qudits k and k + 1 on the slice's columns against its
+    (lam, i) blocks."""
+    pieces = [piece for piece, _ in chunk]
+    indices = np.stack([piece.indices for piece in pieces])
+    k = np.array([k for _, k in chunk])[:, None]
+    low, high = indices // place[k] % d, indices // place[k + 1] % d
+    owner = np.arange(len(chunk))[:, None]
+    perm = _find(indices, indices + (high - low) * (place[k] - place[k + 1]), owner, d ** len(place))
+    matrices, keys = _stacked(pieces, "matrix"), _stacked(pieces, "keys")
+    lam_i = keys[..., 0] * d ** len(place) + keys[..., 1]
+    same_lam_i = lam_i[..., :, None] == lam_i[..., None, :]
+    return _outside(matrices, matrices[perm] if matrices.ndim == 2 else matrices[owner, perm], same_lam_i)
+
+
+def _find(rows: np.ndarray, values: np.ndarray, owner: np.ndarray, dim: int) -> np.ndarray:
+    """Position of each of ``values`` in row ``owner`` of ``rows``, whose rows
+    increase and hold indices below ``dim``: one search over the rows laid
+    end to end, row b shifted up by b * dim."""
+    shift = dim * np.arange(len(rows))[:, None]
+    return np.searchsorted((rows + shift).ravel(), values + dim * owner) - rows.shape[1] * owner
+
+
+def _outside(matrix: np.ndarray, moved: np.ndarray, keep: np.ndarray) -> float:
+    """Max over columns x of ``moved`` of ||x - V (keep[:, x] * V^T x)||, V =
+    ``matrix``, for stacks of (V, moved, keep) that broadcast as in matmul."""
+    rest = moved - matrix @ (keep * (np.swapaxes(matrix, -1, -2) @ moved))
+    return float(np.max(np.linalg.norm(rest, axis=-2), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +660,12 @@ def save_basis(basis: SchurBasis, path) -> None:
 
 
 def load_basis(path) -> SchurBasis:
-    """Read and validate a cache file written by :func:`save_basis`."""
+    """Read and validate a cache file written by :func:`save_basis`.
+
+    Refused with :class:`BasisCacheError`: a bad magic, version or checksum;
+    a block list other than the partitions of n into at most d parts, in
+    order; a block whose dim_p is not f^lam; a count other than d^n; a slice
+    that is not multinom(n; w) square; and bytes missing or left over."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 24 or raw[:4] != _MAGIC:
@@ -510,11 +687,23 @@ def load_basis(path) -> SchurBasis:
         offset += size
         return np.frombuffer(body, dtype, count, offset - size)
 
+    # n <= 64 keeps d = 1 files, whose d^n is 1 for any n, from asking for n-digit tables.
+    if not (d >= 1 and 1 <= n <= 64) or d**n > MAX_DENSE_DIM:
+        raise BasisCacheError(f"malformed file: no basis has d={d}, n={n} (1 <= n <= 64 and d^n <= {MAX_DENSE_DIM})")
+    expected = partitions_of(n, d)
     blocks: dict[Partition, SchurBlock] = {}
     held: dict[tuple[int, ...], WeightSlice] = {}
     for b in range(lam_count):
-        lam = Partition(tuple(take(int(take(1)[0])).tolist()))
+        parts = take(int(take(1)[0])).tolist()
+        if b >= len(expected) or tuple(parts) != expected[b].parts:
+            raise BasisCacheError(
+                f"malformed file: block {b} is ({','.join(map(str, parts))}), but the blocks must be the"
+                f" partitions of n={n} into at most d={d} parts, in order: {', '.join(map(str, expected))}"
+            )
+        lam = expected[b]
         dim_q, dim_p = take(2).tolist()
+        if dim_p != specht_dim(lam):
+            raise BasisCacheError(f"malformed file: block {lam} has dim_p = {dim_p}, but f^lam = {specht_dim(lam)}")
         weights = list(map(tuple, take(dim_q * d).reshape(dim_q, d).tolist()))
         if any(sum(w) != n for w in weights):
             raise BasisCacheError(f"malformed file: a weight of {lam} does not sum to n={n}")
@@ -522,6 +711,8 @@ def load_basis(path) -> SchurBasis:
     total = sum(block.dim_q * block.dim_p for block in blocks.values())
     if total != d**n:
         raise BasisCacheError(f"count mismatch: file holds {total} vectors, but d^n = {d**n}")
+    if lam_count < len(expected):
+        raise BasisCacheError(f"malformed file: {lam_count} blocks, but n={n} has {len(expected)} partitions into at most d={d} parts")
     rows = _weight_rows(d, n)
     for w, (keys, outcome) in _labels(blocks.values(), rows).items():
         size = len(rows[w])

@@ -91,7 +91,7 @@ from .qudit import (
     place_values,
     unitarity_deviation,
 )
-from .young import Partition, SlotClasses, partitions_of, standard_tableaux, symmetric_dim, weight_classes, weyl_dim
+from .young import Partition, SlotClasses, partitions_of, specht_dim, symmetric_dim, weight_classes, weyl_dim
 
 logger = logging.getLogger(__name__)
 
@@ -727,7 +727,7 @@ def _product_table(d: int, n: int) -> _ProductTable:
     class_of = {w: c for c, w in enumerate(map(tuple, weights.tolist()))}
     stage1 = build_q_bases(d, n)
     entries = [
-        (class_of[image.weight], b, len(standard_tableaux(lam)))
+        (class_of[image.weight], b, specht_dim(lam))
         for b, (lam, images) in enumerate(stage1.items())
         for image in images
         for _ in range(image.columns.shape[1])

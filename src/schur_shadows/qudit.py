@@ -59,9 +59,10 @@ def digit_table(d: int, n: int) -> np.ndarray:
 
 def permuted_indices(digits: np.ndarray, d: int, mappings: np.ndarray) -> np.ndarray:
     """out[g, r]: the index that digit tuple ``digits[r]`` moves to when
-    qudit k goes to position ``mappings[g, k]``."""
-    moved = digits[:, np.argsort(mappings, axis=1)]
-    return (moved @ place_values(d, digits.shape[1])).T
+    qudit k goes to position ``mappings[g, k]``: the sum over k of digit k
+    times the place value of position ``mappings[g, k]``, with no
+    (rows, mappings, n) gather."""
+    return place_values(d, digits.shape[1])[mappings] @ digits.T
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,17 @@ def weyl_dim(lam: "Partition", d: int) -> int:
     return num // den
 
 
+def specht_dim(lam: "Partition") -> int:
+    """Dimension f^lam of the S_n irrep lam: the number of standard tableaux
+    of shape lam, by the hook length formula."""
+    hooks = 1
+    cols = [sum(1 for part in lam.parts if part > c) for c in range(lam.parts[0])]
+    for r, part in enumerate(lam.parts):
+        for c in range(part):
+            hooks *= (part - c) + (cols[c] - r) - 1
+    return math.factorial(lam.n) // hooks
+
+
 def _bounded_partitions(remaining: int, max_part: int, slots: int):
     """Parts <= max_part, at most ``slots`` of them, summing to ``remaining``."""
     if remaining == 0:

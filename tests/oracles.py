@@ -17,7 +17,10 @@ and ``isotypic_probabilities`` gives the partition law from the S_n
 characters (Murnaghan-Nakayama) where a dense frame would not fit.
 ``dense_basis_matrix`` lays the basis's weight slices out as one d^n x d^n
 matrix, for the tests that read whole blocks, ``dense_stage1`` lays out
-stage 1's blocks, and ``edited_basis`` copies a basis with one slice edited.
+stage 1's blocks, ``edited_basis`` copies a basis with one slice edited
+(``rotate`` is such an edit), and ``verify_per_slice`` computes the
+residuals of ``basis.verify_nice_basis`` one slice, generator and
+transposition at a time, the reference for its batched products.
 ``product_basis_state`` builds the dense input that the reference
 measurement path takes.
 ``young_symmetrizer_terms`` lists the Young symmetrizer's (row o column)
@@ -348,6 +351,64 @@ def edited_basis(basis, lam: Partition, i: int, edit):
     slices = {**basis.slices, w: dataclasses.replace(piece, matrix=matrix)}
     blocks = {key: dataclasses.replace(block, slices=slices) for key, block in basis.blocks.items()}
     return type(basis)(basis.d, basis.n, blocks, slices)
+
+
+def rotate(first, second, angle=0.3):
+    """An edit for :func:`edited_basis` that rotates the columns of vectors
+    ``first`` and ``second`` (each an (i, j)) into each other."""
+
+    def edit(matrix, column):
+        a, b = matrix[:, column[first]].copy(), matrix[:, column[second]].copy()
+        matrix[:, column[first]] = np.cos(angle) * a + np.sin(angle) * b
+        matrix[:, column[second]] = np.cos(angle) * b - np.sin(angle) * a
+
+    return edit
+
+
+def verify_per_slice(basis) -> dict[str, float]:
+    """The Gram, weight-purity, U-closure and pi-closure residuals of
+    ``verify_nice_basis``, with one product per slice, per generator
+    E_{a,a+1}, E_{a+1,a} on a slice and per adjacent transposition on a
+    slice, and purity read one vector key at a time. For a basis whose slices
+    are its blocks' vectors."""
+    d, n, blocks, view = basis.d, basis.n, list(basis.blocks.values()), basis.slices
+    place = d ** np.arange(n - 1, -1, -1)
+
+    def outside(target, moved, keep):
+        rest = moved - target.matrix @ (keep * (target.matrix.T @ moved))
+        return float(np.max(np.linalg.norm(rest, axis=0), initial=0.0))
+
+    impure = [
+        np.abs(p.matrix[:, c]).max()
+        for p in view.values()
+        for c, (b, i, _) in enumerate(p.keys.tolist())
+        if tuple(blocks[b].weight_of_i[i]) != p.weight
+    ]
+    gram = max(float(np.max(np.abs(p.matrix.T @ p.matrix - np.eye(len(p.indices))))) for p in view.values())
+    u_residual = pi_residual = 0.0
+    for w, piece in view.items():
+        slice_digits = piece.indices[:, None] // place % d
+        for src, dst in [step for a in range(d - 1) for step in ((a + 1, a), (a, a + 1))]:
+            # E_{dst,src}: each digit src, in turn, becomes dst.
+            rows, pos = np.nonzero(slice_digits == src)
+            if rows.size:
+                target = view[tuple(w[s] - (s == src) + (s == dst) for s in range(d))]
+                lift = np.zeros((target.indices.size, piece.indices.size))
+                lift[np.searchsorted(target.indices, piece.indices[rows] + (dst - src) * place[pos]), rows] = 1.0
+                same_lam_j = target.outcome[:, None] == piece.outcome
+                u_residual = max(u_residual, outside(target, lift @ piece.matrix, same_lam_j))
+        same_lam_i = np.all(piece.keys[:, None, :2] == piece.keys[:, :2], axis=2)
+        for k in range(n - 1):
+            swapped = slice_digits.copy()
+            swapped[:, [k, k + 1]] = slice_digits[:, [k + 1, k]]
+            moved = piece.matrix[np.searchsorted(piece.indices, swapped @ place)]
+            pi_residual = max(pi_residual, outside(piece, moved, same_lam_i))
+    return {
+        "gram_deviation": gram,
+        "weight_purity_violation": float(max(impure, default=0.0)),
+        "u_closure_residual": u_residual,
+        "pi_closure_residual": pi_residual,
+    }
 
 
 def standard_tableaux_brute_force(parts: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -16,13 +16,16 @@ from oracles import (
     edited_basis,
     encode_basis,
     isotypic_probabilities,
+    rotate,
     save_basis_records,
     semistandard_tableaux_count,
     standard_tableaux_count,
+    verify_per_slice,
     weight_of,
     weights_brute_force,
     write_v1_file,
 )
+from schur_shadows import basis as basis_mod
 from schur_shadows.basis import (
     BasisCacheError,
     build_basis,
@@ -126,6 +129,23 @@ class TestCompletion:
             assert [weight_of(decode_basis(int(x), d, n), d) for x in piece.indices] == [w] * len(piece.indices)
             assert all(blocks[b].weight_of_i[i] == w for b, i, _j in piece.keys.tolist())
 
+    @pytest.mark.parametrize("d,n", [(3, 4), (4, 3), (2, 5)])
+    def test_j_zero_layer_is_stage_one(self, basis_for, d, n):
+        # Stage 2 forms the layers of decreasing weights and relabels them for
+        # the other weights, flipping column signs as stage 1 flipped them: its
+        # (lam, i, 0) vectors are stage 1's, bit for bit, and no entry is -0.0.
+        basis = basis_for(d, n)
+        for b, images in enumerate(build_q_bases(d, n).values()):
+            first = 0
+            for image in images:
+                piece, count = basis.slices[image.weight], image.columns.shape[1]
+                cols = [np.flatnonzero(np.all(piece.keys == (b, i, 0), axis=1))[0] for i in range(first, first + count)]
+                assert piece.matrix[:, cols].tobytes() == image.columns.tobytes(), (image.weight, b)
+                assert not np.signbit(image.columns[image.columns == 0.0]).any()
+                first += count
+        for piece in basis.slices.values():
+            assert not np.signbit(piece.matrix[piece.matrix == 0.0]).any()
+
     def test_base_case_weights_differ(self, basis_for):
         # vector (0, 0) owns its weight: no other i shares it
         for d, n in [(2, 4), (3, 3), (3, 4)]:
@@ -134,7 +154,8 @@ class TestCompletion:
                 w0 = block.weight_of_i[0]
                 assert all(w != w0 for w in block.weight_of_i[1:])
 
-    @pytest.mark.parametrize("d,n", [(2, 3), (2, 7), (4, 5), (4, 6), (6, 5)])
+    # (1, 3) has no generator pair, (3, 1) and (2, 1) no transposition.
+    @pytest.mark.parametrize("d,n", [(2, 3), (2, 7), (4, 5), (4, 6), (6, 5), (1, 3), (3, 1), (2, 1)])
     def test_verify_report_clean(self, basis_for, d, n):
         report = verify_nice_basis(basis_for(d, n))
         assert report["gram_deviation"] < 1e-9
@@ -159,12 +180,27 @@ class TestCompletion:
         largest = max(max(b.dim_q, b.dim_p) for b in basis.blocks.values())
         assert peak < 5 * d**n * largest * 16
 
+    def test_verify_memory_is_bounded_by_the_largest_slice(self, basis_for):
+        # Batches stack slices only up to a fixed size, and a larger slice is
+        # read in place: verify at (2, 10) peaks below 4.7 times its largest
+        # slice (252 x 252), the peak of one slice at a time.
+        basis = basis_for(2, 10)
+        verify_nice_basis(basis_for(2, 3))
+        tracemalloc.start()
+        try:
+            verify_nice_basis(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.7 * max(p.matrix.nbytes for p in basis.slices.values())
+
     def test_identity_maps_give_zero_residual(self, basis_for):
         # Against references that read no basis: the slices, laid out as one
         # d^n x d^n matrix, form an orthogonal matrix, and each (lam, j)
         # block spans the oracle's frame of it, so the (lam, i, 0) columns
-        # span the oracle's Young symmetrizer image.
-        for d, n in [(2, 3), (3, 3), (2, 5)]:
+        # span the oracle's Young symmetrizer image. At (3, 4) and (4, 3)
+        # stage 2 relabels layers and flips column signs.
+        for d, n in [(2, 3), (3, 3), (2, 5), (3, 4), (4, 3)]:
             basis = basis_for(d, n)
             mat, slices = dense_basis_matrix(basis)
             assert np.max(np.abs(mat.T @ mat - np.eye(d**n))) < 1e-12, (d, n)
@@ -173,6 +209,53 @@ class TestCompletion:
             for key, cols in slices.items():
                 block, frame = mat[:, cols], frames[key]
                 assert np.max(np.abs(block @ block.T - frame @ frame.conj().T)) < 1e-12, (d, n, key)
+
+
+BASIS_COLD_GRID = [(2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (4, 5), (5, 4)]
+
+
+def rotated_bases():
+    """A (2, 4) basis with vectors ((3,1), 1, 0) and ((3,1), 1, 1) rotated into
+    each other, which breaks U-closure, and a (3, 3) basis with its two
+    ((2,1), i, 0) of weight (1,1,1) rotated into each other, which breaks
+    pi-closure; each with the residual it breaks."""
+    lam = Partition((2, 1))
+    base = build_basis(3, 3)
+    first, second = [i for i, w in enumerate(base.blocks[lam].weight_of_i) if tuple(w) == (1, 1, 1)]
+    return [
+        (edited_basis(build_basis(2, 4), Partition((3, 1)), 1, rotate((1, 0), (1, 1))), "u_closure_residual"),
+        (edited_basis(base, lam, first, rotate((first, 0), (second, 0))), "pi_closure_residual"),
+    ]
+
+
+class TestVerifyBatches:
+    """The batched products of ``verify_nice_basis`` against the per-slice
+    loops of ``oracles.verify_per_slice``."""
+
+    @staticmethod
+    def assert_matches_reference(basis):
+        report, want = verify_nice_basis(basis), verify_per_slice(basis)
+        for key, value in want.items():
+            assert abs(report[key] - value) <= 1e-15, (basis.d, basis.n, key, report[key], value)
+
+    @pytest.mark.parametrize("d,n", BASIS_COLD_GRID)
+    def test_matches_per_slice_reference(self, basis_for, d, n):
+        self.assert_matches_reference(basis_for(d, n))
+
+    def test_edited_bases_match_and_fail(self):
+        for basis, broken in rotated_bases():
+            self.assert_matches_reference(basis)
+            assert verify_nice_basis(basis)[broken] > 1e-8
+
+    @pytest.mark.parametrize("cap", [1, 1 << 10, 1 << 30])
+    def test_any_batch_cap_gives_the_same_report(self, basis_for, monkeypatch, cap):
+        # 1: every product alone; 2^10: slices up to 32 x 32 batched; 2^30:
+        # every group in one batch.
+        monkeypatch.setattr(basis_mod, "_BATCH_ENTRIES", cap)
+        for d, n in [(2, 6), (3, 4), (4, 4)]:
+            self.assert_matches_reference(basis_for(d, n))
+        for basis, _ in rotated_bases():
+            self.assert_matches_reference(basis)
 
 
 def write_bad_shape_file(path) -> None:
@@ -184,6 +267,19 @@ def write_bad_shape_file(path) -> None:
     shape = len(raw) - (8 + 8) - 4 * 8 - 8
     assert struct.unpack("<II", raw[shape : shape + 8]) == (2, 2)
     raw[shape : shape + 8] = struct.pack("<II", 1, 4)
+    raw[20:24] = struct.pack("<I", zlib.crc32(bytes(raw[24:])))
+    path.write_bytes(bytes(raw))
+
+
+def write_relabelled_block_file(path) -> None:
+    """A d = 2, n = 3 basis file whose (2,1) block header names (2,2), a
+    partition of 4, re-checksummed. Its sizes and slices are unchanged."""
+    save_basis(build_basis(2, 3), path)
+    raw = bytearray(path.read_bytes())
+    # After the 24-byte header, block (3) takes 48 bytes: its part count, part,
+    # dim_q, dim_p and 4 weights; then block (2,1)'s part count and parts.
+    assert struct.unpack("<III", raw[72:84]) == (2, 2, 1)
+    raw[80:84] = struct.pack("<I", 2)
     raw[20:24] = struct.pack("<I", zlib.crc32(bytes(raw[24:])))
     path.write_bytes(bytes(raw))
 
@@ -400,6 +496,37 @@ class TestPersistence:
         path = tmp_path / "bad.schb"
         write_bad_shape_file(path)
         with pytest.raises(BasisCacheError, match=r"malformed file: the slice of weight \(1, 1\) is 1 x 4, but multinom\(n; w\) = 2"):
+            load_basis(path)
+
+    def test_block_list_must_be_the_partitions(self, tmp_path):
+        path = tmp_path / "relabelled.schb"
+        write_relabelled_block_file(path)
+        with pytest.raises(BasisCacheError, match=r"block 1 is \(2,2\), but the blocks must be the partitions of n=3"):
+            load_basis(path)
+
+    def test_dim_p_must_be_f_lambda(self, tmp_path):
+        # d=2, n=2: block (2) claims dim_q = 1 and dim_p = 3, block (1,1) is
+        # as built, so the file holds 4 = d^n vectors in slices of the right
+        # shapes; but f^(2) = 1.
+        body = bytearray()
+        for parts, dim_q, dim_p in (((2,), 1, 3), ((1, 1), 1, 1)):
+            body += struct.pack(f"<I{len(parts)}I", len(parts), *parts)
+            body += struct.pack("<II", dim_q, dim_p)
+            body += struct.pack("<II", 1, 1)  # weight (1, 1)
+        for size in (1, 2, 1):
+            body += struct.pack("<II", size, size)
+            body += np.eye(size).astype("<f8").tobytes()
+        path = tmp_path / "bad.schb"
+        path.write_bytes(b"SCHB" + struct.pack("<IIIII", 2, 2, 2, 2, zlib.crc32(bytes(body))) + bytes(body))
+        with pytest.raises(BasisCacheError, match=r"block \(2\) has dim_p = 3, but f\^lam = 1"):
+            load_basis(path)
+
+    @pytest.mark.parametrize("d,n", [(0, 3), (2, 1000), (1, 10**6)])
+    def test_header_sizes_are_checked_first(self, tmp_path, d, n):
+        # Before any block is read: d = 0 used to end in an IndexError.
+        path = tmp_path / "header.schb"
+        path.write_bytes(b"SCHB" + struct.pack("<IIIII", 2, d, n, 0, zlib.crc32(b"")))
+        with pytest.raises(BasisCacheError, match=f"no basis has d={d}, n={n}"):
             load_basis(path)
 
     def test_v1_file_is_refused(self, tmp_path):

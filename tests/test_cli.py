@@ -5,39 +5,24 @@ import numpy as np
 import pytest
 
 from oracles import dense_basis_matrix, edited_basis, write_v1_file
-from schur_shadows.basis import build_basis, load_basis, save_basis
+from schur_shadows.basis import load_basis, save_basis
 from schur_shadows.cli import main
 from schur_shadows.young import Partition
-from test_basis import write_bad_shape_file
-
-
-def rotate(first, second, angle=0.3):
-    """An edit for :func:`oracles.edited_basis` that rotates the columns of
-    vectors ``first`` and ``second`` (each an (i, j)) into each other."""
-
-    def edit(matrix, column):
-        a, b = matrix[:, column[first]].copy(), matrix[:, column[second]].copy()
-        matrix[:, column[first]] = np.cos(angle) * a + np.sin(angle) * b
-        matrix[:, column[second]] = np.cos(angle) * b - np.sin(angle) * a
-
-    return edit
+from test_basis import rotated_bases, write_bad_shape_file, write_relabelled_block_file
 
 
 def write_rotated_file(path) -> None:
     """A (2, 4) basis whose vectors (lam=(3,1), i=1, j=0) and (j=1) are rotated
     into each other by 0.3 rad: still orthonormal, but the j blocks are no
     longer closed under U."""
-    save_basis(edited_basis(build_basis(2, 4), Partition((3, 1)), 1, rotate((1, 0), (1, 1))), path)
+    save_basis(rotated_bases()[0][0], path)
 
 
 def write_rotated_i_file(path) -> None:
     """A (3, 3) basis whose two (lam=(2,1), i, 0) vectors of weight (1,1,1) are
     rotated into each other by 0.3 rad: the (lam, 0) block is unchanged, but
     its two (lam, i) blocks are no longer closed under permutations."""
-    basis = build_basis(3, 3)
-    lam = Partition((2, 1))
-    first, second = [i for i, w in enumerate(basis.blocks[lam].weight_of_i) if tuple(w) == (1, 1, 1)]
-    save_basis(edited_basis(basis, lam, first, rotate((first, 0), (second, 0))), path)
+    save_basis(rotated_bases()[1][0], path)
 
 
 def dense_u_residual(basis) -> float:
@@ -120,6 +105,13 @@ class TestBasisCommands:
         assert main(["basis", "verify", "--path", str(out)]) == 1
         err = capsys.readouterr().err
         assert "check failed" in err and "multinom" in err and "Traceback" not in err
+
+    def test_verify_refuses_relabelled_block(self, tmp_path, capsys):
+        out = tmp_path / "relabelled.schb"
+        write_relabelled_block_file(out)
+        assert main(["basis", "verify", "--path", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "check failed" in err and "block 1 is (2,2)" in err and "Traceback" not in err
 
     def test_verify_refuses_v1_file(self, tmp_path, capsys):
         out = tmp_path / "old.schb"

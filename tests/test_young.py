@@ -9,6 +9,7 @@ from oracles import (
     brute_force_partitions,
     digit_tuples_brute_force,
     encode_basis,
+    standard_tableaux_count,
     weight_of,
     weights_brute_force,
     young_symmetrizer_apply,
@@ -23,6 +24,8 @@ from schur_shadows.young import (
     majorizes,
     partitions_of,
     row_group,
+    specht_dim,
+    standard_tableaux,
     symmetric_dim,
     weight_classes,
 )
@@ -265,6 +268,12 @@ class TestWeights:
         finally:
             gc.enable()
         assert found == 0
+
+    def test_specht_dim_counts_standard_tableaux(self):
+        for n in range(1, 9):
+            for parts in brute_force_partitions(n, n):
+                lam = Partition(parts)
+                assert specht_dim(lam) == standard_tableaux_count(parts) == len(standard_tableaux(lam)), parts
 
     def test_symmetric_dims(self):
         assert symmetric_dim(2, 2) == 3

@@ -6,11 +6,12 @@ Layers:
   codec, the index map of qudit permutations, the local unitary action,
   Haar sampling, seeded streams.
 * :mod:`schur_shadows.young`: partitions, row/column groups, standard
-  tableaux, slot classes (symmetrizers as class means), majorization, and
-  the weight classes of digit tuples, which the basis, its verification and
-  the POVM's Dicke coordinates all read.
-* :mod:`schur_shadows.basis`: the nice Schur basis as one real weight
-  slice per weight: construction, verification, persistence, and
+  tableaux, Kostka numbers, slot classes (symmetrizers as class means),
+  majorization, and the weight classes of digit tuples, which the basis,
+  its verification and the POVM's Dicke coordinates all read.
+* :mod:`schur_shadows.basis`: the nice Schur basis as (d, n) and one real
+  matrix per weight, every (lam, i, j) label derived from (d, n) and the
+  Kostka numbers: construction, verification, persistence, and
   :func:`schur_measure`, the Schur measurement with its block change of
   basis, one weight slice at a time. The product-input front end reads
   only the basis's j = 0 layer, :func:`build_q_bases`.

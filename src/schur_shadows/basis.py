@@ -15,9 +15,11 @@ columns signed.
 
 Every vector is real and supported on a single weight subspace, so the
 multinom(n; w) vectors of weight w are the columns of one real orthogonal
-matrix V_w on the weight-w slice. The basis is these slices, one
-:class:`WeightSlice` per weight; both stages build them, and the cache file
-holds them as they are. :func:`verify_nice_basis` checks block closure on
+matrix V_w on the weight-w slice. (d, n) fixes every label: lam runs over
+the partitions of n into at most d parts, j over the f^lam standard
+tableaux, and i over K_{lam,w} vectors of each weight w in weight order
+(:func:`_layout`). So a basis is (d, n) and its matrices V_w, and the cache
+file holds just those. :func:`verify_nice_basis` checks block closure on
 the generators of U(d) and S_n, and :func:`schur_measure`, the protocol's
 first step, measures (lam, j) and moves the measured block onto (lam, 0).
 It works on the measured rows of a (d^n, rest) matrix, so a segment of a
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -52,6 +55,7 @@ from .young import (
     Partition,
     SlotClasses,
     column_group,
+    kostka_number,
     majorizes,
     partitions_of,
     specht_dim,
@@ -74,7 +78,7 @@ PRUNE = 1e-14
 _BATCH_ENTRIES = 1 << 13
 
 #: Cache file format version.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _MAGIC = b"SCHB"
 
@@ -103,7 +107,8 @@ class WeightSlice:
     V_w (``matrix``, float64) on the increasing ``indices`` of weight w.
     Column c is vector ``keys[c]`` = (block position, i, j), and
     ``outcome[c]`` is the position of its (lam, j) among the Schur outcomes
-    (blocks in order, then j); columns are ordered by outcome, then i."""
+    (blocks in order, then j); columns are ordered by outcome, then i. All
+    but ``matrix`` are fixed by (d, n) and shared, read-only."""
 
     weight: tuple[int, ...]
     indices: np.ndarray
@@ -126,14 +131,16 @@ class BasisVector(NamedTuple):
 
 @dataclass
 class SchurBlock:
-    """Per-partition sizes of the basis. Its vectors are columns of the
+    """Per-partition sizes of the basis: dim_q = sum_w K_{lam,w}, dim_p =
+    f^lam, and the weight of each (lam, i), each weight in the order of
+    :func:`weight_classes` K_{lam,w} times. Its vectors are columns of the
     weight ``slices`` of the basis that holds it, keyed by its ``position``
     among the blocks."""
 
     lam: Partition
     dim_q: int
     dim_p: int
-    weight_of_i: list[tuple[int, ...]]
+    weight_of_i: tuple[tuple[int, ...], ...]
     slices: dict[tuple[int, ...], WeightSlice] = field(repr=False, compare=False)
     position: int = field(compare=False)
 
@@ -153,18 +160,31 @@ class SchurBlock:
 
 @dataclass
 class SchurBasis:
-    """The nice Schur basis: per partition its sizes (``blocks``), and per
-    weight, in the order of :func:`weight_classes`, the slice that holds the
-    vectors of that weight (``slices``)."""
+    """The nice Schur basis at (d, n): per weight, in the order of
+    :func:`weight_classes`, the real orthogonal matrix V_w whose columns are
+    the vectors of that weight (``matrices``). The labels come from (d, n)
+    alone (:func:`_layout`): ``slices`` and ``blocks`` are views of the
+    matrices under them, built on first read."""
 
     d: int
     n: int
-    blocks: dict[Partition, SchurBlock]
-    slices: dict[tuple[int, ...], WeightSlice]
+    matrices: dict[tuple[int, ...], np.ndarray]
 
     @property
     def dim(self) -> int:
         return self.d**self.n
+
+    @cached_property
+    def slices(self) -> dict[tuple[int, ...], WeightSlice]:
+        """Per weight, its :class:`WeightSlice`."""
+        rows, (_, labels) = _weight_rows(self.d, self.n), _layout(self.d, self.n)
+        return {w: WeightSlice(w, rows[w], matrix, *labels[w]) for w, matrix in self.matrices.items()}
+
+    @cached_property
+    def blocks(self) -> dict[Partition, SchurBlock]:
+        """Per partition, in the order of :func:`partitions_of`, its :class:`SchurBlock`."""
+        blocks, _ = _layout(self.d, self.n)
+        return {lam: SchurBlock(lam, len(w), dim_p, w, self.slices, b) for b, (lam, dim_p, w) in enumerate(blocks)}
 
     def gram_deviation(self) -> float:
         """Max |<u|v> - delta_uv|; vectors of different weights have disjoint
@@ -206,6 +226,39 @@ def _weight_rows(d: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
     return dict(zip(map(tuple, weights.tolist()), np.split(classes.order, classes.starts[1:])))
 
 
+@lru_cache(maxsize=64)
+def _layout(d: int, n: int):
+    """The labels that (d, n) fixes, built once and shared, so read-only:
+    per block, in the order of :func:`partitions_of`, (lam, f^lam, the
+    weight of each (lam, i)); and per weight, the (block position, i, j)
+    keys and the outcomes of its slice's columns, ordered by outcome, then
+    i, where outcome o is the o-th (lam, j), blocks in order, then j. Block
+    b's (lam, i) run through the weights in order, K_{lam,w} of each."""
+    rows = _weight_rows(d, n)
+    lams = partitions_of(n, d)
+    kostka = np.array([[kostka_number(lam, w) for w in rows] for lam in lams], dtype=np.int64)
+    dim_p = np.array([specht_dim(lam) for lam in lams], dtype=np.int64)
+    dim_q = kostka.sum(axis=1)
+    # One run of vectors per outcome (b, j), outcomes in order, i increasing in a run.
+    owner = np.repeat(np.arange(len(lams)), dim_p)
+    j = np.arange(len(owner)) - np.repeat(np.cumsum(dim_p) - dim_p, dim_p)
+    outcome = np.repeat(np.arange(len(owner)), dim_q[owner])
+    i = np.arange(len(outcome)) - np.repeat(np.cumsum(dim_q[owner]) - dim_q[owner], dim_q[owner])
+    b = owner[outcome]
+    # The weight class of each (b, i), blocks end to end: a stable sort by it groups the vectors by weight.
+    klass = np.concatenate([np.repeat(np.arange(len(rows)), row) for row in kostka])
+    order = np.argsort(klass[(np.cumsum(dim_q) - dim_q)[b] + i], kind="stable")
+    table = np.stack([b, i, j[outcome], outcome], axis=1)[order]
+    table.setflags(write=False)
+    groups = np.split(table, np.cumsum([len(indices) for indices in rows.values()])[:-1])
+    labels = {w: (group[:, :3], group[:, 3]) for w, group in zip(rows, groups)}
+    blocks = tuple(
+        (lam, int(f), tuple(w for w, k in zip(rows, row) for _ in range(k)))
+        for lam, f, row in zip(lams, dim_p, kostka.tolist())
+    )
+    return blocks, labels
+
+
 @lru_cache(maxsize=1)
 def _relabellings(d: int, n: int) -> dict[tuple[int, ...], tuple[list[tuple[int, ...]], np.ndarray]]:
     """Per decreasing weight w↓, in the order of :func:`weight_classes`: the
@@ -234,63 +287,16 @@ def _relabellings(d: int, n: int) -> dict[tuple[int, ...], tuple[list[tuple[int,
     return found
 
 
-def _class_of_i(blocks, weights) -> tuple[np.ndarray, np.ndarray]:
-    """The position in ``weights`` of each block's (lam, i) weight, -1 for a
-    weight not among them, all blocks end to end; and where each block starts."""
-    position = {w: c for c, w in enumerate(weights)}
-    found = np.array([position.get(tuple(w), -1) for block in blocks for w in block.weight_of_i], dtype=np.int64)
-    return found, np.cumsum([0] + [len(block.weight_of_i) for block in blocks])[:-1]
-
-
-def _label_table(blocks, weights) -> tuple[np.ndarray, np.ndarray]:
-    """The (block position, i, j, outcome) of the blocks' vectors, grouped by
-    the weight of their (lam, i) in the order of ``weights``, each group
-    ordered by outcome, then i; and the size of each group. A vector whose
-    (lam, i) weight is not among ``weights`` is left out."""
-    klass, starts = _class_of_i(blocks, weights)
-    dim_q = np.array([len(block.weight_of_i) for block in blocks], dtype=np.int64)
-    dim_p = np.array([block.dim_p for block in blocks], dtype=np.int64)
-    # One run of vectors per outcome (b, j), outcomes in order, i increasing in a run.
-    owner = np.repeat(np.arange(len(blocks)), dim_p)
-    j = np.arange(len(owner)) - np.repeat(np.cumsum(dim_p) - dim_p, dim_p)
-    outcome = np.repeat(np.arange(len(owner)), dim_q[owner])
-    i = np.arange(len(outcome)) - np.repeat(np.cumsum(dim_q[owner]) - dim_q[owner], dim_q[owner])
-    b = owner[outcome]
-    table = np.stack([b, i, j[outcome], outcome, klass[starts[b] + i]], axis=1)
-    table = table[np.argsort(table[:, 4], kind="stable")]
-    table = table[table[:, 4] >= 0]
-    return table[:, :4], np.bincount(table[:, 4], minlength=len(weights))
-
-
-def _labels(blocks, weights) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
-    """Per weight of ``weights``, the (block position, i, j) keys and the
-    outcomes of the blocks' vectors of that weight, ordered by outcome, then i."""
-    weights = list(weights)
-    table, sizes = _label_table(blocks, weights)
-    groups = np.split(table, np.cumsum(sizes)[:-1])
-    return {w: (group[:, :3], group[:, 3]) for w, group in zip(weights, groups)}
-
-
 def _label_fault(basis: SchurBasis) -> str | None:
-    """Why the slices are not the blocks' vectors, one square slice per
-    weight, naming the weight; None when they are."""
+    """Why ``basis`` does not hold one square multinom(n; w) matrix per
+    weight, in weight order, naming the weight; None when it does. Every
+    label comes from (d, n), so this is all that can disagree with them."""
     rows = _weight_rows(basis.d, basis.n)
-    if list(basis.slices) != list(rows):
+    if list(basis.matrices) != list(rows):
         return "the basis does not hold one slice per weight, in weight order"
-    table, counts = _label_table(basis.blocks.values(), list(rows))
-    pieces = list(basis.slices.values())
-    for (w, indices), piece, count in zip(rows.items(), pieces, counts.tolist()):
-        size = len(indices)
-        if piece.matrix.shape != (size, size) or count != size:
-            return f"basis has {piece.matrix.shape[1]} vectors of weight {w} (blocks: {count}), expected {size}"
-        if piece.keys.shape != (size, 3) or piece.outcome.shape != (size,):
-            return f"the columns of the weight-{w} slice are not the blocks' vectors of weight {w}"
-    keys = np.concatenate([p.keys for p in pieces])
-    outcome = np.concatenate([p.outcome for p in pieces])
-    wrong = np.flatnonzero(np.any(keys != table[:, :3], axis=1) | (outcome != table[:, 3]))
-    if wrong.size:
-        w = list(rows)[int(np.searchsorted(np.cumsum(counts), wrong[0], side="right"))]
-        return f"the columns of the weight-{w} slice are not the blocks' vectors of weight {w}"
+    for (w, indices), matrix in zip(rows.items(), basis.matrices.values()):
+        if matrix.shape != (len(indices), len(indices)):
+            return f"basis has a {matrix.shape} slice of weight {w}, expected {(len(indices),) * 2}"
     return None
 
 
@@ -383,16 +389,24 @@ def schur_basis_completion(d: int, n: int, q_bases: dict[Partition, list[ImageBl
     signed column by column, as stage 1 gives them, its layer is its w↓'s
     layer relabelled and signed the same way. Columns that are not, as from
     a stage 1 that picked another basis of a block, are formed directly.
+
+    The labels come from (d, n) (:func:`_layout`), so stage 1 must give
+    K_{lam,w} columns of each weight w to each partition lam; otherwise
+    :class:`SpanExtractionError` names lam and w before any layer is formed.
     """
     check_dense_dim(d, n)
     slices, moves, place = _weight_rows(d, n), _relabellings(d, n), place_values(d, n)
     layers: dict[tuple[int, ...], list[np.ndarray]] = {w: [] for w in slices}
-    held: dict[tuple[int, ...], WeightSlice] = {}
-    blocks: dict[Partition, SchurBlock] = {}
-    for b, lam in enumerate(partitions_of(n, d)):
+    for lam, _, weight_of_i in _layout(d, n)[0]:
         images = q_bases[lam]
-        if not images:
-            raise SpanExtractionError(f"empty symmetrizer image for partition {lam}")
+        kostka, found = Counter(weight_of_i), Counter()
+        for image in images:
+            found[image.weight] += image.columns.shape[1]
+        for w in [*slices, *found]:
+            if found[w] != kostka[w]:
+                raise SpanExtractionError(
+                    f"stage 1 has {found[w]} vectors of partition {lam} and weight {w}, but K = {kostka[w]}"
+                )
         mappings = np.array(standard_tableaux(lam), dtype=np.int64)
         dim_p = len(mappings)
         coeffs = None
@@ -425,14 +439,8 @@ def schur_basis_completion(d: int, n: int, q_bases: dict[Partition, list[ImageBl
                 done.update(_relabelled_layers(image.columns, layer, [by_weight[group[g]] for g in pick], perms[pick]))
         for image in images:
             layers[image.weight].append(done[image.weight])
-        weights = [image.weight for image in images for _ in range(image.columns.shape[1])]
-        blocks[lam] = SchurBlock(lam, len(weights), dim_p, weights, held, b)
 
-    for w, (keys, outcome) in _labels(blocks.values(), slices).items():
-        if len(keys) != len(slices[w]):
-            raise SpanExtractionError(f"basis has {len(keys)} vectors of weight {w}, expected {len(slices[w])}")
-        held[w] = WeightSlice(w, slices[w], np.concatenate(layers[w], axis=1), keys, outcome)
-    basis = SchurBasis(d, n, blocks, held)
+    basis = SchurBasis(d, n, {w: np.concatenate(layers[w], axis=1) for w in slices})
     dev = basis.gram_deviation()
     if dev > 1e-9:
         raise SpanExtractionError(f"completed basis Gram deviation {dev:.3e} exceeds 1e-9")
@@ -472,38 +480,33 @@ def build_basis(d: int, n: int) -> SchurBasis:
 def verify_nice_basis(basis: SchurBasis, rng=None, trials=None) -> dict:
     """Residual report: orthonormality, vector counts, weight purity, and block closures.
 
-    A vector in a slice other than its (lam, i)'s weight breaks purity by its
-    largest amplitude. Closure is checked exactly on generators:
-    E_{a,a+1} and E_{a+1,a} on each (lam, j) block (E_ab = sum_k (|a><b|)_k
-    maps slice w to w + e_a - e_b; weight purity covers the diagonal), the
+    The count holds when the basis has one square multinom(n; w) matrix per
+    weight, in weight order; every vector then lies in the slice of its
+    (lam, i)'s weight, so weight purity is 0 by construction. Closure is
+    checked exactly on generators: E_{a,a+1} and E_{a+1,a} on each (lam, j)
+    block (E_ab = sum_k (|a><b|)_k maps slice w to w + e_a - e_b), the
     adjacent transpositions on each (lam, i) block. A residual is the largest
-    norm of a moved vector outside its block's columns in the target slice.
-    The products run in batches: the (source, target) slice pairs of one
-    shape together, and the n - 1 transpositions of the slices of one size
-    together, each stacked operand at most :data:`_BATCH_ENTRIES` entries;
-    an item larger than that is read alone and in place. Gram and closure
-    entries are ``inf`` when the slices are not the blocks' vectors. ``rng``
-    and ``trials`` are unused; the ``basis-cold`` workload in
+    norm of a moved vector's coefficients outside its block's columns in the
+    target slice: its distance from them when the slices are orthogonal,
+    which ``gram_deviation`` checks. The products run in batches: the
+    (source, target) slice pairs of one shape together, and the n - 1
+    transpositions of the slices of one size together, each stacked operand
+    at most :data:`_BATCH_ENTRIES` entries; an item larger than that is read
+    alone and in place. Gram and closure entries are ``inf`` when the count
+    fails. ``rng`` and ``trials`` are unused; the ``basis-cold`` workload in
     ``perfbench/workloads.py`` passes them.
     """
-    d, n, blocks = basis.d, basis.n, list(basis.blocks.values())
-    view = basis.slices
-    counts = np.bincount(np.concatenate([p.keys[:, 0] for p in view.values()]), minlength=len(blocks))
-    klass, starts = _class_of_i(blocks, view)
-    impure = 0.0
-    for c, piece in enumerate(view.values()):
-        stray = klass[starts[piece.keys[:, 0]] + piece.keys[:, 1]] != c
-        if stray.any():
-            impure = max(impure, float(np.abs(piece.matrix[:, stray]).max()))
+    fault = _label_fault(basis)
     report = {
         "gram_deviation": np.inf,
-        "vector_count_ok": int(counts.sum()) == basis.dim and counts.tolist() == [b.dim_q * b.dim_p for b in blocks],
-        "weight_purity_violation": impure,
+        "vector_count_ok": fault is None,
+        "weight_purity_violation": 0.0,
         "u_closure_residual": np.inf,
         "pi_closure_residual": np.inf,
     }
-    if _label_fault(basis) is not None:
+    if fault is not None:
         return report
+    d, n, view = basis.d, basis.n, basis.slices
     place = place_values(d, n)
     steps = [step for a in range(d - 1) for step in ((a + 1, a), (a, a + 1))]
     u_jobs, pi_jobs = [], []
@@ -588,8 +591,9 @@ def _find(rows: np.ndarray, values: np.ndarray, owner: np.ndarray, dim: int) -> 
 
 def _outside(matrix: np.ndarray, moved: np.ndarray, keep: np.ndarray) -> float:
     """Max over columns x of ``moved`` of ||x - V (keep[:, x] * V^T x)||, V =
-    ``matrix``, for stacks of (V, moved, keep) that broadcast as in matmul."""
-    rest = moved - matrix @ (keep * (np.swapaxes(matrix, -1, -2) @ moved))
+    ``matrix``, for stacks of (V, moved, keep) that broadcast as in matmul.
+    For an orthogonal V that is ||(1 - keep[:, x]) * V^T x||: one product."""
+    rest = ~keep * (np.swapaxes(matrix, -1, -2) @ moved)
     return float(np.max(np.linalg.norm(rest, axis=-2), initial=0.0))
 
 
@@ -609,8 +613,9 @@ def schur_measure(
     imaginary parts of A side by side, and (lam, j) is drawn with
     probability ||Pi_{lam,j} s||^2, the sum of its squared coefficients.
     ``tau`` = sum_w V_w[:, (lam, 0)] (the (lam, j) coefficients on slice w),
-    renormalized, in the shape of ``amplitudes``. A basis whose slices are
-    not its blocks' vectors is refused with ``ValueError`` before any draw.
+    renormalized, in the shape of ``amplitudes``. A basis without one square
+    multinom(n; w) matrix per weight is refused with ``ValueError`` before
+    any draw.
     """
     if amplitudes.shape[0] != basis.dim:
         raise ValueError(f"state has {amplitudes.shape[0]} rows, basis needs {basis.dim}")
@@ -642,89 +647,48 @@ def schur_measure(
 
 
 def save_basis(basis: SchurBasis, path) -> None:
-    """Write the cache file (little-endian, CRC32 over the body): the block
-    headers, then each weight slice's real matrix as it is."""
-    body = bytearray()
-    for lam, block in basis.blocks.items():
-        body += struct.pack("<I", len(lam.parts))
-        body += struct.pack(f"<{len(lam.parts)}I", *lam.parts)
-        body += struct.pack("<II", block.dim_q, block.dim_p)
-        for w in block.weight_of_i:
-            body += struct.pack(f"<{basis.d}I", *w)
-    for piece in basis.slices.values():
-        body += struct.pack("<II", *piece.matrix.shape)
-        body += piece.matrix.astype("<f8", copy=False).tobytes()
-    header = _MAGIC + struct.pack("<IIIII", FORMAT_VERSION, basis.d, basis.n, len(basis.blocks), zlib.crc32(body))
+    """Write the cache file: the magic, then format version, d, n and the
+    CRC32 of the body as little-endian u32, then the body, each weight
+    slice's matrix in weight order, as it is, in little-endian float64."""
+    body = b"".join(matrix.astype("<f8", copy=False).tobytes() for matrix in basis.matrices.values())
     with open(path, "wb") as fh:
-        fh.write(header + body)
+        fh.write(_MAGIC + struct.pack("<IIII", FORMAT_VERSION, basis.d, basis.n, zlib.crc32(body)) + body)
 
 
 def load_basis(path) -> SchurBasis:
     """Read and validate a cache file written by :func:`save_basis`.
 
-    Refused with :class:`BasisCacheError`: a bad magic, version or checksum;
-    a block list other than the partitions of n into at most d parts, in
-    order; a block whose dim_p is not f^lam; a count other than d^n; a slice
-    that is not multinom(n; w) square; and bytes missing or left over."""
+    (d, n) fixes every label and every slice's shape, so only the sizes can
+    be wrong. Refused with :class:`BasisCacheError`: a bad magic, version or
+    checksum; a (d, n) with n outside 1..64, d < 1 or d^n over the dense
+    cap; and then, before any d^n-sized table is built, a body shorter than
+    8 d^n bytes; then a body of any length other than 8 sum_w
+    multinom(n; w)^2 bytes."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < 24 or raw[:4] != _MAGIC:
+    if len(raw) < 20 or raw[:4] != _MAGIC:
         raise BasisCacheError("malformed file: bad magic or truncated header")
-    version, d, n, lam_count, checksum = struct.unpack("<IIIII", raw[4:24])
+    version, d, n, checksum = struct.unpack("<IIII", raw[4:20])
     if version != FORMAT_VERSION:
         raise BasisCacheError(f"version mismatch: file has format version {version}, expected {FORMAT_VERSION}")
-    body = raw[24:]
+    body = raw[20:]
     if zlib.crc32(body) != checksum:
         raise BasisCacheError("checksum failure: file is corrupt or truncated")
-
-    offset = 0
-
-    def take(count, dtype="<u4"):
-        nonlocal offset
-        size = np.dtype(dtype).itemsize * count
-        if offset + size > len(body):
-            raise BasisCacheError("malformed file: unexpected end of body")
-        offset += size
-        return np.frombuffer(body, dtype, count, offset - size)
-
     # n <= 64 keeps d = 1 files, whose d^n is 1 for any n, from asking for n-digit tables.
     if not (d >= 1 and 1 <= n <= 64) or d**n > MAX_DENSE_DIM:
         raise BasisCacheError(f"malformed file: no basis has d={d}, n={n} (1 <= n <= 64 and d^n <= {MAX_DENSE_DIM})")
-    expected = partitions_of(n, d)
-    blocks: dict[Partition, SchurBlock] = {}
-    held: dict[tuple[int, ...], WeightSlice] = {}
-    for b in range(lam_count):
-        parts = take(int(take(1)[0])).tolist()
-        if b >= len(expected) or tuple(parts) != expected[b].parts:
-            raise BasisCacheError(
-                f"malformed file: block {b} is ({','.join(map(str, parts))}), but the blocks must be the"
-                f" partitions of n={n} into at most d={d} parts, in order: {', '.join(map(str, expected))}"
-            )
-        lam = expected[b]
-        dim_q, dim_p = take(2).tolist()
-        if dim_p != specht_dim(lam):
-            raise BasisCacheError(f"malformed file: block {lam} has dim_p = {dim_p}, but f^lam = {specht_dim(lam)}")
-        weights = list(map(tuple, take(dim_q * d).reshape(dim_q, d).tolist()))
-        if any(sum(w) != n for w in weights):
-            raise BasisCacheError(f"malformed file: a weight of {lam} does not sum to n={n}")
-        blocks[lam] = SchurBlock(lam, dim_q, dim_p, weights, held, b)
-    total = sum(block.dim_q * block.dim_p for block in blocks.values())
-    if total != d**n:
-        raise BasisCacheError(f"count mismatch: file holds {total} vectors, but d^n = {d**n}")
-    if lam_count < len(expected):
-        raise BasisCacheError(f"malformed file: {lam_count} blocks, but n={n} has {len(expected)} partitions into at most d={d} parts")
+    # The slices hold at least one entry per index: a shorter body is refused before any table is built.
+    if len(body) < 8 * d**n:
+        raise BasisCacheError(f"malformed file: the body holds {len(body)} bytes, fewer than 8 d^n = {8 * d**n}")
     rows = _weight_rows(d, n)
-    for w, (keys, outcome) in _labels(blocks.values(), rows).items():
-        size = len(rows[w])
-        shape = tuple(take(2).tolist())
-        if shape != (size, size):
-            raise BasisCacheError(
-                f"malformed file: the slice of weight {w} is {shape[0]} x {shape[1]}, but multinom(n; w) = {size}"
-            )
-        held[w] = WeightSlice(w, rows[w], take(size * size, "<f8").reshape(size, size), keys, outcome)
-    if offset != len(body):
-        raise BasisCacheError("malformed file: trailing bytes after the last slice")
-    return SchurBasis(d, n, blocks, held)
+    sizes = [len(indices) ** 2 for indices in rows.values()]
+    if len(body) != 8 * sum(sizes):
+        raise BasisCacheError(
+            f"malformed file: the body holds {len(body)} bytes, but the slices of d={d}, n={n} take"
+            f" 8 sum_w multinom(n; w)^2 = {8 * sum(sizes)}"
+        )
+    entries = np.split(np.frombuffer(body, "<f8"), np.cumsum(sizes)[:-1])
+    return SchurBasis(d, n, {w: e.reshape(len(r), len(r)) for (w, r), e in zip(rows.items(), entries)})
 
 
 def cache_file_name(d: int, n: int) -> str:

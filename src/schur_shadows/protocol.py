@@ -122,6 +122,8 @@ class MixedState:
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
         if vals.shape != (self.d,):
             raise ValueError("eigenvalues must have length d")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"eigenvalues must be finite, got {vals}")
         if np.any(vals < -1e-12):
             raise ValueError("eigenvalues must be non-negative")
         if abs(vals.sum() - 1.0) > 1e-10:
@@ -132,6 +134,9 @@ class MixedState:
             raise ValueError(f"eigenvalues beyond declared rank {self.rank} are non-zero")
         if self.eigenvectors.entries.shape != (self.d, self.d):
             raise ValueError("eigenvector matrix must be d x d")
+        # Written so that a NaN deviation fails too.
+        if not unitarity_deviation(self.eigenvectors.entries) <= DEFAULT_ATOL:
+            raise ValueError(f"eigenvector matrix must be unitary within {DEFAULT_ATOL}")
         object.__setattr__(self, "eigenvalues", vals)
 
     @classmethod
@@ -159,6 +164,10 @@ class Observable:
         mat = np.asarray(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("observable must be a square matrix")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("observable entries must be finite")
+        if not np.isfinite(self.frobenius_sq_bound):
+            raise ValueError(f"the bound on tr(O^2) must be finite, got {self.frobenius_sq_bound}")
         if hermiticity_deviation(mat) > 1e-9:
             raise ValueError("observable must be Hermitian")
         spectral = float(np.max(np.abs(np.linalg.eigvalsh(mat)))) if mat.size else 0.0

@@ -1,8 +1,8 @@
-"""Partitions, tableau box layouts, standard tableaux, row/column groups, the
-slot classes through which symmetrizers act as class means, built once per
-register and block set (:func:`register_classes`), and the weight classes of
-digit tuples (:func:`weight_classes`), which every grouping by weight in the
-package reads.
+"""Partitions, tableau box layouts, standard tableaux, Kostka numbers,
+row/column groups, the slot classes through which symmetrizers act as class
+means, built once per register and block set (:func:`register_classes`),
+and the weight classes of digit tuples (:func:`weight_classes`), which every
+grouping by weight in the package reads.
 
 The canonical tableau is always filled row-major: boxes are numbered left to
 right within a row, rows top to bottom. Box positions are 0-based.
@@ -85,6 +85,24 @@ def specht_dim(lam: "Partition") -> int:
         for c in range(part):
             hooks *= (part - c) + (cols[c] - r) - 1
     return math.factorial(lam.n) // hooks
+
+
+def kostka_number(lam: "Partition", weight) -> int:
+    """Kostka number K_{lam,w}: the number of semistandard tableaux of shape
+    lam and content w. K does not change when w is rearranged, so w is sorted
+    first and the cached count is shared by every rearrangement."""
+    return _kostka(lam.parts, tuple(sorted((int(w) for w in weight if w), reverse=True)))
+
+
+@lru_cache(maxsize=1 << 12)
+def _kostka(parts: tuple[int, ...], weight: tuple[int, ...]) -> int:
+    """K with the boxes of the last symbol removed, a horizontal strip of
+    weight[-1] boxes: summed over the shapes mu, zeros kept, with
+    parts[r + 1] <= mu[r] <= parts[r] and weight[-1] boxes fewer."""
+    if not weight:
+        return int(not any(parts))
+    ranges = [range(low, high + 1) for high, low in zip(parts, parts[1:] + (0,))]
+    return sum(_kostka(mu, weight[:-1]) for mu in itertools.product(*ranges) if sum(parts) - sum(mu) == weight[-1])
 
 
 def _bounded_partitions(remaining: int, max_part: int, slots: int):

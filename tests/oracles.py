@@ -35,12 +35,12 @@ protocol's segments on the whole (d^n', rest) matrix, the reference for the
 factored segments of ``protocol.population_shadow``,
 ``save_basis_records`` writes a basis file one ``struct`` record at a time,
 the reference for the file layout of ``basis.save_basis``, and
-``write_v1_file`` writes a file of the retired format version 1.
+``write_old_format_file`` writes a file of the retired format version 1
+or 2.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import struct
@@ -193,10 +193,11 @@ def standard_tableaux_count(parts: tuple[int, ...]) -> int:
 
 
 def brute_force_partitions(n: int, d: int) -> list[tuple[int, ...]]:
-    """All partitions of n with at most d parts via exhaustive search."""
+    """All partitions of n with at most d parts via exhaustive search over
+    the non-increasing d-tuples of 0..n."""
     found = set()
-    for cuts in itertools.product(range(n + 1), repeat=d):
-        if sum(cuts) == n and all(a >= b for a, b in zip(cuts, cuts[1:])):
+    for cuts in itertools.combinations_with_replacement(range(n, -1, -1), d):
+        if sum(cuts) == n:
             found.add(tuple(p for p in cuts if p))
     return sorted(found, reverse=True)
 
@@ -348,9 +349,7 @@ def edited_basis(basis, lam: Partition, i: int, edit):
     column = {(k, j): c for c, (owner, k, j) in enumerate(piece.keys.tolist()) if owner == b}
     matrix = piece.matrix.copy()
     edit(matrix, column)
-    slices = {**basis.slices, w: dataclasses.replace(piece, matrix=matrix)}
-    blocks = {key: dataclasses.replace(block, slices=slices) for key, block in basis.blocks.items()}
-    return type(basis)(basis.d, basis.n, blocks, slices)
+    return type(basis)(basis.d, basis.n, {**basis.matrices, w: matrix})
 
 
 def rotate(first, second, angle=0.3):
@@ -634,31 +633,30 @@ def population_shadow_dense(basis, state: PureState, epsilon: float, rng):
 
 
 def save_basis_records(basis, path) -> None:
-    """A basis file written one ``struct`` record at a time: the block
-    headers, then each weight slice's matrix entry by entry, row-major."""
+    """A basis file written one ``struct`` record at a time: the header, then
+    each weight slice's matrix entry by entry, row-major."""
     body = bytearray()
-    for lam, block in basis.blocks.items():
-        body += struct.pack("<I", len(lam.parts))
-        body += struct.pack(f"<{len(lam.parts)}I", *lam.parts)
-        body += struct.pack("<II", block.dim_q, block.dim_p)
-        for w in block.weight_of_i:
-            body += struct.pack(f"<{basis.d}I", *w)
     for piece in basis.slices.values():
         rows, cols = piece.matrix.shape
-        body += struct.pack("<II", rows, cols)
         for r in range(rows):
             for c in range(cols):
                 body += struct.pack("<d", float(piece.matrix[r, c]))
-    header = b"SCHB" + struct.pack("<IIIII", FORMAT_VERSION, basis.d, basis.n, len(basis.blocks), zlib.crc32(bytes(body)))
+    header = b"SCHB" + struct.pack("<IIII", FORMAT_VERSION, basis.d, basis.n, zlib.crc32(bytes(body)))
     with open(path, "wb") as fh:
         fh.write(header + bytes(body))
 
 
-def write_v1_file(path) -> None:
-    """The d = 2, n = 1 basis in the retired format version 1: per vector a
-    u64 count, then (u64 index, f64 re, f64 im) records."""
+def write_old_format_file(path, version: int) -> None:
+    """The d = 2, n = 1 basis in a retired format, 1 or 2: after the magic,
+    version, d, n, block count and CRC32 as u32, the block header of (1)
+    (part count, part, dim_q, dim_p, the weights of i), then per vector a u64
+    count and (u64 index, f64 re, f64 im) records (version 1), or per weight
+    slice its u32 shape and f64 entries (version 2)."""
     body = struct.pack("<I", 1) + struct.pack("<I", 1) + struct.pack("<II", 2, 1) + struct.pack("<4I", 1, 0, 0, 1)
     for index in (0, 1):
-        body += struct.pack("<Q", 1) + struct.pack("<Qdd", index, 1.0, 0.0)
+        if version == 1:
+            body += struct.pack("<Q", 1) + struct.pack("<Qdd", index, 1.0, 0.0)
+        else:
+            body += struct.pack("<II", 1, 1) + struct.pack("<d", 1.0)
     with open(path, "wb") as fh:
-        fh.write(b"SCHB" + struct.pack("<IIIII", 1, 2, 1, 1, zlib.crc32(body)) + body)
+        fh.write(b"SCHB" + struct.pack("<IIIII", version, 2, 1, 1, zlib.crc32(body)) + body)

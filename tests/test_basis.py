@@ -23,7 +23,7 @@ from oracles import (
     verify_per_slice,
     weight_of,
     weights_brute_force,
-    write_v1_file,
+    write_old_format_file,
 )
 from schur_shadows import basis as basis_mod
 from schur_shadows.basis import (
@@ -259,29 +259,19 @@ class TestVerifyBatches:
 
 
 def write_bad_shape_file(path) -> None:
-    """A d = 2, n = 2 basis file whose weight-(1, 1) slice claims to be 1 x 4
-    (the same 32 bytes as 2 x 2), re-checksummed."""
+    """A d = 2, n = 2 basis file with one f64 entry too many after the last
+    slice, re-checksummed: 7 entries, where the slices of weights (2, 0),
+    (1, 1) and (0, 2) take multinom(2; w)^2 = 1 + 4 + 1 = 6."""
     save_basis(build_basis(2, 2), path)
-    raw = bytearray(path.read_bytes())
-    # The last two slices: weight (1, 1), 2 x 2 and 4 entries; weight (0, 2), 1 x 1 and 1 entry.
-    shape = len(raw) - (8 + 8) - 4 * 8 - 8
-    assert struct.unpack("<II", raw[shape : shape + 8]) == (2, 2)
-    raw[shape : shape + 8] = struct.pack("<II", 1, 4)
-    raw[20:24] = struct.pack("<I", zlib.crc32(bytes(raw[24:])))
+    raw = bytearray(path.read_bytes()) + struct.pack("<d", 0.0)
+    assert len(raw) == 20 + 7 * 8
+    raw[16:20] = struct.pack("<I", zlib.crc32(bytes(raw[20:])))
     path.write_bytes(bytes(raw))
 
 
-def write_relabelled_block_file(path) -> None:
-    """A d = 2, n = 3 basis file whose (2,1) block header names (2,2), a
-    partition of 4, re-checksummed. Its sizes and slices are unchanged."""
-    save_basis(build_basis(2, 3), path)
-    raw = bytearray(path.read_bytes())
-    # After the 24-byte header, block (3) takes 48 bytes: its part count, part,
-    # dim_q, dim_p and 4 weights; then block (2,1)'s part count and parts.
-    assert struct.unpack("<III", raw[72:84]) == (2, 2, 1)
-    raw[80:84] = struct.pack("<I", 2)
-    raw[20:24] = struct.pack("<I", zlib.crc32(bytes(raw[24:])))
-    path.write_bytes(bytes(raw))
+def write_header(path, d: int, n: int, body: bytes = b"", version: int = 3) -> None:
+    """A basis file of ``body`` under a header for (d, n), checksum right."""
+    path.write_bytes(b"SCHB" + struct.pack("<IIII", version, d, n, zlib.crc32(body)) + body)
 
 
 def _random_state(d: int, n: int, seed: int) -> PureState:
@@ -493,56 +483,60 @@ class TestPersistence:
         assert (tmp_path / "a.schb").read_bytes() == (tmp_path / "b.schb").read_bytes()
 
     def test_slice_shape_disagrees_with_multinom(self, tmp_path):
+        # (d, n) fixes every slice's shape, so only the body's length can
+        # disagree: one entry over, then one entry short, checksums fixed.
         path = tmp_path / "bad.schb"
         write_bad_shape_file(path)
-        with pytest.raises(BasisCacheError, match=r"malformed file: the slice of weight \(1, 1\) is 1 x 4, but multinom\(n; w\) = 2"):
+        with pytest.raises(BasisCacheError, match=r"the body holds 56 bytes, but the slices of d=2, n=2 take 8 sum_w multinom\(n; w\)\^2 = 48"):
             load_basis(path)
-
-    def test_block_list_must_be_the_partitions(self, tmp_path):
-        path = tmp_path / "relabelled.schb"
-        write_relabelled_block_file(path)
-        with pytest.raises(BasisCacheError, match=r"block 1 is \(2,2\), but the blocks must be the partitions of n=3"):
-            load_basis(path)
-
-    def test_dim_p_must_be_f_lambda(self, tmp_path):
-        # d=2, n=2: block (2) claims dim_q = 1 and dim_p = 3, block (1,1) is
-        # as built, so the file holds 4 = d^n vectors in slices of the right
-        # shapes; but f^(2) = 1.
-        body = bytearray()
-        for parts, dim_q, dim_p in (((2,), 1, 3), ((1, 1), 1, 1)):
-            body += struct.pack(f"<I{len(parts)}I", len(parts), *parts)
-            body += struct.pack("<II", dim_q, dim_p)
-            body += struct.pack("<II", 1, 1)  # weight (1, 1)
-        for size in (1, 2, 1):
-            body += struct.pack("<II", size, size)
-            body += np.eye(size).astype("<f8").tobytes()
-        path = tmp_path / "bad.schb"
-        path.write_bytes(b"SCHB" + struct.pack("<IIIII", 2, 2, 2, 2, zlib.crc32(bytes(body))) + bytes(body))
-        with pytest.raises(BasisCacheError, match=r"block \(2\) has dim_p = 3, but f\^lam = 1"):
+        write_header(path, 2, 2, path.read_bytes()[20:-16])
+        with pytest.raises(BasisCacheError, match=r"the body holds 40 bytes, but the slices of d=2, n=2 take"):
             load_basis(path)
 
     @pytest.mark.parametrize("d,n", [(0, 3), (2, 1000), (1, 10**6)])
     def test_header_sizes_are_checked_first(self, tmp_path, d, n):
-        # Before any block is read: d = 0 used to end in an IndexError.
+        # Before any table is built: d = 0 used to end in an IndexError.
         path = tmp_path / "header.schb"
-        path.write_bytes(b"SCHB" + struct.pack("<IIIII", 2, d, n, 0, zlib.crc32(b"")))
+        write_header(path, d, n)
         with pytest.raises(BasisCacheError, match=f"no basis has d={d}, n={n}"):
             load_basis(path)
 
+    @pytest.mark.parametrize("d,n", [(2, 24), (4096, 2)])
+    def test_short_body_is_refused_before_any_table(self, tmp_path, d, n):
+        # d^n = 2^24, the largest size accepted: its digit and weight tables
+        # would take hundreds of MB or more, and a body of 8 d^n bytes 128 MB.
+        path = tmp_path / "short.schb"
+        write_header(path, d, n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BasisCacheError, match=r"the body holds 0 bytes, fewer than 8 d\^n = 134217728"):
+                load_basis(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_v1_file_is_refused(self, tmp_path):
         path = tmp_path / "old.schb"
-        write_v1_file(path)
+        write_old_format_file(path, 1)
         with pytest.raises(BasisCacheError, match="format version 1"):
+            load_basis(path)
+
+    def test_v2_file_is_refused(self, tmp_path):
+        path = tmp_path / "old.schb"
+        write_old_format_file(path, 2)
+        with pytest.raises(BasisCacheError, match="format version 2"):
             load_basis(path)
 
     def test_v2_file_is_at_most_half_of_v1(self, basis_for, tmp_path):
         # Version 1 stored a u64 index and a complex amplitude per nonzero
-        # entry; version 2 stores each slice's real entries, zeros included.
+        # entry; versions 2 and 3 store each slice's real entries, zeros
+        # included, and version 3 nothing else after its 20-byte header.
         basis = basis_for(4, 5)
         save_basis(basis, tmp_path / "b.schb")
         v1 = sum(8 + 24 * vec.indices.size for block in basis.blocks.values() for vec in block.vectors.values())
-        v2 = (tmp_path / "b.schb").stat().st_size
-        assert v2 <= v1 / 2 and v2 >= 8 * sum(p.matrix.size for p in basis.slices.values())
+        v3 = (tmp_path / "b.schb").stat().st_size
+        assert v3 <= v1 / 2 and v3 == 20 + 8 * sum(p.matrix.size for p in basis.slices.values())
 
     def test_truncated_file_fails_checksum(self, basis_for, tmp_path):
         path = tmp_path / "b.schb"
@@ -565,24 +559,6 @@ class TestPersistence:
         raw[4:8] = struct.pack("<I", 99)
         path.write_bytes(bytes(raw))
         with pytest.raises(BasisCacheError, match="version"):
-            load_basis(path)
-
-    def test_vector_count_mismatch(self, tmp_path):
-        # d=2, n=2 header, but the single block claims 5 basis vectors;
-        # the slices that follow have the right shapes.
-        body = bytearray()
-        body += struct.pack("<I", 1)  # partition (2)
-        body += struct.pack("<I", 2)
-        body += struct.pack("<II", 5, 1)  # dim_q = 5, dim_p = 1
-        for _ in range(5):
-            body += struct.pack("<II", 1, 1)  # weights (1, 1)
-        for size in (1, 2, 1):  # the slices of weights (2, 0), (1, 1) and (0, 2)
-            body += struct.pack("<II", size, size)
-            body += np.eye(size).astype("<f8").tobytes()
-        header = b"SCHB" + struct.pack("<IIIII", 2, 2, 2, 1, zlib.crc32(bytes(body)))
-        path = tmp_path / "bad.schb"
-        path.write_bytes(header + bytes(body))
-        with pytest.raises(BasisCacheError, match="count mismatch"):
             load_basis(path)
 
     def test_perturbed_amplitude_detected_by_verify(self, basis_for, tmp_path):

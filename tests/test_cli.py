@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from oracles import dense_basis_matrix, edited_basis, write_v1_file
+from oracles import dense_basis_matrix, edited_basis, write_old_format_file
 from schur_shadows.basis import load_basis, save_basis
 from schur_shadows.cli import main
 from schur_shadows.young import Partition
-from test_basis import rotated_bases, write_bad_shape_file, write_relabelled_block_file
+from test_basis import rotated_bases, write_bad_shape_file
 
 
 def write_rotated_file(path) -> None:
@@ -106,19 +106,19 @@ class TestBasisCommands:
         err = capsys.readouterr().err
         assert "check failed" in err and "multinom" in err and "Traceback" not in err
 
-    def test_verify_refuses_relabelled_block(self, tmp_path, capsys):
-        out = tmp_path / "relabelled.schb"
-        write_relabelled_block_file(out)
-        assert main(["basis", "verify", "--path", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "check failed" in err and "block 1 is (2,2)" in err and "Traceback" not in err
-
     def test_verify_refuses_v1_file(self, tmp_path, capsys):
         out = tmp_path / "old.schb"
-        write_v1_file(out)
+        write_old_format_file(out, 1)
         assert main(["basis", "verify", "--path", str(out)]) == 1
         err = capsys.readouterr().err
         assert "format version 1" in err and "Traceback" not in err
+
+    def test_verify_refuses_v2_file(self, tmp_path, capsys):
+        out = tmp_path / "old.schb"
+        write_old_format_file(out, 2)
+        assert main(["basis", "verify", "--path", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "format version 2" in err and "Traceback" not in err
 
     def test_verify_flags_perturbed_amplitude(self, tmp_path, capsys):
         out = tmp_path / "b.schb"
@@ -239,6 +239,24 @@ class TestShadowRun:
         args = self.run_args(tmp_path)
         args += ["--bound", "1.0"]  # pauli-z has tr(O^2) = 2
         assert main(args) == 2
+
+    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    def test_non_finite_bound_refused_before_run(self, tmp_path, capsys, bound):
+        # tr(O^2) > nan is false, so a NaN bound used to pass every observable
+        # and land in the summary as NaN, which is not JSON.
+        assert main(self.run_args(tmp_path) + ["--bound", bound]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists() and not (tmp_path / "run.csv.summary.json").exists()
+
+    def test_non_finite_observable_file_refused_before_run(self, tmp_path, capsys):
+        # Used to run every trial and exit 1 with a NaN truth.
+        spec = tmp_path / "obs.json"
+        spec.write_text(json.dumps({"matrix": [[float("nan"), 0.0], [0.0, -1.0]], "frobenius_sq_bound": 2.0}))
+        args = self.run_args(tmp_path)
+        args[args.index("--observable") + 1] = f"@{spec}"
+        assert main(args) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "run.csv").exists()
 
     def test_builds_no_basis(self, tmp_path, monkeypatch):
         for name in ("schur_basis_completion", "build_basis"):

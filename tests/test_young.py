@@ -9,6 +9,7 @@ from oracles import (
     brute_force_partitions,
     digit_tuples_brute_force,
     encode_basis,
+    semistandard_tableaux_count,
     standard_tableaux_count,
     weight_of,
     weights_brute_force,
@@ -21,6 +22,7 @@ from schur_shadows.young import (
     Partition,
     column_group,
     kappa_product,
+    kostka_number,
     majorizes,
     partitions_of,
     row_group,
@@ -28,6 +30,7 @@ from schur_shadows.young import (
     standard_tableaux,
     symmetric_dim,
     weight_classes,
+    weyl_dim,
 )
 
 
@@ -274,6 +277,18 @@ class TestWeights:
             for parts in brute_force_partitions(n, n):
                 lam = Partition(parts)
                 assert specht_dim(lam) == standard_tableaux_count(parts) == len(standard_tableaux(lam)), parts
+
+    def test_kostka_number_counts_semistandard_tableaux(self):
+        # Every weight of at most 4 parts, as a 4-tuple with zeros; the
+        # weights of d symbols then sum to the U(d) irrep's dimension.
+        for n in range(1, 8):
+            weights = weights_brute_force(n, 4)
+            for parts in brute_force_partitions(n, 4):
+                lam = Partition(parts)
+                for w in weights:
+                    assert kostka_number(lam, w) == semistandard_tableaux_count(parts, w), (parts, w)
+                for d in range(len(parts), 5):
+                    assert sum(kostka_number(lam, w) for w in weights_brute_force(n, d)) == weyl_dim(lam, d), (parts, d)
 
     def test_symmetric_dims(self):
         assert symmetric_dim(2, 2) == 3

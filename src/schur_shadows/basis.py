@@ -26,9 +26,10 @@ It works on the measured rows of a (d^n, rest) matrix, so a segment of a
 larger joint state is measured without reshaping the rest away.
 
 The whole basis serves the joint-state path and ``basis build``/``verify``.
-The product-input path reads stage 1 only: its law depends on the ``j = 0``
-layer through whole weight blocks, whatever orthonormal basis of each
-block stage 1 picks.
+The product-input path reads stage 1 and the layout only: its law depends
+on the ``j = 0`` layer through whole weight blocks, whatever orthonormal
+basis of each block stage 1 picks. Both readers of stage 1 hold it to the
+layout with one check, :func:`check_stage1`.
 """
 
 from __future__ import annotations
@@ -236,7 +237,9 @@ def _layout(d: int, n: int):
     b's (lam, i) run through the weights in order, K_{lam,w} of each."""
     rows = _weight_rows(d, n)
     lams = partitions_of(n, d)
-    kostka = np.array([[kostka_number(lam, w) for w in rows] for lam in lams], dtype=np.int64)
+    # K is the same for every rearrangement of a weight: one count per decreasing weight.
+    tops, back = np.unique(-np.sort(-np.array(list(rows)), axis=1), axis=0, return_inverse=True)
+    kostka = np.array([[kostka_number(lam, top) for top in tops] for lam in lams], dtype=np.int64)[:, back.ravel()]
     dim_p = np.array([specht_dim(lam) for lam in lams], dtype=np.int64)
     dim_q = kostka.sum(axis=1)
     # One run of vectors per outcome (b, j), outcomes in order, i increasing in a run.
@@ -368,6 +371,28 @@ def build_q_bases(d: int, n: int) -> dict[Partition, list[ImageBlock]]:
     return out
 
 
+def check_stage1(d: int, n: int, q_bases: dict[Partition, list[ImageBlock]]) -> None:
+    """Refuse, with :class:`SpanExtractionError`, a stage 1 other than the
+    one :func:`_layout` labels: its partitions must be :func:`partitions_of`'s,
+    in order, and each partition lam's images must be one per weight w with
+    K_{lam,w} > 0, in weight order, of K_{lam,w} columns each. A wrong count
+    is named by lam and the first weight in weight order that has it."""
+    blocks, _ = _layout(d, n)
+    if list(q_bases) != partitions_of(n, d):
+        raise SpanExtractionError(f"stage 1's partitions are not those of {n} into at most {d} parts, in order")
+    for lam, _, weight_of_i in blocks:
+        kostka = Counter(weight_of_i)
+        found = [(image.weight, image.columns.shape[1]) for image in q_bases[lam]]
+        have = Counter(w for w, count in found for _ in range(count))
+        for w in _weight_rows(d, n):
+            if have[w] != kostka[w]:
+                raise SpanExtractionError(
+                    f"stage 1 has {have[w]} vectors of partition {lam} and weight {w}, but K = {kostka[w]}"
+                )
+        if found != list(kostka.items()):
+            raise SpanExtractionError(f"stage 1's weights of partition {lam} are not its weights in order, each once")
+
+
 # ---------------------------------------------------------------------------
 # Stage 2: the j layers from Young's natural basis
 # ---------------------------------------------------------------------------
@@ -390,23 +415,14 @@ def schur_basis_completion(d: int, n: int, q_bases: dict[Partition, list[ImageBl
     layer relabelled and signed the same way. Columns that are not, as from
     a stage 1 that picked another basis of a block, are formed directly.
 
-    The labels come from (d, n) (:func:`_layout`), so stage 1 must give
-    K_{lam,w} columns of each weight w to each partition lam; otherwise
-    :class:`SpanExtractionError` names lam and w before any layer is formed.
+    The labels come from (d, n) (:func:`_layout`), so :func:`check_stage1`
+    refuses any other stage 1 before a layer is formed.
     """
     check_dense_dim(d, n)
+    check_stage1(d, n, q_bases)
     slices, moves, place = _weight_rows(d, n), _relabellings(d, n), place_values(d, n)
     layers: dict[tuple[int, ...], list[np.ndarray]] = {w: [] for w in slices}
-    for lam, _, weight_of_i in _layout(d, n)[0]:
-        images = q_bases[lam]
-        kostka, found = Counter(weight_of_i), Counter()
-        for image in images:
-            found[image.weight] += image.columns.shape[1]
-        for w in [*slices, *found]:
-            if found[w] != kostka[w]:
-                raise SpanExtractionError(
-                    f"stage 1 has {found[w]} vectors of partition {lam} and weight {w}, but K = {kostka[w]}"
-                )
+    for lam, images in q_bases.items():
         mappings = np.array(standard_tableaux(lam), dtype=np.int64)
         dim_p = len(mappings)
         coeffs = None

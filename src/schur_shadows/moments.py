@@ -164,7 +164,6 @@ def second_moment_exact(
     tau: PureState,
     unitary: OperatorGrid | None = None,
     validate: bool = True,
-    rows: str = "all",
 ) -> np.ndarray:
     """Exact E[Psi tensor Psi] as a d^2 x d^2 matrix.
 
@@ -179,12 +178,7 @@ def second_moment_exact(
     symmetrizer product W. Each symmetrizer acts on the columns of X as a
     class mean over the :func:`register_classes` of its slot set, built once
     per (d, n, slots) for every call, and no d^(n+2)-square operator is formed.
-
-    ``rows`` selects which ordered pairs contribute: "all", "cross"
-    (j != j' only), or "diagonal" (j == j' only).
     """
-    if rows not in ("all", "cross", "diagonal"):
-        raise ValueError(f"rows must be 'all', 'cross', or 'diagonal', not {rows!r}")
     d, n = tau.d, tau.n
     # Refuse by size first, before any validation work.
     check_oracle_cap(d, n)
@@ -199,10 +193,6 @@ def second_moment_exact(
     total = np.zeros((d * d, d * d), dtype=np.complex128)
     for j in range(lam.k):
         for jp in range(lam.k):
-            if rows == "cross" and j == jp:
-                continue
-            if rows == "diagonal" and j != jp:
-                continue
             coeff = float((lam.parts[j] + d) * (lam.parts[jp] + d))
             factors = []
             for r in range(lam.k):
@@ -224,15 +214,9 @@ def second_moment_exact(
     return total
 
 
-def variance_exact(
-    lam: Partition,
-    tau: PureState,
-    unitary: OperatorGrid | None,
-    observable: np.ndarray,
-    validate: bool = True,
-) -> float:
+def variance_exact(lam: Partition, tau: PureState, unitary: OperatorGrid | None, observable: np.ndarray) -> float:
     """Var[tr(O Psi)] = tr((O tensor O) E[Psi x Psi]) - tr(O E[Psi])^2."""
-    second = second_moment_exact(lam, tau, unitary, validate=validate)
+    second = second_moment_exact(lam, tau, unitary)
     return _variance(observable, expected_shadow_exact(lam, tau, unitary, validate=False), second)
 
 

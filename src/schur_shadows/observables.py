@@ -63,11 +63,11 @@ def make_observable(spec: str, d: int, rng: RngStream, frobenius_sq_bound: float
     """Dispatch an observable spec: a generator name or ``@file.json``.
 
     Recognized names: ``pauli-z``, ``off-diagonal``, ``projector`` or
-    ``projector:<rank>`` (default rank d // 2).
+    ``projector:<rank>`` (default rank d // 2). A loaded matrix must be d x d.
     """
     if spec.startswith("@"):
-        return load_observable_json(spec[1:], frobenius_sq_bound)
-    if spec == "pauli-z":
+        out = load_observable_json(spec[1:], frobenius_sq_bound)
+    elif spec == "pauli-z":
         out = pauli_z_observable(d)
     elif spec == "off-diagonal":
         out = off_diagonal_observable(d)
@@ -78,6 +78,8 @@ def make_observable(spec: str, d: int, rng: RngStream, frobenius_sq_bound: float
         out = random_projector_observable(d, rank, rng)
     else:
         raise ValueError(f"unknown observable spec {spec!r}")
+    if out.d != d:
+        raise ValueError(f"{spec} gives a {out.d} x {out.d} matrix, expected {d} x {d}")
     if frobenius_sq_bound is not None:
         # re-validate against the caller's declared bound
         out = Observable(out.matrix, frobenius_sq_bound)

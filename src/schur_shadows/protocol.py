@@ -31,12 +31,15 @@ Two front ends run the segments:
   f^lam the number of standard tableaux of shape lam. The average runs over
   a whole weight block, so the law does not depend on which orthonormal
   basis of the block's j = 0 layer is used, and only that layer, stage 1 of
-  the basis build (:func:`build_q_bases`), is built. Since the POVM is
-  linear in the state, the segment's outcome has the law of the POVM on the
-  drawn vector. The draw table and the row-1 laws of the (lam, i, 0)
-  vectors in Dicke coordinates are built once per (d, n') and cached; an
-  estimate then draws all segments of one partition in one POVM pass, so
-  it does no d^n'-sized work.
+  the basis build (:func:`build_q_bases`), is built. That is one uniform
+  draw among the columns (lam, i, j) of the weight-w slice, so the draw
+  table maps each column, in (lam, i, j) order, to its (lam, i), both read
+  off the basis layout that labels stage 1 (:func:`check_stage1`). Since the
+  POVM is linear in the state, the segment's outcome has the law of the
+  POVM on the drawn vector. The draw table and the row-1 laws of the
+  (lam, i, 0) vectors in Dicke coordinates are built once per (d, n') and
+  cached; an estimate then draws all segments of one partition in one POVM
+  pass, so it does no d^n'-sized work.
 
 Both front ends draw the POVM with one sampler, :func:`_povm_sample`, which
 takes L states and a sample count for each. Row r has lam_r boxes on the
@@ -77,7 +80,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import SchurBasis, build_q_bases, schur_measure
+from .basis import SchurBasis, _layout, build_q_bases, check_stage1, schur_measure
 from .qudit import (
     DEFAULT_ATOL,
     MAX_DENSE_DIM,
@@ -85,13 +88,14 @@ from .qudit import (
     OperatorGrid,
     PureState,
     RngStream,
+    check_dense_dim,
     haar_unitary,
     haar_unitary_batch,
     hermiticity_deviation,
     place_values,
     unitarity_deviation,
 )
-from .young import Partition, SlotClasses, partitions_of, specht_dim, symmetric_dim, weight_classes, weyl_dim
+from .young import Partition, SlotClasses, partitions_of, symmetric_dim, weight_classes, weyl_dim
 
 logger = logging.getLogger(__name__)
 
@@ -689,16 +693,16 @@ class _ProductTable:
     """What the product path draws from at one (d, n'), built by :func:`_product_table`.
 
     Entry e is the stage-1 vector |(lam, i, 0)> of partition ``lams[block_of[e]]``;
-    entries come in partition order, then by i. Sorted stably by the weight
-    class of their weight w, entry ``by_class[k]`` spans the f^lam draw
-    positions below ``ends[k]``, so class c spans its multinom(n'; w)
-    positions from ``classes.starts[c]`` on. ``first_rows[b]`` is row 1's law
-    over partition b's (lam, i, 0) vectors in Dicke coordinates, law i for i.
+    entries come in partition order, then by i. Position p of weight class c,
+    counted from ``classes.starts[c]``, is column p of that weight's V_w with
+    its columns ordered by (lam, i, j), so ``entry[classes.starts[c] + p]``
+    is its (lam, i): each (lam, i) of weight w holds f^lam positions of w's
+    multinom(n'; w). ``first_rows[b]`` is row 1's law over partition b's
+    (lam, i, 0) vectors in Dicke coordinates, law i for i.
     """
 
     classes: SlotClasses
-    ends: np.ndarray
-    by_class: np.ndarray
+    entry: np.ndarray
     block_of: np.ndarray
     lams: tuple[Partition, ...]
     first_rows: tuple[_RowLaw, ...]
@@ -720,35 +724,29 @@ def _product_table_entries(d: int, n: int) -> int:
 
 @lru_cache(maxsize=16)
 def _product_table(d: int, n: int) -> _ProductTable:
-    """The :class:`_ProductTable` of segment size n, from :func:`build_q_bases` alone.
+    """The :class:`_ProductTable` of segment size n, from :func:`build_q_bases`
+    and the labels of :func:`_layout`.
 
-    Raises :class:`CapExceededError` before any stage-1 work when the row-1
-    laws would hold more than ``MAX_DENSE_DIM`` complex entries, and
-    ``ValueError`` unless every weight w has sum_lam f^lam K_{lam,w} =
-    multinom(n; w), counted in exact integers; a refused table is not cached.
+    Raises :class:`CapExceededError` before any stage-1 work or d^n-sized
+    table when the row-1 laws would hold more than ``MAX_DENSE_DIM`` complex
+    entries or d^n exceeds it, and :class:`SpanExtractionError` when
+    :func:`check_stage1` refuses stage 1; a refused table is not cached.
     """
     entries = _product_table_entries(d, n)
     if entries > MAX_DENSE_DIM:
         raise CapExceededError(
             f"the product table at d={d}, n'={n} would hold {entries} complex entries, over the cap {MAX_DENSE_DIM}"
         )
-    classes, weights = weight_classes(d, n)
-    class_of = {w: c for c, w in enumerate(map(tuple, weights.tolist()))}
+    check_dense_dim(d, n)
+    blocks, labels = _layout(d, n)
     stage1 = build_q_bases(d, n)
-    entries = [
-        (class_of[image.weight], b, specht_dim(lam))
-        for b, (lam, images) in enumerate(stage1.items())
-        for image in images
-        for _ in range(image.columns.shape[1])
-    ]
-    klass, block_of, f = np.array(entries, dtype=np.int64).T
-    sizes = np.zeros_like(classes.counts)
-    np.add.at(sizes, klass, f)
-    if not np.array_equal(sizes, classes.counts):
-        c = int(np.argmax(sizes != classes.counts))
-        weight, want = tuple(weights[c].tolist()), classes.counts[c]
-        raise ValueError(f"stage 1 has {sizes[c]} vectors of weight {weight} (f^lam each), expected {want}")
-    by_class = np.argsort(klass, kind="stable")
+    check_stage1(d, n, stage1)
+    lams, _, weight_of_i = zip(*blocks)
+    sizes = list(map(len, weight_of_i))
+    block_of = np.repeat(np.arange(len(sizes)), sizes)
+    first_i = np.cumsum(sizes) - sizes
+    # Sorted, the (lam, i) of a slice's columns are in (lam, i, j) order.
+    entry = np.concatenate([np.sort(first_i[keys[:, 0]] + keys[:, 1]) for keys, _ in labels.values()])
     first_rows = []
     step = max(1, _CHUNK_ENTRIES // d**n)
     for lam, images in stage1.items():
@@ -761,7 +759,7 @@ def _product_table(d: int, n: int) -> _ProductTable:
                 row[indices, 0] = col
             states.append(_dicke_tensor(lam, d, dense))
         first_rows.append(_RowLaw.of(np.concatenate(states), lam.parts[0]))
-    return _ProductTable(classes, np.cumsum(f[by_class]), by_class, block_of, tuple(stage1), tuple(first_rows))
+    return _ProductTable(weight_classes(d, n)[0], entry, block_of, lams, tuple(first_rows))
 
 
 def shadow_from_population(
@@ -778,7 +776,7 @@ def shadow_from_population(
 
     1. each segment draws one of the multinom(n'; w) positions of its
        weight's class, found by the index of its digits, and takes the
-       (lam, i) whose f^lam positions hold it;
+       (lam, i) that the table gives that position (f^lam positions each);
     2. the POVM runs once per partition lam, on all its |(lam, i, 0)> at
        once, with the number of segments that drew (lam, i) as the sample
        count of state i. |(lam, i, 0)> is a weight vector, so its first row
@@ -809,7 +807,7 @@ def _product_shadow(unitary: OperatorGrid, digits, t_segments: int, seg_size: in
     draws = rng.child(0).gen
     seg_class = table.classes.inverse[seg_digits @ place_values(d, seg_size)]
     position = table.classes.starts[seg_class] + draws.integers(table.classes.counts[seg_class])
-    entry = table.by_class[np.searchsorted(table.ends, position, side="right")]
+    entry = table.entry[position]
     hits = np.bincount(entry, minlength=len(table.block_of))
     partitions = [table.lams[b].parts for b in table.block_of[entry].tolist()]
     # Only the counts per entry and the partitions stay through the POVM passes.

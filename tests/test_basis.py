@@ -146,6 +146,24 @@ class TestCompletion:
         for piece in basis.slices.values():
             assert not np.signbit(piece.matrix[piece.matrix == 0.0]).any()
 
+    def test_stage_one_is_checked_against_the_layout(self):
+        # One check serves stage 2 and the product path: a stage 1 whose
+        # partitions, weights or counts are not the layout's is refused.
+        real = build_q_bases(3, 3)
+        lam = Partition((2, 1))
+        basis_mod.check_stage1(3, 3, real)
+        with pytest.raises(basis_mod.SpanExtractionError, match="partitions are not those of 3"):
+            basis_mod.check_stage1(3, 3, dict(reversed(real.items())))
+        # K_{(2,1),(1,1,1)} = 2: its two columns as two images of one weight.
+        images = list(real[lam])
+        k = next(k for k, image in enumerate(images) if image.weight == (1, 1, 1))
+        split = [basis_mod.ImageBlock(images[k].weight, images[k].indices, images[k].columns[:, [c]]) for c in (0, 1)]
+        with pytest.raises(basis_mod.SpanExtractionError, match=r"partition \(2,1\) are not its weights in order"):
+            basis_mod.check_stage1(3, 3, {**real, lam: images[:k] + split + images[k + 1 :]})
+        message = r"4 vectors of partition \(2,1\) and weight \(1, 1, 1\), but K = 2"
+        with pytest.raises(basis_mod.SpanExtractionError, match=message):
+            basis_mod.check_stage1(3, 3, {**real, lam: images[:k] + split + images[k:]})
+
     def test_base_case_weights_differ(self, basis_for):
         # vector (0, 0) owns its weight: no other i shares it
         for d, n in [(2, 4), (3, 3), (3, 4)]:

@@ -380,6 +380,14 @@ class TestProductTableCap:
         assert main(args + ["--out", str(tmp_path / "bench.csv")]) == 3
         assert "product table" in capsys.readouterr().err
 
+    def test_d_power_n_refused_before_any_table(self, tmp_path, monkeypatch, capsys):
+        # epsilon 10 gives T = 1, so n' = 25 at d = 2: 18,200 row-1 entries,
+        # under their cap, but a (2^25, 25) digit table would take 6.7 GB.
+        monkeypatch.setattr("schur_shadows.young.digit_table", refuse)
+        args = ["shadow", "run", "--d", "2", "--n", "25", "--rank", "2", "--epsilon", "10", "--trials", "1"]
+        assert main(args + ["--out", str(tmp_path / "run.csv")]) == 3
+        assert "2**25" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_scaling_csv(self, tmp_path):
@@ -419,6 +427,29 @@ class TestBenchCommand:
 
     def test_empty_grid(self, tmp_path):
         assert main(["bench", "scaling", "--t-grid", "", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["shadow", "run", "--d", "3", "--n", "60", "--rank", "2", "--epsilon", "1.2", "--trials", "2"],
+        ["bench", "scaling", "--t-grid", "4", "--d", "3", "--trials", "2"],
+        ["oracle", "--d", "3", "--lambda", "2,1", "--samples", "10"],
+    ],
+    ids=["shadow-run", "bench-scaling", "oracle"],
+)
+def test_observable_file_of_wrong_size_is_a_config_error(args, tmp_path, monkeypatch, capsys):
+    # A 2 x 2 matrix at d = 3 used to end in a numpy shape error (exit 1),
+    # for the oracle only after every exact moment and Monte Carlo sample.
+    for name in ("protocol._product_table", "basis.build_q_bases"):
+        monkeypatch.setattr(f"schur_shadows.{name}", refuse)
+    spec = tmp_path / "obs.json"
+    spec.write_text(json.dumps({"matrix": [[1.0, 0.0], [0.0, -1.0]], "frobenius_sq_bound": 2.0}))
+    flag = "--obs" if args[0] == "oracle" else "--observable"
+    out = [] if args[0] == "oracle" else ["--out", str(tmp_path / "out.csv")]
+    assert main(args + [flag, f"@{spec}"] + out) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "expected 3 x 3" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -149,16 +149,14 @@ class TestSecondMoment:
     def test_matches_dense_reference(self, d, n, protocol_state_for):
         # The dense reference multiplies d^(n+2)-square symmetrizers built
         # from slot permutations. Its "all" sum is the "cross" sum plus the
-        # "diagonal" sum term by term, so it is computed once per mode.
+        # "diagonal" sum term by term (test_row_split_sums_to_total).
         haar = haar_unitary(d, RngStream(930 + d))
         for lam in partitions_of(n, d):
             tau, _ = protocol_state_for(lam, d, 931)
             for unitary in (None, haar):
-                cross = second_moment_dense(lam, tau, unitary, "cross")
-                diagonal = second_moment_dense(lam, tau, unitary, "diagonal")
-                for rows, want in (("cross", cross), ("diagonal", diagonal), ("all", cross + diagonal)):
-                    got = second_moment_exact(lam, tau, unitary, rows=rows)
-                    assert np.max(np.abs(got - want)) < 1e-12, (lam, rows, unitary is None)
+                want = second_moment_dense(lam, tau, unitary, "all")
+                got = second_moment_exact(lam, tau, unitary)
+                assert np.max(np.abs(got - want)) < 1e-12, (lam, unitary is None)
 
 
 class TestVariance:
@@ -196,7 +194,7 @@ class TestVariance:
         for d, parts in [(2, (3, 1)), (2, (2, 2)), (3, (2, 1, 1)), (3, (2, 2))]:
             lam = Partition(parts)
             tau, _ = protocol_state_for(lam, d, 52 + lam.n)
-            cross = second_moment_exact(lam, tau, None, rows="cross")
+            cross = second_moment_dense(lam, tau, None, "cross")
             first = expected_shadow_exact(lam, tau, None, validate=False)
             for obs in (PAULI_Z, PAULI_X):
                 full = np.zeros((d, d), dtype=complex)
@@ -208,12 +206,13 @@ class TestVariance:
         assert fitted <= 4.0
 
     def test_row_split_sums_to_total(self, protocol_state_for):
+        # The dense reference's cross and diagonal row pairs sum to its total
+        # and to the package's.
         lam = Partition((2, 1))
         tau, _ = protocol_state_for(lam, 2, 53)
         total = second_moment_exact(lam, tau)
-        split = second_moment_exact(lam, tau, rows="cross") + second_moment_exact(
-            lam, tau, rows="diagonal"
-        )
+        split = second_moment_dense(lam, tau, None, "cross") + second_moment_dense(lam, tau, None, "diagonal")
+        assert np.max(np.abs(second_moment_dense(lam, tau, None, "all") - split)) < 1e-12
         assert np.max(np.abs(total - split)) < 1e-12
 
 

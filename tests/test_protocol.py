@@ -41,7 +41,7 @@ from schur_shadows.moments import (
     second_moment_exact,
 )
 from schur_shadows import basis as basis_module
-from schur_shadows import protocol
+from schur_shadows import protocol, young
 from schur_shadows.protocol import (
     _CHUNK_ENTRIES,
     MixedState,
@@ -615,9 +615,9 @@ class TestWeightClassIdentities:
 
 
 class TestWeightTable:
-    """The product path's draw table, built from stage 1 alone, against
-    tableau counts and the law of lam given a weight, both computed by the
-    oracles, not by the package."""
+    """The product path's draw table, built from stage 1 and the basis
+    layout, against tableau counts and the law of lam given a weight, both
+    computed by the oracles, not by the package."""
 
     @pytest.fixture(autouse=True)
     def cold_table(self):
@@ -637,22 +637,22 @@ class TestWeightTable:
             for _ in range(image.columns.shape[1])
         ]
         assert [table.lams[b] for b in table.block_of.tolist()] == [lam for lam, _ in owner]
-        assert sorted(table.by_class.tolist()) == list(range(len(owner)))
-        spans = np.diff(np.concatenate(([0], table.ends)))
+        assert len(table.entry) == d**n and set(table.entry.tolist()) == set(range(len(owner)))
         classes = table.classes
         for w in weights_brute_force(n, d):
             multinom = math.factorial(n) // math.prod(math.factorial(x) for x in w)
             # The class of the reversed sorted tuple: its largest member.
             c = classes.inverse[encode_basis([s for s in reversed(range(d)) for _ in range(w[s])], d)]
-            start, stop = classes.starts[c], classes.starts[c] + classes.counts[c]
-            group = np.flatnonzero((table.ends > start) & (table.ends <= stop))
-            assert table.ends[group[-1]] == stop and spans[group].sum() == multinom, w
+            assert classes.counts[c] == multinom, w
+            held = table.entry[classes.starts[c] : classes.starts[c] + multinom].tolist()
+            # Each (lam, i) of weight w holds f^lam consecutive positions, (lam, i) increasing.
+            assert held == sorted(held), w
             mass = Counter()
-            for k in group.tolist():
-                lam, weight = owner[table.by_class[k]]
+            for e, spans in Counter(held).items():
+                lam, weight = owner[e]
                 assert weight == w
-                assert spans[k] == standard_tableaux_count(lam.parts)
-                mass[lam.parts] += spans[k]
+                assert spans == standard_tableaux_count(lam.parts)
+                mass[lam.parts] += spans
             law = lambda_given_weight(w)
             assert set(mass) == set(law), w
             assert all(abs(mass[parts] / multinom - p) < 1e-12 for parts, p in law.items()), w
@@ -694,7 +694,19 @@ class TestWeightTable:
                 shadow_from_population(OperatorGrid(np.eye(d)), (0,) * n, 1, n, RngStream(0))
         assert _product_table_entries(4, 8) <= MAX_DENSE_DIM
 
-    @pytest.mark.parametrize("fault", ["lost vector", "altered weight"])
+    def test_refuses_d_power_n_before_any_table(self, monkeypatch):
+        # (2, 25) has 18,200 row-1 entries, under their cap, but 2^25 digit
+        # tuples: a (2^25, 25) int64 digit table would take 6.7 GB.
+        def refuse(*args):
+            raise AssertionError("a d^n'-sized table was built before the refusal")
+
+        monkeypatch.setattr(young, "digit_table", refuse)
+        monkeypatch.setattr(protocol, "build_q_bases", refuse)
+        assert _product_table_entries(2, 25) <= MAX_DENSE_DIM < 2**25
+        with pytest.raises(CapExceededError, match="2\\*\\*25"):
+            shadow_from_population(OperatorGrid(np.eye(2)), (0,) * 25, 1, 25, RngStream(0))
+
+    @pytest.mark.parametrize("fault", ["lost vector", "altered weight", "swapped images"])
     def test_refuses_inconsistent_basis(self, basis_for, monkeypatch, fault):
         lam = Partition((2, 1))
         real = build_q_bases(3, 3)
@@ -703,8 +715,10 @@ class TestWeightTable:
             images = list(real[lam])
             if fault == "lost vector":
                 del images[0]  # the one vector of the largest weight
-            else:
+            elif fault == "altered weight":
                 images[0] = ImageBlock(images[1].weight, images[0].indices, images[0].columns)
+            else:
+                images[0], images[1] = images[1], images[0]  # the counts are right, the order is not
             return {**real, lam: images}
 
         class NoDraws:
@@ -717,16 +731,24 @@ class TestWeightTable:
             def gen(self):
                 raise AssertionError("a draw was made before the refusal")
 
+        def no_layers(*args):
+            raise AssertionError("stage 2 formed a layer before the refusal")
+
+        if fault == "swapped images":
+            message = r"stage 1's weights of partition \(2,1\) are not its weights in order"
+        else:
+            message = r"stage 1 has 0 vectors of partition \(2,1\) and weight \(2, 1, 0\), but K = 1"
         monkeypatch.setattr(protocol, "build_q_bases", broken_stage1)
         for _ in range(2):
-            with pytest.raises(ValueError, match="vectors of weight"):
+            with pytest.raises(SpanExtractionError, match=message):
                 shadow_from_population(OperatorGrid(np.eye(3)), (0, 1, 2) * 4, 4, 3, NoDraws())
-
-        if fault == "altered weight":
-            # The labels of a whole basis come from (d, n), so this fault can
-            # no longer be built into one: stage 2 refuses it, naming lam and w.
-            with pytest.raises(SpanExtractionError, match=r"stage 1 has 0 vectors of partition \(2,1\) and weight \(2, 1, 0\), but K = 1"):
-                schur_basis_completion(3, 3, broken_stage1(3, 3))
+        # Stage 2 refuses the same stage 1 with the same check.
+        with monkeypatch.context() as patch, pytest.raises(SpanExtractionError, match=message):
+            patch.setattr(basis_module, "standard_tableaux", no_layers)
+            schur_basis_completion(3, 3, broken_stage1(3, 3))
+        if fault != "lost vector":
+            # The labels of a whole basis come from (d, n), so these faults
+            # cannot be built into one.
             return
         # The same fault in a whole basis: schur_measure refuses it, and
         # verify reports it as failing without raising.

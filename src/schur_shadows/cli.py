@@ -442,6 +442,9 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        # Every subcommand with a --seed refuses a negative one before any work.
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ConfigError, OSError) as exc:
         # An unreadable or unwritable path is a configuration error too.

@@ -212,9 +212,14 @@ class ShadowEstimate:
 
 def sample_population_input(chi: MixedState, n: int, rng: RngStream) -> tuple[OperatorGrid, tuple[int, ...]]:
     """Draw (U, e) with e_i i.i.d. from the spectrum of chi."""
+    return chi.eigenvectors, tuple(_population_digits(chi, n, rng).tolist())
+
+
+def _population_digits(chi: MixedState, n: int, rng: RngStream) -> np.ndarray:
+    """The symbols e of :func:`sample_population_input`, as an int array."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return chi.eigenvectors, tuple(rng.gen.choice(chi.d, size=n, p=chi.eigenvalues).tolist())
+    return rng.gen.choice(chi.d, size=n, p=chi.eigenvalues)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +229,11 @@ def sample_population_input(chi: MixedState, n: int, rng: RngStream) -> tuple[Op
 #: Complex entries that the intermediates of one chunk of samples, or of one
 #: column chunk of a segment's Gram, may hold.
 _CHUNK_ENTRIES = 1 << 16
+
+#: Bytes that the product path's tables over the d^n' digit tuples may take
+#: (see :func:`_product_table`): (2, 20) and (3, 13) fit, (2, 21) and
+#: (3, 14) do not.
+_TABLE_BYTES = 1 << 28
 
 #: Eigenvalues of a segment's Gram below this fraction of the largest are
 #: rounding noise of exact zeros; the factor drops their eigenvectors.
@@ -250,6 +260,15 @@ def _dicke_map(d: int, m: int) -> tuple[SlotClasses, np.ndarray, np.ndarray]:
     sqrt_multinom = np.sqrt(classes.counts)
     sqrt_multinom.setflags(write=False)
     return classes, comps, sqrt_multinom
+
+
+@lru_cache(maxsize=64)
+def _gamma_shapes(d: int, m: int) -> np.ndarray:
+    """v + 1 for each Dicke composition v of :func:`_dicke_map`, as floats: the
+    Dirichlet shapes of a proposal. Shared by the cache, so read-only."""
+    shapes = _dicke_map(d, m)[1] + 1.0
+    shapes.setflags(write=False)
+    return shapes
 
 
 def _dicke_tensor(lam: Partition, d: int, taus: np.ndarray) -> np.ndarray:
@@ -306,6 +325,17 @@ class _RowLaw:
     rho: its M is the top eigenvalue of the X x X Gram B^dag B of
     B = D^{-1/2} states, which has the nonzero eigenvalues of
     D^{-1/2} rho D^{-1/2}, and at X = 1 it is the support size.
+
+    Construction also sets what every draw from the laws reads, so a law
+    built once (row 1 of the product table) pays for it once:
+
+    * ``cum``, law l's normalised cumulative weights shifted into
+      [l, l + 1] and raveled, so that one ``searchsorted`` of l + u picks an
+      index of law l; ``None`` for a one-box law of one column, whose pick
+      is always column 0;
+    * ``exact``: m > 1 and M <= 1 + 1e-12 for every law, so that every
+      proposal is accepted (see :func:`_sample_row`);
+    * ``every``: one-box or exact, the rows whose proposals are all accepted.
     """
 
     m: int
@@ -313,6 +343,9 @@ class _RowLaw:
     weights: np.ndarray
     bound: np.ndarray
     rho: np.ndarray | None = None
+    cum: np.ndarray | None = field(init=False)
+    exact: bool = field(init=False)
+    every: bool = field(init=False)
 
     @classmethod
     def of(cls, states: np.ndarray, m: int) -> "_RowLaw":
@@ -335,11 +368,96 @@ class _RowLaw:
             bound = np.linalg.eigvalsh(gram)[:, -1]
         return cls(m, states, weights, np.maximum(bound, 1.0), rho)
 
+    def __post_init__(self):
+        self.cum = None
+        if self.m > 1 or self.weights.shape[1] > 1:
+            cum = np.cumsum(self.weights, axis=1)
+            self.cum = (cum / cum[:, -1:] + np.arange(len(cum))[:, None]).ravel()
+        self.exact = self.m > 1 and bool(self.bound.max() <= 1.0 + 1e-12)
+        self.every = self.m == 1 or self.exact
+
     @classmethod
     def row_one(cls, lam: Partition, d: int, taus: np.ndarray) -> "_RowLaw":
         """Row 1's law over L states ``taus`` of shape (L, d^n, rest), which
         :func:`_dicke_tensor` checks and maps to Dicke coordinates."""
         return cls.of(_dicke_tensor(lam, d, taus), lam.parts[0])
+
+
+def _contract(law: _RowLaw, coeffs: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    """c = coeffs . A per proposal, with A the state of the proposal's law."""
+    if len(law.states) == 1:
+        return coeffs @ law.states[0]
+    if law.m == 1:
+        # einsum would round differently here and move the seeded
+        # outcomes of the rows after a one-box row.
+        return (coeffs[:, None, :] @ law.states[owners])[:, 0]
+    return np.einsum("pv,pvx->px", coeffs, law.states[owners])
+
+
+def _propose(law: _RowLaw, owner: np.ndarray, d: int, gen: np.random.Generator, want_rests: bool):
+    """One proposal of law ``owner[p]`` per p: (psi, phi, contracted, accept).
+
+    ``phi`` is ``None`` where nothing reads it. ``contracted``, c = phi^* A,
+    is formed for every proposal on a one-box law when ``want_rests`` is
+    true and on a narrow law with phi, and is ``None`` otherwise.
+    ``accept`` is ``None`` on a row whose proposals are all accepted.
+    """
+    size = owner.size
+    # Drawn even for a one-column law, whose pick is column 0, so that the
+    # generator's sequence does not move.
+    uniforms = gen.random(size)
+    if law.cum is not None:
+        pick = np.searchsorted(law.cum, owner + uniforms, side="right") - owner * law.weights.shape[1]
+    contracted = accept = None
+    if law.m == 1:
+        col = law.states[owner, :, 0] if law.cum is None else law.states[owner, :, pick]
+        col /= np.linalg.norm(col, axis=1, keepdims=True)
+        gauss = gen.standard_normal((size, d)) + 1j * gen.standard_normal((size, d))
+        perp = gauss - col * np.einsum("pa,pa->p", col.conj(), gauss)[:, None]
+        perp /= np.maximum(np.linalg.norm(perp, axis=1, keepdims=True), 1e-300)
+        overlap = gen.beta(2.0, d - 1.0, size)[:, None] if d > 1 else 1.0
+        phase = np.exp(2j * np.pi * gen.random((size, 1)))
+        psi = phi = np.sqrt(overlap) * phase * col + np.sqrt(1.0 - overlap) * perp
+        if want_rests:
+            contracted = _contract(law, phi.conj(), owner)
+        return psi, phi, contracted, accept
+    _, comps, sqrt_multinom = _dicke_map(d, law.m)
+    gamma = gen.standard_gamma(_gamma_shapes(d, law.m)[pick])
+    phases = np.exp(2j * np.pi * gen.random((size, d)))
+    psi = np.sqrt(gamma / gamma.sum(axis=1, keepdims=True)) * phases
+    phi = None
+    # Read by the target of a rejection row and by the contraction.
+    if want_rests or not law.exact:
+        # phi_v = sqrt(multinom) prod_a psi_a^{v_a}, from a (d, m + 1,
+        # proposals) table of powers: m - 1 multiplies, one gather per symbol.
+        powers = np.empty((d, law.m + 1, size), dtype=np.complex128)
+        powers[:, 0] = 1.0
+        powers[:, 1] = psi.T
+        for e in range(2, law.m + 1):
+            np.multiply(powers[:, e - 1], powers[:, 1], out=powers[:, e])
+        phi = powers[0, comps[:, 0]]
+        for a in range(1, d):
+            phi *= powers[a, comps[:, a]]
+        phi = (sqrt_multinom[:, None] * phi).T
+    # Drawn even when every proposal is accepted, so that the generator's
+    # sequence does not move.
+    uniforms = gen.random(size)
+    # c = phi^* A costs kappa X per proposal and phi^dag rho phi costs kappa^2:
+    # a narrow state (no rho kept) is contracted for every proposal, a wide
+    # one on accepts.
+    if law.rho is None and phi is not None:
+        contracted = _contract(law, phi.conj(), owner)
+    if not law.exact:
+        shared = len(law.states) == 1
+        if law.rho is None:
+            target = np.sum(contracted.real**2 + contracted.imag**2, axis=1)
+        else:
+            rho_phi = phi @ law.rho[0].T if shared else np.einsum("pvw,pw->pv", law.rho[owner], phi)
+            target = np.einsum("pv,pv->p", phi.conj(), rho_phi).real
+        density = phi.real**2 + phi.imag**2
+        weight = density @ law.weights[0] if shared else np.einsum("pv,pv->p", law.weights[owner], density)
+        accept = uniforms * (law.bound[owner] * weight) < target
+    return psi, phi, contracted, accept
 
 
 def _sample_row(
@@ -363,13 +481,16 @@ def _sample_row(
     so the target d <psi|rho|psi> / tr rho is the mixture, with weights
     ||a_x||^2 / tr rho, of the densities d |<a_x|psi>|^2 / ||a_x||^2. Given
     x, |<a_x|psi>|^2 / ||a_x||^2 ~ Beta(2, d - 1) and the rest of psi is
-    Haar, so every proposal is accepted.
+    Haar, so every proposal is accepted. A state of one column is its own
+    pick: its pick uniforms are drawn and not read.
 
-    When every law of the call has M <= 1 + 1e-12, rho = D on the support
-    and a proposal is accepted with probability at least 1 - kappa 1e-12, so
-    every proposal is accepted without forming the target or the proposal
-    weight. A call whose proposals are all accepted (one-box or exact) takes
-    one proposal per slot, in slot order, so it fills its slots directly.
+    When every law of the call has M <= 1 + 1e-12 (``law.exact``), rho = D
+    on the support and a proposal is accepted with probability at least
+    1 - kappa 1e-12, so every proposal is accepted without forming the
+    target or the proposal weight. On such a row, and on a one-box row
+    (``law.every``), law l takes exactly ``need[l]`` proposals, so the call
+    draws them in slot order and returns them as they are, with none of the
+    rejection loop's bookkeeping.
 
     phi is formed only where it is read: by a rejection row's target, or for
     the contraction c when ``want_rests`` is true. So an exact row without
@@ -377,97 +498,28 @@ def _sample_row(
     c. Every uniform is drawn either way, so the generator's sequence, and
     with it every outcome, does not depend on ``want_rests``.
     """
-    _, comps, sqrt_multinom = _dicke_map(d, law.m)
-    shared = len(law.states) == 1
-    exact = law.m > 1 and law.bound.max() <= 1.0 + 1e-12
-    every = law.m == 1 or exact  # every proposal is accepted
-    cum = np.cumsum(law.weights, axis=1)
-    width = cum.shape[1]
-    # Law l's normalised cumulative weights, shifted into [l, l + 1].
-    cum = (cum / cum[:, -1:] + np.arange(len(cum))[:, None]).ravel()
+    if law.every:
+        owner = np.repeat(np.arange(len(need)), need)
+        spent += owner.size
+        if spent > budget:
+            raise RejectionBudgetError(f"no POVM outcome within {budget} row draws (row of {law.m} boxes)")
+        psi, phi, rests, _ = _propose(law, owner, d, gen, want_rests)
+        if want_rests and rests is None:
+            # A C-ordered phi, as a rejection row gathers its accepts, so
+            # that the contraction rounds the same way on both kinds of row.
+            rests = _contract(law, np.ascontiguousarray(phi).conj(), owner)
+        return psi, rests, spent
     first_slot = np.cumsum(need) - need
     psis = np.empty((int(need.sum()), d), dtype=np.complex128)
     rests = np.empty((len(psis), law.states.shape[2]), dtype=np.complex128) if want_rests else None
     got = np.zeros_like(need)
-    # c = phi^* A costs kappa X per proposal and phi^dag rho phi costs kappa^2:
-    # a narrow state (no rho kept) is contracted for every proposal, a wide
-    # one on accepts. One-box proposals are all accepted.
-    narrow = law.rho is None
-
-    def contract(coeffs, owners):
-        if shared:
-            return coeffs @ law.states[0]
-        if law.m == 1:
-            # einsum would round differently here and move the seeded
-            # outcomes of the rows after a one-box row.
-            return (coeffs[:, None, :] @ law.states[owners])[:, 0]
-        return np.einsum("pv,pvx->px", coeffs, law.states[owners])
-
     live = np.arange(len(need))
     while live.size:
         pending = need[live] - got[live]
-        # M proposals per needed accept; exactly one when M = 1.
+        # M proposals per needed accept.
         reps = np.ceil(pending * law.bound[live] - 1e-6).astype(np.int64)
         owner = np.repeat(live, reps)
-        size = owner.size
-        pick = np.searchsorted(cum, owner + gen.random(size), side="right") - owner * width
-        contracted = None
-        if law.m == 1:
-            col = law.states[owner, :, pick]
-            col /= np.linalg.norm(col, axis=1, keepdims=True)
-            gauss = gen.standard_normal((size, d)) + 1j * gen.standard_normal((size, d))
-            perp = gauss - col * np.einsum("pa,pa->p", col.conj(), gauss)[:, None]
-            perp /= np.maximum(np.linalg.norm(perp, axis=1, keepdims=True), 1e-300)
-            overlap = gen.beta(2.0, d - 1.0, size)[:, None] if d > 1 else 1.0
-            phase = np.exp(2j * np.pi * gen.random((size, 1)))
-            psi = phi = np.sqrt(overlap) * phase * col + np.sqrt(1.0 - overlap) * perp
-            if want_rests:
-                contracted = contract(phi.conj(), owner)
-        else:
-            gamma = gen.standard_gamma(comps[pick] + 1.0)
-            phases = np.exp(2j * np.pi * gen.random((size, d)))
-            psi = np.sqrt(gamma / gamma.sum(axis=1, keepdims=True)) * phases
-            # Read by the target of a rejection row and by the contraction.
-            form_phi = want_rests or not exact
-            if form_phi:
-                # phi_v = sqrt(multinom) prod_a psi_a^{v_a}, from a (d, m + 1,
-                # proposals) table of powers: m - 1 multiplies, one gather per symbol.
-                powers = np.empty((d, law.m + 1, size), dtype=np.complex128)
-                powers[:, 0] = 1.0
-                powers[:, 1] = psi.T
-                for e in range(2, law.m + 1):
-                    np.multiply(powers[:, e - 1], powers[:, 1], out=powers[:, e])
-                phi = powers[0, comps[:, 0]]
-                for a in range(1, d):
-                    phi *= powers[a, comps[:, a]]
-                phi = (sqrt_multinom[:, None] * phi).T
-            # Drawn even when every proposal is accepted, so that the
-            # generator's sequence does not move.
-            uniforms = gen.random(size)
-            if narrow and form_phi:
-                contracted = contract(phi.conj(), owner)
-            if not exact:
-                if narrow:
-                    target = np.sum(contracted.real**2 + contracted.imag**2, axis=1)
-                else:
-                    rho_phi = phi @ law.rho[0].T if shared else np.einsum("pvw,pw->pv", law.rho[owner], phi)
-                    target = np.einsum("pv,pv->p", phi.conj(), rho_phi).real
-                density = phi.real**2 + phi.imag**2
-                weight = density @ law.weights[0] if shared else np.einsum("pv,pv->p", law.weights[owner], density)
-                accept = uniforms * (law.bound[owner] * weight) < target
-        if every:
-            if size == len(psis):
-                # Each law takes exactly its need, so proposal p fills slot p.
-                spent += size
-                if spent > budget:
-                    raise RejectionBudgetError(f"no POVM outcome within {budget} row draws (row of {law.m} boxes)")
-                psis[:] = psi
-                if want_rests:
-                    # A C-ordered phi, as the gather below makes, so that the
-                    # contraction rounds as it does there.
-                    rests[:] = contract(np.ascontiguousarray(phi).conj(), owner) if contracted is None else contracted
-                return psis, rests, spent
-            accept = np.ones(size, dtype=bool)
+        psi, phi, contracted, accept = _propose(law, owner, d, gen, want_rests)
         # Rank of each proposal among the accepts of its law in this round.
         accepted = np.cumsum(accept)
         group_start = np.cumsum(reps) - reps
@@ -481,7 +533,7 @@ def _sample_row(
         slots = first_slot[own] + got[own] + rank[taken] - 1
         psis[slots] = psi[taken]
         if want_rests:
-            rests[slots] = contract(phi[taken].conj(), own) if contracted is None else contracted[taken]
+            rests[slots] = _contract(law, phi[taken].conj(), own) if contracted is None else contracted[taken]
         got += np.bincount(own, minlength=len(need))
         live = np.nonzero(got < need)[0]
     return psis, rests, spent
@@ -550,7 +602,7 @@ def _povm_sample(
     for start in range(0, total, chunk):
         size = min(chunk, total - start)
         # Each state's share of slots start .. start + size - 1.
-        need = np.maximum(np.minimum(ends, start + size) - np.maximum(firsts, start), 0)
+        need = counts if size == total else np.maximum(np.minimum(ends, start + size) - np.maximum(firsts, start), 0)
         out, state, spent = _sample_row(first, need, d, gen, spent, budget, want_rests or lam.k > 1)
         psis[start : start + size, 0] = out
         for r in range(1, lam.k):
@@ -698,7 +750,9 @@ class _ProductTable:
     its columns ordered by (lam, i, j), so ``entry[classes.starts[c] + p]``
     is its (lam, i): each (lam, i) of weight w holds f^lam positions of w's
     multinom(n'; w). ``first_rows[b]`` is row 1's law over partition b's
-    (lam, i, 0) vectors in Dicke coordinates, law i for i.
+    (lam, i, 0) vectors in Dicke coordinates, law i for i. ``parts[b]`` is
+    ``lams[b].parts``, in an object array, so that one gather lists the
+    partitions of an estimate's segments.
     """
 
     classes: SlotClasses
@@ -706,6 +760,7 @@ class _ProductTable:
     block_of: np.ndarray
     lams: tuple[Partition, ...]
     first_rows: tuple[_RowLaw, ...]
+    parts: np.ndarray
 
 
 def _product_table_entries(d: int, n: int) -> int:
@@ -729,8 +784,11 @@ def _product_table(d: int, n: int) -> _ProductTable:
 
     Raises :class:`CapExceededError` before any stage-1 work or d^n-sized
     table when the row-1 laws would hold more than ``MAX_DENSE_DIM`` complex
-    entries or d^n exceeds it, and :class:`SpanExtractionError` when
-    :func:`check_stage1` refuses stage 1; a refused table is not cached.
+    entries, when d^n exceeds it, or when the int64 tables over the d^n
+    digit tuples would take more than ``_TABLE_BYTES``: the (d^n, n) digit
+    table of the weight classes, the layout's (d^n, 4) keys and the draw
+    table. Raises :class:`SpanExtractionError` when :func:`check_stage1`
+    refuses stage 1. A refused table is not cached.
     """
     entries = _product_table_entries(d, n)
     if entries > MAX_DENSE_DIM:
@@ -738,6 +796,11 @@ def _product_table(d: int, n: int) -> _ProductTable:
             f"the product table at d={d}, n'={n} would hold {entries} complex entries, over the cap {MAX_DENSE_DIM}"
         )
     check_dense_dim(d, n)
+    table_bytes = 8 * d**n * (n + 5)
+    if table_bytes > _TABLE_BYTES:
+        raise CapExceededError(
+            f"the product table at d={d}, n'={n} would take {table_bytes} bytes of d^n' tables, over the cap {_TABLE_BYTES}"
+        )
     blocks, labels = _layout(d, n)
     stage1 = build_q_bases(d, n)
     check_stage1(d, n, stage1)
@@ -759,7 +822,8 @@ def _product_table(d: int, n: int) -> _ProductTable:
                 row[indices, 0] = col
             states.append(_dicke_tensor(lam, d, dense))
         first_rows.append(_RowLaw.of(np.concatenate(states), lam.parts[0]))
-    return _ProductTable(weight_classes(d, n)[0], entry, block_of, lams, tuple(first_rows))
+    parts = np.fromiter((lam.parts for lam in lams), dtype=object, count=len(lams))
+    return _ProductTable(weight_classes(d, n)[0], entry, block_of, lams, tuple(first_rows), parts)
 
 
 def shadow_from_population(
@@ -809,7 +873,7 @@ def _product_shadow(unitary: OperatorGrid, digits, t_segments: int, seg_size: in
     position = table.classes.starts[seg_class] + draws.integers(table.classes.counts[seg_class])
     entry = table.entry[position]
     hits = np.bincount(entry, minlength=len(table.block_of))
-    partitions = [table.lams[b].parts for b in table.block_of[entry].tolist()]
+    partitions = table.parts[table.block_of[entry]].tolist()
     # Only the counts per entry and the partitions stay through the POVM passes.
     del seg_digits, seg_class, position, entry
     acc = np.zeros((d, d), dtype=np.complex128)
@@ -819,7 +883,10 @@ def _product_shadow(unitary: OperatorGrid, digits, t_segments: int, seg_size: in
         start += len(counts)
         if counts.any():
             psis, _, trials = _povm_sample(lam, d, first, counts, draws, False)
-            acc += shadow_matrix(lam, psis, d) - len(psis) * lam.k * np.eye(d)
+            record = shadow_matrix(lam, psis, d)
+            # Rounds as subtracting count k I would: x - 0.0 = x off the diagonal.
+            record.flat[:: d + 1] -= len(psis) * lam.k
+            acc += record
             proposals += trials
     return ShadowEstimate(
         matrix=u @ acc @ u.conj().T / (t_segments * seg_size),
@@ -847,9 +914,10 @@ def mixed_state_shadow(
     seg_size = n // t_segments
     if basis is not None and (basis.n != seg_size or basis.d != chi.d):
         raise ValueError(f"basis is for (d={basis.d}, n={basis.n}), segments need (d={chi.d}, n={seg_size})")
-    unitary, digits = sample_population_input(chi, n, rng.child(-1))
-    # Not through shadow_from_population, whose perfbench/layers.py hook reads a basis first.
-    return _product_shadow(unitary, digits, t_segments, seg_size, rng)
+    # The drawn array goes in as it is, not through sample_population_input's
+    # tuple; and not through shadow_from_population, whose perfbench/layers.py
+    # hook reads a basis first.
+    return _product_shadow(chi.eigenvectors, _population_digits(chi, n, rng.child(-1)), t_segments, seg_size, rng)
 
 
 # ---------------------------------------------------------------------------

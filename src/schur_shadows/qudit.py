@@ -20,6 +20,7 @@ the other modules call these rather than rebuilding them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -143,17 +144,23 @@ class RngStream:
     Identical (master_seed, stream_id) always reproduce the same draw
     sequence. A stream is single-owner: code that fans out work derives
     independent children with :meth:`child` instead of sharing one stream.
+    The generator is built on the first read of :attr:`gen`, so a stream
+    that only derives children builds none. A negative master seed raises
+    ``ValueError`` at construction.
     """
 
     def __init__(self, master_seed: int, stream_id: int = 0, _path: tuple[int, ...] = ()):
         self.master_seed = int(master_seed)
+        if self.master_seed < 0:
+            raise ValueError(f"the master seed must be a non-negative integer, got {self.master_seed}")
         self.stream_id = int(stream_id)
         self._path = _path + (int(stream_id),)
+
+    @cached_property
+    def gen(self) -> np.random.Generator:
         # ZigZag-encode so negative stream ids remain valid spawn keys.
         key = tuple(2 * k if k >= 0 else -2 * k - 1 for k in self._path)
-        self.gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=self.master_seed, spawn_key=key))
-        )
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=self.master_seed, spawn_key=key)))
 
     def child(self, stream_id: int) -> "RngStream":
         """Derive an independent stream; deterministic in (self, stream_id)."""

@@ -388,6 +388,22 @@ class TestProductTableCap:
         assert main(args + ["--out", str(tmp_path / "run.csv")]) == 3
         assert "2**25" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["shadow", "run", "--d", "2", "--n", "24", "--rank", "2", "--epsilon", "10", "--trials", "1"],
+            ["bench", "scaling", "--t-grid", "1", "--d", "3", "--segment-size", "15", "--trials", "1"],
+        ],
+        ids=["shadow-run", "bench-scaling"],
+    )
+    def test_d_power_n_tables_refused_by_their_bytes(self, args, tmp_path, monkeypatch, capsys):
+        # (2, 24) and (3, 15) pass the entry and d^n' caps, but their digit
+        # tables alone would take 3.0 and 1.6 GiB.
+        monkeypatch.setattr("schur_shadows.young.digit_table", refuse)
+        assert main(args + ["--out", str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "resource cap:" in err and "bytes of d^n' tables" in err
+
 
 class TestBenchCommand:
     def test_scaling_csv(self, tmp_path):
@@ -470,12 +486,17 @@ def test_observable_file_of_wrong_size_is_a_config_error(args, tmp_path, monkeyp
         ["oracle", "--closed-form", "--p", "0", "--q", "0"],
         ["oracle", "--closed-form", "--p", "2", "--q", "2", "--obs", "projector"],
         ["oracle", "--lambda", "3,1", "--obs", "nonsense"],
+        ["shadow", "run", "--d", "2", "--n", "40", "--rank", "2", "--epsilon", "2.1", "--seed", "-1"],
+        ["bench", "scaling", "--t-grid", "4", "--seed", "-1"],
+        ["oracle", "--lambda", "2,1", "--samples", "10", "--seed", "-1"],
+        ["oracle", "--povm", "--lambda", "2,1", "--samples", "10", "--seed", "-1"],
+        ["oracle", "--closed-form", "--p", "2", "--q", "1", "--seed", "-1"],
     ],
 )
 def test_bad_arguments_fail_before_any_work(args, tmp_path, monkeypatch, capsys):
     for name in ("protocol._product_table", "basis.build_q_bases", "moments.povm_completeness_residual"):
         monkeypatch.setattr(f"schur_shadows.{name}", refuse)
-    if args[0] == "bench":
+    if args[0] in ("bench", "shadow"):
         args = args + ["--out", str(tmp_path / "x.csv")]
     assert main(args) == 2
     err = capsys.readouterr().err

@@ -706,6 +706,20 @@ class TestWeightTable:
         with pytest.raises(CapExceededError, match="2\\*\\*25"):
             shadow_from_population(OperatorGrid(np.eye(2)), (0,) * 25, 1, 25, RngStream(0))
 
+    @pytest.mark.parametrize("d,n", [(2, 24), (3, 15), (2, 21)])
+    def test_refuses_d_power_n_tables_by_their_bytes(self, monkeypatch, d, n):
+        # Both caps above pass here, yet the int64 tables over the d^n digit
+        # tuples would take 8 d^n (n + 5) bytes: 3.6 GiB at (2, 24), of which
+        # the digit table is 3.0 GiB, 2.1 GiB at (3, 15) and 0.4 GiB at (2, 21).
+        def refuse(*args):
+            raise AssertionError("a d^n'-sized table was built before the refusal")
+
+        monkeypatch.setattr(young, "digit_table", refuse)
+        monkeypatch.setattr(protocol, "build_q_bases", refuse)
+        assert _product_table_entries(d, n) <= MAX_DENSE_DIM and d**n <= MAX_DENSE_DIM
+        with pytest.raises(CapExceededError, match=f"n'={n} would take {8 * d**n * (n + 5)} bytes"):
+            shadow_from_population(OperatorGrid(np.eye(d)), (0,) * n, 1, n, RngStream(0))
+
     @pytest.mark.parametrize("fault", ["lost vector", "altered weight", "swapped images"])
     def test_refuses_inconsistent_basis(self, basis_for, monkeypatch, fault):
         lam = Partition((2, 1))
@@ -1141,6 +1155,30 @@ class TestMixedStateShadow:
         assert set(counts) <= set(law), dict(counts)
         stat, df = chi_square(counts, law)
         assert df >= 4 and chi2_sf(stat, df) >= 1e-4, f"chi2 {stat:.2f} on {df} df, counts {dict(counts)}"
+
+    @pytest.mark.parametrize("d,chunk_entries", [(2, _CHUNK_ENTRIES), (3, _CHUNK_ENTRIES), (4, _CHUNK_ENTRIES), (4, 1 << 9)])
+    def test_equals_the_public_route(self, monkeypatch, d, chunk_entries):
+        # mixed_state_shadow hands its drawn symbols to the product path as an
+        # array; the public route passes sample_population_input's tuple. Both
+        # draw the same estimate bit for bit. With 2^9 entries a chunk holds at
+        # most 6 samples at d = 4, so _povm_sample runs each partition in
+        # several chunks.
+        monkeypatch.setattr(protocol, "_CHUNK_ENTRIES", chunk_entries)
+        calls = []
+        real = protocol._sample_row
+        monkeypatch.setattr(protocol, "_sample_row", lambda *args: calls.append(1) or real(*args))
+        chi = MixedState.random(d, 2, RngStream(350 + d))
+        epsilon, seg = 0.6, 3
+        t_segments = segment_count(epsilon / 2.0)
+        n = t_segments * seg
+        rng = RngStream(360 + d)
+        est = mixed_state_shadow(chi, n, epsilon, rng)
+        one_chunk_calls = sum(len(parts) for parts in set(est.segment_partitions))
+        assert (len(calls) > one_chunk_calls) == (chunk_entries < _CHUNK_ENTRIES)
+        public = shadow_from_population(*sample_population_input(chi, n, rng.child(-1)), t_segments, seg, rng)
+        assert est.matrix.tobytes() == public.matrix.tobytes()
+        assert est.segment_partitions == public.segment_partitions
+        assert est.povm_proposals == public.povm_proposals
 
     def test_needs_enough_copies(self):
         chi = MixedState.random(2, 1, RngStream(89))

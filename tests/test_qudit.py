@@ -213,6 +213,38 @@ class TestRngStream:
         b = RngStream(3).child(-1).gen.standard_normal(4)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed,a,b", [(0, 0, 0), (11, 4, -3), (2**40, -1, 7)])
+    def test_stream_is_the_seed_sequence_of_its_path(self, seed, a, b):
+        # The contract, stated without the class: the root has stream id 0,
+        # and each id k of the path enters the spawn key as 2k, or -2k - 1
+        # when negative.
+        def zigzag(path):
+            return tuple(2 * k if k >= 0 else -2 * k - 1 for k in path)
+
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=zigzag((0, a, b)))))
+        got = RngStream(seed).child(a).child(b).gen
+        assert np.array_equal(got.standard_normal(8), want.standard_normal(8))
+        assert np.array_equal(got.integers(1 << 62, size=4), want.integers(1 << 62, size=4))
+
+    def test_generator_is_built_on_first_read(self, monkeypatch):
+        built = []
+        real = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("spawn_key"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        root = RngStream(5)
+        leaf = root.child(2).child(-1).child(3)
+        assert built == []
+        gen = leaf.gen
+        assert leaf.gen is gen and built == [(0, 4, 1, 6)]
+
+    def test_negative_master_seed_refused_at_construction(self):
+        with pytest.raises(ValueError, match="master seed must be a non-negative integer"):
+            RngStream(-1)
+
 
 class TestCaps:
     def test_dense_cap_enforced(self):

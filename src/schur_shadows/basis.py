@@ -11,7 +11,9 @@ definition with no search:
 Both stages form decreasing weights only: relabelling the digits commutes
 with the Young symmetrizer and with qudit permutations, so every other
 weight's vectors are its decreasing rearrangement's, with rows permuted and
-columns signed.
+columns signed by one rule (:func:`_relabel`). Stage 2 reads stage 1's
+decreasing-weight images only, and a basis over :data:`_BASIS_BYTES` is
+refused before stage 1.
 
 Every vector is real and supported on a single weight subspace, so the
 multinom(n; w) vectors of weight w are the columns of one real orthogonal
@@ -46,6 +48,7 @@ import numpy as np
 
 from .qudit import (
     MAX_DENSE_DIM,
+    CapExceededError,
     RngStream,
     check_dense_dim,
     permuted_indices,
@@ -58,6 +61,7 @@ from .young import (
     column_group,
     kostka_number,
     majorizes,
+    multinomial_square_sum,
     partitions_of,
     specht_dim,
     standard_tableaux,
@@ -77,6 +81,9 @@ PRUNE = 1e-14
 #: batch up to this size, which one 90 x 90 slice fills; a larger item is
 #: read alone, in place.
 _BATCH_ENTRIES = 1 << 13
+
+#: Bytes a basis's matrices may take (:func:`_check_basis_bytes`): (4, 8) fits, (3, 10) does not.
+_BASIS_BYTES = 1 << 30
 
 #: Cache file format version.
 FORMAT_VERSION = 3
@@ -273,8 +280,9 @@ def _relabellings(d: int, n: int) -> dict[tuple[int, ...], tuple[list[tuple[int,
 
     Relabelling commutes with the Young symmetrizer and with qudit
     permutations, so both stages build decreasing weights only and relabel
-    the rest. Kept for the last (d, n) only: the two stages of a build share
-    it, and the arrays are read-only."""
+    the rest (:func:`_relabel`): stage 2 reads stage 1's decreasing-weight
+    images only. Kept for the last (d, n): both stages of a build share it,
+    and the arrays are read-only."""
     rows, place = _weight_rows(d, n), place_values(d, n)
     orders: dict[tuple[int, ...], tuple[list, list]] = {}
     for w in rows:
@@ -326,11 +334,10 @@ def build_q_bases(d: int, n: int) -> dict[Partition, list[ImageBlock]]:
     computes once per (d, n) for both stages.
 
     Returns, per partition, one :class:`ImageBlock` per admissible weight,
-    each column signed so that its first entry of magnitude at least
-    :data:`PRUNE` is positive, and entries below :data:`PRUNE` set to zero.
-    Weights come in reverse lexicographic order, so the (lam, i, 0) are
-    numbered block after block, and vector 0 is the only one of the
-    lexicographically largest admissible weight.
+    entries below :data:`PRUNE` zeroed and each column's first nonzero entry
+    positive (:func:`_relabel`). Weights come in reverse lexicographic
+    order, so the (lam, i, 0) are numbered block after block, and vector 0
+    is the only one of the lexicographically largest admissible weight.
     """
     check_dense_dim(d, n)
     slices, moves, place = _weight_rows(d, n), _relabellings(d, n), place_values(d, n)
@@ -361,12 +368,7 @@ def build_q_bases(d: int, n: int) -> dict[Partition, list[ImageBlock]]:
             left, singular, _ = np.linalg.svd(sums.reshape(-1, fillings) / root[:, None], full_matrices=False)
             left = left[:, singular > RANK_CUT]
             cols = left[classes.inverse] / root[classes.inverse, None]
-            # Every rearrangement at once: pruned, relabelled, then signed.
-            cols = np.where(np.abs(cols) < PRUNE, 0.0, cols)[perms]
-            cols *= np.sign(np.take_along_axis(cols, np.argmax(cols != 0.0, axis=1)[:, None], axis=1))
-            # A negated zero is -0.0; adding +0.0 makes it +0.0.
-            cols += 0.0
-            found.update(zip(weights, cols))
+            found.update(zip(weights, _relabel(cols[:, None], perms)[:, :, 0]))
         out[lam] = [ImageBlock(w, slices[w], found[w]) for w in slices if w in found]
     return out
 
@@ -408,28 +410,23 @@ def schur_basis_completion(d: int, n: int, q_bases: dict[Partition, list[ImageBl
     |(lam, i, j)> = sum_T (R^-1)[T, j] P_T |(lam, i, 0)>. Column 0 of R^-1 is
     (1, 0, ..., 0) up to rounding, so j = 0 keeps stage 1's vectors.
 
-    The layers are formed this way for decreasing weights w↓. Qudit
-    permutations commute with relabelling the digits, so where a weight's
-    columns are its w↓'s columns relabelled (:func:`_relabellings`) and
-    signed column by column, as stage 1 gives them, its layer is its w↓'s
-    layer relabelled and signed the same way. Columns that are not, as from
-    a stage 1 that picked another basis of a block, are formed directly.
-
-    The labels come from (d, n) (:func:`_layout`), so :func:`check_stage1`
-    refuses any other stage 1 before a layer is formed.
+    The layers are formed this way from stage 1's decreasing-weight images
+    only: relabelling commutes with qudit permutations, so a rearrangement's
+    layer is its w↓'s relabelled and signed as in stage 1 (:func:`_relabel`),
+    written straight into its V_w. The cap (:func:`_check_basis_bytes`) and
+    :func:`check_stage1` refuse before a layer is formed.
     """
-    check_dense_dim(d, n)
+    _check_basis_bytes(d, n)
     check_stage1(d, n, q_bases)
     slices, moves, place = _weight_rows(d, n), _relabellings(d, n), place_values(d, n)
-    layers: dict[tuple[int, ...], list[np.ndarray]] = {w: [] for w in slices}
+    matrices = {w: np.empty((len(indices), len(indices))) for w, indices in slices.items()}
+    filled = dict.fromkeys(slices, 0)
     for lam, images in q_bases.items():
         mappings = np.array(standard_tableaux(lam), dtype=np.int64)
         dim_p = len(mappings)
         coeffs = None
-        by_weight = {image.weight: image for image in images}
-        done: dict[tuple[int, ...], np.ndarray] = {}
         for image in images:
-            if image.weight in done:
+            if image.weight not in moves:
                 continue
             indices = slices[image.weight]
             rows = np.searchsorted(indices, permuted_indices(indices[:, None] // place % d, d, mappings))
@@ -444,48 +441,50 @@ def schur_basis_completion(d: int, n: int, q_bases: dict[Partition, list[ImageBl
                         f"standard tableau permutations of |({lam}, 0, 0)> have rank below f = {dim_p}"
                     )
                 coeffs = np.linalg.inv(r) * np.sign(diag)
-            # Column (j, k) of the layer is |(lam, i_k, j)>.
+            # layer[:, j, k] = |(lam, i_k, j)>; columns run j-major, as the layout orders them.
             layer = np.tensordot(moved, coeffs, axes=(0, 0)).transpose(0, 2, 1)
             layer[:, 0] = image.columns
-            layer[np.abs(layer) < PRUNE] = 0.0
-            done[image.weight] = layer = layer.reshape(len(indices), -1)
-            if image.weight in moves:
-                group, perms = moves[image.weight]
-                pick = [g for g, w in enumerate(group) if w in by_weight and w not in done]
-                done.update(_relabelled_layers(image.columns, layer, [by_weight[group[g]] for g in pick], perms[pick]))
-        for image in images:
-            layers[image.weight].append(done[image.weight])
+            group, perms = moves[image.weight]
+            for w, relabelled in zip(group, _relabel(layer, perms)):
+                block = relabelled.reshape(len(indices), -1)
+                matrices[w][:, filled[w] : filled[w] + block.shape[1]] = block
+                filled[w] += block.shape[1]
 
-    basis = SchurBasis(d, n, {w: np.concatenate(layers[w], axis=1) for w in slices})
+    basis = SchurBasis(d, n, matrices)
     dev = basis.gram_deviation()
     if dev > 1e-9:
         raise SpanExtractionError(f"completed basis Gram deviation {dev:.3e} exceeds 1e-9")
     return basis
 
 
-def _relabelled_layers(columns: np.ndarray, layer: np.ndarray, images: list[ImageBlock], perms: np.ndarray) -> dict:
-    """Per image of ``images`` whose columns are ``columns`` relabelled by
-    its row of ``perms`` and signed column by column, its layer: ``layer``
-    relabelled the same way, with column k of every j signed as column k."""
-    images = [(image, perm) for image, perm in zip(images, perms) if image.columns.shape == columns.shape]
-    if not images:
-        return {}
-    perms = np.array([perm for _, perm in images])
-    wanted = np.stack([image.columns for image, _ in images])
-    moved = columns[perms]
-    flips = np.sign(np.einsum("gij,gij->gj", moved, wanted))[:, None]
-    fits = np.all(moved * flips == wanted, axis=(1, 2))
-    layers = layer[perms[fits]]
-    signed = layers.reshape(layers.shape[:2] + (-1, columns.shape[1]))
-    signed *= flips[fits, None]
+def _relabel(top: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """A decreasing weight's (rows, f, K) layers ``top``, pruned in place, as
+    the (g, rows, f, K) layers of its rearrangements: rows permuted by each
+    row of ``perms`` (:func:`_relabellings`), and column k signed so that the
+    first nonzero entry of its j = 0 column is positive."""
+    top[np.abs(top) < PRUNE] = 0.0
+    moved = top[perms]
+    first = moved[:, :, 0]
+    moved *= np.sign(np.take_along_axis(first, np.argmax(first != 0.0, axis=1)[:, None], axis=1))[:, :, None]
     # A negated zero is -0.0; adding +0.0 makes it +0.0, as pruning leaves zeros.
-    signed += 0.0
-    return dict(zip([image.weight for (image, _), fit in zip(images, fits) if fit], layers))
+    moved += 0.0
+    return moved
 
 
 def build_basis(d: int, n: int) -> SchurBasis:
-    """Stage 1 then stage 2."""
+    """Stage 1 then stage 2, once the size is admitted (:func:`_check_basis_bytes`)."""
+    _check_basis_bytes(d, n)
     return schur_basis_completion(d, n, build_q_bases(d, n))
+
+
+def _check_basis_bytes(d: int, n: int) -> None:
+    """Refuse, with :class:`CapExceededError`, a d^n over the dense cap or
+    matrices over :data:`_BASIS_BYTES`: 8 sum_w multinom(n; w)^2 bytes,
+    counted before any table is built."""
+    check_dense_dim(d, n)
+    size = 8 * multinomial_square_sum(d, n)
+    if size > _BASIS_BYTES:
+        raise CapExceededError(f"basis at d={d}, n={n}: 8 sum_w multinom(n; w)^2 = {size} bytes, over {_BASIS_BYTES}")
 
 
 # ---------------------------------------------------------------------------

@@ -122,25 +122,31 @@ def cmd_basis_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_shadow_run(args) -> int:
+def _population_run(args):
+    """The set-up that ``shadow run`` and ``bench scaling`` share: check d,
+    the rank and the trials, then draw chi from ``child(-2)`` and the
+    observable from ``child(-3)`` of the master stream. Returns (master
+    stream, chi, observable, tr(O chi))."""
     if args.d < 2:
         raise ConfigError("d must be >= 2")
     if not 1 <= args.rank <= args.d:
         raise ConfigError(f"rank must be in 1..{args.d}")
-    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
-        raise ConfigError(f"epsilon must be finite and positive, got {args.epsilon}")
     if args.trials < 1:
         raise ConfigError("trials must be >= 1")
+    rng = RngStream(args.seed)
+    chi = MixedState.random(args.d, args.rank, rng.child(-2))
+    observable = _observable(args.observable, args.d, rng.child(-3), getattr(args, "bound", None))
+    return rng, chi, observable, float(np.trace(observable.matrix @ chi.density()).real)
+
+
+def cmd_shadow_run(args) -> int:
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        raise ConfigError(f"epsilon must be finite and positive, got {args.epsilon}")
     t_pop = segment_count(args.epsilon / 2.0)
     if args.n < t_pop:
         raise ConfigError(f"n must be >= T = {t_pop} for the epsilon/2 population run")
-
-    rng = RngStream(args.seed)
-    chi = MixedState.random(args.d, args.rank, rng.child(-2))
-    observable = _observable(args.observable, args.d, rng.child(-3), args.bound)
-
+    rng, chi, observable, truth = _population_run(args)
     seg_size = args.n // t_pop
-    truth = float(np.trace(observable.matrix @ chi.density()).real)
 
     records = []
     successes = 0
@@ -318,18 +324,9 @@ def cmd_bench_scaling(args) -> int:
         raise ConfigError("empty T grid")
     if min(t_values) < 1:
         raise ConfigError("every T must be >= 1")
-    if args.d < 2:
-        raise ConfigError("d must be >= 2")
-    if args.rank < 1 or args.rank > args.d:
-        raise ConfigError(f"rank must be in 1..{args.d}")
     if args.segment_size < 1:
         raise ConfigError("segment size must be >= 1")
-    if args.trials < 1:
-        raise ConfigError("trials must be >= 1")
-    rng = RngStream(args.seed)
-    chi = MixedState.random(args.d, args.rank, rng.child(-2))
-    observable = _observable(args.observable, args.d, rng.child(-3))
-    truth = float(np.trace(observable.matrix @ chi.density()).real)
+    rng, chi, observable, truth = _population_run(args)
 
     rows = []
     joint_errors = []

@@ -210,16 +210,12 @@ class ShadowEstimate:
 # ---------------------------------------------------------------------------
 
 
-def sample_population_input(chi: MixedState, n: int, rng: RngStream) -> tuple[OperatorGrid, tuple[int, ...]]:
-    """Draw (U, e) with e_i i.i.d. from the spectrum of chi."""
-    return chi.eigenvectors, tuple(_population_digits(chi, n, rng).tolist())
-
-
-def _population_digits(chi: MixedState, n: int, rng: RngStream) -> np.ndarray:
-    """The symbols e of :func:`sample_population_input`, as an int array."""
+def sample_population_input(chi: MixedState, n: int, rng: RngStream) -> tuple[OperatorGrid, np.ndarray]:
+    """Draw (U, e) with e_i i.i.d. from the spectrum of chi: U is chi's
+    eigenvector matrix and e the drawn int64 array of n symbols."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return rng.gen.choice(chi.d, size=n, p=chi.eigenvalues)
+    return chi.eigenvectors, rng.gen.choice(chi.d, size=n, p=chi.eigenvalues)
 
 
 # ---------------------------------------------------------------------------
@@ -914,10 +910,8 @@ def mixed_state_shadow(
     seg_size = n // t_segments
     if basis is not None and (basis.n != seg_size or basis.d != chi.d):
         raise ValueError(f"basis is for (d={basis.d}, n={basis.n}), segments need (d={chi.d}, n={seg_size})")
-    # The drawn array goes in as it is, not through sample_population_input's
-    # tuple; and not through shadow_from_population, whose perfbench/layers.py
-    # hook reads a basis first.
-    return _product_shadow(chi.eigenvectors, _population_digits(chi, n, rng.child(-1)), t_segments, seg_size, rng)
+    # Not through shadow_from_population, whose perfbench/layers.py hook reads a basis first.
+    return _product_shadow(*sample_population_input(chi, n, rng.child(-1)), t_segments, seg_size, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Partitions, tableau box layouts, standard tableaux, Kostka numbers,
-row/column groups, the slot classes through which symmetrizers act as class
-means, built once per register and block set (:func:`register_classes`),
-and the weight classes of digit tuples (:func:`weight_classes`), which every
-grouping by weight in the package reads.
+"""Partitions, tableau box layouts, standard tableaux, Kostka numbers, the
+sum of squared multinomials, row/column groups, the slot classes through
+which symmetrizers act as class means, built once per register and block
+set (:func:`register_classes`), and the weight classes of digit tuples
+(:func:`weight_classes`), which every grouping by weight in the package
+reads.
 
 The canonical tableau is always filled row-major: boxes are numbered left to
 right within a row, rows top to bottom. Box positions are 0-based.
@@ -103,6 +104,23 @@ def _kostka(parts: tuple[int, ...], weight: tuple[int, ...]) -> int:
         return int(not any(parts))
     ranges = [range(low, high + 1) for high, low in zip(parts, parts[1:] + (0,))]
     return sum(_kostka(mu, weight[:-1]) for mu in itertools.product(*ranges) if sum(parts) - sum(mu) == weight[-1])
+
+
+def multinomial_square_sum(d: int, n: int) -> int:
+    """sum_w multinom(n; w)^2 over the weights w of n on d symbols: the
+    number of pairs of n-digit tuples of one weight."""
+    return _square_sums(d, n)[n]
+
+
+def _square_sums(d: int, n: int) -> list[int]:
+    """:func:`multinomial_square_sum` of d symbols for m = 0..n. Split the
+    symbols in two sets: multinom(m; w) is C(m, k) times the two parts'
+    multinomials, k the count on the first, so d comes from d - 1 or d / 2
+    in at most 2 log2 d steps, each O(n^2)."""
+    if d < 2:
+        return [1] * (n + 1) if d == 1 else [1] + [0] * n
+    a, b = (_square_sums(d - 1, n), [1] * (n + 1)) if d % 2 else (_square_sums(d // 2, n),) * 2
+    return [sum(math.comb(m, k) ** 2 * a[k] * b[m - k] for k in range(m + 1)) for m in range(n + 1)]
 
 
 def _bounded_partitions(remaining: int, max_part: int, slots: int):

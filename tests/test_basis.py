@@ -1,3 +1,5 @@
+import itertools
+import math
 import struct
 import tracemalloc
 import zlib
@@ -26,6 +28,7 @@ from oracles import (
     write_old_format_file,
 )
 from schur_shadows import basis as basis_mod
+from schur_shadows import young
 from schur_shadows.basis import (
     BasisCacheError,
     build_basis,
@@ -36,6 +39,7 @@ from schur_shadows.basis import (
     verify_nice_basis,
 )
 from schur_shadows.qudit import (
+    CapExceededError,
     PureState,
     RngStream,
     apply_local_unitary,
@@ -212,6 +216,20 @@ class TestCompletion:
             tracemalloc.stop()
         assert peak < 4.7 * max(p.matrix.nbytes for p in basis.slices.values())
 
+    @pytest.mark.parametrize("d,n", [(3, 7), (4, 6)])
+    def test_completion_memory_is_below_twice_the_basis(self, d, n):
+        # Stage 2 writes every layer straight into its preallocated V_w, so
+        # with the caches warm it peaks below twice the finished basis.
+        q_bases = build_q_bases(d, n)
+        build_basis(d, n)
+        tracemalloc.start()
+        try:
+            basis = basis_mod.schur_basis_completion(d, n, q_bases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * sum(matrix.nbytes for matrix in basis.matrices.values())
+
     def test_identity_maps_give_zero_residual(self, basis_for):
         # Against references that read no basis: the slices, laid out as one
         # d^n x d^n matrix, form an orthogonal matrix, and each (lam, j)
@@ -227,6 +245,40 @@ class TestCompletion:
             for key, cols in slices.items():
                 block, frame = mat[:, cols], frames[key]
                 assert np.max(np.abs(block @ block.T - frame @ frame.conj().T)) < 1e-12, (d, n, key)
+
+
+def basis_bytes(d: int, n: int) -> int:
+    """8 sum_w multinom(n; w)^2, summed over every weight w."""
+    weights = [w for w in itertools.product(range(n + 1), repeat=d) if sum(w) == n]
+    return 8 * sum((math.factorial(n) // math.prod(map(math.factorial, w))) ** 2 for w in weights)
+
+
+class TestBasisCap:
+    """A basis too large to hold is refused by its bytes before stage 1."""
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 12)])
+    def test_refused_before_any_table(self, monkeypatch, d, n):
+        # (2, 16) would take 4.5 GiB and (3, 12) 71 GiB; no table is built.
+        def refuse(*args):
+            raise AssertionError("a table was built before the refusal")
+
+        monkeypatch.setattr(basis_mod, "build_q_bases", refuse)
+        monkeypatch.setattr(young, "digit_table", refuse)
+        message = f"d={d}, n={n}: 8 sum_w multinom\\(n; w\\)\\^2 = {basis_bytes(d, n)} bytes"
+        with pytest.raises(CapExceededError, match=message):
+            build_basis(d, n)
+        with pytest.raises(CapExceededError, match=message):
+            basis_mod.schur_basis_completion(d, n, {})
+
+    def test_admits_every_point_built(self):
+        # The largest points that tests, workloads and the ROADMAP build fit.
+        for d, n in [(2, 14), (3, 9), (4, 8), (6, 5), (4, 7), (8, 3), (1, 64)]:
+            assert basis_bytes(d, n) <= basis_mod._BASIS_BYTES
+            basis_mod._check_basis_bytes(d, n)
+        for d, n in [(3, 10), (5, 8), (2, 18)]:
+            assert basis_bytes(d, n) > basis_mod._BASIS_BYTES
+            with pytest.raises(CapExceededError):
+                basis_mod._check_basis_bytes(d, n)
 
 
 BASIS_COLD_GRID = [(2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (4, 5), (5, 4)]

@@ -63,6 +63,16 @@ class TestBasisCommands:
         assert out.exists()
         assert main(["basis", "verify", "--path", str(out)]) == 0
 
+    @pytest.mark.parametrize("d,n", [(2, 16), (3, 12)])
+    def test_build_over_the_basis_cap_exits_3_before_stage_1(self, tmp_path, monkeypatch, capsys, d, n):
+        monkeypatch.setattr("schur_shadows.basis.build_q_bases", refuse)
+        monkeypatch.setattr("schur_shadows.young.digit_table", refuse)
+        out = tmp_path / "b.schb"
+        assert main(["basis", "build", "--d", str(d), "--n", str(n), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "resource cap:" in err and "multinom" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_build_needs_out(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["basis", "build", "--d", "2", "--n", "2"])

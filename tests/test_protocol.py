@@ -188,7 +188,7 @@ class TestPopulationInput:
     def test_pure_state_gives_all_zeros(self):
         chi = MixedState(2, np.array([1.0, 0.0]), haar_unitary(2, RngStream(61)), 1)
         _, digits = sample_population_input(chi, 20, RngStream(62))
-        assert digits == (0,) * 20
+        assert digits.tolist() == [0] * 20
 
     def test_symbol_frequencies(self):
         chi = MixedState(2, np.array([0.5, 0.5]), OperatorGrid(np.eye(2)), 2)

@@ -1,5 +1,6 @@
 import gc
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from schur_shadows.young import (
     kappa_product,
     kostka_number,
     majorizes,
+    multinomial_square_sum,
     partitions_of,
     row_group,
     specht_dim,
@@ -289,6 +291,17 @@ class TestWeights:
                     assert kostka_number(lam, w) == semistandard_tableaux_count(parts, w), (parts, w)
                 for d in range(len(parts), 5):
                     assert sum(kostka_number(lam, w) for w in weights_brute_force(n, d)) == weyl_dim(lam, d), (parts, d)
+
+    def test_multinomial_square_sum_counts_pairs_of_one_weight(self):
+        # Against the pairs of digit tuples that share a weight, counted
+        # tuple by tuple; n = 1 at any d, where every weight is e_a; and
+        # one symbol at any n, counted at once.
+        for d in range(1, 5):
+            for n in range(0, 7 - d):
+                sizes = Counter(weight_of(e, d) for e in itertools.product(range(d), repeat=n))
+                assert multinomial_square_sum(d, n) == sum(size**2 for size in sizes.values()), (d, n)
+        assert multinomial_square_sum(1 << 24, 1) == 1 << 24
+        assert multinomial_square_sum(1, 10**6) == 1
 
     def test_symmetric_dims(self):
         assert symmetric_dim(2, 2) == 3

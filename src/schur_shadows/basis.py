@@ -36,6 +36,7 @@ layout with one check, :func:`check_stage1`.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from collections import Counter
@@ -449,6 +450,8 @@ def schur_basis_completion(d: int, n: int, q_bases: dict[Partition, list[ImageBl
                 block = relabelled.reshape(len(indices), -1)
                 matrices[w][:, filled[w] : filled[w] + block.shape[1]] = block
                 filled[w] += block.shape[1]
+    # The last layer's arrays go before the Gram check, whose peak is its own.
+    del rows, moved, layer, relabelled, block
 
     basis = SchurBasis(d, n, matrices)
     dev = basis.gram_deviation()
@@ -479,12 +482,17 @@ def build_basis(d: int, n: int) -> SchurBasis:
 
 def _check_basis_bytes(d: int, n: int) -> None:
     """Refuse, with :class:`CapExceededError`, a d^n over the dense cap or
-    matrices over :data:`_BASIS_BYTES`: 8 sum_w multinom(n; w)^2 bytes,
-    counted before any table is built."""
+    more than :data:`_BASIS_BYTES` of matrices and weight table: 8 sum_w
+    multinom(n; w)^2 bytes, and 8 C d bytes of :func:`weight_classes`'
+    (C, d) table of the C = C(n + d - 1, d - 1) weights, counted before any
+    table is built."""
     check_dense_dim(d, n)
-    size = 8 * multinomial_square_sum(d, n)
-    if size > _BASIS_BYTES:
-        raise CapExceededError(f"basis at d={d}, n={n}: 8 sum_w multinom(n; w)^2 = {size} bytes, over {_BASIS_BYTES}")
+    size, table = 8 * multinomial_square_sum(d, n), 8 * d * math.comb(n + d - 1, d - 1)
+    if size + table > _BASIS_BYTES:
+        raise CapExceededError(
+            f"basis at d={d}, n={n}: 8 sum_w multinom(n; w)^2 = {size} bytes and a weight table of 8 C d = {table}"
+            f" bytes, over {_BASIS_BYTES}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +569,14 @@ def _stacked(pieces: list[WeightSlice], name: str) -> np.ndarray:
 
 
 def _gram_deviation(pieces: list[WeightSlice]) -> float:
-    """Max |V^T V - 1| over the stacked square slices ``pieces``, of one size."""
+    """Max |V^T V - 1| over the stacked square slices ``pieces``, of one size:
+    1 is taken off the Gram's diagonal in place, so nothing of its size but
+    the Gram is formed."""
     matrices = _stacked(pieces, "matrix")
-    return float(np.max(np.abs(np.swapaxes(matrices, -1, -2) @ matrices - np.eye(matrices.shape[-1]))))
+    gram = np.swapaxes(matrices, -1, -2) @ matrices
+    size = gram.shape[-1]
+    gram.reshape(-1, size * size)[:, :: size + 1] -= 1.0
+    return float(max(gram.max(), -gram.min()))
 
 
 def _u_closure(chunk, d: int, place: np.ndarray) -> float:
@@ -678,7 +691,8 @@ def load_basis(path) -> SchurBasis:
     checksum; a (d, n) with n outside 1..64, d < 1 or d^n over the dense
     cap; and then, before any d^n-sized table is built, a body shorter than
     8 d^n bytes; then a body of any length other than 8 sum_w
-    multinom(n; w)^2 bytes."""
+    multinom(n; w)^2 bytes. In between, a (d, n) that a build refuses
+    (:func:`_check_basis_bytes`) is refused with :class:`CapExceededError`."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 20 or raw[:4] != _MAGIC:
@@ -695,6 +709,7 @@ def load_basis(path) -> SchurBasis:
     # The slices hold at least one entry per index: a shorter body is refused before any table is built.
     if len(body) < 8 * d**n:
         raise BasisCacheError(f"malformed file: the body holds {len(body)} bytes, fewer than 8 d^n = {8 * d**n}")
+    _check_basis_bytes(d, n)
     rows = _weight_rows(d, n)
     sizes = [len(indices) ** 2 for indices in rows.values()]
     if len(body) != 8 * sum(sizes):

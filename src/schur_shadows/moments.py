@@ -15,7 +15,6 @@ them, so no operator on n+1 or n+2 qudits is built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +27,12 @@ from .qudit import (
     digit_table,
     haar_pure_state_batch,
     permuted_indices,
+    power_exceeds,
 )
 from .young import BoxLayout, Partition, kappa_product, register_classes, row_group, symmetric_dim
 
-#: Hard cap on d**(n+2) for explicit second-moment operators.
+#: Hard cap on d**(n+2) for explicit second-moment operators, and on d**n
+#: for the POVM completeness checks' d^n x d^n arrays.
 ORACLE_DIM_CAP = 2200
 
 ROW_SYMMETRY_TOL = 1e-8
@@ -114,9 +115,7 @@ def _rotated_amplitudes(tau: PureState, unitary: OperatorGrid | None) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def expected_shadow_exact(
-    lam: Partition, tau: PureState, unitary: OperatorGrid | None = None, validate: bool = True
-) -> np.ndarray:
+def expected_shadow_exact(lam: Partition, tau: PureState, unitary: OperatorGrid | None = None) -> np.ndarray:
     """Exact E[Psi]: sum over rows and in-row swap positions of reduced states.
 
     For each row j and position p <= lam_j the swap pulls the reduced state
@@ -125,8 +124,7 @@ def expected_shadow_exact(
     E[Psi] = k tr(rho) I + sum over all n qudits of their one-qudit reduced
     states, each a Gram matrix of the tensor with that qudit's axis in front.
     """
-    if validate:
-        _check_protocol_state(lam, tau)
+    _check_protocol_state(lam, tau)
     d, n = tau.d, tau.n
     amps = _rotated_amplitudes(tau, unitary)
     tensor = amps.reshape((d,) * n)
@@ -155,16 +153,17 @@ def expected_shadow_formula(lam: Partition, weight, unitary: OperatorGrid | None
 
 def check_oracle_cap(d: int, n: int) -> None:
     """Refuse an n-qudit second moment whose (n+2)-qudit register exceeds the cap."""
-    if d ** (n + 2) > ORACLE_DIM_CAP:
-        raise CapExceededError(f"d^(n+2) = {d ** (n + 2)} exceeds oracle cap {ORACLE_DIM_CAP}")
+    if power_exceeds(d, n + 2, ORACLE_DIM_CAP):
+        raise CapExceededError(f"d^(n+2) = {d}^{n + 2} exceeds oracle cap {ORACLE_DIM_CAP}")
 
 
-def second_moment_exact(
-    lam: Partition,
-    tau: PureState,
-    unitary: OperatorGrid | None = None,
-    validate: bool = True,
-) -> np.ndarray:
+def _check_povm_cap(lam: Partition, d: int) -> None:
+    """Refuse a POVM completeness check whose d^n x d^n arrays exceed the cap."""
+    if power_exceeds(d, lam.n, ORACLE_DIM_CAP):
+        raise CapExceededError(f"the POVM check of {lam} at d^n = {d}^{lam.n} exceeds oracle cap {ORACLE_DIM_CAP}")
+
+
+def second_moment_exact(lam: Partition, tau: PureState, unitary: OperatorGrid | None = None) -> np.ndarray:
     """Exact E[Psi tensor Psi] as a d^2 x d^2 matrix.
 
     Output qudits occupy slots 0 and 1 of an (n+2)-qudit register. For every
@@ -182,8 +181,7 @@ def second_moment_exact(
     d, n = tau.d, tau.n
     # Refuse by size first, before any validation work.
     check_oracle_cap(d, n)
-    if validate:
-        _check_protocol_state(lam, tau)
+    _check_protocol_state(lam, tau)
     amps = _rotated_amplitudes(tau, unitary)
     layout = BoxLayout(lam)
     columns = np.kron(np.eye(d * d, dtype=np.complex128), amps.reshape(-1, 1))
@@ -217,7 +215,7 @@ def second_moment_exact(
 def variance_exact(lam: Partition, tau: PureState, unitary: OperatorGrid | None, observable: np.ndarray) -> float:
     """Var[tr(O Psi)] = tr((O tensor O) E[Psi x Psi]) - tr(O E[Psi])^2."""
     second = second_moment_exact(lam, tau, unitary)
-    return _variance(observable, expected_shadow_exact(lam, tau, unitary, validate=False), second)
+    return _variance(observable, expected_shadow_exact(lam, tau, unitary), second)
 
 
 def _variance(observable: np.ndarray, first: np.ndarray, second: np.ndarray) -> float:
@@ -268,7 +266,9 @@ def povm_completeness_residual(lam: Partition, d: int) -> float:
     row-group average; both equal the POVM elements' Haar integral.
 
     The product is read off the slot classes by applying it to the identity;
-    the average is built from the row group's permutations."""
+    the average is built from the row group's permutations. A d^n over
+    ``ORACLE_DIM_CAP`` is refused before either is formed."""
+    _check_povm_cap(lam, d)
     product = _apply_row_symmetrizers(lam, d, np.eye(d**lam.n))
     direct = row_symmetric_projector(lam, d)
     return float(np.max(np.abs(product - direct)))
@@ -318,8 +318,10 @@ def mc_povm_completeness(lam: Partition, d: int, samples: int, rng: RngStream) -
 
     The sampled operator is kappa * |v><v| with v the product of per-row
     tensor powers; entrywise Re/Im second moments accumulate through matrix
-    products of the elementwise-squared real/imaginary parts.
+    products of the elementwise-squared real/imaginary parts. A d^n over
+    ``ORACLE_DIM_CAP`` is refused before any sample.
     """
+    _check_povm_cap(lam, d)
     dim = d**lam.n
     kappa = float(kappa_product(lam, d))
     stats = _EntrywiseStats((dim, dim))
@@ -370,7 +372,7 @@ def mc_shadow_moments(
     plus a variance z statistic for ``observable`` when given, and the exact
     moments it compared against: ``first_moment_exact``, and
     ``second_moment_exact`` when ``second`` or ``observable`` asks for it.
-    The state is checked once, and each exact moment is computed once.
+    Each exact moment is computed once.
     """
     from .protocol import row_symmetric_sample_batch
 
@@ -378,7 +380,7 @@ def mc_shadow_moments(
     # The exact moments come first, so a bad state is refused before any draw.
     report = {"samples": samples, "first_moment_exact": expected_shadow_exact(lam, tau, unitary)}
     if second or observable is not None:
-        report["second_moment_exact"] = second_moment_exact(lam, tau, unitary, validate=False)
+        report["second_moment_exact"] = second_moment_exact(lam, tau, unitary)
     state = tau if unitary is None else apply_local_unitary(unitary, tau)
     psis, _trials = row_symmetric_sample_batch(lam, state, samples, rng)
     coeffs = np.array([part + d for part in lam.parts], dtype=np.float64)
@@ -415,38 +417,3 @@ def mc_shadow_moments(
         report["variance_exact"] = exact_var
         report["variance_z"] = float(abs(sample_var - exact_var) / max(se_var, 1e-300))
     return report
-
-
-@dataclass
-class MomentReport:
-    """Exact-vs-Monte-Carlo comparison bundle for one partition instance."""
-
-    lam: Partition
-    d: int
-    first_moment: np.ndarray
-    second_moment: np.ndarray | None
-    variance: float | None
-    mc: dict
-
-    def hermiticity_deviation(self) -> float:
-        dev = float(np.max(np.abs(self.first_moment - self.first_moment.conj().T)))
-        if self.second_moment is not None:
-            dev = max(dev, float(np.max(np.abs(self.second_moment - self.second_moment.conj().T))))
-        return dev
-
-    def to_jsonable(self) -> dict:
-        out = {
-            "schema_version": 1,
-            "partition": list(self.lam.parts),
-            "d": self.d,
-            "first_moment_re": self.first_moment.real.tolist(),
-            "first_moment_im": self.first_moment.imag.tolist(),
-            "hermiticity_deviation": self.hermiticity_deviation(),
-            "mc": {k: v for k, v in self.mc.items() if not isinstance(v, np.ndarray)},
-        }
-        if self.second_moment is not None:
-            out["second_moment_re"] = self.second_moment.real.tolist()
-            out["second_moment_im"] = self.second_moment.imag.tolist()
-        if self.variance is not None:
-            out["variance"] = self.variance
-        return out

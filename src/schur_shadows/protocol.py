@@ -68,7 +68,9 @@ the next row. Only the joint front end reads the last row's contraction,
 the state of the later segments. The product path and
 :func:`row_symmetric_sample_batch` read outcomes alone, so there an exact
 last row forms neither phi nor a contraction, and a one-box last row forms
-no contraction. The draws are the same either way.
+no contraction. The draws are the same either way, and the generator gives
+only what they read: a pick uniform where a law has more than one index to
+pick from, an accept uniform on a row that can reject.
 """
 
 from __future__ import annotations
@@ -226,9 +228,10 @@ def sample_population_input(chi: MixedState, n: int, rng: RngStream) -> tuple[Op
 #: column chunk of a segment's Gram, may hold.
 _CHUNK_ENTRIES = 1 << 16
 
-#: Bytes that the product path's tables over the d^n' digit tuples may take
-#: (see :func:`_product_table`): (2, 20) and (3, 13) fit, (2, 21) and
-#: (3, 14) do not.
+#: Bytes that each of the product path's tables may take (see
+#: :func:`_product_table`): the int64 tables over the d^n' digit tuples,
+#: where (2, 20) and (3, 13) fit and (2, 21) and (3, 14) do not, and the
+#: row-1 laws, where (4, 8) fits and (8, 5) does not.
 _TABLE_BYTES = 1 << 28
 
 #: Eigenvalues of a segment's Gram below this fraction of the largest are
@@ -256,15 +259,6 @@ def _dicke_map(d: int, m: int) -> tuple[SlotClasses, np.ndarray, np.ndarray]:
     sqrt_multinom = np.sqrt(classes.counts)
     sqrt_multinom.setflags(write=False)
     return classes, comps, sqrt_multinom
-
-
-@lru_cache(maxsize=64)
-def _gamma_shapes(d: int, m: int) -> np.ndarray:
-    """v + 1 for each Dicke composition v of :func:`_dicke_map`, as floats: the
-    Dirichlet shapes of a proposal. Shared by the cache, so read-only."""
-    shapes = _dicke_map(d, m)[1] + 1.0
-    shapes.setflags(write=False)
-    return shapes
 
 
 def _dicke_tensor(lam: Partition, d: int, taus: np.ndarray) -> np.ndarray:
@@ -315,12 +309,13 @@ class _RowLaw:
       support size, when rho = a a^dag has rank 1;
     * m = 1: a column x of the state, with weight ||a_x||^2, and M = 1.
 
-    ``rho`` (L, kappa, kappa) is formed and kept only on a wide law (m > 1
-    and X > kappa), the one place :func:`_sample_row` reads it. A narrow law
-    (X <= kappa) contracts its state for every proposal instead and keeps no
-    rho: its M is the top eigenvalue of the X x X Gram B^dag B of
-    B = D^{-1/2} states, which has the nonzero eigenvalues of
-    D^{-1/2} rho D^{-1/2}, and at X = 1 it is the support size.
+    ``rho`` (L, kappa, kappa) is formed only on a wide law (m > 1 and
+    X > kappa), for M, and kept only where it is not exact, the one place
+    :func:`_propose` reads it. A narrow law (X <= kappa) contracts its state
+    for every proposal instead and forms no rho: its M is the top eigenvalue
+    of the X x X Gram B^dag B of B = D^{-1/2} states, which has the nonzero
+    eigenvalues of D^{-1/2} rho D^{-1/2}, and at X = 1 it is the support
+    size.
 
     Construction also sets what every draw from the laws reads, so a law
     built once (row 1 of the product table) pays for it once:
@@ -371,6 +366,8 @@ class _RowLaw:
             self.cum = (cum / cum[:, -1:] + np.arange(len(cum))[:, None]).ravel()
         self.exact = self.m > 1 and bool(self.bound.max() <= 1.0 + 1e-12)
         self.every = self.m == 1 or self.exact
+        if self.exact:
+            self.rho = None
 
     @classmethod
     def row_one(cls, lam: Partition, d: int, taus: np.ndarray) -> "_RowLaw":
@@ -379,32 +376,45 @@ class _RowLaw:
         return cls.of(_dicke_tensor(lam, d, taus), lam.parts[0])
 
 
+def _phi(psi: np.ndarray, m: int, d: int) -> np.ndarray:
+    """phi_v = <D_v|psi^{x m}> = sqrt(multinom(m; v)) prod_a psi_a^{v_a} per
+    row of ``psi``, from a (d, m + 1, proposals) table of powers: m - 1
+    multiplies, one gather per symbol. phi = psi on a one-box row."""
+    if m == 1:
+        return psi
+    _, comps, sqrt_multinom = _dicke_map(d, m)
+    powers = np.empty((d, m + 1, len(psi)), dtype=np.complex128)
+    powers[:, 0] = 1.0
+    powers[:, 1] = psi.T
+    for e in range(2, m + 1):
+        np.multiply(powers[:, e - 1], powers[:, 1], out=powers[:, e])
+    phi = powers[0, comps[:, 0]]
+    for a in range(1, d):
+        phi *= powers[a, comps[:, a]]
+    return (sqrt_multinom[:, None] * phi).T
+
+
 def _contract(law: _RowLaw, coeffs: np.ndarray, owners: np.ndarray) -> np.ndarray:
     """c = coeffs . A per proposal, with A the state of the proposal's law."""
     if len(law.states) == 1:
         return coeffs @ law.states[0]
-    if law.m == 1:
-        # einsum would round differently here and move the seeded
-        # outcomes of the rows after a one-box row.
-        return (coeffs[:, None, :] @ law.states[owners])[:, 0]
     return np.einsum("pv,pvx->px", coeffs, law.states[owners])
 
 
-def _propose(law: _RowLaw, owner: np.ndarray, d: int, gen: np.random.Generator, want_rests: bool):
+def _propose(law: _RowLaw, owner: np.ndarray, d: int, gen: np.random.Generator):
     """One proposal of law ``owner[p]`` per p: (psi, phi, contracted, accept).
 
-    ``phi`` is ``None`` where nothing reads it. ``contracted``, c = phi^* A,
-    is formed for every proposal on a one-box law when ``want_rests`` is
-    true and on a narrow law with phi, and is ``None`` otherwise.
-    ``accept`` is ``None`` on a row whose proposals are all accepted.
+    On a row whose proposals are all accepted (``law.every``) only psi is
+    drawn and the rest is ``None``. On a rejection row, ``phi`` is the
+    proposals' phi, ``contracted`` c = phi^* A on a narrow law (no rho
+    kept), which the target reads, and ``None`` on a wide one, and
+    ``accept`` the accept test. The generator gives only what is read: pick
+    uniforms where the law has a pick table, accept uniforms on a rejection
+    row.
     """
     size = owner.size
-    # Drawn even for a one-column law, whose pick is column 0, so that the
-    # generator's sequence does not move.
-    uniforms = gen.random(size)
     if law.cum is not None:
-        pick = np.searchsorted(law.cum, owner + uniforms, side="right") - owner * law.weights.shape[1]
-    contracted = accept = None
+        pick = np.searchsorted(law.cum, owner + gen.random(size), side="right") - owner * law.weights.shape[1]
     if law.m == 1:
         col = law.states[owner, :, 0] if law.cum is None else law.states[owner, :, pick]
         col /= np.linalg.norm(col, axis=1, keepdims=True)
@@ -413,46 +423,27 @@ def _propose(law: _RowLaw, owner: np.ndarray, d: int, gen: np.random.Generator, 
         perp /= np.maximum(np.linalg.norm(perp, axis=1, keepdims=True), 1e-300)
         overlap = gen.beta(2.0, d - 1.0, size)[:, None] if d > 1 else 1.0
         phase = np.exp(2j * np.pi * gen.random((size, 1)))
-        psi = phi = np.sqrt(overlap) * phase * col + np.sqrt(1.0 - overlap) * perp
-        if want_rests:
-            contracted = _contract(law, phi.conj(), owner)
-        return psi, phi, contracted, accept
-    _, comps, sqrt_multinom = _dicke_map(d, law.m)
-    gamma = gen.standard_gamma(_gamma_shapes(d, law.m)[pick])
+        return np.sqrt(overlap) * phase * col + np.sqrt(1.0 - overlap) * perp, None, None, None
+    gamma = gen.standard_gamma(_dicke_map(d, law.m)[1][pick] + 1.0)
     phases = np.exp(2j * np.pi * gen.random((size, d)))
     psi = np.sqrt(gamma / gamma.sum(axis=1, keepdims=True)) * phases
-    phi = None
-    # Read by the target of a rejection row and by the contraction.
-    if want_rests or not law.exact:
-        # phi_v = sqrt(multinom) prod_a psi_a^{v_a}, from a (d, m + 1,
-        # proposals) table of powers: m - 1 multiplies, one gather per symbol.
-        powers = np.empty((d, law.m + 1, size), dtype=np.complex128)
-        powers[:, 0] = 1.0
-        powers[:, 1] = psi.T
-        for e in range(2, law.m + 1):
-            np.multiply(powers[:, e - 1], powers[:, 1], out=powers[:, e])
-        phi = powers[0, comps[:, 0]]
-        for a in range(1, d):
-            phi *= powers[a, comps[:, a]]
-        phi = (sqrt_multinom[:, None] * phi).T
-    # Drawn even when every proposal is accepted, so that the generator's
-    # sequence does not move.
-    uniforms = gen.random(size)
+    if law.exact:
+        return psi, None, None, None
+    phi = _phi(psi, law.m, d)
     # c = phi^* A costs kappa X per proposal and phi^dag rho phi costs kappa^2:
     # a narrow state (no rho kept) is contracted for every proposal, a wide
     # one on accepts.
-    if law.rho is None and phi is not None:
+    shared = len(law.states) == 1
+    contracted = None
+    if law.rho is None:
         contracted = _contract(law, phi.conj(), owner)
-    if not law.exact:
-        shared = len(law.states) == 1
-        if law.rho is None:
-            target = np.sum(contracted.real**2 + contracted.imag**2, axis=1)
-        else:
-            rho_phi = phi @ law.rho[0].T if shared else np.einsum("pvw,pw->pv", law.rho[owner], phi)
-            target = np.einsum("pv,pv->p", phi.conj(), rho_phi).real
-        density = phi.real**2 + phi.imag**2
-        weight = density @ law.weights[0] if shared else np.einsum("pv,pv->p", law.weights[owner], density)
-        accept = uniforms * (law.bound[owner] * weight) < target
+        target = np.sum(contracted.real**2 + contracted.imag**2, axis=1)
+    else:
+        rho_phi = phi @ law.rho[0].T if shared else np.einsum("pvw,pw->pv", law.rho[owner], phi)
+        target = np.einsum("pv,pv->p", phi.conj(), rho_phi).real
+    density = phi.real**2 + phi.imag**2
+    weight = density @ law.weights[0] if shared else np.einsum("pv,pv->p", law.weights[owner], density)
+    accept = gen.random(size) * (law.bound[owner] * weight) < target
     return psi, phi, contracted, accept
 
 
@@ -478,33 +469,26 @@ def _sample_row(
     ||a_x||^2 / tr rho, of the densities d |<a_x|psi>|^2 / ||a_x||^2. Given
     x, |<a_x|psi>|^2 / ||a_x||^2 ~ Beta(2, d - 1) and the rest of psi is
     Haar, so every proposal is accepted. A state of one column is its own
-    pick: its pick uniforms are drawn and not read.
+    pick and draws no pick uniform.
 
     When every law of the call has M <= 1 + 1e-12 (``law.exact``), rho = D
     on the support and a proposal is accepted with probability at least
-    1 - kappa 1e-12, so every proposal is accepted without forming the
-    target or the proposal weight. On such a row, and on a one-box row
-    (``law.every``), law l takes exactly ``need[l]`` proposals, so the call
-    draws them in slot order and returns them as they are, with none of the
-    rejection loop's bookkeeping.
-
-    phi is formed only where it is read: by a rejection row's target, or for
-    the contraction c when ``want_rests`` is true. So an exact row without
-    rests forms neither phi nor c, and a one-box row without rests forms no
-    c. Every uniform is drawn either way, so the generator's sequence, and
-    with it every outcome, does not depend on ``want_rests``.
+    1 - kappa 1e-12, so every proposal is accepted without an accept
+    uniform, the target or the proposal weight. On such a row, and on a
+    one-box row (``law.every``), law l takes exactly ``need[l]`` proposals,
+    so the call draws them in slot order and returns them as they are, with
+    none of the rejection loop's bookkeeping, and forms phi (:func:`_phi`)
+    and c only when ``want_rests`` is true. A rejection row contracts the
+    proposals it keeps, unless its narrow law contracted them all for the
+    target.
     """
     if law.every:
         owner = np.repeat(np.arange(len(need)), need)
         spent += owner.size
         if spent > budget:
             raise RejectionBudgetError(f"no POVM outcome within {budget} row draws (row of {law.m} boxes)")
-        psi, phi, rests, _ = _propose(law, owner, d, gen, want_rests)
-        if want_rests and rests is None:
-            # A C-ordered phi, as a rejection row gathers its accepts, so
-            # that the contraction rounds the same way on both kinds of row.
-            rests = _contract(law, np.ascontiguousarray(phi).conj(), owner)
-        return psi, rests, spent
+        psi = _propose(law, owner, d, gen)[0]
+        return psi, _contract(law, _phi(psi, law.m, d).conj(), owner) if want_rests else None, spent
     first_slot = np.cumsum(need) - need
     psis = np.empty((int(need.sum()), d), dtype=np.complex128)
     rests = np.empty((len(psis), law.states.shape[2]), dtype=np.complex128) if want_rests else None
@@ -515,7 +499,7 @@ def _sample_row(
         # M proposals per needed accept.
         reps = np.ceil(pending * law.bound[live] - 1e-6).astype(np.int64)
         owner = np.repeat(live, reps)
-        psi, phi, contracted, accept = _propose(law, owner, d, gen, want_rests)
+        psi, phi, contracted, accept = _propose(law, owner, d, gen)
         # Rank of each proposal among the accepts of its law in this round.
         accepted = np.cumsum(accept)
         group_start = np.cumsum(reps) - reps
@@ -759,17 +743,20 @@ class _ProductTable:
     parts: np.ndarray
 
 
-def _product_table_entries(d: int, n: int) -> int:
-    """Complex entries that the row-1 laws of :func:`_product_table` hold,
-    counted from shapes alone: per lam, dim_q(lam) states of kappa(lam_1) x X
-    entries, X = prod_{r>1} kappa(lam_r), and as many kappa(lam_1)^2 reduced
-    states when the law is wide (lam_1 > 1 and X > kappa(lam_1))."""
+def _product_table_bytes(d: int, n: int) -> int:
+    """Bytes that the row-1 laws of :func:`_product_table` hold, counted from
+    shapes alone. Per lam, dim_q(lam) laws, each of a kappa x X complex
+    state, kappa = kappa(lam_1) and X = prod_{r>1} kappa(lam_r), and float64
+    tables: the ``weights`` and ``cum`` of its picks (kappa compositions on
+    lam_1 > 1, else X columns, and no ``cum`` for one column) and one
+    ``bound``. The laws are weight vectors', so exact, and keep no rho."""
     total = 0
     for lam in partitions_of(n, d):
         kappa = symmetric_dim(lam.parts[0], d)
         width = math.prod(symmetric_dim(m, d) for m in lam.parts[1:])
-        wide = lam.parts[0] > 1 and width > kappa
-        total += weyl_dim(lam, d) * kappa * (width + kappa * wide)
+        picks = kappa if lam.parts[0] > 1 else width
+        tables = 2 * picks if lam.parts[0] > 1 or width > 1 else picks
+        total += weyl_dim(lam, d) * (16 * kappa * width + 8 * (tables + 1))
     return total
 
 
@@ -779,24 +766,20 @@ def _product_table(d: int, n: int) -> _ProductTable:
     and the labels of :func:`_layout`.
 
     Raises :class:`CapExceededError` before any stage-1 work or d^n-sized
-    table when the row-1 laws would hold more than ``MAX_DENSE_DIM`` complex
-    entries, when d^n exceeds it, or when the int64 tables over the d^n
-    digit tuples would take more than ``_TABLE_BYTES``: the (d^n, n) digit
-    table of the weight classes, the layout's (d^n, 4) keys and the draw
-    table. Raises :class:`SpanExtractionError` when :func:`check_stage1`
-    refuses stage 1. A refused table is not cached.
+    table, in this order: when d^n exceeds ``MAX_DENSE_DIM``, decided in
+    O(1); when the int64 tables over the d^n digit tuples would take more
+    than ``_TABLE_BYTES``: the (d^n, n) digit table of the weight classes,
+    the layout's (d^n, 4) keys and the draw table; and when the row-1 laws
+    would hold more than ``_TABLE_BYTES`` (:func:`_product_table_bytes`, a
+    sum over the partitions of n). Raises :class:`SpanExtractionError` when
+    :func:`check_stage1` refuses stage 1. A refused table is not cached.
     """
-    entries = _product_table_entries(d, n)
-    if entries > MAX_DENSE_DIM:
-        raise CapExceededError(
-            f"the product table at d={d}, n'={n} would hold {entries} complex entries, over the cap {MAX_DENSE_DIM}"
-        )
     check_dense_dim(d, n)
-    table_bytes = 8 * d**n * (n + 5)
-    if table_bytes > _TABLE_BYTES:
-        raise CapExceededError(
-            f"the product table at d={d}, n'={n} would take {table_bytes} bytes of d^n' tables, over the cap {_TABLE_BYTES}"
-        )
+    for what, size in (("d^n' tables", 8 * d**n * (n + 5)), ("row-1 laws", _product_table_bytes(d, n))):
+        if size > _TABLE_BYTES:
+            raise CapExceededError(
+                f"the product table at d={d}, n'={n} would take {size} bytes of {what}, over the cap {_TABLE_BYTES}"
+            )
     blocks, labels = _layout(d, n)
     stage1 = build_q_bases(d, n)
     check_stage1(d, n, stage1)
@@ -900,7 +883,9 @@ def mixed_state_shadow(
     """Shadow estimate from n copies of a mixed state.
 
     Draws the population input (U, e) from the spectrum of chi and runs the
-    product path at accuracy epsilon / 2; no basis is built or read. A given
+    product path at accuracy epsilon / 2; no basis is built or read. The
+    product table is reached first, so a (d, n') that it refuses draws
+    nothing, and its caps are decided before any n-sized work. A given
     ``basis`` is only checked against (d, n'), because the ``shadow-d4``
     workload in ``perfbench/workloads.py`` passes one.
     """
@@ -910,6 +895,7 @@ def mixed_state_shadow(
     seg_size = n // t_segments
     if basis is not None and (basis.n != seg_size or basis.d != chi.d):
         raise ValueError(f"basis is for (d={basis.d}, n={basis.n}), segments need (d={chi.d}, n={seg_size})")
+    _product_table(chi.d, seg_size)
     # Not through shadow_from_population, whose perfbench/layers.py hook reads a basis first.
     return _product_shadow(*sample_population_input(chi, n, rng.child(-1)), t_segments, seg_size, rng)
 

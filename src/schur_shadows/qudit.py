@@ -35,12 +35,18 @@ class CapExceededError(RuntimeError):
     """Raised when an operation would exceed the dense-storage cap."""
 
 
+def power_exceeds(d: int, n: int, cap: int) -> bool:
+    """d**n > cap for d, n >= 0, decided by exponents first: d**n is formed
+    only when n (bit_length(d) - 1) < bit_length(cap), where it has at most
+    twice the cap's bits, and it is never converted to decimal."""
+    return n * (d.bit_length() - 1) >= cap.bit_length() or d**n > cap
+
+
 def check_dense_dim(d: int, n: int) -> int:
     """Return d**n, raising :class:`CapExceededError` beyond :data:`MAX_DENSE_DIM`."""
-    dim = d**n
-    if dim > MAX_DENSE_DIM:
-        raise CapExceededError(f"dense dimension {d}**{n} = {dim} exceeds cap {MAX_DENSE_DIM}")
-    return dim
+    if power_exceeds(d, n, MAX_DENSE_DIM):
+        raise CapExceededError(f"dense dimension d**n = {d}**{n} exceeds cap {MAX_DENSE_DIM}")
+    return d**n
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,8 @@ def weight_classes(d: int, n: int) -> tuple[SlotClasses, np.ndarray]:
     classes = register_classes(d, n, (tuple(range(n)),))
     # The digits of each class's smallest member, decoded from its index.
     digits = classes.order[classes.starts][:, None] // place_values(d, n) % d
-    weights = (digits[:, :, None] == np.arange(d)).sum(axis=1)
+    weights = np.zeros((len(digits), d), dtype=np.int64)
+    for column in digits.T:
+        weights[np.arange(len(digits)), column] += 1
     weights.setflags(write=False)
     return classes, weights

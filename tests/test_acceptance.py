@@ -311,7 +311,7 @@ def test_criterion_6_variance_upper_bound(protocol_state_for):
     for d, lam in ORACLE_LAMBDAS:
         tau, _ = protocol_state_for(lam, d, 6_000 + lam.n)
         second = second_moment_exact(lam, tau, None)
-        first = expected_shadow_exact(lam, tau, None, validate=False)
+        first = expected_shadow_exact(lam, tau, None)
         observables = [
             pauli_z_observable(d).matrix,
             off_diagonal_observable(d).matrix,

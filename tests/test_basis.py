@@ -216,6 +216,20 @@ class TestCompletion:
             tracemalloc.stop()
         assert peak < 4.7 * max(p.matrix.nbytes for p in basis.slices.values())
 
+    def test_gram_check_memory_is_one_slice(self, basis_for):
+        # The Gram check takes 1 off the Gram's diagonal in place: at (2, 10)
+        # it peaks below 1.5 times its largest slice (252 x 252), where an
+        # identity and a difference of the Gram's size took 2.0 times.
+        basis = basis_for(2, 10)
+        basis_for(2, 3).gram_deviation()
+        tracemalloc.start()
+        try:
+            assert basis.gram_deviation() < 1e-9
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * max(p.matrix.nbytes for p in basis.slices.values())
+
     @pytest.mark.parametrize("d,n", [(3, 7), (4, 6)])
     def test_completion_memory_is_below_twice_the_basis(self, d, n):
         # Stage 2 writes every layer straight into its preallocated V_w, so
@@ -585,6 +599,18 @@ class TestPersistence:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_weight_table_over_the_cap_is_refused_before_it_is_built(self, tmp_path, monkeypatch):
+        # (16384, 1): a body of 8 d bytes is the right length, but the (C, d)
+        # weight table of its C = d weights would take 2 GiB.
+        def refuse(*args):
+            raise AssertionError("the weight table was built before the refusal")
+
+        monkeypatch.setattr(basis_mod, "_weight_rows", refuse)
+        path = tmp_path / "wide.schb"
+        write_header(path, 16384, 1, bytes(8 * 16384))
+        with pytest.raises(CapExceededError, match="weight table of 8 C d = 2147483648 bytes"):
+            load_basis(path)
 
     def test_v1_file_is_refused(self, tmp_path):
         path = tmp_path / "old.schb"

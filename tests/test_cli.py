@@ -73,6 +73,24 @@ class TestBasisCommands:
         assert "resource cap:" in err and "multinom" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_large_d_weight_table_exits_3_before_stage_1(self, tmp_path, monkeypatch, capsys):
+        # (256, 3): d^n = 2^24 and a 764-MiB basis pass their caps, but the
+        # (C, d) weight table of its C = 2,829,056 weights would take 5.4 GiB.
+        for name in ("basis.build_q_bases", "basis._weight_rows", "young.digit_table"):
+            monkeypatch.setattr(f"schur_shadows.{name}", refuse)
+        out = tmp_path / "b.schb"
+        assert main(["basis", "build", "--d", "256", "--n", "3", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "resource cap:" in err and "weight table of 8 C d = 5793906688 bytes" in err
+        assert not out.exists()
+
+    def test_huge_n_exits_3(self, tmp_path, capsys):
+        # 2^20000 has more than 4300 decimal digits: the cap is decided by
+        # exponents and the message names d and n, not d^n.
+        assert main(["basis", "build", "--d", "2", "--n", "20000", "--out", str(tmp_path / "b.schb")]) == 3
+        err = capsys.readouterr().err
+        assert "resource cap:" in err and "2**20000" in err
+
     def test_build_needs_out(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["basis", "build", "--d", "2", "--n", "2"])
@@ -357,9 +375,23 @@ class TestOracleCommand:
         monkeypatch.setattr(moments, "row_symmetry_residual", counted("row_check", moments.row_symmetry_residual))
         out = tmp_path / "report.json"
         assert main(["oracle", "--d", "2", "--lambda", "3,1", "--samples", "500", "--out", str(out)]) == 0
-        assert calls == {"second": 1, "row_check": 1}
+        # Each exact moment checks the state it is given: once each.
+        assert calls == {"second": 1, "row_check": 2}
         payload = json.loads(out.read_text())
         assert payload["variance"] == payload["mc"]["variance_exact"]
+
+    def test_huge_n_exits_3(self, capsys):
+        assert main(["oracle", "--d", "2", "--lambda", "20000"]) == 3
+        err = capsys.readouterr().err
+        assert "resource cap:" in err and "2^20002" in err
+
+    def test_povm_cap_exits_3_before_any_array(self, monkeypatch, capsys):
+        # d^n = 4^8: the d^n x d^n projector alone would take 32 GiB.
+        monkeypatch.setattr("schur_shadows.moments.row_symmetric_projector", refuse)
+        monkeypatch.setattr("schur_shadows.moments._apply_row_symmetrizers", refuse)
+        assert main(["oracle", "--povm", "--lambda", "4,4", "--d", "4", "--samples", "0"]) == 3
+        assert "resource cap:" in capsys.readouterr().err
+        assert main(["oracle", "--povm", "--lambda", "4,4", "--d", "4", "--samples", "10"]) == 3
 
     def test_cap_checked_before_basis_build(self, monkeypatch):
         def refuse(*args):
@@ -397,6 +429,16 @@ class TestProductTableCap:
         args = ["shadow", "run", "--d", "2", "--n", "25", "--rank", "2", "--epsilon", "10", "--trials", "1"]
         assert main(args + ["--out", str(tmp_path / "run.csv")]) == 3
         assert "2**25" in capsys.readouterr().err
+
+    def test_caps_decided_before_any_count_or_draw(self, tmp_path, monkeypatch, capsys):
+        # epsilon 1.2 gives T = 28, so n' = 4000: counting the row-1 laws over
+        # the partitions of 4000 took 21 s, and the draw of the 112,000
+        # symbols came before any check.
+        monkeypatch.setattr("schur_shadows.protocol._product_table_bytes", refuse)
+        monkeypatch.setattr("schur_shadows.protocol.sample_population_input", refuse)
+        args = ["shadow", "run", "--d", "2", "--n", "112000", "--rank", "2", "--epsilon", "1.2", "--trials", "1"]
+        assert main(args + ["--out", str(tmp_path / "run.csv")]) == 3
+        assert "2**4000" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args",

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from oracles import (
     single_row_second_moment_quadrature,
     single_row_variance_quadrature,
 )
+from schur_shadows.basis import build_q_bases
+from schur_shadows.cli import main
 from schur_shadows.moments import (
-    MomentReport,
+    random_protocol_state,
     single_row_variance_closed_form,
     expected_shadow_exact,
     expected_shadow_formula,
@@ -195,7 +199,7 @@ class TestVariance:
             lam = Partition(parts)
             tau, _ = protocol_state_for(lam, d, 52 + lam.n)
             cross = second_moment_dense(lam, tau, None, "cross")
-            first = expected_shadow_exact(lam, tau, None, validate=False)
+            first = expected_shadow_exact(lam, tau, None)
             for obs in (PAULI_Z, PAULI_X):
                 full = np.zeros((d, d), dtype=complex)
                 full[:2, :2] = obs
@@ -323,14 +327,24 @@ class TestMcShadowMoments:
 
 
 class TestMomentReport:
-    def test_jsonable(self, protocol_state_for):
-        lam = Partition((2, 1))
-        tau, _ = protocol_state_for(lam, 2, 51)
-        first = expected_shadow_exact(lam, tau)
-        second = second_moment_exact(lam, tau)
-        var = variance_exact(lam, tau, None, PAULI_Z)
-        report = MomentReport(lam, 2, first, second, var, {"samples": 0})
-        payload = report.to_jsonable()
+    def test_jsonable(self, tmp_path):
+        # The oracle command's report holds the exact moments of its own
+        # state and unitary, drawn from child(0) and child(1) of its seed.
+        out = tmp_path / "report.json"
+        assert main(["oracle", "--d", "2", "--lambda", "2,1", "--samples", "2000", "--seed", "51", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
         assert payload["schema_version"] == 1
-        assert payload["partition"] == [2, 1]
-        assert report.hermiticity_deviation() < 1e-10
+        assert payload["partition"] == [2, 1] and payload["d"] == 2
+        lam, rng = Partition((2, 1)), RngStream(51)
+        tau, weight = random_protocol_state(lam, build_q_bases(2, 3)[lam], 2, rng.child(0).gen)
+        unitary = haar_unitary(2, rng.child(1))
+        first, second = expected_shadow_exact(lam, tau, unitary), second_moment_exact(lam, tau, unitary)
+        for name, want in (("first_moment", first), ("second_moment", second)):
+            got = np.array(payload[f"{name}_re"]) + 1j * np.array(payload[f"{name}_im"])
+            assert np.array_equal(got, want), name
+        deviation = max(np.max(np.abs(m - m.conj().T)) for m in (first, second))
+        assert payload["hermiticity_deviation"] == deviation < 1e-10
+        assert payload["variance"] == payload["mc"]["variance_exact"]
+        assert payload["variance"] == pytest.approx(variance_exact(lam, tau, unitary, PAULI_Z), abs=1e-12)
+        assert payload["weight"] == list(weight)
+        assert payload["mc"]["samples"] == 2000 and "first_moment_exact" not in payload["mc"]

@@ -50,7 +50,7 @@ from schur_shadows.protocol import (
     _dicke_map,
     _dicke_tensor,
     _product_table,
-    _product_table_entries,
+    _product_table_bytes,
     _povm_sample,
     _RowLaw,
     _segment_factor,
@@ -297,6 +297,39 @@ class TestRowSymmetricSampling:
         monkeypatch.setattr("schur_shadows.protocol.MAX_ROW_DRAWS", 0)
         with pytest.raises(RejectionBudgetError):
             row_symmetric_sample_batch(lam, tau, count, RngStream(77))
+
+    @pytest.mark.parametrize("want_rests", [True, False])
+    def test_draws_only_what_it_reads(self, want_rests):
+        # An exact row draws its picks, gammas and phases, and no accept
+        # uniform; a one-box row of one column, whose pick is that column,
+        # draws its complement, overlap and phase, and no pick uniform. The
+        # draws are the same with or without rests.
+        class Recording:
+            def __init__(self, gen):
+                self.gen, self.calls = gen, []
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    out = getattr(self.gen, name)(*args, **kwargs)
+                    self.calls.append((name, np.shape(out)))
+                    return out
+
+                return draw
+
+        d, count = 3, 7
+        lam = Partition((2,))
+        exact = _RowLaw.row_one(lam, d, weight_vector(lam, d, 1).amplitudes.reshape(1, -1, 1))
+        one_box = _RowLaw.row_one(Partition((1,)), d, haar_unitary(d, RngStream(78)).entries[:, :1].reshape(1, d, 1))
+        assert exact.exact and one_box.cum is None
+        expect = [
+            (exact, [("random", (count,)), ("standard_gamma", (count, d)), ("random", (count, d))]),
+            (one_box, [("standard_normal", (count, d))] * 2 + [("beta", (count,)), ("random", (count, 1))]),
+        ]
+        for law, calls in expect:
+            gen = Recording(RngStream(79).gen)
+            psis, rests, spent = protocol._sample_row(law, np.array([count]), d, gen, 0, count, want_rests)
+            assert gen.calls == calls and spent == count
+            assert psis.shape == (count, d) and (rests is not None) == want_rests
 
     def test_proposals_count_the_sampler(self):
         # On tau = (U|0>)^{x3} the row state has rank 1 and all 4 Dicke weights
@@ -658,9 +691,10 @@ class TestWeightTable:
             assert all(abs(mass[parts] / multinom - p) < 1e-12 for parts, p in law.items()), w
 
     def test_only_wide_laws_keep_rho(self):
-        # Row 1's law keeps its reduced state only where the kernel reads it:
-        # where its state is wider than tall, X = prod_{r>1} kappa(lam_r) >
-        # kappa(lam_1). (4, 5) has both kinds.
+        # A law keeps its reduced state only where the accept test reads it:
+        # on a wide law (X > kappa) that can reject. The product table's
+        # row-1 laws are weight vectors', exact (M = 1), so none keeps one;
+        # (4, 5) has wide and narrow laws.
         d, n = 4, 5
         table = _product_table(d, n)
         kinds = set()
@@ -668,41 +702,53 @@ class TestWeightTable:
             kappa = symmetric_dim(lam.parts[0], d)
             width = math.prod(symmetric_dim(m, d) for m in lam.parts[1:])
             assert law.states.shape[1:] == (kappa, width)
-            wide = width > kappa
-            assert (law.rho is None) != wide, lam
-            if wide:
-                assert law.rho.shape == (len(law.states), kappa, kappa)
-            kinds.add(wide)
+            assert law.every and law.rho is None, lam
+            kinds.add(width > kappa)
         assert kinds == {True, False}
+        # Random states of one row of 2 boxes at d = 3 (kappa = 6): a wide
+        # law rejects and keeps rho, a narrow one contracts instead.
+        gen = RngStream(680).gen
+        for width in (9, 4):
+            states = gen.standard_normal((2, 6, width)) + 1j * gen.standard_normal((2, 6, width))
+            law = _RowLaw.of(states, 2)
+            assert not law.exact
+            if width > 6:
+                assert np.allclose(law.rho, states @ states.conj().swapaxes(1, 2))
+            else:
+                assert law.rho is None
 
-    @pytest.mark.parametrize("d,n", [(3, 5), (4, 4), (2, 10)])
+    @pytest.mark.parametrize("d,n", [(3, 5), (4, 4), (2, 10), (4, 5)])
     def test_entry_count_is_what_the_table_holds(self, d, n):
+        # Every array the row-1 laws hold, complex states and float tables.
         table = _product_table(d, n)
-        held = sum(law.states.nbytes + (0 if law.rho is None else law.rho.nbytes) for law in table.first_rows)
-        assert held == 16 * _product_table_entries(d, n)
+        held = 0
+        for law in table.first_rows:
+            arrays = (law.states, law.weights, law.cum, law.bound, law.rho)
+            held += sum(a.nbytes for a in arrays if a is not None)
+        assert held == _product_table_bytes(d, n)
 
     def test_refuses_a_table_it_cannot_hold(self, monkeypatch):
         # Counted from dim_q and the kappas alone: (8, 6) would hold about
-        # 14.5 GB and (8, 5) 0.77 GB; (4, 8) would hold 62 MB, under the cap.
+        # 12.9 GB and (8, 5) 0.77 GB; (4, 8) would hold 56 MB, under the cap.
         def no_stage1(d, n):
             raise AssertionError("stage 1 ran before the refusal")
 
         monkeypatch.setattr(protocol, "build_q_bases", no_stage1)
         for d, n in ((8, 6), (8, 5)):
-            assert _product_table_entries(d, n) > MAX_DENSE_DIM
+            assert _product_table_bytes(d, n) > protocol._TABLE_BYTES
             with pytest.raises(CapExceededError, match="product table"):
                 shadow_from_population(OperatorGrid(np.eye(d)), (0,) * n, 1, n, RngStream(0))
-        assert _product_table_entries(4, 8) <= MAX_DENSE_DIM
+        assert _product_table_bytes(4, 8) <= protocol._TABLE_BYTES
 
     def test_refuses_d_power_n_before_any_table(self, monkeypatch):
-        # (2, 25) has 18,200 row-1 entries, under their cap, but 2^25 digit
+        # (2, 25) has 357 KB of row-1 laws, under their cap, but 2^25 digit
         # tuples: a (2^25, 25) int64 digit table would take 6.7 GB.
         def refuse(*args):
             raise AssertionError("a d^n'-sized table was built before the refusal")
 
         monkeypatch.setattr(young, "digit_table", refuse)
         monkeypatch.setattr(protocol, "build_q_bases", refuse)
-        assert _product_table_entries(2, 25) <= MAX_DENSE_DIM < 2**25
+        assert _product_table_bytes(2, 25) <= protocol._TABLE_BYTES and MAX_DENSE_DIM < 2**25
         with pytest.raises(CapExceededError, match="2\\*\\*25"):
             shadow_from_population(OperatorGrid(np.eye(2)), (0,) * 25, 1, 25, RngStream(0))
 
@@ -716,7 +762,7 @@ class TestWeightTable:
 
         monkeypatch.setattr(young, "digit_table", refuse)
         monkeypatch.setattr(protocol, "build_q_bases", refuse)
-        assert _product_table_entries(d, n) <= MAX_DENSE_DIM and d**n <= MAX_DENSE_DIM
+        assert _product_table_bytes(d, n) <= protocol._TABLE_BYTES and d**n <= MAX_DENSE_DIM
         with pytest.raises(CapExceededError, match=f"n'={n} would take {8 * d**n * (n + 5)} bytes"):
             shadow_from_population(OperatorGrid(np.eye(d)), (0,) * n, 1, n, RngStream(0))
 

@@ -6,15 +6,17 @@ expectation of psi^{tensor s} times the symmetric-subspace dimension kappa_s
 equals the s-slot symmetrizer. Attaching one (or two) output qudits to a row
 and symmetrizing the enlarged slot set therefore gives E[Psi] and
 E[Psi tensor Psi] exactly. E[Psi] is a sum of one-qudit reduced states of
-tau. For E[Psi tensor Psi] each symmetrizer acts on the d^2 vectors
-|b> (tensor) tau of the (n+2)-qudit register as a mean over the classes of
-indices that agree outside its slots and carry the same digit multiset on
-them, so no operator on n+1 or n+2 qudits is built.
+tau. For E[Psi tensor Psi] the product of one row pair's symmetrizers acts
+on the d^2 vectors |b> (tensor) tau of the (n+2)-qudit register as one mean
+over the classes of indices that agree outside the pair's slot sets and carry
+the same digit multiset on each, so no operator on n+1 or n+2 qudits is
+built. No permutation group is enumerated anywhere: every symmetrizer is read
+off slot classes.
 """
 
 from __future__ import annotations
 
-import itertools
+from functools import reduce
 
 import numpy as np
 
@@ -24,12 +26,10 @@ from .qudit import (
     PureState,
     RngStream,
     apply_local_unitary,
-    digit_table,
     haar_pure_state_batch,
-    permuted_indices,
     power_exceeds,
 )
-from .young import BoxLayout, Partition, kappa_product, register_classes, row_group, symmetric_dim
+from .young import BoxLayout, Partition, kappa_product, register_classes, symmetric_dim, weight_classes
 
 #: Hard cap on d**(n+2) for explicit second-moment operators, and on d**n
 #: for the POVM completeness checks' d^n x d^n arrays.
@@ -37,10 +37,7 @@ ORACLE_DIM_CAP = 2200
 
 ROW_SYMMETRY_TOL = 1e-8
 
-#: Digit entries that one chunk of permuted digit tables may hold.
-_PERM_CHUNK = 1 << 18
-
-#: POVM elements drawn per pass of :func:`mc_povm_completeness`.
+#: Samples accumulated per pass of the Monte Carlo checks.
 _MC_BATCH = 2000
 
 
@@ -50,15 +47,16 @@ _MC_BATCH = 2000
 
 
 def row_symmetric_projector(lam: Partition, d: int) -> np.ndarray:
-    """Projector onto the row-symmetric subspace: the row-group average, taken
-    over chunks of the group so that no (|group|, d^n, n) array is formed."""
-    digits = digit_table(d, lam.n)
-    mat = np.zeros((len(digits), len(digits)))
-    perms, count = row_group(lam), 0
-    while chunk := list(itertools.islice(perms, max(1, _PERM_CHUNK // digits.size))):
-        np.add.at(mat, (permuted_indices(digits, d, np.array(chunk)), np.arange(len(digits))), 1.0)
-        count += len(chunk)
-    return mat / count
+    """Projector onto the row-symmetric subspace: the Kronecker product of the
+    rows' symmetric projectors. A row of s boxes projects with entry 1/|C| at
+    (x, y) when the s-digit tuples x and y share the weight class C."""
+
+    def row_projector(s: int) -> np.ndarray:
+        classes, _ = weight_classes(d, s)
+        same = classes.inverse[:, None] == classes.inverse[None, :]
+        return same / classes.counts[classes.inverse][:, None]
+
+    return reduce(np.kron, map(row_projector, lam.parts))
 
 
 def _apply_row_symmetrizers(lam: Partition, d: int, vecs: np.ndarray) -> np.ndarray:
@@ -105,17 +103,12 @@ def random_protocol_state(
     return PureState(d, lam.n, dense).normalized(), image.weight
 
 
-def _rotated_amplitudes(tau: PureState, unitary: OperatorGrid | None) -> np.ndarray:
-    state = tau if unitary is None else apply_local_unitary(unitary, tau)
-    return state.amplitudes
-
-
 # ---------------------------------------------------------------------------
 # First moment
 # ---------------------------------------------------------------------------
 
 
-def expected_shadow_exact(lam: Partition, tau: PureState, unitary: OperatorGrid | None = None) -> np.ndarray:
+def expected_shadow_exact(lam: Partition, tau: PureState) -> np.ndarray:
     """Exact E[Psi]: sum over rows and in-row swap positions of reduced states.
 
     For each row j and position p <= lam_j the swap pulls the reduced state
@@ -126,7 +119,7 @@ def expected_shadow_exact(lam: Partition, tau: PureState, unitary: OperatorGrid 
     """
     _check_protocol_state(lam, tau)
     d, n = tau.d, tau.n
-    amps = _rotated_amplitudes(tau, unitary)
+    amps = tau.amplitudes
     tensor = amps.reshape((d,) * n)
     out = lam.k * float(np.vdot(amps, amps).real) * np.eye(d, dtype=np.complex128)
     for qudit in range(n):
@@ -163,7 +156,7 @@ def _check_povm_cap(lam: Partition, d: int) -> None:
         raise CapExceededError(f"the POVM check of {lam} at d^n = {d}^{lam.n} exceeds oracle cap {ORACLE_DIM_CAP}")
 
 
-def second_moment_exact(lam: Partition, tau: PureState, unitary: OperatorGrid | None = None) -> np.ndarray:
+def second_moment_exact(lam: Partition, tau: PureState) -> np.ndarray:
     """Exact E[Psi tensor Psi] as a d^2 x d^2 matrix.
 
     Output qudits occupy slots 0 and 1 of an (n+2)-qudit register. For every
@@ -174,48 +167,39 @@ def second_moment_exact(lam: Partition, tau: PureState, unitary: OperatorGrid | 
 
     With X the (d^(n+2), d^2) matrix whose column b is |b> (tensor) tau,
     I (tensor) rho = X X^dag, so the pair's term is coeff * X^dag W X for the
-    symmetrizer product W. Each symmetrizer acts on the columns of X as a
-    class mean over the :func:`register_classes` of its slot set, built once
-    per (d, n, slots) for every call, and no d^(n+2)-square operator is formed.
+    symmetrizer product W. The slot sets are disjoint, so W acts on the
+    columns of X as one class mean over the :func:`register_classes` of the
+    pair's sets of more than one slot, built once per (d, n, pair) for every
+    call, and no d^(n+2)-square operator is formed.
     """
     d, n = tau.d, tau.n
     # Refuse by size first, before any validation work.
     check_oracle_cap(d, n)
     _check_protocol_state(lam, tau)
-    amps = _rotated_amplitudes(tau, unitary)
-    layout = BoxLayout(lam)
+    amps = tau.amplitudes
     columns = np.kron(np.eye(d * d, dtype=np.complex128), amps.reshape(-1, 1))
-
-    row_slots = [[2 + layout.box_position(r, c) for c in range(lam.parts[r])] for r in range(lam.k)]
+    row_slots = [[2 + box for box in row] for row in BoxLayout(lam).row_blocks()]
 
     total = np.zeros((d * d, d * d), dtype=np.complex128)
     for j in range(lam.k):
         for jp in range(lam.k):
             coeff = float((lam.parts[j] + d) * (lam.parts[jp] + d))
-            factors = []
-            for r in range(lam.k):
-                slots = list(row_slots[r])
-                extra = (1 if r == j else 0) + (1 if r == jp else 0)
-                if r == j:
-                    slots.append(0)
-                if r == jp:
-                    slots.append(1)
-                if not extra and lam.parts[r] == 1:
-                    continue  # single-box row without outputs: identity factor
-                coeff *= symmetric_dim(lam.parts[r], d) / symmetric_dim(lam.parts[r] + extra, d)
-                factors.append(register_classes(d, n + 2, (tuple(sorted(slots)),)))
-            image = columns
-            for factor in reversed(factors):
-                image = factor.mean(image)
+            blocks = []
+            for r, slots in enumerate(row_slots):
+                outputs = [0] * (r == j) + [1] * (r == jp)
+                coeff *= symmetric_dim(len(slots), d) / symmetric_dim(len(slots) + len(outputs), d)
+                if len(slots) + len(outputs) > 1:
+                    blocks.append(tuple(outputs + slots))
+            image = register_classes(d, n + 2, tuple(blocks)).mean(columns)
             # (X^dag W X)[a, b] = sum_r conj(tau_r) (W X)[(a, r), b]
             total += coeff * (amps.conj() @ image.reshape(d * d, -1, d * d))
     return total
 
 
-def variance_exact(lam: Partition, tau: PureState, unitary: OperatorGrid | None, observable: np.ndarray) -> float:
+def variance_exact(lam: Partition, tau: PureState, observable: np.ndarray) -> float:
     """Var[tr(O Psi)] = tr((O tensor O) E[Psi x Psi]) - tr(O E[Psi])^2."""
-    second = second_moment_exact(lam, tau, unitary)
-    return _variance(observable, expected_shadow_exact(lam, tau, unitary), second)
+    second = second_moment_exact(lam, tau)
+    return _variance(observable, expected_shadow_exact(lam, tau), second)
 
 
 def _variance(observable: np.ndarray, first: np.ndarray, second: np.ndarray) -> float:
@@ -262,12 +246,13 @@ def single_row_variance_closed_form(observable: np.ndarray, p: int, q: int, d: i
 
 
 def povm_completeness_residual(lam: Partition, d: int) -> float:
-    """Max-abs gap between the product of per-row symmetrizers and the
-    row-group average; both equal the POVM elements' Haar integral.
+    """Max-abs gap between two constructions of the product of per-row
+    symmetrizers, which equals the POVM elements' Haar integral.
 
-    The product is read off the slot classes by applying it to the identity;
-    the average is built from the row group's permutations. A d^n over
-    ``ORACLE_DIM_CAP`` is refused before either is formed."""
+    One applies the whole register's multi-block class means to the
+    identity; the other is the Kronecker product of the rows' projectors
+    (:func:`row_symmetric_projector`). A d^n over ``ORACLE_DIM_CAP`` is
+    refused before either is formed."""
     _check_povm_cap(lam, d)
     product = _apply_row_symmetrizers(lam, d, np.eye(d**lam.n))
     direct = row_symmetric_projector(lam, d)
@@ -294,6 +279,18 @@ class _EntrywiseStats:
         self.sum_sq_re += np.sum(batch.real**2, axis=0)
         self.sum_sq_im += np.sum(batch.imag**2, axis=0)
 
+    def add_outer(self, rows: np.ndarray) -> None:
+        """Add the outer products rows[s] rows[s]^dag of a (b, m) batch by
+        Gram products, forming no (b, m, m) array."""
+        re, im = np.ascontiguousarray(rows.real), np.ascontiguousarray(rows.imag)
+        re2, im2, reim = re**2, im**2, re * im
+        cross = reim.T @ reim
+        # x_uw = v_u conj(v_w): Re x = R_u R_w + I_u I_w, Im x = I_u R_w - R_u I_w.
+        self.count += rows.shape[0]
+        self.sum += rows.T @ rows.conj()
+        self.sum_sq_re += re2.T @ re2 + 2.0 * cross + im2.T @ im2
+        self.sum_sq_im += im2.T @ re2 + re2.T @ im2 - 2.0 * cross
+
     @property
     def mean(self) -> np.ndarray:
         return self.sum / self.count
@@ -317,25 +314,18 @@ def mc_povm_completeness(lam: Partition, d: int, samples: int, rng: RngStream) -
     """Monte Carlo average of kappa-weighted POVM elements vs the projector.
 
     The sampled operator is kappa * |v><v| with v the product of per-row
-    tensor powers; entrywise Re/Im second moments accumulate through matrix
-    products of the elementwise-squared real/imaginary parts. A d^n over
-    ``ORACLE_DIM_CAP`` is refused before any sample.
+    tensor powers, accumulated by :meth:`_EntrywiseStats.add_outer`. A d^n
+    over ``ORACLE_DIM_CAP`` is refused before any sample.
     """
     _check_povm_cap(lam, d)
     dim = d**lam.n
-    kappa = float(kappa_product(lam, d))
+    scale = np.sqrt(float(kappa_product(lam, d)))
     stats = _EntrywiseStats((dim, dim))
     gen = rng.gen
     while stats.count < samples:
         b = min(_MC_BATCH, samples - stats.count)
-        full = _product_state_batch(lam, d, b, gen) * np.sqrt(kappa)
-        re, im = np.ascontiguousarray(full.real), np.ascontiguousarray(full.imag)
-        stats.sum += full.T @ full.conj()
-        re2, im2, reim = re**2, im**2, re * im
-        # x_uw = F_u conj(F_w): Re x = R_u R_w + I_u I_w, Im x = I_u R_w - R_u I_w.
-        stats.sum_sq_re += re2.T @ re2 + 2.0 * (reim.T @ reim) + im2.T @ im2
-        stats.sum_sq_im += im2.T @ re2 + re2.T @ im2 - 2.0 * (reim.T @ reim)
-        stats.count += b
+        rows = _product_state_batch(lam, d, b, gen) * scale
+        stats.add_outer(rows)
     target = row_symmetric_projector(lam, d).astype(np.complex128)
     return {
         "samples": samples,
@@ -372,16 +362,21 @@ def mc_shadow_moments(
     plus a variance z statistic for ``observable`` when given, and the exact
     moments it compared against: ``first_moment_exact``, and
     ``second_moment_exact`` when ``second`` or ``observable`` asks for it.
-    Each exact moment is computed once.
+    Both are the moments of the rotated state U^{tensor n} tau that the
+    sampler draws from, each computed once.
+
+    The second moment's statistic is v v^dag with v = vec(Psi): since Psi is
+    Hermitian, its entry ((a, b), (e, c)) is Psi_ab Psi_ce, the entry
+    ((a, c), (b, e)) of Psi (tensor) Psi.
     """
     from .protocol import row_symmetric_sample_batch
 
     d = tau.d
-    # The exact moments come first, so a bad state is refused before any draw.
-    report = {"samples": samples, "first_moment_exact": expected_shadow_exact(lam, tau, unitary)}
-    if second or observable is not None:
-        report["second_moment_exact"] = second_moment_exact(lam, tau, unitary)
     state = tau if unitary is None else apply_local_unitary(unitary, tau)
+    # The exact moments come first, so a bad state is refused before any draw.
+    report = {"samples": samples, "first_moment_exact": expected_shadow_exact(lam, state)}
+    if second or observable is not None:
+        report["second_moment_exact"] = second_moment_exact(lam, state)
     psis, _trials = row_symmetric_sample_batch(lam, state, samples, rng)
     coeffs = np.array([part + d for part in lam.parts], dtype=np.float64)
 
@@ -389,23 +384,21 @@ def mc_shadow_moments(
     second_stats = _EntrywiseStats((d * d, d * d)) if second else None
     values = np.empty(samples) if observable is not None else None
     obs = None if observable is None else np.asarray(observable, dtype=np.complex128)
-    chunk = max(1, 20_000_000 // (16 * d**4))
-    for start in range(0, samples, chunk):
-        block = psis[start : start + chunk]
+    for start in range(0, samples, _MC_BATCH):
+        block = psis[start : start + _MC_BATCH]
         # Psi per sample: sum_i (d + lam_i) |psi_i><psi_i|.
         shadows = np.einsum("i,sia,sib->sab", coeffs, block, block.conj())
         first_stats.add_batch(shadows)
         if second_stats is not None:
-            b = shadows.shape[0]
-            kron = np.einsum("sab,scd->sacbd", shadows, shadows).reshape(b, d * d, d * d)
-            second_stats.add_batch(kron)
+            second_stats.add_outer(shadows.reshape(-1, d * d))
         if values is not None:
             values[start : start + block.shape[0]] = np.real(np.einsum("ab,sba->s", obs, shadows))
 
     report["first_moment_max_z"] = float(np.max(first_stats.z_scores(report["first_moment_exact"])))
     report["first_moment_mean"] = first_stats.mean
     if second_stats is not None:
-        report["second_moment_max_z"] = float(np.max(second_stats.z_scores(report["second_moment_exact"])))
+        target = report["second_moment_exact"].reshape((d,) * 4).transpose(0, 2, 3, 1).reshape(d * d, d * d)
+        report["second_moment_max_z"] = float(np.max(second_stats.z_scores(target)))
     if values is not None:
         sample_var = float(np.var(values))
         centred = values - values.mean()

@@ -202,7 +202,6 @@ class ShadowEstimate:
     matrix: np.ndarray
     t_segments: int
     segment_size: int
-    master_seed: int | None = None
     segment_partitions: list[tuple[int, ...]] = field(default_factory=list)
     povm_proposals: int = 0
 
@@ -714,7 +713,6 @@ def population_shadow(basis: SchurBasis, state: PureState, epsilon: float, rng: 
         matrix=acc / (t_segments * seg_size),
         t_segments=t_segments,
         segment_size=seg_size,
-        master_seed=rng.master_seed,
         segment_partitions=partitions,
         povm_proposals=proposals,
     )
@@ -871,7 +869,6 @@ def _product_shadow(unitary: OperatorGrid, digits, t_segments: int, seg_size: in
         matrix=u @ acc @ u.conj().T / (t_segments * seg_size),
         t_segments=t_segments,
         segment_size=seg_size,
-        master_seed=rng.master_seed,
         segment_partitions=partitions,
         povm_proposals=proposals,
     )
@@ -944,4 +941,4 @@ def baseline_single_copy_shadow(chi: MixedState, n: int, rng: RngStream) -> Shad
     cols = v[np.arange(n), :, outcomes]
     mean_proj = np.einsum("ca,cb->ab", cols, cols.conj()) / n
     matrix = (d + 1) * mean_proj - np.eye(d)
-    return ShadowEstimate(matrix=matrix, t_segments=n, segment_size=1, master_seed=rng.master_seed)
+    return ShadowEstimate(matrix=matrix, t_segments=n, segment_size=1)

@@ -159,7 +159,6 @@ class RngStream:
         self.master_seed = int(master_seed)
         if self.master_seed < 0:
             raise ValueError(f"the master seed must be a non-negative integer, got {self.master_seed}")
-        self.stream_id = int(stream_id)
         self._path = _path + (int(stream_id),)
 
     @cached_property

@@ -203,13 +203,6 @@ def _block_permutations(n: int, blocks: list[list[int]]):
         yield from zip(map(tuple, mappings.tolist()), signs.tolist())
 
 
-def row_group(lam: Partition):
-    """Iterate the mapping tuples of the row-stabilizing permutations of the
-    canonical tableau."""
-    for mapping, _ in _block_permutations(lam.n, BoxLayout(lam).row_blocks()):
-        yield mapping
-
-
 def column_group(lam: Partition):
     """Iterate (mapping, sign) over the column-stabilizing subgroup."""
     yield from _block_permutations(lam.n, BoxLayout(lam).column_blocks())

@@ -23,6 +23,11 @@ residuals of ``basis.verify_nice_basis`` one slice, generator and
 transposition at a time, the reference for its batched products.
 ``product_basis_state`` builds the dense input that the reference
 measurement path takes.
+``row_group`` enumerates the row-stabilizing permutations as a product of
+each row's permutations, and ``row_group_projector`` averages their
+operators, the reference for the row symmetrizers of ``moments``.
+``rotated`` applies U^{tensor n} to a state, for the exact moments of a
+rotated measurement.
 ``young_symmetrizer_terms`` lists the Young symmetrizer's (row o column)
 permutation terms, from which ``young_symmetrizer_apply_digits`` and
 ``young_symmetrizer_apply`` compute the symmetrizer images that the
@@ -53,7 +58,7 @@ import numpy as np
 from schur_shadows.basis import FORMAT_VERSION, schur_measure
 from schur_shadows.protocol import ShadowEstimate, _povm_sample, _RowLaw, segment_count, shadow_matrix
 from schur_shadows.qudit import OperatorGrid, PureState, apply_local_unitary
-from schur_shadows.young import BoxLayout, Partition, column_group, row_group, symmetric_dim
+from schur_shadows.young import BoxLayout, Partition, column_group, symmetric_dim
 
 
 def encode_basis(digits, d: int) -> int:
@@ -208,6 +213,32 @@ def product_basis_state(unitary: OperatorGrid, digits, d: int) -> PureState:
     return PureState(d, len(digits), reduce(np.kron, cols))
 
 
+def row_group(lam: Partition):
+    """Iterate the mapping tuples of the row-stabilizing permutations of the
+    canonical tableau, each row's orderings taken lexicographically and the
+    last row fastest."""
+    rows = [itertools.permutations(block) for block in BoxLayout(lam).row_blocks()]
+    return (sum(combo, ()) for combo in itertools.product(*rows))
+
+
+def row_group_projector(lam: Partition, d: int) -> np.ndarray:
+    """Average of the permutation operators of :func:`row_group` on n qudits."""
+    n = lam.n
+    digits = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64).reshape(d**n, n)
+    powers = d ** np.arange(n - 1, -1, -1)
+    cols = np.arange(d**n)
+    mat = np.zeros((d**n, d**n))
+    perms = list(row_group(lam))
+    for mapping in perms:
+        mat[digits[:, list(mapping)] @ powers, cols] += 1.0
+    return mat / len(perms)
+
+
+def rotated(tau: PureState, unitary: OperatorGrid | None) -> PureState:
+    """U^{tensor n} tau, or tau itself when ``unitary`` is None."""
+    return tau if unitary is None else apply_local_unitary(unitary, tau)
+
+
 @lru_cache(maxsize=None)
 def young_symmetrizer_terms(lam: Partition) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Composed (row o column) permutation terms of the Young symmetrizer.
@@ -269,7 +300,7 @@ def second_moment_dense(lam: Partition, tau: PureState, unitary: OperatorGrid | 
     if rows not in ("all", "cross", "diagonal"):
         raise ValueError(f"rows must be 'all', 'cross', or 'diagonal', not {rows!r}")
     d, n = tau.d, tau.n
-    state = tau if unitary is None else apply_local_unitary(unitary, tau)
+    state = rotated(tau, unitary)
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
     layout = BoxLayout(lam)
     big = np.kron(np.eye(d * d, dtype=np.complex128), rho)
@@ -626,7 +657,6 @@ def population_shadow_dense(basis, state: PureState, epsilon: float, rng):
         matrix=acc / (t_segments * seg_size),
         t_segments=t_segments,
         segment_size=seg_size,
-        master_seed=rng.master_seed,
         segment_partitions=partitions,
         povm_proposals=proposals,
     )

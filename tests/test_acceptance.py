@@ -19,6 +19,7 @@ from oracles import (
     dicke_amplitudes,
     permutation_symmetrizer,
     product_basis_state,
+    rotated,
     single_row_variance_quadrature,
 )
 from schur_shadows.basis import schur_measure, verify_nice_basis
@@ -181,7 +182,7 @@ def test_criterion_4_unbiasedness(protocol_state_for):
         for rep in range(10):
             tau, weight = protocol_state_for(lam, d, 4_000 + 97 * rep)
             unitary = haar_unitary(d, RngStream(4_500 + rep))
-            exact = expected_shadow_exact(lam, tau, unitary)
+            exact = expected_shadow_exact(lam, rotated(tau, unitary))
             formula = expected_shadow_formula(lam, weight, unitary, d)
             max_gap = max(max_gap, float(np.max(np.abs(exact - formula))))
         tau, weight = protocol_state_for(lam, d, 4_999)
@@ -232,7 +233,7 @@ def test_criterion_5b_variance_matches_closed_form():
             q = n - p
             tau = PureState(2, n, dicke_amplitudes(p, q))
             for obs in (PAULI_Z, PAULI_X):
-                exact = variance_exact(Partition((n,)), tau, None, obs)
+                exact = variance_exact(Partition((n,)), tau, obs)
                 closed = single_row_variance_closed_form(obs, p, q, 2)
                 quad = single_row_variance_quadrature(obs, p, q)
                 worst = max(worst, abs(exact - closed), abs(closed - quad))
@@ -270,7 +271,7 @@ def test_criterion_5c_literal_sixty_sevenths():
 
     closed = single_row_variance_closed_form(PAULI_Z, p, q, d)
     tau = PureState(d, n, dicke_amplitudes(p, q))
-    exact = variance_exact(Partition((n,)), tau, None, PAULI_Z)
+    exact = variance_exact(Partition((n,)), tau, PAULI_Z)
     quad = single_row_variance_quadrature(PAULI_Z, p, q)
     mc = mc_shadow_moments(
         Partition((n,)), tau, None, 100_000, RngStream(5_300), second=False, observable=PAULI_Z
@@ -310,8 +311,8 @@ def test_criterion_6_variance_upper_bound(protocol_state_for):
     count = 0
     for d, lam in ORACLE_LAMBDAS:
         tau, _ = protocol_state_for(lam, d, 6_000 + lam.n)
-        second = second_moment_exact(lam, tau, None)
-        first = expected_shadow_exact(lam, tau, None)
+        second = second_moment_exact(lam, tau)
+        first = expected_shadow_exact(lam, tau)
         observables = [
             pauli_z_observable(d).matrix,
             off_diagonal_observable(d).matrix,

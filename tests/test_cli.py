@@ -351,6 +351,55 @@ class TestOracleCommand:
         payload = json.loads(out.read_text())
         assert payload["residual"] < 1e-9
 
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_povm_gate_is_familywise(self, tmp_path, seed):
+        # Max |z| over 8192 statistics reads 3.60 at seed 0 and 3.48 at
+        # seed 6: beyond 3 sigma for one statistic, within the gate for 8192.
+        out = tmp_path / "povm.json"
+        args = ["oracle", "--povm", "--lambda", "3,3", "--d", "2", "--samples", "2000", "--seed", str(seed)]
+        assert main(args + ["--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["mc"]["entries"] == 8192
+        assert 3.0 < payload["mc"]["max_abs_z"] <= payload["z_threshold"]
+
+    def test_povm_gate_fails_on_corrupted_target(self, tmp_path, monkeypatch):
+        from schur_shadows import moments
+
+        real = moments.row_symmetric_projector
+
+        def corrupted(lam, d):
+            proj = real(lam, d).copy()
+            proj[0, 0] += 1.0
+            return proj
+
+        # The exact residual passes, so only the Monte Carlo gate can fail.
+        monkeypatch.setattr(moments, "row_symmetric_projector", corrupted)
+        monkeypatch.setattr(moments, "povm_completeness_residual", lambda *_args: 0.0)
+        out = tmp_path / "povm.json"
+        args = ["oracle", "--povm", "--lambda", "2,1", "--d", "2", "--samples", "2000", "--out", str(out)]
+        assert main(args) == 1
+        payload = json.loads(out.read_text())
+        assert payload["mc"]["max_abs_z"] > payload["z_threshold"]
+
+    def test_moment_gate_fails_on_corrupted_target(self, tmp_path, monkeypatch):
+        from schur_shadows import moments
+
+        real = moments.second_moment_exact
+
+        def corrupted(lam, tau):
+            second = real(lam, tau)
+            second[0, 0] += 1.0
+            return second
+
+        monkeypatch.setattr(moments, "second_moment_exact", corrupted)
+        out = tmp_path / "report.json"
+        args = ["oracle", "--d", "2", "--lambda", "2,1", "--samples", "2000", "--out", str(out)]
+        assert main(args) == 1
+        payload = json.loads(out.read_text())
+        assert payload["first_moment_formula_gap"] < 1e-9 and payload["hermiticity_deviation"] < 1e-10
+        assert payload["mc"]["first_moment_max_z"] <= payload["first_moment_z_threshold"]
+        assert payload["mc"]["second_moment_max_z"] > payload["second_moment_z_threshold"]
+
     def test_partition_validation(self):
         assert main(["oracle", "--d", "2", "--lambda", "1,3"]) == 2
         assert main(["oracle", "--d", "2", "--lambda", "2,1,1"]) == 2

@@ -6,6 +6,8 @@ import pytest
 from oracles import (
     dicke_amplitudes,
     permutation_symmetrizer,
+    rotated,
+    row_group_projector,
     second_moment_dense,
     single_row_first_moment_quadrature,
     single_row_second_moment_quadrature,
@@ -14,6 +16,7 @@ from oracles import (
 from schur_shadows.basis import build_q_bases
 from schur_shadows.cli import main
 from schur_shadows.moments import (
+    _EntrywiseStats,
     random_protocol_state,
     single_row_variance_closed_form,
     expected_shadow_exact,
@@ -26,6 +29,7 @@ from schur_shadows.moments import (
     second_moment_exact,
     variance_exact,
 )
+from schur_shadows.protocol import row_symmetric_sample_batch
 from schur_shadows.qudit import CapExceededError, PureState, RngStream, digit_table, haar_unitary
 from schur_shadows.young import Partition, SlotClasses, partitions_of
 
@@ -64,8 +68,8 @@ class TestFirstMoment:
         lam = Partition((2, 1))
         tau, weight = protocol_state_for(lam, 2, 41)
         u = haar_unitary(2, RngStream(42))
-        at_u = expected_shadow_exact(lam, tau, u)
-        at_id = expected_shadow_exact(lam, tau, None)
+        at_u = expected_shadow_exact(lam, rotated(tau, u))
+        at_id = expected_shadow_exact(lam, tau)
         assert np.max(np.abs(at_u - u.entries @ at_id @ u.entries.conj().T)) < 1e-9
 
     @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (3, 3), (3, 4), (3, 5)])
@@ -75,7 +79,7 @@ class TestFirstMoment:
             for rep in range(3):
                 tau, weight = protocol_state_for(lam, d, 1000 + 17 * rep + hash(lam.parts) % 97)
                 u = haar_unitary(d, rng.child(rep))
-                exact = expected_shadow_exact(lam, tau, u)
+                exact = expected_shadow_exact(lam, rotated(tau, u))
                 formula = expected_shadow_formula(lam, weight, u, d)
                 assert np.max(np.abs(exact - formula)) < 1e-9
 
@@ -109,7 +113,7 @@ class TestSecondMoment:
         prev = None
         for n in range(2, 5):
             tau = PureState.from_digits((0,) * n, 2)
-            var = variance_exact(Partition((n,)), tau, None, PAULI_Z)
+            var = variance_exact(Partition((n,)), tau, PAULI_Z)
             scaled = var / n**2
             if prev is not None:
                 assert scaled < prev
@@ -159,27 +163,27 @@ class TestSecondMoment:
             tau, _ = protocol_state_for(lam, d, 931)
             for unitary in (None, haar):
                 want = second_moment_dense(lam, tau, unitary, "all")
-                got = second_moment_exact(lam, tau, unitary)
+                got = second_moment_exact(lam, rotated(tau, unitary))
                 assert np.max(np.abs(got - want)) < 1e-12, (lam, unitary is None)
 
 
 class TestVariance:
     def test_zero_observable(self):
         tau = PureState(2, 4, dicke_amplitudes(2, 2))
-        assert variance_exact(Partition((4,)), tau, None, np.zeros((2, 2))) == 0.0
+        assert variance_exact(Partition((4,)), tau, np.zeros((2, 2))) == 0.0
 
     def test_sign_invariance(self):
         tau = PureState(2, 4, dicke_amplitudes(3, 1))
         lam = Partition((4,))
-        assert variance_exact(lam, tau, None, PAULI_X) == pytest.approx(
-            variance_exact(lam, tau, None, -PAULI_X), abs=1e-10
+        assert variance_exact(lam, tau, PAULI_X) == pytest.approx(
+            variance_exact(lam, tau, -PAULI_X), abs=1e-10
         )
 
     def test_balanced_pauli_z_value(self):
         # three independent routes agree: swap-identity oracle, closed form,
         # and exact quadrature; the value is 36/7 at n = 4, p = q = 2
         tau = PureState(2, 4, dicke_amplitudes(2, 2))
-        exact = variance_exact(Partition((4,)), tau, None, PAULI_Z)
+        exact = variance_exact(Partition((4,)), tau, PAULI_Z)
         closed = single_row_variance_closed_form(PAULI_Z, 2, 2, 2)
         quad = single_row_variance_quadrature(PAULI_Z, 2, 2)
         assert exact == pytest.approx(36.0 / 7.0, abs=1e-9)
@@ -199,7 +203,7 @@ class TestVariance:
             lam = Partition(parts)
             tau, _ = protocol_state_for(lam, d, 52 + lam.n)
             cross = second_moment_dense(lam, tau, None, "cross")
-            first = expected_shadow_exact(lam, tau, None)
+            first = expected_shadow_exact(lam, tau)
             for obs in (PAULI_Z, PAULI_X):
                 full = np.zeros((d, d), dtype=complex)
                 full[:2, :2] = obs
@@ -231,7 +235,7 @@ class TestClosedForm:
         tau = PureState(2, n, dicke_amplitudes(p, q))
         for obs in (PAULI_Z, PAULI_X):
             closed = single_row_variance_closed_form(obs, p, q, 2)
-            exact = variance_exact(Partition((n,)), tau, None, obs)
+            exact = variance_exact(Partition((n,)), tau, obs)
             assert closed == pytest.approx(exact, abs=1e-9)
 
     @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
@@ -239,7 +243,7 @@ class TestClosedForm:
         tau = PureState(2, p + q, dicke_amplitudes(p, q))
         for obs in (PAULI_Z, PAULI_X):
             closed = single_row_variance_closed_form(obs, p, q, 2)
-            exact = variance_exact(Partition((p + q,)), tau, None, obs)
+            exact = variance_exact(Partition((p + q,)), tau, obs)
             quad = single_row_variance_quadrature(obs, p, q)
             assert closed == pytest.approx(exact, abs=1e-8)
             assert closed == pytest.approx(quad, abs=1e-8)
@@ -265,7 +269,7 @@ class TestClosedForm:
         amps /= np.linalg.norm(amps)
         tau = PureState(3, 3, amps)
         closed = single_row_variance_closed_form(obs, p, q, 3)
-        exact = variance_exact(Partition((3,)), tau, None, obs)
+        exact = variance_exact(Partition((3,)), tau, obs)
         assert closed == pytest.approx(exact, abs=1e-9)
 
 
@@ -293,6 +297,35 @@ class TestPovmCompleteness:
         report = mc_povm_completeness(lam, 2, 20_000, RngStream(47))
         assert report["max_abs_z"] <= z_threshold(report["entries"], 3.0)
 
+    def test_no_permutation_group_at_eleven_boxes(self, monkeypatch):
+        # 11! row permutations: both checks read slot classes instead.
+        import oracles
+
+        monkeypatch.setattr(oracles, "row_group", refuse_group)
+        monkeypatch.setattr("schur_shadows.young._block_permutations", refuse_group)
+        lam = Partition((11,))
+        assert povm_completeness_residual(lam, 2) < 1e-12
+        report = mc_povm_completeness(lam, 2, 200, RngStream(52))
+        assert report["entries"] == 2 * 2048**2
+        assert report["max_abs_z"] <= z_threshold(report["entries"], 4.0)
+
+
+def refuse_group(*_args):
+    raise AssertionError("a permutation group was enumerated")
+
+
+class TestEntrywiseStats:
+    def test_add_outer_matches_explicit_outer_products(self):
+        gen = RngStream(53).gen
+        rows = gen.standard_normal((3, 40, 6)) + 1j * gen.standard_normal((3, 40, 6))
+        outer, explicit = _EntrywiseStats((6, 6)), _EntrywiseStats((6, 6))
+        for batch in rows:
+            outer.add_outer(batch)
+            explicit.add_batch(np.einsum("su,sw->suw", batch, batch.conj()))
+        assert outer.count == explicit.count == 120
+        for name in ("sum", "sum_sq_re", "sum_sq_im"):
+            assert np.max(np.abs(getattr(outer, name) - getattr(explicit, name))) < 1e-12, name
+
 
 class TestMcShadowMoments:
     def test_first_and_second_consistency(self, protocol_state_for):
@@ -303,6 +336,21 @@ class TestMcShadowMoments:
         assert report["first_moment_max_z"] <= 4.0
         assert report["second_moment_max_z"] <= z_threshold(2 * 16 * 16, 4.0)
 
+    def test_second_moment_z_matches_explicit_kron(self, protocol_state_for):
+        # The same draws accumulated as per-sample Psi (tensor) Psi krons.
+        lam, d = Partition((2, 1)), 3
+        tau, _ = protocol_state_for(lam, d, 54)
+        u = haar_unitary(d, RngStream(55))
+        report = mc_shadow_moments(lam, tau, u, 3000, RngStream(56), second=True)
+        state = rotated(tau, u)
+        psis, _ = row_symmetric_sample_batch(lam, state, 3000, RngStream(56))
+        coeffs = np.array([part + d for part in lam.parts], dtype=float)
+        shadows = np.einsum("i,sia,sib->sab", coeffs, psis, psis.conj())
+        stats = _EntrywiseStats((d * d, d * d))
+        stats.add_batch(np.einsum("sab,scd->sacbd", shadows, shadows).reshape(-1, d * d, d * d))
+        want = float(np.max(stats.z_scores(second_moment_exact(lam, state))))
+        assert report["second_moment_max_z"] == pytest.approx(want, rel=1e-9)
+
     def test_row_symmetry_residual_gate(self):
         assert row_symmetry_residual(Partition((2,)), PureState.from_digits((0, 0), 2)) < 1e-14
         bad = PureState.from_digits((0, 1), 2)
@@ -310,9 +358,13 @@ class TestMcShadowMoments:
 
     @pytest.mark.parametrize("parts,d", [((2, 1), 2), ((3, 2), 2), ((2, 2), 3), ((2, 1, 1), 3)])
     def test_row_symmetry_residual_matches_projector(self, parts, d):
+        # Both package constructions against the row-group average: the
+        # Kronecker product of row projectors, and the class means behind
+        # row_symmetry_residual.
         lam = Partition(parts)
         gen = RngStream(932).gen
-        proj = row_symmetric_projector(lam, d)
+        proj = row_group_projector(lam, d)
+        assert np.max(np.abs(row_symmetric_projector(lam, d) - proj)) < 1e-12
         for _ in range(3):
             amps = gen.standard_normal(d**lam.n) + 1j * gen.standard_normal(d**lam.n)
             tau = PureState(d, lam.n, amps / np.linalg.norm(amps))
@@ -338,13 +390,14 @@ class TestMomentReport:
         lam, rng = Partition((2, 1)), RngStream(51)
         tau, weight = random_protocol_state(lam, build_q_bases(2, 3)[lam], 2, rng.child(0).gen)
         unitary = haar_unitary(2, rng.child(1))
-        first, second = expected_shadow_exact(lam, tau, unitary), second_moment_exact(lam, tau, unitary)
+        state = rotated(tau, unitary)
+        first, second = expected_shadow_exact(lam, state), second_moment_exact(lam, state)
         for name, want in (("first_moment", first), ("second_moment", second)):
             got = np.array(payload[f"{name}_re"]) + 1j * np.array(payload[f"{name}_im"])
             assert np.array_equal(got, want), name
         deviation = max(np.max(np.abs(m - m.conj().T)) for m in (first, second))
         assert payload["hermiticity_deviation"] == deviation < 1e-10
         assert payload["variance"] == payload["mc"]["variance_exact"]
-        assert payload["variance"] == pytest.approx(variance_exact(lam, tau, unitary, PAULI_Z), abs=1e-12)
+        assert payload["variance"] == pytest.approx(variance_exact(lam, state, PAULI_Z), abs=1e-12)
         assert payload["weight"] == list(weight)
         assert payload["mc"]["samples"] == 2000 and "first_moment_exact" not in payload["mc"]

@@ -17,6 +17,7 @@ from oracles import (
     lambda_given_weight,
     population_shadow_dense,
     product_basis_state,
+    rotated,
     schur_weyl_distribution,
     semistandard_tableaux_count,
     standard_tableaux_count,
@@ -490,7 +491,7 @@ class TestDickeSampler:
                     stats = _EntrywiseStats((d, d))
                     block = psis[start:stop]
                     stats.add_batch(np.einsum("r,sra,srb->sab", coeffs, block, block.conj()))
-                    exact = expected_shadow_exact(lam, taus[l], rotation)
+                    exact = expected_shadow_exact(lam, rotated(taus[l], rotation))
                     assert np.max(stats.z_scores(exact)) <= z_max, (l, rotation)
 
     @pytest.mark.parametrize(
@@ -782,8 +783,6 @@ class TestWeightTable:
             return {**real, lam: images}
 
         class NoDraws:
-            master_seed = 0
-
             def child(self, _stream):
                 raise AssertionError("a random stream was opened before the refusal")
 

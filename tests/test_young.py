@@ -15,6 +15,7 @@ from oracles import (
     weight_of,
     weights_brute_force,
     young_symmetrizer_apply,
+    row_group,
     young_symmetrizer_apply_digits,
 )
 from schur_shadows.qudit import PureState, RngStream, digit_table
@@ -27,7 +28,6 @@ from schur_shadows.young import (
     majorizes,
     multinomial_square_sum,
     partitions_of,
-    row_group,
     specht_dim,
     standard_tableaux,
     symmetric_dim,

@@ -5,7 +5,7 @@ Layers:
 * :mod:`schur_shadows.qudit`: dense n-qudit states, the index <-> digits
   codec, the index map of qudit permutations, the local unitary action,
   Haar sampling, seeded streams.
-* :mod:`schur_shadows.young`: partitions, row/column groups, standard
+* :mod:`schur_shadows.young`: partitions, the column group, standard
   tableaux, Kostka numbers, slot classes (symmetrizers as class means),
   majorization, and the weight classes of digit tuples, which the basis,
   its verification and the POVM's Dicke coordinates all read.
@@ -17,7 +17,8 @@ Layers:
   only the basis's j = 0 layer, :func:`build_q_bases`.
 * :mod:`schur_shadows.protocol`: population sampling, the row-symmetric
   POVM, the shadow record :func:`shadow_matrix`, the joint-state and
-  product-input shadow front ends, median-of-means, baseline.
+  product-input shadow front ends, median-of-means, and the single-copy
+  baseline, which is the product-input front end at segment size 1.
 * :mod:`schur_shadows.moments`: exact first/second shadow moments and the
   closed-form single-row variance; Monte Carlo cross-checks.
 * :mod:`schur_shadows.observables` / :mod:`schur_shadows.cli`: observable

@@ -348,7 +348,7 @@ def build_q_bases(d: int, n: int) -> dict[Partition, list[ImageBlock]]:
         # Boxes adjacent in a column: above[t] sits right over below[t].
         above = [box for col in layout.column_blocks() for box in col[:-1]]
         below = [box for col in layout.column_blocks() for box in col[1:]]
-        mappings, signs = map(np.array, zip(*column_group(lam)))
+        mappings, signs = column_group(lam)
         found: dict[tuple[int, ...], np.ndarray] = {}
         for top, (weights, perms) in moves.items():
             # Non-majorized weights are annihilated by the symmetrizer.

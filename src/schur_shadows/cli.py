@@ -319,9 +319,11 @@ def cmd_oracle(args) -> int:
         "mc": {k: v for k, v in mc.items() if not isinstance(v, np.ndarray)},
         "first_moment_formula_gap": first_gap,
         "weight": list(weight),
-        # Each max |z| is gated over its 2 d^2 or 2 d^4 Re/Im statistics.
+        # Each max |z| is gated over its 2 d^2 or 2 d^4 Re/Im statistics, the
+        # variance z on its own.
         "first_moment_z_threshold": _family_z(2 * args.d**2, 4.0),
         "second_moment_z_threshold": _family_z(2 * args.d**4, 4.0),
+        "variance_z_threshold": _family_z(1, 4.0),
     }
     if args.out:
         _write_json(args.out, payload)
@@ -330,6 +332,7 @@ def cmd_oracle(args) -> int:
         and payload["hermiticity_deviation"] < 1e-10
         and mc["first_moment_max_z"] <= payload["first_moment_z_threshold"]
         and mc["second_moment_max_z"] <= payload["second_moment_z_threshold"]
+        and mc["variance_z"] <= payload["variance_z_threshold"]
     )
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -40,6 +40,9 @@ ROW_SYMMETRY_TOL = 1e-8
 #: Samples accumulated per pass of the Monte Carlo checks.
 _MC_BATCH = 2000
 
+#: Entries per row block of a statistic of the Monte Carlo accumulators.
+_STATS_ENTRIES = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # Row symmetrizers on the n-qudit register
@@ -196,14 +199,10 @@ def second_moment_exact(lam: Partition, tau: PureState) -> np.ndarray:
     return total
 
 
-def variance_exact(lam: Partition, tau: PureState, observable: np.ndarray) -> float:
-    """Var[tr(O Psi)] = tr((O tensor O) E[Psi x Psi]) - tr(O E[Psi])^2."""
-    second = second_moment_exact(lam, tau)
-    return _variance(observable, expected_shadow_exact(lam, tau), second)
-
-
-def _variance(observable: np.ndarray, first: np.ndarray, second: np.ndarray) -> float:
-    """tr((O tensor O) second) - tr(O first)^2 for the exact moments."""
+def variance_exact(observable: np.ndarray, first: np.ndarray, second: np.ndarray) -> float:
+    """Var[tr(O Psi)] = tr((O tensor O) E[Psi x Psi]) - tr(O E[Psi])^2, from
+    the exact moments ``first`` (:func:`expected_shadow_exact`) and
+    ``second`` (:func:`second_moment_exact`)."""
     obs = np.asarray(observable, dtype=np.complex128)
     raw = np.trace(np.kron(obs, obs) @ second) - np.trace(obs @ first) ** 2
     if abs(raw.imag) > 1e-8:
@@ -282,40 +281,55 @@ class _EntrywiseStats:
     def add_outer(self, rows: np.ndarray) -> None:
         """Add the outer products rows[s] rows[s]^dag of a (b, m) batch by
         Gram products, forming no (b, m, m) array."""
-        re, im = np.ascontiguousarray(rows.real), np.ascontiguousarray(rows.imag)
-        re2, im2, reim = re**2, im**2, re * im
-        cross = reim.T @ reim
-        # x_uw = v_u conj(v_w): Re x = R_u R_w + I_u I_w, Im x = I_u R_w - R_u I_w.
+        re2, im2, reim = rows.real**2, rows.imag**2, rows.real * rows.imag
         self.count += rows.shape[0]
         self.sum += rows.T @ rows.conj()
-        self.sum_sq_re += re2.T @ re2 + 2.0 * cross + im2.T @ im2
-        self.sum_sq_im += im2.T @ re2 + re2.T @ im2 - 2.0 * cross
+        # x_uw = v_u conj(v_w): Re x = R_u R_w + I_u I_w, Im x = I_u R_w - R_u I_w.
+        # Added one product at a time, so at most two m x m temporaries live.
+        cross = reim.T @ reim
+        cross *= 2.0
+        self.sum_sq_re += re2.T @ re2
+        self.sum_sq_re += im2.T @ im2
+        self.sum_sq_re += cross
+        self.sum_sq_im += im2.T @ re2
+        self.sum_sq_im += re2.T @ im2
+        self.sum_sq_im -= cross
 
     @property
     def mean(self) -> np.ndarray:
         return self.sum / self.count
 
-    def z_scores(self, target: np.ndarray) -> np.ndarray:
-        """Max of the Re and Im z statistics per entry."""
-        mean = self.mean
-        var_re = np.maximum(self.sum_sq_re / self.count - mean.real**2, 0.0)
-        var_im = np.maximum(self.sum_sq_im / self.count - mean.imag**2, 0.0)
-        se_re = np.sqrt(var_re / self.count)
-        se_im = np.sqrt(var_im / self.count)
-        dev_re = np.abs(mean.real - target.real)
-        dev_im = np.abs(mean.imag - target.imag)
-        # Entries with (numerically) zero spread must match to float noise.
-        z_re = np.where(se_re > 1e-12, dev_re / np.maximum(se_re, 1e-300), np.where(dev_re < 1e-9, 0.0, np.inf))
-        z_im = np.where(se_im > 1e-12, dev_im / np.maximum(se_im, 1e-300), np.where(dev_im < 1e-9, 0.0, np.inf))
-        return np.maximum(z_re, z_im)
+    def row_blocks(self) -> list[slice]:
+        """Slices of the accumulators' rows, each of at most ``_STATS_ENTRIES``
+        entries, so that a statistic taken block by block holds no temporary
+        of the accumulators' size."""
+        step = max(1, _STATS_ENTRIES // self.sum[0].size)
+        return [slice(start, start + step) for start in range(0, len(self.sum), step)]
+
+    def max_z(self, target: np.ndarray) -> float:
+        """Max over entries of the larger of the Re and Im z statistics of the
+        mean against ``target``; NaN if any statistic is NaN."""
+        worst = []
+        for rows in self.row_blocks():
+            mean, want = self.sum[rows] / self.count, target[rows]
+            for part, sum_sq, aim in ((mean.real, self.sum_sq_re, want.real), (mean.imag, self.sum_sq_im, want.imag)):
+                se = np.sqrt(np.maximum(sum_sq[rows] / self.count - part**2, 0.0) / self.count)
+                dev = np.abs(part - aim)
+                # Entries with (numerically) zero spread must match to float noise.
+                z = np.where(se > 1e-12, dev / np.maximum(se, 1e-300), np.where(dev < 1e-9, 0.0, np.inf))
+                worst.append(np.max(z))
+        return float(np.max(worst))
 
 
 def mc_povm_completeness(lam: Partition, d: int, samples: int, rng: RngStream) -> dict:
     """Monte Carlo average of kappa-weighted POVM elements vs the projector.
 
     The sampled operator is kappa * |v><v| with v the product of per-row
-    tensor powers, accumulated by :meth:`_EntrywiseStats.add_outer`. A d^n
-    over ``ORACLE_DIM_CAP`` is refused before any sample.
+    tensor powers, accumulated by :meth:`_EntrywiseStats.add_outer`. The
+    statistics against the projector are taken over blocks of the
+    accumulators' rows (:meth:`_EntrywiseStats.max_z`), so the check holds
+    little beyond its three d^n x d^n accumulators. A d^n over
+    ``ORACLE_DIM_CAP`` is refused before any sample.
     """
     _check_povm_cap(lam, d)
     dim = d**lam.n
@@ -326,12 +340,13 @@ def mc_povm_completeness(lam: Partition, d: int, samples: int, rng: RngStream) -
         b = min(_MC_BATCH, samples - stats.count)
         rows = _product_state_batch(lam, d, b, gen) * scale
         stats.add_outer(rows)
-    target = row_symmetric_projector(lam, d).astype(np.complex128)
+    target = row_symmetric_projector(lam, d)
+    devs = [np.max(np.abs(stats.sum[rows] / stats.count - target[rows])) for rows in stats.row_blocks()]
     return {
         "samples": samples,
         "entries": int(2 * dim * dim),
-        "max_abs_z": float(np.max(stats.z_scores(target))),
-        "max_abs_dev": float(np.max(np.abs(stats.mean - target))),
+        "max_abs_z": stats.max_z(target),
+        "max_abs_dev": float(np.max(devs)),
     }
 
 
@@ -394,18 +409,18 @@ def mc_shadow_moments(
         if values is not None:
             values[start : start + block.shape[0]] = np.real(np.einsum("ab,sba->s", obs, shadows))
 
-    report["first_moment_max_z"] = float(np.max(first_stats.z_scores(report["first_moment_exact"])))
+    report["first_moment_max_z"] = first_stats.max_z(report["first_moment_exact"])
     report["first_moment_mean"] = first_stats.mean
     if second_stats is not None:
         target = report["second_moment_exact"].reshape((d,) * 4).transpose(0, 2, 3, 1).reshape(d * d, d * d)
-        report["second_moment_max_z"] = float(np.max(second_stats.z_scores(target)))
+        report["second_moment_max_z"] = second_stats.max_z(target)
     if values is not None:
         sample_var = float(np.var(values))
         centred = values - values.mean()
         m2 = float(np.mean(centred**2))
         m4 = float(np.mean(centred**4))
         se_var = np.sqrt(max(m4 - m2**2, 0.0) / samples)
-        exact_var = _variance(obs, report["first_moment_exact"], report["second_moment_exact"])
+        exact_var = variance_exact(obs, report["first_moment_exact"], report["second_moment_exact"])
         report["variance_mc"] = sample_var
         report["variance_exact"] = exact_var
         report["variance_z"] = float(abs(sample_var - exact_var) / max(se_var, 1e-300))

@@ -92,7 +92,6 @@ from .qudit import (
     RngStream,
     check_dense_dim,
     haar_unitary,
-    haar_unitary_batch,
     hermiticity_deviation,
     place_values,
     unitarity_deviation,
@@ -921,24 +920,15 @@ def median_of_means(shadows, observable: Observable) -> float:
 
 
 def baseline_single_copy_shadow(chi: MixedState, n: int, rng: RngStream) -> ShadowEstimate:
-    """Random-basis single-copy estimator: average of (d+1) V|b><b|V^dag - I.
+    """Random-basis single-copy estimator: the average of (d + 1)|psi><psi| - I.
 
-    Measuring V^dag chi V in the computational basis is simulated exactly:
-    draw the eigenindex from the spectrum, then the outcome b from the
-    column overlaps |(V^dag U)[b, i]|^2.
+    Measuring one copy of chi in a Haar-random basis V returns the column
+    V|b>, whose law has density d <psi|chi|psi> relative to Haar. That is the
+    law of the one-box POVM on a segment of one qudit, whose Schur
+    measurement is trivial (lam = (1)) and whose record is the same, so the
+    baseline is the product path at n' = 1, with the streams of
+    :func:`mixed_state_shadow`. The product table is reached first, so its
+    caps are decided before any draw.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    d = chi.d
-    gen = rng.gen
-    v = haar_unitary_batch(d, n, gen)
-    eigen_idx = gen.choice(d, size=n, p=chi.eigenvalues)
-    rotated = np.einsum("cba,bi->cai", v.conj(), chi.eigenvectors.entries)  # V^dag U per copy
-    probs = np.abs(rotated[np.arange(n), :, eigen_idx]) ** 2
-    probs /= probs.sum(axis=1, keepdims=True)
-    cumulative = np.cumsum(probs, axis=1)
-    outcomes = (gen.random((n, 1)) < cumulative).argmax(axis=1)
-    cols = v[np.arange(n), :, outcomes]
-    mean_proj = np.einsum("ca,cb->ab", cols, cols.conj()) / n
-    matrix = (d + 1) * mean_proj - np.eye(d)
-    return ShadowEstimate(matrix=matrix, t_segments=n, segment_size=1)
+    _product_table(chi.d, 1)
+    return _product_shadow(*sample_population_input(chi, n, rng.child(-1)), n, 1, rng)

@@ -202,17 +202,13 @@ def haar_pure_state_batch(d: int, count: int, gen: np.random.Generator) -> np.nd
     return vecs
 
 
-def haar_unitary_batch(d: int, count: int, gen: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` Haar-random d x d unitaries (QR of Ginibre matrices) as a (count, d, d) array."""
-    ginibre = gen.standard_normal((count, d, d)) + 1j * gen.standard_normal((count, d, d))
-    q, r = np.linalg.qr(ginibre)
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    # Phase correction makes the distribution exactly Haar.
-    return q * (diag / np.abs(diag))[:, None, :]
-
-
 def haar_unitary(d: int, rng: RngStream) -> OperatorGrid:
-    """Draw a Haar-random d x d unitary: the one-draw batch."""
+    """Draw a Haar-random d x d unitary: the QR of a Ginibre matrix."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return OperatorGrid(haar_unitary_batch(d, 1, rng.gen)[0])
+    gen = rng.gen
+    ginibre = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    q, r = np.linalg.qr(ginibre)
+    diag = np.diagonal(r)
+    # Phase correction makes the distribution exactly Haar.
+    return OperatorGrid(q * (diag / np.abs(diag)))

@@ -1,5 +1,5 @@
 """Partitions, tableau box layouts, standard tableaux, Kostka numbers, the
-sum of squared multinomials, row/column groups, the slot classes through
+sum of squared multinomials, the column group, the slot classes through
 which symmetrizers act as class means, built once per register and block
 set (:func:`register_classes`), and the weight classes of digit tuples
 (:func:`weight_classes`), which every grouping by weight in the package
@@ -171,41 +171,24 @@ class BoxLayout:
         return blocks
 
 
-#: Group elements assembled per numpy pass in :func:`_block_permutations`.
-_GROUP_CHUNK = 1 << 12
+def column_group(lam: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """The column-stabilizing subgroup as (mappings, signs) arrays.
 
-
-def _block_permutations(n: int, blocks: list[list[int]]):
-    """Direct product of symmetric groups on position blocks that cover 0..n-1.
-
-    Yields (mapping, sign) pairs, ``mapping[k]`` the image of k, in the
-    product order of each block's orderings taken lexicographically; the
-    sign is the product of the blocks' parities.
+    ``mappings[g, k]`` is the image of box k under element g, and
+    ``signs[g]`` its parity. Built as the product of each column's orderings,
+    taken lexicographically, the last column fastest.
     """
-    per_block = []
-    for block in blocks:
+    mappings = np.arange(lam.n, dtype=np.int64)[None, :]
+    signs = np.ones(1, dtype=np.int64)
+    for block in BoxLayout(lam).column_blocks():
         orders = np.array(list(itertools.permutations(range(len(block)))), dtype=np.int64)
         inversions = np.zeros(len(orders), dtype=np.int64)
         for a, b in itertools.combinations(range(len(block)), 2):
             inversions += orders[:, a] > orders[:, b]
-        per_block.append((np.asarray(block)[orders], 1 - 2 * (inversions % 2)))
-    sizes = [len(orders) for orders, _ in per_block]
-    total = math.prod(sizes)
-    for start in range(0, total, _GROUP_CHUNK):
-        # Mixed-radix digits of the element index, the last block fastest.
-        rest = np.arange(start, min(start + _GROUP_CHUNK, total))
-        mappings = np.empty((len(rest), n), dtype=np.int64)
-        signs = np.ones(len(rest), dtype=np.int64)
-        for block, (images, parities), size in zip(blocks[::-1], per_block[::-1], sizes[::-1]):
-            rest, pick = np.divmod(rest, size)
-            mappings[:, block] = images[pick]
-            signs *= parities[pick]
-        yield from zip(map(tuple, mappings.tolist()), signs.tolist())
-
-
-def column_group(lam: Partition):
-    """Iterate (mapping, sign) over the column-stabilizing subgroup."""
-    yield from _block_permutations(lam.n, BoxLayout(lam).column_blocks())
+        mappings = np.repeat(mappings, len(orders), axis=0)
+        mappings[:, block] = np.tile(np.asarray(block)[orders], (len(signs), 1))
+        signs = np.outer(signs, 1 - 2 * (inversions % 2)).ravel()
+    return mappings, signs
 
 
 def standard_tableaux(lam: Partition) -> list[tuple[int, ...]]:

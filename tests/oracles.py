@@ -38,6 +38,9 @@ built from those d^(n+2)-square matrices, the reference for the class-mean
 computation in ``moments``. ``population_shadow_dense`` runs the joint
 protocol's segments on the whole (d^n', rest) matrix, the reference for the
 factored segments of ``protocol.population_shadow``,
+``random_basis_shadow`` is the single-copy baseline as its definition reads:
+each copy measured in its own Haar-random basis (QR of a Ginibre matrix),
+the reference for ``protocol.baseline_single_copy_shadow``.
 ``save_basis_records`` writes a basis file one ``struct`` record at a time,
 the reference for the file layout of ``basis.save_basis``, and
 ``write_old_format_file`` writes a file of the retired format version 1
@@ -246,7 +249,8 @@ def young_symmetrizer_terms(lam: Partition) -> tuple[tuple[tuple[int, ...], int]
     Each entry is (mapping, sign): the symmetrizer is the signed sum of the
     corresponding permutation operators, column pass first.
     """
-    cols = list(column_group(lam))
+    mappings, signs = column_group(lam)
+    cols = list(zip(mappings.tolist(), signs.tolist()))
     return tuple((tuple(a[k] for k in b), sign) for a in row_group(lam) for b, sign in cols)
 
 
@@ -690,3 +694,22 @@ def write_old_format_file(path, version: int) -> None:
             body += struct.pack("<II", 1, 1) + struct.pack("<d", 1.0)
     with open(path, "wb") as fh:
         fh.write(b"SCHB" + struct.pack("<IIIII", version, 2, 1, 1, zlib.crc32(body)) + body)
+
+
+def random_basis_shadow(chi, n: int, rng) -> np.ndarray:
+    """The average over n copies of (d + 1) V|b><b|V^dag - I, with V a
+    Haar-random unitary per copy and b the outcome of measuring V^dag chi V
+    in the computational basis: the eigenindex i is drawn from chi's
+    spectrum, then b from the column overlaps |(V^dag U)[b, i]|^2."""
+    d, gen = chi.d, rng.gen
+    ginibre = gen.standard_normal((n, d, d)) + 1j * gen.standard_normal((n, d, d))
+    q, r = np.linalg.qr(ginibre)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    v = q * (diag / np.abs(diag))[:, None, :]
+    eigen_idx = gen.choice(d, size=n, p=chi.eigenvalues)
+    rotated_cols = np.einsum("cba,bi->cai", v.conj(), chi.eigenvectors.entries)  # V^dag U per copy
+    probs = np.abs(rotated_cols[np.arange(n), :, eigen_idx]) ** 2
+    probs /= probs.sum(axis=1, keepdims=True)
+    outcomes = (gen.random((n, 1)) < np.cumsum(probs, axis=1)).argmax(axis=1)
+    cols = v[np.arange(n), :, outcomes]
+    return (d + 1) * np.einsum("ca,cb->ab", cols, cols.conj()) / n - np.eye(d)

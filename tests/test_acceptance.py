@@ -232,8 +232,10 @@ def test_criterion_5b_variance_matches_closed_form():
         for p in range(n + 1):
             q = n - p
             tau = PureState(2, n, dicke_amplitudes(p, q))
+            first = expected_shadow_exact(Partition((n,)), tau)
+            second = second_moment_exact(Partition((n,)), tau)
             for obs in (PAULI_Z, PAULI_X):
-                exact = variance_exact(Partition((n,)), tau, obs)
+                exact = variance_exact(obs, first, second)
                 closed = single_row_variance_closed_form(obs, p, q, 2)
                 quad = single_row_variance_quadrature(obs, p, q)
                 worst = max(worst, abs(exact - closed), abs(closed - quad))
@@ -271,11 +273,10 @@ def test_criterion_5c_literal_sixty_sevenths():
 
     closed = single_row_variance_closed_form(PAULI_Z, p, q, d)
     tau = PureState(d, n, dicke_amplitudes(p, q))
-    exact = variance_exact(Partition((n,)), tau, PAULI_Z)
+    lam = Partition((n,))
+    exact = variance_exact(PAULI_Z, expected_shadow_exact(lam, tau), second_moment_exact(lam, tau))
     quad = single_row_variance_quadrature(PAULI_Z, p, q)
-    mc = mc_shadow_moments(
-        Partition((n,)), tau, None, 100_000, RngStream(5_300), second=False, observable=PAULI_Z
-    )
+    mc = mc_shadow_moments(lam, tau, None, 100_000, RngStream(5_300), second=False, observable=PAULI_Z)
     gaps = [abs(value - float(target)) for value in (closed, exact, quad)]
     ok = max(gaps) < 1e-8 and mc["variance_z"] <= 4.0
     report(
@@ -321,9 +322,7 @@ def test_criterion_6_variance_upper_bound(protocol_state_for):
         n = lam.n
         for obs in observables:
             shifted = obs - np.trace(obs) / d * np.eye(d)
-            var = float(
-                (np.trace(np.kron(obs, obs) @ second) - np.trace(obs @ first) ** 2).real
-            )
+            var = variance_exact(obs, first, second)
             base = 2 * lam.k * float(np.trace(shifted @ shifted).real)
             sq_norm = float(np.max(np.abs(np.linalg.eigvalsh(shifted @ shifted))))
             inf_norm = float(np.max(np.abs(np.linalg.eigvalsh(shifted))))

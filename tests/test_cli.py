@@ -400,6 +400,20 @@ class TestOracleCommand:
         assert payload["mc"]["first_moment_max_z"] <= payload["first_moment_z_threshold"]
         assert payload["mc"]["second_moment_max_z"] > payload["second_moment_z_threshold"]
 
+    def test_variance_gate_fails_on_corrupted_variance(self, tmp_path, monkeypatch):
+        from schur_shadows import moments
+
+        real = moments.variance_exact
+        # Both moments stay right, so only the variance gate can fail.
+        monkeypatch.setattr(moments, "variance_exact", lambda *args: real(*args) + 1.0)
+        out = tmp_path / "report.json"
+        args = ["oracle", "--d", "2", "--lambda", "2,1", "--samples", "2000", "--out", str(out)]
+        assert main(args) == 1
+        payload = json.loads(out.read_text())
+        assert payload["mc"]["first_moment_max_z"] <= payload["first_moment_z_threshold"]
+        assert payload["mc"]["second_moment_max_z"] <= payload["second_moment_z_threshold"]
+        assert payload["mc"]["variance_z"] > payload["variance_z_threshold"]
+
     def test_partition_validation(self):
         assert main(["oracle", "--d", "2", "--lambda", "1,3"]) == 2
         assert main(["oracle", "--d", "2", "--lambda", "2,1,1"]) == 2

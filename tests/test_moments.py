@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,7 +114,8 @@ class TestSecondMoment:
         prev = None
         for n in range(2, 5):
             tau = PureState.from_digits((0,) * n, 2)
-            var = variance_exact(Partition((n,)), tau, PAULI_Z)
+            lam = Partition((n,))
+            var = variance_exact(PAULI_Z, expected_shadow_exact(lam, tau), second_moment_exact(lam, tau))
             scaled = var / n**2
             if prev is not None:
                 assert scaled < prev
@@ -170,20 +172,24 @@ class TestSecondMoment:
 class TestVariance:
     def test_zero_observable(self):
         tau = PureState(2, 4, dicke_amplitudes(2, 2))
-        assert variance_exact(Partition((4,)), tau, np.zeros((2, 2))) == 0.0
+        lam = Partition((4,))
+        first, second = expected_shadow_exact(lam, tau), second_moment_exact(lam, tau)
+        assert variance_exact(np.zeros((2, 2)), first, second) == 0.0
 
     def test_sign_invariance(self):
         tau = PureState(2, 4, dicke_amplitudes(3, 1))
         lam = Partition((4,))
-        assert variance_exact(lam, tau, PAULI_X) == pytest.approx(
-            variance_exact(lam, tau, -PAULI_X), abs=1e-10
+        first, second = expected_shadow_exact(lam, tau), second_moment_exact(lam, tau)
+        assert variance_exact(PAULI_X, first, second) == pytest.approx(
+            variance_exact(-PAULI_X, first, second), abs=1e-10
         )
 
     def test_balanced_pauli_z_value(self):
         # three independent routes agree: swap-identity oracle, closed form,
         # and exact quadrature; the value is 36/7 at n = 4, p = q = 2
         tau = PureState(2, 4, dicke_amplitudes(2, 2))
-        exact = variance_exact(Partition((4,)), tau, PAULI_Z)
+        lam = Partition((4,))
+        exact = variance_exact(PAULI_Z, expected_shadow_exact(lam, tau), second_moment_exact(lam, tau))
         closed = single_row_variance_closed_form(PAULI_Z, 2, 2, 2)
         quad = single_row_variance_quadrature(PAULI_Z, 2, 2)
         assert exact == pytest.approx(36.0 / 7.0, abs=1e-9)
@@ -233,17 +239,21 @@ class TestClosedForm:
     def test_one_symbol_reduces_to_pure_case(self, p, q):
         n = p + q
         tau = PureState(2, n, dicke_amplitudes(p, q))
+        lam = Partition((n,))
+        first, second = expected_shadow_exact(lam, tau), second_moment_exact(lam, tau)
         for obs in (PAULI_Z, PAULI_X):
             closed = single_row_variance_closed_form(obs, p, q, 2)
-            exact = variance_exact(Partition((n,)), tau, obs)
+            exact = variance_exact(obs, first, second)
             assert closed == pytest.approx(exact, abs=1e-9)
 
     @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
     def test_matches_exact_and_quadrature(self, p, q):
         tau = PureState(2, p + q, dicke_amplitudes(p, q))
+        lam = Partition((p + q,))
+        first, second = expected_shadow_exact(lam, tau), second_moment_exact(lam, tau)
         for obs in (PAULI_Z, PAULI_X):
             closed = single_row_variance_closed_form(obs, p, q, 2)
-            exact = variance_exact(Partition((p + q,)), tau, obs)
+            exact = variance_exact(obs, first, second)
             quad = single_row_variance_quadrature(obs, p, q)
             assert closed == pytest.approx(exact, abs=1e-8)
             assert closed == pytest.approx(quad, abs=1e-8)
@@ -269,7 +279,8 @@ class TestClosedForm:
         amps /= np.linalg.norm(amps)
         tau = PureState(3, 3, amps)
         closed = single_row_variance_closed_form(obs, p, q, 3)
-        exact = variance_exact(Partition((3,)), tau, obs)
+        lam = Partition((3,))
+        exact = variance_exact(obs, expected_shadow_exact(lam, tau), second_moment_exact(lam, tau))
         assert closed == pytest.approx(exact, abs=1e-9)
 
 
@@ -302,7 +313,7 @@ class TestPovmCompleteness:
         import oracles
 
         monkeypatch.setattr(oracles, "row_group", refuse_group)
-        monkeypatch.setattr("schur_shadows.young._block_permutations", refuse_group)
+        monkeypatch.setattr("schur_shadows.young.column_group", refuse_group)
         lam = Partition((11,))
         assert povm_completeness_residual(lam, 2) < 1e-12
         report = mc_povm_completeness(lam, 2, 200, RngStream(52))
@@ -326,6 +337,38 @@ class TestEntrywiseStats:
         for name in ("sum", "sum_sq_re", "sum_sq_im"):
             assert np.max(np.abs(getattr(outer, name) - getattr(explicit, name))) < 1e-12, name
 
+    def test_max_z_is_the_same_in_any_row_blocks(self, monkeypatch):
+        from schur_shadows import moments
+
+        gen = RngStream(57).gen
+        stats = _EntrywiseStats((12, 12))
+        stats.add_outer(gen.standard_normal((30, 12)) + 1j * gen.standard_normal((30, 12)))
+        target = np.eye(12)
+        whole = stats.max_z(target)
+        assert len(stats.row_blocks()) == 1
+        for entries in (1, 24, 100):
+            monkeypatch.setattr(moments, "_STATS_ENTRIES", entries)
+            assert len(stats.row_blocks()) == -(-12 // max(1, entries // 12))
+            assert stats.max_z(target) == whole
+            # A NaN statistic in the last block is not dropped by the reduction.
+            target[11, 0] = np.nan
+            assert np.isnan(stats.max_z(target))
+            target[11, 0] = 0.0
+
+    def test_povm_check_peak_is_near_the_accumulators(self):
+        # Sum, Re and Im squares: 32 bytes per entry of the 1024 x 1024
+        # statistic. The z-scores go block by block and the Gram products
+        # one at a time, so the traced peak stays below 1.75 times that.
+        lam = Partition((10,))
+        mc_povm_completeness(lam, 2, 10, RngStream(58))
+        tracemalloc.start()
+        try:
+            mc_povm_completeness(lam, 2, 50, RngStream(59))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 32 * 1024**2
+
 
 class TestMcShadowMoments:
     def test_first_and_second_consistency(self, protocol_state_for):
@@ -348,7 +391,7 @@ class TestMcShadowMoments:
         shadows = np.einsum("i,sia,sib->sab", coeffs, psis, psis.conj())
         stats = _EntrywiseStats((d * d, d * d))
         stats.add_batch(np.einsum("sab,scd->sacbd", shadows, shadows).reshape(-1, d * d, d * d))
-        want = float(np.max(stats.z_scores(second_moment_exact(lam, state))))
+        want = stats.max_z(second_moment_exact(lam, state))
         assert report["second_moment_max_z"] == pytest.approx(want, rel=1e-9)
 
     def test_row_symmetry_residual_gate(self):
@@ -398,6 +441,6 @@ class TestMomentReport:
         deviation = max(np.max(np.abs(m - m.conj().T)) for m in (first, second))
         assert payload["hermiticity_deviation"] == deviation < 1e-10
         assert payload["variance"] == payload["mc"]["variance_exact"]
-        assert payload["variance"] == pytest.approx(variance_exact(lam, state, PAULI_Z), abs=1e-12)
+        assert payload["variance"] == pytest.approx(variance_exact(PAULI_Z, first, second), abs=1e-12)
         assert payload["weight"] == list(weight)
         assert payload["mc"]["samples"] == 2000 and "first_moment_exact" not in payload["mc"]

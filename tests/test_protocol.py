@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
     lambda_given_weight,
     population_shadow_dense,
     product_basis_state,
+    random_basis_shadow,
     rotated,
     schur_weyl_distribution,
     semistandard_tableaux_count,
@@ -42,6 +44,7 @@ from schur_shadows.moments import (
     second_moment_exact,
 )
 from schur_shadows import basis as basis_module
+from schur_shadows.observables import off_diagonal_observable
 from schur_shadows import protocol, young
 from schur_shadows.protocol import (
     _CHUNK_ENTRIES,
@@ -434,7 +437,7 @@ class TestDickeSampler:
             rows = np.moveaxis(tensor, r, 0).reshape(d, -1)
             stats = _EntrywiseStats((d, d))
             stats.add_batch(np.einsum("sa,sb->sab", psis[:, r], psis[:, r].conj()))
-            assert np.max(stats.z_scores((rows @ rows.conj().T + np.eye(d)) / (d + 1))) <= z_max, r
+            assert stats.max_z((rows @ rows.conj().T + np.eye(d)) / (d + 1)) <= z_max, r
 
     @pytest.mark.parametrize("parts,digits", [((2, 1), (0, 1, 0)), ((2, 2), (0, 0, 0, 1))])
     def test_non_symmetric_input_refused_before_any_draw(self, parts, digits):
@@ -492,7 +495,7 @@ class TestDickeSampler:
                     block = psis[start:stop]
                     stats.add_batch(np.einsum("r,sra,srb->sab", coeffs, block, block.conj()))
                     exact = expected_shadow_exact(lam, rotated(taus[l], rotation))
-                    assert np.max(stats.z_scores(exact)) <= z_max, (l, rotation)
+                    assert stats.max_z(exact) <= z_max, (l, rotation)
 
     @pytest.mark.parametrize(
         "parts,d,rotate,rejects",
@@ -930,7 +933,7 @@ class TestPopulationShadow:
                 stat += seg_stat
                 df += seg_df
             assert chi2_sf(stat, df) >= 1e-4, f"{name}: chi2 {stat:.2f} on {df} df"
-            assert np.max(stats.z_scores(truth)) <= z_max, name
+            assert stats.max_z(truth) <= z_max, name
 
     def test_product_sampler_is_u_covariant(self):
         u = haar_unitary(3, RngStream(301))
@@ -976,7 +979,7 @@ class TestPopulationShadow:
         xs = np.array([shadow_from_population(ident, digits, 1, n, root.child(r)).matrix for r in range(runs)])
         stats = _EntrywiseStats((d * d, d * d))
         stats.add_batch(np.einsum("rab,rce->racbe", xs, xs).reshape(runs, d * d, d * d))
-        assert np.max(stats.z_scores(want)) <= z_threshold(2 * d**4, 4.0)
+        assert stats.max_z(want) <= z_threshold(2 * d**4, 4.0)
 
     def test_one_pass_per_partition(self, monkeypatch):
         # A flat spectrum at (4, 3) with T = 500 reaches all 44 (lam, i)
@@ -1131,7 +1134,7 @@ class TestSegmentFactor:
             assert set(tally) <= set(laws[width])
             stat, df = chi_square(tally, laws[width])
             assert chi2_sf(stat, df) >= 1e-4, (width, stat, df)
-        assert np.max(stats.z_scores(marginal)) <= z_threshold(2 * d * d, 4.0)
+        assert stats.max_z(marginal) <= z_threshold(2 * d * d, 4.0)
 
 
 class TestMixedStateShadow:
@@ -1285,3 +1288,45 @@ class TestBaseline:
         chi = MixedState(2, np.array([0.5, 0.5]), OperatorGrid(np.eye(2)), 2)
         est = baseline_single_copy_shadow(chi, 100_000, RngStream(96))
         assert np.max(np.abs(est.matrix - np.eye(2) / 2)) < 4 * 3 / np.sqrt(100_000)
+
+    def test_is_the_product_path_at_segment_size_one(self):
+        chi = MixedState.random(3, 2, RngStream(97))
+        rng = RngStream(98)
+        est = baseline_single_copy_shadow(chi, 40, rng)
+        want = shadow_from_population(*sample_population_input(chi, 40, rng.child(-1)), 40, 1, rng)
+        assert est.matrix.tobytes() == want.matrix.tobytes()
+        assert (est.t_segments, est.segment_size) == (40, 1)
+        assert est.segment_partitions == [(1,)] * 40 and est.povm_proposals == 40
+
+    def test_refused_before_any_draw(self):
+        # The (d, 1) row-1 laws take 16 d^2 + 16 d bytes: d = 4096 is the
+        # first over the cap. A draw would read the stream, here None.
+        assert _product_table_bytes(4095, 1) <= protocol._TABLE_BYTES < _product_table_bytes(4096, 1)
+        with pytest.raises(CapExceededError, match="row-1 laws"):
+            baseline_single_copy_shadow(SimpleNamespace(d=4096), 5, None)
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_law_matches_random_basis_measurement(self, d):
+        # 2000 estimates of 5 copies of a rank-2 state from each side, and
+        # two-sample z statistics: one per Re/Im entry of the mean estimate,
+        # gated familywise, and one for the variance of tr(O chi_hat).
+        chi = MixedState.random(d, 2, RngStream(99 + d))
+        obs = off_diagonal_observable(d).matrix
+        trials, n = 2000, 5
+        sides = [
+            np.array([baseline_single_copy_shadow(chi, n, RngStream(100).child(k)).matrix for k in range(trials)]),
+            np.array([random_basis_shadow(chi, n, RngStream(101).child(k)) for k in range(trials)]),
+        ]
+        for part in (np.real, np.imag):
+            got, want = (part(side) for side in sides)
+            se = np.sqrt((got.var(axis=0) + want.var(axis=0)) / trials)
+            z = np.abs(got.mean(axis=0) - want.mean(axis=0)) / np.maximum(se, 1e-300)
+            assert np.max(np.where(se > 1e-12, z, 0.0)) <= z_threshold(2 * d * d, 4.0)
+        variances, errors = [], []
+        for side in sides:
+            values = np.einsum("ab,kba->k", obs, side).real
+            centred = values - values.mean()
+            m2, m4 = np.mean(centred**2), np.mean(centred**4)
+            variances.append(m2)
+            errors.append((m4 - m2**2) / trials)
+        assert abs(variances[0] - variances[1]) / np.sqrt(sum(errors)) <= 4.0

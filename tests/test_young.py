@@ -83,18 +83,30 @@ class TestGroups:
         assert perms == {(0, 1, 2), (1, 0, 2)}
 
     def test_column_group_signs(self):
-        got = set(column_group(Partition((1, 1))))
-        assert got == {((0, 1), 1), ((1, 0), -1)}
-        got = set(column_group(Partition((2,))))
-        assert got == {((0, 1), 1)}
+        def elements(lam):
+            mappings, signs = column_group(lam)
+            return list(zip(map(tuple, mappings.tolist()), signs.tolist()))
+
+        assert elements(Partition((1, 1))) == [((0, 1), 1), ((1, 0), -1)]
+        assert elements(Partition((2,))) == [((0, 1), 1)]
         # hook: column block {0, 2}, box 1 alone
-        got = set(column_group(Partition((2, 1))))
-        assert got == {((0, 1, 2), 1), ((2, 1, 0), -1)}
+        assert elements(Partition((2, 1))) == [((0, 1, 2), 1), ((2, 1, 0), -1)]
+        # Three columns: each column's orderings taken lexicographically, the
+        # last column fastest, and the sign the product of their parities.
+        lam = Partition((3, 3, 2))
+        blocks = BoxLayout(lam).column_blocks()
+        want = []
+        for images in itertools.product(*(itertools.permutations(block) for block in blocks)):
+            mapping = dict(zip(itertools.chain(*blocks), itertools.chain(*images)))
+            inversions = sum(a > b for image in images for a, b in itertools.combinations(image, 2))
+            want.append((tuple(mapping[k] for k in range(lam.n)), (-1) ** inversions))
+        assert elements(lam) == want
 
     def test_group_orders(self):
         lam = Partition((3, 2))
         assert len(list(row_group(lam))) == 6 * 2
-        assert len(list(column_group(lam))) == 2 * 2
+        mappings, signs = column_group(lam)
+        assert mappings.shape == (2 * 2, 5) and signs.shape == (2 * 2,)
 
     def test_box_layout(self):
         layout = BoxLayout(Partition((4, 3, 1)))

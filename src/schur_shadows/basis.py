@@ -5,8 +5,9 @@ definition with no search:
 
 1. :func:`build_q_bases`: the ``j = 0`` layer of each partition, an
    orthonormal weight-pure basis of its Young symmetrizer's image.
-2. :func:`schur_basis_completion`: the other ``j`` layers, from Young's
-   natural basis of the Specht module.
+2. :func:`schur_basis_completion`: the other ``j`` layers, by the two-term
+   recursion of Young's orthogonal form (:func:`orthogonal_form`), which
+   fixes the ``j`` convention: j runs over the standard tableaux.
 
 Both stages form decreasing weights only: relabelling the digits commutes
 with the Young symmetrizer and with qudit permutations, so every other
@@ -21,9 +22,10 @@ matrix V_w on the weight-w slice. (d, n) fixes every label: lam runs over
 the partitions of n into at most d parts, j over the f^lam standard
 tableaux, and i over K_{lam,w} vectors of each weight w in weight order
 (:func:`_layout`). So a basis is (d, n) and its matrices V_w, and the cache
-file holds just those. :func:`verify_nice_basis` checks block closure on
-the generators of U(d) and S_n, and :func:`schur_measure`, the protocol's
-first step, measures (lam, j) and moves the measured block onto (lam, 0).
+file holds just those. :func:`verify_nice_basis` checks the basis against
+the same form on the generators of S_n and U(d), and
+:func:`schur_measure`, the protocol's first step, measures (lam, j) and
+moves the measured block onto (lam, 0).
 It works on the measured rows of a (d^n, rest) matrix, so a segment of a
 larger joint state is measured without reshaping the rest away.
 
@@ -63,15 +65,15 @@ from .young import (
     kostka_number,
     majorizes,
     multinomial_square_sum,
+    orthogonal_form,
     partitions_of,
     specht_dim,
-    standard_tableaux,
     weight_classes,
 )
 
-#: Singular values (stage 1) and QR diagonals (stage 2) below this absolute
-#: cut count as zero. A cut relative to the largest value would keep images
-#: that cancel exactly, such as the lowered singlet.
+#: Stage 1's singular values below this absolute cut count as zero. A cut
+#: relative to the largest value would keep images that cancel exactly, such
+#: as the lowered singlet.
 RANK_CUT = 1e-9
 
 #: Amplitudes below this are set to zero.
@@ -85,6 +87,11 @@ _BATCH_ENTRIES = 1 << 13
 
 #: Bytes a basis's matrices may take (:func:`_check_basis_bytes`): (4, 8) fits, (3, 10) does not.
 _BASIS_BYTES = 1 << 30
+
+#: Bounds of :func:`verify_nice_basis`'s report: each residual must be below its limit.
+VERIFY_LIMITS = dict(
+    gram_deviation=1e-9, weight_purity_violation=1e-12, u_closure_residual=1e-8, pi_closure_residual=1e-8
+)
 
 #: Cache file format version.
 FORMAT_VERSION = 3
@@ -397,19 +404,24 @@ def check_stage1(d: int, n: int, q_bases: dict[Partition, list[ImageBlock]]) -> 
 
 
 # ---------------------------------------------------------------------------
-# Stage 2: the j layers from Young's natural basis
+# Stage 2: the j layers by Young's orthogonal form
 # ---------------------------------------------------------------------------
 
 
 def schur_basis_completion(d: int, n: int, q_bases: dict[Partition, list[ImageBlock]]) -> SchurBasis:
     """Complete per-partition image bases into a full nice Schur basis.
 
-    With mapping[k] the entry of a standard tableau T at row-major box k, the
-    f^lam permutations P_T (qudit k to position mapping[k]) map |(lam, 0, 0)>
-    to independent vectors; the inverse mappings would not. If
-    [P_T |(lam, 0, 0)>]_T = QR with R's diagonal positive, then
-    |(lam, i, j)> = sum_T (R^-1)[T, j] P_T |(lam, i, 0)>. Column 0 of R^-1 is
-    (1, 0, ..., 0) up to rounding, so j = 0 keeps stage 1's vectors.
+    The row group of the row-major tableau T_0 fixes |(lam, i, 0)>, and its
+    rows are runs of consecutive entries, so each is the vector v_{T_0} of
+    Young's orthogonal form (:func:`orthogonal_form`) in its copy of the
+    Specht module. Every later tableau T in the order of the form comes from
+    its parent p = s_k T by one row gather and one axpy:
+
+        |(lam, i, T)> = (P_k |(lam, i, p)> - |(lam, i, p)> / r) / sqrt(1 - 1/r^2),
+
+    with P_k the transposition of qudits k and k + 1, a row permutation of
+    the slice, and r the parent's axial distance at k. So j = 0 keeps stage
+    1's vectors, and the layers are orthonormal by the form.
 
     The layers are formed this way from stage 1's decreasing-weight images
     only: relabelling commutes with qudit permutations, so a rearrangement's
@@ -420,38 +432,30 @@ def schur_basis_completion(d: int, n: int, q_bases: dict[Partition, list[ImageBl
     _check_basis_bytes(d, n)
     check_stage1(d, n, q_bases)
     slices, moves, place = _weight_rows(d, n), _relabellings(d, n), place_values(d, n)
+    # Row k: the identity mapping with k and k + 1 swapped.
+    transpositions = np.arange(n) + np.eye(n - 1, n, dtype=np.int64) - np.eye(n - 1, n, 1, dtype=np.int64)
     matrices = {w: np.empty((len(indices), len(indices))) for w, indices in slices.items()}
     filled = dict.fromkeys(slices, 0)
     for lam, images in q_bases.items():
-        mappings = np.array(standard_tableaux(lam), dtype=np.int64)
-        dim_p = len(mappings)
-        coeffs = None
+        axial, _, parent = orthogonal_form(lam)
         for image in images:
             if image.weight not in moves:
                 continue
             indices = slices[image.weight]
-            rows = np.searchsorted(indices, permuted_indices(indices[:, None] // place % d, d, mappings))
-            # moved[t, :, k] = P_T |(lam, i_k, 0)> on the slice.
-            moved = np.zeros((dim_p,) + image.columns.shape)
-            moved[np.arange(dim_p)[:, None], rows] = image.columns
-            if coeffs is None:
-                _, r = np.linalg.qr(moved[:, :, 0].T)
-                diag = np.diagonal(r)
-                if np.min(np.abs(diag)) < RANK_CUT:
-                    raise SpanExtractionError(
-                        f"standard tableau permutations of |({lam}, 0, 0)> have rank below f = {dim_p}"
-                    )
-                coeffs = np.linalg.inv(r) * np.sign(diag)
+            # swap[k]: the slice's rows under P_k.
+            swap = np.searchsorted(indices, permuted_indices(indices[:, None] // place % d, d, transpositions))
             # layer[:, j, k] = |(lam, i_k, j)>; columns run j-major, as the layout orders them.
-            layer = np.tensordot(moved, coeffs, axes=(0, 0)).transpose(0, 2, 1)
+            layer = np.empty((len(indices), len(axial), image.columns.shape[1]))
             layer[:, 0] = image.columns
+            for j, (p, k) in enumerate(parent, 1):
+                layer[:, j] = (layer[swap[k], p] - layer[:, p] / axial[p, k]) / math.sqrt(1.0 - axial[p, k] ** -2)
             group, perms = moves[image.weight]
             for w, relabelled in zip(group, _relabel(layer, perms)):
                 block = relabelled.reshape(len(indices), -1)
                 matrices[w][:, filled[w] : filled[w] + block.shape[1]] = block
                 filled[w] += block.shape[1]
     # The last layer's arrays go before the Gram check, whose peak is its own.
-    del rows, moved, layer, relabelled, block
+    del swap, layer, relabelled, block
 
     basis = SchurBasis(d, n, matrices)
     dev = basis.gram_deviation()
@@ -501,36 +505,49 @@ def _check_basis_bytes(d: int, n: int) -> None:
 
 
 def verify_nice_basis(basis: SchurBasis, rng=None, trials=None) -> dict:
-    """Residual report: orthonormality, vector counts, weight purity, and block closures.
+    """Residual report of a nice Schur basis in Young's orthogonal form:
+    orthonormality, vector counts, weight purity, and the form's two
+    closures, each gated by :data:`VERIFY_LIMITS`.
 
     The count holds when the basis has one square multinom(n; w) matrix per
     weight, in weight order; every vector then lies in the slice of its
-    (lam, i)'s weight, so weight purity is 0 by construction. Closure is
-    checked exactly on generators: E_{a,a+1} and E_{a+1,a} on each (lam, j)
-    block (E_ab = sum_k (|a><b|)_k maps slice w to w + e_a - e_b), the
-    adjacent transpositions on each (lam, i) block. A residual is the largest
-    norm of a moved vector's coefficients outside its block's columns in the
-    target slice: its distance from them when the slices are orthogonal,
-    which ``gram_deviation`` checks. The products run in batches: the
-    (source, target) slice pairs of one shape together, and the n - 1
-    transpositions of the slices of one size together, each stacked operand
-    at most :data:`_BATCH_ENTRIES` entries; an item larger than that is read
-    alone and in place. Gram and closure entries are ``inf`` when the count
-    fails. ``rng`` and ``trials`` are unused; the ``basis-cold`` workload in
-    ``perfbench/workloads.py`` passes them.
+    (lam, i)'s weight, so weight purity is 0 by construction. The pi residual
+    is the largest column norm of P_k V_w - V_w rho(s_k) over the adjacent
+    transpositions P_k (a row permutation of the slice), where rho(s_k) is
+    :func:`orthogonal_form`'s matrix on each (lam, i)'s j layers: at most
+    two entries per column, so m^2 work for a slice of m columns. It fixes
+    every (lam, i, j) once its (lam, i, 0) is fixed, so the i labels agree
+    across j. The U residual is the largest distance of E_{a,a+1} or
+    E_{a+1,a} (E_ab = sum_k (|a><b|)_k maps slice w to w + e_a - e_b) of a
+    (lam, i, 0) column from the target slice's (lam, 0) columns. E_ab
+    commutes with every P_k, so once the pi check holds every layer is the
+    j = 0 layer moved by one group-algebra element, and the j = 0 columns
+    are all the U check needs. The distances take the (lam, 0) columns as
+    orthonormal, which ``gram_deviation`` checks.
+
+    The products run in batches: the (source, target) slice pairs of one
+    shape together, and the n - 1 transpositions of the slices of one size
+    together, each stacked operand at most :data:`_BATCH_ENTRIES` entries;
+    an item larger than that is read alone and in place. The U check's
+    gathered source rows, one per moved digit, are at most n times that,
+    and the (lam, i, 0) columns of every slice are copied once and kept for
+    the whole check. A slice read alone peaks at two of its sizes beyond
+    the basis, in the pi check. Gram and closure entries are ``inf`` when
+    the count fails. ``rng`` and ``trials`` are unused; the ``basis-cold``
+    workload in ``perfbench/workloads.py`` passes them.
     """
     fault = _label_fault(basis)
-    report = {
-        "gram_deviation": np.inf,
-        "vector_count_ok": fault is None,
-        "weight_purity_violation": 0.0,
-        "u_closure_residual": np.inf,
-        "pi_closure_residual": np.inf,
-    }
+    report = {**dict.fromkeys(VERIFY_LIMITS, np.inf), "weight_purity_violation": 0.0, "vector_count_ok": fault is None}
     if fault is not None:
         return report
     d, n, view = basis.d, basis.n, basis.slices
     place = place_values(d, n)
+    # Per outcome (lam, j) and k: r, and s_k j - j.
+    axial, swaps, _ = zip(*map(orthogonal_form, basis.blocks))
+    shift = np.concatenate([swap - np.arange(len(swap))[:, None] for swap in swaps])
+    axial = np.concatenate(axial)
+    # Per slice, its (lam, i, 0) columns and their outcomes.
+    layer0 = {w: (p.matrix[:, p.keys[:, 2] == 0], p.outcome[p.keys[:, 2] == 0]) for w, p in view.items()}
     steps = [step for a in range(d - 1) for step in ((a + 1, a), (a, a + 1))]
     u_jobs, pi_jobs = [], []
     for w, piece in view.items():
@@ -538,20 +555,21 @@ def verify_nice_basis(basis: SchurBasis, rng=None, trials=None) -> dict:
         for src, dst in steps:
             # E_{dst,src}: each digit src, in turn, becomes dst.
             if w[src]:
-                target = view[tuple(w[s] - (s == src) + (s == dst) for s in range(d))]
-                u_jobs.append(((target.indices.size, size), (piece, target, src, dst)))
+                target = tuple(w[s] - (s == src) + (s == dst) for s in range(d))
+                shape = (view[target].indices.size, size, layer0[target][1].size, layer0[w][1].size)
+                u_jobs.append((shape, (piece, view[target], src, dst)))
         pi_jobs.extend(((size, size), (piece, k)) for k in range(n - 1))
-    u_residual = max((_u_closure(chunk, d, place) for chunk in _batches(u_jobs)), default=0.0)
-    pi_residual = max((_pi_closure(chunk, d, place) for chunk in _batches(pi_jobs)), default=0.0)
+    u_residual = max((_u_closure(chunk, d, place, layer0) for chunk in _batches(u_jobs)), default=0.0)
+    pi_residual = max((_pi_closure(chunk, d, place, axial, shift) for chunk in _batches(pi_jobs)), default=0.0)
     report.update(gram_deviation=basis.gram_deviation(), u_closure_residual=u_residual, pi_closure_residual=pi_residual)
     return report
 
 
 def _batches(jobs):
     """The (shape, job) pairs ``jobs`` grouped by shape, in chunks of jobs
-    whose stacked (rows, cols) operands hold at most :data:`_BATCH_ENTRIES`
-    entries, and one job at least."""
-    groups: dict[tuple[int, int], list] = {}
+    whose stacked operands, at most max(shape)^2 entries each, hold at most
+    :data:`_BATCH_ENTRIES` entries, and one job at least."""
+    groups: dict[tuple[int, ...], list] = {}
     for shape, job in jobs:
         groups.setdefault(shape, []).append(job)
     for shape, group in groups.items():
@@ -560,53 +578,69 @@ def _batches(jobs):
             yield group[start : start + step]
 
 
-def _stacked(pieces: list[WeightSlice], name: str) -> np.ndarray:
-    """Attribute ``name`` of each slice, stacked along a new axis 0; of one
-    slice, however often it is listed, as it is, read in place to broadcast."""
+def _stacked(pieces: list[WeightSlice]) -> np.ndarray:
+    """The matrix of each slice, stacked along a new axis 0; of one slice,
+    however often it is listed, a read-only broadcast of it, not a copy."""
     if all(piece is pieces[0] for piece in pieces):
-        return getattr(pieces[0], name)
-    return np.stack([getattr(piece, name) for piece in pieces])
+        return np.broadcast_to(pieces[0].matrix, (len(pieces),) + pieces[0].matrix.shape)
+    return np.stack([piece.matrix for piece in pieces])
 
 
 def _gram_deviation(pieces: list[WeightSlice]) -> float:
     """Max |V^T V - 1| over the stacked square slices ``pieces``, of one size:
     1 is taken off the Gram's diagonal in place, so nothing of its size but
     the Gram is formed."""
-    matrices = _stacked(pieces, "matrix")
+    matrices = _stacked(pieces)
     gram = np.swapaxes(matrices, -1, -2) @ matrices
     size = gram.shape[-1]
     gram.reshape(-1, size * size)[:, :: size + 1] -= 1.0
     return float(max(gram.max(), -gram.min()))
 
 
-def _u_closure(chunk, d: int, place: np.ndarray) -> float:
+def _u_closure(chunk, d: int, place: np.ndarray, layer0: dict) -> float:
     """The U-closure residual of (source, target, src, dst) jobs of one shape:
-    E_{dst,src} of the source slice's columns against the target's (lam, j)."""
+    the distance of E_{dst,src} of each source (lam, i, 0) column from the
+    target's (lam, 0) columns, both read from ``layer0``."""
     sources, targets = [job[0] for job in chunk], [job[1] for job in chunk]
     src, dst = np.array([job[2:] for job in chunk]).T
-    indices = np.stack([piece.indices for piece in sources])
-    owner, rows, pos = np.nonzero(indices[:, :, None] // place % d == src[:, None, None])
-    moved_to = indices[owner, rows] + (dst - src)[owner] * place[pos]
-    lift = np.zeros((len(chunk), targets[0].indices.size, indices.shape[1]))
-    lift[owner, _find(np.stack([t.indices for t in targets]), moved_to, owner, d ** len(place)), rows] = 1.0
-    same_lam_j = _stacked(targets, "outcome")[..., :, None] == _stacked(sources, "outcome")[..., None, :]
-    return _outside(_stacked(targets, "matrix"), lift @ _stacked(sources, "matrix"), same_lam_j)
+    indices = np.stack([target.indices for target in targets])
+    # Target row y comes from y - (dst - src) place[p] for each position p where y has digit dst.
+    owner, rows, pos = np.nonzero(indices[:, :, None] // place % d == dst[:, None, None])
+    came = indices[owner, rows] - (dst - src)[owner] * place[pos]
+    came = _find(np.stack([source.indices for source in sources]), came, owner, d ** len(place))
+    (base, have), (frame, want) = (map(np.stack, zip(*[layer0[p.weight] for p in side])) for side in (sources, targets))
+    # Every target row is reached, and np.nonzero lists each one's sources as one run.
+    runs = np.flatnonzero(np.diff(owner * indices.shape[1] + rows, prepend=-1))
+    moved = np.add.reduceat(base[owner, came], runs, axis=0).reshape(len(chunk), indices.shape[1], -1)
+    keep = want[:, :, None] == have[:, None, :]
+    rest = moved - frame @ (keep * (np.swapaxes(frame, -1, -2) @ moved))
+    return float(np.sqrt(np.max(np.einsum("...ij,...ij->...j", rest, rest), initial=0.0)))
 
 
-def _pi_closure(chunk, d: int, place: np.ndarray) -> float:
+def _pi_closure(chunk, d: int, place: np.ndarray, axial: np.ndarray, shift: np.ndarray) -> float:
     """The pi-closure residual of (slice, k) jobs of one slice size: the
-    transposition of qudits k and k + 1 on the slice's columns against its
-    (lam, i) blocks."""
+    transposition P_k of qudits k and k + 1 on the slice's columns against
+    rho(s_k) of Young's orthogonal form, where ``axial[o, k]`` is the axial
+    distance r of outcome o = (lam, j) and ``shift[o, k]`` is s_k j - j."""
     pieces = [piece for piece, _ in chunk]
     indices = np.stack([piece.indices for piece in pieces])
     k = np.array([k for _, k in chunk])[:, None]
     low, high = indices // place[k] % d, indices // place[k + 1] % d
     owner = np.arange(len(chunk))[:, None]
     perm = _find(indices, indices + (high - low) * (place[k] - place[k + 1]), owner, d ** len(place))
-    matrices, keys = _stacked(pieces, "matrix"), _stacked(pieces, "keys")
-    lam_i = keys[..., 0] * d ** len(place) + keys[..., 1]
-    same_lam_i = lam_i[..., :, None] == lam_i[..., None, :]
-    return _outside(matrices, matrices[perm] if matrices.ndim == 2 else matrices[owner, perm], same_lam_i)
+    # Columns run by outcome, then i, K_{lam,w} to an outcome of lam, so
+    # (lam, i, s_k j) lies (s_k j - j) K_{lam,w} columns on from (lam, i, j).
+    outcome = np.stack([piece.outcome for piece in pieces])
+    kostka = np.stack([np.bincount(piece.outcome)[piece.outcome] for piece in pieces])
+    column = np.arange(outcome.shape[1]) + shift[outcome, k] * kostka
+    r = axial[outcome, k][:, None, :]
+    matrices = _stacked(pieces)
+    rest = matrices[owner, perm]
+    pair = np.take_along_axis(matrices, column[:, None], 2)
+    pair *= np.sqrt(1.0 - 1.0 / r**2)
+    rest -= pair
+    rest -= np.divide(matrices, r, out=pair)
+    return float(np.sqrt(np.max(np.einsum("...ij,...ij->...j", rest, rest), initial=0.0)))
 
 
 def _find(rows: np.ndarray, values: np.ndarray, owner: np.ndarray, dim: int) -> np.ndarray:
@@ -615,14 +649,6 @@ def _find(rows: np.ndarray, values: np.ndarray, owner: np.ndarray, dim: int) -> 
     end to end, row b shifted up by b * dim."""
     shift = dim * np.arange(len(rows))[:, None]
     return np.searchsorted((rows + shift).ravel(), values + dim * owner) - rows.shape[1] * owner
-
-
-def _outside(matrix: np.ndarray, moved: np.ndarray, keep: np.ndarray) -> float:
-    """Max over columns x of ``moved`` of ||x - V (keep[:, x] * V^T x)||, V =
-    ``matrix``, for stacks of (V, moved, keep) that broadcast as in matmul.
-    For an orthogonal V that is ||(1 - keep[:, x]) * V^T x||: one product."""
-    rest = ~keep * (np.swapaxes(matrix, -1, -2) @ moved)
-    return float(np.max(np.linalg.norm(rest, axis=-2), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,10 @@ ROW_SYMMETRY_TOL = 1e-8
 #: Samples accumulated per pass of the Monte Carlo checks.
 _MC_BATCH = 2000
 
+#: Complex entries of one pass of :func:`mc_povm_completeness`: a d^n above
+#: 2^19 / 2000 = 262 takes fewer than :data:`_MC_BATCH` rows.
+_MC_ENTRIES = 1 << 19
+
 #: Entries per row block of a statistic of the Monte Carlo accumulators.
 _STATS_ENTRIES = 1 << 16
 
@@ -328,7 +332,8 @@ def mc_povm_completeness(lam: Partition, d: int, samples: int, rng: RngStream) -
     tensor powers, accumulated by :meth:`_EntrywiseStats.add_outer`. The
     statistics against the projector are taken over blocks of the
     accumulators' rows (:meth:`_EntrywiseStats.max_z`), so the check holds
-    little beyond its three d^n x d^n accumulators. A d^n over
+    little beyond its three d^n x d^n accumulators and one pass of at most
+    :data:`_MC_BATCH` samples and :data:`_MC_ENTRIES` entries. A d^n over
     ``ORACLE_DIM_CAP`` is refused before any sample.
     """
     _check_povm_cap(lam, d)
@@ -337,7 +342,7 @@ def mc_povm_completeness(lam: Partition, d: int, samples: int, rng: RngStream) -
     stats = _EntrywiseStats((dim, dim))
     gen = rng.gen
     while stats.count < samples:
-        b = min(_MC_BATCH, samples - stats.count)
+        b = min(_MC_BATCH, max(1, _MC_ENTRIES // dim), samples - stats.count)
         rows = _product_state_batch(lam, d, b, gen) * scale
         stats.add_outer(rows)
     target = row_symmetric_projector(lam, d)

@@ -1,5 +1,6 @@
-"""Partitions, tableau box layouts, standard tableaux, Kostka numbers, the
-sum of squared multinomials, the column group, the slot classes through
+"""Partitions, tableau box layouts, standard tableaux and Young's orthogonal
+form on them (:func:`orthogonal_form`), Kostka numbers, the sum of squared
+multinomials, the column group, the slot classes through
 which symmetrizers act as class means, built once per register and block
 set (:func:`register_classes`), and the weight classes of digit tuples
 (:func:`weight_classes`), which every grouping by weight in the package
@@ -208,6 +209,40 @@ def standard_tableaux(lam: Partition) -> list[tuple[int, ...]]:
             if len(rows[pick]) < part and (pick == 0 or len(rows[pick]) < len(rows[pick - 1]))
         ]
     return [tuple(entry for row in rows for entry in row) for rows in tableaux]
+
+
+@lru_cache(maxsize=64)
+def orthogonal_form(lam: Partition) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+    """Young's orthogonal form of the S_n irrep ``lam`` on the vectors v_T of
+    the :func:`standard_tableaux` T, in their order: with P_k the
+    transposition of entries k and k + 1,
+
+        P_k v_T = v_T / r + sqrt(1 - 1/r^2) v_{s_k T},
+
+    where r = c_T(k + 1) - c_T(k) is the axial distance of the contents
+    c = column - row of their boxes. When s_k T is not standard, r = +-1,
+    the second term vanishes, and s_k T is taken as T.
+
+    Returns ``axial``, the (f, n - 1) values r; ``swap``, the (f, n - 1)
+    index of s_k T; and ``parent``, for each T after the first, in order,
+    (p, k) with k the first descent of T's row word (entry k in a lower row
+    than entry k + 1) and p the index of s_k T, which is standard and
+    earlier, so v_T = (P_k v_p - v_p / r) / sqrt(1 - 1/r^2) with r =
+    ``axial[p, k]``. The arrays are shared by the cache, so read-only.
+    """
+    tableaux = standard_tableaux(lam)
+    index = {tableau: t for t, tableau in enumerate(tableaux)}
+    rows = np.repeat(np.arange(lam.k), lam.parts)
+    boxes = np.argsort(tableaux, axis=1)  # the box of each entry
+    axial = np.diff((np.concatenate([np.arange(part) for part in lam.parts]) - rows)[boxes], axis=1).astype(float)
+    swap = np.repeat(np.arange(len(tableaux))[:, None], lam.n - 1, axis=1)
+    for (t, tableau), k in itertools.product(enumerate(tableaux), range(lam.n - 1)):
+        swap[t, k] = index.get(tuple({k: k + 1, k + 1: k}.get(e, e) for e in tableau), t)
+    # The first drop in each row word; the appended -1 puts one past the end of the first tableau's, which has none.
+    first = np.argmax(np.diff(rows[boxes], axis=1, append=-1) < 0, axis=1)
+    swap.setflags(write=False)
+    axial.setflags(write=False)
+    return axial, swap, tuple((int(swap[t, k]), int(k)) for t, k in enumerate(first) if t)
 
 
 class SlotClasses:

@@ -20,7 +20,10 @@ matrix, for the tests that read whole blocks, ``dense_stage1`` lays out
 stage 1's blocks, ``edited_basis`` copies a basis with one slice edited
 (``rotate`` is such an edit), and ``verify_per_slice`` computes the
 residuals of ``basis.verify_nice_basis`` one slice, generator and
-transposition at a time, the reference for its batched products.
+transposition at a time, the reference for its batched products, against
+the dense rho(s_k) of Young's orthogonal form that ``orthogonal_form_dense``
+builds from the brute-force tableaux and their contents
+(``tableau_content``).
 ``product_basis_state`` builds the dense input that the reference
 measurement path takes.
 ``row_group`` enumerates the row-stabilizing permutations as a product of
@@ -374,17 +377,20 @@ def dense_stage1(images, dim: int) -> tuple[list[tuple[int, ...]], list[np.ndarr
     return weights, vectors
 
 
-def edited_basis(basis, lam: Partition, i: int, edit):
+def edited_basis(basis, lam: Partition, i, edit):
     """A copy of ``basis`` whose slice holding the vectors (lam, i, j) is
-    edited: ``edit(matrix, column)`` changes a copy of the slice's matrix in
-    place, where ``column[(i', j)]`` is the column of (lam, i', j)."""
+    edited, or with ``i`` None every slice holding vectors of lam:
+    ``edit(matrix, column)`` changes a copy of the slice's matrix in place,
+    where ``column[(i', j)]`` is the column of (lam, i', j)."""
     b = list(basis.blocks).index(lam)
-    w = tuple(basis.blocks[lam].weight_of_i[i])
-    piece = basis.slices[w]
-    column = {(k, j): c for c, (owner, k, j) in enumerate(piece.keys.tolist()) if owner == b}
-    matrix = piece.matrix.copy()
-    edit(matrix, column)
-    return type(basis)(basis.d, basis.n, {**basis.matrices, w: matrix})
+    weight_of_i = basis.blocks[lam].weight_of_i
+    matrices = dict(basis.matrices)
+    for w in dict.fromkeys(weight_of_i if i is None else [weight_of_i[i]]):
+        piece = basis.slices[tuple(w)]
+        column = {(k, j): c for c, (owner, k, j) in enumerate(piece.keys.tolist()) if owner == b}
+        matrices[tuple(w)] = piece.matrix.copy()
+        edit(matrices[tuple(w)], column)
+    return type(basis)(basis.d, basis.n, matrices)
 
 
 def rotate(first, second, angle=0.3):
@@ -404,9 +410,25 @@ def verify_per_slice(basis) -> dict[str, float]:
     ``verify_nice_basis``, with one product per slice, per generator
     E_{a,a+1}, E_{a+1,a} on a slice and per adjacent transposition on a
     slice, and purity read one vector key at a time. For a basis whose slices
-    are its blocks' vectors."""
+    are its blocks' vectors.
+
+    ``pi_closure_residual`` is max ||P_k V_w - V_w R_k|| over columns, R_k the
+    dense rho(s_k) of :func:`orthogonal_form_dense` on each (lam, i)'s j
+    columns, and ``u_closure_residual`` the distance of E_ab of each
+    (lam, i, 0) column from the target's (lam, 0) columns. The closures of
+    any nice Schur basis are kept under their own keys: ``u_block_closure``,
+    the distance of E_ab of every column from its (lam, j) block, and
+    ``pi_block_closure``, that of P_k of every column from its (lam, i)
+    block."""
     d, n, blocks, view = basis.d, basis.n, list(basis.blocks.values()), basis.slices
     place = d ** np.arange(n - 1, -1, -1)
+    # rho(s_k) of every (lam, j) pair, block diagonal over the outcomes.
+    sizes = [block.dim_p for block in blocks]
+    forms = [np.zeros((sum(sizes), sum(sizes))) for _ in range(n - 1)]
+    for b, block in enumerate(blocks):
+        at = slice(sum(sizes[:b]), sum(sizes[: b + 1]))
+        for k, form in enumerate(forms):
+            form[at, at] = orthogonal_form_dense(block.lam.parts, k)
 
     def outside(target, moved, keep):
         rest = moved - target.matrix @ (keep * (target.matrix.T @ moved))
@@ -419,9 +441,10 @@ def verify_per_slice(basis) -> dict[str, float]:
         if tuple(blocks[b].weight_of_i[i]) != p.weight
     ]
     gram = max(float(np.max(np.abs(p.matrix.T @ p.matrix - np.eye(len(p.indices))))) for p in view.values())
-    u_residual = pi_residual = 0.0
+    u_residual = pi_residual = u_block = pi_block = 0.0
     for w, piece in view.items():
         slice_digits = piece.indices[:, None] // place % d
+        layer0 = piece.keys[:, 2] == 0
         for src, dst in [step for a in range(d - 1) for step in ((a + 1, a), (a, a + 1))]:
             # E_{dst,src}: each digit src, in turn, becomes dst.
             rows, pos = np.nonzero(slice_digits == src)
@@ -430,19 +453,49 @@ def verify_per_slice(basis) -> dict[str, float]:
                 lift = np.zeros((target.indices.size, piece.indices.size))
                 lift[np.searchsorted(target.indices, piece.indices[rows] + (dst - src) * place[pos]), rows] = 1.0
                 same_lam_j = target.outcome[:, None] == piece.outcome
-                u_residual = max(u_residual, outside(target, lift @ piece.matrix, same_lam_j))
+                moved = lift @ piece.matrix
+                u_block = max(u_block, outside(target, moved, same_lam_j))
+                u_residual = max(u_residual, outside(target, moved[:, layer0], same_lam_j[:, layer0]))
         same_lam_i = np.all(piece.keys[:, None, :2] == piece.keys[:, :2], axis=2)
         for k in range(n - 1):
             swapped = slice_digits.copy()
             swapped[:, [k, k + 1]] = slice_digits[:, [k + 1, k]]
             moved = piece.matrix[np.searchsorted(piece.indices, swapped @ place)]
-            pi_residual = max(pi_residual, outside(piece, moved, same_lam_i))
+            pi_block = max(pi_block, outside(piece, moved, same_lam_i))
+            rho = same_lam_i * forms[k][np.ix_(piece.outcome, piece.outcome)]
+            pi_residual = max(pi_residual, float(np.max(np.linalg.norm(moved - piece.matrix @ rho, axis=0))))
     return {
         "gram_deviation": gram,
         "weight_purity_violation": float(max(impure, default=0.0)),
         "u_closure_residual": u_residual,
         "pi_closure_residual": pi_residual,
+        "u_block_closure": u_block,
+        "pi_block_closure": pi_block,
     }
+
+
+def orthogonal_form_dense(parts: tuple[int, ...], k: int) -> np.ndarray:
+    """rho(s_k) of Young's orthogonal form on the tableaux of
+    :func:`standard_tableaux_brute_force`, in their order: column T holds
+    1/r at T and sqrt(1 - 1/r^2) at s_k T, where r = c_T(k + 1) - c_T(k) and
+    c = column - row of the box holding an entry."""
+    tableaux = standard_tableaux_brute_force(parts)
+    rho = np.zeros((len(tableaux), len(tableaux)))
+    for t, tableau in enumerate(tableaux):
+        r = tableau_content(parts, tableau, k + 1) - tableau_content(parts, tableau, k)
+        rho[t, t] = 1.0 / r
+        swapped = tuple({k: k + 1, k + 1: k}.get(e, e) for e in tableau)
+        if swapped in tableaux:
+            rho[tableaux.index(swapped), t] = math.sqrt(1.0 - 1.0 / r**2)
+    return rho
+
+
+def tableau_content(parts: tuple[int, ...], tableau: tuple[int, ...], entry: int) -> int:
+    """Column minus row of the box of ``tableau`` (entries at the row-major
+    boxes) that holds ``entry``."""
+    box = tableau.index(entry)
+    row = next(r for r in range(len(parts)) if box < sum(parts[: r + 1]))
+    return box - sum(parts[:row]) - row
 
 
 def standard_tableaux_brute_force(parts: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    apply_permutation,
     block_frames,
     block_probabilities,
     chi2_sf,
@@ -21,7 +22,9 @@ from oracles import (
     rotate,
     save_basis_records,
     semistandard_tableaux_count,
+    standard_tableaux_brute_force,
     standard_tableaux_count,
+    tableau_content,
     verify_per_slice,
     weight_of,
     weights_brute_force,
@@ -38,6 +41,7 @@ from schur_shadows.basis import (
     schur_measure,
     verify_nice_basis,
 )
+from schur_shadows.cli import main
 from schur_shadows.qudit import (
     CapExceededError,
     PureState,
@@ -185,6 +189,10 @@ class TestCompletion:
         assert report["weight_purity_violation"] == 0.0
         assert report["u_closure_residual"] < 1e-12
         assert report["pi_closure_residual"] < 1e-12
+        # The closures that any nice Schur basis has hold too.
+        want = verify_per_slice(basis_for(d, n))
+        assert want["u_block_closure"] < 1e-12
+        assert want["pi_block_closure"] < 1e-12
 
     def test_build_and_verify_memory_is_blockwise(self):
         # Build and verify hold a few (d^n, largest block) arrays at a time. The
@@ -204,8 +212,10 @@ class TestCompletion:
 
     def test_verify_memory_is_bounded_by_the_largest_slice(self, basis_for):
         # Batches stack slices only up to a fixed size, and a larger slice is
-        # read in place: verify at (2, 10) peaks below 4.7 times its largest
-        # slice (252 x 252), the peak of one slice at a time.
+        # read in place: verify at (2, 10) peaks below 2.9 times its largest
+        # slice (252 x 252), the pi check's two arrays of one slice's size
+        # (2.5 times); a third, such as a squared copy for the column norms,
+        # reads 3.3 times.
         basis = basis_for(2, 10)
         verify_nice_basis(basis_for(2, 3))
         tracemalloc.start()
@@ -214,7 +224,7 @@ class TestCompletion:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.7 * max(p.matrix.nbytes for p in basis.slices.values())
+        assert peak < 2.9 * max(p.matrix.nbytes for p in basis.slices.values())
 
     def test_gram_check_memory_is_one_slice(self, basis_for):
         # The Gram check takes 1 off the Gram's diagonal in place: at (2, 10)
@@ -319,12 +329,15 @@ class TestVerifyBatches:
     @staticmethod
     def assert_matches_reference(basis):
         report, want = verify_nice_basis(basis), verify_per_slice(basis)
-        for key, value in want.items():
-            assert abs(report[key] - value) <= 1e-15, (basis.d, basis.n, key, report[key], value)
+        for key in basis_mod.VERIFY_LIMITS:
+            assert abs(report[key] - want[key]) <= 1e-15, (basis.d, basis.n, key, report[key], want[key])
+        return want
 
     @pytest.mark.parametrize("d,n", BASIS_COLD_GRID)
     def test_matches_per_slice_reference(self, basis_for, d, n):
-        self.assert_matches_reference(basis_for(d, n))
+        want = self.assert_matches_reference(basis_for(d, n))
+        assert want["u_block_closure"] < 1e-12
+        assert want["pi_block_closure"] < 1e-12
 
     def test_edited_bases_match_and_fail(self):
         for basis, broken in rotated_bases():
@@ -340,6 +353,95 @@ class TestVerifyBatches:
             self.assert_matches_reference(basis_for(d, n))
         for basis, _ in rotated_bases():
             self.assert_matches_reference(basis)
+
+
+def negate_column(i: int, j: int):
+    """An edit for :func:`edited_basis` that negates the column of (i, j)."""
+
+    def edit(matrix, column):
+        matrix[:, column[(i, j)]] *= -1.0
+
+    return edit
+
+
+def negate_layer(j: int):
+    """An edit for :func:`edited_basis` that negates every (i, j) column."""
+
+    def edit(matrix, column):
+        for (_, layer), c in column.items():
+            if layer == j:
+                matrix[:, c] *= -1.0
+
+    return edit
+
+
+def swap_layers(first: int, second: int):
+    """An edit for :func:`edited_basis` that swaps the (i, first) and
+    (i, second) columns of every i."""
+
+    def edit(matrix, column):
+        for (i, layer), c in column.items():
+            if layer == first:
+                matrix[:, [c, column[(i, second)]]] = matrix[:, [column[(i, second)], c]]
+
+    return edit
+
+
+class TestOrthogonalForm:
+    """Stage 2's layers are Young's orthogonal form, and verify reads it."""
+
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 4)])
+    def test_columns_are_jucys_murphy_eigenvectors(self, basis_for, d, n):
+        # X_k = sum_{e<k} (e k) acts on |lam, i, T> as c_T(k), and
+        # <lam, i, s_k T| P_k |lam, i, T> = +sqrt(1 - 1/r^2), r = c_T(k+1) - c_T(k):
+        # transpositions by tensor transposes, tableaux by brute force.
+        basis = basis_for(d, n)
+
+        def transposition(a, b):
+            mapping = list(range(n))
+            mapping[a], mapping[b] = b, a
+            return mapping
+
+        def act(mapping, vector):
+            return apply_permutation(mapping, PureState(d, n, vector)).amplitudes.real
+
+        checked = 0
+        for lam, block in basis.blocks.items():
+            tableaux = standard_tableaux_brute_force(lam.parts)
+            dense = {key: vector.to_dense(d**n) for key, vector in block.vectors.items()}
+            for (i, j), v in dense.items():
+                tableau = tableaux[j]
+                for k in range(1, n):
+                    x_k = sum(act(transposition(e, k), v) for e in range(k))
+                    assert np.max(np.abs(x_k - tableau_content(lam.parts, tableau, k) * v)) < 1e-12, (lam, i, j, k)
+                for k in range(n - 1):
+                    swapped = tuple({k: k + 1, k + 1: k}.get(e, e) for e in tableau)
+                    if swapped in tableaux:
+                        r = tableau_content(lam.parts, tableau, k + 1) - tableau_content(lam.parts, tableau, k)
+                        overlap = dense[(i, tableaux.index(swapped))] @ act(transposition(k, k + 1), v)
+                        assert abs(overlap - math.sqrt(1 - 1 / r**2)) < 1e-12, (lam, i, j, k)
+                        checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 4)])
+    @pytest.mark.parametrize(
+        "name,edit", [("column", negate_column(1, 1)), ("layer", negate_layer(1)), ("swap", swap_layers(1, 2))]
+    )
+    def test_edited_layers_are_refused(self, basis_for, tmp_path, d, n, name, edit):
+        # (3,1) has three standard tableaux. Each edit keeps the basis
+        # orthonormal and every (lam, i) and (lam, j) block closed, but breaks
+        # the form that ties the i labels across j.
+        edited = edited_basis(basis_for(d, n), Partition((3, 1)), 1 if name == "column" else None, edit)
+        report = verify_nice_basis(edited)
+        assert report["pi_closure_residual"] > 1e-8
+        assert report["gram_deviation"] < 1e-9
+        want = TestVerifyBatches.assert_matches_reference(edited)
+        if name == "column":
+            # Closure of the blocks alone does not see a negated column.
+            assert want["u_block_closure"] < 1e-12 and want["pi_block_closure"] < 1e-12
+        path = tmp_path / f"{name}.schb"
+        save_basis(edited, path)
+        assert main(["basis", "verify", "--path", str(path)]) == 1
 
 
 def write_bad_shape_file(path) -> None:

@@ -806,7 +806,7 @@ class TestWeightTable:
                 shadow_from_population(OperatorGrid(np.eye(3)), (0, 1, 2) * 4, 4, 3, NoDraws())
         # Stage 2 refuses the same stage 1 with the same check.
         with monkeypatch.context() as patch, pytest.raises(SpanExtractionError, match=message):
-            patch.setattr(basis_module, "standard_tableaux", no_layers)
+            patch.setattr(basis_module, "orthogonal_form", no_layers)
             schur_basis_completion(3, 3, broken_stage1(3, 3))
         if fault != "lost vector":
             # The labels of a whole basis come from (d, n), so these faults

@@ -10,6 +10,7 @@ from oracles import (
     brute_force_partitions,
     digit_tuples_brute_force,
     encode_basis,
+    orthogonal_form_dense,
     semistandard_tableaux_count,
     standard_tableaux_count,
     weight_of,
@@ -27,6 +28,7 @@ from schur_shadows.young import (
     kostka_number,
     majorizes,
     multinomial_square_sum,
+    orthogonal_form,
     partitions_of,
     specht_dim,
     standard_tableaux,
@@ -291,6 +293,24 @@ class TestWeights:
             for parts in brute_force_partitions(n, n):
                 lam = Partition(parts)
                 assert specht_dim(lam) == standard_tableaux_count(parts) == len(standard_tableaux(lam)), parts
+
+    def test_orthogonal_form_matches_the_brute_force_tableaux(self):
+        # r and s_k T against the dense rho(s_k) of the lattice-word tableaux
+        # (s_k T is T itself exactly where r = +-1); every parent is earlier
+        # and reaches its child by its s_k, and each rho(s_k) is an
+        # orthogonal involution.
+        for n in range(1, 8):
+            for parts in brute_force_partitions(n, n):
+                axial, swap, parent = orthogonal_form(Partition(parts))
+                assert np.array_equal(swap == np.arange(len(swap))[:, None], np.abs(axial) == 1), parts
+                for k in range(n - 1):
+                    rho = np.diag(1.0 / axial[:, k])
+                    rho[swap[:, k], np.arange(len(rho))] += np.sqrt(1.0 - 1.0 / axial[:, k] ** 2)
+                    assert np.array_equal(rho, orthogonal_form_dense(parts, k)), (parts, k)
+                    assert np.max(np.abs(rho @ rho - np.eye(len(rho)))) < 1e-14, (parts, k)
+                assert len(parent) == len(swap) - 1, parts
+                for t, (p, k) in enumerate(parent, 1):
+                    assert p < t and swap[p, k] == t and swap[t, k] == p, (parts, t)
 
     def test_kostka_number_counts_semistandard_tableaux(self):
         # Every weight of at most 4 parts, as a 4-tuple with zeros; the

@@ -212,10 +212,16 @@ class ShadowEstimate:
 
 def sample_population_input(chi: MixedState, n: int, rng: RngStream) -> tuple[OperatorGrid, np.ndarray]:
     """Draw (U, e) with e_i i.i.d. from the spectrum of chi: U is chi's
-    eigenvector matrix and e the drawn int64 array of n symbols."""
+    eigenvector matrix and e the drawn int64 array of n symbols.
+
+    The symbols are the draws of ``Generator.choice(d, size=n, p=spectrum)``,
+    one uniform each placed in the normalised cumulative spectrum, without
+    ``choice``'s checks of a spectrum that :class:`MixedState` has checked.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return chi.eigenvectors, rng.gen.choice(chi.d, size=n, p=chi.eigenvalues)
+    cdf = np.cumsum(chi.eigenvalues)
+    return chi.eigenvectors, np.searchsorted(cdf / cdf[-1], rng.gen.random(n), side="right")
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +263,15 @@ def _dicke_map(d: int, m: int) -> tuple[SlotClasses, np.ndarray, np.ndarray]:
     sqrt_multinom = np.sqrt(classes.counts)
     sqrt_multinom.setflags(write=False)
     return classes, comps, sqrt_multinom
+
+
+@lru_cache(maxsize=64)
+def _dirichlet_shapes(d: int, m: int) -> np.ndarray:
+    """v + 1 for the compositions v of :func:`_dicke_map`, the shapes of a
+    proposal's Dirichlet draw; shared by the cache, so read-only."""
+    shapes = _dicke_map(d, m)[1] + 1.0
+    shapes.setflags(write=False)
+    return shapes
 
 
 def _dicke_tensor(lam: Partition, d: int, taus: np.ndarray) -> np.ndarray:
@@ -318,13 +333,16 @@ class _RowLaw:
     Construction also sets what every draw from the laws reads, so a law
     built once (row 1 of the product table) pays for it once:
 
-    * ``cum``, law l's normalised cumulative weights shifted into
-      [l, l + 1] and raveled, so that one ``searchsorted`` of l + u picks an
-      index of law l; ``None`` for a one-box law of one column, whose pick
-      is always column 0;
     * ``exact``: m > 1 and M <= 1 + 1e-12 for every law, so that every
       proposal is accepted (see :func:`_sample_row`);
-    * ``every``: one-box or exact, the rows whose proposals are all accepted.
+    * ``every``: one-box or exact, the rows whose proposals are all accepted;
+    * ``sole``, on a row whose proposals are all accepted, each law's one
+      index of nonzero weight where every law has just one, else ``None``:
+      a one-box law of one column, or an exact law whose every state is a
+      single Dicke state, as every weight vector of a one-row lam is;
+    * ``cum``, where ``sole`` is ``None``: law l's normalised cumulative
+      weights shifted into [l, l + 1] and raveled, so that one
+      ``searchsorted`` of l + u picks an index of law l.
     """
 
     m: int
@@ -332,9 +350,10 @@ class _RowLaw:
     weights: np.ndarray
     bound: np.ndarray
     rho: np.ndarray | None = None
-    cum: np.ndarray | None = field(init=False)
     exact: bool = field(init=False)
     every: bool = field(init=False)
+    sole: np.ndarray | None = field(init=False)
+    cum: np.ndarray | None = field(init=False)
 
     @classmethod
     def of(cls, states: np.ndarray, m: int) -> "_RowLaw":
@@ -358,14 +377,15 @@ class _RowLaw:
         return cls(m, states, weights, np.maximum(bound, 1.0), rho)
 
     def __post_init__(self):
-        self.cum = None
-        if self.m > 1 or self.weights.shape[1] > 1:
-            cum = np.cumsum(self.weights, axis=1)
-            self.cum = (cum / cum[:, -1:] + np.arange(len(cum))[:, None]).ravel()
         self.exact = self.m > 1 and bool(self.bound.max() <= 1.0 + 1e-12)
         self.every = self.m == 1 or self.exact
         if self.exact:
             self.rho = None
+        if self.every and np.all(np.count_nonzero(self.weights, axis=1) == 1):
+            self.sole, self.cum = np.argmax(self.weights, axis=1), None
+        else:
+            cum = np.cumsum(self.weights, axis=1)
+            self.sole, self.cum = None, (cum / cum[:, -1:] + np.arange(len(cum))[:, None]).ravel()
 
     @classmethod
     def row_one(cls, lam: Partition, d: int, taus: np.ndarray) -> "_RowLaw":
@@ -399,6 +419,27 @@ def _contract(law: _RowLaw, coeffs: np.ndarray, owners: np.ndarray) -> np.ndarra
     return np.einsum("pv,pvx->px", coeffs, law.states[owners])
 
 
+def _one_box(cols: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """One outcome psi of the one-box POVM per row of ``cols`` (size, d), on
+    the one-column state a of that row: density d |<a|psi>|^2 / ||a||^2
+    relative to Haar.
+
+    With c the unit column, that is |<c|psi>|^2 ~ Beta(2, d - 1), a uniform
+    phase on <c|psi> and a Haar complement. A complex Gaussian g with
+    standard normal real and imaginary parts has |<c|g>|^2 ~ 2 Gamma(1), a
+    uniform phase on <c|g>, and squared norm 2 Gamma(d - 1) on a Haar
+    direction off c, all independent. Its component along c is stretched,
+    its phase kept, to the squared modulus |<c|g>|^2 + 2E, E ~ Exp(1), a
+    2 Gamma(2), and g / ||g|| is psi.
+    """
+    unit = cols / np.linalg.norm(cols, axis=1, keepdims=True)
+    g = gen.standard_normal((len(cols), 2 * cols.shape[1])).view(np.complex128)
+    along = np.einsum("pa,pa->p", unit.conj(), g)
+    stretch = np.sqrt(1.0 + 2.0 * gen.standard_exponential(len(cols)) / np.maximum(np.abs(along) ** 2, 1e-300))
+    g += unit * (along * (stretch - 1.0))[:, None]
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
 def _propose(law: _RowLaw, owner: np.ndarray, d: int, gen: np.random.Generator):
     """One proposal of law ``owner[p]`` per p: (psi, phi, contracted, accept).
 
@@ -407,24 +448,25 @@ def _propose(law: _RowLaw, owner: np.ndarray, d: int, gen: np.random.Generator):
     proposals' phi, ``contracted`` c = phi^* A on a narrow law (no rho
     kept), which the target reads, and ``None`` on a wide one, and
     ``accept`` the accept test. The generator gives only what is read: pick
-    uniforms where the law has a pick table, accept uniforms on a rejection
-    row.
+    uniforms where a law has more than one index (no ``sole``), accept
+    uniforms on a rejection row.
+
+    A one-box proposal picks a column of its law's state, then draws psi by
+    :func:`_one_box` on it. A multi-box proposal picks a composition v, then
+    draws Gamma(v + 1) moduli and uniform phases; the shapes v + 1 come from
+    :func:`_dirichlet_shapes`.
     """
     size = owner.size
-    if law.cum is not None:
+    if law.cum is None:
+        pick = law.sole[owner]
+    else:
         pick = np.searchsorted(law.cum, owner + gen.random(size), side="right") - owner * law.weights.shape[1]
     if law.m == 1:
-        col = law.states[owner, :, 0] if law.cum is None else law.states[owner, :, pick]
-        col /= np.linalg.norm(col, axis=1, keepdims=True)
-        gauss = gen.standard_normal((size, d)) + 1j * gen.standard_normal((size, d))
-        perp = gauss - col * np.einsum("pa,pa->p", col.conj(), gauss)[:, None]
-        perp /= np.maximum(np.linalg.norm(perp, axis=1, keepdims=True), 1e-300)
-        overlap = gen.beta(2.0, d - 1.0, size)[:, None] if d > 1 else 1.0
-        phase = np.exp(2j * np.pi * gen.random((size, 1)))
-        return np.sqrt(overlap) * phase * col + np.sqrt(1.0 - overlap) * perp, None, None, None
-    gamma = gen.standard_gamma(_dicke_map(d, law.m)[1][pick] + 1.0)
-    phases = np.exp(2j * np.pi * gen.random((size, d)))
-    psi = np.sqrt(gamma / gamma.sum(axis=1, keepdims=True)) * phases
+        return _one_box(law.states[owner, :, pick], gen), None, None, None
+    gamma = gen.standard_gamma(_dirichlet_shapes(d, law.m)[pick])
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    psi = np.exp(2j * np.pi * gen.random((size, d)))
+    psi *= np.sqrt(gamma, out=gamma)
     if law.exact:
         return psi, None, None, None
     phi = _phi(psi, law.m, d)
@@ -443,6 +485,14 @@ def _propose(law: _RowLaw, owner: np.ndarray, d: int, gen: np.random.Generator):
     weight = density @ law.weights[0] if shared else np.einsum("pv,pv->p", law.weights[owner], density)
     accept = gen.random(size) * (law.bound[owner] * weight) < target
     return psi, phi, contracted, accept
+
+
+def _charge(spent: int, draws: int, budget: int, m: int) -> int:
+    """``spent + draws`` row draws of a row of m boxes, refused past ``budget``."""
+    spent += draws
+    if spent > budget:
+        raise RejectionBudgetError(f"no POVM outcome within {budget} row draws (row of {m} boxes)")
+    return spent
 
 
 def _sample_row(
@@ -464,15 +514,18 @@ def _sample_row(
 
     A one-box row has rho = sum_x a_x a_x^dag over the columns of its state,
     so the target d <psi|rho|psi> / tr rho is the mixture, with weights
-    ||a_x||^2 / tr rho, of the densities d |<a_x|psi>|^2 / ||a_x||^2. Given
-    x, |<a_x|psi>|^2 / ||a_x||^2 ~ Beta(2, d - 1) and the rest of psi is
-    Haar, so every proposal is accepted. A state of one column is its own
-    pick and draws no pick uniform.
+    ||a_x||^2 / tr rho, of the densities d |<a_x|psi>|^2 / ||a_x||^2, each
+    drawn exactly by :func:`_one_box`: every proposal is accepted. A state
+    of one column is its own pick and draws no pick uniform.
+    :func:`_povm_sample` draws a later one-box row of one column by
+    :func:`_one_box` directly, without a law.
 
     When every law of the call has M <= 1 + 1e-12 (``law.exact``), rho = D
     on the support and a proposal is accepted with probability at least
     1 - kappa 1e-12, so every proposal is accepted without an accept
-    uniform, the target or the proposal weight. On such a row, and on a
+    uniform, the target or the proposal weight. A law whose every state is
+    a single Dicke state (``law.sole``) draws no pick uniform either. On
+    such a row, and on a
     one-box row (``law.every``), law l takes exactly ``need[l]`` proposals,
     so the call draws them in slot order and returns them as they are, with
     none of the rejection loop's bookkeeping, and forms phi (:func:`_phi`)
@@ -482,9 +535,7 @@ def _sample_row(
     """
     if law.every:
         owner = np.repeat(np.arange(len(need)), need)
-        spent += owner.size
-        if spent > budget:
-            raise RejectionBudgetError(f"no POVM outcome within {budget} row draws (row of {law.m} boxes)")
+        spent = _charge(spent, owner.size, budget, law.m)
         psi = _propose(law, owner, d, gen)[0]
         return psi, _contract(law, _phi(psi, law.m, d).conj(), owner) if want_rests else None, spent
     first_slot = np.cumsum(need) - need
@@ -503,9 +554,7 @@ def _sample_row(
         group_start = np.cumsum(reps) - reps
         rank = accepted - np.repeat(np.concatenate(([0], accepted))[group_start], reps)
         counted = rank - accept < np.repeat(pending, reps)
-        spent += int(np.count_nonzero(counted))
-        if spent > budget:
-            raise RejectionBudgetError(f"no POVM outcome within {budget} row draws (row of {law.m} boxes)")
+        spent = _charge(spent, int(np.count_nonzero(counted)), budget, law.m)
         taken = np.nonzero(accept & counted)[0]
         own = owner[taken]
         slots = first_slot[own] + got[own] + rank[taken] - 1
@@ -530,7 +579,10 @@ def _povm_sample(
     outcomes of state l fill slots ``cumsum(counts)[l-1]:cumsum(counts)[l]``.
     Samples go through the rows in chunks of at most ``_CHUNK_ENTRIES``
     complex entries, split across states where a chunk spans several; row 1
-    of a chunk is one :func:`_sample_row` call over all its states.
+    of a chunk is one :func:`_sample_row` call over all its states. A later
+    row of one box whose state has one column, the last row of a protocol
+    state, is one :func:`_one_box` call on those columns: no law, no owner
+    table and no gather.
 
     A chunk is sized by what each row holds per sample, on top of the
     sample's later-row state (the X columns of row 1's state):
@@ -542,7 +594,8 @@ def _povm_sample(
       a protocol state: no reduced state, and up to kappa_r proposals, each
       with its law's (kappa_r, X_r) state gathered for the contraction, a
       (d, lam_r + 1) power table, phi and |phi|^2, so
-      kappa_r (kappa_r X_r + (lam_r + 1) d + 2 kappa_r);
+      kappa_r (kappa_r X_r + (lam_r + 1) d + 2 kappa_r), an upper bound on a
+      one-box row's few vectors of d;
     * a later row with X_r > 1: its reduced state and kappa_r proposals with
       theirs, kappa_r^2 (kappa_r + d).
 
@@ -584,9 +637,15 @@ def _povm_sample(
         out, state, spent = _sample_row(first, need, d, gen, spent, budget, want_rests or lam.k > 1)
         psis[start : start + size, 0] = out
         for r in range(1, lam.k):
-            law = _RowLaw.of(state.reshape(size, kappas[r], -1), lam.parts[r])
-            ones = np.ones(size, dtype=np.int64)
-            out, state, spent = _sample_row(law, ones, d, gen, spent, budget, want_rests or r < lam.k - 1)
+            more = want_rests or r < lam.k - 1
+            if lam.parts[r] == 1 and state.shape[1] == d:
+                # One box on one column: the column is the row's only pick.
+                spent = _charge(spent, size, budget, 1)
+                out = _one_box(state, gen)
+                state = np.einsum("pa,pa->p", out.conj(), state)[:, None] if more else None
+            else:
+                law = _RowLaw.of(state.reshape(size, kappas[r], -1), lam.parts[r])
+                out, state, spent = _sample_row(law, np.ones(size, dtype=np.int64), d, gen, spent, budget, more)
             psis[start : start + size, r] = out
         if want_rests:
             rests[start : start + size] = state
@@ -743,17 +802,18 @@ class _ProductTable:
 def _product_table_bytes(d: int, n: int) -> int:
     """Bytes that the row-1 laws of :func:`_product_table` hold, counted from
     shapes alone. Per lam, dim_q(lam) laws, each of a kappa x X complex
-    state, kappa = kappa(lam_1) and X = prod_{r>1} kappa(lam_r), and float64
-    tables: the ``weights`` and ``cum`` of its picks (kappa compositions on
-    lam_1 > 1, else X columns, and no ``cum`` for one column) and one
-    ``bound``. The laws are weight vectors', so exact, and keep no rho."""
+    state, kappa = kappa(lam_1) and X = prod_{r>1} kappa(lam_r), and 8-byte
+    tables: the ``weights`` of its picks (kappa compositions on lam_1 > 1,
+    else X columns), one ``bound``, and the ``cum`` of its picks, or one
+    ``sole`` index on a one-row lam, whose weight vectors are single Dicke
+    states. The laws are weight vectors', so exact, and keep no rho."""
     total = 0
     for lam in partitions_of(n, d):
         kappa = symmetric_dim(lam.parts[0], d)
         width = math.prod(symmetric_dim(m, d) for m in lam.parts[1:])
         picks = kappa if lam.parts[0] > 1 else width
-        tables = 2 * picks if lam.parts[0] > 1 or width > 1 else picks
-        total += weyl_dim(lam, d) * (16 * kappa * width + 8 * (tables + 1))
+        tables = picks + 2 if lam.k == 1 else 2 * picks + 1
+        total += weyl_dim(lam, d) * (16 * kappa * width + 8 * tables)
     return total
 
 
@@ -823,27 +883,31 @@ def shadow_from_population(
        is drawn exactly (M = 1);
     3. the records (Psi - k I) / n' are summed and U (.) U^dag / T returned.
 
-    Inputs are checked before any draw, and every draw comes from the one
-    generator of ``rng.child(0)``. ``segment_partitions`` lists the
-    partitions in segment order; ``povm_proposals`` counts the POVM's row draws.
+    Inputs are checked before any draw, here and nowhere else: T and n' at
+    least 1, at least T n' symbols, each in 0..d-1, and U unitary. Every draw
+    comes from the one generator of ``rng.child(0)``. ``segment_partitions``
+    lists the partitions in segment order; ``povm_proposals`` counts the
+    POVM's row draws.
     """
-    return _product_shadow(unitary, digits, t_segments, segment_size, rng)
-
-
-def _product_shadow(unitary: OperatorGrid, digits, t_segments: int, seg_size: int, rng: RngStream) -> ShadowEstimate:
-    if t_segments < 1 or seg_size < 1:
+    if t_segments < 1 or segment_size < 1:
         raise ValueError("t_segments and segment_size must be >= 1")
-    if len(digits) < t_segments * seg_size:
-        raise ValueError(f"need {t_segments * seg_size} symbols, got {len(digits)}")
+    if len(digits) < t_segments * segment_size:
+        raise ValueError(f"need {t_segments * segment_size} symbols, got {len(digits)}")
     u = unitary.entries
     d = u.shape[0]
     if u.shape != (d, d) or unitarity_deviation(u) > DEFAULT_ATOL:
         raise ValueError(f"population unitary must be a {d} x {d} unitary")
-    seg_digits = np.asarray(digits[: t_segments * seg_size], dtype=np.int64).reshape(t_segments, seg_size)
-    if np.any((seg_digits < 0) | (seg_digits >= d)):
+    # Bound by their extremes, so no copy of the symbols outlives the check.
+    if np.min(digits[: t_segments * segment_size]) < 0 or np.max(digits[: t_segments * segment_size]) >= d:
         raise ValueError(f"symbols must lie in 0..{d - 1}")
-    table = _product_table(d, seg_size)
+    return _product_shadow(unitary, digits, t_segments, segment_size, rng)
 
+
+def _product_shadow(unitary: OperatorGrid, digits, t_segments: int, seg_size: int, rng: RngStream) -> ShadowEstimate:
+    """:func:`shadow_from_population` on inputs that pass its checks."""
+    d = len(unitary.entries)
+    table = _product_table(d, seg_size)
+    seg_digits = np.asarray(digits[: t_segments * seg_size], dtype=np.int64).reshape(t_segments, seg_size)
     draws = rng.child(0).gen
     seg_class = table.classes.inverse[seg_digits @ place_values(d, seg_size)]
     position = table.classes.starts[seg_class] + draws.integers(table.classes.counts[seg_class])
@@ -865,7 +929,7 @@ def _product_shadow(unitary: OperatorGrid, digits, t_segments: int, seg_size: in
             acc += record
             proposals += trials
     return ShadowEstimate(
-        matrix=u @ acc @ u.conj().T / (t_segments * seg_size),
+        matrix=unitary.entries @ acc @ unitary.entries.conj().T / (t_segments * seg_size),
         t_segments=t_segments,
         segment_size=seg_size,
         segment_partitions=partitions,
@@ -883,7 +947,9 @@ def mixed_state_shadow(
     product table is reached first, so a (d, n') that it refuses draws
     nothing, and its caps are decided before any n-sized work. A given
     ``basis`` is only checked against (d, n'), because the ``shadow-d4``
-    workload in ``perfbench/workloads.py`` passes one.
+    workload in ``perfbench/workloads.py`` passes one. U was checked when chi
+    was built and the symbols are drawn in 0..d-1, so the product path runs
+    without the input checks of :func:`shadow_from_population`.
     """
     t_segments = segment_count(epsilon / 2.0)
     if n < t_segments:
@@ -927,8 +993,8 @@ def baseline_single_copy_shadow(chi: MixedState, n: int, rng: RngStream) -> Shad
     law of the one-box POVM on a segment of one qudit, whose Schur
     measurement is trivial (lam = (1)) and whose record is the same, so the
     baseline is the product path at n' = 1, with the streams of
-    :func:`mixed_state_shadow`. The product table is reached first, so its
-    caps are decided before any draw.
+    :func:`mixed_state_shadow`, and like it without the input checks. The
+    product table is reached first, so its caps are decided before any draw.
     """
     _product_table(chi.d, 1)
     return _product_shadow(*sample_population_input(chi, n, rng.child(-1)), n, 1, rng)

@@ -206,6 +206,22 @@ class TestPopulationInput:
             _, digits = sample_population_input(chi, 30, RngStream(65).child(trial))
             assert len(set(digits)) <= 2
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_draws_are_generator_choice(self, d):
+        # The symbols are the array Generator.choice(d, size=n, p=spectrum)
+        # returns, bit for bit, on spectra with zero tails and a full one;
+        # an upstream change to choice's sampling fails here.
+        spectra = [np.eye(d)[0], np.full(d, 1.0 / d)]
+        for rank in range(2, d):
+            head = np.sort(RngStream(66).child(100 * d + rank).gen.dirichlet(np.ones(rank)))[::-1]
+            spectra.append(np.concatenate([head, np.zeros(d - rank)]))
+        for k, spectrum in enumerate(spectra):
+            chi = MixedState(d, spectrum, haar_unitary(d, RngStream(67)), int(np.count_nonzero(spectrum)))
+            for seed in range(20):
+                _, digits = sample_population_input(chi, 500, RngStream(68).child(1000 * k + seed))
+                want = RngStream(68).child(1000 * k + seed).gen.choice(d, size=500, p=chi.eigenvalues)
+                assert digits.dtype == want.dtype and np.array_equal(digits, want), (spectrum, seed)
+
 
 class TestPreprocess:
     def test_all_zeros_input(self, basis_for):
@@ -305,9 +321,11 @@ class TestRowSymmetricSampling:
     @pytest.mark.parametrize("want_rests", [True, False])
     def test_draws_only_what_it_reads(self, want_rests):
         # An exact row draws its picks, gammas and phases, and no accept
-        # uniform; a one-box row of one column, whose pick is that column,
-        # draws its complement, overlap and phase, and no pick uniform. The
-        # draws are the same with or without rests.
+        # uniform; one whose state is a single Dicke state, the only pick,
+        # draws no pick uniform either. A one-box row of one column, whose
+        # pick is that column, draws one complex Gaussian of d entries and
+        # one exponential per outcome, and no pick uniform. The draws are the
+        # same with or without rests.
         class Recording:
             def __init__(self, gen):
                 self.gen, self.calls = gen, []
@@ -321,13 +339,15 @@ class TestRowSymmetricSampling:
                 return draw
 
         d, count = 3, 7
-        lam = Partition((2,))
-        exact = _RowLaw.row_one(lam, d, weight_vector(lam, d, 1).amplitudes.reshape(1, -1, 1))
+        lam, mixed = Partition((2,)), Partition((2, 1))
+        single = _RowLaw.row_one(lam, d, weight_vector(lam, d, 1).amplitudes.reshape(1, -1, 1))
+        exact = _RowLaw.row_one(mixed, d, weight_vector(mixed, d, 1).amplitudes.reshape(1, -1, 1))
         one_box = _RowLaw.row_one(Partition((1,)), d, haar_unitary(d, RngStream(78)).entries[:, :1].reshape(1, d, 1))
-        assert exact.exact and one_box.cum is None
+        assert single.exact and single.cum is None and exact.exact and exact.cum is not None and one_box.cum is None
         expect = [
+            (single, [("standard_gamma", (count, d)), ("random", (count, d))]),
             (exact, [("random", (count,)), ("standard_gamma", (count, d)), ("random", (count, d))]),
-            (one_box, [("standard_normal", (count, d))] * 2 + [("beta", (count,)), ("random", (count, 1))]),
+            (one_box, [("standard_normal", (count, 2 * d)), ("standard_exponential", (count,))]),
         ]
         for law, calls in expect:
             gen = Recording(RngStream(79).gen)
@@ -438,6 +458,26 @@ class TestDickeSampler:
             stats = _EntrywiseStats((d, d))
             stats.add_batch(np.einsum("sa,sb->sab", psis[:, r], psis[:, r].conj()))
             assert stats.max_z((rows @ rows.conj().T + np.eye(d)) / (d + 1)) <= z_max, r
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_one_box_law_is_its_closed_form(self, d):
+        # On a column a, psi has density d |<c|psi>|^2 relative to Haar, c =
+        # a / ||a||: x = |<c|psi>|^2 ~ Beta(2, d - 1), so E[x] = 2 / (d + 1)
+        # and E[x^2] = 6 / ((d + 1)(d + 2)), and E|psi><psi| = (cc^dag + I) / (d + 1).
+        # Gated familywise over the two moments of x and the 2 d^2 Re/Im entries.
+        samples = 20_000
+        col = haar_unitary(d, RngStream(325 + d)).entries[:, 0]
+        psis = protocol._one_box(np.tile(0.5 * col, (samples, 1)), RngStream(326 + d).gen)
+        assert psis.shape == (samples, d)
+        assert np.max(np.abs(np.linalg.norm(psis, axis=1) - 1.0)) < 1e-12
+        z_max = z_threshold(2 + 2 * d * d, 4.0)
+        x = np.abs(psis @ col.conj()) ** 2
+        for values, want in ((x, 2 / (d + 1)), (x**2, 6 / ((d + 1) * (d + 2)))):
+            z = abs(values.mean() - want) / (values.std() / np.sqrt(samples))
+            assert z <= z_max, (d, want, z)
+        stats = _EntrywiseStats((d, d))
+        stats.add_outer(psis)
+        assert stats.max_z((np.outer(col, col.conj()) + np.eye(d)) / (d + 1)) <= z_max
 
     @pytest.mark.parametrize("parts,digits", [((2, 1), (0, 1, 0)), ((2, 2), (0, 0, 0, 1))])
     def test_non_symmetric_input_refused_before_any_draw(self, parts, digits):
@@ -723,17 +763,17 @@ class TestWeightTable:
 
     @pytest.mark.parametrize("d,n", [(3, 5), (4, 4), (2, 10), (4, 5)])
     def test_entry_count_is_what_the_table_holds(self, d, n):
-        # Every array the row-1 laws hold, complex states and float tables.
+        # Every array the row-1 laws hold, complex states and 8-byte tables.
         table = _product_table(d, n)
         held = 0
         for law in table.first_rows:
-            arrays = (law.states, law.weights, law.cum, law.bound, law.rho)
+            arrays = (law.states, law.weights, law.cum, law.sole, law.bound, law.rho)
             held += sum(a.nbytes for a in arrays if a is not None)
         assert held == _product_table_bytes(d, n)
 
     def test_refuses_a_table_it_cannot_hold(self, monkeypatch):
         # Counted from dim_q and the kappas alone: (8, 6) would hold about
-        # 12.9 GB and (8, 5) 0.77 GB; (4, 8) would hold 56 MB, under the cap.
+        # 12.9 GB and (8, 5) 0.76 GB; (4, 8) would hold 56 MB, under the cap.
         def no_stage1(d, n):
             raise AssertionError("stage 1 ran before the refusal")
 
@@ -985,18 +1025,29 @@ class TestPopulationShadow:
         # A flat spectrum at (4, 3) with T = 500 reaches all 44 (lam, i)
         # groups, and each partition's groups fit one chunk. So row 1 takes
         # one _sample_row call per partition over all its groups, each later
-        # row one more: sum of k(lam) over the partitions that occur.
+        # row one more, a _sample_row call or, for a last row of one box,
+        # one _one_box call: sum of k(lam) over the partitions that occur.
         table = _product_table(4, 3)
-        real = protocol._sample_row
-        rows, groups = [], []
+        real_row, real_box = protocol._sample_row, protocol._one_box
+        rows, groups, inside = [], [], []
 
-        def counting(law, need, *args):
+        def counting_row(law, need, *args):
             rows.append(law.m)
             if any(law is first for first in table.first_rows):
                 groups.append(np.count_nonzero(need))
-            return real(law, need, *args)
+            inside.append(1)
+            try:
+                return real_row(law, need, *args)
+            finally:
+                inside.pop()
 
-        monkeypatch.setattr(protocol, "_sample_row", counting)
+        def counting_box(cols, gen):
+            if not inside:
+                rows.append(1)
+            return real_box(cols, gen)
+
+        monkeypatch.setattr(protocol, "_sample_row", counting_row)
+        monkeypatch.setattr(protocol, "_one_box", counting_box)
         chi = MixedState(4, np.full(4, 0.25), haar_unitary(4, RngStream(330)), 4)
         est = mixed_state_shadow(chi, 1500, 0.2829, RngStream(331))
         assert est.t_segments == 500
@@ -1021,16 +1072,29 @@ class TestPopulationShadow:
         outcome_bytes = sum(len(parts) for parts in runs[0].segment_partitions) * 4 * 16
         assert peak < 2.0 * outcome_bytes, (peak, outcome_bytes)
 
-    def test_product_sampler_rejects_bad_input(self):
+    def test_product_sampler_rejects_bad_input(self, monkeypatch):
+        # The public entry holds every input check: a refusal reaches neither
+        # the product table nor the random stream.
+        def no_table(*_args):
+            raise AssertionError("the product table was read before the refusal")
+
+        class NoStream:
+            def child(self, _stream_id):
+                raise AssertionError("a stream was read before the refusal")
+
+        monkeypatch.setattr(protocol, "_product_table", no_table)
         u = haar_unitary(2, RngStream(305))
-        with pytest.raises(ValueError, match="symbols"):
-            shadow_from_population(u, (0, 2, 0, 1), 2, 2, RngStream(306))
-        with pytest.raises(ValueError, match="symbols"):
-            shadow_from_population(u, (0, -1, 0, 1), 2, 2, RngStream(306))
-        with pytest.raises(ValueError, match="unitary"):
-            shadow_from_population(OperatorGrid(2 * u.entries), (0, 1, 0, 1), 2, 2, RngStream(306))
-        with pytest.raises(ValueError, match="need 6 symbols"):
-            shadow_from_population(u, (0, 1, 0, 1), 3, 2, RngStream(306))
+        cases = [
+            (OperatorGrid(2 * u.entries), (0, 1, 0, 1), 2, 2, "unitary"),
+            (u, (0, 2, 0, 1), 2, 2, "symbols"),
+            (u, (0, -1, 0, 1), 2, 2, "symbols"),
+            (u, (0, 1, 0, 1), 3, 2, "need 6 symbols"),
+            (u, (0, 1, 0, 1), 0, 2, ">= 1"),
+            (u, (0, 1, 0, 1), 2, 0, ">= 1"),
+        ]
+        for unitary, digits, t_segments, segment_size, match in cases:
+            with pytest.raises(ValueError, match=match):
+                shadow_from_population(unitary, digits, t_segments, segment_size, NoStream())
 
     def test_deterministic(self, basis_for):
         basis = basis_for(2, 2)
@@ -1299,7 +1363,7 @@ class TestBaseline:
         assert est.segment_partitions == [(1,)] * 40 and est.povm_proposals == 40
 
     def test_refused_before_any_draw(self):
-        # The (d, 1) row-1 laws take 16 d^2 + 16 d bytes: d = 4096 is the
+        # The (d, 1) row-1 laws take 16 d^2 + 24 d bytes: d = 4096 is the
         # first over the cap. A draw would read the stream, here None.
         assert _product_table_bytes(4095, 1) <= protocol._TABLE_BYTES < _product_table_bytes(4096, 1)
         with pytest.raises(CapExceededError, match="row-1 laws"):

@@ -5,13 +5,15 @@ state tau, the POVM outcome moments reduce to permutation averages: the Haar
 expectation of psi^{tensor s} times the symmetric-subspace dimension kappa_s
 equals the s-slot symmetrizer. Attaching one (or two) output qudits to a row
 and symmetrizing the enlarged slot set therefore gives E[Psi] and
-E[Psi tensor Psi] exactly. E[Psi] is a sum of one-qudit reduced states of
-tau. For E[Psi tensor Psi] the product of one row pair's symmetrizers acts
-on the d^2 vectors |b> (tensor) tau of the (n+2)-qudit register as one mean
-over the classes of indices that agree outside the pair's slot sets and carry
-the same digit multiset on each, so no operator on n+1 or n+2 qudits is
-built. No permutation group is enumerated anywhere: every symmetrizer is read
-off slot classes.
+E[Psi tensor Psi] exactly. Tau is symmetric within each row, so the average
+over an enlarged row's permutations depends only on where the outputs land:
+on themselves, which gives the identity (or the swap of two outputs) times
+t = ||tau||^2, or on row qudits, which gives a reduced state of tau tau^dag.
+So E[Psi] is a sum of one-qudit reduced states and E[Psi tensor Psi] one of
+one- and two-qudit reduced states, with four cases for two outputs in one
+row (see :func:`second_moment_exact`). No register on n+1 or n+2 qudits and
+no permutation group is formed: the moments read Gram matrices of the state,
+and the row-symmetry check reads slot classes.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ from .qudit import (
     haar_pure_state_batch,
     power_exceeds,
 )
-from .young import BoxLayout, Partition, kappa_product, register_classes, symmetric_dim, weight_classes
+from .young import BoxLayout, Partition, kappa_product, register_classes, weight_classes
 
-#: Hard cap on d**(n+2) for explicit second-moment operators, and on d**n
-#: for the POVM completeness checks' d^n x d^n arrays.
+#: Hard cap on d**(n+2), the dimension of the state with the two output
+#: qudits attached, for the second moment, and on d**n for the POVM
+#: completeness checks' d^n x d^n arrays.
 ORACLE_DIM_CAP = 2200
 
 ROW_SYMMETRY_TOL = 1e-8
@@ -115,24 +118,27 @@ def random_protocol_state(
 # ---------------------------------------------------------------------------
 
 
-def expected_shadow_exact(lam: Partition, tau: PureState) -> np.ndarray:
-    """Exact E[Psi]: sum over rows and in-row swap positions of reduced states.
+def _reduced(tau: PureState, *qudits: int) -> np.ndarray:
+    """Reduced state of ``qudits`` of tau tau^dag, the first as the leading
+    digit: the Gram matrix of the tensor with those axes in front."""
+    d = tau.d
+    rows = np.moveaxis(tau.amplitudes.reshape((d,) * tau.n), qudits, range(len(qudits))).reshape(d ** len(qudits), -1)
+    return rows @ rows.conj().T
 
-    For each row j and position p <= lam_j the swap pulls the reduced state
-    of box (j, p) onto the output qudit, and the identity overload
-    p = lam_j + 1 contributes tr(rho) I. The rows tile the diagram, so
-    E[Psi] = k tr(rho) I + sum over all n qudits of their one-qudit reduced
-    states, each a Gram matrix of the tensor with that qudit's axis in front.
+
+def expected_shadow_exact(lam: Partition, tau: PureState) -> np.ndarray:
+    """Exact E[Psi] = sum_j (t I + lam_j rho_j), with t = ||tau||^2.
+
+    Row j's term is its Haar weight (lam_j + d) kappa(lam_j) / kappa(lam_j + 1)
+    = lam_j + 1 times the mean over the lam_j + 1 places of the output qudit
+    in the enlarged row: its own place gives t I, and each of the lam_j row
+    qudits gives the reduced state rho_j of that qudit. The state is
+    row-symmetric, so every qudit of a row has the same rho_j, read off the
+    row's first.
     """
     _check_protocol_state(lam, tau)
-    d, n = tau.d, tau.n
-    amps = tau.amplitudes
-    tensor = amps.reshape((d,) * n)
-    out = lam.k * float(np.vdot(amps, amps).real) * np.eye(d, dtype=np.complex128)
-    for qudit in range(n):
-        rows = np.moveaxis(tensor, qudit, 0).reshape(d, -1)
-        out += rows @ rows.conj().T
-    return out
+    out = sum(part * _reduced(tau, first) for part, first in zip(lam.parts, np.cumsum(lam.parts) - lam.parts))
+    return out + lam.k * float(np.vdot(tau.amplitudes, tau.amplitudes).real) * np.eye(tau.d)
 
 
 def expected_shadow_formula(lam: Partition, weight, unitary: OperatorGrid | None, d: int) -> np.ndarray:
@@ -152,7 +158,7 @@ def expected_shadow_formula(lam: Partition, weight, unitary: OperatorGrid | None
 
 
 def check_oracle_cap(d: int, n: int) -> None:
-    """Refuse an n-qudit second moment whose (n+2)-qudit register exceeds the cap."""
+    """Refuse an n-qudit second moment whose d^(n+2) exceeds the cap."""
     if power_exceeds(d, n + 2, ORACLE_DIM_CAP):
         raise CapExceededError(f"d^(n+2) = {d}^{n + 2} exceeds oracle cap {ORACLE_DIM_CAP}")
 
@@ -164,42 +170,51 @@ def _check_povm_cap(lam: Partition, d: int) -> None:
 
 
 def second_moment_exact(lam: Partition, tau: PureState) -> np.ndarray:
-    """Exact E[Psi tensor Psi] as a d^2 x d^2 matrix.
+    """Exact E[Psi tensor Psi] as a d^2 x d^2 matrix, from the one- and
+    two-qudit reduced states of tau tau^dag.
 
-    Output qudits occupy slots 0 and 1 of an (n+2)-qudit register. For every
-    ordered row pair (j, j') the Haar expectation of the POVM element times
-    psi_j (tensor) psi_j' factorizes into per-row symmetrizers over enlarged
-    slot sets, with coefficient (lam_j + d)(lam_j' + d) times the ratio of
-    symmetric-subspace dimensions before and after enlargement.
+    With t = ||tau||^2, rho_j the reduced state of a qudit of row j, rho_jj'
+    that of a qudit of row j (leading digit) and one of row j', and S the
+    swap of the two outputs:
 
-    With X the (d^(n+2), d^2) matrix whose column b is |b> (tensor) tau,
-    I (tensor) rho = X X^dag, so the pair's term is coeff * X^dag W X for the
-    symmetrizer product W. The slot sets are disjoint, so W acts on the
-    columns of X as one class mean over the :func:`register_classes` of the
-    pair's sets of more than one slot, built once per (d, n, pair) for every
-    call, and no d^(n+2)-square operator is formed.
+        E[Psi x Psi] = sum_{j != j'} (t I x I + lam_j rho_j x I
+                                      + lam_j' I x rho_j' + lam_j lam_j' rho_jj')
+                     + sum_j (lam_j + d) / (lam_j + d + 1) [t (I + S)
+                         + lam_j (I + S)(rho_j x I)(I + S) + lam_j (lam_j - 1) rho_jj].
+
+    Each term is the Haar weight (lam_j + d)(lam_j' + d) times the ratio of
+    symmetric-subspace dimensions before and after the outputs join their
+    rows, times the mean over the enlarged rows' permutations of where the
+    outputs land. For j != j' the weight is (lam_j + 1)(lam_j' + 1), and each
+    output stays (t) or trades places with one of its row's qudits (rho_j).
+    For j = j' the weight is (lam_j + d)(lam_j + 1)(lam_j + 2) / (lam_j + d + 1)
+    over (lam_j + 2)(lam_j + 1) placements of the two outputs: both stay or
+    swap (t (I + S)); one lands on a row qudit, four ways, whose sum is
+    (I + S)(rho_j x I)(I + S); or both do (rho_jj, that of two qudits of the
+    row). The state is row-symmetric, so the qudits are the rows' first and
+    second. Every term is linear in tau tau^dag, and the cost is k^2 Gram
+    products of d^(n+2) entries.
     """
-    d, n = tau.d, tau.n
+    d = tau.d
     # Refuse by size first, before any validation work.
-    check_oracle_cap(d, n)
+    check_oracle_cap(d, tau.n)
     _check_protocol_state(lam, tau)
-    amps = tau.amplitudes
-    columns = np.kron(np.eye(d * d, dtype=np.complex128), amps.reshape(-1, 1))
-    row_slots = [[2 + box for box in row] for row in BoxLayout(lam).row_blocks()]
-
-    total = np.zeros((d * d, d * d), dtype=np.complex128)
-    for j in range(lam.k):
-        for jp in range(lam.k):
-            coeff = float((lam.parts[j] + d) * (lam.parts[jp] + d))
-            blocks = []
-            for r, slots in enumerate(row_slots):
-                outputs = [0] * (r == j) + [1] * (r == jp)
-                coeff *= symmetric_dim(len(slots), d) / symmetric_dim(len(slots) + len(outputs), d)
-                if len(slots) + len(outputs) > 1:
-                    blocks.append(tuple(outputs + slots))
-            image = register_classes(d, n + 2, tuple(blocks)).mean(columns)
-            # (X^dag W X)[a, b] = sum_r conj(tau_r) (W X)[(a, r), b]
-            total += coeff * (amps.conj() @ image.reshape(d * d, -1, d * d))
+    t = float(np.vdot(tau.amplitudes, tau.amplitudes).real)
+    eye, one = np.eye(d), np.eye(d * d)
+    sym = one + one.reshape((d,) * 4).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    starts = np.cumsum(lam.parts) - lam.parts
+    # Summed over j != j', the first three terms are (k - 1) times
+    # k t I x I + A x I + I x A, with A = sum_j lam_j rho_j.
+    a = sum(part * _reduced(tau, first) for part, first in zip(lam.parts, starts))
+    total = (lam.k - 1) * (lam.k * t * one + np.kron(a, eye) + np.kron(eye, a))
+    for part, first in zip(lam.parts, starts):
+        for part_p, first_p in zip(lam.parts, starts):
+            if first_p != first:
+                total += part * part_p * _reduced(tau, first, first_p)
+        diag = t * sym + part * (sym @ np.kron(_reduced(tau, first), eye) @ sym)
+        if part > 1:
+            diag += part * (part - 1) * _reduced(tau, first, first + 1)
+        total += (part + d) / (part + d + 1) * diag
     return total
 
 

@@ -590,12 +590,13 @@ def _povm_sample(
     * row 1: about M proposals of kappa_1 (d + g) entries each, a
       (kappa_1, d) power gather plus g = min(X, kappa_1) of its own state
       when several states share the call;
-    * a later row r whose state has X_r = 1 column, as on every last row of
-      a protocol state: no reduced state, and up to kappa_r proposals, each
-      with its law's (kappa_r, X_r) state gathered for the contraction, a
-      (d, lam_r + 1) power table, phi and |phi|^2, so
-      kappa_r (kappa_r X_r + (lam_r + 1) d + 2 kappa_r), an upper bound on a
-      one-box row's few vectors of d;
+    * a later one-box row whose state has one column: what :func:`_one_box`
+      holds, the column, its unit vector, g and psi, 4d;
+    * any other later row r whose state has X_r = 1 column, as on every last
+      row of a protocol state: no reduced state, and up to kappa_r
+      proposals, each with its law's (kappa_r, X_r) state gathered for the
+      contraction, a (d, lam_r + 1) power table, phi and |phi|^2, so
+      kappa_r (3 kappa_r + (lam_r + 1) d);
     * a later row with X_r > 1: its reduced state and kappa_r proposals with
       theirs, kappa_r^2 (kappa_r + d).
 
@@ -622,8 +623,8 @@ def _povm_sample(
     gather = 0 if len(counts) == 1 else min(width, kappas[0])
     held = [math.ceil(first.bound.max()) * kappas[0] * (d + gather)]
     for r in range(1, lam.k):
-        kap, x = kappas[r], math.prod(kappas[r + 1 :]) * cols
-        held.append(kap * (kap * x + (lam.parts[r] + 1) * d + 2 * kap) if x == 1 else kap**2 * (kap + d))
+        kap, x, m = kappas[r], math.prod(kappas[r + 1 :]) * cols, lam.parts[r]
+        held.append(kap**2 * (kap + d) if x > 1 else 4 * d if m == 1 else kap * (3 * kap + (m + 1) * d))
     chunk = max(1, _CHUNK_ENTRIES // (width + max(held)))
     psis = np.empty((total, lam.k, d), dtype=np.complex128)
     rests = np.empty((total, cols), dtype=np.complex128) if want_rests else None

@@ -122,8 +122,9 @@ class TestSecondMoment:
             prev = scaled
 
     def test_register_classes_are_built_once(self, monkeypatch, protocol_state_for):
-        # Every slot set's classes come from one cache, shared read-only
-        # across calls.
+        # The moment reads register classes only through its row-symmetry
+        # check, which gets them from one cache, shared read-only across
+        # calls.
         from schur_shadows import moments
 
         lam, d = Partition((2, 1)), 3
@@ -134,12 +135,28 @@ class TestSecondMoment:
         first = second_moment_exact(lam, tau)
         calls = len(seen)
         second = second_moment_exact(lam, tau)
-        assert calls > 1 and len(seen) == 2 * calls
+        assert calls == 1 and len(seen) == 2 * calls
         assert all(a is b for a, b in zip(seen[:calls], seen[calls:]))
         for classes in seen:
             for arr in (classes.inverse, classes.counts, classes.order, classes.starts):
                 assert not arr.flags.writeable
         np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("d,parts", [(3, (3, 2)), (2, (5, 4)), (6, (1, 1))])
+    def test_peak_below_one_register_block(self, d, parts, protocol_state_for):
+        # The closed form reads reduced states of tau tau^dag: with caches
+        # warm, it holds less than one (d^(n+2), d^2) complex block, the
+        # size of the register that |b> (tensor) tau would fill.
+        lam = Partition(parts)
+        tau, _ = protocol_state_for(lam, d, 945)
+        second_moment_exact(lam, tau)
+        tracemalloc.start()
+        try:
+            second_moment_exact(lam, tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d ** (lam.n + 2) * d * d * 16, peak
 
     def test_dim_cap(self):
         tau = PureState.from_digits((0,) * 8, 3)
@@ -154,11 +171,16 @@ class TestSecondMoment:
             second_moment_exact(Partition((8,)), tau)
 
     @pytest.mark.parametrize(
-        "d,n", [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)] + [(4, n) for n in range(1, 4)]
+        "d,n",
+        [(2, n) for n in range(1, 7)]
+        + [(3, n) for n in range(1, 5)]
+        + [(4, n) for n in range(1, 4)]
+        + [(5, 2), (6, 2)],
     )
     def test_matches_dense_reference(self, d, n, protocol_state_for):
         # The dense reference multiplies d^(n+2)-square symmetrizers built
-        # from slot permutations. Its "all" sum is the "cross" sum plus the
+        # from slot permutations. (5, 2) and (6, 2) have d > n + 2, so most
+        # symbols are idle. Its "all" sum is the "cross" sum plus the
         # "diagonal" sum term by term (test_row_split_sums_to_total).
         haar = haar_unitary(d, RngStream(930 + d))
         for lam in partitions_of(n, d):

@@ -619,6 +619,22 @@ class TestDickeSampler:
         assert len(calls) <= 22, len(calls)
         assert peak < 4 * count * lam.k * d * 16, peak
 
+    def test_one_box_row_charged_what_it_holds(self, monkeypatch):
+        # lam = (2, 1) at d = 3 on a weight-pure state at U = I: row 2 is one
+        # box on one column, drawn by _one_box, and is charged its 4d = 12
+        # entries, so row 1's M kappa_1 d = 18 sets the chunk at
+        # 65536 // (3 + 18) = 3120 samples. Charged as a law's proposals,
+        # 5 d^2 = 45, it would take 1365, and 4000 samples three chunks.
+        lam, d, count = Partition((2, 1)), 3, 4000
+        tau, _ = random_protocol_state(lam, build_q_bases(d, lam.n)[lam], d, RngStream(343).gen)
+        row_symmetric_sample_batch(lam, tau, 10, RngStream(344))  # warm caches
+        firsts = []
+        real = protocol._sample_row
+        monkeypatch.setattr(protocol, "_sample_row", lambda law, *args: firsts.append(law.m == 2) or real(law, *args))
+        psis, _ = row_symmetric_sample_batch(lam, tau, count, RngStream(345))
+        assert psis.shape == (count, 2, d)
+        assert firsts == [True, True]
+
     def test_memory_stays_within_state_size(self, basis_for):
         # Nothing of shape proposals x rest is formed. A joint run measures
         # each segment on a factor of at most d^n' columns; what it holds of

@@ -56,14 +56,14 @@ so never more than kappa(lam_r). M = 1 when rho_r is diagonal, which holds
 for the first row of any weight vector, so the product path draws that row
 exactly: every proposal is accepted, and neither the target nor the
 proposal weight is formed. A one-box row is drawn exactly from its state's
-columns. The accepted contraction <psi_r^{x lam_r}|T> is the next row's
-state; no array of proposals times the unmeasured qudits is formed, and
-rho_r itself only where the row's state is wider than it is tall. Samples
-go through the rows in chunks sized by what each row holds per sample
+columns. A row that can reject contracts each proposal once,
+c = <psi_r^{x lam_r}|T>, and reads the target phi^dag rho_r phi = ||c||^2
+off c, so rho_r is never formed; the accepted c is the next row's state.
+Samples go through the rows in chunks sized by what each row holds per sample
 (see :func:`_povm_sample`), at most ``_CHUNK_ENTRIES`` complex entries.
 
 phi and the contraction are formed only where they are read. phi is read
-by a rejection row's target and by the contraction, and the contraction by
+by the contraction, and the contraction by a rejection row's target and by
 the next row. Only the joint front end reads the last row's contraction,
 the state of the later segments. The product path and
 :func:`row_symmetric_sample_batch` read outcomes alone, so there an exact
@@ -252,26 +252,20 @@ _SUPPORT_CUT = 1e-16
 
 
 @lru_cache(maxsize=64)
-def _dicke_map(d: int, m: int) -> tuple[SlotClasses, np.ndarray, np.ndarray]:
+def _dicke_map(d: int, m: int) -> tuple[SlotClasses, np.ndarray, np.ndarray, np.ndarray]:
     """The weight classes of the m-digit tuples, their weights v (the Dicke
     compositions, largest first, so the unit composition e_a has index a),
-    and sqrt(multinom(m; v)), the square roots of the class sizes. The
-    normalised Dicke state |D_v> is the uniform superposition of the digit
-    tuples of class v. The arrays are shared by the cache, so read-only.
+    sqrt(multinom(m; v)), the square roots of the class sizes, and v + 1,
+    the shapes of a proposal's Dirichlet draw. The normalised Dicke state
+    |D_v> is the uniform superposition of the digit tuples of class v. The
+    arrays are shared by the cache, so read-only.
     """
     classes, comps = weight_classes(d, m)
     sqrt_multinom = np.sqrt(classes.counts)
+    shapes = comps + 1.0
     sqrt_multinom.setflags(write=False)
-    return classes, comps, sqrt_multinom
-
-
-@lru_cache(maxsize=64)
-def _dirichlet_shapes(d: int, m: int) -> np.ndarray:
-    """v + 1 for the compositions v of :func:`_dicke_map`, the shapes of a
-    proposal's Dirichlet draw; shared by the cache, so read-only."""
-    shapes = _dicke_map(d, m)[1] + 1.0
     shapes.setflags(write=False)
-    return shapes
+    return classes, comps, sqrt_multinom, shapes
 
 
 def _dicke_tensor(lam: Partition, d: int, taus: np.ndarray) -> np.ndarray:
@@ -295,7 +289,7 @@ def _dicke_tensor(lam: Partition, d: int, taus: np.ndarray) -> np.ndarray:
     prefix = 1
     for r, m in enumerate(lam.parts):
         if m > 1:
-            classes, _, sqrt_multinom = _dicke_map(d, m)
+            classes, _, sqrt_multinom, _ = _dicke_map(d, m)
             out = np.add.reduceat(out.reshape(count, prefix, d**m, -1)[:, :, classes.order], classes.starts, axis=2)
             out /= sqrt_multinom[:, None]
             mass = np.sum(np.abs(out) ** 2, axis=(1, 2, 3))
@@ -314,21 +308,20 @@ def _dicke_tensor(lam: Partition, d: int, taus: np.ndarray) -> np.ndarray:
 class _RowLaw:
     """Proposal laws of one row of m boxes for L states in Dicke coordinates.
 
-    ``states`` is (L, kappa, X), and rho = states states^dag per law. A
-    proposal starts with an index drawn in proportion to ``weights``:
+    ``states`` is (L, kappa, X): law l's state A, whose reduced state is
+    rho = A A^dag. A proposal starts with an index drawn in proportion to
+    ``weights``:
 
     * m > 1: a composition v, with D_v = rho_vv on the support of diag rho,
       and ``bound`` M = lambda_max(D^{-1/2} rho D^{-1/2}), which is N, the
       support size, when rho = a a^dag has rank 1;
     * m = 1: a column x of the state, with weight ||a_x||^2, and M = 1.
 
-    ``rho`` (L, kappa, kappa) is formed only on a wide law (m > 1 and
-    X > kappa), for M, and kept only where it is not exact, the one place
-    :func:`_propose` reads it. A narrow law (X <= kappa) contracts its state
-    for every proposal instead and forms no rho: its M is the top eigenvalue
-    of the X x X Gram B^dag B of B = D^{-1/2} states, which has the nonzero
-    eigenvalues of D^{-1/2} rho D^{-1/2}, and at X = 1 it is the support
-    size.
+    No law forms or keeps rho. M is the top eigenvalue of the smaller Gram
+    of B = D^{-1/2} A, B B^dag (kappa x kappa) when X > kappa and B^dag B
+    (X x X) otherwise; both have the nonzero eigenvalues of
+    D^{-1/2} rho D^{-1/2}, and neither is kept. :func:`_propose` reads a
+    proposal's target off its contraction phi^* A.
 
     Construction also sets what every draw from the laws reads, so a law
     built once (row 1 of the product table) pays for it once:
@@ -349,7 +342,6 @@ class _RowLaw:
     states: np.ndarray
     weights: np.ndarray
     bound: np.ndarray
-    rho: np.ndarray | None = None
     exact: bool = field(init=False)
     every: bool = field(init=False)
     sole: np.ndarray | None = field(init=False)
@@ -359,28 +351,22 @@ class _RowLaw:
     def of(cls, states: np.ndarray, m: int) -> "_RowLaw":
         if m == 1:
             return cls(m, states, np.sum(np.abs(states) ** 2, axis=1), np.ones(len(states)))
-        width = states.shape[2]
-        rho = states @ states.conj().swapaxes(1, 2) if width > states.shape[1] else None
         diag = np.sum(states.real**2 + states.imag**2, axis=2)
         weights = np.where(diag > _SUPPORT_CUT * diag.sum(axis=1, keepdims=True), diag, 0.0)
-        if width == 1:
+        if states.shape[2] == 1:
             # D^{-1/2} a a^dag D^{-1/2} = u u^dag with |u_v| = 1 on the support.
             bound = np.count_nonzero(weights, axis=1).astype(np.float64)
         else:
             scale = np.divide(1.0, np.sqrt(weights), out=np.zeros_like(weights), where=weights > 0.0)
-            if rho is None:
-                scaled = states * scale[:, :, None]
-                gram = scaled.conj().swapaxes(1, 2) @ scaled
-            else:
-                gram = rho * scale[:, :, None] * scale[:, None, :]
+            scaled = states * scale[:, :, None]
+            adjoint = scaled.conj().swapaxes(1, 2)
+            gram = scaled @ adjoint if states.shape[2] > states.shape[1] else adjoint @ scaled
             bound = np.linalg.eigvalsh(gram)[:, -1]
-        return cls(m, states, weights, np.maximum(bound, 1.0), rho)
+        return cls(m, states, weights, np.maximum(bound, 1.0))
 
     def __post_init__(self):
         self.exact = self.m > 1 and bool(self.bound.max() <= 1.0 + 1e-12)
         self.every = self.m == 1 or self.exact
-        if self.exact:
-            self.rho = None
         if self.every and np.all(np.count_nonzero(self.weights, axis=1) == 1):
             self.sole, self.cum = np.argmax(self.weights, axis=1), None
         else:
@@ -400,7 +386,7 @@ def _phi(psi: np.ndarray, m: int, d: int) -> np.ndarray:
     multiplies, one gather per symbol. phi = psi on a one-box row."""
     if m == 1:
         return psi
-    _, comps, sqrt_multinom = _dicke_map(d, m)
+    _, comps, sqrt_multinom, _ = _dicke_map(d, m)
     powers = np.empty((d, m + 1, len(psi)), dtype=np.complex128)
     powers[:, 0] = 1.0
     powers[:, 1] = psi.T
@@ -441,20 +427,19 @@ def _one_box(cols: np.ndarray, gen: np.random.Generator) -> np.ndarray:
 
 
 def _propose(law: _RowLaw, owner: np.ndarray, d: int, gen: np.random.Generator):
-    """One proposal of law ``owner[p]`` per p: (psi, phi, contracted, accept).
+    """One proposal of law ``owner[p]`` per p: (psi, contracted, accept).
 
     On a row whose proposals are all accepted (``law.every``) only psi is
-    drawn and the rest is ``None``. On a rejection row, ``phi`` is the
-    proposals' phi, ``contracted`` c = phi^* A on a narrow law (no rho
-    kept), which the target reads, and ``None`` on a wide one, and
-    ``accept`` the accept test. The generator gives only what is read: pick
-    uniforms where a law has more than one index (no ``sole``), accept
-    uniforms on a rejection row.
+    drawn and the rest is ``None``. On a rejection row, ``contracted`` is
+    c = phi^* A, A the state of the proposal's law, and ``accept`` the
+    accept test, whose target phi^dag rho phi = ||c||^2 is read off c. The
+    generator gives only what is read: pick uniforms where a law has more
+    than one index (no ``sole``), accept uniforms on a rejection row.
 
     A one-box proposal picks a column of its law's state, then draws psi by
     :func:`_one_box` on it. A multi-box proposal picks a composition v, then
     draws Gamma(v + 1) moduli and uniform phases; the shapes v + 1 come from
-    :func:`_dirichlet_shapes`.
+    :func:`_dicke_map`.
     """
     size = owner.size
     if law.cum is None:
@@ -462,29 +447,22 @@ def _propose(law: _RowLaw, owner: np.ndarray, d: int, gen: np.random.Generator):
     else:
         pick = np.searchsorted(law.cum, owner + gen.random(size), side="right") - owner * law.weights.shape[1]
     if law.m == 1:
-        return _one_box(law.states[owner, :, pick], gen), None, None, None
-    gamma = gen.standard_gamma(_dirichlet_shapes(d, law.m)[pick])
+        return _one_box(law.states[owner, :, pick], gen), None, None
+    gamma = gen.standard_gamma(_dicke_map(d, law.m)[3][pick])
     gamma /= gamma.sum(axis=1, keepdims=True)
     psi = np.exp(2j * np.pi * gen.random((size, d)))
     psi *= np.sqrt(gamma, out=gamma)
     if law.exact:
-        return psi, None, None, None
+        return psi, None, None
     phi = _phi(psi, law.m, d)
-    # c = phi^* A costs kappa X per proposal and phi^dag rho phi costs kappa^2:
-    # a narrow state (no rho kept) is contracted for every proposal, a wide
-    # one on accepts.
-    shared = len(law.states) == 1
-    contracted = None
-    if law.rho is None:
-        contracted = _contract(law, phi.conj(), owner)
-        target = np.sum(contracted.real**2 + contracted.imag**2, axis=1)
-    else:
-        rho_phi = phi @ law.rho[0].T if shared else np.einsum("pvw,pw->pv", law.rho[owner], phi)
-        target = np.einsum("pv,pv->p", phi.conj(), rho_phi).real
-    density = phi.real**2 + phi.imag**2
-    weight = density @ law.weights[0] if shared else np.einsum("pv,pv->p", law.weights[owner], density)
+    contracted = _contract(law, phi.conj(), owner)
+    # ||c||^2 as the dot of c's float view with itself, with no (proposals, X)
+    # temporaries: c is the largest array a proposal holds on a wide law.
+    flat = contracted.view(np.float64)
+    target = np.einsum("pk,pk->p", flat, flat)
+    weight = np.einsum("pv,pv->p", law.weights[owner], phi.real**2 + phi.imag**2)
     accept = gen.random(size) * (law.bound[owner] * weight) < target
-    return psi, phi, contracted, accept
+    return psi, contracted, accept
 
 
 def _charge(spent: int, draws: int, budget: int, m: int) -> int:
@@ -510,7 +488,9 @@ def _sample_row(
     from Dirichlet(v + 1) with uniform phases. Relative to Haar its density
     is kappa phi^dag D phi / tr D, with phi_v = <D_v|psi^{x m}>, and the
     target's is kappa phi^dag rho phi / tr rho, so it is accepted with
-    probability phi^dag rho phi / (M phi^dag D phi) <= 1.
+    probability phi^dag rho phi / (M phi^dag D phi) <= 1. With rho = A A^dag
+    the numerator is ||c||^2, c = phi^* A, the contraction that an accepted
+    proposal returns as its rest.
 
     A one-box row has rho = sum_x a_x a_x^dag over the columns of its state,
     so the target d <psi|rho|psi> / tr rho is the mixture, with weights
@@ -529,9 +509,9 @@ def _sample_row(
     one-box row (``law.every``), law l takes exactly ``need[l]`` proposals,
     so the call draws them in slot order and returns them as they are, with
     none of the rejection loop's bookkeeping, and forms phi (:func:`_phi`)
-    and c only when ``want_rests`` is true. A rejection row contracts the
-    proposals it keeps, unless its narrow law contracted them all for the
-    target.
+    and c only when ``want_rests`` is true. A rejection row contracts each
+    proposal once, for its target, and keeps the contractions of those it
+    accepts.
     """
     if law.every:
         owner = np.repeat(np.arange(len(need)), need)
@@ -548,7 +528,7 @@ def _sample_row(
         # M proposals per needed accept.
         reps = np.ceil(pending * law.bound[live] - 1e-6).astype(np.int64)
         owner = np.repeat(live, reps)
-        psi, phi, contracted, accept = _propose(law, owner, d, gen)
+        psi, contracted, accept = _propose(law, owner, d, gen)
         # Rank of each proposal among the accepts of its law in this round.
         accepted = np.cumsum(accept)
         group_start = np.cumsum(reps) - reps
@@ -560,7 +540,7 @@ def _sample_row(
         slots = first_slot[own] + got[own] + rank[taken] - 1
         psis[slots] = psi[taken]
         if want_rests:
-            rests[slots] = _contract(law, phi[taken].conj(), own) if contracted is None else contracted[taken]
+            rests[slots] = contracted[taken]
         got += np.bincount(own, minlength=len(need))
         live = np.nonzero(got < need)[0]
     return psis, rests, spent
@@ -587,18 +567,23 @@ def _povm_sample(
     A chunk is sized by what each row holds per sample, on top of the
     sample's later-row state (the X columns of row 1's state):
 
-    * row 1: about M proposals of kappa_1 (d + g) entries each, a
+    * row 1, where every proposal is accepted: kappa_1 (d + g) entries, a
       (kappa_1, d) power gather plus g = min(X, kappa_1) of its own state
       when several states share the call;
+    * row 1, where it can reject: about M proposals, each with a
+      (d, lam_1 + 1) power table, psi and its Dirichlet draws,
+      d (lam_1 + 3), phi, its conjugate, |phi|^2 and the gathered pick
+      weights, 4 kappa_1, and the contraction's X entries, or the
+      (kappa_1, X) state it gathers when several states share the call;
     * a later one-box row whose state has one column: what :func:`_one_box`
       holds, the column, its unit vector, g and psi, 4d;
-    * any other later row r whose state has X_r = 1 column, as on every last
-      row of a protocol state: no reduced state, and up to kappa_r
-      proposals, each with its law's (kappa_r, X_r) state gathered for the
-      contraction, a (d, lam_r + 1) power table, phi and |phi|^2, so
-      kappa_r (3 kappa_r + (lam_r + 1) d);
-    * a later row with X_r > 1: its reduced state and kappa_r proposals with
-      theirs, kappa_r^2 (kappa_r + d).
+    * a later one-box row of X_r > 1 columns: d^2 (2 d), which covers the
+      (d, X_r) state that its proposal gathers for the contraction while
+      X_r < 2 d^2;
+    * any other later row r: up to kappa_r proposals, each with its law's
+      (kappa_r, X_r) state gathered for the contraction, a (d, lam_r + 1)
+      power table, phi and |phi|^2, so
+      kappa_r (kappa_r X_r + (lam_r + 1) d + 2 kappa_r).
 
     The largest of these sets the chunk.
 
@@ -620,11 +605,15 @@ def _povm_sample(
     kappas = [symmetric_dim(m, d) for m in lam.parts]
     width = first.states.shape[2]
     cols = width // math.prod(kappas[1:])
-    gather = 0 if len(counts) == 1 else min(width, kappas[0])
-    held = [math.ceil(first.bound.max()) * kappas[0] * (d + gather)]
+    shared = len(counts) > 1
+    if first.every:
+        proposal = kappas[0] * (d + (min(width, kappas[0]) if shared else 0))
+    else:
+        proposal = d * (lam.parts[0] + 3) + 4 * kappas[0] + (kappas[0] * width if shared else width)
+    held = [math.ceil(first.bound.max()) * proposal]
     for r in range(1, lam.k):
         kap, x, m = kappas[r], math.prod(kappas[r + 1 :]) * cols, lam.parts[r]
-        held.append(kap**2 * (kap + d) if x > 1 else 4 * d if m == 1 else kap * (3 * kap + (m + 1) * d))
+        held.append(kap * (kap * x + (m + 1) * d + 2 * kap) if m > 1 else 4 * d if x == 1 else 2 * d**3)
     chunk = max(1, _CHUNK_ENTRIES // (width + max(held)))
     psis = np.empty((total, lam.k, d), dtype=np.complex128)
     rests = np.empty((total, cols), dtype=np.complex128) if want_rests else None
@@ -807,7 +796,7 @@ def _product_table_bytes(d: int, n: int) -> int:
     tables: the ``weights`` of its picks (kappa compositions on lam_1 > 1,
     else X columns), one ``bound``, and the ``cum`` of its picks, or one
     ``sole`` index on a one-row lam, whose weight vectors are single Dicke
-    states. The laws are weight vectors', so exact, and keep no rho."""
+    states."""
     total = 0
     for lam in partitions_of(n, d):
         kappa = symmetric_dim(lam.parts[0], d)

@@ -387,10 +387,12 @@ class TestRowSymmetricSampling:
 class TestDickeMap:
     @pytest.mark.parametrize("d,m", [(d, m) for d in range(1, 5) for m in range(1, 5)])
     def test_matches_brute_force(self, d, m):
-        _, comps, sqrt_multinom = _dicke_map(d, m)
+        _, comps, sqrt_multinom, shapes = _dicke_map(d, m)
         want_comps, want_sqrt, want_proj = dicke_map_brute_force(d, m)
         assert np.array_equal(comps, want_comps)
         np.testing.assert_allclose(sqrt_multinom, want_sqrt, rtol=1e-15, atol=0)
+        # The Dirichlet shapes v + 1, shared by the cache.
+        assert np.array_equal(shapes, want_comps + 1.0) and not shapes.flags.writeable
         # Class sums give the coordinates of the brute-force map on symmetric
         # states, here two of them with three columns each.
         gen = RngStream(315 + 4 * d + m).gen
@@ -635,6 +637,52 @@ class TestDickeSampler:
         assert psis.shape == (count, 2, d)
         assert firsts == [True, True]
 
+    @pytest.mark.parametrize("d,parts", [(2, (6, 2)), (2, (8,)), (4, (2, 1, 1)), (5, (2, 1, 1, 1))])
+    def test_rejecting_first_row_charged_what_its_proposals_hold(self, protocol_state_for, d, parts):
+        # Under a Haar U row 1 rejects (M > 1). Each of its proposals holds a
+        # (d, lam_1 + 1) power table, psi with its Dirichlet draws, phi,
+        # |phi|^2, the gathered pick weights and its contraction, and the
+        # chunk is charged for all of them, so 4000 samples peak below 1.25
+        # times the 1 MiB of _CHUNK_ENTRIES beyond their outcomes. Charged
+        # kappa_1 d per proposal, the first two points read over 2 MiB. The
+        # last is a wide row (kappa = 15, X = 125), whose target must form no
+        # (proposals, X) temporaries beside the contraction (1.35 MiB if it does).
+        lam, count = Partition(parts), 4000
+        tau = apply_local_unitary(haar_unitary(d, RngStream(1500 + d)), protocol_state_for(lam, d, 1510)[0])
+        assert first_row_bound(lam, tau) > 1.0 + 1e-9
+        row_symmetric_sample_batch(lam, tau, 10, RngStream(1520))  # warm caches
+        peak = traced_peak(lambda: row_symmetric_sample_batch(lam, tau, count, RngStream(1521)))
+        assert peak - count * lam.k * d * 16 < 1.25 * _CHUNK_ENTRIES * 16, peak
+
+    @pytest.mark.parametrize("laws", [1, 3])
+    def test_accept_target_is_the_dense_reduced_state(self, laws):
+        # The one accept test against rho = A A^dag, formed here from random
+        # states A of one row of 2 boxes at d = 3 (kappa = 6), narrow, square
+        # and wide. M must be lambda_max(D^{-1/2} rho D^{-1/2}), and each
+        # proposal's target ||c||^2 must be phi^dag rho phi, with phi
+        # recomputed from psi and c = phi^* A the contraction of the
+        # proposal's own law.
+        d, m, kappa = 3, 2, 6
+        gen = RngStream(1530 + laws).gen
+        for width in (1, 4, 6, 9):
+            states = gen.standard_normal((laws, kappa, width)) + 1j * gen.standard_normal((laws, kappa, width))
+            states /= np.linalg.norm(states, axis=(1, 2), keepdims=True)
+            rho = states @ states.conj().swapaxes(1, 2)
+            law = _RowLaw.of(states, m)
+            assert not law.every
+            scale = 1.0 / np.sqrt(np.einsum("lvv->lv", rho).real)
+            want = np.linalg.eigvalsh(rho * scale[:, :, None] * scale[:, None, :])[:, -1]
+            np.testing.assert_allclose(law.bound, want, rtol=0, atol=1e-12)
+            owner = gen.integers(laws, size=200)
+            psi, contracted, accept = protocol._propose(law, owner, d, RngStream(1540 + width).gen)
+            phi = protocol._phi(psi, m, d)
+            target = np.einsum("pv,pvw,pw->p", phi.conj(), rho[owner], phi).real
+            np.testing.assert_allclose(np.sum(np.abs(contracted) ** 2, axis=1), target, rtol=0, atol=1e-12)
+            if laws > 1:
+                own = np.einsum("pv,pvx->px", phi.conj(), states[owner])
+                np.testing.assert_allclose(contracted, own, rtol=0, atol=1e-12)
+            assert accept.shape == owner.shape and accept.any() and not accept.all()
+
     def test_memory_stays_within_state_size(self, basis_for):
         # Nothing of shape proposals x rest is formed. A joint run measures
         # each segment on a factor of at most d^n' columns; what it holds of
@@ -750,11 +798,10 @@ class TestWeightTable:
             assert set(mass) == set(law), w
             assert all(abs(mass[parts] / multinom - p) < 1e-12 for parts, p in law.items()), w
 
-    def test_only_wide_laws_keep_rho(self):
-        # A law keeps its reduced state only where the accept test reads it:
-        # on a wide law (X > kappa) that can reject. The product table's
-        # row-1 laws are weight vectors', exact (M = 1), so none keeps one;
-        # (4, 5) has wide and narrow laws.
+    def test_row_one_laws_accept_every_proposal_wide_or_narrow(self):
+        # The product table's row-1 laws are weight vectors', exact (M = 1),
+        # whether their state is wider (X > kappa) or narrower than tall;
+        # (4, 5) has both. No law keeps a reduced state.
         d, n = 4, 5
         table = _product_table(d, n)
         kinds = set()
@@ -762,20 +809,9 @@ class TestWeightTable:
             kappa = symmetric_dim(lam.parts[0], d)
             width = math.prod(symmetric_dim(m, d) for m in lam.parts[1:])
             assert law.states.shape[1:] == (kappa, width)
-            assert law.every and law.rho is None, lam
+            assert law.every and not hasattr(law, "rho"), lam
             kinds.add(width > kappa)
         assert kinds == {True, False}
-        # Random states of one row of 2 boxes at d = 3 (kappa = 6): a wide
-        # law rejects and keeps rho, a narrow one contracts instead.
-        gen = RngStream(680).gen
-        for width in (9, 4):
-            states = gen.standard_normal((2, 6, width)) + 1j * gen.standard_normal((2, 6, width))
-            law = _RowLaw.of(states, 2)
-            assert not law.exact
-            if width > 6:
-                assert np.allclose(law.rho, states @ states.conj().swapaxes(1, 2))
-            else:
-                assert law.rho is None
 
     @pytest.mark.parametrize("d,n", [(3, 5), (4, 4), (2, 10), (4, 5)])
     def test_entry_count_is_what_the_table_holds(self, d, n):
@@ -783,7 +819,7 @@ class TestWeightTable:
         table = _product_table(d, n)
         held = 0
         for law in table.first_rows:
-            arrays = (law.states, law.weights, law.cum, law.sole, law.bound, law.rho)
+            arrays = (law.states, law.weights, law.cum, law.sole, law.bound)
             held += sum(a.nbytes for a in arrays if a is not None)
         assert held == _product_table_bytes(d, n)
 

@@ -41,6 +41,15 @@ Two front ends run the segments:
   cached; an estimate then draws all segments of one partition in one POVM
   pass, so it does no d^n'-sized work.
 
+:func:`mixed_state_shadow` and :func:`baseline_single_copy_shadow` run the
+product path on symbols drawn i.i.d. from the spectrum p of chi, but never
+draw the symbols: a segment lands on (lam, i, 0) of weight w with
+probability multinom(n'; w) prod_a p_a^{w_a} times f^lam / multinom(n'; w),
+so each segment draws its (lam, i) straight from f^lam prod_a p_a^{w_a}, one
+uniform per segment. The d^n' positions of the draw table are not read,
+and every draw of an estimate, these and the POVM's, comes from one
+generator.
+
 Both front ends draw the POVM with one sampler, :func:`_povm_sample`, which
 takes L states and a sample count for each. Row r has lam_r boxes on the
 next lam_r qudits, and its outcome psi_r has density
@@ -417,13 +426,22 @@ def _one_box(cols: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     direction off c, all independent. Its component along c is stretched,
     its phase kept, to the squared modulus |<c|g>|^2 + 2E, E ~ Exp(1), a
     2 Gamma(2), and g / ||g|| is psi.
+
+    No unit column is formed: with <a|g> = ||a|| <c|g>, the stretch reads
+    |<c|g>|^2 = |<a|g>|^2 / ||a||^2, and the component added along c is
+    a <a|g> (stretch - 1) / ||a||^2. Squared norms are dot products of the
+    float views.
     """
-    unit = cols / np.linalg.norm(cols, axis=1, keepdims=True)
+    flat = cols.view(np.float64)
+    norm_sq = np.einsum("pk,pk->p", flat, flat)
     g = gen.standard_normal((len(cols), 2 * cols.shape[1])).view(np.complex128)
-    along = np.einsum("pa,pa->p", unit.conj(), g)
-    stretch = np.sqrt(1.0 + 2.0 * gen.standard_exponential(len(cols)) / np.maximum(np.abs(along) ** 2, 1e-300))
-    g += unit * (along * (stretch - 1.0))[:, None]
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    along = np.einsum("pa,pa->p", cols.conj(), g)
+    overlap = np.maximum(along.real**2 + along.imag**2, 1e-300 * norm_sq)
+    stretch = np.sqrt(1.0 + 2.0 * norm_sq * gen.standard_exponential(len(cols)) / overlap)
+    g += cols * (along * ((stretch - 1.0) / norm_sq))[:, None]
+    flat = g.view(np.float64)
+    g /= np.sqrt(np.einsum("pk,pk->p", flat, flat))[:, None]
+    return g
 
 
 def _propose(law: _RowLaw, owner: np.ndarray, d: int, gen: np.random.Generator):
@@ -575,8 +593,8 @@ def _povm_sample(
       d (lam_1 + 3), phi, its conjugate, |phi|^2 and the gathered pick
       weights, 4 kappa_1, and the contraction's X entries, or the
       (kappa_1, X) state it gathers when several states share the call;
-    * a later one-box row whose state has one column: what :func:`_one_box`
-      holds, the column, its unit vector, g and psi, 4d;
+    * a later one-box row whose state has one column: 4d, which covers what
+      :func:`_one_box` holds, the column, its conjugate and g;
     * a later one-box row of X_r > 1 columns: d^2 (2 d), which covers the
       (d, X_r) state that its proposal gathers for the contraction while
       X_r < 2 d^2;
@@ -778,31 +796,36 @@ class _ProductTable:
     multinom(n'; w). ``first_rows[b]`` is row 1's law over partition b's
     (lam, i, 0) vectors in Dicke coordinates, law i for i. ``parts[b]`` is
     ``lams[b].parts``, in an object array, so that one gather lists the
-    partitions of an estimate's segments.
+    partitions of an estimate's segments. ``entry_class[e]`` is the weight
+    class of entry e and ``f[b]`` is f^lam of ``lams[b]``, as a float: entry e
+    holds ``f[block_of[e]]`` positions of class ``entry_class[e]``.
     """
 
     classes: SlotClasses
     entry: np.ndarray
     block_of: np.ndarray
+    entry_class: np.ndarray
+    f: np.ndarray
     lams: tuple[Partition, ...]
     first_rows: tuple[_RowLaw, ...]
     parts: np.ndarray
 
 
 def _product_table_bytes(d: int, n: int) -> int:
-    """Bytes that the row-1 laws of :func:`_product_table` hold, counted from
-    shapes alone. Per lam, dim_q(lam) laws, each of a kappa x X complex
+    """Bytes that the row-1 laws of :func:`_product_table` hold, with the
+    weight class of each entry, counted from shapes alone. Per lam, dim_q(lam)
+    entries, each with one 8-byte class and one law of a kappa x X complex
     state, kappa = kappa(lam_1) and X = prod_{r>1} kappa(lam_r), and 8-byte
     tables: the ``weights`` of its picks (kappa compositions on lam_1 > 1,
     else X columns), one ``bound``, and the ``cum`` of its picks, or one
     ``sole`` index on a one-row lam, whose weight vectors are single Dicke
-    states."""
+    states. At n' = 1 that is 16 d^2 + 32 d."""
     total = 0
     for lam in partitions_of(n, d):
         kappa = symmetric_dim(lam.parts[0], d)
         width = math.prod(symmetric_dim(m, d) for m in lam.parts[1:])
         picks = kappa if lam.parts[0] > 1 else width
-        tables = picks + 2 if lam.k == 1 else 2 * picks + 1
+        tables = picks + 3 if lam.k == 1 else 2 * picks + 2
         total += weyl_dim(lam, d) * (16 * kappa * width + 8 * tables)
     return total
 
@@ -816,10 +839,11 @@ def _product_table(d: int, n: int) -> _ProductTable:
     table, in this order: when d^n exceeds ``MAX_DENSE_DIM``, decided in
     O(1); when the int64 tables over the d^n digit tuples would take more
     than ``_TABLE_BYTES``: the (d^n, n) digit table of the weight classes,
-    the layout's (d^n, 4) keys and the draw table; and when the row-1 laws
-    would hold more than ``_TABLE_BYTES`` (:func:`_product_table_bytes`, a
-    sum over the partitions of n). Raises :class:`SpanExtractionError` when
-    :func:`check_stage1` refuses stage 1. A refused table is not cached.
+    the layout's (d^n, 4) keys and the draw table; and when the row-1 laws,
+    with the entries' weight classes, would hold more than ``_TABLE_BYTES``
+    (:func:`_product_table_bytes`, a sum over the partitions of n). Raises
+    :class:`SpanExtractionError` when :func:`check_stage1` refuses stage 1.
+    A refused table is not cached.
     """
     check_dense_dim(d, n)
     for what, size in (("d^n' tables", 8 * d**n * (n + 5)), ("row-1 laws", _product_table_bytes(d, n))):
@@ -830,9 +854,12 @@ def _product_table(d: int, n: int) -> _ProductTable:
     blocks, labels = _layout(d, n)
     stage1 = build_q_bases(d, n)
     check_stage1(d, n, stage1)
-    lams, _, weight_of_i = zip(*blocks)
+    lams, f, weight_of_i = zip(*blocks)
     sizes = list(map(len, weight_of_i))
     block_of = np.repeat(np.arange(len(sizes)), sizes)
+    # The labels list the weights in class order.
+    class_of = {w: c for c, w in enumerate(labels)}
+    entry_class = np.fromiter((class_of[w] for ws in weight_of_i for w in ws), dtype=np.int64, count=len(block_of))
     first_i = np.cumsum(sizes) - sizes
     # Sorted, the (lam, i) of a slice's columns are in (lam, i, j) order.
     entry = np.concatenate([np.sort(first_i[keys[:, 0]] + keys[:, 1]) for keys, _ in labels.values()])
@@ -849,7 +876,9 @@ def _product_table(d: int, n: int) -> _ProductTable:
             states.append(_dicke_tensor(lam, d, dense))
         first_rows.append(_RowLaw.of(np.concatenate(states), lam.parts[0]))
     parts = np.fromiter((lam.parts for lam in lams), dtype=object, count=len(lams))
-    return _ProductTable(weight_classes(d, n)[0], entry, block_of, lams, tuple(first_rows), parts)
+    classes = weight_classes(d, n)[0]
+    f = np.array(f, dtype=np.float64)
+    return _ProductTable(classes, entry, block_of, entry_class, f, lams, tuple(first_rows), parts)
 
 
 def shadow_from_population(
@@ -894,7 +923,8 @@ def shadow_from_population(
 
 
 def _product_shadow(unitary: OperatorGrid, digits, t_segments: int, seg_size: int, rng: RngStream) -> ShadowEstimate:
-    """:func:`shadow_from_population` on inputs that pass its checks."""
+    """:func:`shadow_from_population` on inputs that pass its checks: step 1
+    reads each segment's digits, then :func:`_entries_shadow` runs the rest."""
     d = len(unitary.entries)
     table = _product_table(d, seg_size)
     seg_digits = np.asarray(digits[: t_segments * seg_size], dtype=np.int64).reshape(t_segments, seg_size)
@@ -902,10 +932,43 @@ def _product_shadow(unitary: OperatorGrid, digits, t_segments: int, seg_size: in
     seg_class = table.classes.inverse[seg_digits @ place_values(d, seg_size)]
     position = table.classes.starts[seg_class] + draws.integers(table.classes.counts[seg_class])
     entry = table.entry[position]
+    # Only the entries stay through the POVM passes.
+    del seg_digits, seg_class, position
+    return _entries_shadow(unitary, table, entry, seg_size, draws)
+
+
+def _spectrum_entries(
+    table: _ProductTable, spectrum: np.ndarray, seg_size: int, count: int, gen: np.random.Generator
+) -> np.ndarray:
+    """``count`` independent table entries, each with the law of the entry
+    that a segment of i.i.d. symbols from ``spectrum`` draws in step 1 of
+    :func:`shadow_from_population`; no symbol is drawn.
+
+    Digits of weight w come with probability multinom(n'; w) prod_a p_a^{w_a},
+    and then each (lam, i) of weight w with probability f^lam / multinom(n'; w),
+    so entry (lam, i) has probability f^lam prod_a p_a^{w_a}. That is one
+    uniform per entry and one ``searchsorted`` on the cumulative of these.
+    prod_a p_a^{w_a} is the product of p over the digits of the smallest
+    index of the class, n' factors, so a zero eigenvalue's symbol is in no
+    drawn weight. Eigenvalues that round below zero count as zero.
+    """
+    d = len(spectrum)
+    lead = table.classes.order[table.classes.starts]
+    class_p = np.prod(np.maximum(spectrum, 0.0)[lead[:, None] // place_values(d, seg_size) % d], axis=1)
+    cum = np.cumsum(table.f[table.block_of] * class_p[table.entry_class])
+    return np.searchsorted(cum / cum[-1], gen.random(count), side="right")
+
+
+def _entries_shadow(
+    unitary: OperatorGrid, table: _ProductTable, entry: np.ndarray, seg_size: int, draws: np.random.Generator
+) -> ShadowEstimate:
+    """Steps 2 and 3 of :func:`shadow_from_population` for segments that
+    drew the table entries ``entry``, in segment order, with every POVM draw
+    from ``draws``."""
+    d = len(unitary.entries)
+    t_segments = len(entry)
     hits = np.bincount(entry, minlength=len(table.block_of))
     partitions = table.parts[table.block_of[entry]].tolist()
-    # Only the counts per entry and the partitions stay through the POVM passes.
-    del seg_digits, seg_class, position, entry
     acc = np.zeros((d, d), dtype=np.complex128)
     proposals = start = 0
     for lam, first in zip(table.lams, table.first_rows):
@@ -927,19 +990,34 @@ def _product_shadow(unitary: OperatorGrid, digits, t_segments: int, seg_size: in
     )
 
 
+def _spectrum_shadow(chi: MixedState, t_segments: int, seg_size: int, rng: RngStream) -> ShadowEstimate:
+    """The product path on ``t_segments`` segments of ``seg_size`` i.i.d.
+    symbols from chi's spectrum, at U = chi's eigenvectors, without the
+    input checks of :func:`shadow_from_population`: U was checked when chi
+    was built. The table is reached first, so its caps are decided before
+    any draw. Each segment's entry comes from :func:`_spectrum_entries`, and
+    every draw from the one generator of ``rng.child(0)``."""
+    table = _product_table(chi.d, seg_size)
+    draws = rng.child(0).gen
+    entry = _spectrum_entries(table, chi.eigenvalues, seg_size, t_segments, draws)
+    return _entries_shadow(chi.eigenvectors, table, entry, seg_size, draws)
+
+
 def mixed_state_shadow(
     chi: MixedState, n: int, epsilon: float, rng: RngStream, basis: SchurBasis | None = None
 ) -> ShadowEstimate:
     """Shadow estimate from n copies of a mixed state.
 
-    Draws the population input (U, e) from the spectrum of chi and runs the
-    product path at accuracy epsilon / 2; no basis is built or read. The
-    product table is reached first, so a (d, n') that it refuses draws
-    nothing, and its caps are decided before any n-sized work. A given
-    ``basis`` is only checked against (d, n'), because the ``shadow-d4``
-    workload in ``perfbench/workloads.py`` passes one. U was checked when chi
-    was built and the symbols are drawn in 0..d-1, so the product path runs
-    without the input checks of :func:`shadow_from_population`.
+    Runs the product path at accuracy epsilon / 2 on segments of i.i.d.
+    symbols from the spectrum of chi, with U its eigenvectors; no basis is
+    built or read. It is equal in law to :func:`shadow_from_population` on
+    :func:`sample_population_input`'s (U, e), but draws no symbol: each
+    segment's table entry comes straight from the spectrum
+    (:func:`_spectrum_entries`), so an estimate draws T uniforms for its
+    segments, and every draw comes from one generator, ``rng.child(0)``.
+    The product table is reached first, so a (d, n') that it refuses draws
+    nothing. A given ``basis`` is only checked against (d, n'), because the
+    ``shadow-d4`` workload in ``perfbench/workloads.py`` passes one.
     """
     t_segments = segment_count(epsilon / 2.0)
     if n < t_segments:
@@ -947,9 +1025,7 @@ def mixed_state_shadow(
     seg_size = n // t_segments
     if basis is not None and (basis.n != seg_size or basis.d != chi.d):
         raise ValueError(f"basis is for (d={basis.d}, n={basis.n}), segments need (d={chi.d}, n={seg_size})")
-    _product_table(chi.d, seg_size)
-    # Not through shadow_from_population, whose perfbench/layers.py hook reads a basis first.
-    return _product_shadow(*sample_population_input(chi, n, rng.child(-1)), t_segments, seg_size, rng)
+    return _spectrum_shadow(chi, t_segments, seg_size, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -982,9 +1058,9 @@ def baseline_single_copy_shadow(chi: MixedState, n: int, rng: RngStream) -> Shad
     V|b>, whose law has density d <psi|chi|psi> relative to Haar. That is the
     law of the one-box POVM on a segment of one qudit, whose Schur
     measurement is trivial (lam = (1)) and whose record is the same, so the
-    baseline is the product path at n' = 1, with the streams of
-    :func:`mixed_state_shadow`, and like it without the input checks. The
-    product table is reached first, so its caps are decided before any draw.
+    baseline is the product path at n' = 1, run like :func:`mixed_state_shadow`:
+    each copy's table entry, its symbol here, comes straight from the
+    spectrum, every draw from ``rng.child(0)``, and the product table is
+    reached first, so its caps are decided before any draw.
     """
-    _product_table(chi.d, 1)
-    return _product_shadow(*sample_population_input(chi, n, rng.child(-1)), n, 1, rng)
+    return _spectrum_shadow(chi, n, 1, rng)

@@ -498,10 +498,10 @@ class TestProductTableCap:
 
     def test_caps_decided_before_any_count_or_draw(self, tmp_path, monkeypatch, capsys):
         # epsilon 1.2 gives T = 28, so n' = 4000: counting the row-1 laws over
-        # the partitions of 4000 took 21 s, and the draw of the 112,000
-        # symbols came before any check.
+        # the partitions of 4000 took 21 s, and a draw of the segments once
+        # came before any check.
         monkeypatch.setattr("schur_shadows.protocol._product_table_bytes", refuse)
-        monkeypatch.setattr("schur_shadows.protocol.sample_population_input", refuse)
+        monkeypatch.setattr("schur_shadows.protocol._spectrum_entries", refuse)
         args = ["shadow", "run", "--d", "2", "--n", "112000", "--rank", "2", "--epsilon", "1.2", "--trials", "1"]
         assert main(args + ["--out", str(tmp_path / "run.csv")]) == 3
         assert "2**4000" in capsys.readouterr().err

@@ -815,9 +815,10 @@ class TestWeightTable:
 
     @pytest.mark.parametrize("d,n", [(3, 5), (4, 4), (2, 10), (4, 5)])
     def test_entry_count_is_what_the_table_holds(self, d, n):
-        # Every array the row-1 laws hold, complex states and 8-byte tables.
+        # Every array the row-1 laws hold, complex states and 8-byte tables,
+        # and the weight class of each entry.
         table = _product_table(d, n)
-        held = 0
+        held = table.entry_class.nbytes
         for law in table.first_rows:
             arrays = (law.states, law.weights, law.cum, law.sole, law.bound)
             held += sum(a.nbytes for a in arrays if a is not None)
@@ -1253,6 +1254,27 @@ class TestSegmentFactor:
         assert stats.max_z(marginal) <= z_threshold(2 * d * d, 4.0)
 
 
+def assert_same_law(sides, obs: np.ndarray) -> None:
+    """Two equal-sized samples of (d, d) estimates have the same law, by
+    two-sample z statistics: one per Re/Im entry of the mean estimate, gated
+    familywise, and one for the variance of tr(O chi_hat)."""
+    sides = [np.array(side) for side in sides]
+    trials, d = sides[0].shape[:2]
+    for part in (np.real, np.imag):
+        got, want = (part(side) for side in sides)
+        se = np.sqrt((got.var(axis=0) + want.var(axis=0)) / trials)
+        z = np.abs(got.mean(axis=0) - want.mean(axis=0)) / np.maximum(se, 1e-300)
+        assert np.max(np.where(se > 1e-12, z, 0.0)) <= z_threshold(2 * d * d, 4.0)
+    variances, errors = [], []
+    for side in sides:
+        values = np.einsum("ab,kba->k", obs, side).real
+        centred = values - values.mean()
+        m2, m4 = np.mean(centred**2), np.mean(centred**4)
+        variances.append(m2)
+        errors.append((m4 - m2**2) / trials)
+    assert abs(variances[0] - variances[1]) / np.sqrt(sum(errors)) <= 4.0
+
+
 class TestMixedStateShadow:
     def test_trace_is_one_exactly(self):
         chi = MixedState.random(2, 2, RngStream(85))
@@ -1322,11 +1344,11 @@ class TestMixedStateShadow:
 
     @pytest.mark.parametrize("d,chunk_entries", [(2, _CHUNK_ENTRIES), (3, _CHUNK_ENTRIES), (4, _CHUNK_ENTRIES), (4, 1 << 9)])
     def test_equals_the_public_route(self, monkeypatch, d, chunk_entries):
-        # mixed_state_shadow hands its drawn symbols to the product path as an
-        # array; the public route passes sample_population_input's tuple. Both
-        # draw the same estimate bit for bit. With 2^9 entries a chunk holds at
-        # most 6 samples at d = 4, so _povm_sample runs each partition in
-        # several chunks.
+        # mixed_state_shadow draws each segment's table entry from the
+        # spectrum; the public route draws the symbols and reads their
+        # weights. 500 estimates from each side have the same law. With 2^9
+        # entries a chunk holds at most 6 samples at d = 4, so _povm_sample
+        # runs each partition in several chunks.
         monkeypatch.setattr(protocol, "_CHUNK_ENTRIES", chunk_entries)
         calls = []
         real = protocol._sample_row
@@ -1339,10 +1361,49 @@ class TestMixedStateShadow:
         est = mixed_state_shadow(chi, n, epsilon, rng)
         one_chunk_calls = sum(len(parts) for parts in set(est.segment_partitions))
         assert (len(calls) > one_chunk_calls) == (chunk_entries < _CHUNK_ENTRIES)
-        public = shadow_from_population(*sample_population_input(chi, n, rng.child(-1)), t_segments, seg, rng)
-        assert est.matrix.tobytes() == public.matrix.tobytes()
-        assert est.segment_partitions == public.segment_partitions
-        assert est.povm_proposals == public.povm_proposals
+        assert (est.t_segments, est.segment_size, len(est.segment_partitions)) == (t_segments, seg, t_segments)
+        trials = 500
+        sides = [
+            [mixed_state_shadow(chi, n, epsilon, rng.child(k)).matrix for k in range(trials)],
+            [
+                shadow_from_population(*sample_population_input(chi, n, sub.child(-1)), t_segments, seg, sub).matrix
+                for sub in (rng.child(trials + k) for k in range(trials))
+            ],
+        ]
+        assert_same_law(sides, off_diagonal_observable(d).matrix)
+
+    @pytest.mark.parametrize("d,seg,rank", [(4, 3, 2), (3, 4, 3), (2, 16, 2)])
+    def test_entry_law_is_the_draw_tables(self, monkeypatch, d, seg, rank):
+        # Entry e's chance on the public route: per weight class, the chance
+        # multinom(n'; w) prod_a p_a^{w_a} of the segment's digits, times the
+        # share of the class's positions that the draw table maps to e. The
+        # counts per entry are the sample counts that mixed_state_shadow hands
+        # the POVM.
+        chi = MixedState.random(d, rank, RngStream(370 + d))
+        table = _product_table(d, seg)
+        classes, weights = young.weight_classes(d, seg)
+        position_class = np.repeat(np.arange(len(weights)), classes.counts)
+        position_p = np.prod(chi.eigenvalues**weights, axis=1)[position_class]
+        law = np.bincount(table.entry, weights=position_p, minlength=len(table.block_of))
+        entry_weight = weights[position_class[np.unique(table.entry, return_index=True)[1]]]
+        sizes = [len(first.states) for first in table.first_rows]
+        start_of = dict(zip((lam.parts for lam in table.lams), np.cumsum(sizes) - sizes))
+        seen = np.zeros(len(table.block_of), dtype=np.int64)
+        real = protocol._povm_sample
+
+        def counted(lam, d, first, counts, *args):
+            seen[start_of[lam.parts] : start_of[lam.parts] + len(counts)] += counts
+            return real(lam, d, first, counts, *args)
+
+        monkeypatch.setattr(protocol, "_povm_sample", counted)
+        epsilon, runs = 0.2, 20
+        n = segment_count(epsilon / 2.0) * seg
+        for r in range(runs):
+            mixed_state_shadow(chi, n, epsilon, RngStream(380 + d).child(r))
+        assert seen.sum() == runs * segment_count(epsilon / 2.0)
+        assert not np.any(seen[law == 0.0]) and not np.any(entry_weight[seen > 0, rank:])
+        stat, df = chi_square(dict(enumerate(seen)), {e: p for e, p in enumerate(law) if p > 0})
+        assert chi2_sf(stat, df) >= 1e-4, f"chi2 {stat:.2f} on {df} df"
 
     def test_needs_enough_copies(self):
         chi = MixedState.random(2, 1, RngStream(89))
@@ -1406,43 +1467,38 @@ class TestBaseline:
         assert np.max(np.abs(est.matrix - np.eye(2) / 2)) < 4 * 3 / np.sqrt(100_000)
 
     def test_is_the_product_path_at_segment_size_one(self):
+        # 2000 estimates of 40 copies from each side have the same law.
         chi = MixedState.random(3, 2, RngStream(97))
         rng = RngStream(98)
         est = baseline_single_copy_shadow(chi, 40, rng)
-        want = shadow_from_population(*sample_population_input(chi, 40, rng.child(-1)), 40, 1, rng)
-        assert est.matrix.tobytes() == want.matrix.tobytes()
         assert (est.t_segments, est.segment_size) == (40, 1)
         assert est.segment_partitions == [(1,)] * 40 and est.povm_proposals == 40
+        trials = 2000
+        sides = [
+            [baseline_single_copy_shadow(chi, 40, rng.child(k)).matrix for k in range(trials)],
+            [
+                shadow_from_population(*sample_population_input(chi, 40, sub.child(-1)), 40, 1, sub).matrix
+                for sub in (rng.child(trials + k) for k in range(trials))
+            ],
+        ]
+        assert_same_law(sides, off_diagonal_observable(3).matrix)
 
     def test_refused_before_any_draw(self):
-        # The (d, 1) row-1 laws take 16 d^2 + 24 d bytes: d = 4096 is the
-        # first over the cap. A draw would read the stream, here None.
+        # The (d, 1) row-1 laws and entry classes take 16 d^2 + 32 d bytes:
+        # d = 4096 is the first over the cap. A draw would read the stream,
+        # here None.
         assert _product_table_bytes(4095, 1) <= protocol._TABLE_BYTES < _product_table_bytes(4096, 1)
         with pytest.raises(CapExceededError, match="row-1 laws"):
             baseline_single_copy_shadow(SimpleNamespace(d=4096), 5, None)
 
     @pytest.mark.parametrize("d", [3, 8])
     def test_law_matches_random_basis_measurement(self, d):
-        # 2000 estimates of 5 copies of a rank-2 state from each side, and
-        # two-sample z statistics: one per Re/Im entry of the mean estimate,
-        # gated familywise, and one for the variance of tr(O chi_hat).
+        # 2000 estimates of 5 copies of a rank-2 state from each side have
+        # the same law.
         chi = MixedState.random(d, 2, RngStream(99 + d))
-        obs = off_diagonal_observable(d).matrix
         trials, n = 2000, 5
         sides = [
-            np.array([baseline_single_copy_shadow(chi, n, RngStream(100).child(k)).matrix for k in range(trials)]),
-            np.array([random_basis_shadow(chi, n, RngStream(101).child(k)) for k in range(trials)]),
+            [baseline_single_copy_shadow(chi, n, RngStream(100).child(k)).matrix for k in range(trials)],
+            [random_basis_shadow(chi, n, RngStream(101).child(k)) for k in range(trials)],
         ]
-        for part in (np.real, np.imag):
-            got, want = (part(side) for side in sides)
-            se = np.sqrt((got.var(axis=0) + want.var(axis=0)) / trials)
-            z = np.abs(got.mean(axis=0) - want.mean(axis=0)) / np.maximum(se, 1e-300)
-            assert np.max(np.where(se > 1e-12, z, 0.0)) <= z_threshold(2 * d * d, 4.0)
-        variances, errors = [], []
-        for side in sides:
-            values = np.einsum("ab,kba->k", obs, side).real
-            centred = values - values.mean()
-            m2, m4 = np.mean(centred**2), np.mean(centred**4)
-            variances.append(m2)
-            errors.append((m4 - m2**2) / trials)
-        assert abs(variances[0] - variances[1]) / np.sqrt(sum(errors)) <= 4.0
+        assert_same_law(sides, off_diagonal_observable(d).matrix)
